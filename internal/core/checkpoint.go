@@ -127,14 +127,17 @@ func (m *Manager) checkpointer() {
 			if err := m.runCheckpoint(req); err != nil {
 				m.metrics.CkptFailed.Add(1)
 				m.tracer.Emit(pidEvent(trace.Event{Kind: trace.KindCkptFail}, req.pid))
-				m.clearFence(req.pid)
 				select {
 				case <-m.stop:
 					// Crash/shutdown mid-checkpoint: leave the request
 					// in-progress; restart resets it to request state.
+					m.clearFence(req.pid)
 					return
 				default:
 				}
+				// Settle the request before clearFence lowers ckptPending:
+				// a trigger firing in between would be dropped as the
+				// duplicate of a request that is about to go away.
 				req.attempts++
 				if req.attempts >= maxCkptAttempts {
 					// Persistent failure (e.g. checkpoint disks full):
@@ -146,15 +149,15 @@ func (m *Manager) checkpointer() {
 				} else {
 					m.slb.requeueCkpt(req)
 				}
+				m.clearFence(req.pid)
 				// Back off to avoid a hot failure loop.
 				select {
 				case <-m.stop:
 					return
 				case <-time.After(2 * time.Millisecond):
 				}
-			} else {
-				m.slb.finishCkpt(req)
 			}
+			// On success finishCheckpoint has already retired the request.
 		}
 	}
 }

@@ -728,21 +728,28 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 		heap.Push(m.slt.firstList, lsnEntry{lsn: f, pid: b.pid})
 	}
 	m.metrics.CkptCompleted.Add(1)
-	// The surviving suffix may already exceed the threshold (records
-	// kept arriving between fence and finish); re-trigger immediately
-	// rather than waiting for the next record.
-	if b.updateCount >= m.cfg.UpdateThreshold {
-		b.ckptPending = true
-		m.metrics.CkptByUpdateCount.Add(1)
-		m.hw.Meter.ChargeRecovery(int64(m.cfg.Cost.ICheckpoint))
-		m.slb.enqueueCkpt(b.pid, trigUpdateCount)
-	}
 	// Dropping the fenced prefix may have raised the archive floor:
 	// roll newly safe pages to tape now rather than waiting for the
 	// next page flush.
 	if head := m.hw.Log.NextLSN() - 1; head >= simdisk.LSN(m.cfg.LogWindowPages) {
 		m.archiveLocked(head - simdisk.LSN(m.cfg.LogWindowPages) + 1)
 	}
+	// The surviving suffix may already exceed the threshold (records
+	// kept arriving between fence and finish); re-trigger immediately
+	// rather than waiting for the next record.
+	again := b.updateCount >= m.cfg.UpdateThreshold
+	if again {
+		b.ckptPending = true
+		m.metrics.CkptByUpdateCount.Add(1)
+		m.hw.Meter.ChargeRecovery(int64(m.cfg.Cost.ICheckpoint))
+	}
+	// Retire the request here, under the SLT lock that cleared
+	// ckptPending, and last. From this point a trigger for the partition
+	// must find no request of its own in the queue, or it is dropped as
+	// a duplicate and the bin stays pending for good; and WaitIdle takes
+	// an empty queue to mean that this function is done and has not
+	// re-triggered.
+	m.slb.finishCkpt(pid, again)
 	return nil
 }
 

@@ -112,7 +112,11 @@ func (m *Manager) DrainStableOnly() {
 	}
 	m.slb.resetInProgress()
 	m.slt.st.mu.Lock()
+	var pending []addr.PartitionID
 	for _, b := range m.slt.st.bins {
+		if b.ckptPending {
+			pending = append(pending, b.pid)
+		}
 		b.fenceActive = false
 		b.fencePages = 0
 		b.fenceUpdates = 0
@@ -153,6 +157,15 @@ func (m *Manager) DrainStableOnly() {
 		}
 	}
 	m.slt.st.mu.Unlock()
+	// ckptPending and the request queue are both stable, but they are
+	// written under different locks, so a crash can separate them. A bin
+	// that is pending with no request would never be checkpointed again
+	// (every trigger defers to the flag): give it one. enqueueCkpt skips
+	// the bins whose request survived.
+	sort.Slice(pending, func(i, j int) bool { return pending[i].Less(pending[j]) })
+	for _, pid := range pending {
+		m.slb.enqueueCkpt(pid, trigUpdateCount)
+	}
 	// Duplicates from partially sorted chains are absorbed by lenient
 	// replay.
 	m.drainCommitted()

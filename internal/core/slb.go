@@ -626,18 +626,28 @@ func (s *slb) nextCkptRequest() *ckptReq {
 	return nil
 }
 
-// finishCkpt marks the request finished and prunes completed entries.
-func (s *slb) finishCkpt(req *ckptReq) {
+// finishCkpt retires pid's in-progress request and, if again is set,
+// queues the next one in the same step, so the queue never looks empty
+// in between. The recovery CPU calls it from finishCheckpoint: the
+// request must be gone before anything can re-trigger the partition.
+func (s *slb) finishCkpt(pid addr.PartitionID, again bool) {
 	s.st.ckptMu.Lock()
-	defer s.st.ckptMu.Unlock()
-	req.state = ckptFinished
 	q := s.st.ckptQueue[:0]
 	for _, r := range s.st.ckptQueue {
-		if r.state != ckptFinished {
-			q = append(q, r)
+		if r.pid == pid && r.state == ckptInProgress {
+			r.state = ckptFinished
+			continue
 		}
+		q = append(q, r)
+	}
+	if again {
+		q = append(q, &ckptReq{pid: pid, state: ckptRequest, trigger: trigUpdateCount})
 	}
 	s.st.ckptQueue = q
+	s.st.ckptMu.Unlock()
+	if again {
+		nudge(s.ckptCh)
+	}
 }
 
 // requeueCkpt returns a failed in-progress request to the request state

@@ -9,7 +9,11 @@
 //
 // Deadlocks are detected eagerly: a lock request that would close a
 // cycle in the waits-for graph fails with ErrDeadlock, and the caller
-// aborts the transaction.
+// aborts the transaction. Detection costs what the waiters cost: it runs
+// only while some request is queued and walks only the lock heads that
+// have a queue, so an uncontended transaction pays for the locks it
+// takes — a few map and slice operations, no allocation — whatever the
+// size of the table (docs/ARCHITECTURE.md has the completeness argument).
 package lock
 
 import (
@@ -100,27 +104,101 @@ func Entity(packed uint64) Name { return Name{Kind: KindEntity, ID: packed} }
 // Latch names a short-term system lock.
 func Latch(id uint64) Name { return Name{Kind: KindLatch, ID: id} }
 
+// request is one blocked Lock call. A transaction is a single thread of
+// control (txn.Txn is not safe for concurrent use), so it has at most
+// one request pending at a time; Manager.waiting relies on that.
 type request struct {
 	txn  uint64
-	mode Mode // for waiters: the target (post-conversion) mode
+	mode Mode // the target (post-conversion) mode
 	conv bool // conversion of an existing grant
+	head *head
 	done bool
 	err  error
 	cond *sync.Cond
 }
 
-type head struct {
-	granted map[uint64]Mode
-	queue   []*request
+type grant struct {
+	txn  uint64
+	mode Mode
 }
+
+// head is the state of one lock name. Almost every lock has one or two
+// holders, so the granted set is a slice searched linearly, backed by
+// storage inside the head itself until it outgrows it.
+type head struct {
+	name    Name
+	granted []grant
+	queue   []*request // pending requests: conversions first, then FIFO
+	inline  [2]grant
+}
+
+// holder returns the index of txn's grant, or -1.
+func (h *head) holder(txn uint64) int {
+	for i := range h.granted {
+		if h.granted[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// blocked reports whether a request cannot be granted given its queue
+// position i: incompatible holders always block (even if the holder
+// also has a conversion queued — its grant stands until it releases),
+// and for fresh requests every pending request queued ahead blocks too,
+// preserving FIFO fairness. Conversions consider only holders, so they
+// jump the queue and cannot starve.
+func (h *head) blocked(i int, txn uint64, mode Mode, conv bool) bool {
+	for _, g := range h.granted {
+		if g.txn != txn && !compatible[mode][g.mode] {
+			return true
+		}
+	}
+	if !conv {
+		for _, w := range h.queue[:i] {
+			if w.txn != txn {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// txnLocks is the set of lock heads a transaction holds a grant on, in
+// acquisition order.
+type txnLocks struct {
+	heads []*head
+}
+
+// Free-list bounds: a transaction that took thousands of locks (an
+// audit, a load batch) must not pin that much memory once it is gone.
+const (
+	maxFree     = 256 // entries kept on each free list
+	maxKeptHeld = 64  // largest txnLocks.heads capacity worth recycling
+)
 
 // Manager is the lock table.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Name]*head
-	// waitsFor[t] = set of transactions t is waiting on.
-	waitsFor map[uint64]map[uint64]bool
-	held     map[uint64]map[Name]Mode // per-transaction held locks
+	held  map[uint64]*txnLocks
+	// waiting maps a transaction to its pending request. It is empty
+	// exactly when no request is queued anywhere, which is the common
+	// case and the one in which deadlock detection has nothing to do.
+	waiting map[uint64]*request
+
+	freeHeads []*head
+	freeTxns  []*txnLocks
+
+	// Deadlock detection scratch, rebuilt by rebuildWaitsFor: waitsFor[t]
+	// is the range of edges holding the transactions t waits on.
+	waitsFor map[uint64]edgeSpan
+	edges    []uint64
+	seen     map[uint64]bool
+	stack    []uint64
+	// headsWalked counts lock heads examined by deadlock detection, so
+	// tests can assert that an uncontended transaction examines none.
+	headsWalked int
 
 	// WaitLatency observes the blocked portion of Lock calls (only
 	// requests that actually queue). DeadlockCount counts waits-for
@@ -134,12 +212,39 @@ type Manager struct {
 	Tracer *trace.Tracer
 }
 
+type edgeSpan struct{ lo, hi int }
+
 // NewManager creates an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
 		locks:    make(map[Name]*head),
-		waitsFor: make(map[uint64]map[uint64]bool),
-		held:     make(map[uint64]map[Name]Mode),
+		held:     make(map[uint64]*txnLocks),
+		waiting:  make(map[uint64]*request),
+		waitsFor: make(map[uint64]edgeSpan),
+		seen:     make(map[uint64]bool),
+	}
+}
+
+func (m *Manager) newHead(name Name) *head {
+	var h *head
+	if n := len(m.freeHeads); n > 0 {
+		h = m.freeHeads[n-1]
+		m.freeHeads = m.freeHeads[:n-1]
+	} else {
+		h = &head{}
+		h.granted = h.inline[:0]
+	}
+	h.name = name
+	m.locks[name] = h
+	return h
+}
+
+// dropHead removes an idle head from the table.
+func (m *Manager) dropHead(h *head) {
+	delete(m.locks, h.name)
+	if len(m.freeHeads) < maxFree {
+		h.granted = h.inline[:0]
+		m.freeHeads = append(m.freeHeads, h)
 	}
 }
 
@@ -147,95 +252,79 @@ func NewManager() *Manager {
 func (m *Manager) Held(txn uint64, name Name) Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.held[txn][name]
-}
-
-// blockersAt returns the transactions that prevent the request from
-// being granted, given its queue position i: incompatible holders
-// always block (even if the holder also has a conversion queued — its
-// grant stands until it releases), and for fresh requests every
-// pending request queued ahead blocks too, preserving FIFO fairness.
-// Conversions consider only holders, so they jump the queue and cannot
-// starve. Caller holds m.mu.
-func (m *Manager) blockersAt(h *head, i int, txn uint64, mode Mode, conv bool) map[uint64]bool {
-	out := make(map[uint64]bool)
-	for t, gm := range h.granted {
-		if t == txn {
-			continue
-		}
-		if !compatible[mode][gm] {
-			out[t] = true
+	if h := m.locks[name]; h != nil {
+		if i := h.holder(txn); i >= 0 {
+			return h.granted[i].mode
 		}
 	}
-	if !conv {
-		if i > len(h.queue) {
-			i = len(h.queue)
-		}
-		for j := 0; j < i; j++ {
-			if w := h.queue[j]; w.txn != txn && !w.done {
-				out[w.txn] = true
-			}
-		}
-	}
-	return out
+	return None
 }
 
-// rebuildWaitsFor derives the waits-for graph from the current lock
-// table state: every pending request waits on its incompatible holders
-// and, for fresh requests, on the pending requests queued ahead of it.
-// Deriving the graph fresh (rather than maintaining it incrementally)
-// is essential: conversion grants bypass the queue and silently change
-// queued waiters' blocker sets, so incrementally maintained edges go
-// stale and cycles can form without any new lock request to observe
-// them. Caller holds m.mu.
+// rebuildWaitsFor derives the waits-for graph from the queues: every
+// pending request waits on its incompatible holders and, for fresh
+// requests, on the pending requests queued ahead of it. Deriving the
+// graph fresh (rather than maintaining it incrementally) is essential:
+// conversion grants bypass the queue and silently change queued
+// waiters' blocker sets, so incrementally maintained edges go stale.
+// Only heads with a queue contribute edges, and those are reached from
+// the waiting requests, so the cost is in the number of waiters and not
+// in the size of the lock table. Caller holds m.mu.
 func (m *Manager) rebuildWaitsFor() {
-	m.waitsFor = make(map[uint64]map[uint64]bool)
-	for _, h := range m.locks {
+	clear(m.waitsFor)
+	m.edges = m.edges[:0]
+	for _, first := range m.waiting {
+		h := first.head
+		if h.queue[0] != first {
+			continue // h is walked once, from the request at its front
+		}
+		m.headsWalked++
 		for i, req := range h.queue {
-			if req.done {
-				continue
+			lo := len(m.edges)
+			for _, g := range h.granted {
+				if g.txn != req.txn && !compatible[req.mode][g.mode] {
+					m.edges = append(m.edges, g.txn)
+				}
 			}
-			blk := m.blockersAt(h, i, req.txn, req.mode, req.conv)
-			if len(blk) == 0 {
-				continue
+			if !req.conv {
+				for _, w := range h.queue[:i] {
+					if w.txn != req.txn {
+						m.edges = append(m.edges, w.txn)
+					}
+				}
 			}
-			edges := m.waitsFor[req.txn]
-			if edges == nil {
-				edges = make(map[uint64]bool)
-				m.waitsFor[req.txn] = edges
-			}
-			for t := range blk {
-				edges[t] = true
+			if len(m.edges) > lo {
+				m.waitsFor[req.txn] = edgeSpan{lo, len(m.edges)}
 			}
 		}
 	}
+}
+
+// onCycle reports whether start can reach itself in the waits-for graph.
+func (m *Manager) onCycle(start uint64) bool {
+	clear(m.seen)
+	m.stack = append(m.stack[:0], start)
+	for len(m.stack) > 0 {
+		t := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		span := m.waitsFor[t]
+		for _, next := range m.edges[span.lo:span.hi] {
+			if next == start {
+				return true
+			}
+			if !m.seen[next] {
+				m.seen[next] = true
+				m.stack = append(m.stack, next)
+			}
+		}
+	}
+	return false
 }
 
 // findCycleMember returns a transaction on some waits-for cycle, or
 // (0, false). If prefer is itself on a cycle it is returned, so that a
 // requester that just created a deadlock becomes the victim.
 func (m *Manager) findCycleMember(prefer uint64) (uint64, bool) {
-	onCycle := func(start uint64) bool {
-		// DFS looking for a path from start back to start.
-		seen := make(map[uint64]bool)
-		var dfs func(t uint64) bool
-		dfs = func(t uint64) bool {
-			for next := range m.waitsFor[t] {
-				if next == start {
-					return true
-				}
-				if !seen[next] {
-					seen[next] = true
-					if dfs(next) {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		return dfs(start)
-	}
-	if _, waiting := m.waitsFor[prefer]; waiting && onCycle(prefer) {
+	if _, waiting := m.waitsFor[prefer]; waiting && m.onCycle(prefer) {
 		return prefer, true
 	}
 	// Deterministic victim choice: the largest (youngest) transaction
@@ -243,7 +332,7 @@ func (m *Manager) findCycleMember(prefer uint64) (uint64, bool) {
 	var victim uint64
 	found := false
 	for t := range m.waitsFor {
-		if onCycle(t) && (!found || t > victim) {
+		if (!found || t > victim) && m.onCycle(t) {
 			victim = t
 			found = true
 		}
@@ -251,10 +340,11 @@ func (m *Manager) findCycleMember(prefer uint64) (uint64, bool) {
 	return victim, found
 }
 
-// resolveDeadlocks rebuilds the waits-for graph and cancels victims
-// until it is acyclic. Caller holds m.mu.
+// resolveDeadlocks cancels victims until the waits-for graph is
+// acyclic. With no request queued the graph has no edges, so there is
+// nothing to rebuild or search. Caller holds m.mu.
 func (m *Manager) resolveDeadlocks(prefer uint64) {
-	for {
+	for len(m.waiting) > 0 {
 		m.rebuildWaitsFor()
 		victim, found := m.findCycleMember(prefer)
 		if !found {
@@ -266,19 +356,31 @@ func (m *Manager) resolveDeadlocks(prefer uint64) {
 	}
 }
 
+// finish takes request i off h's queue and wakes its caller with err.
+func (m *Manager) finish(h *head, i int, err error) {
+	req := h.queue[i]
+	copy(h.queue[i:], h.queue[i+1:])
+	h.queue[len(h.queue)-1] = nil
+	h.queue = h.queue[:len(h.queue)-1]
+	delete(m.waiting, req.txn)
+	req.done = true
+	req.err = err
+	req.cond.Signal()
+}
+
 // cancelWait removes txn's pending request (if any), failing it with
 // err, and sweeps the affected lock. Caller holds m.mu.
 func (m *Manager) cancelWait(txn uint64, err error) {
-	for name, h := range m.locks {
-		for i, req := range h.queue {
-			if req.txn == txn && !req.done {
-				h.queue = append(h.queue[:i], h.queue[i+1:]...)
-				req.done = true
-				req.err = err
-				req.cond.Signal()
-				m.sweep(name, h)
-				return
-			}
+	req := m.waiting[txn]
+	if req == nil {
+		return
+	}
+	h := req.head
+	for i, r := range h.queue {
+		if r == req {
+			m.finish(h, i, err)
+			m.sweep(h)
+			return
 		}
 	}
 }
@@ -293,19 +395,21 @@ func (m *Manager) Lock(txn uint64, name Name, mode Mode) error {
 
 	h := m.locks[name]
 	if h == nil {
-		h = &head{granted: make(map[uint64]Mode)}
-		m.locks[name] = h
+		h = m.newHead(name)
 	}
-	cur := h.granted[txn]
+	cur := None
+	gi := h.holder(txn)
+	if gi >= 0 {
+		cur = h.granted[gi].mode
+	}
 	target := supremum[cur][mode]
 	if target == cur && cur != None {
 		return nil // already strong enough
 	}
 	conv := cur != None
 
-	blk := m.blockersAt(h, len(h.queue), txn, target, conv)
-	if len(blk) == 0 {
-		m.grant(h, txn, name, target)
+	if !h.blocked(len(h.queue), txn, target, conv) {
+		m.grant(h, gi, txn, target)
 		if conv {
 			// A conversion grant tightens queued waiters' blocker
 			// sets behind their backs; check for cycles it created.
@@ -314,13 +418,14 @@ func (m *Manager) Lock(txn uint64, name Name, mode Mode) error {
 		return nil
 	}
 
-	req := &request{txn: txn, mode: target, conv: conv, cond: sync.NewCond(&m.mu)}
+	req := &request{txn: txn, mode: target, conv: conv, head: h, cond: sync.NewCond(&m.mu)}
+	h.queue = append(h.queue, req)
 	if conv {
 		// Conversions wait at the head of the queue.
-		h.queue = append([]*request{req}, h.queue...)
-	} else {
-		h.queue = append(h.queue, req)
+		copy(h.queue[1:], h.queue)
+		h.queue[0] = req
 	}
+	m.waiting[txn] = req
 	m.resolveDeadlocks(txn)
 
 	m.Tracer.Emit(trace.Event{
@@ -332,7 +437,6 @@ func (m *Manager) Lock(txn uint64, name Name, mode Mode) error {
 		req.cond.Wait()
 	}
 	m.WaitLatency.ObserveSince(waitStart)
-	delete(m.waitsFor, txn)
 	if req.err == nil {
 		m.Tracer.Emit(trace.Event{
 			Kind: trace.KindLockGrant, Txn: txn,
@@ -342,45 +446,54 @@ func (m *Manager) Lock(txn uint64, name Name, mode Mode) error {
 	return req.err
 }
 
-// grant records the lock as held (caller holds m.mu).
-func (m *Manager) grant(h *head, txn uint64, name Name, mode Mode) {
-	h.granted[txn] = mode
-	hm := m.held[txn]
-	if hm == nil {
-		hm = make(map[Name]Mode)
-		m.held[txn] = hm
+// grant records the lock as held; gi is txn's index in h.granted, or -1
+// for a fresh grant. Caller holds m.mu.
+func (m *Manager) grant(h *head, gi int, txn uint64, mode Mode) {
+	if gi >= 0 {
+		h.granted[gi].mode = mode
+		return
 	}
-	hm[name] = mode
+	h.granted = append(h.granted, grant{txn, mode})
+	tl := m.held[txn]
+	if tl == nil {
+		if n := len(m.freeTxns); n > 0 {
+			tl = m.freeTxns[n-1]
+			m.freeTxns = m.freeTxns[:n-1]
+		} else {
+			tl = &txnLocks{}
+		}
+		m.held[txn] = tl
+	}
+	tl.heads = append(tl.heads, h)
 }
 
 // sweep re-examines the queue of h after a release, granting every
 // request that has become compatible, in FIFO order (conversions
-// first). Caller holds m.mu.
-func (m *Manager) sweep(name Name, h *head) {
-	changed := true
-	for changed {
+// first), and drops an entity's head once nothing holds or awaits it.
+// Caller holds m.mu and must not use h afterwards.
+func (m *Manager) sweep(h *head) {
+	for changed := true; changed; {
 		changed = false
 		for i, req := range h.queue {
-			if req.done {
-				continue
-			}
-			blk := m.blockersAt(h, i, req.txn, req.mode, req.conv)
-			if len(blk) != 0 {
+			if h.blocked(i, req.txn, req.mode, req.conv) {
 				if !req.conv {
 					break // FIFO: later fresh requests must wait
 				}
 				continue
 			}
-			m.grant(h, req.txn, name, req.mode)
-			h.queue = append(h.queue[:i], h.queue[i+1:]...)
-			req.done = true
-			req.cond.Signal()
+			m.grant(h, h.holder(req.txn), req.txn, req.mode)
+			m.finish(h, i, nil)
 			changed = true
 			break
 		}
 	}
-	if len(h.granted) == 0 && len(h.queue) == 0 {
-		delete(m.locks, name)
+	// An idle relation or latch head stays in the table: those names are
+	// few (one per relation or index) and the next transaction wants the
+	// same ones, so dropping them only to re-create them is the bulk of
+	// an uncontended transaction's map traffic. Entity names are
+	// unbounded and go.
+	if len(h.granted) == 0 && len(h.queue) == 0 && h.name.Kind == KindEntity {
+		m.dropHead(h)
 	}
 }
 
@@ -389,16 +502,24 @@ func (m *Manager) sweep(name Name, h *head) {
 func (m *Manager) ReleaseAll(txn uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name := range m.held[txn] {
-		h := m.locks[name]
-		if h == nil {
-			continue
+	if tl := m.held[txn]; tl != nil {
+		for i, h := range tl.heads {
+			gi := h.holder(txn)
+			last := len(h.granted) - 1
+			h.granted[gi] = h.granted[last]
+			h.granted = h.granted[:last]
+			m.sweep(h)
+			tl.heads[i] = nil
 		}
-		delete(h.granted, txn)
-		m.sweep(name, h)
+		delete(m.held, txn)
+		if len(m.freeTxns) < maxFree && cap(tl.heads) <= maxKeptHeld {
+			tl.heads = tl.heads[:0]
+			m.freeTxns = append(m.freeTxns, tl)
+		}
 	}
-	delete(m.held, txn)
-	delete(m.waitsFor, txn)
+	if len(m.waiting) == 0 {
+		return
+	}
 	// Cancel a pending wait, if any (abort while queued).
 	m.cancelWait(txn, ErrAborted)
 	// Sweeps may have granted queued conversions, which tighten other
@@ -411,14 +532,7 @@ func (m *Manager) ReleaseAll(txn uint64) {
 func (m *Manager) HasWaiters() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, h := range m.locks {
-		for _, req := range h.queue {
-			if !req.done {
-				return true
-			}
-		}
-	}
-	return false
+	return len(m.waiting) > 0
 }
 
 // HeldLocks returns a copy of txn's held locks; used by tests and the
@@ -426,9 +540,11 @@ func (m *Manager) HasWaiters() bool {
 func (m *Manager) HeldLocks(txn uint64) map[Name]Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[Name]Mode, len(m.held[txn]))
-	for n, md := range m.held[txn] {
-		out[n] = md
+	out := make(map[Name]Mode)
+	if tl := m.held[txn]; tl != nil {
+		for _, h := range tl.heads {
+			out[h.name] = h.granted[h.holder(txn)].mode
+		}
 	}
 	return out
 }
@@ -439,20 +555,24 @@ func (m *Manager) DebugDump() string {
 	defer m.mu.Unlock()
 	out := ""
 	for name, h := range m.locks {
+		if len(h.granted) == 0 && len(h.queue) == 0 {
+			continue // idle head kept for reuse
+		}
 		out += fmt.Sprintf("lock %+v:\n  granted:", name)
-		for t, md := range h.granted {
-			out += fmt.Sprintf(" %d:%v", t, md)
+		for _, g := range h.granted {
+			out += fmt.Sprintf(" %d:%v", g.txn, g.mode)
 		}
 		out += "\n  queue:"
 		for _, r := range h.queue {
-			out += fmt.Sprintf(" {txn %d mode %v conv %v done %v}", r.txn, r.mode, r.conv, r.done)
+			out += fmt.Sprintf(" {txn %d mode %v conv %v}", r.txn, r.mode, r.conv)
 		}
 		out += "\n"
 	}
+	m.rebuildWaitsFor()
 	out += "waitsFor:\n"
-	for t, s := range m.waitsFor {
+	for t, span := range m.waitsFor {
 		out += fmt.Sprintf("  %d ->", t)
-		for b := range s {
+		for _, b := range m.edges[span.lo:span.hi] {
 			out += fmt.Sprintf(" %d", b)
 		}
 		out += "\n"

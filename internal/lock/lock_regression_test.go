@@ -196,8 +196,8 @@ func TestNoConflictingGrantsUnderConversionChurn(t *testing.T) {
 			m.mu.Lock()
 			for _, h := range m.locks {
 				xHolders, sHolders := 0, 0
-				for _, md := range h.granted {
-					switch md {
+				for _, g := range h.granted {
+					switch g.mode {
 					case X:
 						xHolders++
 					case S:

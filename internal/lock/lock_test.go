@@ -237,19 +237,12 @@ func TestNoConflictingGrantsProperty(t *testing.T) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		for _, h := range m.locks {
-			type gm struct {
-				t uint64
-				m Mode
-			}
-			var g []gm
-			for t2, md := range h.granted {
-				g = append(g, gm{t2, md})
-			}
+			g := h.granted
 			for i := 0; i < len(g); i++ {
 				for j := i + 1; j < len(g); j++ {
-					if !compatible[g[i].m][g[j].m] {
+					if !compatible[g[i].mode][g[j].mode] {
 						t.Errorf("incompatible grants: txn %d %v vs txn %d %v",
-							g[i].t, g[i].m, g[j].t, g[j].m)
+							g[i].txn, g[i].mode, g[j].txn, g[j].mode)
 					}
 				}
 			}

@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"mmdb/internal/addr"
@@ -47,6 +49,32 @@ func FuzzFromImage(f *testing.F) {
 		})
 		if live != p.EntityCount() {
 			t.Fatalf("Slots visited %d entities, EntityCount says %d", live, p.EntityCount())
+		}
+		// Insert decides whether an entity fits from the header alone, so
+		// the header of an accepted image must agree with its slots, and
+		// the decision must be exact: one byte more than Room is refused
+		// without touching the image, Room bytes go in.
+		room := p.Room()
+		if want := slowRoom(p); room != want {
+			t.Fatalf("header says room for %d bytes, slots say %d", room, want)
+		}
+		if over := room + 1; over <= MaxEntity(len(image)) {
+			q, _ := FromImage(pid, image)
+			if _, err := q.Insert(make([]byte, over)); !errors.Is(err, ErrPartitionFull) {
+				t.Fatalf("insert of %d bytes with room for %d: %v", over, room, err)
+			}
+			if !bytes.Equal(q.Image(), image) {
+				t.Fatal("refused insert changed the image")
+			}
+		}
+		if room >= 0 {
+			q, _ := FromImage(pid, image)
+			if _, err := q.Insert(make([]byte, room)); err != nil {
+				t.Fatalf("insert of %d bytes with room for %d: %v", room, room, err)
+			}
+			if q.Room() > 0 {
+				t.Fatalf("exact-fit insert left room for %d bytes", q.Room())
+			}
 		}
 		// Mutating an accepted image must not corrupt bookkeeping: an
 		// insert (which walks the validated free chain) followed by a

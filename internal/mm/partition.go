@@ -14,11 +14,13 @@
 package mm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mmdb/internal/addr"
 )
@@ -52,6 +54,14 @@ type Partition struct {
 	id  addr.PartitionID
 	mu  sync.Mutex // the partition latch
 	buf []byte
+
+	// Volatile attributes, not part of the image. owner is the
+	// transaction whose uncommitted allocation created the partition (0
+	// once it commits); other transactions' inserts pass it over. hint
+	// is the owning segment's first-fit cursor, set when the store
+	// attaches the partition; operations that free space rewind it.
+	owner atomic.Uint64
+	hint  *placeHint
 }
 
 // NewPartition creates an empty partition image of size bytes.
@@ -95,6 +105,7 @@ func FromImage(id addr.PartitionID, image []byte) (*Partition, error) {
 	if live > len(image)-top {
 		return nil, fmt.Errorf("%w: %d live bytes exceed the %d-byte heap", ErrBadImage, live, len(image)-top)
 	}
+	entityBytes := 0
 	for s := 0; s < n; s++ {
 		off, length := p.slotEntry(addr.Slot(s))
 		if off == freeOffset {
@@ -107,6 +118,13 @@ func FromImage(id addr.PartitionID, image []byte) (*Partition, error) {
 			return nil, fmt.Errorf("%w: slot %d entity [%d,%d) outside heap [%d,%d)",
 				ErrBadImage, s, off, uint64(off)+uint64(length), top, len(image))
 		}
+		entityBytes += int(length)
+	}
+	// Insert decides "full" from the header alone, and compaction packs
+	// entities below the image end by their lengths: both need the live
+	// byte count to be the truth.
+	if entityBytes != live {
+		return nil, fmt.Errorf("%w: header counts %d live bytes, entities hold %d", ErrBadImage, live, entityBytes)
 	}
 	// The free chain must be acyclic and reach only free slots: InsertAt
 	// walks it during replay, so a rotted cycle would hang recovery.
@@ -123,6 +141,10 @@ func FromImage(id addr.PartitionID, image []byte) (*Partition, error) {
 	}
 	return p, nil
 }
+
+// MaxEntity returns the size of the largest entity a partition image of
+// the given size can hold.
+func MaxEntity(partSize int) int { return partSize - headerSize - slotEntrySize }
 
 // ID returns the partition's identity.
 func (p *Partition) ID() addr.PartitionID { return p.id }
@@ -162,10 +184,37 @@ func (p *Partition) slotTableEnd() int {
 // FreeBytes returns the total reclaimable space: the gap between slot
 // table and heap top plus dead heap bytes (recoverable by compaction).
 func (p *Partition) FreeBytes() int {
-	gap := int(p.u32(hdrHeapTop)) - p.slotTableEnd()
-	dead := len(p.buf) - int(p.u32(hdrHeapTop)) - int(p.u32(hdrLiveBytes))
-	return gap + dead
+	return int(p.u32(hdrHeapTop)) - p.slotTableEnd() + p.deadBytes()
 }
+
+// deadBytes returns the heap bytes no live entity occupies: what
+// compaction would reclaim.
+func (p *Partition) deadBytes() int {
+	return len(p.buf) - int(p.u32(hdrHeapTop)) - int(p.u32(hdrLiveBytes))
+}
+
+// Room returns the size of the largest entity Insert would accept, or
+// -1 if it would accept none, read off the header in constant time: the
+// free bytes, less a slot entry when the table must grow for it.
+func (p *Partition) Room() int {
+	room := p.FreeBytes()
+	if p.u16(hdrFreeHead) == noSlot {
+		if int(p.u16(hdrNumSlots)) >= maxSlots {
+			return -1
+		}
+		room -= slotEntrySize
+	}
+	if room < 0 {
+		return -1
+	}
+	return room
+}
+
+// Owner returns the transaction that privately owns the partition, or 0.
+func (p *Partition) Owner() uint64 { return p.owner.Load() }
+
+// SetOwner marks the partition as privately owned by txn (0 clears).
+func (p *Partition) SetOwner(txn uint64) { p.owner.Store(txn) }
 
 // LiveBytes returns the bytes occupied by live entities.
 func (p *Partition) LiveBytes() int { return int(p.u32(hdrLiveBytes)) }
@@ -193,15 +242,27 @@ func (p *Partition) allocSlot() (addr.Slot, error) {
 	if int(n) >= maxSlots {
 		return 0, ErrPartitionFull
 	}
-	if p.slotTableEnd()+slotEntrySize > int(p.u32(hdrHeapTop)) {
-		p.compact()
-		if p.slotTableEnd()+slotEntrySize > int(p.u32(hdrHeapTop)) {
-			return 0, ErrPartitionFull
-		}
+	if !p.reserve(slotEntrySize) {
+		return 0, ErrPartitionFull
 	}
 	p.setU16(hdrNumSlots, n+1)
 	p.setSlotEntry(addr.Slot(n), freeOffset, uint32(noSlot))
 	return addr.Slot(n), nil
+}
+
+// reserve makes the gap between slot table and heap top at least n
+// bytes, compacting only if that is both necessary and useful: an image
+// with no dead bytes is left untouched. Reports whether the gap is now
+// large enough.
+func (p *Partition) reserve(n int) bool {
+	if int(p.u32(hdrHeapTop))-p.slotTableEnd() >= n {
+		return true
+	}
+	if p.deadBytes() == 0 {
+		return false
+	}
+	p.compact()
+	return int(p.u32(hdrHeapTop))-p.slotTableEnd() >= n
 }
 
 func (p *Partition) freeSlot(s addr.Slot) {
@@ -212,15 +273,10 @@ func (p *Partition) freeSlot(s addr.Slot) {
 // heapAlloc reserves n bytes at the top of the heap, compacting if the
 // bump gap is too small but dead space exists. Returns the offset.
 func (p *Partition) heapAlloc(n int) (uint32, error) {
-	top := int(p.u32(hdrHeapTop))
-	if top-n < p.slotTableEnd() {
-		p.compact()
-		top = int(p.u32(hdrHeapTop))
-		if top-n < p.slotTableEnd() {
-			return 0, ErrPartitionFull
-		}
+	if !p.reserve(n) {
+		return 0, ErrPartitionFull
 	}
-	top -= n
+	top := int(p.u32(hdrHeapTop)) - n
 	p.setU32(hdrHeapTop, uint32(top))
 	return uint32(top), nil
 }
@@ -241,7 +297,7 @@ func (p *Partition) compact() {
 	}
 	// Move highest-offset entities first so copies never overlap a
 	// not-yet-moved source.
-	sort.Slice(entities, func(i, j int) bool { return entities[i].off > entities[j].off })
+	slices.SortFunc(entities, func(a, b live) int { return cmp.Compare(b.off, a.off) })
 	dst := uint32(len(p.buf))
 	for _, e := range entities {
 		dst -= e.len
@@ -253,10 +309,16 @@ func (p *Partition) compact() {
 	p.setU32(hdrHeapTop, dst)
 }
 
-// Insert stores a new entity and returns its slot.
+// Insert stores a new entity and returns its slot. Whether it fits is
+// decided from the header (Room) before anything is touched, so a
+// refused insert leaves the image byte-identical, and the image is
+// compacted only when the entity fits and the bump gap alone is short.
 func (p *Partition) Insert(data []byte) (addr.Slot, error) {
-	if len(data) > len(p.buf)-headerSize-slotEntrySize {
+	if len(data) > MaxEntity(len(p.buf)) {
 		return 0, fmt.Errorf("%w: %d bytes into %d-byte partition", ErrEntityTooBig, len(data), len(p.buf))
+	}
+	if len(data) > p.Room() {
+		return 0, ErrPartitionFull
 	}
 	s, err := p.allocSlot()
 	if err != nil {
@@ -284,11 +346,8 @@ func (p *Partition) InsertAt(s addr.Slot, data []byte) error {
 		if int(n) >= maxSlots {
 			return ErrPartitionFull
 		}
-		if p.slotTableEnd()+slotEntrySize > int(p.u32(hdrHeapTop)) {
-			p.compact()
-			if p.slotTableEnd()+slotEntrySize > int(p.u32(hdrHeapTop)) {
-				return ErrPartitionFull
-			}
+		if !p.reserve(slotEntrySize) {
+			return ErrPartitionFull
 		}
 		p.setU16(hdrNumSlots, n+1)
 		p.freeSlot(addr.Slot(n))
@@ -367,6 +426,9 @@ func (p *Partition) Update(s addr.Slot, data []byte) error {
 	copy(p.buf[noff:], data)
 	p.setSlotEntry(s, noff, uint32(len(data)))
 	p.setU32(hdrLiveBytes, p.u32(hdrLiveBytes)+uint32(len(data)))
+	if len(data) < int(length) {
+		p.hint.rewind(p.id.Part)
+	}
 	return nil
 }
 
@@ -399,6 +461,7 @@ func (p *Partition) Delete(s addr.Slot) error {
 	}
 	p.setU32(hdrLiveBytes, p.u32(hdrLiveBytes)-length)
 	p.freeSlot(s)
+	p.hint.rewind(p.id.Part)
 	return nil
 }
 

@@ -3,8 +3,10 @@ package mm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mmdb/internal/addr"
 )
@@ -60,6 +62,114 @@ type segment struct {
 	id       addr.SegmentID
 	parts    map[addr.PartitionNum]*Partition
 	nextPart addr.PartitionNum
+	// ordered lists the resident partitions by number. Readers
+	// (Partitions, Place) take it through view and keep using it after
+	// they drop st.mu, so once lent it is never rewritten in place: the
+	// next change copies it first. Installs that no reader came between —
+	// a restart sweep — stay in place and allocation-free.
+	ordered []*Partition
+	lent    atomic.Bool
+	hint    placeHint
+}
+
+func newSegment(id addr.SegmentID) *segment {
+	return &segment{id: id, parts: make(map[addr.PartitionNum]*Partition)}
+}
+
+// view returns ordered for reading. Caller holds st.mu.
+func (s *segment) view() []*Partition {
+	if !s.lent.Load() { // every insert comes through here: do not dirty the line each time
+		s.lent.Store(true)
+	}
+	return s.ordered
+}
+
+// unshare makes ordered safe to rewrite in place. Caller holds st.mu
+// for writing.
+func (s *segment) unshare() {
+	if s.lent.Load() {
+		s.ordered = slices.Clone(s.ordered)
+		s.lent.Store(false)
+	}
+}
+
+// attach makes p resident, replacing any prior copy. Caller holds st.mu
+// for writing.
+func (s *segment) attach(p *Partition) {
+	p.hint = &s.hint
+	s.parts[p.id.Part] = p
+	if p.id.Part >= s.nextPart {
+		s.nextPart = p.id.Part + 1
+	}
+	i := firstAtOrAbove(s.ordered, p.id.Part)
+	if i == len(s.ordered) {
+		s.ordered = append(s.ordered, p) // past every reader's length
+	} else {
+		s.unshare()
+		if s.ordered[i].id.Part == p.id.Part {
+			s.ordered[i] = p
+		} else {
+			s.ordered = slices.Insert(s.ordered, i, p)
+		}
+	}
+	s.hint.rewind(p.id.Part) // p may have room
+}
+
+// detach removes a partition from memory. Caller holds st.mu for writing.
+func (s *segment) detach(part addr.PartitionNum) {
+	if _, ok := s.parts[part]; !ok {
+		return
+	}
+	delete(s.parts, part)
+	s.unshare()
+	i := firstAtOrAbove(s.ordered, part)
+	s.ordered = slices.Delete(s.ordered, i, i+1)
+}
+
+// firstAtOrAbove returns the position in parts, which is ordered, of the
+// first partition numbered part or higher.
+func firstAtOrAbove(parts []*Partition, part addr.PartitionNum) int {
+	// Numbering is dense unless partitions were freed or are not yet
+	// recovered, so the number itself is usually the position.
+	if i := int(part); i < len(parts) && parts[i].id.Part == part {
+		return i
+	}
+	return sort.Search(len(parts), func(i int) bool { return parts[i].id.Part >= part })
+}
+
+// placeHint is a segment's first-fit cursor: every resident partition
+// numbered below part has Room() < need, so an insert of at least need
+// bytes may start its scan at part. Whatever frees space in a partition
+// (delete, shrinking update — hence every undo of an insert — or a
+// partition becoming resident) rewinds part to it; gen lets a scan that
+// raced with a rewind discard its stale conclusion.
+type placeHint struct {
+	mu  sync.Mutex
+	gen uint64
+	cursor
+}
+
+type cursor struct {
+	part addr.PartitionNum
+	need int
+}
+
+func (h *placeHint) load() (cursor, uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.cursor, h.gen
+}
+
+func (h *placeHint) rewind(part addr.PartitionNum) {
+	if h == nil {
+		return // a partition outside any store
+	}
+	h.mu.Lock()
+	if part < h.part {
+		h.part = part
+	}
+	h.gen++
+	h.mu.Unlock()
 }
 
 // NewStore creates an empty store whose partitions are partSize bytes.
@@ -96,7 +206,7 @@ func (st *Store) CreateSegment() addr.SegmentID {
 	defer st.mu.Unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	st.segs[id] = &segment{id: id, parts: make(map[addr.PartitionNum]*Partition)}
+	st.segs[id] = newSegment(id)
 	return id
 }
 
@@ -106,7 +216,7 @@ func (st *Store) EnsureSegment(id addr.SegmentID) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.segs[id]; !ok {
-		st.segs[id] = &segment{id: id, parts: make(map[addr.PartitionNum]*Partition)}
+		st.segs[id] = newSegment(id)
 	}
 	if id >= st.nextSeg {
 		st.nextSeg = id + 1
@@ -129,10 +239,8 @@ func (st *Store) AllocPartition(seg addr.SegmentID) (*Partition, error) {
 	if !ok {
 		return nil, fmt.Errorf("mm: no such segment %d", seg)
 	}
-	id := addr.PartitionID{Segment: seg, Part: s.nextPart}
-	s.nextPart++
-	p := NewPartition(id, st.partSize)
-	s.parts[id.Part] = p
+	p := NewPartition(addr.PartitionID{Segment: seg, Part: s.nextPart}, st.partSize)
+	s.attach(p)
 	return p, nil
 }
 
@@ -149,10 +257,7 @@ func (st *Store) AllocPartitionAt(id addr.PartitionID) (*Partition, error) {
 		return nil, fmt.Errorf("mm: partition %v already exists", id)
 	}
 	p := NewPartition(id, st.partSize)
-	s.parts[id.Part] = p
-	if id.Part >= s.nextPart {
-		s.nextPart = id.Part + 1
-	}
+	s.attach(p)
 	return p, nil
 }
 
@@ -163,16 +268,13 @@ func (st *Store) Install(p *Partition) {
 	defer st.mu.Unlock()
 	s, ok := st.segs[p.id.Segment]
 	if !ok {
-		s = &segment{id: p.id.Segment, parts: make(map[addr.PartitionNum]*Partition)}
+		s = newSegment(p.id.Segment)
 		st.segs[p.id.Segment] = s
 		if p.id.Segment >= st.nextSeg {
 			st.nextSeg = p.id.Segment + 1
 		}
 	}
-	s.parts[p.id.Part] = p
-	if p.id.Part >= s.nextPart {
-		s.nextPart = p.id.Part + 1
-	}
+	s.attach(p)
 }
 
 // Evict removes a partition from memory without touching stable copies;
@@ -181,7 +283,7 @@ func (st *Store) Evict(id addr.PartitionID) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if s, ok := st.segs[id.Segment]; ok {
-		delete(s.parts, id.Part)
+		s.detach(id.Part)
 	}
 }
 
@@ -273,7 +375,7 @@ func (st *Store) residentPart(id addr.PartitionID) *Partition {
 }
 
 // Partitions returns the resident partitions of a segment in partition
-// order.
+// order. The slice is the store's own and must not be modified.
 func (st *Store) Partitions(seg addr.SegmentID) []*Partition {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -281,12 +383,101 @@ func (st *Store) Partitions(seg addr.SegmentID) []*Partition {
 	if !ok {
 		return nil
 	}
-	out := make([]*Partition, 0, len(s.parts))
-	for _, p := range s.parts {
-		out = append(out, p)
+	return s.view()
+}
+
+// Place stores data in the first resident partition of seg, in
+// partition order, that has room for it and is not privately owned by a
+// transaction other than txn, and returns that partition and the slot;
+// the partition is nil if there is none and the caller must allocate.
+//
+// That is plain first fit, and Place decides exactly as a scan from the
+// segment's first partition would. What makes it cheap is that a full
+// partition answers from its header (Partition.Room) and that the
+// segment's cursor (placeHint) skips the full prefix. The cursor keeps
+// the smallest size known to fail on its whole prefix, so inserts at
+// least that large start at it; smaller ones scan from the start and
+// take the cursor over once they have confirmed its prefix for their
+// size.
+func (st *Store) Place(seg addr.SegmentID, txn uint64, data []byte) (*Partition, addr.Slot, error) {
+	if len(data) > MaxEntity(st.partSize) {
+		return nil, 0, fmt.Errorf("%w: %d bytes into %d-byte partition", ErrEntityTooBig, len(data), st.partSize)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id.Part < out[j].id.Part })
-	return out
+	return st.scanFrom(seg).place(txn, data)
+}
+
+// scan is what one Place works from: a segment's partition list and its
+// cursor as they stood at one moment.
+type scan struct {
+	hint  *placeHint
+	parts []*Partition
+	was   cursor
+	gen   uint64
+}
+
+// scanFrom takes list and cursor under one hold of st.mu. A partition
+// attached later is therefore missing from the list only if it has also
+// moved gen past the one read here, which voids what the scan concludes.
+func (st *Store) scanFrom(seg addr.SegmentID) scan {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	s := st.segs[seg]
+	if s == nil {
+		return scan{}
+	}
+	v := scan{hint: &s.hint, parts: s.view()}
+	v.was, v.gen = v.hint.load()
+	return v
+}
+
+func (v scan) place(txn uint64, data []byte) (*Partition, addr.Slot, error) {
+	if len(v.parts) == 0 {
+		return nil, 0, nil
+	}
+	d := len(data)
+	// Partitions below at.part have Room() < at.need, and at.need <= d.
+	at := v.was
+	if at.part == 0 || d < at.need {
+		at = cursor{part: 0, need: d}
+	}
+	extending := true
+	var placed *Partition
+	var slot addr.Slot
+	for _, p := range v.parts[firstAtOrAbove(v.parts, at.part):] {
+		p.Latch()
+		room := p.Room()
+		if room < d {
+			p.Unlatch()
+			if extending = extending && room < at.need; extending {
+				at.part = p.id.Part + 1
+			}
+			continue
+		}
+		extending = false
+		if o := p.Owner(); o != 0 && o != txn {
+			p.Unlatch()
+			continue
+		}
+		var err error
+		slot, err = p.Insert(data)
+		p.Unlatch()
+		if err != nil {
+			return nil, 0, err
+		}
+		placed = p
+		break
+	}
+
+	// A smaller insert that stopped short of the cursor knows less than
+	// the cursor does; anything else it learned replaces it.
+	if at != v.was && !(at.need < v.was.need && at.part < v.was.part) {
+		v.hint.mu.Lock()
+		if v.hint.gen == v.gen {
+			v.hint.cursor = at
+		}
+		v.hint.mu.Unlock()
+	}
+	return placed, slot, nil
 }
 
 // ResidentIDs lists every resident partition across all segments.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +98,14 @@ func TestOpsHealthAndRecoveryAcrossCrash(t *testing.T) {
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	s.DB().WaitIdle() // settle the background sweep
+	// WaitIdle covers the log and checkpoint queues but not the background
+	// sweep (ROADMAP item 1), so wait for that by its own flag.
+	s.DB().WaitIdle()
+	for deadline := time.Now().Add(10 * time.Second); s.DB().RecoveryProgress(0).Recovering; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("background sweep never finished")
+		}
+	}
 
 	if code, body := opsGet(s, "/healthz"); code != 200 || !strings.Contains(body, "ready") {
 		t.Fatalf("/healthz = %d %q after recovery", code, body)

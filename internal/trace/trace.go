@@ -356,10 +356,10 @@ func decodeFrame(buf []byte) (Event, int, error) {
 // stable flight recorder. All methods are nil-receiver safe and safe
 // for concurrent use.
 type Tracer struct {
-	seq    atomic.Uint64
 	sealed atomic.Bool
 
 	mu     sync.Mutex
+	seq    uint64  // last sequence number handed out
 	ring   []Event // volatile ring storage (fixed capacity)
 	next   int     // next write position in ring
 	wrap   bool    // ring has wrapped at least once
@@ -406,8 +406,11 @@ func (t *Tracer) EmitLast(e Event) {
 
 func (t *Tracer) emit(e Event, seal bool) {
 	e.TS = now()
-	e.Seq = t.seq.Add(1)
 	t.mu.Lock()
+	// Numbered under the ring lock, so ring order is sequence order: two
+	// emitters that took their numbers first could enter in either order.
+	t.seq++
+	e.Seq = t.seq
 	if len(t.ring) > 0 {
 		t.ring[t.next] = e
 		t.next++

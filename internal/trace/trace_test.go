@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"mmdb/internal/stablemem"
@@ -169,6 +170,38 @@ func TestVolatileRingWraps(t *testing.T) {
 	for i, e := range got {
 		if want := uint64(7 + i); e.Txn != want {
 			t.Fatalf("event %d is txn %d, want %d (newest window in order)", i, e.Txn, want)
+		}
+	}
+}
+
+// Both rings must hold events in sequence order whatever the emitters'
+// interleaving: a reader that takes the newest event for the latest
+// (the crash trigger, after EmitLast) relies on it.
+func TestConcurrentEmitKeepsRingInSeqOrder(t *testing.T) {
+	fr, err := NewFlightRing(testMem(), 1<<18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(1<<14, fr)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				tr.Emit(Event{Kind: KindTxnBegin})
+			}
+		}()
+	}
+	wg.Wait()
+	for name, got := range map[string][]Event{"volatile": tr.Events(), "flight": tr.FlightEvents()} {
+		if len(got) != 8000 {
+			t.Fatalf("%s ring holds %d events, want 8000", name, len(got))
+		}
+		for i, e := range got {
+			if want := uint64(i + 1); e.Seq != want {
+				t.Fatalf("%s ring position %d has seq %d, want %d", name, i, e.Seq, want)
+			}
 		}
 	}
 }

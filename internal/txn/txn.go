@@ -15,7 +15,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,15 +67,12 @@ type Manager struct {
 	// Tracer, if set (before the manager is shared), records
 	// begin/commit/abort events for every transaction. Nil-safe.
 	Tracer *trace.Tracer
-
-	mu    sync.Mutex
-	owned map[addr.PartitionID]uint64 // uncommitted new partitions
 }
 
 // NewManager creates a transaction manager over the given store, lock
 // table, and REDO sink.
 func NewManager(store *mm.Store, locks *lock.Manager, sink RedoSink) *Manager {
-	return &Manager{store: store, locks: locks, sink: sink, owned: make(map[addr.PartitionID]uint64)}
+	return &Manager{store: store, locks: locks, sink: sink}
 }
 
 // NextID allocates a transaction identifier; the checkpoint component
@@ -94,26 +90,7 @@ func (m *Manager) Begin() *Txn {
 	id := m.NextID()
 	m.sink.BeginTxn(id)
 	m.Tracer.Emit(trace.Event{Kind: trace.KindTxnBegin, Txn: id})
-	return &Txn{m: m, id: id, start: time.Now(), pendingDel: make(map[addr.EntityAddr]bool)}
-}
-
-func (m *Manager) ownerOf(pid addr.PartitionID) (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o, ok := m.owned[pid]
-	return o, ok
-}
-
-func (m *Manager) setOwner(pid addr.PartitionID, txn uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.owned[pid] = txn
-}
-
-func (m *Manager) clearOwner(pid addr.PartitionID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.owned, pid)
+	return &Txn{m: m, id: id, start: time.Now()}
 }
 
 // undo kinds
@@ -143,9 +120,9 @@ type Txn struct {
 	m          *Manager
 	id         uint64
 	start      time.Time
-	undo       []undoEntry // the volatile UNDO space
-	pendingDel map[addr.EntityAddr]bool
-	newParts   []addr.PartitionID
+	undo       []undoEntry              // the volatile UNDO space
+	pendingDel map[addr.EntityAddr]bool // allocated by the first delete
+	newParts   []*mm.Partition          // privately owned until commit
 	nRecords   int
 	done       bool
 }
@@ -199,15 +176,17 @@ func (t *Txn) emit(tag wal.Tag, pid addr.PartitionID, slot addr.Slot, off uint16
 }
 
 // allocPartition creates a new partition in seg, owned by t until
-// commit, with a PartAlloc REDO record.
+// commit, with a PartAlloc REDO record. An abort evicts the partition
+// and leaves the owner mark on the dead object, so a concurrent insert
+// still scanning an older partition list cannot place a row in it.
 func (t *Txn) allocPartition(seg addr.SegmentID) (*mm.Partition, error) {
 	p, err := t.m.store.AllocPartition(seg)
 	if err != nil {
 		return nil, err
 	}
 	pid := p.ID()
-	t.m.setOwner(pid, t.id)
-	t.newParts = append(t.newParts, pid)
+	p.SetOwner(t.id)
+	t.newParts = append(t.newParts, p)
 	t.undo = append(t.undo, undoEntry{kind: undoPartAlloc, pid: pid})
 	if err := t.emit(wal.TagPartAlloc, pid, 0, 0, nil); err != nil {
 		return nil, err
@@ -231,34 +210,22 @@ func (t *Txn) InsertEntity(seg addr.SegmentID, isIdx bool, data []byte) (addr.En
 	if isIdx {
 		tag = wal.TagIdxInsert
 	}
-	// Placement: first resident partition with room that is not
-	// privately owned by another uncommitted transaction.
-	for _, p := range t.m.store.Partitions(seg) {
-		if owner, ok := t.m.ownerOf(p.ID()); ok && owner != t.id {
-			continue
-		}
-		p.Latch()
-		slot, err := p.Insert(data)
-		p.Unlatch()
-		if err != nil {
-			if errors.Is(err, mm.ErrPartitionFull) {
-				continue
-			}
+	// Placement is first fit over the resident partitions that are not
+	// privately owned by another uncommitted transaction (mm.Store.Place).
+	p, slot, err := t.m.store.Place(seg, t.id, data)
+	if err != nil {
+		return addr.Nil, err
+	}
+	if p == nil {
+		if p, err = t.allocPartition(seg); err != nil {
 			return addr.Nil, err
 		}
-		a := addr.EntityAddr{Segment: seg, Part: p.ID().Part, Slot: slot}
-		t.undo = append(t.undo, undoEntry{kind: undoInsert, a: a})
-		return a, t.emit(tag, p.ID(), slot, 0, data)
-	}
-	p, err := t.allocPartition(seg)
-	if err != nil {
-		return addr.Nil, err
-	}
-	p.Latch()
-	slot, err := p.Insert(data)
-	p.Unlatch()
-	if err != nil {
-		return addr.Nil, err
+		p.Latch()
+		slot, err = p.Insert(data)
+		p.Unlatch()
+		if err != nil {
+			return addr.Nil, err
+		}
 	}
 	a := addr.EntityAddr{Segment: seg, Part: p.ID().Part, Slot: slot}
 	t.undo = append(t.undo, undoEntry{kind: undoInsert, a: a})
@@ -390,6 +357,9 @@ func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
 		}
 		return err
 	}
+	if t.pendingDel == nil {
+		t.pendingDel = make(map[addr.EntityAddr]bool)
+	}
 	t.pendingDel[a] = true
 	t.undo = append(t.undo, undoEntry{kind: undoPendingDelete, a: a})
 	return t.emit(wal.TagRelDelete, a.Partition(), a.Slot, 0, nil)
@@ -458,8 +428,8 @@ func (t *Txn) Commit() error {
 	if err := t.m.sink.CommitTxn(t.id); err != nil {
 		return err
 	}
-	for _, pid := range t.newParts {
-		t.m.clearOwner(pid)
+	for _, p := range t.newParts {
+		p.SetOwner(0)
 	}
 	t.done = true
 	t.m.locks.ReleaseAll(t.id)
@@ -495,7 +465,6 @@ func (t *Txn) applyUndo(u undoEntry) error {
 		return nil
 	case undoPartAlloc:
 		t.m.store.Evict(u.pid)
-		t.m.clearOwner(u.pid)
 		return nil
 	}
 	p, err := t.m.store.Partition(u.a.Partition())

@@ -278,8 +278,13 @@ func TestAbortEvictsNewPartition(t *testing.T) {
 	if m.Store().Resident(a.Partition()) {
 		t.Fatal("aborted partition still resident")
 	}
-	if _, owned := m.ownerOf(a.Partition()); owned {
-		t.Fatal("ownership leaked")
+	// The dead partition's owner mark must not get in a successor's way.
+	tx2 := m.Begin()
+	if _, err := tx2.InsertEntity(seg, false, []byte("y")); err != nil {
+		t.Fatalf("insert after an aborted partition allocation: %v", err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -493,7 +493,7 @@ func (db *DB) loadCatalogs() error {
 				header: desc.Header,
 			}
 			da := addr.EntityAddr{Segment: addr.SegIndexCatalog, Part: p.ID().Part, Slot: s}
-			rel.indexes = append(rel.indexes, idx)
+			rel.addIndex(idx)
 			db.segOwner[desc.Seg] = desc.RelID
 			db.idxDescAddr[desc.IdxID] = da
 			db.store.EnsureSegment(desc.Seg)

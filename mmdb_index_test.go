@@ -220,6 +220,7 @@ func TestTwoIndexesStayConsistent(t *testing.T) {
 func TestStableMemoryExhaustion(t *testing.T) {
 	cfg := testConfig()
 	cfg.StableBytes = 24 << 10 // tiny: fills after a few blocks
+	cfg.LogStreams = 1         // the budget is sized for one stream's arena, whatever GOMAXPROCS is
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -307,5 +308,41 @@ func TestGetMissingRow(t *testing.T) {
 	}
 	if err := tx3.Update(rel, id, nil); err != nil {
 		t.Fatalf("empty update should be a no-op: %v", err)
+	}
+}
+
+// TestIndexesIsCopyOnWrite: the per-row paths read the index list on
+// every insert, update and delete, so reading it must cost nothing, and a
+// list already handed out must not change under DDL.
+func TestIndexesIsCopyOnWrite(t *testing.T) {
+	db := openTestDB(t)
+	defer db.Close()
+	rel, _ := db.CreateRelation("t", heap.Schema{{Name: "a", Type: heap.Int64}, {Name: "b", Type: heap.Int64}})
+	first, err := db.CreateIndex(rel, "by_a", "a", KindLinHash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rel.Indexes()
+	if n := testing.AllocsPerRun(100, func() { _ = rel.Indexes() }); n != 0 {
+		t.Fatalf("Indexes allocates %v times per call", n)
+	}
+	second, err := db.CreateIndex(rel, "by_b", "b", KindTTree, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 1 || before[0] != first {
+		t.Fatalf("list handed out before CreateIndex changed: %v", before)
+	}
+	if got := rel.Indexes(); len(got) != 2 || got[0] != first || got[1] != second {
+		t.Fatalf("Indexes after CreateIndex = %v", got)
+	}
+	if err := db.DropIndex(rel, "by_a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Indexes(); len(got) != 1 || got[0] != second {
+		t.Fatalf("Indexes after DropIndex = %v", got)
+	}
+	if len(before) != 1 || before[0] != first {
+		t.Fatalf("list handed out before DropIndex changed: %v", before)
 	}
 }

@@ -3,6 +3,7 @@ package mmdb
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -109,12 +110,23 @@ func TestCrashMidCheckpointFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Update churn until the checkpoint fires and the rule crashes the
-	// machine; injected failures are expected once it does.
+	// Update churn until a checkpoint is triggered, then nothing until the
+	// rule crashes the machine inside it: churn that kept going would, at
+	// a high enough transaction rate, push the checkpoint's begin event
+	// out of the flight ring before the crash. Injected failures are
+	// expected once the crash lands.
+	triggered := func() bool {
+		st := db.Stats()
+		return st.CkptByUpdateCount+st.CkptByAge > 0
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; !inj.Crashed(); i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("checkpoint fault never fired")
+		}
+		if triggered() {
+			runtime.Gosched()
+			continue
 		}
 		tx := db.Begin()
 		_, err := tx.Insert(rel, heap.Tuple{int64(i), float64(i), "churn"})

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
@@ -25,8 +27,10 @@ type Relation struct {
 	seg    addr.SegmentID
 	schema heap.Schema
 
-	idxMu   sync.RWMutex
-	indexes []*Index
+	// indexes is copy-on-write: DDL replaces the slice under idxMu, the
+	// per-row paths load it without locking or copying.
+	idxMu   sync.Mutex
+	indexes atomic.Pointer[[]*Index]
 }
 
 // Name returns the relation name.
@@ -41,18 +45,18 @@ func (r *Relation) Schema() heap.Schema { return r.schema }
 // Segment returns the relation's segment ID.
 func (r *Relation) Segment() addr.SegmentID { return r.seg }
 
-// Indexes returns the relation's indexes.
+// Indexes returns the relation's indexes. The slice is shared and must
+// not be modified.
 func (r *Relation) Indexes() []*Index {
-	r.idxMu.RLock()
-	defer r.idxMu.RUnlock()
-	return append([]*Index(nil), r.indexes...)
+	if p := r.indexes.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Index returns the named index, or nil.
 func (r *Relation) Index(name string) *Index {
-	r.idxMu.RLock()
-	defer r.idxMu.RUnlock()
-	for _, i := range r.indexes {
+	for _, i := range r.Indexes() {
 		if i.name == name {
 			return i
 		}
@@ -61,9 +65,7 @@ func (r *Relation) Index(name string) *Index {
 }
 
 func (r *Relation) indexBySeg(seg addr.SegmentID) *Index {
-	r.idxMu.RLock()
-	defer r.idxMu.RUnlock()
-	for _, i := range r.indexes {
+	for _, i := range r.Indexes() {
 		if i.seg == seg {
 			return i
 		}
@@ -74,17 +76,16 @@ func (r *Relation) indexBySeg(seg addr.SegmentID) *Index {
 func (r *Relation) addIndex(i *Index) {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	r.indexes = append(r.indexes, i)
+	next := append(slices.Clone(r.Indexes()), i)
+	r.indexes.Store(&next)
 }
 
 func (r *Relation) removeIndex(i *Index) {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	for j, x := range r.indexes {
-		if x == i {
-			r.indexes = append(r.indexes[:j], r.indexes[j+1:]...)
-			return
-		}
+	if j := slices.Index(r.Indexes(), i); j >= 0 {
+		next := slices.Delete(slices.Clone(r.Indexes()), j, j+1)
+		r.indexes.Store(&next)
 	}
 }
 
