@@ -92,20 +92,22 @@ func main() {
 		planStr  = flag.String("plan", "", "replay one explicit plan instead of sweeping")
 		streams  = flag.Int("streams", 0, "SLB log streams for the swept database (0 = sweep default of 1)")
 		breakDup = flag.Bool("break-duplex", false, "sabotage: disable the duplexed-read fallback, demonstrating sweep failure detection")
+		loseCkpt = flag.Bool("lose-ckpt", false, "fail the checkpoint disk set after every crash and recover through media-failure recovery (§2.6)")
 		verbose  = flag.Bool("v", false, "log every plan as it runs")
 		jsonPath = flag.String("json", "", "write machine-readable sweep results to this path (\"-\" = stdout)")
 	)
 	flag.Parse()
 
 	opts := sweep.Options{
-		Seed:        *seed,
-		Ops:         *ops,
-		PerPoint:    *perPoint,
-		MaxPlans:    *maxPlans,
-		Depth:       *depth,
-		Budget:      *budget,
-		LogStreams:  *streams,
-		BreakDuplex: *breakDup,
+		Seed:         *seed,
+		Ops:          *ops,
+		PerPoint:     *perPoint,
+		MaxPlans:     *maxPlans,
+		Depth:        *depth,
+		Budget:       *budget,
+		LogStreams:   *streams,
+		BreakDuplex:  *breakDup,
+		LoseCkptDisk: *loseCkpt,
 	}
 	if *short {
 		if opts.Ops == 0 {

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"mmdb/internal/addr"
-	"mmdb/internal/archive"
 	"mmdb/internal/catalog"
-	"mmdb/internal/core"
 	"mmdb/internal/lock"
-	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 )
 
@@ -194,96 +191,34 @@ func (db *DB) reapSegment(seg addr.SegmentID, parts []catalog.PartState) {
 	db.store.DropSegment(seg)
 }
 
-// RecoverFromMediaFailure rebuilds the entire database after the loss
-// of the checkpoint disk set (§2.6): every partition is reconstructed
-// from the archive tape, the surviving (duplexed) log disks, and the
-// stable-memory residue, then the stable log is reinitialised and every
-// partition is re-imaged onto the (replaced) checkpoint disks.
+// RecoverFromMediaFailure recovers the database after the loss of the
+// checkpoint disk set (§2.6). A replaced, blank disk set is just "every
+// image is lost", which restart already repairs one partition at a time
+// from the archive, the surviving (duplexed) log disks and the Stable
+// Log Tail: so this is Recover, then every partition demanded and
+// re-imaged onto the new disks.
 //
 // The returned database is fully memory-resident. Durability against a
 // subsequent crash is re-established once the re-imaging checkpoints
-// complete; WaitIdle is called before returning to guarantee that.
+// complete; WaitIdle is called before returning to guarantee that. On
+// error the instance is returned too, as by Recover: good only for
+// Crash() and Metrics().
 func RecoverFromMediaFailure(hw *Hardware, cfg Config) (*DB, error) {
-	// Drain committed-but-unsorted chains into bins so the stable
-	// residue is complete, using a throwaway manager.
-	tmp, err := core.New(hw, cfg, mm.NewStore(cfg.PartitionSize), lock.NewManager())
-	if err != nil {
-		return nil, err
-	}
-	tmp.DrainStableOnly()
-	var residue []archive.Residue
-	for _, r := range tmp.BinResidues() {
-		residue = append(residue, archive.Residue{PID: r.PID, Records: r.Records})
-	}
-
-	store, root, damaged, err := archive.Rebuild(hw.Arch, hw.Log, residue, core.RootSentinelPID(), cfg.PartitionSize)
-	if err != nil {
-		return nil, err
-	}
-	if root == nil {
-		root = &catalog.Root{NextRelID: catalog.FirstUserRelID, NextSeg: uint32(addr.FirstUserSegment)}
-	}
-	// The root reaches the log disk only on catalog checkpoints, so
-	// the archived copy may be stale or absent; the rebuilt store is
-	// authoritative for which catalog partitions exist.
-	root.RelCatParts = nil
-	for _, p := range store.Partitions(addr.SegRelationCatalog) {
-		root.RelCatParts = append(root.RelCatParts, catalog.PartState{Part: p.ID().Part, Track: simdisk.NilTrack})
-	}
-	root.IdxCatParts = nil
-	for _, p := range store.Partitions(addr.SegIndexCatalog) {
-		root.IdxCatParts = append(root.IdxCatParts, catalog.PartState{Part: p.ID().Part, Track: simdisk.NilTrack})
-	}
 	hw.Ckpt.Repair()
-	core.ResetStableState(hw, root)
-
-	locks := lock.NewManager()
-	mgr, err := core.New(hw, cfg, store, locks)
+	db, err := Recover(hw, cfg)
 	if err != nil {
-		return nil, err
+		return db, err
 	}
-	if damaged > 0 {
-		// Rot detected and skipped inside the archived history: every
-		// damaged page cost records, none were silently applied.
-		mgr.Metrics().CorruptDetected.Add(int64(damaged))
-	}
-	db := newDB(cfg, mgr, store, locks)
-	if err := db.loadCatalogs(); err != nil {
-		return nil, err
-	}
-	// Allocation counters at least past everything the catalogs name.
-	var maxRel, maxIdx uint64
-	var maxSeg uint32
-	db.mu.RLock()
-	for id, rel := range db.relByID {
-		if id >= maxRel {
-			maxRel = id + 1
-		}
-		if uint32(rel.seg) >= maxSeg {
-			maxSeg = uint32(rel.seg) + 1
-		}
-		for _, idx := range rel.Indexes() {
-			if idx.idxID >= maxIdx {
-				maxIdx = idx.idxID + 1
-			}
-			if uint32(idx.seg) >= maxSeg {
-				maxSeg = uint32(idx.seg) + 1
-			}
-		}
-	}
-	db.mu.RUnlock()
-	mgr.EnsureRootCounters(maxRel, maxIdx, maxSeg)
-	db.wire()
-	mgr.Start()
-
-	// Re-image every partition so crash durability is restored.
 	pids, err := db.allPartitions()
 	if err != nil {
-		return nil, err
+		return db, err
 	}
 	for _, pid := range pids {
-		mgr.RequestCheckpoint(pid)
+		if _, err := db.store.Partition(pid); err != nil {
+			return db, err
+		}
+		db.mgr.RequestCheckpoint(pid)
 	}
-	mgr.WaitIdle()
+	db.mgr.WaitIdle()
 	return db, nil
 }

@@ -55,9 +55,7 @@ const (
 	flagLast  = 0x02
 )
 
-// Entry kinds. EntryLogPage deliberately matches simdisk.TapeKindLogPage
-// and EntryAudit matches simdisk.TapeKindAudit, the framing bytes of the
-// legacy in-memory tape this store replaces.
+// Entry kinds, the first byte of every entry payload.
 const (
 	EntryLogPage byte = 0x01
 	EntryAudit   byte = 0xA5

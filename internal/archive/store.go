@@ -1,3 +1,12 @@
+// Package archive is the append-only archive tier (§2.6), and only the
+// storage half of it: log pages rolled off the log disks are appended to
+// checksummed segment files under their partition address and LSN, and
+// read back either whole (Scan) or one partition at a time through the
+// per-segment index (ScanPartition). Together with the still-resident
+// log pages that is every partition's complete REDO history, so losing
+// a checkpoint image, or the whole checkpoint disk set, never loses
+// committed data. Replaying the history into a partition is recovery,
+// and lives with the rest of it in internal/core (restorePartition).
 package archive
 
 import (
@@ -356,7 +365,8 @@ func (s *Store) Scan(fn func(Entry) error) error {
 // ScanPartition calls fn with every archived log page of one partition
 // in LSN order, located through the per-segment indexes by binary
 // search. Duplicate LSNs (an append retried across a crash is
-// at-least-once) are delivered once.
+// at-least-once) are delivered once. page is a fresh buffer that fn may
+// keep.
 func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, page []byte) error) error {
 	seen := make(map[simdisk.LSN]bool)
 	for _, ss := range s.snapshot() {

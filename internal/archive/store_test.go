@@ -10,6 +10,15 @@ import (
 	"mmdb/internal/simdisk"
 )
 
+func newTestStore(t *testing.T) *Store {
+	t.Helper()
+	st, err := Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestStoreScanOrderAndKinds(t *testing.T) {
 	st := newTestStore(t)
 	pid := addr.PartitionID{Segment: 2, Part: 3}

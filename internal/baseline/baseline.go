@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"mmdb/internal/addr"
+	"mmdb/internal/core"
 	"mmdb/internal/cost"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
@@ -172,7 +173,7 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 				p = np
 				byPID[r.PID] = p
 			}
-			if err := Apply(p, r); err != nil {
+			if err := core.ApplyRecord(p, r); err != nil {
 				return err
 			}
 		}
@@ -195,36 +196,6 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 	}
 	e.store = store
 	return store, nil
-}
-
-// Apply applies one REDO record to a partition with the same lenient
-// semantics as the partition-level recovery component.
-func Apply(p *mm.Partition, r *wal.Record) error {
-	switch r.Tag {
-	case wal.TagRelInsert, wal.TagIdxInsert:
-		if _, err := p.Read(r.Slot); err == nil {
-			return p.Update(r.Slot, r.Data)
-		}
-		return p.InsertAt(r.Slot, r.Data)
-	case wal.TagRelUpdate, wal.TagIdxUpdate:
-		if _, err := p.Read(r.Slot); err != nil {
-			return p.InsertAt(r.Slot, r.Data)
-		}
-		return p.Update(r.Slot, r.Data)
-	case wal.TagRelDelete, wal.TagIdxDelete:
-		_ = p.Delete(r.Slot)
-		return nil
-	case wal.TagRelWrite, wal.TagIdxWrite:
-		cur, err := p.Read(r.Slot)
-		if err != nil || int(r.Off)+len(r.Data) > len(cur) {
-			return nil
-		}
-		return p.WriteAt(r.Slot, int(r.Off), r.Data)
-	case wal.TagPartAlloc, wal.TagPartFree:
-		return nil
-	default:
-		return fmt.Errorf("baseline: unknown tag %v", r.Tag)
-	}
 }
 
 // SyncWAL models the disk-force commit path of a conventional

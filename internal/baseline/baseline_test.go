@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mmdb/internal/addr"
+	"mmdb/internal/core"
 	"mmdb/internal/cost"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
@@ -31,7 +32,7 @@ func run(t *testing.T, e *Engine, recs []wal.Record) {
 			}
 			p = p2
 		}
-		if err := Apply(p, r); err != nil {
+		if err := core.ApplyRecord(p, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,12 +223,12 @@ func TestApplyLenient(t *testing.T) {
 	p := mm.NewPartition(pid, 4096)
 	// Delete of a missing slot: no-op.
 	r := del(pid, 3)
-	if err := Apply(p, &r); err != nil {
+	if err := core.ApplyRecord(p, &r); err != nil {
 		t.Fatal(err)
 	}
 	// Update of a missing slot: creates it.
 	r = upd(pid, 2, "made")
-	if err := Apply(p, &r); err != nil {
+	if err := core.ApplyRecord(p, &r); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Read(2)
@@ -236,7 +237,7 @@ func TestApplyLenient(t *testing.T) {
 	}
 	// Insert onto an occupied slot: overwrite.
 	r = ins(pid, 2, "over")
-	if err := Apply(p, &r); err != nil {
+	if err := core.ApplyRecord(p, &r); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = p.Read(2)

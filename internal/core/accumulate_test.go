@@ -160,14 +160,14 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 		// Replay originals and accumulated onto fresh partitions.
 		plain := mm.NewPartition(pid, 8192)
 		for i := range recs {
-			if err := applyRecord(plain, &recs[i]); err != nil {
+			if err := ApplyRecord(plain, &recs[i]); err != nil {
 				t.Fatalf("trial %d: plain replay: %v", trial, err)
 			}
 		}
 		acc, _ := accumulate(recs)
 		compact := mm.NewPartition(pid, 8192)
 		for _, r := range acc {
-			if err := applyRecord(compact, r); err != nil {
+			if err := ApplyRecord(compact, r); err != nil {
 				t.Fatalf("trial %d: accumulated replay: %v", trial, err)
 			}
 		}

@@ -143,27 +143,12 @@ func TestInjectCommittedFlowsThroughSorter(t *testing.T) {
 		t.Fatalf("sorted %d", h.m.Stats().RecordsSorted)
 	}
 	// And it is recoverable.
-	p, err := h.m.RecoverPartition(addr.PartitionID{Segment: 2, Part: 0}, simdisk.NilTrack)
+	p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: 0}, simdisk.NilTrack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Read(0)
 	if err != nil || !bytes.Equal(got, []byte("inj")) {
 		t.Fatalf("recovered %q, %v", got, err)
-	}
-}
-
-func TestSetRootAndEnsureCounters(t *testing.T) {
-	h := newHarness(t, testCfg())
-	defer h.m.Stop()
-	h.m.slt.setRoot(&catalog.Root{NextRelID: 10, NextIdxID: 5, NextSeg: 20})
-	h.m.EnsureRootCounters(8, 9, 15) // lower or mixed: only raises
-	r := h.m.RootCopy()
-	if r.NextRelID != 10 || r.NextIdxID != 9 || r.NextSeg != 20 {
-		t.Fatalf("counters = %+v", r)
-	}
-	// minFirstLSN with no bins.
-	if got := h.m.slt.minFirstLSN(); got != simdisk.NilLSN {
-		t.Fatalf("minFirstLSN = %d", got)
 	}
 }

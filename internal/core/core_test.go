@@ -200,7 +200,7 @@ func TestUpdateCountTriggersCheckpoint(t *testing.T) {
 	if track == simdisk.NilTrack {
 		t.Fatal("no checkpoint track recorded")
 	}
-	rec, err := h.m.RecoverPartition(a.Partition(), track)
+	rec, err := h.m.restorePartition(a.Partition(), track)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 	// the worker's program order; the merge must land the last write.
 	for w := 0; w < workers; w++ {
 		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}
-		p, err := h.m.RecoverPartition(pid, simdisk.NilTrack)
+		p, err := h.m.restorePartition(pid, simdisk.NilTrack)
 		if err != nil {
 			t.Fatal(err)
 		}

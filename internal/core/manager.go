@@ -607,15 +607,7 @@ func (m *Manager) archiveLocked(tail simdisk.LSN) {
 		limit = floor - 1
 	}
 	for lsn := m.slt.st.lastArchived + 1; lsn <= limit; lsn++ {
-		var pg *wal.Page
-		page, err := m.hw.Log.ReadChecked(lsn, func(b []byte) error {
-			dp, derr := wal.DecodePage(b)
-			if derr != nil {
-				return derr
-			}
-			pg = dp
-			return nil
-		})
+		pg, page, err := readLogPage(m.hw.Log, lsn, nil)
 		if err != nil {
 			if fault.IsFault(err) {
 				// Injected fault (or the crash itself): stop here so

@@ -23,7 +23,7 @@ const ttp99Permille = 990
 
 // progressState is the manager's live restart bookkeeping. weights and
 // ranked are immutable after New; everything else is atomics, so
-// RecoverPartition's hot path pays a few atomic adds.
+// restorePartition's hot path pays a few atomic adds.
 type progressState struct {
 	weights     map[addr.PartitionID]int64 // pre-crash heat per partition
 	ranked      []heat.PartHeat            // pre-crash ranking, hottest first
@@ -155,7 +155,7 @@ func (m *Manager) Heat() *heat.Tracker { return m.heat }
 // stable memory at attach, hottest first.
 func (m *Manager) RecoveredHeat() []heat.PartHeat { return m.prog.ranked }
 
-// noteRecovered is RecoverPartition's progress hook: counters, the
+// noteRecovered is restorePartition's progress hook: counters, the
 // heat-weighted fraction gauge, and the one-shot ttp99 stamp.
 func (m *Manager) noteRecovered(pid addr.PartitionID) {
 	stamped, ppm := m.prog.recovered(pid)

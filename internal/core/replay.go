@@ -5,11 +5,15 @@ import (
 	"fmt"
 
 	"mmdb/internal/mm"
+	"mmdb/internal/simdisk"
+	"mmdb/internal/trace"
 	"mmdb/internal/wal"
 )
 
-// applyRecord applies one REDO record to a partition image during
-// recovery. Semantics are deliberately lenient ("replay-tolerant"):
+// ApplyRecord applies one REDO record to a partition image. It is the
+// only place a log record mutates a partition: partition recovery, the
+// database-level baseline and the experiments all replay through it.
+// Semantics are deliberately lenient ("replay-tolerant"):
 //
 // Recovery may replay records whose effects are already contained in
 // the checkpoint image, because the image supersedes the bin's fenced
@@ -29,7 +33,7 @@ import (
 // The same tolerance absorbs duplicated records from a committed chain
 // that was only partially sorted at crash time and is re-sorted on
 // restart.
-func applyRecord(p *mm.Partition, r *wal.Record) error {
+func ApplyRecord(p *mm.Partition, r *wal.Record) error {
 	switch r.Tag {
 	case wal.TagRelInsert, wal.TagIdxInsert:
 		if _, err := p.Read(r.Slot); err == nil {
@@ -75,11 +79,32 @@ func applyRecords(p *mm.Partition, buf []byte) (int, error) {
 		if recs[i].PID != p.ID() {
 			continue
 		}
-		if err := applyRecord(p, &recs[i]); err != nil {
+		if err := ApplyRecord(p, &recs[i]); err != nil {
 			return n, fmt.Errorf("core: replaying %v record at %v slot %d: %w",
 				recs[i].Tag, recs[i].PID, recs[i].Slot, err)
 		}
 		n++
 	}
 	return n, nil
+}
+
+// applyClean cuts a record stream (a log page's records, or a bin's
+// current buffer when lsn is NilLSN) back to its longest cleanly
+// decodable prefix and applies that. A record whose CRC no longer
+// matches is quarantined — counted and traced, never applied — and the
+// boundaries past it cannot be resynchronised in a varint stream, so
+// the corrupt suffix is surrendered with it.
+func (m *Manager) applyClean(p *mm.Partition, lsn simdisk.LSN, buf []byte) (int, error) {
+	if valid := wal.ValidPrefix(buf); valid < len(buf) {
+		_, _, derr := wal.Decode(buf[valid:])
+		m.metrics.CorruptDetected.Inc()
+		m.metrics.QuarantinedRecords.Inc()
+		m.tracer.Emit(pidEvent(trace.Event{
+			Kind: trace.KindRecordQuarantine, LSN: uint64(lsn),
+			Arg: uint64(valid), Arg2: uint64(len(buf) - valid),
+			Str: derr.Error(),
+		}, p.ID()))
+		buf = buf[:valid]
+	}
+	return applyRecords(p, buf)
 }

@@ -64,28 +64,24 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 	// and checkpoint locations come from the well-known root.
 	m.store.EnsureSegment(addr.SegRelationCatalog)
 	m.store.EnsureSegment(addr.SegIndexCatalog)
-	// Each recovery loop also rebuilds the checkpoint-disk allocation
-	// map's root-known part as it goes (the facade marks
+	// The loop also rebuilds the checkpoint-disk allocation map's
+	// root-known part as it goes (the facade marks
 	// catalog-derived tracks after decoding): marking a track the
 	// moment its partition is restored means a future early return
 	// cannot leave the map missing live catalog tracks.
-	for _, ps := range root.RelCatParts {
-		pid := addr.PartitionID{Segment: addr.SegRelationCatalog, Part: ps.Part}
-		p, err := m.RecoverPartition(pid, ps.Track)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring relation catalog %v: %w", pid, err)
+	for _, cat := range []struct {
+		seg   addr.SegmentID
+		parts []catalog.PartState
+	}{{addr.SegRelationCatalog, root.RelCatParts}, {addr.SegIndexCatalog, root.IdxCatParts}} {
+		for _, ps := range cat.parts {
+			pid := addr.PartitionID{Segment: cat.seg, Part: ps.Part}
+			p, err := m.restorePartition(pid, ps.Track)
+			if err != nil {
+				return nil, fmt.Errorf("core: restoring catalog partition %v: %w", pid, err)
+			}
+			m.store.Install(p)
+			m.dmap.markUsed(ps.Track)
 		}
-		m.store.Install(p)
-		m.dmap.markUsed(ps.Track)
-	}
-	for _, ps := range root.IdxCatParts {
-		pid := addr.PartitionID{Segment: addr.SegIndexCatalog, Part: ps.Part}
-		p, err := m.RecoverPartition(pid, ps.Track)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring index catalog %v: %w", pid, err)
-		}
-		m.store.Install(p)
-		m.dmap.markUsed(ps.Track)
 	}
 	return root, nil
 }
@@ -93,9 +89,7 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 // DrainStableOnly performs the stable-log half of restart without
 // touching the checkpoint disks: uncommitted SLB chains are discarded,
 // crashed in-progress checkpoint requests reset, mid-flight fences
-// cleared, and committed-but-unsorted chains sorted into the bins. Used
-// by Restart and by media-failure recovery (which cannot read the
-// checkpoint disks).
+// cleared, and committed-but-unsorted chains sorted into the bins.
 func (m *Manager) DrainStableOnly() {
 	m.slb.discardUncommitted()
 	// Group-commit rollback: a committed chain whose epoch was never
@@ -171,66 +165,6 @@ func (m *Manager) DrainStableOnly() {
 	m.drainCommitted()
 }
 
-// ResetStableState frees every stable log structure on hw (releasing
-// its stable-memory reservations, including the per-stream SLB arenas)
-// and installs a fresh Stable Log Tail seeded with the given root; the
-// SLB root slot is cleared so the next manager's newSLB builds a fresh
-// buffer with its own configured stream count. Media-failure recovery uses it after rebuilding the
-// database from the archive: the old bins' log records have been
-// replayed into the rebuilt store, so the stable log starts over.
-func ResetStableState(hw *Hardware, root *catalog.Root) {
-	if st, _ := hw.Stable.Root(slbRootKey).(*slbState); st != nil {
-		for _, ls := range st.streams {
-			ls.mu.Lock()
-			for _, c := range ls.uncommitted {
-				c.free()
-			}
-			for _, c := range ls.committed {
-				c.free()
-			}
-			ls.uncommitted = make(map[uint64]*txnChain)
-			ls.committed = nil
-			ls.mu.Unlock()
-		}
-		// Chains freed, regions empty: return the streams' extents to
-		// the shared pool. The next newSLB sees an all-empty buffer and
-		// reshards it with fresh arenas per its config.
-		st.releaseArenas()
-		hw.Stable.SetRoot(slbRootKey, nil)
-	}
-	if st, _ := hw.Stable.Root(sltRootKey).(*sltState); st != nil {
-		st.mu.Lock()
-		for _, b := range st.bins {
-			if b.cur != nil {
-				b.cur.Free()
-			}
-			hw.Stable.Release(binInfoBytes)
-		}
-		st.mu.Unlock()
-	}
-	fresh := newSLTState()
-	if root != nil {
-		fresh.root = root.Clone()
-	}
-	hw.Stable.SetRoot(sltRootKey, fresh)
-}
-
-// EnsureRootCounters raises the stable allocation counters to at least
-// the given values (rebuild paths that derive them from the catalogs).
-func (m *Manager) EnsureRootCounters(nextRel, nextIdx uint64, nextSeg uint32) {
-	m.slt.updateRoot(func(r *catalog.Root) {
-		if r.NextRelID < nextRel {
-			r.NextRelID = nextRel
-		}
-		if r.NextIdxID < nextIdx {
-			r.NextIdxID = nextIdx
-		}
-		if r.NextSeg < nextSeg {
-			r.NextSeg = nextSeg
-		}
-	})
-}
-
 // MarkTrackUsed records a live checkpoint image during the facade's
 // catalog scan on restart.
 func (m *Manager) MarkTrackUsed(t simdisk.TrackLoc) { m.dmap.markUsed(t) }
@@ -249,7 +183,7 @@ func (m *Manager) Resume() {
 			}
 			track = t
 		}
-		return m.RecoverPartition(pid, track)
+		return m.restorePartition(pid, track)
 	})
 	if m.cfg.BackgroundRecovery {
 		m.wg.Add(1)
@@ -403,67 +337,30 @@ func (m *Manager) sweepRecover(pid addr.PartitionID) bool {
 	}
 }
 
-// repairLostImage handles a checkpoint image RecoverPartition cannot
-// use — a stale catalog track, a bad envelope checksum, or structural
-// rot. The loss of the image is counted and traced (it is one lost
-// image, not one lost record), then the partition is rebuilt from its
-// archived history plus the resident log window (§2.6). The bin's page
-// list is excluded from the rebuild because the caller replays it
-// afterwards — replaying those pages twice, the second time after newer
-// ones, would resurrect deleted slots.
-//
-// An injected fault (or the crash itself) during the rebuild propagates
-// so the restart retries; any other rebuild failure degrades to the
-// announced-empty-image path, counted under archive/rebuild_failed.
-func (m *Manager) repairLostImage(pid addr.PartitionID, imgBytes int, cause error) (*mm.Partition, error) {
-	m.metrics.CorruptDetected.Inc()
-	m.metrics.ImagesQuarantined.Inc()
-	m.tracer.Emit(pidEvent(trace.Event{
-		Kind: trace.KindRecordQuarantine, Arg2: uint64(imgBytes), Str: cause.Error(),
-	}, pid))
-
-	skip := make(map[simdisk.LSN]bool)
-	m.slt.st.mu.Lock()
-	if b, ok := m.slt.st.bins[pid]; ok {
-		for _, lsn := range b.pages {
-			skip[lsn] = true
-		}
-	}
-	m.slt.st.mu.Unlock()
-
-	start := time.Now()
-	res, rerr := archive.RebuildPartition(m.hw.Arch, m.hw.Log, pid, m.cfg.PartitionSize, skip)
-	if rerr != nil {
-		if fault.IsFault(rerr) {
-			return nil, fmt.Errorf("core: archive rebuild of %v: %w", pid, rerr)
-		}
-		m.metrics.ArchRebuildFailed.Inc()
-		m.tracer.Emit(pidEvent(trace.Event{
-			Kind: trace.KindArchiveRebuild, Str: rerr.Error(),
-		}, pid))
-		return mm.NewPartition(pid, m.cfg.PartitionSize), nil
-	}
-	if res.Damaged > 0 {
-		// Rot inside the archive itself: skipped pages cost records,
-		// but every one was detected, never applied.
-		m.metrics.CorruptDetected.Add(int64(res.Damaged))
-	}
-	m.metrics.ArchRebuilds.Inc()
-	m.metrics.ArchRebuildTime.ObserveSince(start)
-	m.tracer.Emit(pidEvent(trace.Event{
-		Kind: trace.KindArchiveRebuild, Arg: uint64(res.Pages), Arg2: uint64(res.Damaged),
-	}, pid))
-	return res.Partition, nil
+// logPage is one log page of a partition's REDO history: where it was
+// written and the record bytes it carried.
+type logPage struct {
+	lsn  simdisk.LSN
+	recs []byte
 }
 
-// RecoverPartition runs one recovery transaction (§2.5): read the
-// partition's checkpoint image from the checkpoint disk, read its log
-// pages (scheduled in originally-written order via the page list /
-// directory), apply the records, then apply the records still in the
-// partition's bin in the Stable Log Tail.
-func (m *Manager) RecoverPartition(pid addr.PartitionID, track simdisk.TrackLoc) (*mm.Partition, error) {
+// restorePartition is the recovery transaction (§2.5), and the only
+// one: crash restart, checkpoint-rot repair and media failure (§2.6)
+// are the same operation and differ only in where the partition's log
+// pages come from.
+//
+//   - base: the checkpoint image when its track reads and validates,
+//     else an empty partition;
+//   - pages: the bin's page list (read in originally-written order)
+//     when the base is good or the partition was never checkpointed,
+//     else the partition's whole history, archive ∪ resident log window;
+//   - tail: the records still in the partition's bin in the Stable Log
+//     Tail.
+func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc) (*mm.Partition, error) {
 	recStart := time.Now()
 	var p *mm.Partition
+	var lost error // why the image the catalog names cannot be used
+	imgBytes := 0
 	if track != simdisk.NilTrack {
 		blob, err := m.hw.Ckpt.ReadTrack(track)
 		if err != nil && !errors.Is(err, simdisk.ErrNoSuchTrack) {
@@ -480,25 +377,9 @@ func (m *Manager) RecoverPartition(pid addr.PartitionID, track simdisk.TrackLoc)
 				p, err = mm.FromImage(pid, img)
 			}
 		}
-		if err != nil {
-			// The image is lost: the catalog points at a track the disk
-			// no longer holds (byte rot can manufacture this — a
-			// quarantined catalog REDO record loses a checkpoint
-			// relocation, leaving the catalog aimed at a superseded,
-			// physically freed track), or the image bytes rotted in
-			// place. Either way this is a repair, not a loss: the
-			// partition's full history is still in the archive segments
-			// plus the resident log window (§2.6), so rebuild it from
-			// there and let the bin replay below stack on top, exactly
-			// as it would have on the image. Only when the archive
-			// itself cannot serve does recovery degrade to the old
-			// announced-empty-image path.
-			p, err = m.repairLostImage(pid, len(blob), err)
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
+		lost, imgBytes = err, len(blob)
+	}
+	if track == simdisk.NilTrack || lost != nil {
 		p = mm.NewPartition(pid, m.cfg.PartitionSize)
 	}
 
@@ -507,76 +388,81 @@ func (m *Manager) RecoverPartition(pid addr.PartitionID, track simdisk.TrackLoc)
 	// non-resident (transactions cannot touch it before recovery),
 	// so the snapshot is complete.
 	m.slt.st.mu.Lock()
-	var pages []simdisk.LSN
-	var curRecs []byte
+	var lsns []simdisk.LSN
+	var tail []byte
 	if b, ok := m.slt.st.bins[pid]; ok {
-		pages = append(pages, b.pages...)
+		lsns = append(lsns, b.pages...)
 		if b.cur != nil {
-			curRecs = append(curRecs, b.cur.Bytes()...)
+			tail = append(tail, b.cur.Bytes()...)
 		}
 	}
 	m.slt.st.mu.Unlock()
 
-	// applyClean cuts a record stream back to its longest cleanly
-	// decodable prefix before applying it. A record whose CRC no longer
-	// matches is quarantined — counted and traced, never applied — and
-	// the boundaries past it cannot be resynchronised in a varint
-	// stream, so the corrupt suffix is surrendered with it.
-	applied := 0
-	applyClean := func(lsn simdisk.LSN, buf []byte) error {
-		if valid := wal.ValidPrefix(buf); valid < len(buf) {
-			_, _, derr := wal.Decode(buf[valid:])
-			m.metrics.CorruptDetected.Inc()
-			m.metrics.QuarantinedRecords.Inc()
+	var pages []logPage
+	var err error
+	rebuilt := false
+	if lost != nil {
+		// The image is lost: the catalog points at a track the disk no
+		// longer holds (a replaced checkpoint disk set; or byte rot — a
+		// quarantined catalog REDO record loses a checkpoint relocation,
+		// leaving the catalog aimed at a superseded, physically freed
+		// track), or the image bytes rotted in place. Either way this is
+		// a repair, not a loss: the partition's history from its first
+		// log page is still in the archive segments plus the resident log
+		// window (§2.6), bin pages included, so it replaces the image and
+		// the bin's page list together.
+		//
+		// The detection is recorded now; the quarantine is counted with
+		// its outcome once the history is in hand, so every quarantined
+		// image is matched by exactly one rebuild (or one failure).
+		m.metrics.CorruptDetected.Inc()
+		m.tracer.Emit(pidEvent(trace.Event{
+			Kind: trace.KindRecordQuarantine, Arg2: uint64(imgBytes), Str: lost.Error(),
+		}, pid))
+		var damaged int
+		pages, damaged, err = partitionHistory(m.hw.Arch, m.hw.Log, m.slt.archivedTo, pid)
+		if fault.IsFault(err) {
+			// An injected fault or the crash itself: the restart retries,
+			// starting over from the image.
+			return nil, fmt.Errorf("core: reading the history of %v: %w", pid, err)
+		}
+		// Rot inside the history itself costs records, but every skipped
+		// page was detected, never applied.
+		m.metrics.CorruptDetected.Add(int64(damaged))
+		m.metrics.ImagesQuarantined.Inc()
+		rebuilt = err == nil
+		if rebuilt {
+			m.metrics.ArchRebuilds.Inc()
 			m.tracer.Emit(pidEvent(trace.Event{
-				Kind: trace.KindRecordQuarantine, LSN: uint64(lsn),
-				Arg: uint64(valid), Arg2: uint64(len(buf) - valid),
-				Str: derr.Error(),
+				Kind: trace.KindArchiveRebuild, Arg: uint64(len(pages)), Arg2: uint64(damaged),
 			}, pid))
-			buf = buf[:valid]
+		} else {
+			// The archive itself cannot serve: degrade to an announced
+			// empty image under whatever the bin still lists.
+			m.metrics.ArchRebuildFailed.Inc()
+			m.tracer.Emit(pidEvent(trace.Event{
+				Kind: trace.KindArchiveRebuild, Str: err.Error(),
+			}, pid))
 		}
-		n, err := applyRecords(p, buf)
+	}
+	if !rebuilt {
+		if pages, err = m.binPages(pid, lsns); err != nil {
+			return nil, err
+		}
+	}
+
+	// The tail replays last, as one more page that has no LSN yet.
+	applied := 0
+	for _, pg := range append(pages, logPage{lsn: simdisk.NilLSN, recs: tail}) {
+		n, err := m.applyClean(p, pg.lsn, pg.recs)
 		applied += n
-		return err
-	}
-	for _, lsn := range pages {
-		// Verified duplex read (§2.2): a page that passes sector ECC but
-		// fails its checksum or partition-address check falls back to the
-		// mirror copy, repairing the rotted primary from it.
-		var pg *wal.Page
-		_, err := m.hw.Log.ReadChecked(lsn, func(b []byte) error {
-			dp, derr := wal.DecodePage(b)
-			if derr != nil {
-				return derr
-			}
-			if derr := dp.CheckPID(pid); derr != nil {
-				return derr
-			}
-			pg = dp
-			return nil
-		})
 		if err != nil {
-			if errors.Is(err, wal.ErrCorrupt) {
-				// Both duplexed copies rotted: quarantine the whole page.
-				m.metrics.CorruptDetected.Inc()
-				m.metrics.QuarantinedRecords.Inc()
-				m.tracer.Emit(pidEvent(trace.Event{
-					Kind: trace.KindRecordQuarantine, LSN: uint64(lsn),
-					Str: err.Error(),
-				}, pid))
-				continue
-			}
-			return nil, fmt.Errorf("core: reading log page %d of %v: %w", lsn, pid, err)
-		}
-		if err := applyClean(lsn, pg.Records); err != nil {
 			return nil, err
 		}
-		m.metrics.RecoveryLogPages.Add(1)
 	}
-	if len(curRecs) > 0 {
-		if err := applyClean(simdisk.NilLSN, curRecs); err != nil {
-			return nil, err
-		}
+	m.metrics.RecoveryLogPages.Add(int64(len(pages)))
+	if rebuilt {
+		m.metrics.ArchRebuildTime.ObserveSince(recStart)
 	}
 	m.metrics.PartsRecovered.Add(1)
 	m.metrics.PartitionRecovery.ObserveSince(recStart)
@@ -586,6 +472,117 @@ func (m *Manager) RecoverPartition(pid addr.PartitionID, track simdisk.TrackLoc)
 		Arg:  uint64(applied), Arg2: uint64(len(pages)),
 	}, pid))
 	return p, nil
+}
+
+// binPages reads the pages of a bin's page list back from the log
+// disks, in written order. A page rotted on both copies is quarantined
+// whole.
+func (m *Manager) binPages(pid addr.PartitionID, lsns []simdisk.LSN) ([]logPage, error) {
+	pages := make([]logPage, 0, len(lsns))
+	for _, lsn := range lsns {
+		pg, _, err := readLogPage(m.hw.Log, lsn, &pid)
+		if errors.Is(err, wal.ErrCorrupt) {
+			m.metrics.CorruptDetected.Inc()
+			m.metrics.QuarantinedRecords.Inc()
+			m.tracer.Emit(pidEvent(trace.Event{
+				Kind: trace.KindRecordQuarantine, LSN: uint64(lsn),
+				Str: err.Error(),
+			}, pid))
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: reading log page %d of %v: %w", lsn, pid, err)
+		}
+		pages = append(pages, logPage{lsn: lsn, recs: pg.Records})
+	}
+	return pages, nil
+}
+
+// logWindow is the resident log as recovery reads it (*simdisk.DuplexLog);
+// an interface so that a test can roll a page into the archive between
+// the history reader's two scans.
+type logWindow interface {
+	NextLSN() simdisk.LSN
+	ReadChecked(lsn simdisk.LSN, check func([]byte) error) ([]byte, error)
+}
+
+// readLogPage is one verified duplex read (§2.2): a copy that passes
+// sector ECC but fails the page checksum — or, with want given, the
+// partition-address check — falls back to the mirror, and the rotted
+// primary is repaired from it.
+func readLogPage(log logWindow, lsn simdisk.LSN, want *addr.PartitionID) (pg *wal.Page, raw []byte, err error) {
+	raw, err = log.ReadChecked(lsn, func(b []byte) (err error) {
+		if pg, err = wal.DecodePage(b); err == nil && want != nil {
+			err = pg.CheckPID(*want)
+		}
+		return err
+	})
+	return pg, raw, err
+}
+
+// partitionHistory returns every surviving log page of pid — archived
+// pages plus its pages in the resident log window — each LSN once, in
+// LSN order, and the number of pages skipped as detected rot (one
+// decayed archive frame costs exactly the records it held).
+//
+// Each LSN once: rollover fsyncs a page into the archive before it
+// drops the log copy, and a crashed rollover retries, so an LSN can be
+// live on both media; replayed twice, old operations would land after
+// newer ones and resurrect deleted slots.
+//
+// Rollover moves pages log → archive under the SLT mutex while this
+// reads archive then log with no lock, so a page archived and dropped
+// in between is on neither side of one pass. archivedTo (the highest
+// LSN rolled and dropped) is read before and after, and the pass re-run
+// when it moved; pages only move one way. Nothing at or below it is
+// still on the log disks, so the window scan starts just past it.
+//
+// The error is a medium refusing to serve (an injected fault or the
+// crash itself): retrying the recovery is correct.
+func partitionHistory(arch *archive.Store, log logWindow, archivedTo func() simdisk.LSN, pid addr.PartitionID) (pages []logPage, damaged int, err error) {
+	for {
+		from := archivedTo()
+		pages, damaged = nil, 0
+		seen := make(map[simdisk.LSN]bool)
+		err = arch.ScanPartition(pid, func(lsn simdisk.LSN, raw []byte) error {
+			pg, derr := wal.DecodePage(raw)
+			if derr != nil || pg.PID != pid {
+				damaged++ // rot in the archived copy
+				return nil
+			}
+			seen[lsn] = true
+			pages = append(pages, logPage{lsn: lsn, recs: pg.Records})
+			return nil
+		})
+		if err != nil {
+			return nil, damaged, err
+		}
+		for lsn, end := from+1, log.NextLSN(); lsn < end; lsn++ {
+			if seen[lsn] {
+				continue
+			}
+			pg, _, rerr := readLogPage(log, lsn, nil)
+			if rerr != nil {
+				if fault.IsFault(rerr) {
+					return nil, damaged, rerr
+				}
+				if errors.Is(rerr, wal.ErrCorrupt) {
+					damaged++ // both duplexed copies rotted
+				}
+				continue // never written: a hole left by a crashed append
+			}
+			if pg.PID == pid {
+				pages = append(pages, logPage{lsn: lsn, recs: pg.Records})
+			}
+		}
+		if archivedTo() == from {
+			break
+		}
+	}
+	// Archived pages come first and window pages after, already ascending
+	// unless a page damaged in the archive survives on the log.
+	sort.Slice(pages, func(i, j int) bool { return pages[i].lsn < pages[j].lsn })
+	return pages, damaged, nil
 }
 
 // orderByHeat reorders pids so the recovered pre-crash heat ranking

@@ -113,15 +113,9 @@ func newSLT(mem *stablemem.Memory) *slt {
 	return s
 }
 
-// binFor returns the partition's bin, allocating its permanent
+// binForLocked returns the partition's bin, allocating its permanent
 // information block on first use (the paper assumes each partition has
 // a small permanent entry in the partition bin table).
-func (s *slt) binFor(pid addr.PartitionID) (*bin, error) {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	return s.binForLocked(pid)
-}
-
 func (s *slt) binForLocked(pid addr.PartitionID) (*bin, error) {
 	if b, ok := s.st.bins[pid]; ok {
 		return b, nil
@@ -159,18 +153,12 @@ func (s *slt) dropBin(pid addr.PartitionID) {
 	s.mem.Release(binInfoBytes)
 }
 
-// minFirstLSN returns the smallest first-page LSN over all bins with
-// on-disk pages (the archive-safety floor), or NilLSN if none.
-func (s *slt) minFirstLSN() simdisk.LSN {
+// archivedTo returns the highest LSN rolled into the archive and
+// dropped from the log disks.
+func (s *slt) archivedTo() simdisk.LSN {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
-	min := simdisk.NilLSN
-	for _, b := range s.st.bins {
-		if f := b.firstLSN(); f != simdisk.NilLSN && (min == simdisk.NilLSN || f < min) {
-			min = f
-		}
-	}
-	return min
+	return s.st.lastArchived
 }
 
 // Root accessors: the root is duplicated in the SLT (and SLB region)
@@ -180,12 +168,6 @@ func (s *slt) rootCopy() *catalog.Root {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
 	return s.st.root.Clone()
-}
-
-func (s *slt) setRoot(r *catalog.Root) {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	s.st.root = r.Clone()
 }
 
 func (s *slt) updateRoot(fn func(r *catalog.Root)) *catalog.Root {

@@ -390,10 +390,10 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 			}
 		}
 		for i := range recs {
-			if err := baseline.Apply(p, &recs[i]); err != nil {
+			if err := core.ApplyRecord(p, &recs[i]); err != nil {
 				return nil, err
 			}
-			if err := baseline.Apply(bp, &recs[i]); err != nil {
+			if err := core.ApplyRecord(bp, &recs[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -424,8 +424,8 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 		p, _ := h.store.Partition(pid)
 		bp, _ := base.Store().Partition(pid)
 		for i := range recs {
-			_ = baseline.Apply(p, &recs[i])
-			_ = baseline.Apply(bp, &recs[i])
+			_ = core.ApplyRecord(p, &recs[i])
+			_ = core.ApplyRecord(bp, &recs[i])
 		}
 		if err := h.m.InjectCommitted(txnID, recs); err != nil {
 			return nil, err
@@ -450,20 +450,13 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 	if _, err := m2.Restart(); err != nil {
 		return nil, err
 	}
+	m2.Resume() // demand is the way in: store2.Partition runs the recovery transaction
 	res := &RecoveryResult{Partitions: nParts, HotPartitions: hotParts}
 	before := hw.Meter.Snapshot()
 	recoverOne := func(part int) error {
 		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-		tr, ok := tracks[pid]
-		if !ok {
-			tr = simdisk.NilTrack
-		}
-		p, err := m2.RecoverPartition(pid, tr)
-		if err != nil {
-			return err
-		}
-		store2.Install(p)
-		return nil
+		_, err := store2.Partition(pid)
+		return err
 	}
 	for part := 0; part < hotParts; part++ {
 		if err := recoverOne(part); err != nil {

@@ -119,25 +119,14 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 	if _, err := m2.Restart(); err != nil {
 		return nil, err
 	}
-	recover := func(m *core.Manager, store *mm.Store, part int) error {
-		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-		if store.Resident(pid) {
-			return nil
-		}
-		tr, ok := tracks[pid]
-		if !ok {
-			tr = simdisk.NilTrack
-		}
-		p, err := m.RecoverPartition(pid, tr)
-		if err != nil {
-			return err
-		}
-		store.Install(p)
-		return nil
+	m2.Resume() // demand is the way in: store.Partition runs the recovery transaction
+	recover := func(store *mm.Store, part int) error {
+		_, err := store.Partition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)})
+		return err
 	}
 	start := hw.Meter.Snapshot()
 	for part := 0; part < nParts; part++ {
-		if err := recover(m2, store2, part); err != nil {
+		if err := recover(store2, part); err != nil {
 			return nil, err
 		}
 	}
@@ -161,12 +150,13 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 	if _, err := m3.Restart(); err != nil {
 		return nil, err
 	}
+	m3.Resume()
 	var latencies []int64
 	total := int64(0)
 	for _, parts := range touches {
 		before := hw.Meter.Snapshot()
 		for _, part := range parts {
-			if err := recover(m3, store3, part); err != nil {
+			if err := recover(store3, part); err != nil {
 				return nil, err
 			}
 		}
@@ -227,7 +217,7 @@ func attachPredeclare(hw *core.Hardware, cfg core.Config, tracks map[addr.Partit
 }
 
 // applyForBuild applies a record to the live store during workload
-// construction (mirrors baseline.Apply for the insert-only build).
+// construction (core.ApplyRecord for an insert-only build).
 func applyForBuild(p *mm.Partition, r *wal.Record) error {
 	return p.InsertAt(r.Slot, r.Data)
 }

@@ -94,6 +94,12 @@ type Options struct {
 	// recovery-critical — otherwise a checkpoint image can supersede a
 	// damaged page before recovery needs it and mask the sabotage.
 	BreakDuplex bool
+	// LoseCkptDisk turns every crash of the cycle into a media failure
+	// (§2.6): the checkpoint disk set is failed before each recovery,
+	// which then runs through mmdb.RecoverFromMediaFailure — every image
+	// lost, every partition restored from archive ∪ log window ∪ bin and
+	// re-imaged — under the same plans and the same invariants.
+	LoseCkptDisk bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -169,7 +175,7 @@ type Detection struct {
 	CkptVerifyFailed int64 `json:"ckpt_verify_failed"`
 	// ImagesQuarantined counts whole checkpoint images rejected at read
 	// time — stale catalog track or envelope-checksum failure — and
-	// handed to the archive-rebuild path (restart/images_quarantined).
+	// replaced by the partition's history (restart/images_quarantined).
 	ImagesQuarantined int64 `json:"images_quarantined"`
 	// ArchiveRebuilds / ArchiveRebuildFailed count partition rebuilds
 	// served from the archive tier and rebuild attempts that degraded to
@@ -197,9 +203,9 @@ func (d *Detection) add(o Detection) {
 }
 
 // Total is the number of detection events across every channel.
-// Archive rebuilds are repair, not detection, and every rebuild is
-// preceded by an images_quarantined event, so they are deliberately
-// left out to avoid double counting.
+// Archive rebuilds are repair, not detection, and every rebuild comes
+// with an images_quarantined event, so they are deliberately left out
+// to avoid double counting.
 func (d Detection) Total() int64 {
 	return d.QuarantinedRecords + d.CorruptDetected + d.DuplexFallbacks +
 		d.DuplexRepairs + d.HeatSnapshotRejects + d.CkptVerifyFailed +
@@ -690,17 +696,6 @@ func (r *runner) lossTolerated() bool {
 	return !mutationsOnlyAt(r.plan, fault.PointCkptRead)
 }
 
-// faultsArchive reports whether any stage of the plan injects a fault
-// at the archive tier's own points, disrupting appends or rebuilds.
-func faultsArchive(pl fault.Plan) bool {
-	for _, rule := range pl.AllRules() {
-		if rule.Point == fault.PointArchRead || rule.Point == fault.PointArchAppend {
-			return true
-		}
-	}
-	return false
-}
-
 // mutationsOnlyAt reports whether the plan carries mutation acts and
 // every one of them targets point p.
 func mutationsOnlyAt(pl fault.Plan, p fault.Point) bool {
@@ -717,30 +712,17 @@ func mutationsOnlyAt(pl fault.Plan, p fault.Point) bool {
 	return any
 }
 
-// ckptRotInvariant checks the repair side of checkpoint rot: whenever a
-// cycle quarantined a whole image, the archive tier must have served
-// the rebuild. A quarantine with no rebuild means the loss branch
-// silently skipped the archive; a rebuild failure means the cycle
-// degraded a partition to an announced-empty image even though the
-// archive held its history.
-//
-// The rebuild-must-complete half is excused when the plan itself faults
-// the archive points: an injected arch.read crash kills the rebuild
-// mid-flight, and the retry cycle may read a clean image (transient rot
-// is pinned to a hit index), so the quarantine legitimately goes
-// unanswered. Loss checks still apply — the excuse covers the missing
-// ledger entry, not missing data.
+// ckptRotInvariant checks the repair side of a lost checkpoint image —
+// one rotted track, or with LoseCkptDisk all of them: every image the
+// cycle quarantined must have been rebuilt from the partition's
+// archived history. A rebuild failure means a partition was degraded to
+// an announced-empty image even though the archive held its history.
+// (A fault that kills a rebuild mid-read leaves no quarantine behind:
+// the image is counted with its outcome, and the retry starts over.)
 func (r *runner) ckptRotInvariant() *Violation {
-	if r.det.ImagesQuarantined == 0 {
-		return nil
-	}
-	if r.det.ArchiveRebuilds == 0 && !faultsArchive(r.plan) {
-		return r.viof("quarantined %d checkpoint images without a single archive rebuild",
-			r.det.ImagesQuarantined)
-	}
-	if r.det.ArchiveRebuildFailed > 0 {
-		return r.viof("%d partitions degraded to empty images with the archive tier present",
-			r.det.ArchiveRebuildFailed)
+	if d := r.det; d.ImagesQuarantined != d.ArchiveRebuilds || d.ArchiveRebuildFailed > 0 {
+		return r.viof("%d checkpoint images quarantined, %d rebuilt from the archive, %d degraded to empty images",
+			d.ImagesQuarantined, d.ArchiveRebuilds, d.ArchiveRebuildFailed)
 	}
 	return nil
 }
@@ -820,7 +802,7 @@ func (r *runner) run() *Violation {
 			return r.viof("%v", lerr)
 		}
 		r.cycles = cycle + 1
-		d, err := mmdb.Recover(hw, r.cfg)
+		d, err := r.recover(hw)
 		if err == nil {
 			if ct := d.CrashTrace(); len(ct) > 0 {
 				r.trace = r.trace[:0]
@@ -904,6 +886,16 @@ func (r *runner) run() *Violation {
 		return r.viof("close: %v", err)
 	}
 	return nil
+}
+
+// recover powers the machine back on: the §2.5 restart, or with
+// Options.LoseCkptDisk the §2.6 one on a replaced checkpoint disk set.
+func (r *runner) recover(hw *mmdb.Hardware) (*mmdb.DB, error) {
+	if !r.opts.LoseCkptDisk {
+		return mmdb.Recover(hw, r.cfg)
+	}
+	hw.Ckpt.Fail()
+	return mmdb.RecoverFromMediaFailure(hw, r.cfg)
 }
 
 // judgeLosses applies the mutation-detection invariant to the losses

@@ -34,6 +34,29 @@ func TestSweepShort(t *testing.T) {
 	}
 }
 
+// TestSweepLoseCkptDisk runs the short sweep with every crash turned
+// into a media failure: the checkpoint disk set is blank at each
+// recovery, so every checkpointed partition comes back from archive ∪
+// log window ∪ bin under the same fault plans and invariants — and each
+// lost image must be answered by exactly one completed rebuild.
+func TestSweepLoseCkptDisk(t *testing.T) {
+	res, err := Run(Options{Seed: 1, Ops: 60, PerPoint: 2, LoseCkptDisk: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	d := res.Detection
+	if d.ArchiveRebuilds == 0 {
+		t.Fatalf("no partition was rebuilt from its history over %d plans: the media failure never happened", res.PlansRun)
+	}
+	if d.ArchiveRebuildFailed != 0 || d.ImagesQuarantined != d.ArchiveRebuilds {
+		t.Fatalf("images_quarantined=%d archive_rebuilds=%d archive_rebuild_failed=%d, want every lost image rebuilt",
+			d.ImagesQuarantined, d.ArchiveRebuilds, d.ArchiveRebuildFailed)
+	}
+}
+
 // TestSweepDetectsBrokenDuplexRepair is the checker's self-test: with
 // the §2.2 duplexed-read fallback sabotaged, latent bad sectors on the
 // primary log disk must surface as violations with reproducible plans.

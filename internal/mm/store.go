@@ -59,8 +59,10 @@ type inflightRecovery struct {
 }
 
 type segment struct {
-	id       addr.SegmentID
-	parts    map[addr.PartitionNum]*Partition
+	id    addr.SegmentID
+	parts map[addr.PartitionNum]*Partition
+	// nextPart is past every partition of the segment known to exist,
+	// resident (attach) or only named by the catalogs (Store.Reserve).
 	nextPart addr.PartitionNum
 	// ordered lists the resident partitions by number. Readers
 	// (Partitions, Place) take it through view and keep using it after
@@ -215,11 +217,33 @@ func (st *Store) CreateSegment() addr.SegmentID {
 func (st *Store) EnsureSegment(id addr.SegmentID) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.segs[id]; !ok {
-		st.segs[id] = newSegment(id)
+	st.ensureSegment(id)
+}
+
+// ensureSegment returns the segment, registering it first if needed.
+// Caller holds st.mu for writing.
+func (st *Store) ensureSegment(id addr.SegmentID) *segment {
+	s, ok := st.segs[id]
+	if !ok {
+		s = newSegment(id)
+		st.segs[id] = s
 	}
 	if id >= st.nextSeg {
 		st.nextSeg = id + 1
+	}
+	return s
+}
+
+// Reserve records that a partition exists although it may not be
+// resident: after a crash the catalogs name partitions that recovery
+// has not restored yet. AllocPartition numbers new partitions past
+// every reserved one, so a fresh partition can never take the place of
+// one still waiting to be recovered.
+func (st *Store) Reserve(id addr.PartitionID) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if s := st.ensureSegment(id.Segment); id.Part >= s.nextPart {
+		s.nextPart = id.Part + 1
 	}
 }
 
@@ -266,15 +290,7 @@ func (st *Store) AllocPartitionAt(id addr.PartitionID) (*Partition, error) {
 func (st *Store) Install(p *Partition) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.segs[p.id.Segment]
-	if !ok {
-		s = newSegment(p.id.Segment)
-		st.segs[p.id.Segment] = s
-		if p.id.Segment >= st.nextSeg {
-			st.nextSeg = p.id.Segment + 1
-		}
-	}
-	s.attach(p)
+	st.ensureSegment(p.id.Segment).attach(p)
 }
 
 // Evict removes a partition from memory without touching stable copies;

@@ -1,7 +1,7 @@
 // Package simdisk simulates the disk hardware of the paper's recovery
 // architecture (§2.2, §3.1): a set of duplexed log disks managed by the
-// recovery CPU and a set of checkpoint disks managed by both CPUs, plus
-// the tape archive that log disks are rolled onto.
+// recovery CPU and a set of checkpoint disks managed by both CPUs. (The
+// archive that log disks are rolled onto is package archive.)
 //
 // The paper's timing model is reproduced: the drives are two-head-per-
 // surface high-performance disks with relatively low seek times; log
@@ -578,58 +578,4 @@ func (d *CheckpointDisk) Repair() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failed = false
-}
-
-// Tape entry kind tags: every archived entry is prefixed with one byte
-// identifying its content, so archive scans can interleave log pages
-// and audit pages unambiguously.
-const (
-	TapeKindLogPage byte = 0x01
-	TapeKindAudit   byte = 0xA5
-)
-
-// Tape is the archive medium that filled log disks are rolled onto
-// (§2.6). It is append-only and sequential.
-type Tape struct {
-	mu      sync.Mutex
-	entries [][]byte
-}
-
-// NewTape creates an empty archive tape.
-func NewTape() *Tape { return &Tape{} }
-
-// Append archives one log page.
-func (t *Tape) Append(entry []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries = append(t.entries, append([]byte(nil), entry...))
-}
-
-// Len returns the number of archived entries.
-func (t *Tape) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.entries)
-}
-
-// Scan calls fn for each archived entry in append order. fn must not
-// retain the slice.
-//
-// The tape mutex is NOT held across fn: the entry list is snapshotted
-// under the lock and then iterated outside it, so fn may itself use
-// the tape (a scan that appends, or a nested scan) without
-// self-deadlocking, and log rollover is never stalled behind a slow
-// archive scan. Entries appended after the scan starts are not
-// visited. Entry slices are immutable once appended, so the snapshot
-// needs no deep copy.
-func (t *Tape) Scan(fn func(entry []byte) error) error {
-	t.mu.Lock()
-	entries := t.entries[:len(t.entries):len(t.entries)]
-	t.mu.Unlock()
-	for _, e := range entries {
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

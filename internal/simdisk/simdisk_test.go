@@ -213,80 +213,6 @@ func TestCheckpointDiskFailure(t *testing.T) {
 	}
 }
 
-func TestTape(t *testing.T) {
-	tp := NewTape()
-	tp.Append([]byte("a"))
-	tp.Append([]byte("b"))
-	if tp.Len() != 2 {
-		t.Fatalf("Len = %d", tp.Len())
-	}
-	var got []string
-	err := tp.Scan(func(e []byte) error {
-		got = append(got, string(e))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Scan order = %v", got)
-	}
-	stop := errors.New("stop")
-	err = tp.Scan(func(e []byte) error { return stop })
-	if !errors.Is(err, stop) {
-		t.Fatalf("Scan error propagation: %v", err)
-	}
-}
-
-// TestTapeScanConcurrentAppend is the regression test for the Scan
-// self-deadlock: Scan used to hold the tape mutex across the user
-// callback, so appending (or re-scanning) from inside fn — or from a
-// concurrent log-rollover goroutine while a slow scan was in flight —
-// wedged forever. Scan must iterate a snapshot instead.
-func TestTapeScanConcurrentAppend(t *testing.T) {
-	tp := NewTape()
-	for i := 0; i < 8; i++ {
-		tp.Append([]byte{byte(i)})
-	}
-
-	// Appends from inside the callback (the self-deadlock case) and
-	// from a concurrent goroutine (the rollover-stall case) must both
-	// complete while the slow scan is mid-flight.
-	appended := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		<-started
-		tp.Append([]byte("concurrent"))
-		close(appended)
-	}()
-
-	first := true
-	seen := 0
-	err := tp.Scan(func(e []byte) error {
-		if first {
-			first = false
-			close(started)
-			<-appended                     // concurrent Append must not block on Scan
-			tp.Append([]byte("reentrant")) // Append from fn must not self-deadlock
-			if n := tp.Len(); n != 10 {
-				t.Errorf("Len during scan = %d, want 10", n)
-			}
-			return tp.Scan(func([]byte) error { return nil }) // nested Scan
-		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 7 {
-		t.Fatalf("visited %d snapshot entries after the first, want 7", seen)
-	}
-	if tp.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", tp.Len())
-	}
-}
-
 func TestTimingCharges(t *testing.T) {
 	m := &cost.Meter{}
 	p := DefaultParams()

@@ -143,13 +143,6 @@ func (db *DB) wire() {
 		AllPartitions: db.allPartitions,
 	})
 	db.mgr.Txns.OnPartAlloc = db.onPartAlloc
-	db.store.SetResolve(func(pid addr.PartitionID) (*mm.Partition, error) {
-		track, err := db.locate(pid)
-		if err != nil {
-			return nil, err
-		}
-		return db.mgr.RecoverPartition(pid, track)
-	})
 }
 
 // ownerRel maps a partition to the relation whose read lock makes it
@@ -460,6 +453,7 @@ func (db *DB) loadCatalogs() error {
 			db.relDescAddr[desc.RelID] = da
 			db.store.EnsureSegment(desc.Seg)
 			for _, ps := range desc.Parts {
+				db.store.Reserve(addr.PartitionID{Segment: desc.Seg, Part: ps.Part})
 				db.mgr.MarkTrackUsed(ps.Track)
 			}
 			return true
@@ -498,6 +492,7 @@ func (db *DB) loadCatalogs() error {
 			db.idxDescAddr[desc.IdxID] = da
 			db.store.EnsureSegment(desc.Seg)
 			for _, ps := range desc.Parts {
+				db.store.Reserve(addr.PartitionID{Segment: desc.Seg, Part: ps.Part})
 				db.mgr.MarkTrackUsed(ps.Track)
 			}
 			return true

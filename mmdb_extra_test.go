@@ -231,6 +231,7 @@ func TestDeadlockDetectedAtFacade(t *testing.T) {
 func TestMediaFailureRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.UpdateThreshold = 32 // several checkpoints happen
+	cfg.LogWindowPages = 16  // and the older log pages roll into the archive
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,27 +241,59 @@ func TestMediaFailureRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[int64]float64{}
+	ids := map[int64]RowID{}
 	for round := 0; round < 6; round++ {
 		tx := db.Begin()
 		for i := 0; i < 25; i++ {
 			k := int64(round*25 + i)
-			if _, err := tx.Insert(rel, heap.Tuple{k, float64(k), "m"}); err != nil {
+			id, err := tx.Insert(rel, heap.Tuple{k, float64(k), "m"})
+			if err != nil {
 				t.Fatal(err)
 			}
-			want[k] = float64(k)
+			want[k], ids[k] = float64(k), id
+		}
+		// Rewrite and thin out the previous round's rows, so updates and
+		// deletes of a row sit on the far side of a checkpoint from its
+		// insert (and from each other): a history replayed out of order
+		// or twice would bring back an old balance or a deleted row.
+		for i := 0; round > 0 && i < 25; i++ {
+			k := int64((round-1)*25 + i)
+			if i%5 == 0 {
+				if err := tx.Delete(rel, ids[k]); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, k)
+				continue
+			}
+			want[k] += 1000
+			if err := tx.Update(rel, ids[k], map[string]any{"balance": want[k]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		mustCommit(t, tx)
 		db.WaitIdle()
 	}
 	db.WaitIdle()
+	if n := db.Stats().CkptCompleted; n < 2 {
+		t.Fatalf("%d checkpoints completed; the workload must straddle several", n)
+	}
 	hw := db.Crash()
 	cfg.FaultInjector.ClearCrash() // power back on for the rebuild
+	if hw.Arch.Entries() == 0 {
+		t.Fatal("no log page was archived; the history must span both media")
+	}
 
 	// The checkpoint disk set burns down. Every image is gone.
 	hw.Ckpt.Fail()
 	db2, err := RecoverFromMediaFailure(hw, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every checkpointed partition lost its image and was rebuilt from
+	// its history, one for one.
+	restart, arch := db2.Metrics().Subsystem("restart"), db2.Metrics().Subsystem("archive")
+	if q, r, f := restart.Counter("images_quarantined"), arch.Counter("rebuilds"), arch.Counter("rebuild_failed"); q == 0 || q != r || f != 0 {
+		t.Fatalf("images_quarantined=%d archive/rebuilds=%d rebuild_failed=%d, want equal, non-zero, none failed", q, r, f)
 	}
 	rel2, err := db2.GetRelation("r")
 	if err != nil {

@@ -3,6 +3,7 @@ package mmdb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mmdb/internal/fault"
@@ -361,4 +362,76 @@ func TestRepeatedCrashes(t *testing.T) {
 		}
 	}
 	db.Close()
+}
+
+// TestInsertBeforeSweepKeepsAcknowledgedRows inserts right after Recover,
+// before any partition of the relation has been demanded. A partition
+// that is not yet resident still exists: the new row must not take a
+// partition number the catalog already names, or the fresh partition
+// hides the unrecovered one for good and its acknowledged rows are gone.
+func TestInsertBeforeSweepKeepsAcknowledgedRows(t *testing.T) {
+	cfg := testConfig()
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("history", acctSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 400 // three 8 KB partitions of ~60-byte tuples
+	want := map[RowID]int64{}
+	for i := 0; i < rows; i++ {
+		tx := db.Begin()
+		id, err := tx.Insert(rel, heap.Tuple{int64(i), float64(i), strings.Repeat("h", 24)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+		want[id] = int64(i)
+	}
+	db.WaitIdle()
+	parts, err := db.partsOfSegment(rel, rel.seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) < 2 {
+		t.Fatalf("relation has %d partitions; the test needs several", len(parts))
+	}
+
+	db2 := crashAndRecover(t, db, cfg)
+	defer db2.Close()
+	rel2, err := db2.GetRelation("history")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db2.Begin()
+	id, err := tx.Insert(rel2, heap.Tuple{int64(rows), float64(rows), "after"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if _, taken := want[id]; taken {
+		t.Fatalf("new row was given the RowID %v of an acknowledged row", id)
+	}
+	want[id] = rows
+
+	tx2 := db2.Begin()
+	defer tx2.Abort()
+	got := map[RowID]int64{}
+	if err := tx2.Scan(rel2, func(id RowID, tup heap.Tuple) bool {
+		got[id] = tup[0].(int64)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for id, k := range want {
+		if g, ok := got[id]; !ok || g != k {
+			lost++
+		}
+	}
+	if lost != 0 || len(got) != len(want) {
+		t.Fatalf("%d of %d acknowledged rows lost after one insert before the sweep (scan sees %d rows)", lost, len(want), len(got))
+	}
 }
