@@ -87,7 +87,6 @@ func (db *DB) checkRelation(rel *Relation) error {
 func (db *DB) checkIndex(idx *Index, live map[uint64]bool) error {
 	idx.latch.RLock()
 	defer idx.latch.RUnlock()
-	pager := txn.ReadPager{Store: db.store}
 	seen := map[uint64]bool{}
 	collect := func(e uint64) error {
 		if !live[e] {
@@ -101,7 +100,7 @@ func (db *DB) checkIndex(idx *Index, live map[uint64]bool) error {
 	}
 	switch idx.kind {
 	case catalog.KindTTree:
-		tr, err := idx.tree(pager)
+		tr, err := idx.readTree()
 		if err != nil {
 			return err
 		}
@@ -119,7 +118,7 @@ func (db *DB) checkIndex(idx *Index, live map[uint64]bool) error {
 			return walkErr
 		}
 	case catalog.KindLinHash:
-		tb, err := idx.table(pager)
+		tb, err := idx.readTable()
 		if err != nil {
 			return err
 		}

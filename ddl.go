@@ -20,7 +20,7 @@ func (db *DB) Preload(rel *Relation) error {
 		segs = append(segs, idx.seg)
 	}
 	for _, seg := range segs {
-		parts, err := db.partsOfSegment(rel, seg)
+		parts, err := db.partsOfSegment(seg)
 		if err != nil {
 			return err
 		}
@@ -42,7 +42,7 @@ func (db *DB) DropIndex(rel *Relation, name string) error {
 	if idx == nil {
 		return fmt.Errorf("%w: index %q", ErrNotFound, name)
 	}
-	parts, err := db.partsOfSegment(rel, idx.seg)
+	parts, err := db.partsOfSegment(idx.seg)
 	if err != nil {
 		return err
 	}
@@ -97,7 +97,7 @@ func (db *DB) DropRelation(name string) error {
 	if rel == nil {
 		return fmt.Errorf("%w: relation %q", ErrNotFound, name)
 	}
-	relParts, err := db.partsOfSegment(rel, rel.seg)
+	relParts, err := db.partsOfSegment(rel.seg)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func (db *DB) DropRelation(name string) error {
 	}
 	var idxDrops []idxDrop
 	for _, idx := range rel.Indexes() {
-		parts, err := db.partsOfSegment(rel, idx.seg)
+		parts, err := db.partsOfSegment(idx.seg)
 		if err != nil {
 			return err
 		}

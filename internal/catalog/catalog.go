@@ -154,6 +154,96 @@ func getParts(buf []byte) ([]PartState, []byte, error) {
 	return parts, buf, nil
 }
 
+// ErrNoPartition is returned by TrackAt when the descriptor does not
+// list the partition.
+var ErrNoPartition = errors.New("catalog: partition not in descriptor")
+
+// skip drops n bytes of a field that is not read.
+func skip(buf []byte, n int) ([]byte, error) {
+	if len(buf) < n {
+		return nil, fmt.Errorf("%w: %d-byte field in %d bytes", ErrCorrupt, n, len(buf))
+	}
+	return buf[n:], nil
+}
+
+func skipString(buf []byte) ([]byte, error) {
+	if len(buf) < 2 {
+		return nil, fmt.Errorf("%w: string header", ErrCorrupt)
+	}
+	return skip(buf[2:], int(binary.LittleEndian.Uint16(buf)))
+}
+
+// partList walks past everything an encoded relation (index: index)
+// descriptor holds before its partition list and returns the list, which
+// is the descriptor's tail: count(4), then part(4) track(4) per entry, as
+// putParts wrote it. Nothing but the lengths on the way is decoded.
+func partList(raw []byte, index bool) ([]byte, error) {
+	buf, err := skip(raw, 8) // RelID / IdxID
+	if err == nil {
+		buf, err = skipString(buf) // Name
+	}
+	if err != nil {
+		return nil, err
+	}
+	if index {
+		// RelID(8) Seg(4) Kind(1) Column(4) Order(4) Header(8)
+		if buf, err = skip(buf, 8+4+1+4+4+8); err != nil {
+			return nil, err
+		}
+	} else {
+		if buf, err = skip(buf, 4); err != nil { // Seg
+			return nil, err
+		}
+		var ncols uint32
+		if ncols, buf, err = getU32(buf); err != nil {
+			return nil, err
+		}
+		for ; ncols > 0; ncols-- {
+			if buf, err = skipString(buf); err == nil {
+				buf, err = skip(buf, 1) // column type
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	n, rest, err := getU32(buf)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(rest)) != 8*uint64(n) {
+		return nil, fmt.Errorf("%w: %d partitions in %d bytes", ErrCorrupt, n, len(rest))
+	}
+	return buf, nil
+}
+
+// TrackAt finds partition part in an encoded relation (index: index)
+// descriptor without decoding it, and returns the track stored there and
+// the offset within raw of the 4 bytes (little-endian int32) that hold
+// it: overwriting them is the same as re-encoding with the new track.
+func TrackAt(raw []byte, index bool, part addr.PartitionNum) (off int, track simdisk.TrackLoc, err error) {
+	list, err := partList(raw, index)
+	if err != nil {
+		return 0, simdisk.NilTrack, err
+	}
+	entries := list[4:]
+	at := func(i int) addr.PartitionNum {
+		return addr.PartitionNum(binary.LittleEndian.Uint32(entries[8*i:]))
+	}
+	// Partitions are listed as allocated, so unless some were freed the
+	// number is the position.
+	i, n := int(part), len(entries)/8
+	if i >= n || at(i) != part {
+		for i = 0; i < n && at(i) != part; i++ {
+		}
+		if i == n {
+			return 0, simdisk.NilTrack, ErrNoPartition
+		}
+	}
+	word := entries[8*i+4:]
+	return len(raw) - len(word), simdisk.TrackLoc(int32(binary.LittleEndian.Uint32(word))), nil
+}
+
 // Encode serialises the relation descriptor as a catalog entity.
 func (d *RelationDesc) Encode() []byte {
 	out := putU64(nil, d.RelID)

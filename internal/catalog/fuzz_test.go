@@ -66,6 +66,23 @@ func fuzzRootSeeds() [][]byte {
 	return out
 }
 
+// checkTrackAt holds TrackAt, which walks the raw bytes, to what the
+// decoder made of the same bytes: every listed partition is found, at an
+// entry that names it, with the track the decoder read.
+func checkTrackAt(t *testing.T, raw []byte, index bool, parts []PartState) {
+	t.Helper()
+	for _, ps := range parts {
+		off, track, err := TrackAt(raw, index, ps.Part)
+		if err != nil {
+			t.Fatalf("TrackAt(%d): %v", ps.Part, err)
+		}
+		i := len(parts) - (len(raw)-off+4)/8
+		if i < 0 || i >= len(parts) || parts[i].Part != ps.Part || parts[i].Track != track {
+			t.Fatalf("TrackAt(%d) = offset %d (entry %d), track %d; decoded list %v", ps.Part, off, i, track, parts)
+		}
+	}
+}
+
 // FuzzDecodeRelation hammers the relation-descriptor parser.
 func FuzzDecodeRelation(f *testing.F) {
 	for _, seed := range fuzzRelationSeeds() {
@@ -75,8 +92,12 @@ func FuzzDecodeRelation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		d, err := DecodeRelation(buf)
 		if err != nil {
+			if _, _, terr := TrackAt(buf, false, 0); terr == nil {
+				t.Fatalf("TrackAt accepted a descriptor DecodeRelation rejects: %v", err)
+			}
 			return
 		}
+		checkTrackAt(t, buf, false, d.Parts)
 		d2, err := DecodeRelation(d.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded relation failed: %v", err)
@@ -96,8 +117,12 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		d, err := DecodeIndex(buf)
 		if err != nil {
+			if _, _, terr := TrackAt(buf, true, 0); terr == nil {
+				t.Fatalf("TrackAt accepted a descriptor DecodeIndex rejects: %v", err)
+			}
 			return
 		}
+		checkTrackAt(t, buf, true, d.Parts)
 		d2, err := DecodeIndex(d.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded index failed: %v", err)

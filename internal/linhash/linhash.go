@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"mmdb/internal/addr"
 )
@@ -27,6 +28,37 @@ type Pager interface {
 	Insert(data []byte) (addr.EntityAddr, error)
 	Update(a addr.EntityAddr, data []byte) error
 	Delete(a addr.EntityAddr) error
+}
+
+// Lender is the lending form of Pager.Read, with ttree.Lender's contract:
+// the table copies out the words it needs and calls held.Unlock() before
+// it calls HashEntry, MatchKey or the pager again. It is detected once, at
+// Create or Open; any other pager is adapted through Read. (Declared here
+// as well as in ttree, adapter included, as Pager is: the two index
+// packages share no code.)
+type Lender interface {
+	Lend(a addr.EntityAddr) (data []byte, held sync.Locker, err error)
+}
+
+// copying adapts a Pager that cannot lend: what Read returned is used as
+// if lent, and there is no latch to release.
+type copying struct{ p Pager }
+
+func (c copying) Lend(a addr.EntityAddr) ([]byte, sync.Locker, error) {
+	data, err := c.p.Read(a)
+	return data, unlatched{}, err
+}
+
+type unlatched struct{}
+
+func (unlatched) Lock()   {}
+func (unlatched) Unlock() {}
+
+func lenderOf(p Pager) Lender {
+	if l, ok := p.(Lender); ok {
+		return l
+	}
+	return copying{p}
 }
 
 // HashEntry hashes a stored entry's key (typically by reading the
@@ -63,22 +95,70 @@ func marshalNode(n *node, order int) []byte {
 	return buf
 }
 
-func unmarshalNode(buf []byte) (*node, error) {
+// checkNode validates node bytes and returns the entry count: the bounds
+// checks every reader of a node relies on.
+func checkNode(buf []byte) (int, error) {
 	if len(buf) < nodeHeaderSize {
-		return nil, fmt.Errorf("linhash: corrupt node (%d bytes)", len(buf))
+		return 0, fmt.Errorf("linhash: corrupt node (%d bytes)", len(buf))
 	}
-	n := &node{next: addr.Unpack(binary.LittleEndian.Uint64(buf[0:]))}
 	count := int(binary.LittleEndian.Uint16(buf[8:]))
 	if len(buf) < nodeHeaderSize+16*count {
-		return nil, fmt.Errorf("linhash: corrupt node entries")
+		return 0, fmt.Errorf("linhash: corrupt node entries")
 	}
-	n.hashes = make([]uint64, count)
-	n.entries = make([]uint64, count)
+	return count, nil
+}
+
+func unmarshalNode(buf []byte) (*node, error) {
+	count, err := checkNode(buf)
+	if err != nil {
+		return nil, err
+	}
+	n := &node{
+		next:    addr.Unpack(binary.LittleEndian.Uint64(buf[0:])),
+		hashes:  make([]uint64, count),
+		entries: make([]uint64, count),
+	}
 	for i := 0; i < count; i++ {
 		n.hashes[i] = binary.LittleEndian.Uint64(buf[nodeHeaderSize+16*i:])
 		n.entries[i] = binary.LittleEndian.Uint64(buf[nodeHeaderSize+16*i+8:])
 	}
 	return n, nil
+}
+
+// stackPairs is how many (hash, entry) pairs a chain walk holds without
+// allocating; a node of a larger order is copied to the heap.
+const stackPairs = 64
+
+// readPairs borrows the chain node at a and returns its successor and
+// its (hash, entry) pairs, flat, copied into buf when they fit — so the
+// caller hashes, matches and reports with nothing latched.
+func (t *Table) readPairs(a addr.EntityAddr, buf *[2 * stackPairs]uint64) (next addr.EntityAddr, pairs []uint64, err error) {
+	raw, held, err := t.src.Lend(a)
+	if err != nil {
+		return addr.Nil, nil, err
+	}
+	defer held.Unlock()
+	count, err := checkNode(raw)
+	if err != nil {
+		return addr.Nil, nil, err
+	}
+	if pairs = buf[:0]; 2*count > len(buf) {
+		pairs = make([]uint64, 0, 2*count)
+	}
+	for i := 0; i < 2*count; i++ {
+		pairs = append(pairs, binary.LittleEndian.Uint64(raw[nodeHeaderSize+8*i:]))
+	}
+	return addr.Unpack(binary.LittleEndian.Uint64(raw[0:])), pairs, nil
+}
+
+// readNode is readPairs for the mutation paths, which rebuild the node.
+func (t *Table) readNode(a addr.EntityAddr) (*node, error) {
+	raw, held, err := t.src.Lend(a)
+	if err != nil {
+		return nil, err
+	}
+	defer held.Unlock()
+	return unmarshalNode(raw)
 }
 
 // header layout: level(4) next(4) count(8) order(2) nbuckets(4)
@@ -108,11 +188,13 @@ func marshalHeader(h *header) []byte {
 	return buf
 }
 
-func unmarshalHeader(buf []byte) (*header, error) {
+// parseHeader validates header bytes and returns the fixed fields, with
+// the chunk address words left where they are.
+func parseHeader(buf []byte) (h header, chunks []byte, err error) {
 	if len(buf) < hdrFixed {
-		return nil, fmt.Errorf("linhash: corrupt header")
+		return header{}, nil, fmt.Errorf("linhash: corrupt header")
 	}
-	h := &header{
+	h = header{
 		level:    binary.LittleEndian.Uint32(buf[0:]),
 		next:     binary.LittleEndian.Uint32(buf[4:]),
 		count:    binary.LittleEndian.Uint64(buf[8:]),
@@ -121,18 +203,29 @@ func unmarshalHeader(buf []byte) (*header, error) {
 	}
 	nchunks := int(binary.LittleEndian.Uint32(buf[22:]))
 	if len(buf) < hdrFixed+8*nchunks {
-		return nil, fmt.Errorf("linhash: corrupt header chunks")
+		return header{}, nil, fmt.Errorf("linhash: corrupt header chunks")
 	}
-	for i := 0; i < nchunks; i++ {
-		h.chunks = append(h.chunks, addr.Unpack(binary.LittleEndian.Uint64(buf[hdrFixed+8*i:])))
+	return h, buf[hdrFixed : hdrFixed+8*nchunks], nil
+}
+
+func unmarshalHeader(buf []byte) (*header, error) {
+	h, chunks, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	return h, nil
+	for ; len(chunks) > 0; chunks = chunks[8:] {
+		h.chunks = append(h.chunks, addr.Unpack(binary.LittleEndian.Uint64(chunks)))
+	}
+	return &h, nil
 }
 
 // Table is a Modified Linear Hash index. Mutations must be serialised
-// by the caller (index writer lock); reads may run under the latch.
+// by the caller (index writer lock); reads may run under the latch. A
+// Table holds no table state, only where the header is: it may be kept
+// and shared by concurrent readers.
 type Table struct {
 	pager Pager
+	src   Lender // every read goes through it
 	hdrA  addr.EntityAddr
 	hash  HashEntry
 	match MatchKey
@@ -158,30 +251,42 @@ func Create(p Pager, order int, hash HashEntry, match MatchKey) (*Table, addr.En
 	if err != nil {
 		return nil, addr.Nil, err
 	}
-	return &Table{pager: p, hdrA: ha, hash: hash, match: match}, ha, nil
+	return &Table{pager: p, src: lenderOf(p), hdrA: ha, hash: hash, match: match}, ha, nil
 }
 
 // Open attaches to an existing table via its header address.
 func Open(p Pager, hdr addr.EntityAddr, hash HashEntry, match MatchKey) (*Table, error) {
-	buf, err := p.Read(hdr)
-	if err != nil {
+	t := &Table{pager: p, src: lenderOf(p), hdrA: hdr, hash: hash, match: match}
+	if _, err := t.peekHeader(); err != nil {
 		return nil, err
 	}
-	if _, err := unmarshalHeader(buf); err != nil {
-		return nil, err
-	}
-	return &Table{pager: p, hdrA: hdr, hash: hash, match: match}, nil
+	return t, nil
 }
 
 // Header returns the table's header entity address.
 func (t *Table) Header() addr.EntityAddr { return t.hdrA }
 
+// readHeader returns the whole header, chunk list included, for the
+// mutation paths that rewrite it.
 func (t *Table) readHeader() (*header, error) {
-	buf, err := t.pager.Read(t.hdrA)
+	buf, held, err := t.src.Lend(t.hdrA)
 	if err != nil {
 		return nil, err
 	}
+	defer held.Unlock()
 	return unmarshalHeader(buf)
+}
+
+// peekHeader borrows the header and returns its fixed fields (chunks
+// nil).
+func (t *Table) peekHeader() (header, error) {
+	buf, held, err := t.src.Lend(t.hdrA)
+	if err != nil {
+		return header{}, err
+	}
+	defer held.Unlock()
+	h, _, err := parseHeader(buf)
+	return h, err
 }
 
 func (t *Table) writeHeader(h *header) error {
@@ -197,27 +302,78 @@ func (h *header) bucketIndex(hv uint64) uint32 {
 	return b
 }
 
-// bucketHead reads the directory entry for bucket b.
-func (t *Table) bucketHead(h *header, b uint32) (addr.EntityAddr, error) {
-	ci, off := int(b)/chunkEntries, int(b)%chunkEntries
-	if ci >= len(h.chunks) {
-		return addr.Nil, fmt.Errorf("linhash: bucket %d beyond directory", b)
-	}
-	buf, err := t.pager.Read(h.chunks[ci])
+// headOf borrows the header, asks pick for a bucket given its fixed
+// fields, and returns that bucket's chain head, read as one directory
+// word in place.
+func (t *Table) headOf(pick func(h header) uint32) (addr.EntityAddr, error) {
+	buf, held, err := t.src.Lend(t.hdrA)
 	if err != nil {
 		return addr.Nil, err
 	}
-	return addr.Unpack(binary.LittleEndian.Uint64(buf[8*off:])), nil
+	h, chunks, err := parseHeader(buf)
+	var b uint32
+	var chunk addr.EntityAddr
+	if err == nil {
+		b = pick(h)
+		if ci := int(b) / chunkEntries; ci < len(chunks)/8 {
+			chunk = addr.Unpack(binary.LittleEndian.Uint64(chunks[8*ci:]))
+		} else {
+			err = fmt.Errorf("linhash: bucket %d beyond directory", b)
+		}
+	}
+	held.Unlock()
+	if err != nil {
+		return addr.Nil, err
+	}
+	return t.chunkHead(chunk, b)
+}
+
+// headOfHash returns the chain head of the bucket hash hv routes to.
+func (t *Table) headOfHash(hv uint64) (addr.EntityAddr, error) {
+	return t.headOf(func(h header) uint32 { return h.bucketIndex(hv) })
+}
+
+// headOfBucket returns the chain head of bucket b.
+func (t *Table) headOfBucket(b uint32) (addr.EntityAddr, error) {
+	return t.headOf(func(header) uint32 { return b })
+}
+
+// chunkHead reads bucket b's directory word out of its chunk, in place.
+func (t *Table) chunkHead(chunk addr.EntityAddr, b uint32) (addr.EntityAddr, error) {
+	buf, held, err := t.src.Lend(chunk)
+	if err != nil {
+		return addr.Nil, err
+	}
+	defer held.Unlock()
+	off := 8 * (int(b) % chunkEntries)
+	if len(buf) < off+8 {
+		return addr.Nil, fmt.Errorf("linhash: corrupt directory chunk (%d bytes)", len(buf))
+	}
+	return addr.Unpack(binary.LittleEndian.Uint64(buf[off:])), nil
+}
+
+// bucketHead reads the directory entry for bucket b through the
+// unmarshalled header a mutation already holds.
+func (t *Table) bucketHead(h *header, b uint32) (addr.EntityAddr, error) {
+	ci := int(b) / chunkEntries
+	if ci >= len(h.chunks) {
+		return addr.Nil, fmt.Errorf("linhash: bucket %d beyond directory", b)
+	}
+	return t.chunkHead(h.chunks[ci], b)
 }
 
 // setBucketHead updates the directory entry for bucket b.
 func (t *Table) setBucketHead(h *header, b uint32, a addr.EntityAddr) error {
 	ci, off := int(b)/chunkEntries, int(b)%chunkEntries
-	buf, err := t.pager.Read(h.chunks[ci])
+	buf, held, err := t.src.Lend(h.chunks[ci])
 	if err != nil {
 		return err
 	}
 	nb := append([]byte(nil), buf...)
+	held.Unlock()
+	if len(nb) < 8*(off+1) {
+		return fmt.Errorf("linhash: corrupt directory chunk (%d bytes)", len(nb))
+	}
 	binary.LittleEndian.PutUint64(nb[8*off:], a.Pack())
 	return t.pager.Update(h.chunks[ci], nb)
 }
@@ -255,11 +411,7 @@ func (t *Table) insertInto(h *header, b uint32, hv, e uint64) error {
 		return err
 	}
 	for a := head; !a.IsNil(); {
-		buf, err := t.pager.Read(a)
-		if err != nil {
-			return err
-		}
-		n, err := unmarshalNode(buf)
+		n, err := t.readNode(a)
 		if err != nil {
 			return err
 		}
@@ -314,11 +466,7 @@ func (t *Table) split(h *header) error {
 	var hvs, es []uint64
 	var nodes []addr.EntityAddr
 	for a := head; !a.IsNil(); {
-		buf, err := t.pager.Read(a)
-		if err != nil {
-			return err
-		}
-		n, err := unmarshalNode(buf)
+		n, err := t.readNode(a)
 		if err != nil {
 			return err
 		}
@@ -377,11 +525,7 @@ func (t *Table) Delete(e uint64) error {
 	var prev addr.EntityAddr
 	var prevNode *node
 	for a := head; !a.IsNil(); {
-		buf, err := t.pager.Read(a)
-		if err != nil {
-			return err
-		}
-		n, err := unmarshalNode(buf)
+		n, err := t.readNode(a)
 		if err != nil {
 			return err
 		}
@@ -421,126 +565,119 @@ func (t *Table) Delete(e uint64) error {
 // Lookup calls fn for every entry whose key matches, stopping early if
 // fn returns false.
 func (t *Table) Lookup(key any, keyHash uint64, fn func(entry uint64) bool) error {
-	h, err := t.readHeader()
+	a, err := t.headOfHash(keyHash)
 	if err != nil {
 		return err
 	}
-	b := h.bucketIndex(keyHash)
-	head, err := t.bucketHead(h, b)
-	if err != nil {
-		return err
-	}
-	for a := head; !a.IsNil(); {
-		buf, err := t.pager.Read(a)
+	var buf [2 * stackPairs]uint64
+	for !a.IsNil() {
+		next, pairs, err := t.readPairs(a, &buf)
 		if err != nil {
 			return err
 		}
-		n, err := unmarshalNode(buf)
-		if err != nil {
-			return err
-		}
-		for i, hv := range n.hashes {
-			if hv != keyHash {
+		for i := 0; i < len(pairs); i += 2 {
+			if pairs[i] != keyHash {
 				continue
 			}
-			ok, err := t.match(key, n.entries[i])
+			ok, err := t.match(key, pairs[i+1])
 			if err != nil {
 				return err
 			}
-			if ok && !fn(n.entries[i]) {
+			if ok && !fn(pairs[i+1]) {
 				return nil
 			}
 		}
-		a = n.next
+		a = next
 	}
 	return nil
 }
 
 // Count returns the number of entries.
 func (t *Table) Count() (uint64, error) {
-	h, err := t.readHeader()
-	if err != nil {
-		return 0, err
-	}
-	return h.count, nil
+	h, err := t.peekHeader()
+	return h.count, err
 }
 
 // Buckets returns the current bucket count (for load-factor tests).
 func (t *Table) Buckets() (uint32, error) {
-	h, err := t.readHeader()
-	if err != nil {
-		return 0, err
-	}
-	return h.nbuckets, nil
+	h, err := t.peekHeader()
+	return h.nbuckets, err
 }
 
 // Scan calls fn for every entry in the table, in arbitrary order.
 func (t *Table) Scan(fn func(entry uint64) bool) error {
-	h, err := t.readHeader()
+	h, err := t.peekHeader()
 	if err != nil {
 		return err
 	}
+	var buf [2 * stackPairs]uint64
 	for b := uint32(0); b < h.nbuckets; b++ {
-		head, err := t.bucketHead(h, b)
+		a, err := t.headOfBucket(b)
 		if err != nil {
 			return err
 		}
-		for a := head; !a.IsNil(); {
-			buf, err := t.pager.Read(a)
+		for !a.IsNil() {
+			next, pairs, err := t.readPairs(a, &buf)
 			if err != nil {
 				return err
 			}
-			n, err := unmarshalNode(buf)
-			if err != nil {
-				return err
-			}
-			for _, e := range n.entries {
-				if !fn(e) {
+			for i := 1; i < len(pairs); i += 2 {
+				if !fn(pairs[i]) {
 					return nil
 				}
 			}
-			a = n.next
+			a = next
 		}
 	}
 	return nil
 }
 
 // Check verifies structural invariants: every entry is in the bucket
-// its stored hash routes to, node fill is within bounds, and the header
-// count matches.
+// its stored hash routes to, the stored hash is the one the entry's key
+// hashes to now (when the table has a HashEntry: a stale or rotted hash
+// word leaves the row unreachable by key), node fill is within bounds,
+// and the header count matches.
 func (t *Table) Check() error {
-	h, err := t.readHeader()
+	h, err := t.peekHeader()
 	if err != nil {
 		return err
 	}
 	var total uint64
+	var buf [2 * stackPairs]uint64
 	for b := uint32(0); b < h.nbuckets; b++ {
-		head, err := t.bucketHead(h, b)
+		a, err := t.headOfBucket(b)
 		if err != nil {
 			return err
 		}
-		for a := head; !a.IsNil(); {
-			buf, err := t.pager.Read(a)
+		for !a.IsNil() {
+			next, pairs, err := t.readPairs(a, &buf)
 			if err != nil {
 				return err
 			}
-			n, err := unmarshalNode(buf)
-			if err != nil {
-				return err
-			}
-			if len(n.entries) == 0 {
+			if len(pairs) == 0 {
 				return fmt.Errorf("linhash: empty node in bucket %d", b)
 			}
-			if len(n.entries) > h.order {
+			if len(pairs)/2 > h.order {
 				return fmt.Errorf("linhash: overfull node in bucket %d", b)
 			}
-			for i, hv := range n.hashes {
+			for i := 0; i < len(pairs); i += 2 {
+				hv, e := pairs[i], pairs[i+1]
 				if got := h.bucketIndex(hv); got != b {
-					return fmt.Errorf("linhash: entry %x in bucket %d, routes to %d", n.entries[i], b, got)
+					return fmt.Errorf("linhash: entry %x in bucket %d, routes to %d", e, b, got)
+				}
+				if t.hash == nil {
+					continue
+				}
+				now, err := t.hash(e)
+				if err != nil {
+					return err
+				}
+				if now != hv {
+					return fmt.Errorf("linhash: entry %x in bucket %d stores hash %x, its key hashes to %x", e, b, hv, now)
 				}
 			}
-			total += uint64(len(n.entries))
-			a = n.next
+			total += uint64(len(pairs) / 2)
+			a = next
 		}
 	}
 	if total != h.count {

@@ -395,6 +395,22 @@ func (p *Partition) Read(s addr.Slot) ([]byte, error) {
 	return p.buf[off : off+length : off+length], nil
 }
 
+// Lend latches the partition and returns the entity at slot s where it
+// lies, with the latch that keeps it there: the borrower reads, then
+// calls Unlock on it, and keeps nothing of data afterwards. While it
+// holds the latch it must not demand another partition from the store —
+// that may run an on-demand recovery — nor call into code that might. On
+// error the latch is not held.
+func (p *Partition) Lend(s addr.Slot) (data []byte, held sync.Locker, err error) {
+	p.mu.Lock()
+	data, err = p.Read(s)
+	if err != nil {
+		p.mu.Unlock()
+		return nil, nil, err
+	}
+	return data, &p.mu, nil
+}
+
 // Update replaces the entity at slot s. Same-size updates are done in
 // place; size changes reallocate within the partition.
 func (p *Partition) Update(s addr.Slot, data []byte) error {

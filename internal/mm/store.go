@@ -510,6 +510,15 @@ func (st *Store) ResidentIDs() []addr.PartitionID {
 	return out
 }
 
+// Lend is Partition.Lend at a full address, resolving residency first.
+func (st *Store) Lend(a addr.EntityAddr) ([]byte, sync.Locker, error) {
+	p, err := st.Partition(a.Partition())
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Lend(a.Slot)
+}
+
 // Read fetches the entity at a full address, resolving residency.
 func (st *Store) Read(a addr.EntityAddr) ([]byte, error) {
 	p, err := st.Partition(a.Partition())

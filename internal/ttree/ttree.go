@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"mmdb/internal/addr"
 )
@@ -24,7 +25,10 @@ import (
 // Pager is the storage interface the tree runs against. Implementations
 // perform the physical mutation and handle REDO logging and undo.
 type Pager interface {
-	// Read returns the entity's bytes (valid until the next mutation).
+	// Read returns the entity's bytes. The tree keeps nothing of them
+	// past its next call into the pager, so a pager may return a copy
+	// (the transaction layer's do) or its own storage (a single-threaded
+	// pager over memory).
 	Read(a addr.EntityAddr) ([]byte, error)
 	// Insert stores a new entity and returns its address.
 	Insert(data []byte) (addr.EntityAddr, error)
@@ -32,6 +36,41 @@ type Pager interface {
 	Update(a addr.EntityAddr, data []byte) error
 	// Delete removes the entity.
 	Delete(a addr.EntityAddr) error
+}
+
+// Lender is the lending form of Pager.Read, for pagers whose entities lie
+// under a latch. A pager that implements it is detected once, at Create
+// or Open, and every read of the tree then borrows instead of copying;
+// any other pager is adapted through Read, so there is one traversal.
+type Lender interface {
+	// Lend returns the entity's bytes where they lie and, held, the
+	// latch that keeps them there. The tree copies out the words it
+	// needs and calls held.Unlock() before it calls a comparator or the
+	// pager again: a comparator reads tuples, which may demand — and so
+	// recover — another partition, and that must not happen under a
+	// latch. On error nothing is held.
+	Lend(a addr.EntityAddr) (data []byte, held sync.Locker, err error)
+}
+
+// copying adapts a Pager that cannot lend: what Read returned is used as
+// if lent, and there is no latch to release.
+type copying struct{ p Pager }
+
+func (c copying) Lend(a addr.EntityAddr) ([]byte, sync.Locker, error) {
+	data, err := c.p.Read(a)
+	return data, unlatched{}, err
+}
+
+type unlatched struct{}
+
+func (unlatched) Lock()   {}
+func (unlatched) Unlock() {}
+
+func lenderOf(p Pager) Lender {
+	if l, ok := p.(Lender); ok {
+		return l
+	}
+	return copying{p}
 }
 
 // CompareEntries totally orders two stored entries (packed tuple
@@ -67,24 +106,45 @@ func marshalNode(n *node, order int) []byte {
 	return buf
 }
 
-func unmarshalNode(buf []byte) (*node, error) {
-	if len(buf) < nodeHeaderSize {
-		return nil, fmt.Errorf("ttree: corrupt node (%d bytes)", len(buf))
+// stackEntries is how many entries a traversal frame holds without
+// allocating; a node of a larger order is copied to the heap.
+const stackEntries = 64
+
+// parseNode validates node bytes and copies the node out of them, the
+// entries into buf when they fit (nil: always a fresh slice).
+func parseNode(raw []byte, buf *[stackEntries]uint64) (node, error) {
+	if len(raw) < nodeHeaderSize {
+		return node{}, fmt.Errorf("ttree: corrupt node (%d bytes)", len(raw))
 	}
-	n := &node{
-		left:   addr.Unpack(binary.LittleEndian.Uint64(buf[0:])),
-		right:  addr.Unpack(binary.LittleEndian.Uint64(buf[8:])),
-		height: int16(binary.LittleEndian.Uint16(buf[16:])),
+	count := int(binary.LittleEndian.Uint16(raw[18:]))
+	if len(raw) < nodeHeaderSize+8*count {
+		return node{}, fmt.Errorf("ttree: corrupt node entries (%d of %d)", len(raw)-nodeHeaderSize, 8*count)
 	}
-	count := int(binary.LittleEndian.Uint16(buf[18:]))
-	if len(buf) < nodeHeaderSize+8*count {
-		return nil, fmt.Errorf("ttree: corrupt node entries (%d of %d)", len(buf)-nodeHeaderSize, 8*count)
+	n := node{
+		left:   addr.Unpack(binary.LittleEndian.Uint64(raw[0:])),
+		right:  addr.Unpack(binary.LittleEndian.Uint64(raw[8:])),
+		height: int16(binary.LittleEndian.Uint16(raw[16:])),
 	}
-	n.entries = make([]uint64, count)
+	if buf != nil && count <= len(buf) {
+		n.entries = buf[:count]
+	} else {
+		n.entries = make([]uint64, count)
+	}
 	for i := range n.entries {
-		n.entries[i] = binary.LittleEndian.Uint64(buf[nodeHeaderSize+8*i:])
+		n.entries[i] = binary.LittleEndian.Uint64(raw[nodeHeaderSize+8*i:])
 	}
 	return n, nil
+}
+
+// readNode borrows the node at a and returns it by value, unlatched.
+func (t *Tree) readNode(a addr.EntityAddr, buf *[stackEntries]uint64) (node, error) {
+	raw, held, err := t.src.Lend(a)
+	if err != nil {
+		return node{}, err
+	}
+	n, err := parseNode(raw, buf)
+	held.Unlock()
+	return n, err
 }
 
 // headerSize is the tree header entity: root(8) count(8) order(2).
@@ -92,9 +152,12 @@ const headerSize = 8 + 8 + 2
 
 // Tree is a T-Tree rooted at a header entity. All mutating calls must
 // be serialised by the caller (the transaction layer holds the index
-// writer lock until commit; readers hold the index latch).
+// writer lock until commit; readers hold the index latch). A Tree holds
+// no tree state, only where the header is: it may be kept and shared by
+// concurrent readers.
 type Tree struct {
 	pager  Pager
+	src    Lender // every read goes through it
 	header addr.EntityAddr
 	order  int
 	cmpE   CompareEntries
@@ -115,27 +178,39 @@ func Create(p Pager, order int, cmpE CompareEntries, cmpK CompareKey) (*Tree, ad
 	if err != nil {
 		return nil, addr.Nil, err
 	}
-	return &Tree{pager: p, header: ha, order: order, cmpE: cmpE, cmpK: cmpK}, ha, nil
+	return &Tree{pager: p, src: lenderOf(p), header: ha, order: order, cmpE: cmpE, cmpK: cmpK}, ha, nil
 }
 
 // Open attaches to an existing tree via its header address.
 func Open(p Pager, header addr.EntityAddr, cmpE CompareEntries, cmpK CompareKey) (*Tree, error) {
-	buf, err := p.Read(header)
+	t := &Tree{pager: p, src: lenderOf(p), header: header, cmpE: cmpE, cmpK: cmpK}
+	_, _, order, err := t.readHeader()
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < headerSize {
-		return nil, fmt.Errorf("ttree: corrupt header at %v", header)
-	}
-	order := int(binary.LittleEndian.Uint16(buf[16:]))
-	if order < 2 {
-		return nil, fmt.Errorf("ttree: corrupt header order %d", order)
-	}
-	return &Tree{pager: p, header: header, order: order, cmpE: cmpE, cmpK: cmpK}, nil
+	t.order = order
+	return t, nil
 }
 
-// view is a per-operation cache of nodes so that each node is written
-// back at most once per operation.
+// readHeader borrows the header entity and returns its fields.
+func (t *Tree) readHeader() (root addr.EntityAddr, count uint64, order int, err error) {
+	buf, held, err := t.src.Lend(t.header)
+	if err != nil {
+		return addr.Nil, 0, 0, err
+	}
+	defer held.Unlock()
+	if len(buf) < headerSize {
+		return addr.Nil, 0, 0, fmt.Errorf("ttree: corrupt header at %v", t.header)
+	}
+	order = int(binary.LittleEndian.Uint16(buf[16:]))
+	if order < 2 {
+		return addr.Nil, 0, 0, fmt.Errorf("ttree: corrupt header order %d", order)
+	}
+	return addr.Unpack(binary.LittleEndian.Uint64(buf[0:])), binary.LittleEndian.Uint64(buf[8:]), order, nil
+}
+
+// view is the working set of one mutation: the nodes it has touched, so
+// that each is written back at most once.
 type view struct {
 	t      *Tree
 	nodes  map[addr.EntityAddr]*node
@@ -146,7 +221,7 @@ type view struct {
 }
 
 func (t *Tree) newView() (*view, error) {
-	buf, err := t.pager.Read(t.header)
+	root, count, _, err := t.readHeader()
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +229,8 @@ func (t *Tree) newView() (*view, error) {
 		t:     t,
 		nodes: make(map[addr.EntityAddr]*node),
 		dirty: make(map[addr.EntityAddr]bool),
-		root:  addr.Unpack(binary.LittleEndian.Uint64(buf[0:])),
-		count: binary.LittleEndian.Uint64(buf[8:]),
+		root:  root,
+		count: count,
 	}, nil
 }
 
@@ -163,16 +238,12 @@ func (v *view) get(a addr.EntityAddr) (*node, error) {
 	if n, ok := v.nodes[a]; ok {
 		return n, nil
 	}
-	buf, err := v.t.pager.Read(a)
+	n, err := v.t.readNode(a, nil)
 	if err != nil {
 		return nil, err
 	}
-	n, err := unmarshalNode(buf)
-	if err != nil {
-		return nil, err
-	}
-	v.nodes[a] = n
-	return n, nil
+	v.nodes[a] = &n
+	return &n, nil
 }
 
 func (v *view) mark(a addr.EntityAddr) { v.dirty[a] = true }
@@ -664,98 +735,117 @@ func (v *view) removeMin(a addr.EntityAddr) (uint64, addr.EntityAddr, error) {
 // Search calls fn with every entry whose key compares equal to key, in
 // entry order; fn returns false to stop. Read-only.
 func (t *Tree) Search(key any, fn func(entry uint64) bool) error {
-	v, err := t.newView()
-	if err != nil {
-		return err
-	}
-	_, err = v.scan(v.root, key, key, fn)
-	return err
+	return t.Range(key, key, fn)
 }
 
 // Range calls fn for every entry with lo <= key <= hi in ascending
 // order; nil bounds are unbounded. fn returns false to stop.
 func (t *Tree) Range(lo, hi any, fn func(entry uint64) bool) error {
-	v, err := t.newView()
+	root, _, _, err := t.readHeader()
 	if err != nil {
 		return err
 	}
-	_, err = v.scan(v.root, lo, hi, fn)
+	_, err = t.scan(root, lo, hi, fn)
 	return err
 }
 
-// scan walks the subtree in order, pruning with the bounds. Returns
-// false when fn stopped the scan.
-func (v *view) scan(a addr.EntityAddr, lo, hi any, fn func(uint64) bool) (bool, error) {
+// scan walks the subtree in order, pruning with the bounds, and returns
+// false when the scan is over: fn stopped it, or it passed hi. A node is
+// compared by its minimum and maximum first and searched by bisection
+// only when a bound falls inside it, so a scan costs O(depth + log order)
+// comparisons plus none for the entries it reports.
+func (t *Tree) scan(a addr.EntityAddr, lo, hi any, fn func(uint64) bool) (bool, error) {
 	if a.IsNil() {
 		return true, nil
 	}
-	n, err := v.get(a)
+	var buf [stackEntries]uint64
+	n, err := t.readNode(a, &buf)
 	if err != nil {
 		return false, err
 	}
-	// Prune left subtree when node minimum already >= lo is false.
-	goLeft := true
+	e := n.entries
+	if len(e) == 0 {
+		return false, fmt.Errorf("ttree: empty node at %v", a)
+	}
+	last := len(e) - 1
+
+	// start: the first entry not below lo. When lo <= the minimum that is
+	// entry 0, and duplicates of the minimum key may extend into the left
+	// subtree.
+	start, goLeft := 0, lo == nil
 	if lo != nil {
-		c, err := v.t.cmpK(lo, n.entries[0])
+		c, err := t.cmpK(lo, e[0])
 		if err != nil {
 			return false, err
 		}
-		// Descend when lo <= node min: duplicates of the minimum key
-		// may extend into the left subtree.
-		goLeft = c <= 0
-	}
-	if goLeft {
-		cont, err := v.scan(n.left, lo, hi, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	for _, e := range n.entries {
-		if lo != nil {
-			c, err := v.t.cmpK(lo, e)
-			if err != nil {
+		if goLeft = c <= 0; !goLeft {
+			if c, err = t.cmpK(lo, e[last]); err != nil {
 				return false, err
 			}
 			if c > 0 {
-				continue
-			}
-		}
-		if hi != nil {
-			c, err := v.t.cmpK(hi, e)
-			if err != nil {
+				start = len(e)
+			} else if start, err = t.bound(lo, e[:last], 1, false); err != nil {
 				return false, err
 			}
-			if c < 0 {
-				return false, nil
-			}
-		}
-		if !fn(e) {
-			return false, nil
 		}
 	}
-	goRight := true
+	if goLeft {
+		if cont, err := t.scan(n.left, lo, hi, fn); err != nil || !cont {
+			return cont, err
+		}
+	}
+
+	// end: the first entry above hi. When hi >= the maximum there is none,
+	// and duplicates of the maximum key may extend into the right subtree.
+	end := len(e)
 	if hi != nil {
-		c, err := v.t.cmpK(hi, n.entries[len(n.entries)-1])
+		c, err := t.cmpK(hi, e[last])
 		if err != nil {
 			return false, err
 		}
-		// Descend when hi >= node max: duplicates of the maximum key
-		// may extend into the right subtree.
-		goRight = c >= 0
+		if c < 0 {
+			if start == len(e) {
+				return true, nil // lo above this node, hi below its maximum: an empty range
+			}
+			if end, err = t.bound(hi, e[:last], start, true); err != nil {
+				return false, err
+			}
+		}
 	}
-	if goRight {
-		return v.scan(n.right, lo, hi, fn)
+	for _, x := range e[start:end] {
+		if !fn(x) {
+			return false, nil
+		}
 	}
-	return true, nil
+	if end < len(e) {
+		return false, nil
+	}
+	return t.scan(n.right, lo, hi, fn)
+}
+
+// bound returns the first position at or after from whose entry's key is
+// not below key (above: is above key), or len(e); e is in key order.
+func (t *Tree) bound(key any, e []uint64, from int, above bool) (int, error) {
+	lo, hi := from, len(e)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c, err := t.cmpK(key, e[mid])
+		if err != nil {
+			return 0, err
+		}
+		if c < 0 || (c == 0 && !above) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
 }
 
 // Count returns the number of entries in the tree.
 func (t *Tree) Count() (uint64, error) {
-	v, err := t.newView()
-	if err != nil {
-		return 0, err
-	}
-	return v.count, nil
+	_, count, _, err := t.readHeader()
+	return count, err
 }
 
 // Header returns the tree's header entity address.
@@ -765,67 +855,72 @@ func (t *Tree) Header() addr.EntityAddr { return t.header }
 // across nodes, AVL balance, stored heights, node fill, and the entry
 // count — returning a descriptive error on the first violation.
 func (t *Tree) Check() error {
-	v, err := t.newView()
+	root, count, _, err := t.readHeader()
 	if err != nil {
 		return err
 	}
-	var prev *uint64
-	var walked uint64
-	var walk func(a addr.EntityAddr) (int16, error)
-	walk = func(a addr.EntityAddr) (int16, error) {
-		if a.IsNil() {
-			return 0, nil
-		}
-		n, err := v.get(a)
-		if err != nil {
-			return 0, err
-		}
-		if len(n.entries) == 0 {
-			return 0, fmt.Errorf("ttree: empty node at %v", a)
-		}
-		if len(n.entries) > t.order {
-			return 0, fmt.Errorf("ttree: overfull node at %v (%d > %d)", a, len(n.entries), t.order)
-		}
-		lh, err := walk(n.left)
-		if err != nil {
-			return 0, err
-		}
-		for i, e := range n.entries {
-			if prev != nil {
-				c, err := t.cmpE(*prev, e)
-				if err != nil {
-					return 0, err
-				}
-				if c >= 0 {
-					return 0, fmt.Errorf("ttree: order violation at %v entry %d", a, i)
-				}
-			}
-			e := e
-			prev = &e
-			walked++
-		}
-		rh, err := walk(n.right)
-		if err != nil {
-			return 0, err
-		}
-		h := lh
-		if rh > h {
-			h = rh
-		}
-		h++
-		if n.height != h {
-			return 0, fmt.Errorf("ttree: stored height %d != actual %d at %v", n.height, h, a)
-		}
-		if d := lh - rh; d < -1 || d > 1 {
-			return 0, fmt.Errorf("ttree: AVL violation at %v (balance %d)", a, d)
-		}
-		return h, nil
-	}
-	if _, err := walk(v.root); err != nil {
+	c := checker{t: t}
+	if _, err := c.walk(root); err != nil {
 		return err
 	}
-	if walked != v.count {
-		return fmt.Errorf("ttree: header count %d != walked %d", v.count, walked)
+	if c.walked != count {
+		return fmt.Errorf("ttree: header count %d != walked %d", count, c.walked)
 	}
 	return nil
+}
+
+// checker is the state of one Check: the in-order predecessor and the
+// entries seen so far.
+type checker struct {
+	t       *Tree
+	prev    uint64
+	hasPrev bool
+	walked  uint64
+}
+
+// walk checks the subtree at a and returns its height.
+func (c *checker) walk(a addr.EntityAddr) (int16, error) {
+	if a.IsNil() {
+		return 0, nil
+	}
+	var buf [stackEntries]uint64
+	n, err := c.t.readNode(a, &buf)
+	if err != nil {
+		return 0, err
+	}
+	if len(n.entries) == 0 {
+		return 0, fmt.Errorf("ttree: empty node at %v", a)
+	}
+	if len(n.entries) > c.t.order {
+		return 0, fmt.Errorf("ttree: overfull node at %v (%d > %d)", a, len(n.entries), c.t.order)
+	}
+	lh, err := c.walk(n.left)
+	if err != nil {
+		return 0, err
+	}
+	for i, e := range n.entries {
+		if c.hasPrev {
+			o, err := c.t.cmpE(c.prev, e)
+			if err != nil {
+				return 0, err
+			}
+			if o >= 0 {
+				return 0, fmt.Errorf("ttree: order violation at %v entry %d", a, i)
+			}
+		}
+		c.prev, c.hasPrev = e, true
+		c.walked++
+	}
+	rh, err := c.walk(n.right)
+	if err != nil {
+		return 0, err
+	}
+	h := max(lh, rh) + 1
+	if n.height != h {
+		return 0, fmt.Errorf("ttree: stored height %d != actual %d at %v", n.height, h, a)
+	}
+	if d := lh - rh; d < -1 || d > 1 {
+		return 0, fmt.Errorf("ttree: AVL violation at %v (balance %d)", a, d)
+	}
+	return h, nil
 }

@@ -15,6 +15,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -232,28 +233,32 @@ func (t *Txn) InsertEntity(seg addr.SegmentID, isIdx bool, data []byte) (addr.En
 	return a, t.emit(tag, p.ID(), slot, 0, data)
 }
 
-// ReadEntity returns a copy of the entity's bytes, honouring the
-// transaction's own deferred deletes.
-func (t *Txn) ReadEntity(a addr.EntityAddr) ([]byte, error) {
+// LendEntity returns the entity's bytes where they lie, with its
+// partition latched (mm.Partition.Lend states the borrower's duties),
+// honouring the transaction's own deferred deletes. On error nothing is
+// held.
+func (t *Txn) LendEntity(a addr.EntityAddr) ([]byte, sync.Locker, error) {
 	if err := t.check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if t.pendingDel[a] {
-		return nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
+		return nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
-	p, err := t.m.store.Partition(a.Partition())
+	data, held, err := t.m.store.Lend(a)
+	if errors.Is(err, mm.ErrBadSlot) {
+		err = fmt.Errorf("%w: %v", ErrNotFound, a)
+	}
+	return data, held, err
+}
+
+// ReadEntity returns a copy of the entity's bytes: LendEntity for callers
+// that keep them.
+func (t *Txn) ReadEntity(a addr.EntityAddr) ([]byte, error) {
+	data, held, err := t.LendEntity(a)
 	if err != nil {
 		return nil, err
 	}
-	p.Latch()
-	defer p.Unlatch()
-	data, err := p.Read(a.Slot)
-	if err != nil {
-		if errors.Is(err, mm.ErrBadSlot) {
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
-		return nil, err
-	}
+	defer held.Unlock()
 	return append([]byte(nil), data...), nil
 }
 
@@ -501,6 +506,9 @@ type IndexPager struct {
 // Read implements Pager.
 func (p IndexPager) Read(a addr.EntityAddr) ([]byte, error) { return p.T.ReadEntity(a) }
 
+// Lend is the lending form of Read (ttree.Lender).
+func (p IndexPager) Lend(a addr.EntityAddr) ([]byte, sync.Locker, error) { return p.T.LendEntity(a) }
+
 // Insert implements Pager.
 func (p IndexPager) Insert(data []byte) (addr.EntityAddr, error) {
 	return p.T.InsertEntity(p.Seg, true, data)
@@ -516,25 +524,23 @@ func (p IndexPager) Delete(a addr.EntityAddr) error { return p.T.DeleteIndexEnti
 
 // ReadPager is a read-only pager over the store, used for index reads
 // outside any transaction (e.g. by scans under the index latch) and by
-// recovery-time index verification. Mutations panic.
+// recovery-time index verification. Mutations return an error.
 type ReadPager struct {
 	Store *mm.Store
 }
 
-// Read implements Pager.
+// Read implements Pager: Lend for callers that keep the bytes.
 func (p ReadPager) Read(a addr.EntityAddr) ([]byte, error) {
-	s, err := p.Store.Partition(a.Partition())
+	d, held, err := p.Store.Lend(a)
 	if err != nil {
 		return nil, err
 	}
-	s.Latch()
-	defer s.Unlatch()
-	d, err := s.Read(a.Slot)
-	if err != nil {
-		return nil, err
-	}
+	defer held.Unlock()
 	return append([]byte(nil), d...), nil
 }
+
+// Lend is the lending form of Read (ttree.Lender).
+func (p ReadPager) Lend(a addr.EntityAddr) ([]byte, sync.Locker, error) { return p.Store.Lend(a) }
 
 // Insert implements Pager; always fails.
 func (p ReadPager) Insert([]byte) (addr.EntityAddr, error) {

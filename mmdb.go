@@ -166,10 +166,9 @@ func (db *DB) onPartAlloc(t *txn.Txn, pid addr.PartitionID) error {
 		db.mgr.AddCatalogPart(pid)
 		return nil
 	}
-	_, err := db.updateOwnerDesc(t, pid, func(parts []catalog.PartState) []catalog.PartState {
+	return db.updateOwnerDesc(t, pid, func(parts []catalog.PartState) []catalog.PartState {
 		return append(parts, catalog.PartState{Part: pid.Part, Track: simdisk.NilTrack})
 	})
-	return err
 }
 
 // installCkpt performs the logged catalog update for a completed
@@ -182,7 +181,7 @@ func (db *DB) installCkpt(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackL
 		return db.mgr.LocateCatalogPart(pid), nil
 	}
 	old := simdisk.NilTrack
-	_, err := db.updateOwnerDesc(t, pid, func(parts []catalog.PartState) []catalog.PartState {
+	err := db.updateOwnerDesc(t, pid, func(parts []catalog.PartState) []catalog.PartState {
 		for i := range parts {
 			if parts[i].Part == pid.Part {
 				old = parts[i].Track
@@ -194,126 +193,122 @@ func (db *DB) installCkpt(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackL
 	return old, err
 }
 
+// ownerDesc returns the address of the catalog descriptor that lists
+// seg's partitions: its relation's, or (index) one of that relation's
+// indexes'.
+func (db *DB) ownerDesc(seg addr.SegmentID) (da addr.EntityAddr, index bool, err error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	relID, ok := db.segOwner[seg]
+	rel := db.relByID[relID]
+	if !ok || rel == nil {
+		return addr.Nil, false, fmt.Errorf("%w: no owner for segment %d", ErrNotFound, seg)
+	}
+	if seg == rel.seg {
+		if da, ok := db.relDescAddr[rel.relID]; ok {
+			return da, false, nil
+		}
+		return addr.Nil, false, fmt.Errorf("%w: relation descriptor for %d", ErrNotFound, rel.relID)
+	}
+	idx := rel.indexBySeg(seg)
+	if idx == nil {
+		return addr.Nil, false, fmt.Errorf("%w: no index for segment %d", ErrNotFound, seg)
+	}
+	if da, ok := db.idxDescAddr[idx.idxID]; ok {
+		return da, true, nil
+	}
+	return addr.Nil, true, fmt.Errorf("%w: index descriptor for %d", ErrNotFound, idx.idxID)
+}
+
+// lockOwnerDesc is ownerDesc with the catalog locks an update of the
+// descriptor needs, taken by transaction t.
+func (db *DB) lockOwnerDesc(t *txn.Txn, seg addr.SegmentID) (da addr.EntityAddr, index bool, err error) {
+	if da, index, err = db.ownerDesc(seg); err != nil {
+		return addr.Nil, false, err
+	}
+	cat := catalog.RelIDRelationCatalog
+	if index {
+		cat = catalog.RelIDIndexCatalog
+	}
+	if err := t.LockRelation(cat, lock.IX); err != nil {
+		return addr.Nil, false, err
+	}
+	return da, index, t.LockEntity(da, lock.X)
+}
+
 // updateOwnerDesc applies fn to the partition list of the catalog
 // descriptor owning pid's segment, with proper catalog locking, inside
-// transaction t.
-func (db *DB) updateOwnerDesc(t *txn.Txn, pid addr.PartitionID, fn func([]catalog.PartState) []catalog.PartState) (addr.EntityAddr, error) {
-	db.mu.RLock()
-	relID, ok := db.segOwner[pid.Segment]
-	rel := db.relByID[relID]
-	db.mu.RUnlock()
-	if !ok || rel == nil {
-		return addr.Nil, fmt.Errorf("%w: no owner for segment %d", ErrNotFound, pid.Segment)
-	}
-	if pid.Segment == rel.seg {
-		// Relation data partition: update the relation descriptor.
-		db.mu.RLock()
-		da, ok := db.relDescAddr[relID]
-		db.mu.RUnlock()
-		if !ok {
-			return addr.Nil, fmt.Errorf("%w: relation descriptor for %d", ErrNotFound, relID)
-		}
-		if err := t.LockRelation(catalog.RelIDRelationCatalog, lock.IX); err != nil {
-			return addr.Nil, err
-		}
-		if err := t.LockEntity(da, lock.X); err != nil {
-			return addr.Nil, err
-		}
-		raw, err := t.ReadEntity(da)
-		if err != nil {
-			return addr.Nil, err
-		}
-		desc, err := catalog.DecodeRelation(raw)
-		if err != nil {
-			return addr.Nil, err
-		}
-		desc.Parts = fn(desc.Parts)
-		return da, t.UpdateEntity(da, false, desc.Encode())
-	}
-	// Index partition: update the index descriptor.
-	idx := rel.indexBySeg(pid.Segment)
-	if idx == nil {
-		return addr.Nil, fmt.Errorf("%w: no index for segment %d", ErrNotFound, pid.Segment)
-	}
-	db.mu.RLock()
-	da, ok := db.idxDescAddr[idx.idxID]
-	db.mu.RUnlock()
-	if !ok {
-		return addr.Nil, fmt.Errorf("%w: index descriptor for %d", ErrNotFound, idx.idxID)
-	}
-	if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
-		return addr.Nil, err
-	}
-	if err := t.LockEntity(da, lock.X); err != nil {
-		return addr.Nil, err
+// transaction t, and logs the descriptor whole.
+func (db *DB) updateOwnerDesc(t *txn.Txn, pid addr.PartitionID, fn func([]catalog.PartState) []catalog.PartState) error {
+	da, index, err := db.lockOwnerDesc(t, pid.Segment)
+	if err != nil {
+		return err
 	}
 	raw, err := t.ReadEntity(da)
 	if err != nil {
-		return addr.Nil, err
+		return err
 	}
-	desc, err := catalog.DecodeIndex(raw)
+	if index {
+		desc, err := catalog.DecodeIndex(raw)
+		if err != nil {
+			return err
+		}
+		desc.Parts = fn(desc.Parts)
+		return t.UpdateEntity(da, false, desc.Encode())
+	}
+	desc, err := catalog.DecodeRelation(raw)
 	if err != nil {
-		return addr.Nil, err
+		return err
 	}
 	desc.Parts = fn(desc.Parts)
-	return da, t.UpdateEntity(da, false, desc.Encode())
+	return t.UpdateEntity(da, false, desc.Encode())
 }
 
-// locate returns a partition's checkpoint image location.
+// locate returns a partition's checkpoint image location: one track
+// read out of the owner's descriptor where it lies. Every partition
+// restore comes through here, so it must not cost a decode of the whole
+// partition list.
 func (db *DB) locate(pid addr.PartitionID) (simdisk.TrackLoc, error) {
 	switch pid.Segment {
 	case addr.SegRelationCatalog, addr.SegIndexCatalog:
 		return db.mgr.LocateCatalogPart(pid), nil
 	}
-	db.mu.RLock()
-	relID, ok := db.segOwner[pid.Segment]
-	rel := db.relByID[relID]
-	db.mu.RUnlock()
-	if !ok || rel == nil {
-		return simdisk.NilTrack, fmt.Errorf("%w: partition %v has no owner", ErrNotFound, pid)
+	da, index, err := db.ownerDesc(pid.Segment)
+	if err != nil {
+		return simdisk.NilTrack, fmt.Errorf("partition %v: %w", pid, err)
 	}
-	parts, err := db.partsOfSegment(rel, pid.Segment)
+	raw, held, err := db.store.Lend(da)
 	if err != nil {
 		return simdisk.NilTrack, err
 	}
-	for _, ps := range parts {
-		if ps.Part == pid.Part {
-			return ps.Track, nil
-		}
+	_, track, err := catalog.TrackAt(raw, index, pid.Part)
+	held.Unlock()
+	if errors.Is(err, catalog.ErrNoPartition) {
+		return simdisk.NilTrack, fmt.Errorf("%w: partition %v not in catalog", ErrNotFound, pid)
 	}
-	return simdisk.NilTrack, fmt.Errorf("%w: partition %v not in catalog", ErrNotFound, pid)
+	return track, err
 }
 
 // partsOfSegment reads the authoritative partition list for a segment
 // from the catalog bytes.
-func (db *DB) partsOfSegment(rel *Relation, seg addr.SegmentID) ([]catalog.PartState, error) {
-	rp := txn.ReadPager{Store: db.store}
-	if seg == rel.seg {
-		db.mu.RLock()
-		da := db.relDescAddr[rel.relID]
-		db.mu.RUnlock()
-		raw, err := rp.Read(da)
-		if err != nil {
-			return nil, err
-		}
-		desc, err := catalog.DecodeRelation(raw)
+func (db *DB) partsOfSegment(seg addr.SegmentID) ([]catalog.PartState, error) {
+	da, index, err := db.ownerDesc(seg)
+	if err != nil {
+		return nil, err
+	}
+	raw, held, err := db.store.Lend(da)
+	if err != nil {
+		return nil, err
+	}
+	defer held.Unlock()
+	if index {
+		desc, err := catalog.DecodeIndex(raw)
 		if err != nil {
 			return nil, err
 		}
 		return desc.Parts, nil
 	}
-	idx := rel.indexBySeg(seg)
-	if idx == nil {
-		return nil, fmt.Errorf("%w: segment %d", ErrNotFound, seg)
-	}
-	db.mu.RLock()
-	da := db.idxDescAddr[idx.idxID]
-	db.mu.RUnlock()
-	raw, err := rp.Read(da)
-	if err != nil {
-		return nil, err
-	}
-	desc, err := catalog.DecodeIndex(raw)
+	desc, err := catalog.DecodeRelation(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +333,7 @@ func (db *DB) allPartitions() ([]addr.PartitionID, error) {
 	}
 	db.mu.RUnlock()
 	for _, rel := range rels {
-		parts, err := db.partsOfSegment(rel, rel.seg)
+		parts, err := db.partsOfSegment(rel.seg)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +341,7 @@ func (db *DB) allPartitions() ([]addr.PartitionID, error) {
 			out = append(out, addr.PartitionID{Segment: rel.seg, Part: ps.Part})
 		}
 		for _, idx := range rel.Indexes() {
-			iparts, err := db.partsOfSegment(rel, idx.seg)
+			iparts, err := db.partsOfSegment(idx.seg)
 			if err != nil {
 				return nil, err
 			}
@@ -476,15 +471,10 @@ func (db *DB) loadCatalogs() error {
 				scanErr = fmt.Errorf("mmdb: index %q references missing relation %d", desc.Name, desc.RelID)
 				return false
 			}
-			idx := &Index{
-				rel:    rel,
-				idxID:  desc.IdxID,
-				name:   desc.Name,
-				seg:    desc.Seg,
-				kind:   desc.Kind,
-				col:    desc.Column,
-				order:  desc.Order,
-				header: desc.Header,
+			idx, err := newIndex(rel, desc)
+			if err != nil {
+				scanErr = err
+				return false
 			}
 			da := addr.EntityAddr{Segment: addr.SegIndexCatalog, Part: p.ID().Part, Slot: s}
 			rel.addIndex(idx)

@@ -161,7 +161,7 @@ func TestBackgroundRecovery(t *testing.T) {
 	// all partitions.
 	deadline := time.Now().Add(5 * time.Second)
 	rel2, _ := db2.GetRelation("r")
-	want, err := db2.partsOfSegment(rel2, rel2.seg)
+	want, err := db2.partsOfSegment(rel2.seg)
 	if err != nil {
 		t.Fatal(err)
 	}

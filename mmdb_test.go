@@ -391,7 +391,7 @@ func TestInsertBeforeSweepKeepsAcknowledgedRows(t *testing.T) {
 		want[id] = int64(i)
 	}
 	db.WaitIdle()
-	parts, err := db.partsOfSegment(rel, rel.seg)
+	parts, err := db.partsOfSegment(rel.seg)
 	if err != nil {
 		t.Fatal(err)
 	}

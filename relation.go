@@ -1,9 +1,9 @@
 package mmdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -100,11 +100,28 @@ type Index struct {
 	col    int
 	order  int
 	header addr.EntityAddr
+	key    heap.Key // reads column col out of a stored tuple
 
 	// latch serialises structure readers against in-flight node
 	// mutations; transaction-level isolation comes from the per-index
 	// writer lock held to commit.
 	latch sync.RWMutex
+
+	// The structure opened over the store for reading, by the first probe
+	// that needs it (the header's partition may not be recovered before
+	// that) and kept: a probe does not re-open its index.
+	tree  atomic.Pointer[ttree.Tree]
+	table atomic.Pointer[linhash.Table]
+}
+
+// newIndex builds the handle for a catalog descriptor.
+func newIndex(rel *Relation, d *catalog.IndexDesc) (*Index, error) {
+	key, err := rel.schema.Key(d.Column)
+	if err != nil {
+		return nil, fmt.Errorf("mmdb: index %q: %w", d.Name, err)
+	}
+	return &Index{rel: rel, idxID: d.IdxID, name: d.Name, seg: d.Seg, kind: d.Kind,
+		col: d.Column, order: d.Order, header: d.Header, key: key}, nil
 }
 
 // Name returns the index name.
@@ -119,165 +136,153 @@ func (i *Index) Column() int { return i.col }
 // Relation returns the indexed relation.
 func (i *Index) Relation() *Relation { return i.rel }
 
-// keyOfEntry reads the stored tuple behind an index entry and extracts
-// the indexed column (the classic main-memory design: the index stores
-// tuple pointers, comparisons read the tuple).
-func (i *Index) keyOfEntry(p ttree.Pager, entry uint64) (any, error) {
-	raw, err := p.Read(addr.Unpack(entry))
+// The comparators below are the classic main-memory design: the index
+// stores tuple pointers, a comparison reads the key out of the tuple
+// where it lies. Each borrows the tuple from the store for the length of
+// one column read; none is called with a latch held (ttree.Lender), since
+// the borrow may have to recover the tuple's partition first. They read
+// the store, not a transaction's view: an entry is taken out of every
+// index before its tuple is deleted or its key rewritten.
+
+// compareKey orders a search key against the key of a stored entry.
+func (i *Index) compareKey(key any, entry uint64) (int, error) {
+	raw, held, err := i.rel.db.store.Lend(addr.Unpack(entry))
+	if err != nil {
+		return 0, err
+	}
+	c, err := i.key.Compare(key, raw)
+	held.Unlock()
+	return c, err
+}
+
+// matchKey reports whether a stored entry's key equals the search key.
+func (i *Index) matchKey(key any, entry uint64) (bool, error) {
+	c, err := i.compareKey(key, entry)
+	return c == 0, err
+}
+
+// compareEntries totally orders two stored entries: by key, duplicates
+// by address. The first key is copied out — two tuples are never
+// borrowed at once, they may share a partition.
+func (i *Index) compareEntries(a, b uint64) (int, error) {
+	var buf [64]byte
+	ka, err := i.copyKey(buf[:0], a)
+	if err != nil {
+		return 0, err
+	}
+	raw, held, err := i.rel.db.store.Lend(addr.Unpack(b))
+	if err != nil {
+		return 0, err
+	}
+	kb, err := i.key.Field(raw)
+	c := 0
+	if err == nil {
+		c = i.key.CompareFields(ka, kb)
+	}
+	held.Unlock()
+	if err != nil || c != 0 {
+		return c, err
+	}
+	switch {
+	case a < b:
+		return -1, nil
+	case a > b:
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// copyKey appends the key bytes of a stored entry to dst.
+func (i *Index) copyKey(dst []byte, entry uint64) ([]byte, error) {
+	raw, held, err := i.rel.db.store.Lend(addr.Unpack(entry))
 	if err != nil {
 		return nil, err
 	}
-	tup, err := i.rel.schema.Decode(raw)
+	defer held.Unlock()
+	f, err := i.key.Field(raw)
+	return append(dst, f...), err
+}
+
+// hashEntry hashes a stored entry's key.
+func (i *Index) hashEntry(entry uint64) (uint64, error) {
+	raw, held, err := i.rel.db.store.Lend(addr.Unpack(entry))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return tup[i.col], nil
+	defer held.Unlock()
+	f, err := i.key.Field(raw)
+	return fnv1a(f), err
 }
 
-// compareKeys orders two column values of the indexed type.
-func (i *Index) compareKeys(a, b any) (int, error) {
-	switch i.rel.schema[i.col].Type {
-	case heap.Int64:
-		x, ok1 := a.(int64)
-		y, ok2 := b.(int64)
-		if !ok1 || !ok2 {
-			return 0, fmt.Errorf("mmdb: index %q wants int64 keys, got %T/%T", i.name, a, b)
-		}
-		switch {
-		case x < y:
-			return -1, nil
-		case x > y:
-			return 1, nil
-		}
-		return 0, nil
-	case heap.Float64:
-		x, ok1 := a.(float64)
-		y, ok2 := b.(float64)
-		if !ok1 || !ok2 {
-			return 0, fmt.Errorf("mmdb: index %q wants float64 keys, got %T/%T", i.name, a, b)
-		}
-		switch {
-		case x < y:
-			return -1, nil
-		case x > y:
-			return 1, nil
-		}
-		return 0, nil
-	case heap.String:
-		x, ok1 := a.(string)
-		y, ok2 := b.(string)
-		if !ok1 || !ok2 {
-			return 0, fmt.Errorf("mmdb: index %q wants string keys, got %T/%T", i.name, a, b)
-		}
-		switch {
-		case x < y:
-			return -1, nil
-		case x > y:
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return 0, fmt.Errorf("mmdb: index %q has unsupported key type", i.name)
-}
-
-// checkKeyType validates a search key against the indexed column type.
+// checkKeyType validates a search key against the indexed column type;
+// nil is an open bound.
 func (i *Index) checkKeyType(v any) error {
-	if v == nil {
-		return nil // open bound
+	if v == nil || i.key.Accepts(v) {
+		return nil
 	}
-	want := i.rel.schema[i.col].Type
-	ok := false
-	switch v.(type) {
-	case int64:
-		ok = want == heap.Int64
-	case float64:
-		ok = want == heap.Float64
-	case string:
-		ok = want == heap.String
-	}
-	if !ok {
-		return fmt.Errorf("mmdb: index %q wants %v keys, got %T", i.name, want, v)
-	}
-	return nil
+	return fmt.Errorf("mmdb: index %q wants %v keys, got %T", i.name, i.rel.schema[i.col].Type, v)
 }
 
-// hashKey hashes an indexed column value for the linear hash index.
+// hashKey hashes a search key as hashEntry hashes the same value stored:
+// FNV-1a over the column's encoded bytes. Stored hashes outlive the
+// process, so the function is fixed (TestHashKeyIsFNV1a).
 func (i *Index) hashKey(v any) (uint64, error) {
-	h := fnv.New64a()
+	var b [8]byte
 	switch x := v.(type) {
 	case int64:
-		var b [8]byte
-		for k := 0; k < 8; k++ {
-			b[k] = byte(x >> (8 * k))
-		}
-		_, _ = h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
 	case float64:
-		bits := math.Float64bits(x)
-		var b [8]byte
-		for k := 0; k < 8; k++ {
-			b[k] = byte(bits >> (8 * k))
-		}
-		_, _ = h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 	case string:
-		_, _ = h.Write([]byte(x))
+		return fnv1a(x), nil
 	default:
 		return 0, fmt.Errorf("mmdb: index %q cannot hash %T", i.name, v)
 	}
-	return h.Sum64(), nil
+	return fnv1a(b[:]), nil
 }
 
-// tree opens the T-Tree over the given pager.
-func (i *Index) tree(p ttree.Pager) (*ttree.Tree, error) {
-	cmpE := func(a, b uint64) (int, error) {
-		ka, err := i.keyOfEntry(p, a)
-		if err != nil {
-			return 0, err
-		}
-		kb, err := i.keyOfEntry(p, b)
-		if err != nil {
-			return 0, err
-		}
-		c, err := i.compareKeys(ka, kb)
-		if err != nil || c != 0 {
-			return c, err
-		}
-		// Duplicates: total order by address.
-		switch {
-		case a < b:
-			return -1, nil
-		case a > b:
-			return 1, nil
-		}
-		return 0, nil
+// fnv1a is hash/fnv's New64a over b, without the hash.Hash.
+func fnv1a[B string | []byte](b B) uint64 {
+	h := uint64(14695981039346656037)
+	for k := 0; k < len(b); k++ {
+		h = (h ^ uint64(b[k])) * 1099511628211
 	}
-	cmpK := func(key any, e uint64) (int, error) {
-		ke, err := i.keyOfEntry(p, e)
-		if err != nil {
-			return 0, err
-		}
-		return i.compareKeys(key, ke)
-	}
-	return ttree.Open(p, i.header, cmpE, cmpK)
+	return h
 }
 
-// table opens the linear hash table over the given pager.
-func (i *Index) table(p linhash.Pager) (*linhash.Table, error) {
-	hash := func(e uint64) (uint64, error) {
-		k, err := i.keyOfEntry(p, e)
-		if err != nil {
-			return 0, err
-		}
-		return i.hashKey(k)
+// openTree opens the T-Tree over the given pager.
+func (i *Index) openTree(p ttree.Pager) (*ttree.Tree, error) {
+	return ttree.Open(p, i.header, i.compareEntries, i.compareKey)
+}
+
+// openTable opens the linear hash table over the given pager.
+func (i *Index) openTable(p linhash.Pager) (*linhash.Table, error) {
+	return linhash.Open(p, i.header, i.hashEntry, i.matchKey)
+}
+
+// readTree returns the T-Tree opened over the store for reading.
+func (i *Index) readTree() (*ttree.Tree, error) {
+	if t := i.tree.Load(); t != nil {
+		return t, nil
 	}
-	match := func(key any, e uint64) (bool, error) {
-		k, err := i.keyOfEntry(p, e)
-		if err != nil {
-			return false, err
-		}
-		c, err := i.compareKeys(key, k)
-		return c == 0, err
+	t, err := i.openTree(txn.ReadPager{Store: i.rel.db.store})
+	if err == nil {
+		i.tree.Store(t)
 	}
-	return linhash.Open(p, i.header, hash, match)
+	return t, err
+}
+
+// readTable returns the linear hash table opened over the store for
+// reading.
+func (i *Index) readTable() (*linhash.Table, error) {
+	if t := i.table.Load(); t != nil {
+		return t, nil
+	}
+	t, err := i.openTable(txn.ReadPager{Store: i.rel.db.store})
+	if err == nil {
+		i.table.Store(t)
+	}
+	return t, err
 }
 
 // CreateRelation creates a relation with the given schema. DDL is
@@ -375,8 +380,12 @@ func (db *DB) CreateIndex(rel *Relation, name string, column string, kind catalo
 
 	idxID := db.mgr.AllocIdxID()
 	seg := db.mgr.AllocSegID()
+	desc := &catalog.IndexDesc{IdxID: idxID, Name: name, RelID: rel.relID, Seg: seg, Kind: kind, Column: col, Order: order}
+	idx, err := newIndex(rel, desc)
+	if err != nil {
+		return nil, err
+	}
 	db.store.EnsureSegment(seg)
-	idx := &Index{rel: rel, idxID: idxID, name: name, seg: seg, kind: kind, col: col, order: order}
 
 	t := db.mgr.Txns.Begin()
 	rollback := func(err error) (*Index, error) {
@@ -395,7 +404,6 @@ func (db *DB) CreateIndex(rel *Relation, name string, column string, kind catalo
 	if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
 		return rollback(err)
 	}
-	desc := &catalog.IndexDesc{IdxID: idxID, Name: name, RelID: rel.relID, Seg: seg, Kind: kind, Column: col, Order: order}
 	da, err := t.InsertEntity(addr.SegIndexCatalog, false, desc.Encode())
 	if err != nil {
 		return rollback(err)
@@ -451,7 +459,7 @@ func (db *DB) CreateIndex(rel *Relation, name string, column string, kind catalo
 // new index, inside the building transaction.
 func (db *DB) populateIndex(t *txn.Txn, idx *Index) error {
 	rel := idx.rel
-	parts, err := db.partsOfSegment(rel, rel.seg)
+	parts, err := db.partsOfSegment(rel.seg)
 	if err != nil {
 		return err
 	}
@@ -486,13 +494,13 @@ func (idx *Index) insertEntry(pager txn.IndexPager, entry uint64) error {
 	defer idx.latch.Unlock()
 	switch idx.kind {
 	case catalog.KindTTree:
-		tr, err := idx.tree(pager)
+		tr, err := idx.openTree(pager)
 		if err != nil {
 			return err
 		}
 		return tr.Insert(entry)
 	case catalog.KindLinHash:
-		tb, err := idx.table(pager)
+		tb, err := idx.openTable(pager)
 		if err != nil {
 			return err
 		}
@@ -507,7 +515,7 @@ func (idx *Index) deleteEntry(pager txn.IndexPager, entry uint64) error {
 	defer idx.latch.Unlock()
 	switch idx.kind {
 	case catalog.KindTTree:
-		tr, err := idx.tree(pager)
+		tr, err := idx.openTree(pager)
 		if err != nil {
 			return err
 		}
@@ -516,7 +524,7 @@ func (idx *Index) deleteEntry(pager txn.IndexPager, entry uint64) error {
 		}
 		return nil
 	case catalog.KindLinHash:
-		tb, err := idx.table(pager)
+		tb, err := idx.openTable(pager)
 		if err != nil {
 			return err
 		}

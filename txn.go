@@ -87,13 +87,20 @@ func (tx *Txn) Get(rel *Relation, id RowID) (heap.Tuple, error) {
 	if err := tx.t.LockEntity(id, lock.S); err != nil {
 		return nil, err
 	}
-	raw, err := tx.t.ReadEntity(id)
+	return tx.decodeRow(rel, id)
+}
+
+// decodeRow decodes the row straight from its partition: the tuple's
+// bytes are borrowed for the decode, not copied first.
+func (tx *Txn) decodeRow(rel *Relation, id RowID) (heap.Tuple, error) {
+	raw, held, err := tx.t.LendEntity(id)
 	if err != nil {
 		if errors.Is(err, txn.ErrNotFound) {
 			return nil, fmt.Errorf("%w: row %v", ErrNotFound, id)
 		}
 		return nil, err
 	}
+	defer held.Unlock()
 	return rel.schema.Decode(raw)
 }
 
@@ -110,14 +117,7 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 	if err := tx.t.LockEntity(id, lock.X); err != nil {
 		return err
 	}
-	raw, err := tx.t.ReadEntity(id)
-	if err != nil {
-		if errors.Is(err, txn.ErrNotFound) {
-			return fmt.Errorf("%w: row %v", ErrNotFound, id)
-		}
-		return err
-	}
-	oldTup, err := rel.schema.Decode(raw)
+	oldTup, err := tx.decodeRow(rel, id)
 	if err != nil {
 		return err
 	}
@@ -199,12 +199,14 @@ func (tx *Txn) Delete(rel *Relation, id RowID) error {
 	if err := tx.t.LockEntity(id, lock.X); err != nil {
 		return err
 	}
-	if _, err := tx.t.ReadEntity(id); err != nil {
+	_, held, err := tx.t.LendEntity(id)
+	if err != nil {
 		if errors.Is(err, txn.ErrNotFound) {
 			return fmt.Errorf("%w: row %v", ErrNotFound, id)
 		}
 		return err
 	}
+	held.Unlock()
 	// Remove index entries while the tuple is still readable (the
 	// comparators need its key).
 	for _, idx := range rel.Indexes() {
@@ -224,7 +226,7 @@ func (tx *Txn) Scan(rel *Relation, fn func(id RowID, tuple heap.Tuple) bool) err
 	if err := tx.t.LockRelation(rel.relID, lock.S); err != nil {
 		return err
 	}
-	parts, err := tx.db.partsOfSegment(rel, rel.seg)
+	parts, err := tx.db.partsOfSegment(rel.seg)
 	if err != nil {
 		return err
 	}
@@ -269,19 +271,18 @@ func (tx *Txn) Count(rel *Relation) (int, error) {
 	return n, err
 }
 
+// ErrNilKey is returned by IndexLookup for a nil key: nil is an open
+// bound of IndexRange, not a value a row can equal.
+var ErrNilKey = errors.New("mmdb: nil look-up key")
+
 // IndexLookup finds rows whose indexed column equals key. Matches are
 // re-validated under entity share locks after the index probe, so
 // entries from uncommitted or aborted transactions are never returned.
 func (tx *Txn) IndexLookup(idx *Index, key any, fn func(id RowID, tuple heap.Tuple) bool) error {
-	rel := idx.rel
-	if err := tx.t.LockRelation(rel.relID, lock.IS); err != nil {
-		return err
+	if key == nil {
+		return fmt.Errorf("%w (index %q)", ErrNilKey, idx.name)
 	}
-	entries, err := tx.probe(idx, key, key)
-	if err != nil {
-		return err
-	}
-	return tx.validateAndVisit(rel, idx, key, key, entries, fn)
+	return tx.visit(idx, key, key, fn)
 }
 
 // IndexRange visits rows with lo <= key <= hi in key order (T-Tree
@@ -290,46 +291,47 @@ func (tx *Txn) IndexRange(idx *Index, lo, hi any, fn func(id RowID, tuple heap.T
 	if idx.kind != KindTTree {
 		return fmt.Errorf("mmdb: IndexRange requires a T-Tree index, %q is %v", idx.name, idx.kind)
 	}
-	rel := idx.rel
-	if err := tx.t.LockRelation(rel.relID, lock.IS); err != nil {
+	return tx.visit(idx, lo, hi, fn)
+}
+
+// visit is the body of both: probe, then validate and report.
+func (tx *Txn) visit(idx *Index, lo, hi any, fn func(id RowID, tuple heap.Tuple) bool) error {
+	if err := tx.t.LockRelation(idx.rel.relID, lock.IS); err != nil {
 		return err
 	}
-	entries, err := tx.probe(idx, lo, hi)
+	var few [8]uint64 // a point look-up's candidates stay on the stack
+	entries, err := tx.probe(idx, lo, hi, few[:0])
 	if err != nil {
 		return err
 	}
-	return tx.validateAndVisit(rel, idx, lo, hi, entries, fn)
+	return tx.validateAndVisit(idx, lo, hi, entries, fn)
 }
 
-// probe collects candidate entries under the index read latch, without
-// taking tuple locks (lock acquisition under a latch could deadlock
-// undetectably, §2.5's latch discussion).
-func (tx *Txn) probe(idx *Index, lo, hi any) ([]uint64, error) {
+// probe appends the candidate entries to out under the index read latch,
+// without taking tuple locks (lock acquisition under a latch could
+// deadlock undetectably, §2.5's latch discussion).
+func (tx *Txn) probe(idx *Index, lo, hi any, out []uint64) ([]uint64, error) {
 	if err := idx.checkKeyType(lo); err != nil {
 		return nil, err
 	}
 	if err := idx.checkKeyType(hi); err != nil {
 		return nil, err
 	}
+	collect := func(e uint64) bool {
+		out = append(out, e)
+		return true
+	}
 	idx.latch.RLock()
 	defer idx.latch.RUnlock()
-	pager := txn.ReadPager{Store: tx.db.store}
-	var out []uint64
 	switch idx.kind {
 	case KindTTree:
-		tr, err := idx.tree(pager)
+		tr, err := idx.readTree()
 		if err != nil {
 			return nil, err
 		}
-		err = tr.Range(lo, hi, func(e uint64) bool {
-			out = append(out, e)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+		return out, tr.Range(lo, hi, collect)
 	case KindLinHash:
-		tb, err := idx.table(pager)
+		tb, err := idx.readTable()
 		if err != nil {
 			return nil, err
 		}
@@ -337,61 +339,57 @@ func (tx *Txn) probe(idx *Index, lo, hi any) ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = tb.Lookup(lo, kh, func(e uint64) bool {
-			out = append(out, e)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("mmdb: unknown index kind %v", idx.kind)
+		return out, tb.Lookup(lo, kh, collect)
 	}
-	return out, nil
+	return nil, fmt.Errorf("mmdb: unknown index kind %v", idx.kind)
 }
 
 // validateAndVisit locks and re-reads each candidate, dropping rows
-// that vanished or whose key no longer falls in [lo, hi].
-func (tx *Txn) validateAndVisit(rel *Relation, idx *Index, lo, hi any, entries []uint64, fn func(RowID, heap.Tuple) bool) error {
+// that vanished or whose key no longer falls in [lo, hi]. The key is
+// checked on the borrowed bytes; a row that passes gets the full Decode,
+// still from those bytes.
+func (tx *Txn) validateAndVisit(idx *Index, lo, hi any, entries []uint64, fn func(RowID, heap.Tuple) bool) error {
 	for _, e := range entries {
 		id := addr.Unpack(e)
 		if err := tx.t.LockEntity(id, lock.S); err != nil {
 			return err
 		}
-		raw, err := tx.t.ReadEntity(id)
+		raw, held, err := tx.t.LendEntity(id)
 		if err != nil {
 			if errors.Is(err, txn.ErrNotFound) {
 				continue // deleted between probe and lock
 			}
 			return err
 		}
-		tup, err := rel.schema.Decode(raw)
+		var tup heap.Tuple
+		in, err := idx.inRange(lo, hi, raw)
+		if in && err == nil {
+			tup, err = idx.rel.schema.Decode(raw)
+		}
+		held.Unlock()
 		if err != nil {
 			return err
 		}
-		if lo != nil {
-			c, err := idx.compareKeys(lo, tup[idx.col])
-			if err != nil {
-				return err
-			}
-			if c > 0 {
-				continue
-			}
-		}
-		if hi != nil {
-			c, err := idx.compareKeys(hi, tup[idx.col])
-			if err != nil {
-				return err
-			}
-			if c < 0 {
-				continue
-			}
-		}
-		if !fn(id, tup) {
+		if in && !fn(id, tup) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// inRange reports whether the encoded tuple's key lies in [lo, hi].
+func (idx *Index) inRange(lo, hi any, tuple []byte) (bool, error) {
+	if lo != nil {
+		if c, err := idx.key.Compare(lo, tuple); err != nil || c > 0 {
+			return false, err
+		}
+	}
+	if hi != nil {
+		if c, err := idx.key.Compare(hi, tuple); err != nil || c < 0 {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // IndexKind and the kind constants are re-exported for callers.
