@@ -14,9 +14,12 @@ import (
 )
 
 func stats(label string, db *mmdb.DB) {
-	s := db.Stats()
+	s := db.Metrics()
+	lg, ck := s.Subsystem("log"), s.Subsystem("checkpoint")
 	fmt.Printf("  [%s] records sorted %d | pages flushed %d | ckpt by-count %d by-age %d done %d | archived %d\n",
-		label, s.RecordsSorted, s.PagesFlushed, s.CkptByUpdateCount, s.CkptByAge, s.CkptCompleted, s.PagesArchived)
+		label, lg.Counter("records_sorted"), lg.Counter("pages_flushed"),
+		ck.Counter("triggered_by_update_count"), ck.Counter("triggered_by_age"), ck.Counter("completed"),
+		lg.Counter("pages_archived"))
 }
 
 func main() {

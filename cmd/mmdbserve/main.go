@@ -41,7 +41,6 @@ func main() {
 		recWorkers  = flag.Int("recovery-workers", 4, "background sweep worker count")
 		heatBytes   = flag.Int("heat-snapshot", 16<<10, "stable heat-snapshot bytes (0 disables heat tracking)")
 		heatEvery   = flag.Int("heat-persist-every", 0, "persist the heat ranking every N touches (0 = default)")
-		heatNoOrder = flag.Bool("no-heat-ordering", false, "keep the sweep's catalog order even with a heat snapshot")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 	cfg.RecoveryWorkers = *recWorkers
 	cfg.HeatSnapshotBytes = *heatBytes
 	cfg.HeatPersistEvery = *heatEvery
-	cfg.DisableHeatOrdering = *heatNoOrder
 	// An (initially empty) injector so remote OpCrash halts the
 	// simulated machine sharply, exactly like the test crashes.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{})

@@ -114,9 +114,7 @@ func main() {
 				return
 			}
 			fmt.Println("crashed and recovered; catalogs restored, partitions on demand")
-		case "stats":
-			fmt.Printf("%+v\n", db.Stats())
-		case "metrics":
+		case "stats", "metrics":
 			fmt.Print(metrics.FormatTable(db.Metrics()))
 		case "bins":
 			for _, b := range db.Manager().BinStates() {

@@ -91,9 +91,9 @@ func main() {
 		log.Fatal(err)
 	}
 	db.WaitIdle()
-	st := db.Stats()
+	s := db.Metrics()
 	fmt.Printf("before crash: %d checkpoints completed, %d log pages flushed\n",
-		st.CkptCompleted, st.PagesFlushed)
+		s.Subsystem("checkpoint").Counter("completed"), s.Subsystem("log").Counter("pages_flushed"))
 	hw := db.Crash()
 	fmt.Println("crash mid-flight (one transfer uncommitted)")
 

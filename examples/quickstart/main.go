@@ -85,9 +85,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("all %d accounts intact after recovery\n", n)
-	st := db2.Stats()
+	rs := db2.Metrics().Subsystem("restart")
 	fmt.Printf("recovery stats: %d partitions recovered, %d log pages replayed\n",
-		st.PartsRecovered, st.RecoveryLogPages)
+		rs.Counter("partitions_recovered"), rs.Counter("log_pages_read"))
 
 	// Metrics carry the latency distributions behind those counters
 	// (this is the README's Observability example).

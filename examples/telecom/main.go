@@ -108,13 +108,14 @@ func main() {
 	fmt.Printf("catalogs ready in %v; first billing lookup (plan=%q) served in %v\n",
 		catalogReady, plan, firstTxn)
 
-	st := db2.Stats()
-	fmt.Printf("partitions recovered on demand so far: %d\n", st.PartsRecovered)
+	recovered := func() int64 { return db2.Metrics().Subsystem("restart").Counter("partitions_recovered") }
+	onDemand := recovered()
+	fmt.Printf("partitions recovered on demand so far: %d\n", onDemand)
 
 	// Meanwhile the background sweep restores the call archive; wait
 	// for it and run an aggregate.
 	for i := 0; i < 1000; i++ {
-		if db2.Stats().PartsRecovered >= st.PartsRecovered+1 {
+		if recovered() >= onDemand+1 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -137,9 +138,8 @@ func main() {
 	fullRecovery := time.Since(t0)
 	fmt.Printf("call archive restored: %d records, %.0f call-seconds (full recovery after %v)\n",
 		n, totalSeconds, fullRecovery)
-	final := db2.Stats()
 	fmt.Printf("total partitions recovered: %d, log pages replayed: %d\n",
-		final.PartsRecovered, final.RecoveryLogPages)
+		recovered(), db2.Metrics().Subsystem("restart").Counter("log_pages_read"))
 	_ = byPhone
 	_ = subIDs
 }

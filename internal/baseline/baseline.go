@@ -1,19 +1,12 @@
-// Package baseline implements the comparison points of §1.1/§1.2 and
-// §3.4.1:
+// Package baseline implements the comparison point of §3.4.1: Engine,
+// database-level recovery, the "one very large partition" special case
+// — checkpoints stream the entire memory-resident database to disk (à
+// la Hagmann [Hagmann 86]) and restart reloads the entire database and
+// processes the whole log before any transaction can run.
 //
-//   - Engine: database-level recovery, the "one very large partition"
-//     special case — checkpoints stream the entire memory-resident
-//     database to disk (à la Hagmann [Hagmann 86]) and restart reloads
-//     the entire database and processes the whole log before any
-//     transaction can run;
-//   - SyncWAL: a disk-synchronised write-ahead log in the style of
-//     Lindsay et al. (method 4 of §1.1), where commit waits for the log
-//     force; used to quantify what the stable-memory instant commit
-//     buys.
-//
-// Both share the simulated hardware and cost accounting, so their
-// numbers are directly comparable with the partition-level design in
-// package core.
+// It runs on the same simulated disks and charges the same busy-time
+// counters, so its numbers are directly comparable with the
+// partition-level design in package core.
 package baseline
 
 import (
@@ -21,7 +14,7 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
-	"mmdb/internal/cost"
+	"mmdb/internal/metrics"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
@@ -34,8 +27,12 @@ type Engine struct {
 	store    *mm.Store
 	logDisk  *simdisk.DuplexLog
 	ckptDisk *simdisk.CheckpointDisk
-	meter    *cost.Meter
 	pageSize int
+
+	// LogDiskBusy and CkptDiskBusy are the engine's simulated disk busy
+	// time in µs: what core's sim/log_disk_busy_us and
+	// sim/ckpt_disk_busy_us are for the partition-level design.
+	LogDiskBusy, CkptDiskBusy metrics.Counter
 
 	cur      []byte        // current global log page
 	logPages []simdisk.LSN // pages since the last full checkpoint
@@ -48,21 +45,15 @@ type Engine struct {
 
 // New creates a database-level engine over fresh simulated hardware
 // components. partSize is the partition size used by its store.
-func New(partSize, logPageSize, ckptTracks int, disk simdisk.Params, meter *cost.Meter) *Engine {
-	return &Engine{
-		store:    mm.NewStore(partSize),
-		logDisk:  simdisk.NewDuplexLog(disk, meter),
-		ckptDisk: simdisk.NewCheckpointDisk(ckptTracks, disk, meter),
-		meter:    meter,
-		pageSize: logPageSize,
-	}
+func New(partSize, logPageSize, ckptTracks int, disk simdisk.Params) *Engine {
+	e := &Engine{store: mm.NewStore(partSize), pageSize: logPageSize}
+	e.logDisk = simdisk.NewDuplexLog(disk, &e.LogDiskBusy)
+	e.ckptDisk = simdisk.NewCheckpointDisk(ckptTracks, disk, &e.CkptDiskBusy)
+	return e
 }
 
 // Store returns the engine's memory manager.
 func (e *Engine) Store() *mm.Store { return e.store }
-
-// Meter returns the engine's cost meter.
-func (e *Engine) Meter() *cost.Meter { return e.meter }
 
 // Commit durably logs one committed transaction's records, appended to
 // the single global log stream in commit order.
@@ -196,67 +187,4 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 	}
 	e.store = store
 	return store, nil
-}
-
-// SyncWAL models the disk-force commit path of a conventional
-// write-ahead-log scheme (Lindsay et al., §1.1 method 4): a committing
-// transaction waits until its log records reach the disk. Group commit
-// batches the force across waiting transactions.
-type SyncWAL struct {
-	disk      *simdisk.LogDisk
-	params    simdisk.Params
-	meter     *cost.Meter
-	pageSize  int
-	buf       []byte
-	groupSize int // transactions per force (1 = no group commit)
-	pending   int
-	// ForcesIssued counts physical log forces.
-	ForcesIssued int64
-}
-
-// NewSyncWAL creates the baseline committer. groupSize of 1 disables
-// group commit.
-func NewSyncWAL(pageSize, groupSize int, params simdisk.Params, meter *cost.Meter) *SyncWAL {
-	if groupSize < 1 {
-		groupSize = 1
-	}
-	return &SyncWAL{
-		disk:      simdisk.NewLogDisk(params, meter),
-		params:    params,
-		meter:     meter,
-		pageSize:  pageSize,
-		groupSize: groupSize,
-	}
-}
-
-// Commit appends one transaction's records and, at the group boundary,
-// forces the log: the caller's simulated commit latency is the returned
-// number of microseconds.
-func (w *SyncWAL) Commit(records []wal.Record) (int64, error) {
-	for i := range records {
-		w.buf = append(w.buf, records[i].Encode(nil)...)
-	}
-	w.pending++
-	if w.pending < w.groupSize {
-		// Pre-commit: locks released, but the transaction officially
-		// commits when the group's log force completes; we charge no
-		// latency here (the force is attributed to the group).
-		return 0, nil
-	}
-	w.pending = 0
-	latency := int64(0)
-	for len(w.buf) > 0 {
-		n := w.pageSize
-		if n > len(w.buf) {
-			n = len(w.buf)
-		}
-		if _, err := w.disk.Append(w.buf[:n]); err != nil {
-			return 0, err
-		}
-		// Commit latency: rotation to the write slot plus transfer.
-		latency += w.params.RotateMicros + int64(n)*1e6/w.params.BytesPerSec
-		w.buf = w.buf[n:]
-		w.ForcesIssued++
-	}
-	return latency, nil
 }

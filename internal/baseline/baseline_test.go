@@ -7,14 +7,13 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
-	"mmdb/internal/cost"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
 )
 
 func newEngine() *Engine {
-	return New(4096, 1024, 1024, simdisk.DefaultParams(), &cost.Meter{})
+	return New(4096, 1024, 1024, simdisk.DefaultParams())
 }
 
 // run applies records to the live store and logs them as one committed
@@ -99,23 +98,20 @@ func TestRecoverFromCheckpointPlusLog(t *testing.T) {
 
 func TestCheckpointStreamsWholeDatabase(t *testing.T) {
 	e := newEngine()
-	meter := e.Meter()
 	// 8 partitions of data.
 	for part := 0; part < 8; part++ {
 		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
 		run(t, e, []wal.Record{ins(pid, 0, fmt.Sprintf("p%d", part))})
 	}
-	before := meter.Snapshot()
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d := meter.Snapshot().Sub(before)
-	if d.CkptDiskMicros == 0 {
+	written := e.CkptDiskBusy.Value()
+	if written == 0 {
 		t.Fatal("checkpoint charged no disk time")
 	}
 	// Recovery reloads all 8 partitions even if only one is wanted:
 	// that is the point of the comparison.
-	before = meter.Snapshot()
 	store, err := e.Recover(4096)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +119,7 @@ func TestCheckpointStreamsWholeDatabase(t *testing.T) {
 	if got := len(store.ResidentIDs()); got != 8 {
 		t.Fatalf("recovered %d partitions", got)
 	}
-	d = meter.Snapshot().Sub(before)
-	if d.CkptDiskMicros == 0 {
+	if e.CkptDiskBusy.Value() == written {
 		t.Fatal("recovery charged no disk time")
 	}
 }
@@ -144,59 +139,15 @@ func TestRecoveryLargerThanPartitionLevelShape(t *testing.T) {
 		if err := e.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		before := e.Meter().Snapshot()
+		before := e.CkptDiskBusy.Value()
 		if _, err := e.Recover(4096); err != nil {
 			t.Fatal(err)
 		}
-		d := e.Meter().Snapshot().Sub(before)
-		if d.CkptDiskMicros <= prev {
-			t.Fatalf("recovery time did not grow with db size: %d then %d", prev, d.CkptDiskMicros)
+		d := e.CkptDiskBusy.Value() - before
+		if d <= prev {
+			t.Fatalf("recovery time did not grow with db size: %d then %d", prev, d)
 		}
-		prev = d.CkptDiskMicros
-	}
-}
-
-func TestSyncWALChargesCommitLatency(t *testing.T) {
-	m := &cost.Meter{}
-	w := NewSyncWAL(4096, 1, simdisk.DefaultParams(), m)
-	recs := []wal.Record{ins(addr.PartitionID{Segment: 2, Part: 0}, 0, "x")}
-	lat, err := w.Commit(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("sync commit reported zero latency")
-	}
-	if w.ForcesIssued != 1 {
-		t.Fatalf("forces = %d", w.ForcesIssued)
-	}
-}
-
-func TestSyncWALGroupCommitAmortises(t *testing.T) {
-	m := &cost.Meter{}
-	const group = 8
-	w := NewSyncWAL(4096, group, simdisk.DefaultParams(), m)
-	var total int64
-	recs := []wal.Record{ins(addr.PartitionID{Segment: 2, Part: 0}, 0, "x")}
-	for i := 0; i < 64; i++ {
-		lat, err := w.Commit(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += lat
-	}
-	if w.ForcesIssued == 0 {
-		t.Fatal("no forces issued")
-	}
-	// With group commit, far fewer forces than transactions.
-	if w.ForcesIssued > 64/group+1 {
-		t.Fatalf("forces = %d, want <= %d", w.ForcesIssued, 64/group+1)
-	}
-	// Per-transaction latency far below solo forcing.
-	solo := NewSyncWAL(4096, 1, simdisk.DefaultParams(), &cost.Meter{})
-	soloLat, _ := solo.Commit(recs)
-	if total/64 >= soloLat {
-		t.Fatalf("group commit per-txn %dus !< solo %dus", total/64, soloLat)
+		prev = d
 	}
 }
 

@@ -208,12 +208,12 @@ func TestChangeAccumulationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.m.WaitIdle()
-	st := h.m.Stats()
-	if st.RecordsAccumulated < 45 {
-		t.Fatalf("accumulated only %d records", st.RecordsAccumulated)
+	st := h.m.Metrics()
+	if st.RecordsAccumulated.Value() < 45 {
+		t.Fatalf("accumulated only %d records", st.RecordsAccumulated.Value())
 	}
-	if st.RecordsSorted > 10 {
-		t.Fatalf("sorted %d records despite accumulation", st.RecordsSorted)
+	if st.RecordsSorted.Value() > 10 {
+		t.Fatalf("sorted %d records despite accumulation", st.RecordsSorted.Value())
 	}
 	h.crash()
 	defer h.m.Stop()

@@ -139,8 +139,8 @@ func TestInjectCommittedFlowsThroughSorter(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.m.WaitIdle()
-	if h.m.Stats().RecordsSorted != 1 {
-		t.Fatalf("sorted %d", h.m.Stats().RecordsSorted)
+	if h.m.Metrics().RecordsSorted.Value() != 1 {
+		t.Fatalf("sorted %d", h.m.Metrics().RecordsSorted.Value())
 	}
 	// And it is recoverable.
 	p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: 0}, simdisk.NilTrack)

@@ -22,7 +22,7 @@ func (h *harness) runArchiveWorkload() (a addrEntity, want []byte) {
 		h.update(ea, want)
 	}
 	h.m.WaitIdle()
-	h.waitFor("checkpoint completion", func() bool { return h.m.Stats().CkptCompleted >= 1 })
+	h.waitFor("checkpoint completion", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	h.waitFor("archive entries", func() bool { return h.hw.Arch.Entries() > 0 })
 	h.m.WaitIdle()
 	return addrEntity{ea.Partition(), ea.Slot}, want

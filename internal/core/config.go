@@ -121,15 +121,6 @@ type Config struct {
 	// N-th partition access serialises the ranking into the stable
 	// region. 0 means heat.DefaultPersistEvery (4096).
 	HeatPersistEvery int
-	// HeatHalfLife decays access counts by half once per elapsed
-	// half-life, so the ranking tracks the current working set rather
-	// than all-time totals. 0 disables decay.
-	HeatHalfLife time.Duration
-	// DisableHeatOrdering keeps the sweep's catalog-order round-robin
-	// shards even when a heat snapshot was recovered — the unordered
-	// baseline that `paperbench restart` compares time-to-p99-restored
-	// against.
-	DisableHeatOrdering bool
 }
 
 // DefaultConfig returns the paper's environment: 48 KB partitions, 8 KB
@@ -151,26 +142,4 @@ func DefaultConfig() Config {
 		Cost:               model.PaperParams(),
 		BackgroundRecovery: true,
 	}
-}
-
-// Stats is a snapshot of recovery-component counters.
-type Stats struct {
-	RecordsSorted      int64 // records moved SLB -> SLT bins
-	RecordsAccumulated int64 // records removed by change accumulation
-	BytesSorted        int64
-	PagesFlushed       int64 // bin pages written to the log disk
-	CkptByUpdateCount  int64 // checkpoints triggered by update count
-	CkptByAge          int64 // checkpoints triggered by age
-	CkptCompleted      int64
-	CkptFailed         int64
-	CkptAbandoned      int64 // requests dropped after repeated failures
-	PagesArchived      int64 // log pages rolled to tape
-	WindowOverruns     int64 // pages kept past the window for safety
-	PartsRecovered     int64 // partitions restored post-crash
-	RecoveryLogPages   int64 // log pages read during recovery
-	SweepErrors        int64 // failed recovery attempts during the sweep
-	TxnsCommitted      int64
-	TxnsAborted        int64
-	EpochsSealed       int64 // group-commit epochs sealed across all streams
-	EpochRollbacks     int64 // committed-but-unsealed chains rolled back at restart
 }

@@ -180,10 +180,10 @@ func TestUpdateCountTriggersCheckpoint(t *testing.T) {
 		h.update(a, bytes.Repeat([]byte{byte(i)}, 64))
 	}
 	h.waitFor("update-count checkpoint", func() bool {
-		return h.m.Stats().CkptCompleted >= 1
+		return h.m.Metrics().CkptCompleted.Value() >= 1
 	})
-	st := h.m.Stats()
-	if st.CkptByUpdateCount == 0 {
+	st := h.m.Metrics()
+	if st.CkptByUpdateCount.Value() == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	// The bin's update count must have been reset by the fence drop.
@@ -229,7 +229,7 @@ func TestAgeTriggersCheckpoint(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		h.update(b, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	h.waitFor("age checkpoint", func() bool { return h.m.Stats().CkptByAge >= 1 })
+	h.waitFor("age checkpoint", func() bool { return h.m.Metrics().CkptByAge.Value() >= 1 })
 }
 
 func TestCheckpointFailureRetriesAndRecovers(t *testing.T) {
@@ -254,10 +254,10 @@ func TestCheckpointFailureRetriesAndRecovers(t *testing.T) {
 		h.update(a, []byte(fmt.Sprintf("v%04d", i)))
 	}
 	h.waitFor("checkpoint success after failures", func() bool {
-		return h.m.Stats().CkptCompleted >= 1
+		return h.m.Metrics().CkptCompleted.Value() >= 1
 	})
-	if h.m.Stats().CkptFailed < 3 {
-		t.Fatalf("expected >=3 failures, got %d", h.m.Stats().CkptFailed)
+	if h.m.Metrics().CkptFailed.Value() < 3 {
+		t.Fatalf("expected >=3 failures, got %d", h.m.Metrics().CkptFailed.Value())
 	}
 }
 
@@ -278,7 +278,7 @@ func TestCrashBetweenCommitAndFinish(t *testing.T) {
 	for i := 0; i < h.cfg.UpdateThreshold+5; i++ {
 		h.update(a, []byte(fmt.Sprintf("state-%04d", i)))
 	}
-	h.waitFor("first checkpoint", func() bool { return h.m.Stats().CkptCompleted >= 1 })
+	h.waitFor("first checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	h.m.WaitIdle()
 
 	// More updates after the checkpoint.
@@ -504,14 +504,14 @@ func TestStatsAndWaitIdle(t *testing.T) {
 	a := h.insert(seg, []byte("x"))
 	h.update(a, []byte("y"))
 	h.m.WaitIdle()
-	st := h.m.Stats()
-	if st.RecordsSorted < 3 { // part-alloc + insert + update
-		t.Fatalf("RecordsSorted = %d", st.RecordsSorted)
+	st := h.m.Metrics()
+	if st.RecordsSorted.Value() < 3 { // part-alloc + insert + update
+		t.Fatalf("RecordsSorted = %d", st.RecordsSorted.Value())
 	}
-	if st.TxnsCommitted != 2 {
-		t.Fatalf("TxnsCommitted = %d", st.TxnsCommitted)
+	if st.TxnsCommitted.Value() != 2 {
+		t.Fatalf("TxnsCommitted = %d", st.TxnsCommitted.Value())
 	}
-	if st.BytesSorted <= 0 {
+	if st.BytesSorted.Value() <= 0 {
 		t.Fatal("BytesSorted not counted")
 	}
 }

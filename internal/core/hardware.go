@@ -2,7 +2,6 @@ package core
 
 import (
 	"mmdb/internal/archive"
-	"mmdb/internal/cost"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/stablemem"
 )
@@ -10,17 +9,17 @@ import (
 // Hardware bundles everything that survives a crash: the stable
 // reliable memory (holding the Stable Log Buffer, Stable Log Tail, and
 // the well-known root), the duplexed log disks, the checkpoint disk
-// set, and the append-only archive store — plus the cost meter (§2.2,
-// Figure 1).
+// set, and the append-only archive store (§2.2, Figure 1).
 //
 // DB.Crash() discards every volatile structure and returns this value;
-// Recover builds a fresh system around it.
+// Recover builds a fresh system around it. The devices charge their
+// simulated cost to the sim/* counters of whichever Manager New last
+// attached to them.
 type Hardware struct {
 	Stable *stablemem.Memory
 	Log    *simdisk.DuplexLog
 	Ckpt   *simdisk.CheckpointDisk
 	Arch   *archive.Store
-	Meter  *cost.Meter
 }
 
 // NewHardware builds the hardware complement for a fresh database.
@@ -29,16 +28,14 @@ type Hardware struct {
 // selects the in-memory backend, which survives simulated power cycles
 // but not process exit.
 func NewHardware(cfg Config) (*Hardware, error) {
-	m := &cost.Meter{}
 	arch, err := archive.Open(cfg.ArchiveDir, cfg.ArchiveSegmentBytes)
 	if err != nil {
 		return nil, err
 	}
 	return &Hardware{
-		Stable: stablemem.New(cfg.StableBytes, cfg.StableSlowdown, m),
-		Log:    simdisk.NewDuplexLog(cfg.Disk, m),
-		Ckpt:   simdisk.NewCheckpointDisk(cfg.CheckpointTracks, cfg.Disk, m),
+		Stable: stablemem.New(cfg.StableBytes, cfg.StableSlowdown, nil),
+		Log:    simdisk.NewDuplexLog(cfg.Disk, nil),
+		Ckpt:   simdisk.NewCheckpointDisk(cfg.CheckpointTracks, cfg.Disk, nil),
 		Arch:   arch,
-		Meter:  m,
 	}, nil
 }

@@ -81,7 +81,7 @@ func TestSweepFollowsHeatOrder(t *testing.T) {
 	defer h.m.Stop()
 
 	h.m.Resume()
-	h.m.Sweep()
+	h.m.Sweep(false)
 
 	// The sweep must have declared itself heat-ordered...
 	var begin trace.Event
@@ -120,7 +120,6 @@ func TestSweepFollowsHeatOrder(t *testing.T) {
 func TestSweepHeatOrderingDisabled(t *testing.T) {
 	cfg := heatCfg()
 	cfg.RecoveryWorkers = 1
-	cfg.DisableHeatOrdering = true
 	h := newHarness(t, cfg)
 	h.start()
 	_, pids := seedPartitions(h, 4)
@@ -130,7 +129,7 @@ func TestSweepHeatOrderingDisabled(t *testing.T) {
 	defer h.m.Stop()
 
 	h.m.Resume()
-	h.m.Sweep()
+	h.m.Sweep(true)
 	for _, e := range h.m.TraceEvents() {
 		if e.Kind == trace.KindSweepBegin && e.Arg != 0 {
 			t.Fatalf("sweep begin Arg = %d with heat ordering disabled, want 0", e.Arg)
@@ -174,7 +173,7 @@ func TestRecoveryProgressAndTTP99(t *testing.T) {
 	}
 
 	h.m.Resume()
-	h.m.Sweep()
+	h.m.Sweep(false)
 
 	p = h.m.RecoveryProgress(3)
 	if p.Recovering || !p.SweepDone {
@@ -227,7 +226,7 @@ func TestHeatDisabledIsInert(t *testing.T) {
 	sweepCrash(h, pids)
 	defer h.m.Stop()
 	h.m.Resume()
-	h.m.Sweep()
+	h.m.Sweep(false)
 	p := h.m.RecoveryProgress(4)
 	if p.HeatOrdered || p.HeatWeightTotal != 0 || p.TTP99RestoredNS != 0 || len(p.TopHot) != 0 {
 		t.Fatalf("progress with heat disabled = %+v, want inert heat fields", p)
@@ -262,7 +261,7 @@ func TestCorruptHeatSnapshotFallsBackToCatalogOrder(t *testing.T) {
 		t.Fatalf("heat/snapshot_rejected = %d, want >= 1", n)
 	}
 	h.m.Resume()
-	h.m.Sweep()
+	h.m.Sweep(false)
 
 	var begin trace.Event
 	for _, e := range h.m.TraceEvents() {

@@ -46,7 +46,7 @@ func TestEpochBoundaryCrashRollsBackWholeEpoch(t *testing.T) {
 
 	h.crash()
 	defer h.m.Stop()
-	if rb := h.m.Stats().EpochRollbacks; rb < 1 {
+	if rb := h.m.Metrics().EpochRollbacks.Value(); rb < 1 {
 		t.Fatalf("EpochRollbacks = %d, want >= 1", rb)
 	}
 	rtx := h.m.Txns.Begin()
@@ -174,7 +174,7 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 			t.Fatalf("worker %d slot = %q, want %q", w, got, want)
 		}
 	}
-	if st := h.m.Stats(); st.EpochRollbacks != 0 {
-		t.Fatalf("unexpected epoch rollbacks: %d", st.EpochRollbacks)
+	if st := h.m.Metrics(); st.EpochRollbacks.Value() != 0 {
+		t.Fatalf("unexpected epoch rollbacks: %d", st.EpochRollbacks.Value())
 	}
 }

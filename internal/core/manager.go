@@ -98,9 +98,8 @@ type Manager struct {
 	finishCh chan finishMsg
 	freedCh  chan addr.PartitionID
 
-	// metrics is the unified observability registry; the counters that
-	// used to live in an ad-hoc stats struct are now registry-backed
-	// (Stats() is a compatibility shim over it).
+	// metrics is this generation's registry: every number the component
+	// reports, measured or simulated, is an instrument in it.
 	metrics *Metrics
 
 	// tracer is the structured event tracer (nil when tracing is off);
@@ -128,6 +127,11 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	// per-stream counters must match the stream count of the buffer that
 	// actually survived (which can differ from cfg.LogStreams).
 	mt := newMetrics(s.streams())
+	// The devices outlive managers: from here on they charge their
+	// simulated cost to this generation's registry.
+	hw.Stable.SetRefs(mt.SimStableRefs)
+	hw.Log.SetBusy(mt.SimLogDiskBusy)
+	hw.Ckpt.SetBusy(mt.SimCkptDiskBusy)
 	m := &Manager{
 		cfg:      cfg,
 		hw:       hw,
@@ -175,7 +179,7 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	// Attach the heat tracker after the tracer, so the prior generation's
 	// ranking (recovered from the stable snapshot region) can seed the
 	// restart-progress state and heat events are traced from the start.
-	ht, recovered, rejected, err := heat.Attach(hw.Stable, cfg.HeatSnapshotBytes, cfg.HeatPersistEvery, cfg.HeatHalfLife)
+	ht, recovered, rejected, err := heat.Attach(hw.Stable, cfg.HeatSnapshotBytes, cfg.HeatPersistEvery, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -255,33 +259,6 @@ func (m *Manager) Hardware() *Hardware { return m.hw }
 
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
-
-// Stats returns a snapshot of the recovery-component counters. It is a
-// compatibility shim over the metrics registry: the counters are the
-// registry's own, read at call time.
-func (m *Manager) Stats() Stats {
-	mt := m.metrics
-	return Stats{
-		RecordsSorted:      mt.RecordsSorted.Value(),
-		RecordsAccumulated: mt.RecordsAccumulated.Value(),
-		BytesSorted:        mt.BytesSorted.Value(),
-		PagesFlushed:       mt.PagesFlushed.Value(),
-		CkptByUpdateCount:  mt.CkptByUpdateCount.Value(),
-		CkptByAge:          mt.CkptByAge.Value(),
-		CkptCompleted:      mt.CkptCompleted.Value(),
-		CkptFailed:         mt.CkptFailed.Value(),
-		CkptAbandoned:      mt.CkptAbandoned.Value(),
-		PagesArchived:      mt.PagesArchived.Value(),
-		WindowOverruns:     mt.WindowOverruns.Value(),
-		PartsRecovered:     mt.PartsRecovered.Value(),
-		RecoveryLogPages:   mt.RecoveryLogPages.Value(),
-		SweepErrors:        mt.RecoverySweepErrors.Value(),
-		TxnsCommitted:      mt.TxnsCommitted.Value(),
-		TxnsAborted:        mt.TxnsAborted.Value(),
-		EpochsSealed:       mt.EpochsSealed.Value(),
-		EpochRollbacks:     mt.EpochRollbacks.Value(),
-	}
-}
 
 // Start launches the recovery CPU and the main-CPU checkpointer.
 func (m *Manager) Start() {
@@ -422,7 +399,7 @@ func (m *Manager) sortChain(c *txnChain) error {
 			m.metrics.RecordsAccumulated.Add(int64(dropped))
 			// Accumulation work: roughly one lookup + copy per input
 			// record.
-			m.hw.Meter.ChargeRecovery(int64(float64(len(flat)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
+			m.metrics.SimRecoveryInstr.Add(int64(float64(len(flat)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
 			pending = acc
 		}
 	}
@@ -435,7 +412,7 @@ func (m *Manager) sortChain(c *txnChain) error {
 		m.metrics.BytesSorted.Add(sz)
 		// I_record_sort: lookup + page check + copy startup +
 		// per-byte copy + page info update.
-		m.hw.Meter.ChargeRecovery(int64(cost.IRecordLookup + cost.IPageCheck +
+		m.metrics.SimRecoveryInstr.Add(int64(cost.IRecordLookup + cost.IPageCheck +
 			cost.ICopyFixed + cost.ICopyAdd*float64(sz) + cost.IPageUpdate))
 	}
 	return nil
@@ -497,7 +474,7 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 	s.st.mu.Unlock()
 	if trigger {
 		m.metrics.CkptByUpdateCount.Add(1)
-		m.hw.Meter.ChargeRecovery(int64(m.cfg.Cost.ICheckpoint))
+		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 		m.slb.enqueueCkpt(pid, trigUpdateCount)
 	}
 	return nil
@@ -542,7 +519,7 @@ func (m *Manager) flushBinPageLocked(b *bin) error {
 	}
 	m.metrics.PagesFlushed.Add(1)
 	c := m.cfg.Cost
-	m.hw.Meter.ChargeRecovery(int64(c.IWriteInit + c.IPageAlloc + c.IProcessLSN))
+	m.metrics.SimRecoveryInstr.Add(int64(c.IWriteInit + c.IPageAlloc + c.IProcessLSN))
 	m.advanceWindowLocked()
 	return nil
 }
@@ -580,7 +557,7 @@ func (m *Manager) advanceWindowLocked() {
 		if !b.ckptPending {
 			b.ckptPending = true
 			m.metrics.CkptByAge.Add(1)
-			m.hw.Meter.ChargeRecovery(int64(m.cfg.Cost.ICheckpoint))
+			m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 			m.slb.enqueueCkpt(b.pid, trigAge)
 		}
 	}
@@ -733,7 +710,7 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 	if again {
 		b.ckptPending = true
 		m.metrics.CkptByUpdateCount.Add(1)
-		m.hw.Meter.ChargeRecovery(int64(m.cfg.Cost.ICheckpoint))
+		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 	}
 	// Retire the request here, under the SLT lock that cleared
 	// ckptPending, and last. From this point a trigger for the partition

@@ -20,6 +20,9 @@ import (
 //	checkpoint — per-partition checkpoint transactions (§2.4)
 //	restart    — post-crash two-phase recovery (§2.5)
 //	lock       — 2PL lock waits and deadlocks (§2.3.2)
+//	sim        — the §3 analysis's simulated costs: instructions charged
+//	             to the 1-MIPS recovery CPU, stable-memory byte
+//	             references, and disk busy time
 type Metrics struct {
 	reg *metrics.Registry
 
@@ -137,6 +140,15 @@ type Metrics struct {
 	// match what the checkpoint transaction meant to write (silent track
 	// rot caught before the catalog switched to the new image).
 	CkptVerifyFailed *metrics.Counter
+
+	// sim — the paper's §3 cost model, charged from the real code paths
+	// instead of slept: the recovery CPU charges Table 2 instruction
+	// counts, each simulated device the one counter New points it at.
+	// internal/experiments turns deltas of these into the paper's rates.
+	SimRecoveryInstr *metrics.Counter
+	SimStableRefs    *metrics.Counter
+	SimLogDiskBusy   *metrics.Counter
+	SimCkptDiskBusy  *metrics.Counter
 }
 
 // newMetrics builds the instrument set on a fresh registry. streams is
@@ -154,6 +166,7 @@ func newMetrics(streams int) *Metrics {
 	heatS := reg.Subsystem("heat")
 	lockS := reg.Subsystem("lock")
 	faultS := reg.Subsystem("fault")
+	simS := reg.Subsystem("sim")
 	streamRecords := make([]*metrics.Counter, streams)
 	for i := range streamRecords {
 		streamRecords[i] = slb.Counter(fmt.Sprintf("stream%02d_records", i), "records",
@@ -258,6 +271,11 @@ func newMetrics(streams int) *Metrics {
 		MutationsFired:  faultS.Counter("mutations_fired", "firings", "mutation-act firings: payloads silently damaged with valid ECC"),
 		DuplexFallbacks: faultS.Counter("duplex_fallbacks", "reads", "log reads served by the mirror after a primary error (§2.2)"),
 		DuplexRepairs:   faultS.Counter("duplex_repairs", "pages", "damaged/missing log-disk copies rewritten from the healthy spindle (§2.2)"),
+
+		SimRecoveryInstr: simS.Counter("recovery_instr", "instr", "Table 2 instructions charged to the simulated 1-MIPS recovery CPU (§3.1)"),
+		SimStableRefs:    simS.Counter("stable_refs", "refs", "stable-memory byte references, each weighted by Config.StableSlowdown (§1)"),
+		SimLogDiskBusy:   simS.Counter("log_disk_busy_us", "us", "simulated busy time of the log disks, both spindles (§3.2, §3.4)"),
+		SimCkptDiskBusy:  simS.Counter("ckpt_disk_busy_us", "us", "simulated busy time of the checkpoint disk set (§3.3, §3.4)"),
 	}
 }
 

@@ -198,13 +198,16 @@ func (m *Manager) Resume() {
 // partitions that have not yet been recovered").
 func (m *Manager) backgroundSweep() {
 	defer m.wg.Done()
-	m.runSweep()
+	m.runSweep(false)
 }
 
 // Sweep runs one background-sweep pass synchronously on the calling
 // goroutine: benchmarks (`paperbench restart`) and tests use it to
 // time the sweep exactly, without Resume's goroutine hand-off.
-func (m *Manager) Sweep() { m.runSweep() }
+// catalogOrder keeps the directory order even when a heat ranking was
+// recovered — the unordered baseline `paperbench restart` compares
+// time-to-p99-restored against; the product's sweep never does.
+func (m *Manager) Sweep(catalogOrder bool) { m.runSweep(catalogOrder) }
 
 // runSweep fans partition recovery out across cfg.RecoveryWorkers
 // goroutines (default GOMAXPROCS), worker w taking partitions w,
@@ -215,14 +218,14 @@ func (m *Manager) Sweep() { m.runSweep() }
 // coalesce into a single recovery transaction per partition and never
 // install racing copies. Closing m.stop interrupts every worker before
 // its next partition; in-flight recoveries finish whole.
-func (m *Manager) runSweep() {
+func (m *Manager) runSweep(catalogOrder bool) {
 	if m.cb.AllPartitions == nil {
 		return
 	}
 	sweepStart := time.Now()
 	// SweepBegin Arg=1 marks a heat-ordered sweep (the ordering decision
-	// depends only on config + the recovered ranking, both fixed by now).
-	ordered := !m.cfg.DisableHeatOrdering && m.prog.totalWeight > 0
+	// depends only on the recovered ranking, fixed by now).
+	ordered := !catalogOrder && m.prog.totalWeight > 0
 	m.prog.heatOrdered.Store(ordered)
 	var orderedArg uint64
 	if ordered {

@@ -61,7 +61,7 @@ func TestRetriggerWhileCheckpointInFlight(t *testing.T) {
 	for i := 0; i < h.cfg.UpdateThreshold+1; i++ {
 		h.update(a, []byte(fmt.Sprintf("v%04d", i)))
 	}
-	h.waitFor("both checkpoints", func() bool { return h.m.Stats().CkptCompleted >= 2 })
+	h.waitFor("both checkpoints", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 2 })
 	h.noBinWedged("after an in-flight re-trigger")
 
 	// The same, with a crash while the re-triggered kind of checkpoint is
@@ -82,7 +82,7 @@ func TestRetriggerWhileCheckpointInFlight(t *testing.T) {
 	close(release)
 	h.crash()
 	defer h.m.Stop()
-	h.waitFor("checkpoint after restart", func() bool { return h.m.Stats().CkptCompleted >= 1 })
+	h.waitFor("checkpoint after restart", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	h.noBinWedged("after a crash mid-checkpoint")
 	if got := h.binOf(pid).UpdateCount; got >= h.cfg.UpdateThreshold {
 		t.Fatalf("bin still holds %d updates after restart and idle", got)
@@ -109,6 +109,6 @@ func TestRestartReconcilesPendingWithoutRequest(t *testing.T) {
 
 	h.crash()
 	defer h.m.Stop()
-	h.waitFor("reconciled checkpoint", func() bool { return h.m.Stats().CkptCompleted >= 1 })
+	h.waitFor("reconciled checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	h.noBinWedged("after restart")
 }

@@ -89,14 +89,14 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 			t.Fatalf("partition %v not restored by sweep", pid)
 		}
 	}
-	st := h.m.Stats()
+	st := h.m.Metrics()
 	// Exactly one recovery transaction per partition: the workers'
 	// demands coalesced through the store's resolve path.
-	if st.PartsRecovered != int64(len(pids)) {
-		t.Fatalf("PartsRecovered = %d, want %d", st.PartsRecovered, len(pids))
+	if st.PartsRecovered.Value() != int64(len(pids)) {
+		t.Fatalf("PartsRecovered = %d, want %d", st.PartsRecovered.Value(), len(pids))
 	}
-	if st.SweepErrors != 0 {
-		t.Fatalf("SweepErrors = %d on a clean sweep", st.SweepErrors)
+	if st.RecoverySweepErrors.Value() != 0 {
+		t.Fatalf("SweepErrors = %d on a clean sweep", st.RecoverySweepErrors.Value())
 	}
 	for a, w := range want {
 		got, err := h.store.Read(a)
@@ -158,9 +158,9 @@ func TestSweepCancellationMidFlight(t *testing.T) {
 	}
 
 	// The two in-flight recoveries completed; nothing else ran.
-	st := h.m.Stats()
-	if st.PartsRecovered != 2 {
-		t.Fatalf("PartsRecovered = %d after cancellation, want 2", st.PartsRecovered)
+	st := h.m.Metrics()
+	if st.PartsRecovered.Value() != 2 {
+		t.Fatalf("PartsRecovered = %d after cancellation, want 2", st.PartsRecovered.Value())
 	}
 	resident := 0
 	for _, pid := range pids {
@@ -202,7 +202,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 			}
 			addrs = append(addrs, a)
 		}
-		h.waitFor("checkpoints", func() bool { return h.m.Stats().CkptCompleted >= 3 })
+		h.waitFor("checkpoints", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 3 })
 		h.m.WaitIdle()
 		pids := h.store.ResidentIDs()
 		sweepCrash(h, pids)
@@ -214,18 +214,18 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 		defer h.m.Stop()
 		mustArm(t, h, "seed=1;ckpt.read@1:ioerr")
 		h.m.Resume()
-		h.m.Sweep()
-		st := h.m.Stats()
-		if st.SweepErrors != 1 {
-			t.Fatalf("SweepErrors = %d, want 1 (the retried attempt)", st.SweepErrors)
+		h.m.Sweep(false)
+		st := h.m.Metrics()
+		if st.RecoverySweepErrors.Value() != 1 {
+			t.Fatalf("SweepErrors = %d, want 1 (the retried attempt)", st.RecoverySweepErrors.Value())
 		}
 		for _, pid := range pids {
 			if !h.store.Resident(pid) {
 				t.Fatalf("partition %v not recovered despite retry", pid)
 			}
 		}
-		if st.PartsRecovered != int64(len(pids)) {
-			t.Fatalf("PartsRecovered = %d, want %d", st.PartsRecovered, len(pids))
+		if st.PartsRecovered.Value() != int64(len(pids)) {
+			t.Fatalf("PartsRecovered = %d, want %d", st.PartsRecovered.Value(), len(pids))
 		}
 	})
 
@@ -236,11 +236,11 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 		// recovery (attempt + retry) fails.
 		mustArm(t, h, "seed=1;ckpt.read@1+*:ioerr")
 		h.m.Resume()
-		h.m.Sweep()
-		st := h.m.Stats()
-		if st.SweepErrors < int64(2*len(pids)) {
+		h.m.Sweep(false)
+		st := h.m.Metrics()
+		if st.RecoverySweepErrors.Value() < int64(2*len(pids)) {
 			t.Fatalf("SweepErrors = %d, want >= %d (attempt + retry per partition)",
-				st.SweepErrors, 2*len(pids))
+				st.RecoverySweepErrors.Value(), 2*len(pids))
 		}
 		var end trace.Event
 		for _, e := range h.m.TraceEvents() {
@@ -277,8 +277,8 @@ func TestSweepEnumerationErrorSurfaced(t *testing.T) {
 	defer h.m.Stop()
 	boom := errors.New("catalog scan failed")
 	h.m.cb.AllPartitions = func() ([]addr.PartitionID, error) { return nil, boom }
-	h.m.Sweep()
-	if got := h.m.Stats().SweepErrors; got != 1 {
+	h.m.Sweep(false)
+	if got := h.m.Metrics().RecoverySweepErrors.Value(); got != 1 {
 		t.Fatalf("SweepErrors = %d, want 1", got)
 	}
 	var sawErr, sawEnd bool

@@ -234,8 +234,8 @@ func RunAccumulation(txns, entitiesPerTxn, updatesPerEntity int) (*AccumulationR
 			}
 		}
 		h.m.WaitIdle()
-		st := h.m.Stats()
-		return in, st.RecordsSorted, st.BytesSorted, nil
+		st := h.m.Metrics()
+		return in, st.RecordsSorted.Value(), st.BytesSorted.Value(), nil
 	}
 	inOff, sortedOff, bytesOff, err := run(false)
 	if err != nil {

@@ -44,28 +44,28 @@ type Series struct {
 // S_log_record is the total record size.
 const recHeaderBytes = 8
 
-// harness owns a Manager wired to a trivial catalog, for experiments
-// that drive the recovery component directly.
+// harness is one Manager generation and its store, wired to a trivial
+// catalog, for experiments that drive the recovery component directly.
 type harness struct {
-	hw    *core.Hardware
 	m     *core.Manager
 	store *mm.Store
 }
 
-func newHarness(cfg core.Config) (*harness, error) {
-	hw, err := core.NewHardware(cfg)
-	if err != nil {
-		return nil, err
-	}
+// attach builds a Manager and an empty store over hw — a fresh database
+// or the next generation of a crashed one — behind a map-backed catalog.
+// tracks stands in for the recoverable catalog: it holds each
+// partition's checkpoint image location and outlives the generations
+// that share it, so the images it names are marked in use. pids is what
+// the background sweep enumerates.
+func attach(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc, pids []addr.PartitionID) (*harness, error) {
 	store := mm.NewStore(cfg.PartitionSize)
 	m, err := core.New(hw, cfg, store, lock.NewManager())
 	if err != nil {
 		return nil, err
 	}
-	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
 	m.SetCallbacks(core.Callbacks{
-		OwnerRel: func(pid addr.PartitionID) (uint64, bool) { return 1, true },
-		InstallCkpt: func(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
+		OwnerRel: func(addr.PartitionID) (uint64, bool) { return 1, true },
+		InstallCkpt: func(_ *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
 			old, ok := tracks[pid]
 			if !ok {
 				old = simdisk.NilTrack
@@ -79,9 +79,53 @@ func newHarness(cfg core.Config) (*harness, error) {
 			}
 			return simdisk.NilTrack, nil
 		},
-		AllPartitions: func() ([]addr.PartitionID, error) { return nil, nil },
+		AllPartitions: func() ([]addr.PartitionID, error) { return pids, nil },
 	})
-	return &harness{hw: hw, m: m, store: store}, nil
+	for _, tr := range tracks {
+		m.MarkTrackUsed(tr)
+	}
+	return &harness{m: m, store: store}, nil
+}
+
+func newHarness(cfg core.Config) (*harness, error) {
+	hw, err := core.NewHardware(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return attach(hw, cfg, map[addr.PartitionID]simdisk.TrackLoc{}, nil)
+}
+
+// restart attaches the next generation over the stable state a stopped
+// one left, runs the §2.5 restart, and installs on-demand recovery:
+// from here store.Partition is the way in.
+func restart(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc, pids []addr.PartitionID) (*harness, error) {
+	h, err := attach(hw, cfg, tracks, pids)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := h.m.Restart(); err != nil {
+		return nil, err
+	}
+	h.m.Resume()
+	return h, nil
+}
+
+// diskUS is the simulated disk busy time this generation has been
+// charged, log and checkpoint disks together, in microseconds.
+func (h *harness) diskUS() int64 {
+	mt := h.m.Metrics()
+	return mt.SimLogDiskBusy.Value() + mt.SimCkptDiskBusy.Value()
+}
+
+// cpuSeconds converts instructions charged to a simulated CPU into
+// seconds at the given MIPS rating.
+func cpuSeconds(instr int64, mips float64) float64 { return float64(instr) / (mips * 1e6) }
+
+// recover demands partition part of segment 2, which runs its recovery
+// transaction if it is not resident.
+func (h *harness) recover(part int) error {
+	_, err := h.store.Partition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)})
+	return err
 }
 
 // ensureParts pre-creates partitions so injected records have homes.
@@ -108,7 +152,6 @@ func measureLoggingRate(cfg core.Config, recordSize, nRecords, nParts int) (floa
 		payload = 0
 	}
 	rng := rand.New(rand.NewSource(42))
-	before := h.hw.Meter.Snapshot()
 	const batch = 512
 	txnID := uint64(1)
 	for done := 0; done < nRecords; done += batch {
@@ -123,8 +166,7 @@ func measureLoggingRate(cfg core.Config, recordSize, nRecords, nParts int) (floa
 		txnID++
 	}
 	h.m.WaitIdle()
-	d := h.hw.Meter.Snapshot().Sub(before)
-	secs := d.RecoveryCPUSeconds(cfg.Cost.PRecovery)
+	secs := cpuSeconds(h.m.Metrics().SimRecoveryInstr.Value(), cfg.Cost.PRecovery)
 	if secs <= 0 {
 		return 0, fmt.Errorf("experiments: no recovery CPU time charged")
 	}
@@ -293,8 +335,8 @@ func measureCheckpointMix(fAge float64, nRecords int) (float64, error) {
 		// instead of letting one fence swallow the whole run.
 		h.m.WaitIdle()
 	}
-	st := h.m.Stats()
-	ckpts := float64(st.CkptByUpdateCount + st.CkptByAge)
+	st := h.m.Metrics()
+	ckpts := float64(st.CkptByUpdateCount.Value() + st.CkptByAge.Value())
 	return ckpts / float64(nRecords), nil
 }
 
@@ -328,45 +370,15 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 		return nil, err
 	}
 	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-	attach := func() (*core.Manager, *mm.Store, error) {
-		store := mm.NewStore(cfg.PartitionSize)
-		m, err := core.New(hw, cfg, store, lock.NewManager())
-		if err != nil {
-			return nil, nil, err
-		}
-		m.SetCallbacks(core.Callbacks{
-			OwnerRel: func(pid addr.PartitionID) (uint64, bool) { return 1, true },
-			InstallCkpt: func(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
-				old, ok := tracks[pid]
-				if !ok {
-					old = simdisk.NilTrack
-				}
-				tracks[pid] = track
-				return old, nil
-			},
-			Locate: func(pid addr.PartitionID) (simdisk.TrackLoc, error) {
-				if tr, ok := tracks[pid]; ok {
-					return tr, nil
-				}
-				return simdisk.NilTrack, nil
-			},
-			AllPartitions: func() ([]addr.PartitionID, error) { return nil, nil },
-		})
-		for _, tr := range tracks {
-			m.MarkTrackUsed(tr)
-		}
-		return m, store, nil
-	}
-	m, store, err := attach()
+	h, err := attach(hw, cfg, tracks, nil)
 	if err != nil {
 		return nil, err
 	}
-	h := &harness{hw: hw, m: m, store: store}
 	h.ensureParts(2, nParts)
 	h.m.Start()
 
 	// Baseline engine mirrors the same contents.
-	base := baseline.New(cfg.PartitionSize, cfg.LogPageSize, 4*nParts+16, cfg.Disk, h.hw.Meter)
+	base := baseline.New(cfg.PartitionSize, cfg.LogPageSize, 4*nParts+16, cfg.Disk)
 
 	rng := rand.New(rand.NewSource(11))
 	txnID := uint64(1)
@@ -443,45 +455,31 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 	// Partition-level recovery: re-attach, then recover hot
 	// partitions first; the first transaction can run as soon as they
 	// are resident.
-	m2, store2, err := attach()
+	h2, err := restart(hw, cfg, tracks, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m2.Restart(); err != nil {
-		return nil, err
-	}
-	m2.Resume() // demand is the way in: store2.Partition runs the recovery transaction
 	res := &RecoveryResult{Partitions: nParts, HotPartitions: hotParts}
-	before := hw.Meter.Snapshot()
-	recoverOne := func(part int) error {
-		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-		_, err := store2.Partition(pid)
-		return err
-	}
-	for part := 0; part < hotParts; part++ {
-		if err := recoverOne(part); err != nil {
+	before := h2.diskUS()
+	for part := 0; part < nParts; part++ {
+		if err := h2.recover(part); err != nil {
 			return nil, err
 		}
-	}
-	d := hw.Meter.Snapshot().Sub(before)
-	res.PartLevelFirstUS = d.CkptDiskMicros + d.LogDiskMicros
-	for part := hotParts; part < nParts; part++ {
-		if err := recoverOne(part); err != nil {
-			return nil, err
+		if part+1 == hotParts {
+			res.PartLevelFirstUS = h2.diskUS() - before
 		}
 	}
-	d = hw.Meter.Snapshot().Sub(before)
-	res.PartLevelFullUS = d.CkptDiskMicros + d.LogDiskMicros
-	m2.Stop()
+	res.PartLevelFullUS = h2.diskUS() - before
+	h2.m.Stop()
 
 	// Database-level recovery: the entire database must be reloaded
 	// and the whole log processed before any transaction runs.
-	before = hw.Meter.Snapshot()
+	baseUS := func() int64 { return base.LogDiskBusy.Value() + base.CkptDiskBusy.Value() }
+	before = baseUS()
 	if _, err := base.Recover(cfg.PartitionSize); err != nil {
 		return nil, err
 	}
-	d = hw.Meter.Snapshot().Sub(before)
-	res.DBLevelFirstUS = d.CkptDiskMicros + d.LogDiskMicros
+	res.DBLevelFirstUS = baseUS() - before
 	if res.PartLevelFirstUS > 0 {
 		res.SpeedupFirstTxn = float64(res.DBLevelFirstUS) / float64(res.PartLevelFirstUS)
 	}

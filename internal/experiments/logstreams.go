@@ -119,16 +119,16 @@ func runLogStreams(streams, workers, txns, recsPerTxn int) (LogStreamPoint, erro
 		return LogStreamPoint{}, fmt.Errorf("no commits completed")
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	st := h.m.Stats()
+	st := h.m.Metrics()
 	p := LogStreamPoint{
 		Streams:      streams,
 		TxnsPerSec:   float64(len(all)) / elapsed.Seconds(),
 		P50CommitUS:  float64(all[len(all)/2].Microseconds()),
 		P99CommitUS:  float64(all[len(all)*99/100].Microseconds()),
-		EpochsSealed: st.EpochsSealed,
+		EpochsSealed: st.EpochsSealed.Value(),
 	}
-	if st.EpochsSealed > 0 {
-		p.ChainsPerSeal = float64(len(all)) / float64(st.EpochsSealed)
+	if st.EpochsSealed.Value() > 0 {
+		p.ChainsPerSeal = float64(len(all)) / float64(st.EpochsSealed.Value())
 	}
 	return p, nil
 }

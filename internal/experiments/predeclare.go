@@ -6,10 +6,8 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
-	"mmdb/internal/lock"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
-	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
@@ -49,16 +47,12 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 			return nil, nil, err
 		}
 		tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-		m, store, err := attachPredeclare(hw, cfg, tracks)
+		h, err := attach(hw, cfg, tracks, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		store.EnsureSegment(2)
-		for i := 0; i < nParts; i++ {
-			if _, err := store.AllocPartitionAt(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(i)}); err != nil {
-				return nil, nil, err
-			}
-		}
+		h.ensureParts(2, nParts)
+		m, store := h.m, h.store
 		m.Start()
 		rng := rand.New(rand.NewSource(17))
 		id := uint64(1)
@@ -112,60 +106,46 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 		return nil, err
 	}
 	cfg := predeclareCfg()
-	m2, store2, err := attachPredeclare(hw, cfg, tracks)
+	h2, err := restart(hw, cfg, tracks, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m2.Restart(); err != nil {
-		return nil, err
-	}
-	m2.Resume() // demand is the way in: store.Partition runs the recovery transaction
-	recover := func(store *mm.Store, part int) error {
-		_, err := store.Partition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)})
-		return err
-	}
-	start := hw.Meter.Snapshot()
+	start := h2.diskUS()
 	for part := 0; part < nParts; part++ {
-		if err := recover(store2, part); err != nil {
+		if err := h2.recover(part); err != nil {
 			return nil, err
 		}
 	}
-	d := hw.Meter.Snapshot().Sub(start)
 	// Every transaction waits for the full restore; the first one's
 	// latency is the whole reload (transactions themselves are
 	// memory-speed and contribute ~nothing in disk time).
-	res.PredeclareFirstUS = d.CkptDiskMicros + d.LogDiskMicros
+	res.PredeclareFirstUS = h2.diskUS() - start
 	res.PredeclareTotalUS = res.PredeclareFirstUS
-	m2.Stop()
+	h2.m.Stop()
 
 	// --- Method 2: on demand ---
 	hw, tracks, err = build()
 	if err != nil {
 		return nil, err
 	}
-	m3, store3, err := attachPredeclare(hw, cfg, tracks)
+	h3, err := restart(hw, cfg, tracks, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m3.Restart(); err != nil {
-		return nil, err
-	}
-	m3.Resume()
 	var latencies []int64
 	total := int64(0)
 	for _, parts := range touches {
-		before := hw.Meter.Snapshot()
+		before := h3.diskUS()
 		for _, part := range parts {
-			if err := recover(store3, part); err != nil {
+			if err := h3.recover(part); err != nil {
 				return nil, err
 			}
 		}
-		d := hw.Meter.Snapshot().Sub(before)
-		lat := d.CkptDiskMicros + d.LogDiskMicros
+		lat := h3.diskUS() - before
 		latencies = append(latencies, lat)
 		total += lat
 	}
-	m3.Stop()
+	h3.m.Stop()
 	res.DemandFirstUS = latencies[0]
 	res.DemandTotalUS = total
 	sorted := append([]int64(nil), latencies...)
@@ -184,36 +164,6 @@ func predeclareCfg() core.Config {
 	cfg.StableBytes = 256 << 20
 	cfg.BackgroundRecovery = false
 	return cfg
-}
-
-func attachPredeclare(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc) (*core.Manager, *mm.Store, error) {
-	store := mm.NewStore(cfg.PartitionSize)
-	m, err := core.New(hw, cfg, store, lock.NewManager())
-	if err != nil {
-		return nil, nil, err
-	}
-	m.SetCallbacks(core.Callbacks{
-		OwnerRel: func(pid addr.PartitionID) (uint64, bool) { return 1, true },
-		InstallCkpt: func(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
-			old, ok := tracks[pid]
-			if !ok {
-				old = simdisk.NilTrack
-			}
-			tracks[pid] = track
-			return old, nil
-		},
-		Locate: func(pid addr.PartitionID) (simdisk.TrackLoc, error) {
-			if tr, ok := tracks[pid]; ok {
-				return tr, nil
-			}
-			return simdisk.NilTrack, nil
-		},
-		AllPartitions: func() ([]addr.PartitionID, error) { return nil, nil },
-	})
-	for _, tr := range tracks {
-		m.MarkTrackUsed(tr)
-	}
-	return m, store, nil
 }
 
 // applyForBuild applies a record to the live store during workload

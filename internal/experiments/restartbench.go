@@ -7,11 +7,8 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
-	"mmdb/internal/lock"
-	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/trace"
-	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
@@ -64,70 +61,35 @@ func SweepScaling(sizes, workerCounts []int, recsPerPart int) ([]SweepScalingPoi
 	return out, nil
 }
 
-func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepScalingPoint, error) {
-	cfg := core.DefaultConfig()
-	cfg.PartitionSize = 16 << 10
-	cfg.LogPageSize = 2 << 10
-	cfg.UpdateThreshold = 1 << 30 // checkpoints run only on request
-	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
-	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
-	cfg.TraceBufferEvents = 4 * nParts
-
+// crashedFixture builds the stable state the restart benchmarks sweep,
+// once, and crashes it: recsPerPart inserts into each of nParts
+// partitions, a checkpoint of every partition, then a quarter as many
+// post-checkpoint updates, so recovering a partition reads both its
+// image and log pages. beforeCrash, if not nil, runs against the live
+// generation just before it stops. What survives is hw, the track map
+// standing in for the catalog, and the partition list; restart attaches
+// the next generation to them as often as the caller likes.
+func crashedFixture(cfg core.Config, nParts, recsPerPart int, beforeCrash func(*harness, []addr.PartitionID) error) (*core.Hardware, map[addr.PartitionID]simdisk.TrackLoc, []addr.PartitionID, error) {
 	hw, err := core.NewHardware(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
 	pids := make([]addr.PartitionID, nParts)
 	for i := range pids {
 		pids[i] = addr.PartitionID{Segment: 2, Part: addr.PartitionNum(i)}
 	}
-	attach := func() (*core.Manager, *mm.Store, error) {
-		store := mm.NewStore(cfg.PartitionSize)
-		m, err := core.New(hw, cfg, store, lock.NewManager())
-		if err != nil {
-			return nil, nil, err
-		}
-		m.SetCallbacks(core.Callbacks{
-			OwnerRel: func(pid addr.PartitionID) (uint64, bool) { return 1, true },
-			InstallCkpt: func(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
-				old, ok := tracks[pid]
-				if !ok {
-					old = simdisk.NilTrack
-				}
-				tracks[pid] = track
-				return old, nil
-			},
-			Locate: func(pid addr.PartitionID) (simdisk.TrackLoc, error) {
-				if tr, ok := tracks[pid]; ok {
-					return tr, nil
-				}
-				return simdisk.NilTrack, nil
-			},
-			AllPartitions: func() ([]addr.PartitionID, error) { return pids, nil },
-		})
-		for _, tr := range tracks {
-			m.MarkTrackUsed(tr)
-		}
-		return m, store, nil
-	}
-
-	// Build the stable state once: inserts, a checkpoint of every
-	// partition, then post-checkpoint updates so sweep recovery reads
-	// both the image and log pages.
-	m, store, err := attach()
+	h, err := attach(hw, cfg, tracks, pids)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	h := &harness{hw: hw, m: m, store: store}
 	h.ensureParts(2, nParts)
 	h.m.Start()
+	defer h.m.Stop() // the crash
 	rng := rand.New(rand.NewSource(7))
 	txnID := uint64(1)
 	inject := func(tag wal.Tag, n int) error {
-		for part := 0; part < nParts; part++ {
-			pid := pids[part]
+		for _, pid := range pids {
 			recs := make([]wal.Record, 0, n)
 			for i := 0; i < n; i++ {
 				data := make([]byte, 64)
@@ -139,48 +101,75 @@ func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepSc
 			}
 			txnID++
 		}
+		h.m.WaitIdle()
 		return nil
 	}
 	if err := inject(wal.TagRelInsert, recsPerPart); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	h.m.WaitIdle()
 	for _, pid := range pids {
 		h.m.RequestCheckpoint(pid)
 	}
 	h.m.WaitIdle()
 	if err := inject(wal.TagRelUpdate, recsPerPart/4); err != nil {
+		return nil, nil, nil, err
+	}
+	if beforeCrash != nil {
+		if err := beforeCrash(h, pids); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return hw, tracks, pids, nil
+}
+
+// sweepOnce restarts the crashed state with w recovery workers, runs one
+// synchronous sweep (in catalog order if asked) and returns the stopped
+// generation with the simulated microseconds the sweep was charged:
+// disk busy time plus recovery-CPU time.
+func sweepOnce(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc, pids []addr.PartitionID, w int, catalogOrder bool) (h *harness, chargedUS, hostMS float64, err error) {
+	cfg.RecoveryWorkers = w
+	if h, err = restart(hw, cfg, tracks, pids); err != nil {
+		return nil, 0, 0, err
+	}
+	defer h.m.Stop()
+	disk, instr := h.diskUS(), h.m.Metrics().SimRecoveryInstr.Value()
+	hostStart := time.Now()
+	h.m.Sweep(catalogOrder)
+	hostMS = float64(time.Since(hostStart).Microseconds()) / 1e3
+	disk, instr = h.diskUS()-disk, h.m.Metrics().SimRecoveryInstr.Value()-instr
+	for _, pid := range pids {
+		if !h.store.Resident(pid) {
+			return nil, 0, 0, fmt.Errorf("experiments: %d-worker sweep left %v unrecovered", w, pid)
+		}
+	}
+	return h, float64(disk) + cpuSeconds(instr, cfg.Cost.PRecovery)*1e6, hostMS, nil
+}
+
+func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepScalingPoint, error) {
+	cfg := core.DefaultConfig()
+	cfg.PartitionSize = 16 << 10
+	cfg.LogPageSize = 2 << 10
+	cfg.UpdateThreshold = 1 << 30 // checkpoints run only on request
+	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
+	cfg.StableBytes = 256 << 20
+	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
+	cfg.TraceBufferEvents = 4 * nParts
+
+	hw, tracks, pids, err := crashedFixture(cfg, nParts, recsPerPart, nil)
+	if err != nil {
 		return nil, err
 	}
-	h.m.WaitIdle()
-	h.m.Stop() // crash
-
 	// Sweep the same stable state once per worker count.
 	var out []SweepScalingPoint
 	for _, w := range workerCounts {
-		cfg.RecoveryWorkers = w
-		m2, store2, err := attach()
+		h, totalUS, hostMS, err := sweepOnce(hw, cfg, tracks, pids, w, false)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := m2.Restart(); err != nil {
-			return nil, err
-		}
-		m2.Resume()
-		before := hw.Meter.Snapshot()
-		hostStart := time.Now()
-		m2.Sweep()
-		hostMS := float64(time.Since(hostStart).Microseconds()) / 1e3
-		d := hw.Meter.Snapshot().Sub(before)
-		for _, pid := range pids {
-			if !store2.Resident(pid) {
-				return nil, fmt.Errorf("experiments: %d-worker sweep left %v unrecovered", w, pid)
-			}
 		}
 		// Critical path: the most-loaded worker's share of the total
 		// charged cost, from the per-worker trace events.
 		var maxParts, total uint64
-		for _, e := range m2.TraceEvents() {
+		for _, e := range h.m.TraceEvents() {
 			if e.Kind == trace.KindSweepWorkerEnd {
 				total += e.Arg2
 				if e.Arg2 > maxParts {
@@ -191,20 +180,18 @@ func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepSc
 		if total != uint64(nParts) {
 			return nil, fmt.Errorf("experiments: sweep workers recovered %d of %d partitions", total, nParts)
 		}
-		totalUS := float64(d.CkptDiskMicros+d.LogDiskMicros) + d.RecoveryCPUSeconds(cfg.Cost.PRecovery)*1e6
 		simUS := totalUS * float64(maxParts) / float64(total)
 		pt := SweepScalingPoint{
 			Partitions: nParts,
 			Workers:    w,
 			SweepMS:    simUS / 1e3,
 			HostMS:     hostMS,
-			Errors:     m2.Stats().SweepErrors,
+			Errors:     h.m.Metrics().RecoverySweepErrors.Value(),
 		}
 		if simUS > 0 {
 			pt.PartsPerSec = float64(nParts) / (simUS / 1e6)
 		}
 		out = append(out, pt)
-		m2.Stop()
 	}
 	return out, nil
 }

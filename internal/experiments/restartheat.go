@@ -2,18 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
 	"mmdb/internal/heat"
-	"mmdb/internal/lock"
-	"mmdb/internal/mm"
-	"mmdb/internal/simdisk"
 	"mmdb/internal/trace"
-	"mmdb/internal/txn"
-	"mmdb/internal/wal"
 )
 
 // HeatOrderingPoint is one worker-count sample of the heat-ordered vs
@@ -52,8 +46,8 @@ type HeatOrderingPoint struct {
 // — checkpointed partitions, post-checkpoint log records, and a
 // persisted heat snapshot with hotParts hot partitions scattered
 // through the catalog — is built once and then crashed and swept twice
-// per worker count, once heat-ordered and once with
-// Config.DisableHeatOrdering.
+// per worker count, once heat-ordered and once with Sweep's
+// catalog-order baseline.
 func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int) ([]HeatOrderingPoint, error) {
 	if nParts == 0 {
 		nParts = 128
@@ -78,151 +72,33 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 	cfg.HeatSnapshotBytes = 64 << 10
 	cfg.HeatPersistEvery = 1 << 30 // persist only on explicit request
 
-	hw, err := core.NewHardware(cfg)
+	// The stable state of the sweep-scaling benchmark, plus a skewed
+	// access profile persisted into the heat snapshot before the crash.
+	hw, tracks, pids, err := crashedFixture(cfg, nParts, recsPerPart, func(h *harness, pids []addr.PartitionID) error {
+		return skewHeat(h, pids, hotParts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-	pids := make([]addr.PartitionID, nParts)
-	for i := range pids {
-		pids[i] = addr.PartitionID{Segment: 2, Part: addr.PartitionNum(i)}
-	}
-	attach := func() (*core.Manager, *mm.Store, error) {
-		store := mm.NewStore(cfg.PartitionSize)
-		m, err := core.New(hw, cfg, store, lock.NewManager())
-		if err != nil {
-			return nil, nil, err
-		}
-		m.SetCallbacks(core.Callbacks{
-			OwnerRel: func(pid addr.PartitionID) (uint64, bool) { return 1, true },
-			InstallCkpt: func(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackLoc) (simdisk.TrackLoc, error) {
-				old, ok := tracks[pid]
-				if !ok {
-					old = simdisk.NilTrack
-				}
-				tracks[pid] = track
-				return old, nil
-			},
-			Locate: func(pid addr.PartitionID) (simdisk.TrackLoc, error) {
-				if tr, ok := tracks[pid]; ok {
-					return tr, nil
-				}
-				return simdisk.NilTrack, nil
-			},
-			AllPartitions: func() ([]addr.PartitionID, error) { return pids, nil },
-		})
-		for _, tr := range tracks {
-			m.MarkTrackUsed(tr)
-		}
-		return m, store, nil
-	}
-
-	// Build the stable state once, exactly like the sweep-scaling
-	// benchmark, plus a skewed access profile persisted into the heat
-	// snapshot before the crash.
-	m, store, err := attach()
-	if err != nil {
-		return nil, err
-	}
-	h := &harness{hw: hw, m: m, store: store}
-	h.ensureParts(2, nParts)
-	h.m.Start()
-	rng := rand.New(rand.NewSource(7))
-	txnID := uint64(1)
-	inject := func(tag wal.Tag, n int) error {
-		for part := 0; part < nParts; part++ {
-			pid := pids[part]
-			recs := make([]wal.Record, 0, n)
-			for i := 0; i < n; i++ {
-				data := make([]byte, 64)
-				rng.Read(data)
-				recs = append(recs, wal.Record{Tag: tag, PID: pid, Slot: addr.Slot(i), Data: data})
-			}
-			if err := h.m.InjectCommitted(txnID, recs); err != nil {
-				return err
-			}
-			txnID++
-		}
-		return nil
-	}
-	if err := inject(wal.TagRelInsert, recsPerPart); err != nil {
-		return nil, err
-	}
-	h.m.WaitIdle()
-	for _, pid := range pids {
-		h.m.RequestCheckpoint(pid)
-	}
-	h.m.WaitIdle()
-	if err := inject(wal.TagRelUpdate, recsPerPart/4); err != nil {
-		return nil, err
-	}
-	h.m.WaitIdle()
-
-	// Skewed access profile: hotParts hot partitions scattered evenly
-	// through the catalog (so the catalog order reaches the last one
-	// late), carrying ~1000x the touch weight of a cold partition. The
-	// build phase itself touched every partition (inserts, checkpoints,
-	// updates all go through the store), so that uniform noise is
-	// forgotten first.
-	for _, pid := range pids {
-		m.Heat().Forget(pid)
-	}
-	stride := nParts / hotParts
-	hot := make([]addr.PartitionID, hotParts)
-	hotSet := map[addr.PartitionID]bool{}
-	for k := range hot {
-		hot[k] = pids[k*stride+stride/2]
-		hotSet[hot[k]] = true
-	}
-	for k, pid := range hot {
-		for i := 0; i < (hotParts-k)*1000; i++ {
-			if _, err := store.Partition(pid); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, pid := range pids {
-		if !hotSet[pid] {
-			if _, err := store.Partition(pid); err != nil {
-				return nil, err
-			}
-		}
-	}
-	m.Heat().Persist()
-	h.m.Stop() // crash
 
 	// Sweep the same stable state twice per worker count: heat-ordered,
 	// then catalog order.
 	var out []HeatOrderingPoint
 	for _, w := range workerCounts {
 		pt := HeatOrderingPoint{Partitions: nParts, HotParts: hotParts, Workers: w}
-		for _, disable := range []bool{false, true} {
-			cfg.RecoveryWorkers = w
-			cfg.DisableHeatOrdering = disable
-			m2, store2, err := attach()
+		for _, catalogOrder := range []bool{false, true} {
+			h, chargedUS, _, err := sweepOnce(hw, cfg, tracks, pids, w, catalogOrder)
 			if err != nil {
 				return nil, err
 			}
-			ranked := m2.RecoveredHeat()
+			ranked := h.m.RecoveredHeat()
 			if len(ranked) != nParts {
 				return nil, fmt.Errorf("experiments: heat snapshot recovered %d of %d partitions", len(ranked), nParts)
-			}
-			if _, err := m2.Restart(); err != nil {
-				return nil, err
-			}
-			m2.Resume()
-			before := hw.Meter.Snapshot()
-			m2.Sweep()
-			d := hw.Meter.Snapshot().Sub(before)
-			for _, pid := range pids {
-				if !store2.Resident(pid) {
-					return nil, fmt.Errorf("experiments: %d-worker sweep left %v unrecovered", w, pid)
-				}
 			}
 			// Per-partition relative cost from the redo trace: one unit
 			// for the checkpoint image plus one per log page replayed.
 			cost := map[addr.PartitionID]float64{}
-			for _, e := range m2.TraceEvents() {
+			for _, e := range h.m.TraceEvents() {
 				if e.Kind == trace.KindPartRedo {
 					pid := addr.PartitionID{Segment: addr.SegmentID(e.Seg), Part: addr.PartitionNum(e.Part)}
 					cost[pid] = 1 + float64(e.Arg2)
@@ -232,7 +108,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 				return nil, fmt.Errorf("experiments: redo trace covered %d of %d partitions", len(cost), nParts)
 			}
 			order := append([]addr.PartitionID(nil), pids...)
-			if !disable {
+			if !catalogOrder {
 				weights := map[addr.PartitionID]int64{}
 				for _, ph := range ranked {
 					weights[ph.PID] = ph.Weight
@@ -241,10 +117,9 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 					return weights[order[i]] > weights[order[j]]
 				})
 			}
-			chargedUS := float64(d.CkptDiskMicros+d.LogDiskMicros) + d.RecoveryCPUSeconds(cfg.Cost.PRecovery)*1e6
 			ttp99US, fullUS := simulateTTP99(order, w, cost, ranked, chargedUS)
-			prog := m2.RecoveryProgress(0)
-			if disable {
+			prog := h.m.RecoveryProgress(0)
+			if catalogOrder {
 				pt.CatalogTTP99MS = ttp99US / 1e3
 				pt.RealCatalogUS = prog.TTP99RestoredNS / 1e3
 			} else {
@@ -252,8 +127,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 				pt.RealOrderedUS = prog.TTP99RestoredNS / 1e3
 			}
 			pt.FullSweepMS = fullUS / 1e3
-			pt.Errors += m2.Stats().SweepErrors
-			m2.Stop()
+			pt.Errors += h.m.Metrics().RecoverySweepErrors.Value()
 		}
 		if pt.OrderedTTP99MS > 0 {
 			pt.Speedup = pt.CatalogTTP99MS / pt.OrderedTTP99MS
@@ -261,6 +135,38 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// skewHeat gives the live generation a skewed access profile and
+// persists it: hotParts hot partitions scattered evenly through the
+// catalog (so the catalog order reaches the last one late), carrying
+// ~1000x the touch weight of a cold partition. The build phase itself
+// touched every partition (inserts, checkpoints, updates all go through
+// the store), so that uniform noise is forgotten first.
+func skewHeat(h *harness, pids []addr.PartitionID, hotParts int) error {
+	for _, pid := range pids {
+		h.m.Heat().Forget(pid)
+	}
+	stride := len(pids) / hotParts
+	hotSet := map[addr.PartitionID]bool{}
+	for k := 0; k < hotParts; k++ {
+		pid := pids[k*stride+stride/2]
+		hotSet[pid] = true
+		for i := 0; i < (hotParts-k)*1000; i++ {
+			if _, err := h.store.Partition(pid); err != nil {
+				return err
+			}
+		}
+	}
+	for _, pid := range pids {
+		if !hotSet[pid] {
+			if _, err := h.store.Partition(pid); err != nil {
+				return err
+			}
+		}
+	}
+	h.m.Heat().Persist()
+	return nil
 }
 
 // simulateTTP99 replays the sweep's deterministic schedule — worker i

@@ -49,15 +49,6 @@ type PartHeat struct {
 	Weight int64
 }
 
-// TotalWeight sums the ranking's weights.
-func TotalWeight(ranked []PartHeat) int64 {
-	var total int64
-	for _, ph := range ranked {
-		total += ph.Weight
-	}
-	return total
-}
-
 // Tracker accumulates per-partition access counts. All methods are
 // nil-receiver safe, so the disabled state (Config.HeatSnapshotBytes
 // == 0) costs untraced hot paths a single branch.

@@ -548,34 +548,3 @@ func (m *Manager) HeldLocks(txn uint64) map[Name]Mode {
 	}
 	return out
 }
-
-// DebugDump renders the lock table state for diagnosing stalls.
-func (m *Manager) DebugDump() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := ""
-	for name, h := range m.locks {
-		if len(h.granted) == 0 && len(h.queue) == 0 {
-			continue // idle head kept for reuse
-		}
-		out += fmt.Sprintf("lock %+v:\n  granted:", name)
-		for _, g := range h.granted {
-			out += fmt.Sprintf(" %d:%v", g.txn, g.mode)
-		}
-		out += "\n  queue:"
-		for _, r := range h.queue {
-			out += fmt.Sprintf(" {txn %d mode %v conv %v}", r.txn, r.mode, r.conv)
-		}
-		out += "\n"
-	}
-	m.rebuildWaitsFor()
-	out += "waitsFor:\n"
-	for t, span := range m.waitsFor {
-		out += fmt.Sprintf("  %d ->", t)
-		for _, b := range m.edges[span.lo:span.hi] {
-			out += fmt.Sprintf(" %d", b)
-		}
-		out += "\n"
-	}
-	return out
-}

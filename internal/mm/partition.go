@@ -216,9 +216,6 @@ func (p *Partition) Owner() uint64 { return p.owner.Load() }
 // SetOwner marks the partition as privately owned by txn (0 clears).
 func (p *Partition) SetOwner(txn uint64) { p.owner.Store(txn) }
 
-// LiveBytes returns the bytes occupied by live entities.
-func (p *Partition) LiveBytes() int { return int(p.u32(hdrLiveBytes)) }
-
 // EntityCount returns the number of live entities.
 func (p *Partition) EntityCount() int {
 	n := 0

@@ -10,7 +10,7 @@
 // up between back-to-back page writes; partitions are written in whole
 // tracks, and a track transfers at double the per-page rate. Contents
 // are kept in memory (they survive the simulated crash), and service
-// times are charged to the cost meter instead of sleeping.
+// times are charged to a busy-time counter instead of sleeping.
 //
 // The failure model is reproduced too. Each stored sector/track carries
 // an ECC-valid bit; a write torn by a crash (or silently corrupted by an
@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mmdb/internal/cost"
 	"mmdb/internal/fault"
 	"mmdb/internal/metrics"
 )
@@ -95,9 +94,9 @@ type logPage struct {
 // recovery pay a short seek per page.
 type LogDisk struct {
 	params Params
-	meter  *cost.Meter
 
 	mu     sync.Mutex
+	busy   *metrics.Counter // simulated busy time, µs; nil-safe
 	inj    *fault.Injector
 	wpt    fault.Point // fault point charged per page write
 	rpt    fault.Point // fault point charged per page read
@@ -106,9 +105,18 @@ type LogDisk struct {
 	failed bool
 }
 
-// NewLogDisk creates an empty log disk. meter may be nil.
-func NewLogDisk(params Params, meter *cost.Meter) *LogDisk {
-	return &LogDisk{params: params, meter: meter, pages: make(map[LSN]*logPage), next: 1}
+// NewLogDisk creates an empty log disk charging its simulated busy
+// microseconds to busy, which may be nil.
+func NewLogDisk(params Params, busy *metrics.Counter) *LogDisk {
+	return &LogDisk{params: params, busy: busy, pages: make(map[LSN]*logPage), next: 1}
+}
+
+// SetBusy points the busy-time charges at c (nil detaches): the disk
+// outlives the registry of the instance that was using it.
+func (d *LogDisk) SetBusy(c *metrics.Counter) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.busy = c
 }
 
 // SetInjector attaches a fault injector with this spindle's write and
@@ -138,7 +146,7 @@ func (d *LogDisk) writePageLocked(lsn LSN, page []byte) error {
 	if lsn >= d.next {
 		d.next = lsn + 1
 	}
-	d.meter.ChargeLogDisk(d.params.transferMicros(len(stored)))
+	d.busy.Add(d.params.transferMicros(len(stored)))
 	return dec.Err
 }
 
@@ -192,7 +200,7 @@ func (d *LogDisk) Read(lsn LSN) ([]byte, error) {
 	if p.bad {
 		return nil, fmt.Errorf("%w: LSN %d", ErrBadSector, lsn)
 	}
-	d.meter.ChargeLogDisk(d.params.AdjSeekMicros + d.params.transferMicros(len(p.data)))
+	d.busy.Add(d.params.AdjSeekMicros + d.params.transferMicros(len(p.data)))
 	out := append([]byte(nil), p.data...)
 	if dec.Mutated() {
 		// Transient read rot: the head returns damaged bytes with ECC
@@ -300,12 +308,19 @@ type DuplexLog struct {
 	disableFallback atomic.Bool
 }
 
-// NewDuplexLog creates a duplexed pair sharing timing and meter.
-func NewDuplexLog(params Params, meter *cost.Meter) *DuplexLog {
+// NewDuplexLog creates a duplexed pair sharing timing and the
+// busy-time counter.
+func NewDuplexLog(params Params, busy *metrics.Counter) *DuplexLog {
 	return &DuplexLog{
-		Primary: NewLogDisk(params, meter),
-		Mirror:  NewLogDisk(params, meter),
+		Primary: NewLogDisk(params, busy),
+		Mirror:  NewLogDisk(params, busy),
 	}
+}
+
+// SetBusy points both spindles' busy-time charges at c.
+func (d *DuplexLog) SetBusy(c *metrics.Counter) {
+	d.Primary.SetBusy(c)
+	d.Mirror.SetBusy(c)
 }
 
 // SetDisableFallback turns mirror fallback off (true) or on (false).
@@ -455,18 +470,26 @@ const NilTrack TrackLoc = -1
 // policy lives in the checkpoint manager.
 type CheckpointDisk struct {
 	params Params
-	meter  *cost.Meter
 
 	mu     sync.Mutex
+	busy   *metrics.Counter // simulated busy time, µs; nil-safe
 	inj    *fault.Injector
 	tracks map[TrackLoc]*ckptTrack
 	n      int // capacity in tracks
 	failed bool
 }
 
-// NewCheckpointDisk creates a checkpoint disk set with n tracks.
-func NewCheckpointDisk(n int, params Params, meter *cost.Meter) *CheckpointDisk {
-	return &CheckpointDisk{params: params, meter: meter, tracks: make(map[TrackLoc]*ckptTrack), n: n}
+// NewCheckpointDisk creates a checkpoint disk set with n tracks,
+// charging its simulated busy microseconds to busy, which may be nil.
+func NewCheckpointDisk(n int, params Params, busy *metrics.Counter) *CheckpointDisk {
+	return &CheckpointDisk{params: params, busy: busy, tracks: make(map[TrackLoc]*ckptTrack), n: n}
+}
+
+// SetBusy points the busy-time charges at c (nil detaches).
+func (d *CheckpointDisk) SetBusy(c *metrics.Counter) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.busy = c
 }
 
 // SetInjector attaches a fault injector; track I/O hits the ckpt.write
@@ -503,7 +526,7 @@ func (d *CheckpointDisk) WriteTrack(loc TrackLoc, data []byte) error {
 		stored = dec.MutateBytes(stored)
 	}
 	d.tracks[loc] = &ckptTrack{data: stored, bad: dec.MarkBad}
-	d.meter.ChargeCkptDisk(d.params.AdjSeekMicros + d.params.trackTransferMicros(len(stored)))
+	d.busy.Add(d.params.AdjSeekMicros + d.params.trackTransferMicros(len(stored)))
 	return dec.Err
 }
 
@@ -530,7 +553,7 @@ func (d *CheckpointDisk) ReadTrack(loc TrackLoc) ([]byte, error) {
 	if t.bad {
 		return nil, fmt.Errorf("%w: track %d", ErrBadSector, loc)
 	}
-	d.meter.ChargeCkptDisk(d.params.AvgSeekMicros + d.params.RotateMicros + d.params.trackTransferMicros(len(t.data)))
+	d.busy.Add(d.params.AvgSeekMicros + d.params.RotateMicros + d.params.trackTransferMicros(len(t.data)))
 	out := append([]byte(nil), t.data...)
 	if dec.Mutated() {
 		// Transient read rot with clean ECC; image validation in the

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"testing"
 
-	"mmdb/internal/cost"
 	"mmdb/internal/fault"
+	"mmdb/internal/metrics"
 )
 
 func TestLogDiskAppendRead(t *testing.T) {
-	d := NewLogDisk(DefaultParams(), &cost.Meter{})
+	d := NewLogDisk(DefaultParams(), &metrics.Counter{})
 	lsn1, err := d.Append([]byte("page-one"))
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestLogDiskFailRepair(t *testing.T) {
 }
 
 func TestDuplexSurvivesSingleFailure(t *testing.T) {
-	dx := NewDuplexLog(DefaultParams(), &cost.Meter{})
+	dx := NewDuplexLog(DefaultParams(), &metrics.Counter{})
 	lsn, err := dx.Append([]byte("dup"))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestDuplexMirrorOnlyFailure(t *testing.T) {
 }
 
 func TestCheckpointDiskTrackIO(t *testing.T) {
-	d := NewCheckpointDisk(4, DefaultParams(), &cost.Meter{})
+	d := NewCheckpointDisk(4, DefaultParams(), &metrics.Counter{})
 	if d.Tracks() != 4 {
 		t.Fatalf("Tracks = %d", d.Tracks())
 	}
@@ -214,36 +214,70 @@ func TestCheckpointDiskFailure(t *testing.T) {
 }
 
 func TestTimingCharges(t *testing.T) {
-	m := &cost.Meter{}
+	m := &metrics.Counter{}
 	p := DefaultParams()
 	d := NewLogDisk(p, m)
 	page := make([]byte, 8192)
 	if _, err := d.Append(page); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
+	before := m.Value()
 	wantXfer := int64(8192) * 1e6 / p.BytesPerSec
-	if snap.LogDiskMicros != wantXfer {
-		t.Fatalf("append charged %d us, want transfer-only %d us (interleaved sectors)", snap.LogDiskMicros, wantXfer)
+	if before != wantXfer {
+		t.Fatalf("append charged %d us, want transfer-only %d us (interleaved sectors)", before, wantXfer)
 	}
-	before := snap.LogDiskMicros
 	if _, err := d.Read(1); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Snapshot().LogDiskMicros - before
+	got := m.Value() - before
 	if got != p.AdjSeekMicros+wantXfer {
 		t.Fatalf("read charged %d us, want %d", got, p.AdjSeekMicros+wantXfer)
 	}
 
-	cd := NewCheckpointDisk(1, p, m)
+	ck := &metrics.Counter{}
+	cd := NewCheckpointDisk(1, p, ck)
 	img := make([]byte, 48<<10)
 	if err := cd.WriteTrack(0, img); err != nil {
 		t.Fatal(err)
 	}
-	ck := m.Snapshot().CkptDiskMicros
 	wantTrack := p.AdjSeekMicros + int64(len(img))*1e6/(2*p.BytesPerSec)
-	if ck != wantTrack {
-		t.Fatalf("track write charged %d us, want %d (double-rate track transfer)", ck, wantTrack)
+	if ck.Value() != wantTrack {
+		t.Fatalf("track write charged %d us, want %d (double-rate track transfer)", ck.Value(), wantTrack)
+	}
+}
+
+// The disks outlive the registry that was counting them: after SetBusy
+// the next generation's counter takes every charge, the old one none.
+func TestSetBusyRepoints(t *testing.T) {
+	old, next := &metrics.Counter{}, &metrics.Counter{}
+	p := DefaultParams()
+	dx := NewDuplexLog(p, old)
+	cd := NewCheckpointDisk(1, p, old)
+	page := make([]byte, 1024)
+	if _, err := dx.Append(page); err != nil {
+		t.Fatal(err)
+	}
+	perSpindle := int64(1024) * 1e6 / p.BytesPerSec
+	if old.Value() != 2*perSpindle {
+		t.Fatalf("duplexed append charged %d us, want %d (both spindles)", old.Value(), 2*perSpindle)
+	}
+	dx.SetBusy(next)
+	cd.SetBusy(next)
+	if _, err := dx.Append(page); err != nil {
+		t.Fatal(err)
+	}
+	if err := cd.WriteTrack(0, page); err != nil {
+		t.Fatal(err)
+	}
+	if old.Value() != 2*perSpindle {
+		t.Fatalf("detached counter still charged: %d -> %d", 2*perSpindle, old.Value())
+	}
+	if want := 2*perSpindle + p.AdjSeekMicros + int64(1024)*1e6/(2*p.BytesPerSec); next.Value() != want {
+		t.Fatalf("re-pointed counter = %d us, want %d", next.Value(), want)
+	}
+	cd.SetBusy(nil) // detached: charges nothing, must not panic
+	if err := cd.WriteTrack(0, page); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@
 // The simulation keeps the contents in the Go heap, owned by a Memory
 // value that the crash model deliberately preserves: DB.Crash() discards
 // every volatile structure but hands the Memory (inside hw.Hardware) to
-// the restarted system. The slowdown is charged to the cost meter rather
+// the restarted system. The slowdown is charged to a counter rather
 // than actually sleeping, so experiments measure it without wall-clock
 // penalty.
 //
@@ -43,8 +43,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mmdb/internal/cost"
 	"mmdb/internal/fault"
+	"mmdb/internal/metrics"
 )
 
 // ErrExhausted is returned when an allocation would exceed the stable
@@ -57,14 +57,15 @@ var ErrNoSpace = errors.New("stablemem: block full")
 
 // Memory is the stable reliable memory module.
 type Memory struct {
-	meter    *cost.Meter
 	slowdown int64 // cost multiplier vs regular memory (paper: 4)
 
-	// inj is the optional fault injector consulted on every block
-	// append (fault point "stable.append"); atomic because appends are
-	// deliberately lock-free per §2.3.1 while the injector is rewired
-	// at each recovery generation.
-	inj atomic.Pointer[fault.Injector]
+	// refs counts byte references times slowdown (nil-safe); inj is the
+	// optional fault injector consulted on every block append (fault
+	// point "stable.append"). Both are atomic because appends are
+	// deliberately lock-free per §2.3.1 while both are rewired at each
+	// recovery generation.
+	refs atomic.Pointer[metrics.Counter]
+	inj  atomic.Pointer[fault.Injector]
 
 	mu       sync.Mutex
 	capacity int64
@@ -78,25 +79,28 @@ type Memory struct {
 
 // New creates a stable memory of the given capacity in bytes. slowdown
 // is the per-byte cost multiplier relative to regular memory; the paper
-// projects 4 for near-future stable reliable memory. meter may be nil.
-func New(capacity int64, slowdown int, meter *cost.Meter) *Memory {
+// projects 4 for near-future stable reliable memory. refs, which may be
+// nil, is charged slowdown per byte read or written.
+func New(capacity int64, slowdown int, refs *metrics.Counter) *Memory {
 	if slowdown < 1 {
 		slowdown = 1
 	}
-	return &Memory{
-		meter:    meter,
+	m := &Memory{
 		slowdown: int64(slowdown),
 		capacity: capacity,
 		root:     make(map[string]any),
 	}
+	m.refs.Store(refs)
+	return m
 }
+
+// SetRefs points the byte-reference charges at c (nil detaches): the
+// memory outlives the registry of the instance that was using it.
+func (m *Memory) SetRefs(c *metrics.Counter) { m.refs.Store(c) }
 
 // SetInjector attaches a fault injector to the memory's append path.
 // A nil injector detaches.
 func (m *Memory) SetInjector(inj *fault.Injector) { m.inj.Store(inj) }
-
-// Capacity returns the configured capacity in bytes.
-func (m *Memory) Capacity() int64 { return m.capacity }
 
 // Used returns the currently reserved byte count.
 func (m *Memory) Used() int64 {
@@ -131,12 +135,12 @@ func (m *Memory) Release(n int64) {
 
 // ChargeWrite charges the cost of writing n bytes to stable memory.
 func (m *Memory) ChargeWrite(n int) {
-	m.meter.ChargeStable(int64(n) * m.slowdown)
+	m.refs.Load().Add(int64(n) * m.slowdown)
 }
 
 // ChargeRead charges the cost of reading n bytes from stable memory.
 func (m *Memory) ChargeRead(n int) {
-	m.meter.ChargeStable(int64(n) * m.slowdown)
+	m.refs.Load().Add(int64(n) * m.slowdown)
 }
 
 // SetRoot registers a typed stable region under the given well-known

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mmdb/internal/cost"
 	"mmdb/internal/fault"
+	"mmdb/internal/metrics"
 )
 
 func TestReserveRelease(t *testing.T) {
@@ -40,7 +40,7 @@ func TestReleaseUnderflowPanics(t *testing.T) {
 }
 
 func TestBlockAppendBytes(t *testing.T) {
-	m := New(1024, 4, &cost.Meter{})
+	m := New(1024, 4, &metrics.Counter{})
 	b, err := m.NewBlock(16)
 	if err != nil {
 		t.Fatal(err)
@@ -87,20 +87,29 @@ func TestBlockAllocationRespectsCapacity(t *testing.T) {
 }
 
 func TestSlowdownCharging(t *testing.T) {
-	meter := &cost.Meter{}
-	m := New(1024, 4, meter)
+	refs := &metrics.Counter{}
+	m := New(1024, 4, refs)
 	m.ChargeWrite(10)
 	m.ChargeRead(5)
-	if got := meter.Snapshot().StableRefs; got != 60 {
-		t.Fatalf("StableRefs = %d, want 60 (15 bytes x slowdown 4)", got)
+	if got := refs.Value(); got != 60 {
+		t.Fatalf("stable refs = %d, want 60 (15 bytes x slowdown 4)", got)
 	}
 	// slowdown below 1 is clamped to 1
-	m2 := New(1024, 0, meter)
-	before := meter.Snapshot().StableRefs
+	m2 := New(1024, 0, refs)
 	m2.ChargeWrite(7)
-	if got := meter.Snapshot().StableRefs - before; got != 7 {
+	if got := refs.Value() - 60; got != 7 {
 		t.Fatalf("clamped slowdown charge = %d, want 7", got)
 	}
+	// The memory outlives the registry counting it: after SetRefs the
+	// next generation's counter takes the charges, the old one none.
+	next := &metrics.Counter{}
+	m.SetRefs(next)
+	m.ChargeWrite(2)
+	if refs.Value() != 67 || next.Value() != 8 {
+		t.Fatalf("after SetRefs: old = %d (want 67), new = %d (want 8)", refs.Value(), next.Value())
+	}
+	m.SetRefs(nil) // detached: charges nothing, must not panic
+	m.ChargeRead(1)
 }
 
 func TestRootRegistry(t *testing.T) {
@@ -120,7 +129,7 @@ func TestBlockAppendProperty(t *testing.T) {
 	// Appending arbitrary chunks never corrupts earlier contents and
 	// Bytes always equals the concatenation of accepted appends.
 	f := func(chunks [][]byte) bool {
-		m := New(1<<20, 2, &cost.Meter{})
+		m := New(1<<20, 2, &metrics.Counter{})
 		b, err := m.NewBlock(256)
 		if err != nil {
 			return false

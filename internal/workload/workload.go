@@ -100,16 +100,6 @@ func DebitCredit(accounts KeyDist, tellers, branches int64, rng *rand.Rand, n in
 	return ops
 }
 
-// UpdateIntensive generates single-field updates (one small log record
-// per transaction: the paper's "update intensive" end of the spectrum).
-func UpdateIntensive(accounts KeyDist, rng *rand.Rand, n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: OpUpdate, Account: accounts.Next(), Delta: float64(rng.Intn(100))}
-	}
-	return ops
-}
-
 // Mixed generates a configurable insert/update/delete/lookup mix.
 func Mixed(accounts KeyDist, rng *rand.Rand, n int, insertPct, updatePct, deletePct int) []Op {
 	ops := make([]Op, n)

@@ -47,11 +47,6 @@ type Config = core.Config
 // DefaultConfig returns the paper's environment.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Stats exposes recovery-component counters. It is a compatibility
-// shim over the metrics registry; prefer Metrics, which also carries
-// latency distributions.
-type Stats = core.Stats
-
 // MetricsSnapshot is a point-in-time copy of every instrument in the
 // database's metrics registry: per-subsystem counters, gauges, and
 // latency histograms with p50/p95/p99. It is plain data — safe to
@@ -493,11 +488,6 @@ func (db *DB) loadCatalogs() error {
 	}
 	return nil
 }
-
-// Stats returns recovery-component counters. The counters are read
-// from the same registry Metrics snapshots; Stats remains for callers
-// that only need totals.
-func (db *DB) Stats() Stats { return db.mgr.Stats() }
 
 // Metrics captures every instrument of this database instance:
 // commit and lock-wait latency, SLB record-write and log-page-flush

@@ -79,7 +79,7 @@ func TestCheckpointsUnderConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	db.WaitIdle()
-	if db.Stats().CkptCompleted == 0 {
+	if counter(db, "checkpoint", "completed") == 0 {
 		t.Fatal("no checkpoints completed under load")
 	}
 	if err := db.CheckConsistency(); err != nil {
@@ -194,7 +194,7 @@ func TestConcurrentReadersDuringCheckpoints(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats().CkptCompleted == 0 {
+	if counter(db, "checkpoint", "completed") == 0 {
 		t.Log("warning: no checkpoints completed during reader/writer storm")
 	}
 }

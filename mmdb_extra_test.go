@@ -119,12 +119,12 @@ func TestPreload(t *testing.T) {
 	db2 := crashAndRecover(t, db, testConfig())
 	defer db2.Close()
 	rel2, _ := db2.GetRelation("r")
-	before := db2.Stats().PartsRecovered
+	before := counter(db2, "restart", "partitions_recovered")
 	// Method 1: predeclare — everything resident before the txn runs.
 	if err := db2.Preload(rel2); err != nil {
 		t.Fatal(err)
 	}
-	after := db2.Stats().PartsRecovered
+	after := counter(db2, "restart", "partitions_recovered")
 	if after <= before {
 		t.Fatal("preload recovered nothing")
 	}
@@ -134,7 +134,7 @@ func TestPreload(t *testing.T) {
 	if _, err := tx2.Count(rel2); err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.Stats().PartsRecovered; got != after {
+	if got := counter(db2, "restart", "partitions_recovered"); got != after {
 		t.Fatalf("scan after preload recovered %d more partitions", got-after)
 	}
 }
@@ -274,7 +274,7 @@ func TestMediaFailureRecovery(t *testing.T) {
 		db.WaitIdle()
 	}
 	db.WaitIdle()
-	if n := db.Stats().CkptCompleted; n < 2 {
+	if n := counter(db, "checkpoint", "completed"); n < 2 {
 		t.Fatalf("%d checkpoints completed; the workload must straddle several", n)
 	}
 	hw := db.Crash()

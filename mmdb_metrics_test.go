@@ -2,6 +2,7 @@ package mmdb
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,16 +79,6 @@ func TestMetricsAfterWorkload(t *testing.T) {
 		t.Errorf("checkpoint image_bytes histogram empty: %+v", h)
 	}
 
-	// Stats() is a shim over the same registry: totals must agree.
-	st := db.Stats()
-	if st.CkptCompleted != ck.Counter("completed") {
-		t.Errorf("Stats.CkptCompleted = %d, registry says %d", st.CkptCompleted, ck.Counter("completed"))
-	}
-	if st.PagesFlushed != s.Subsystem("log").Counter("pages_flushed") {
-		t.Errorf("Stats.PagesFlushed = %d, registry says %d",
-			st.PagesFlushed, s.Subsystem("log").Counter("pages_flushed"))
-	}
-
 	db2 := crashAndRecover(t, db, cfg)
 	defer db2.Close()
 	rel2, err := db2.GetRelation("accounts")
@@ -131,6 +122,95 @@ func TestMetricsAfterWorkload(t *testing.T) {
 	}
 	if back.Subsystem("restart").Counter("partitions_recovered") != rs.Counter("partitions_recovered") {
 		t.Error("JSON round trip lost counter values")
+	}
+}
+
+// TestSimulatedCostLivesInTheRegistry: the §3 cost model — recovery-CPU
+// instructions, stable-memory references, disk busy time — is the sim
+// subsystem of DB.Metrics(), charged by the devices to the instance
+// that is using them. After Crash and Recover the same devices charge
+// the new instance's registry and never the dead one's.
+func TestSimulatedCostLivesInTheRegistry(t *testing.T) {
+	cfg := testConfig()
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("accounts", acctSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	var rows []RowID
+	for i := 0; i < 100; i++ {
+		id, err := tx.Insert(rel, heap.Tuple{int64(i), float64(i), "holder"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, id)
+	}
+	mustCommit(t, tx)
+	for round := 0; round < 3; round++ { // past N_update: checkpoint images
+		tx := db.Begin()
+		for _, id := range rows {
+			if err := tx.Update(rel, id, map[string]any{"balance": float64(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	// A second relation stays below N_update but fills log pages, so its
+	// partition comes back from the log disk alone.
+	cold, err := db.CreateRelation("cold", acctSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = db.Begin()
+	for i := 0; i < 20; i++ {
+		if _, err := tx.Insert(cold, heap.Tuple{int64(i), 0.0, strings.Repeat("x", 120)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+	db.WaitIdle()
+	sim := []string{"recovery_instr", "stable_refs", "log_disk_busy_us", "ckpt_disk_busy_us"}
+	for _, name := range sim {
+		if v := counter(db, "sim", name); v <= 0 {
+			t.Errorf("sim/%s = %d after a checkpointed workload, want > 0", name, v)
+		}
+	}
+
+	hw := db.Crash()
+	dead := db.Metrics().Subsystem("sim")
+	cfg.FaultInjector.ClearCrash()
+	db2, err := Recover(hw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if v := counter(db2, "sim", "stable_refs"); v >= dead.Counter("stable_refs") {
+		t.Errorf("recovered instance's sim/stable_refs = %d, not below the dead instance's %d: the counter was inherited", v, dead.Counter("stable_refs"))
+	}
+	before := db2.Metrics().Subsystem("sim")
+	for _, name := range []string{"accounts", "cold"} { // demand every partition
+		r, err := db2.GetRelation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db2.Preload(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"log_disk_busy_us", "ckpt_disk_busy_us"} {
+		if d := counter(db2, "sim", name) - before.Counter(name); d <= 0 {
+			t.Errorf("demanded partitions charged %d to the new instance's sim/%s, want > 0", d, name)
+		}
+	}
+	after := db.Metrics().Subsystem("sim")
+	for _, name := range sim {
+		if after.Counter(name) != dead.Counter(name) {
+			t.Errorf("dead instance's sim/%s moved %d -> %d after the crash", name, dead.Counter(name), after.Counter(name))
+		}
 	}
 }
 

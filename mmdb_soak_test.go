@@ -145,7 +145,7 @@ func TestSoakSustainedWorkloadWithCrashes(t *testing.T) {
 		}
 
 		db.WaitIdle()
-		st := db.Stats()
+		st := db.Metrics()
 		db = crashAndRecover(t, db, cfg)
 		for i := range rels {
 			rels[i], err = db.GetRelation(fmt.Sprintf("soak%d", i))
@@ -178,13 +178,13 @@ func TestSoakSustainedWorkloadWithCrashes(t *testing.T) {
 		}
 		if phase == phases-1 {
 			// Sanity on machinery engagement across the run.
-			if st.CkptCompleted == 0 {
+			if st.Subsystem("checkpoint").Counter("completed") == 0 {
 				t.Error("soak never completed a checkpoint")
 			}
-			if st.PagesFlushed == 0 {
+			if st.Subsystem("log").Counter("pages_flushed") == 0 {
 				t.Error("soak never flushed a log page")
 			}
-			if st.RecordsAccumulated == 0 {
+			if st.Subsystem("log").Counter("records_accumulated") == 0 {
 				t.Error("change accumulation never engaged")
 			}
 		}

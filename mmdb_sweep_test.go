@@ -111,10 +111,10 @@ func TestParallelSweepWithConcurrentDemand(t *testing.T) {
 	}
 	// One recovery transaction per partition, no matter how many
 	// sweep workers and foreground readers demanded it.
-	if got := db2.Stats().PartsRecovered; got != int64(len(all)) {
+	if got := counter(db2, "restart", "partitions_recovered"); got != int64(len(all)) {
 		t.Fatalf("PartsRecovered = %d, want %d (one per partition)", got, len(all))
 	}
-	if got := db2.Stats().SweepErrors; got != 0 {
+	if got := counter(db2, "restart", "sweep_errors"); got != 0 {
 		t.Fatalf("SweepErrors = %d on a clean sweep", got)
 	}
 }

@@ -69,6 +69,10 @@ func crashAndRecover(tb testing.TB, db *DB, cfg Config) *DB {
 	return db2
 }
 
+// counter reads one counter of db's registry, e.g.
+// counter(db, "checkpoint", "completed").
+func counter(db *DB, sub, name string) int64 { return db.Metrics().Subsystem(sub).Counter(name) }
+
 func TestBasicCRUD(t *testing.T) {
 	db := openTestDB(t)
 	defer db.Close()
@@ -213,7 +217,7 @@ func TestCrashRecoverWithCheckpoints(t *testing.T) {
 		mustCommit(t, tx)
 	}
 	db.WaitIdle() // let checkpoints drain
-	if db.Stats().CkptCompleted == 0 {
+	if counter(db, "checkpoint", "completed") == 0 {
 		t.Fatal("no checkpoints completed despite low threshold")
 	}
 	db2 := crashAndRecover(t, db, cfg)

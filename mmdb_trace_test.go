@@ -116,8 +116,7 @@ func TestCrashMidCheckpointFlightRecorder(t *testing.T) {
 	// out of the flight ring before the crash. Injected failures are
 	// expected once the crash lands.
 	triggered := func() bool {
-		st := db.Stats()
-		return st.CkptByUpdateCount+st.CkptByAge > 0
+		return counter(db, "checkpoint", "triggered_by_update_count")+counter(db, "checkpoint", "triggered_by_age") > 0
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; !inj.Crashed(); i++ {
