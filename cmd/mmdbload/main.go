@@ -64,8 +64,7 @@ func main() {
 		report     = flag.String("report", "", "write the JSON report to this file")
 		serverCfg  = server.Config{}
 	)
-	flag.IntVar(&serverCfg.Workers, "workers", 8, "in-process server executor pool size")
-	flag.IntVar(&serverCfg.Queue, "queue", 2048, "in-process server queue depth")
+	flag.IntVar(&serverCfg.Workers, "workers", 8, "in-process server: transactions executing at once")
 	flag.Parse()
 
 	// Optional in-process server.
@@ -144,7 +143,7 @@ func main() {
 
 	// Server-side view: scrape the server's metrics (OpMetrics) so the
 	// report pairs the rig's client-observed percentiles with the
-	// executor- and commit-path percentiles the server measured itself.
+	// execution- and commit-path percentiles the server measured itself.
 	r.Server = scrapeServer(boot)
 
 	printReport(r)
@@ -268,7 +267,7 @@ type VerifyStats struct {
 }
 
 // ServerSideStats are the server's own measurements of the run,
-// scraped over the wire (OpMetrics) after the load drains: executor and
+// scraped over the wire (OpMetrics) after the load drains: execution and
 // commit-path p99s free of client queueing, plus restart facts.
 type ServerSideStats struct {
 	Requests         int64   `json:"requests"`

@@ -32,8 +32,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7707", "TCP listen address")
 		httpAddr    = flag.String("http", "", "ops-plane HTTP listen address (empty disables)")
-		workers     = flag.Int("workers", 8, "executor pool size")
-		queue       = flag.Int("queue", 1024, "shared request queue depth")
+		workers     = flag.Int("workers", 8, "transactions executing at once")
 		traceEvents = flag.Int("trace-events", 0, "volatile trace ring size (0 disables tracing)")
 		flightBytes = flag.Int("flight-recorder", 0, "stable flight-recorder bytes (0 disables)")
 		logStreams  = flag.Int("log-streams", 0, "SLB log streams (0 = config default)")
@@ -63,13 +62,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mmdbserve:", err)
 		os.Exit(1)
 	}
-	s, err := server.New(db, cfg, server.Config{Addr: *addr, Workers: *workers, Queue: *queue})
+	s, err := server.New(db, cfg, server.Config{Addr: *addr, Workers: *workers})
 	if err != nil {
 		_ = db.Close()
 		fmt.Fprintln(os.Stderr, "mmdbserve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mmdbserve: listening on %s (workers=%d queue=%d)\n", s.Addr(), *workers, *queue)
+	fmt.Printf("mmdbserve: listening on %s (workers=%d)\n", s.Addr(), *workers)
 
 	var opsSrv *http.Server
 	if *httpAddr != "" {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's §3 evaluation, plus the ablations called out in DESIGN.md.
 // Each experiment returns structured series so that cmd/paperbench can
-// print them and bench_test.go can assert on their shape.
+// print them and the package tests can assert on their shape.
 //
 // For each graph we report the paper's analytic value (re-derived by
 // internal/model from the Table 2 formulas) next to a measured value

@@ -1,10 +1,11 @@
 // Package client is the pipelining client for the mmdb network
 // front-end. A Conn multiplexes any number of in-flight requests over
 // one TCP connection: Send returns immediately with a Pending handle,
-// responses are matched back by request ID (the server may answer out
-// of order), and a writer goroutine coalesces queued requests into
-// batched socket writes exactly like the server's response path. Pool
-// spreads load over several connections round-robin.
+// responses are matched back by request ID alone (the server answers a
+// connection in request order; nothing here relies on it), and a writer
+// goroutine coalesces queued requests into batched socket writes, which
+// is what keeps Send from blocking on the network. Pool spreads load
+// over several connections round-robin.
 package client
 
 import (

@@ -1,32 +1,30 @@
 // Package server is the mmdb network front-end: a TCP server speaking
-// the length-prefixed binary protocol of internal/server/proto, built
-// so thousands of connections multiplex onto a small executor pool.
+// the length-prefixed binary protocol of internal/server/proto, with one
+// goroutine per connection and nothing between the socket and the
+// transaction.
 //
 // Architecture (docs/NETWORK.md has the full spec):
 //
-//   - Each connection gets exactly two goroutines — a reader and a
-//     writer — so connection count scales to thousands without a
-//     per-request goroutine explosion.
-//   - The reader decodes pipelined frames and submits them to one
-//     bounded request queue shared by all connections. When the queue
-//     is full the reader blocks, which stops reading the socket, which
-//     fills the kernel receive buffer, which stalls the client's
-//     writes: backpressure propagates to the client with no explicit
-//     flow-control frames.
-//   - A fixed pool of executor goroutines drains the queue and runs
-//     each request as one transaction against the DB. Because a few
-//     executors carry every connection's traffic, their commits batch
+//   - Each connection is served by exactly one goroutine. It decodes
+//     every whole frame the socket has delivered, runs each request in
+//     turn as one transaction against the DB, appends the response to
+//     the connection's output buffer, and writes that buffer once when
+//     no whole frame is left to decode (or at 64 KiB) before it reads
+//     again. Pipelined requests therefore share a socket write, and
+//     responses leave in request order.
+//   - A connection that is executing is not reading: its kernel receive
+//     buffer fills, which stalls the client's writes. Backpressure
+//     reaches the client with no queue and no flow-control frames.
+//   - At most Config.Workers requests execute at once; the others wait
+//     for a slot on their own connection's goroutine. Because every
+//     connection's transactions meet in the one DB, their commits batch
 //     naturally into the epoch group-commit path (PR 5).
-//   - Responses travel back through a per-connection channel; the
-//     writer coalesces whatever has accumulated into one socket write,
-//     so pipelined responses share syscalls. Responses may be written
-//     in any order — the request ID is the only correlation.
 //
 // The server owns its DB handle: OpCrash crashes and recovers the
 // database in place (the recovered instance replaces the old one), and
-// Close() drains in-flight requests, rejects late frames with a typed
-// StatusShutdown, and shuts the DB down after the background sweep has
-// settled.
+// Close() lets every connection finish the request it is in, rejects
+// the frames behind it with a typed StatusShutdown, and then shuts the
+// DB down.
 package server
 
 import (
@@ -34,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,13 +48,9 @@ type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral
 	// test port).
 	Addr string
-	// Workers is the executor pool size. Default 8.
+	// Workers is the number of transactions executing at once; requests
+	// beyond it wait on their own connections. Default 8.
 	Workers int
-	// Queue is the shared request-queue depth; a full queue blocks
-	// readers (backpressure). Default 1024.
-	Queue int
-	// OutDepth is the per-connection response-channel depth. Default 64.
-	OutDepth int
 }
 
 func (c *Config) fill() {
@@ -65,52 +60,35 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
-	if c.Queue <= 0 {
-		c.Queue = 1024
-	}
-	if c.OutDepth <= 0 {
-		c.OutDepth = 64
-	}
 }
 
 // ErrClosed is returned by Close on a server already closed.
 var ErrClosed = errors.New("server: already closed")
 
-// task is one decoded request bound to its connection.
-type task struct {
-	c   *conn
-	req proto.Request
-}
-
 // Server is one listening front-end over one DB instance.
 type Server struct {
-	cfg   Config
 	dbCfg mmdb.Config
 	lis   net.Listener
 
-	// dbMu guards the db pointer; executors hold it shared for the
-	// duration of a request so OpCrash can swap in the recovered
+	// dbMu guards the db pointer; a request holds it shared for the
+	// duration of its execution so OpCrash can swap in the recovered
 	// instance without racing in-flight transactions.
 	dbMu       sync.RWMutex
 	db         *mmdb.DB
 	recovering atomic.Bool
 
-	// submitMu makes "check draining, register in-flight" atomic
-	// against Close flipping draining: a reader holds it shared around
-	// the check+Add so Close's inflight.Wait can never miss a request.
-	submitMu sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
-
-	reqCh chan task
+	// draining is set by Close: every frame decoded from then on is
+	// answered with StatusShutdown instead of being executed.
+	draining atomic.Bool
+	// slots bounds the requests executing at once (cap Workers).
+	slots chan struct{}
 
 	connMu sync.Mutex
 	conns  map[uint64]*conn
 	nextID atomic.Uint64
 
-	wg       sync.WaitGroup // executors
 	acceptWg sync.WaitGroup // accept loop
-	connWg   sync.WaitGroup // per-connection readers and writers
+	connWg   sync.WaitGroup // one per connection
 	closed   atomic.Bool
 
 	// Server-side observability lives in its own registry (the DB's
@@ -124,7 +102,6 @@ type Server struct {
 	mShutdown  *metrics.Counter
 	mRecovery  *metrics.Counter
 	mCrashes   *metrics.Counter
-	mQueue     *metrics.Gauge
 	mInflight  *metrics.Gauge
 	mBytesIn   *metrics.Counter
 	mBytesOut  *metrics.Counter
@@ -144,11 +121,10 @@ func New(db *mmdb.DB, dbCfg mmdb.Config, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
 		dbCfg: dbCfg,
 		lis:   lis,
 		db:    db,
-		reqCh: make(chan task, cfg.Queue),
+		slots: make(chan struct{}, cfg.Workers),
 		conns: make(map[uint64]*conn),
 		reg:   metrics.NewRegistry(),
 	}
@@ -164,20 +140,15 @@ func New(db *mmdb.DB, dbCfg mmdb.Config, cfg Config) (*Server, error) {
 	s.mShutdown = sub.Counter("rejected_shutdown", "frames", "requests rejected with StatusShutdown while draining")
 	s.mRecovery = sub.Counter("rejected_recovering", "frames", "requests rejected with StatusRecovering during restart")
 	s.mCrashes = sub.Counter("crash_recover_cycles", "cycles", "remote OpCrash crash+recover cycles served")
-	s.mQueue = sub.Gauge("queue_depth", "requests", "requests waiting in the shared executor queue")
-	s.mInflight = sub.Gauge("inflight", "requests", "requests submitted but not yet answered")
+	s.mInflight = sub.Gauge("inflight", "requests", "requests executing or waiting for an execution slot")
 	s.mBytesIn = sub.Counter("bytes_in", "bytes", "request bytes read")
 	s.mBytesOut = sub.Counter("bytes_out", "bytes", "response bytes written")
-	s.mFlushes = sub.Counter("flushes", "writes", "writer-side socket writes (each may carry many frames)")
-	s.mFlushSize = sub.Histogram("flush_bytes", "bytes", "bytes per writer-side socket write")
+	s.mFlushes = sub.Counter("flushes", "writes", "response socket writes (each may carry many frames)")
+	s.mFlushSize = sub.Histogram("flush_bytes", "bytes", "bytes per response socket write")
 	for op := proto.Op(1); int(op) < proto.NumOps; op++ {
-		s.mOpLat[op] = sub.Histogram("latency_"+op.String(), "ns", "executor latency of "+op.String()+" requests")
+		s.mOpLat[op] = sub.Histogram("latency_"+op.String(), "ns", "execution latency of "+op.String()+" requests")
 	}
 
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	s.acceptWg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -198,9 +169,13 @@ func (s *Server) DB() *mmdb.DB {
 func (s *Server) Metrics() metrics.Snapshot { return s.reg.Snapshot() }
 
 // tracer returns the current DB's tracer; nil (a no-op sink) when
-// tracing is disabled.
+// tracing is disabled, and while a crash+recover cycle owns the
+// instance — an event must not make a typed rejection wait for the
+// restart it reports.
 func (s *Server) tracer() *trace.Tracer {
-	s.dbMu.RLock()
+	if !s.dbMu.TryRLock() {
+		return nil
+	}
 	defer s.dbMu.RUnlock()
 	if s.db == nil {
 		return nil
@@ -209,42 +184,30 @@ func (s *Server) tracer() *trace.Tracer {
 }
 
 // Close drains and shuts down: stop accepting, reject new frames with
-// StatusShutdown, wait for every submitted request to execute, flush
-// every connection's pending responses, then stop the executors and
-// close the database (waiting out the background recovery sweep).
+// StatusShutdown, let every connection finish the request it is
+// executing and flush its responses, then close the database.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
 	_ = s.lis.Close()
-	// No connection can register after this: the conns snapshot below
-	// is complete.
+	// No connection can register after this: the conns walk below is
+	// complete.
 	s.acceptWg.Wait()
 
-	s.submitMu.Lock()
-	s.draining = true
-	s.submitMu.Unlock()
+	s.draining.Store(true)
 
-	// Every request that passed the draining check is now counted in
-	// inflight; wait for the executors to finish them all.
-	s.inflight.Wait()
-
-	// Flush and close every connection: writers drain their response
-	// channels before the sockets close, so a client that stops
-	// sending receives every ack for work it had in flight.
+	// An expired read deadline ends a connection's next (or current)
+	// socket read. Its goroutine first finishes the request it is in,
+	// answers the frames it had already buffered with StatusShutdown and
+	// flushes, so a client that stops sending receives every ack for
+	// work the server took on.
 	s.connMu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
 	for _, c := range s.conns {
-		conns = append(conns, c)
+		_ = c.nc.SetReadDeadline(time.Now())
 	}
 	s.connMu.Unlock()
-	for _, c := range conns {
-		c.beginFlush()
-	}
 	s.connWg.Wait()
-
-	close(s.reqCh)
-	s.wg.Wait()
 
 	s.dbMu.Lock()
 	db := s.db
@@ -253,9 +216,9 @@ func (s *Server) Close() error {
 	if db == nil {
 		return nil
 	}
-	// WaitIdle settles the recovery component — including a background
-	// sweep still restoring partitions after a remote crash — before
-	// the final Close tears it down.
+	// WaitIdle drains the sorter and the checkpoint queue. It does not
+	// wait for a background sweep still restoring partitions after a
+	// remote crash (ROADMAP item 1); DB.Close interrupts the sweep.
 	db.WaitIdle()
 	return db.Close()
 }
@@ -264,38 +227,12 @@ func (s *Server) Close() error {
 // Connections.
 // ---------------------------------------------------------------------
 
-// conn is one client connection: a reader goroutine decoding pipelined
-// frames and a writer goroutine coalescing responses.
+// conn is one client connection. Only its serve goroutine touches it,
+// except that Close expires the socket's read deadline.
 type conn struct {
-	id  uint64
-	nc  net.Conn
-	out chan proto.Response
-
-	done      chan struct{} // closed exactly once when the conn dies
-	flushReq  chan struct{} // closed by Close(): writer drains then exits
-	closeOnce sync.Once
-	flushOnce sync.Once
-	served    atomic.Uint64
-}
-
-func (c *conn) close() {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		_ = c.nc.Close()
-	})
-}
-
-func (c *conn) beginFlush() {
-	c.flushOnce.Do(func() { close(c.flushReq) })
-}
-
-// send delivers a response to the writer, giving up if the connection
-// died (the response is dropped; the client is gone).
-func (c *conn) send(r proto.Response) {
-	select {
-	case c.out <- r:
-	case <-c.done:
-	}
+	id     uint64
+	nc     net.Conn
+	served uint64 // responses written
 }
 
 func (s *Server) acceptLoop() {
@@ -305,159 +242,99 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		id := s.nextID.Add(1)
-		c := &conn{
-			id:       id,
-			nc:       nc,
-			out:      make(chan proto.Response, s.cfg.OutDepth),
-			done:     make(chan struct{}),
-			flushReq: make(chan struct{}),
-		}
+		c := &conn{id: s.nextID.Add(1), nc: nc}
 		s.connMu.Lock()
-		s.conns[id] = c
+		s.conns[c.id] = c
 		s.connMu.Unlock()
 		s.mAccepted.Inc()
 		s.mConns.Add(1)
-		s.tracer().Emit(trace.Event{Kind: trace.KindNetAccept, Arg: id})
-		s.connWg.Add(2)
-		go s.readLoop(c)
-		go s.writeLoop(c)
+		s.tracer().Emit(trace.Event{Kind: trace.KindNetAccept, Arg: c.id})
+		s.connWg.Add(1)
+		go s.serve(c)
 	}
 }
 
 func (s *Server) dropConn(c *conn) {
-	c.close()
+	_ = c.nc.Close()
 	s.connMu.Lock()
-	_, live := s.conns[c.id]
 	delete(s.conns, c.id)
 	s.connMu.Unlock()
-	if live {
-		s.mConns.Add(-1)
-		s.tracer().Emit(trace.Event{Kind: trace.KindNetClose, Arg: c.id, Arg2: c.served.Load()})
-	}
+	s.mConns.Add(-1)
+	s.tracer().Emit(trace.Event{Kind: trace.KindNetClose, Arg: c.id, Arg2: c.served})
 }
 
-// readLoop decodes pipelined request frames off the socket. ErrShort
-// waits for more bytes; ErrCorrupt poisons the connection.
-func (s *Server) readLoop(c *conn) {
+const (
+	// flushCap is the output-buffer size at which responses are written
+	// even though more decoded frames are waiting.
+	flushCap = 64 << 10
+	// readRoom is the least free space offered to one socket read.
+	readRoom = 4 << 10
+)
+
+// serve is a connection's one goroutine: run every whole frame the
+// socket has delivered, write the responses in one batch, read again.
+// ErrShort waits for more bytes; ErrCorrupt ends the connection, after
+// the frames that decoded cleanly ahead of it have been answered.
+func (s *Server) serve(c *conn) {
 	defer s.connWg.Done()
 	defer s.dropConn(c)
-	buf := make([]byte, 0, 16<<10)
-	tmp := make([]byte, 32<<10)
-	start := 0
+	in := make([]byte, 0, 16<<10)
+	var out []byte
+	var readErr error
 	for {
+		start, frames := 0, 0
+		var decErr error
 		for {
-			req, n, err := proto.DecodeRequest(buf[start:])
-			if errors.Is(err, proto.ErrShort) {
-				break
-			}
+			req, n, err := proto.DecodeRequest(in[start:])
 			if err != nil {
-				s.mCorrupt.Inc()
-				return
+				decErr = err
+				break
 			}
 			start += n
 			s.mRequests.Inc()
-			if !s.submit(c, req) {
-				return
-			}
-		}
-		if start > 0 {
-			buf = append(buf[:0], buf[start:]...)
-			start = 0
-		}
-		n, err := c.nc.Read(tmp)
-		if n > 0 {
-			s.mBytesIn.Add(int64(n))
-			buf = append(buf, tmp[:n]...)
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// submit queues one request for execution, or rejects it with a typed
-// error while the server drains. Returns false when the connection died
-// while the queue was full.
-func (s *Server) submit(c *conn, req proto.Request) bool {
-	s.submitMu.RLock()
-	if s.draining {
-		s.submitMu.RUnlock()
-		s.mShutdown.Inc()
-		c.send(proto.Response{ID: req.ID, Status: proto.StatusShutdown, Msg: "server draining"})
-		return true // keep reading: every late frame gets its typed rejection
-	}
-	s.inflight.Add(1)
-	s.submitMu.RUnlock()
-
-	s.mInflight.Add(1)
-	select {
-	case s.reqCh <- task{c: c, req: req}:
-		s.mQueue.Add(1)
-		return true
-	case <-c.done:
-		s.mInflight.Add(-1)
-		s.inflight.Done()
-		return false
-	}
-}
-
-// writeLoop coalesces queued responses into batched socket writes.
-func (s *Server) writeLoop(c *conn) {
-	defer s.connWg.Done()
-	defer s.dropConn(c)
-	const flushCap = 64 << 10
-	buf := make([]byte, 0, flushCap)
-	for {
-		var r proto.Response
-		select {
-		case r = <-c.out:
-		case <-c.done:
-			return
-		case <-c.flushReq:
-			// Shutdown flush: everything executed is already queued
-			// (Close waited for in-flight work first); drain it, write,
-			// and end the connection.
-			n := 0
-			for {
-				select {
-				case r := <-c.out:
-					buf = proto.AppendResponse(buf, &r)
-					n++
-				default:
-					if len(buf) > 0 {
-						s.flush(c, buf, n)
-					}
+			resp := s.run(c, &req)
+			out = proto.AppendResponse(out, &resp)
+			frames++
+			if len(out) >= flushCap {
+				if !s.flush(c, out, frames) {
 					return
 				}
+				out, frames = out[:0], 0
 			}
 		}
-		buf = proto.AppendResponse(buf[:0], &r)
-		n := 1
-		// Opportunistically coalesce whatever else has accumulated.
-	drain:
-		for len(buf) < flushCap {
-			select {
-			case r2 := <-c.out:
-				buf = proto.AppendResponse(buf, &r2)
-				n++
-			default:
-				break drain
-			}
-		}
-		if !s.flush(c, buf, n) {
+		if frames > 0 && !s.flush(c, out, frames) {
 			return
 		}
-		c.served.Add(uint64(n))
+		out = out[:0]
+		if !errors.Is(decErr, proto.ErrShort) {
+			s.mCorrupt.Inc()
+			return
+		}
+		if readErr != nil {
+			// The peer hung up, or Close expired the deadline; whatever
+			// whole frames came with the last read are answered above.
+			return
+		}
+		if start > 0 {
+			in = append(in[:0], in[start:]...)
+		}
+		if cap(in)-len(in) < readRoom {
+			in = slices.Grow(in, readRoom)
+		}
+		var n int
+		n, readErr = c.nc.Read(in[len(in):cap(in)])
+		in = in[:len(in)+n]
+		s.mBytesIn.Add(int64(n))
 	}
 }
 
-// flush writes one coalesced batch of n frames; false means the
+// flush writes one batch of n response frames; false means the
 // connection is dead.
 func (s *Server) flush(c *conn, buf []byte, n int) bool {
 	if _, err := c.nc.Write(buf); err != nil {
 		return false
 	}
+	c.served += uint64(n)
 	s.mBytesOut.Add(int64(len(buf)))
 	s.mFlushes.Inc()
 	s.mFlushSize.Observe(int64(len(buf)))
@@ -466,24 +343,41 @@ func (s *Server) flush(c *conn, buf []byte, n int) bool {
 }
 
 // ---------------------------------------------------------------------
-// Executors.
+// Execution.
 // ---------------------------------------------------------------------
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.reqCh {
-		s.mQueue.Add(-1)
-		s.tracer().Emit(trace.Event{Kind: trace.KindNetDispatch, Arg: t.c.id, Arg2: uint64(t.req.Op), Txn: t.req.ID})
+// run answers one request on its connection's goroutine. The typed
+// rejections come first, without waiting for anything: a client learns
+// immediately (and measurably — the load rig times this) that the
+// request was not executed, even when a crash+recover cycle finds every
+// execution slot busy.
+func (s *Server) run(c *conn, req *proto.Request) proto.Response {
+	var resp proto.Response
+	switch {
+	case s.draining.Load():
+		s.mShutdown.Inc()
+		resp = proto.Response{Status: proto.StatusShutdown, Msg: "server draining"}
+	case s.recovering.Load():
+		resp = s.rejectRecovering()
+	default:
+		s.mInflight.Add(1)
+		s.slots <- struct{}{}
+		s.tracer().Emit(trace.Event{Kind: trace.KindNetDispatch, Arg: c.id, Arg2: uint64(req.Op), Txn: req.ID})
 		start := time.Now()
-		resp := s.execute(&t.req)
-		if h := s.mOpLat[t.req.Op]; h != nil {
+		resp = s.execute(req)
+		if h := s.mOpLat[req.Op]; h != nil {
 			h.Observe(time.Since(start).Nanoseconds())
 		}
-		resp.ID = t.req.ID
-		t.c.send(resp)
+		<-s.slots
 		s.mInflight.Add(-1)
-		s.inflight.Done()
 	}
+	resp.ID = req.ID
+	return resp
+}
+
+func (s *Server) rejectRecovering() proto.Response {
+	s.mRecovery.Inc()
+	return proto.Response{Status: proto.StatusRecovering, Msg: "restart in progress"}
 }
 
 // execute runs one request to a response. OpCrash is the only request
@@ -493,12 +387,10 @@ func (s *Server) execute(req *proto.Request) proto.Response {
 	if req.Op == proto.OpCrash {
 		return s.crashRecover()
 	}
-	// Typed fast rejection while a crash+recover cycle runs: the client
-	// learns immediately (and measurably — the load rig times this)
-	// that the request was not executed, instead of blocking.
+	// A crash that began while this request waited for its slot rejects
+	// it the same way, instead of letting it block on the db lock.
 	if s.recovering.Load() {
-		s.mRecovery.Inc()
-		return proto.Response{Status: proto.StatusRecovering, Msg: "restart in progress"}
+		return s.rejectRecovering()
 	}
 	s.dbMu.RLock()
 	defer s.dbMu.RUnlock()
@@ -514,8 +406,7 @@ func (s *Server) execute(req *proto.Request) proto.Response {
 // StatusRecovering rejections) on every connection.
 func (s *Server) crashRecover() proto.Response {
 	if !s.recovering.CompareAndSwap(false, true) {
-		s.mRecovery.Inc()
-		return proto.Response{Status: proto.StatusRecovering, Msg: "restart already in progress"}
+		return s.rejectRecovering()
 	}
 	defer s.recovering.Store(false)
 	start := time.Now()

@@ -113,11 +113,11 @@ const (
 
 	// Network front-end (internal/server). NetAccept/NetClose bracket a
 	// connection's lifetime (Arg = connection ID; NetClose's Arg2 = total
-	// requests served on it). NetDispatch is one request leaving the
-	// bounded queue for an executor (Arg = connection ID, Arg2 = opcode,
-	// Txn = wire request ID). NetFlush is one writer-side batch flushed
-	// to the socket (Arg = connection ID, Arg2 = frames in the batch,
-	// LSN = bytes written).
+	// requests served on it). NetDispatch is the connection's goroutine
+	// taking an execution slot for one request (Arg = connection ID,
+	// Arg2 = opcode, Txn = wire request ID). NetFlush is one batch of
+	// responses written to the socket (Arg = connection ID, Arg2 = frames
+	// in the batch, LSN = bytes written).
 	KindNetAccept
 	KindNetClose
 	KindNetDispatch
