@@ -148,12 +148,9 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 		byPID[pid] = p
 	}
 	apply := func(buf []byte) error {
-		recs, err := wal.DecodeAll(buf)
-		if err != nil {
-			return err
-		}
-		for i := range recs {
-			r := &recs[i]
+		w := wal.Walk(buf)
+		for w.Next() {
+			r := w.Record()
 			p := byPID[r.PID]
 			if p == nil {
 				store.EnsureSegment(r.PID.Segment)
@@ -168,7 +165,7 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 				return err
 			}
 		}
-		return nil
+		return w.Err()
 	}
 	for _, lsn := range e.logPages {
 		page, err := e.logDisk.Read(lsn)

@@ -127,12 +127,14 @@ type BinResidue struct {
 	Records []byte
 }
 
-// BinResidues snapshots every bin's current page buffer.
+// BinResidues snapshots every bin's current page buffer, each a clean
+// concatenation of records.
 func (m *Manager) BinResidues() []BinResidue {
 	m.slt.st.mu.Lock()
 	defer m.slt.st.mu.Unlock()
 	var out []BinResidue
 	for _, b := range m.slt.st.bins {
+		m.checkTailLocked(b)
 		if b.cur != nil && b.cur.Len() > 0 {
 			out = append(out, BinResidue{PID: b.pid, Records: append([]byte(nil), b.cur.Bytes()...)})
 		}

@@ -342,9 +342,7 @@ func TestLenientReplayOntoNewerImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := applyRecords(img, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustReplay(t, img, recs)
 	for slot := addr.Slot(0); slot <= 2; slot++ {
 		w, errW := p.Read(slot)
 		g, errG := img.Read(slot)
@@ -357,9 +355,7 @@ func TestLenientReplayOntoNewerImage(t *testing.T) {
 	}
 	// And replaying onto an empty image also converges (normal path).
 	fresh := mm.NewPartition(pid, 4096)
-	if _, err := applyRecords(fresh, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustReplay(t, fresh, recs)
 	g, err := fresh.Read(0)
 	if err != nil || !bytes.Equal(g, []byte("AAAA")) {
 		t.Fatalf("fresh slot 0 = %q, %v", g, err)
@@ -540,6 +536,14 @@ func mustOK(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mustReplay applies a record stream that must decode and apply whole.
+func mustReplay(t *testing.T, p *mm.Partition, buf []byte) {
+	t.Helper()
+	if _, _, cut, err := replayPrefix(p, buf); err != nil || cut != nil {
+		t.Fatalf("replay: cut %v, err %v", cut, err)
 	}
 }
 

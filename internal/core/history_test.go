@@ -73,9 +73,7 @@ func replay(t *testing.T, pid addr.PartitionID, pages []logPage) *mm.Partition {
 	t.Helper()
 	p := mm.NewPartition(pid, 4096)
 	for _, pg := range pages {
-		if _, err := applyRecords(p, pg.recs); err != nil {
-			t.Fatal(err)
-		}
+		mustReplay(t, p, pg.recs)
 	}
 	return p
 }

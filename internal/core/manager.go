@@ -362,58 +362,41 @@ func (m *Manager) drainSome(n int) bool {
 // into partition bins in the SLT, in record order, optionally change-
 // accumulating them first (§1.2).
 func (m *Manager) sortChain(c *txnChain) error {
-	cost := m.cfg.Cost
-	var pending []*wal.Record
+	var recs []wal.Record
 	for _, blk := range c.blocks {
 		buf := blk.Bytes()
-		recs, err := wal.DecodeAll(buf)
-		if err != nil {
+		w := wal.Walk(buf)
+		for w.Next() {
+			recs = append(recs, *w.Record())
+		}
+		if err := w.Err(); err != nil {
 			// Rotted bytes inside a committed chain — a mutation act or
 			// genuine stable-memory decay. The record CRC turned what
 			// would be silent misapplication into a typed decode error:
-			// sort the clean prefix and quarantine the corrupt suffix
-			// (record boundaries past the rot cannot be resynchronised
-			// in a varint stream), counting and tracing the loss so
-			// crash sweeps can tell detected damage from silence.
-			valid := wal.ValidPrefix(buf)
-			recs, _ = wal.DecodeAll(buf[:valid])
-			m.metrics.CorruptDetected.Inc()
-			m.metrics.QuarantinedRecords.Inc()
-			m.tracer.Emit(trace.Event{
-				Kind: trace.KindRecordQuarantine, Txn: c.id,
-				Arg: uint64(valid), Arg2: uint64(len(buf) - valid),
-				Str: err.Error(),
-			})
-		}
-		for i := range recs {
-			pending = append(pending, &recs[i])
+			// the clean prefix is sorted and the loss counted and traced,
+			// so crash sweeps can tell detected damage from silence.
+			m.quarantineSuffix(trace.Event{Txn: c.id}, w.Clean(), len(buf), err, false)
 		}
 	}
-	if m.cfg.ChangeAccumulation && len(pending) > 1 {
-		flat := make([]wal.Record, len(pending))
-		for i, r := range pending {
-			flat[i] = *r
-		}
-		acc, dropped := accumulate(flat)
-		if dropped > 0 {
+	if m.cfg.ChangeAccumulation && len(recs) > 1 {
+		if acc, dropped := accumulate(recs); dropped > 0 {
 			m.metrics.RecordsAccumulated.Add(int64(dropped))
 			// Accumulation work: roughly one lookup + copy per input
 			// record.
-			m.metrics.SimRecoveryInstr.Add(int64(float64(len(flat)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
-			pending = acc
+			cost := m.cfg.Cost
+			m.metrics.SimRecoveryInstr.Add(int64(float64(len(recs)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
+			for _, r := range acc {
+				if err := m.sortRecord(r); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
-	for _, r := range pending {
-		if err := m.sortRecord(r); err != nil {
+	for i := range recs {
+		if err := m.sortRecord(&recs[i]); err != nil {
 			return err
 		}
-		sz := int64(r.EncodedSize())
-		m.metrics.RecordsSorted.Add(1)
-		m.metrics.BytesSorted.Add(sz)
-		// I_record_sort: lookup + page check + copy startup +
-		// per-byte copy + page info update.
-		m.metrics.SimRecoveryInstr.Add(int64(cost.IRecordLookup + cost.IPageCheck +
-			cost.ICopyFixed + cost.ICopyAdd*float64(sz) + cost.IPageUpdate))
 	}
 	return nil
 }
@@ -429,6 +412,8 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 		s.st.mu.Unlock()
 		return err
 	}
+	// The restart re-sort must never append after a torn record.
+	m.checkTailLocked(b)
 	r.Bin = b.index
 	enc := r.Encode(nil)
 	if b.cur == nil {
@@ -472,9 +457,16 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 	}
 	pid := b.pid
 	s.st.mu.Unlock()
+	cost := &m.cfg.Cost
+	m.metrics.RecordsSorted.Add(1)
+	m.metrics.BytesSorted.Add(int64(len(enc)))
+	// I_record_sort: lookup + page check + copy startup +
+	// per-byte copy + page info update.
+	m.metrics.SimRecoveryInstr.Add(int64(cost.IRecordLookup + cost.IPageCheck +
+		cost.ICopyFixed + cost.ICopyAdd*float64(len(enc)) + cost.IPageUpdate))
 	if trigger {
 		m.metrics.CkptByUpdateCount.Add(1)
-		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
+		m.metrics.SimRecoveryInstr.Add(int64(cost.ICheckpoint))
 		m.slb.enqueueCkpt(pid, trigUpdateCount)
 	}
 	return nil
@@ -485,6 +477,7 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 // partition are chained, and when the N-entry directory fills its
 // contents are embedded in the page being written (§2.3.3).
 func (m *Manager) flushBinPageLocked(b *bin) error {
+	m.checkTailLocked(b)
 	if b.cur == nil || b.cur.Len() == 0 {
 		return nil
 	}

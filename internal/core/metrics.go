@@ -92,10 +92,11 @@ type Metrics struct {
 	// (stale catalog track, envelope checksum mismatch, or structural
 	// rot) — distinct from the per-record counter, because one lost
 	// image is not one lost record.
-	// TornTailCuts counts undecodable bin-tail suffixes cut back at
-	// restart without a checksum mismatch: a torn final append from the
-	// crash itself, or tail-truncating rot — the two are physically
-	// indistinguishable, so the cut is surfaced as evidence either way.
+	// TornTailCuts counts undecodable bin-tail suffixes cut back, when
+	// the bin is first touched after a crash, without a checksum
+	// mismatch: a torn final append from the crash itself, or
+	// tail-truncating rot — the two are physically indistinguishable,
+	// so the cut is surfaced as evidence either way.
 	QuarantinedRecords *metrics.Counter
 	CorruptDetected    *metrics.Counter
 	ImagesQuarantined  *metrics.Counter

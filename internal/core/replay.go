@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"mmdb/internal/addr"
 	"mmdb/internal/mm"
-	"mmdb/internal/simdisk"
 	"mmdb/internal/trace"
 	"mmdb/internal/wal"
 )
@@ -66,45 +66,93 @@ func ApplyRecord(p *mm.Partition, r *wal.Record) error {
 	}
 }
 
-// applyRecords applies a concatenated record encoding to the partition,
-// in order, skipping records that belong to other partitions (a safety
-// net — bins are per-partition by construction).
-func applyRecords(p *mm.Partition, buf []byte) (int, error) {
-	recs, err := wal.DecodeAll(buf)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for i := range recs {
-		if recs[i].PID != p.ID() {
+// replayPrefix applies a concatenated record encoding to the partition
+// in one walk — decode a record, apply it — and stops at the first
+// record that fails to decode: clean is the length of the prefix that
+// replayed and cut the decode error that ended it, nil when all of buf
+// did. Records that belong to other partitions are skipped (a safety
+// net — bins are per-partition by construction). err is an apply
+// failure.
+func replayPrefix(p *mm.Partition, buf []byte) (applied, clean int, cut, err error) {
+	w := wal.Walk(buf)
+	for w.Next() {
+		r := w.Record()
+		if r.PID != p.ID() {
 			continue
 		}
-		if err := ApplyRecord(p, &recs[i]); err != nil {
-			return n, fmt.Errorf("core: replaying %v record at %v slot %d: %w",
-				recs[i].Tag, recs[i].PID, recs[i].Slot, err)
+		if err := ApplyRecord(p, r); err != nil {
+			return applied, w.Clean(), nil, fmt.Errorf("core: replaying %v record at %v slot %d: %w",
+				r.Tag, r.PID, r.Slot, err)
 		}
-		n++
+		applied++
 	}
-	return n, nil
+	return applied, w.Clean(), w.Err(), nil
 }
 
-// applyClean cuts a record stream (a log page's records, or a bin's
-// current buffer when lsn is NilLSN) back to its longest cleanly
-// decodable prefix and applies that. A record whose CRC no longer
-// matches is quarantined — counted and traced, never applied — and the
-// boundaries past it cannot be resynchronised in a varint stream, so
-// the corrupt suffix is surrendered with it.
-func (m *Manager) applyClean(p *mm.Partition, lsn simdisk.LSN, buf []byte) (int, error) {
-	if valid := wal.ValidPrefix(buf); valid < len(buf) {
-		_, _, derr := wal.Decode(buf[valid:])
+// quarantineSuffix accounts for the part of a record stream a walk
+// could not decode: buf[clean:total] is counted and traced, never
+// sorted or applied — boundaries past a damaged record cannot be
+// resynchronised in a varint stream. ev names the stream (transaction,
+// partition, LSN).
+//
+// binTail marks the one stream where a short last record is expected,
+// a bin's current page buffer: it is either the append the crash tore
+// — harmless, its chain is still on the committed list (chains leave
+// the SLB only after a full sort) and re-sorts — or rot that truncated
+// an acknowledged record. The two are byte-identical from here, so the
+// cut is surfaced under its own counter. A CRC mismatch is rot anywhere.
+func (m *Manager) quarantineSuffix(ev trace.Event, clean, total int, cut error, binTail bool) {
+	ev.Kind = trace.KindRecordQuarantine
+	ev.Arg, ev.Arg2 = uint64(clean), uint64(total-clean)
+	if binTail && !errors.Is(cut, wal.ErrChecksum) {
+		m.metrics.TornTailCuts.Inc()
+		ev.Str = "torn tail cut"
+	} else {
 		m.metrics.CorruptDetected.Inc()
 		m.metrics.QuarantinedRecords.Inc()
-		m.tracer.Emit(pidEvent(trace.Event{
-			Kind: trace.KindRecordQuarantine, LSN: uint64(lsn),
-			Arg: uint64(valid), Arg2: uint64(len(buf) - valid),
-			Str: derr.Error(),
-		}, p.ID()))
-		buf = buf[:valid]
+		ev.Str = cut.Error()
 	}
-	return applyRecords(p, buf)
+	m.tracer.Emit(ev)
+}
+
+// checkTailLocked makes sure, once per incarnation, that the bin's
+// current page buffer ends on a record boundary before anything is
+// appended to it, flushed from it or copied out of it; the SLT mutex
+// must be held. Restart does not do this for every bin up front — time
+// to first transaction must not grow with partitions × tail bytes
+// (§2.5) — so each path that touches the buffer calls this first.
+func (m *Manager) checkTailLocked(b *bin) {
+	if b.checked == m.slt.st.boot {
+		return
+	}
+	var w wal.Walker
+	if b.cur != nil {
+		w = wal.Walk(b.cur.Bytes())
+		for w.Next() {
+		}
+	}
+	m.markTailLocked(b, w.Clean(), w.Err())
+}
+
+// markTailLocked records what a walk over the whole of the bin's
+// buffer found: the bin is checked, and cut back to the clean prefix if
+// the walk was cut short.
+func (m *Manager) markTailLocked(b *bin, clean int, cut error) {
+	b.checked = m.slt.st.boot
+	if cut != nil {
+		m.quarantineSuffix(pidEvent(trace.Event{}, b.pid), clean, b.cur.Len(), cut, true)
+		b.cur.Truncate(clean)
+	}
+}
+
+// settleTail is checkTailLocked for the recovery transaction, whose
+// replay of the buffer's snapshot was the walk. If another path touched
+// the bin since the snapshot, that path has made the cut and counted it.
+func (m *Manager) settleTail(pid addr.PartitionID, clean int, cut error) {
+	st := m.slt.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if b := st.bins[pid]; b != nil && b.checked != st.boot {
+		m.markTailLocked(b, clean, cut)
+	}
 }

@@ -51,6 +51,12 @@ type bin struct {
 	cur      *stablemem.Block
 	curCount int
 
+	// checked is the sltState.boot of the incarnation that last made
+	// sure cur ends on a record boundary (checkTailLocked). The field
+	// survives a crash, the mark does not: the next incarnation counts
+	// one further, so every bin reads as unchecked again, unvisited.
+	checked uint64
+
 	// Checkpoint bookkeeping. fencePages/fenceUpdates snapshot the
 	// pre-checkpoint prefix at the drain barrier; the prefix is
 	// dropped from the memory-recovery set when the checkpoint
@@ -79,6 +85,8 @@ type sltState struct {
 	root *catalog.Root
 	// lastArchived is the highest LSN already rolled to tape.
 	lastArchived simdisk.LSN
+	// boot counts the incarnations that have attached; see bin.checked.
+	boot uint64
 }
 
 func newSLTState() *sltState {
@@ -104,6 +112,7 @@ func newSLT(mem *stablemem.Memory) *slt {
 	s := &slt{st: st, mem: mem, firstList: &lsnHeap{}}
 	// Rebuild the volatile First LSN list from stable bins.
 	st.mu.Lock()
+	st.boot++
 	for _, b := range st.bins {
 		if f := b.firstLSN(); f != simdisk.NilLSN {
 			heap.Push(s.firstList, lsnEntry{lsn: f, pid: b.pid})

@@ -283,7 +283,7 @@ func (b *Block) Remaining() int { return len(b.buf) - b.n }
 // Append copies p into the block, charging stable-write cost. It
 // returns ErrNoSpace (writing nothing) if p does not fit. A crash
 // injected mid-append can leave a torn prefix of p in the block — the
-// exact failure mode restart's torn-tail sanitisation exists for. A
+// exact failure mode the bin-tail check after a crash exists for. A
 // mutation act silently lands damaged bytes while Append still reports
 // success: stable memory has no ECC at all, so only the record CRCs
 // checked by replay can catch the rot.

@@ -40,8 +40,8 @@ func fuzzSeedRecords() [][]byte {
 
 // FuzzDecodeRecord hammers the record parser with arbitrary bytes: it
 // must never panic, must consume within bounds, and anything it accepts
-// must survive a value round-trip through Encode. ValidPrefix must
-// always return a prefix DecodeAll accepts.
+// must survive a value round-trip through Encode. A walk must always
+// stop on a prefix DecodeAll accepts.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, seed := range fuzzSeedRecords() {
 		f.Add(seed)
@@ -70,9 +70,9 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("record round-trip mismatch: %+v != %+v", r2, r)
 			}
 		}
-		valid := ValidPrefix(buf)
+		valid := validPrefix(buf)
 		if valid < 0 || valid > len(buf) {
-			t.Fatalf("ValidPrefix = %d of %d bytes", valid, len(buf))
+			t.Fatalf("Walk.Clean = %d of %d bytes", valid, len(buf))
 		}
 		if _, err := DecodeAll(buf[:valid]); err != nil {
 			t.Fatalf("DecodeAll rejected its own valid prefix (%d bytes): %v", valid, err)

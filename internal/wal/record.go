@@ -76,8 +76,8 @@ func (t Tag) Valid() bool { return t > TagInvalid && t < tagMax }
 var ErrCorrupt = errors.New("wal: corrupt encoding")
 
 // ErrChecksum is the ErrCorrupt sub-case where the bytes parse but the
-// CRC trailer disagrees: rot, not truncation. Restart's torn-tail
-// sanitiser uses the distinction — a crash-torn append is expected and
+// CRC trailer disagrees: rot, not truncation. The bin-tail check after
+// a crash uses the distinction — a crash-torn append is expected and
 // its records re-sort from the SLB, while a checksum mismatch means
 // damaged content that must be counted as quarantined.
 var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
@@ -242,33 +242,54 @@ func Decode(buf []byte) (Record, int, error) {
 	return r, pos + recordCRCSize, nil
 }
 
-// DecodeAll parses a concatenation of records, as stored in SLB blocks
-// and log pages.
-func DecodeAll(buf []byte) ([]Record, error) {
-	var out []Record
-	for len(buf) > 0 {
-		r, n, err := Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-		buf = buf[n:]
-	}
-	return out, nil
+// Walker steps through a concatenation of records — an SLB block, a
+// log page's record area, a bin's current page buffer — decoding each
+// record once and allocating nothing: for w := Walk(buf); w.Next(); {
+// use(w.Record()) }. It stops for good at the first record that fails
+// to decode (boundaries past damage cannot be resynchronised in a
+// varint stream), so Clean is where every caller cuts, and Err tells
+// rot (ErrChecksum) from truncation.
+type Walker struct {
+	buf   []byte
+	clean int
+	err   error
+	rec   Record
 }
 
-// ValidPrefix returns the length of the longest prefix of buf that is a
-// clean concatenation of whole records. Restart uses it to cut a torn
-// record tail — left by a crash mid-append into a stable log page
-// buffer — back to the last record boundary.
-func ValidPrefix(buf []byte) int {
-	pos := 0
-	for pos < len(buf) {
-		_, n, err := Decode(buf[pos:])
-		if err != nil {
-			return pos
-		}
-		pos += n
+// Walk returns a Walker positioned before the first record of buf.
+func Walk(buf []byte) Walker { return Walker{buf: buf} }
+
+// Next decodes the next record, reporting false at the end of the
+// buffer or at the first undecodable record.
+func (w *Walker) Next() bool {
+	if w.err != nil || w.clean == len(w.buf) {
+		return false
 	}
-	return pos
+	var n int
+	w.rec, n, w.err = Decode(w.buf[w.clean:])
+	w.clean += n
+	return w.err == nil
+}
+
+// Record returns the record Next just decoded; the following Next
+// overwrites it, and its Data aliases the walked buffer.
+func (w *Walker) Record() *Record { return &w.rec }
+
+// Clean returns the length of the prefix walked so far, whole records
+// all; Err the decode error that stopped the walk, if one did.
+func (w *Walker) Clean() int { return w.clean }
+func (w *Walker) Err() error { return w.err }
+
+// DecodeAll parses a concatenation of records, as stored in SLB blocks
+// and log pages, into a slice; nil and the error if any record fails.
+func DecodeAll(buf []byte) ([]Record, error) {
+	var out []Record
+	w := Walk(buf)
+	for w.Next() {
+		out = append(out, w.rec)
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return out, nil
 }

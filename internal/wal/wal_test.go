@@ -244,6 +244,15 @@ func TestPageQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// validPrefix walks buf to the end or to the first undecodable record
+// and returns where the walk stopped.
+func validPrefix(buf []byte) int {
+	w := Walk(buf)
+	for w.Next() {
+	}
+	return w.Clean()
+}
+
 func TestValidPrefix(t *testing.T) {
 	var buf []byte
 	var bounds []int
@@ -253,30 +262,78 @@ func TestValidPrefix(t *testing.T) {
 		buf = r.Encode(buf)
 		bounds = append(bounds, len(buf))
 	}
-	if got := ValidPrefix(buf); got != len(buf) {
-		t.Fatalf("ValidPrefix(clean) = %d, want %d", got, len(buf))
+	if got := validPrefix(buf); got != len(buf) {
+		t.Fatalf("Walk.Clean(clean) = %d, want %d", got, len(buf))
 	}
-	if got := ValidPrefix(nil); got != 0 {
-		t.Fatalf("ValidPrefix(nil) = %d", got)
+	if got := validPrefix(nil); got != 0 {
+		t.Fatalf("Walk.Clean(nil) = %d", got)
 	}
 	// Every torn cut inside the last record reports the boundary of the
 	// second-to-last record (or possibly earlier if a suffix happens to
 	// decode; it must never exceed the cut).
 	last := bounds[len(bounds)-2]
 	for cut := last + 1; cut < len(buf); cut++ {
-		got := ValidPrefix(buf[:cut])
+		got := validPrefix(buf[:cut])
 		if got > cut {
-			t.Fatalf("ValidPrefix(%d-byte tear) = %d, exceeds input", cut, got)
+			t.Fatalf("Walk.Clean(%d-byte tear) = %d, exceeds input", cut, got)
 		}
 		if got != last && got != cut {
 			// A tear either truncates the final record (prefix = last
 			// whole-record boundary) or coincidentally still decodes;
 			// for this fixed payload it must be the boundary.
-			t.Fatalf("ValidPrefix(%d-byte tear) = %d, want %d", cut, got, last)
+			t.Fatalf("Walk.Clean(%d-byte tear) = %d, want %d", cut, got, last)
 		}
 	}
 	// Garbage after clean records stops at the garbage.
-	if got := ValidPrefix(append(append([]byte(nil), buf[:last]...), 0x00, 0xFF)); got != last {
-		t.Fatalf("ValidPrefix(garbage tail) = %d, want %d", got, last)
+	if got := validPrefix(append(append([]byte(nil), buf[:last]...), 0x00, 0xFF)); got != last {
+		t.Fatalf("Walk.Clean(garbage tail) = %d, want %d", got, last)
+	}
+}
+
+func TestWalk(t *testing.T) {
+	var page []byte
+	var want []Record
+	var ends []int
+	for i := 0; len(page) < 8<<10; i++ {
+		r := sampleRecord()
+		r.Slot, r.Txn = addr.Slot(i), uint64(i)
+		want = append(want, r)
+		page = r.Encode(page)
+		ends = append(ends, len(page))
+	}
+	w, i := Walk(page), 0
+	for ; w.Next(); i++ {
+		if !reflect.DeepEqual(*w.Record(), want[i]) {
+			t.Fatalf("record %d = %+v, want %+v", i, *w.Record(), want[i])
+		}
+	}
+	if i != len(want) || w.Clean() != len(page) || w.Err() != nil {
+		t.Fatalf("walked %d of %d records, %d of %d bytes, err %v", i, len(want), w.Clean(), len(page), w.Err())
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		for w := Walk(page); w.Next(); {
+		}
+	}); allocs != 0 {
+		t.Fatalf("walking a clean 8 KB page allocates %.0f times, want 0", allocs)
+	}
+
+	// Rot in the third record: the walk yields two, stops for good on the
+	// boundary before it, and says it was a checksum, not a short read.
+	third := ends[1]
+	rotted := append([]byte(nil), page...)
+	rotted[ends[2]-6] ^= 0x40
+	w, i = Walk(rotted), 0
+	for w.Next() {
+		i++
+	}
+	if i != 2 || w.Clean() != third || !errors.Is(w.Err(), ErrChecksum) || w.Next() {
+		t.Fatalf("rot: %d records, clean %d (want %d), err %v", i, w.Clean(), third, w.Err())
+	}
+	// A tear is corrupt but not a checksum mismatch.
+	w = Walk(page[:third+5])
+	for w.Next() {
+	}
+	if w.Clean() != third || !errors.Is(w.Err(), ErrCorrupt) || errors.Is(w.Err(), ErrChecksum) {
+		t.Fatalf("tear: clean %d (want %d), err %v", w.Clean(), third, w.Err())
 	}
 }
