@@ -41,7 +41,6 @@ type Store struct {
 	inj      *fault.Injector
 	onSeal   func()
 	entries  int // page + audit entries (index entries excluded)
-	damaged  int // damaged frames/entries detected at open or read time
 }
 
 type segment struct {
@@ -99,7 +98,7 @@ func Open(dir string, segBytes int) (*Store, error) {
 		// The frame scan is authoritative: it tolerates torn tails,
 		// skips damaged frames individually, and rebuilds the page
 		// index even if the embedded index entry never made it out.
-		entries, clean, damaged, _ := DecodeSegment(buf)
+		entries, clean, _, _ := DecodeSegment(buf)
 		seg := &segment{name: name, f: f, size: int64(clean)}
 		for _, e := range entries {
 			switch e.Kind {
@@ -113,7 +112,6 @@ func Open(dir string, segBytes int) (*Store, error) {
 			}
 		}
 		sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
-		s.damaged += damaged
 		s.entries += seg.entries
 		s.segs = append(s.segs, seg)
 	}
@@ -142,13 +140,6 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, page []byte) e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appendLocked(EntryLogPage, pid, lsn, page)
-}
-
-// Append archives one audit-trail spool block. The signature matches
-// the legacy tape so the audit trail can treat the store as its spool
-// target.
-func (s *Store) Append(data []byte) {
-	_ = s.AppendAudit(data)
 }
 
 // AppendAudit archives one audit-trail spool block.
@@ -289,15 +280,6 @@ func (s *Store) SealedSegments() int {
 	return n
 }
 
-// Damaged returns the cumulative count of damaged frames and entries
-// detected at open or during scans — every one is rot that was caught,
-// never silently replayed.
-func (s *Store) Damaged() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.damaged
-}
-
 // Close closes the underlying segment files. The store must not be
 // used afterwards.
 func (s *Store) Close() error {
@@ -331,16 +313,15 @@ type scanSeg struct {
 }
 
 // Scan calls fn for every archived page and audit entry in append
-// (time) order. Index entries are internal and skipped. Damaged frames
-// are counted and skipped, not surfaced. fn must not retain Entry.Data.
+// (time) order. Index entries are internal and skipped, and so are
+// damaged frames and entries. fn must not retain Entry.Data.
 func (s *Store) Scan(fn func(Entry) error) error {
 	for _, ss := range s.snapshot() {
 		buf := make([]byte, ss.size)
 		if _, err := readFull(ss.seg.f, buf, 0); err != nil {
 			return fmt.Errorf("archive: reading segment %s: %w", ss.seg.name, err)
 		}
-		entries, _, damaged, _ := DecodeSegment(buf)
-		dropped := 0
+		entries, _, _, _ := DecodeSegment(buf)
 		for i := range entries {
 			if entries[i].Kind == EntryIndex {
 				continue
@@ -350,14 +331,12 @@ func (s *Store) Scan(fn func(Entry) error) error {
 				return err
 			}
 			if !ok {
-				dropped++
 				continue
 			}
 			if err := fn(e); err != nil {
 				return err
 			}
 		}
-		s.noteDamage(damaged + dropped)
 	}
 	return nil
 }
@@ -378,14 +357,12 @@ func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, pag
 			sort.Slice(idx, func(i, j int) bool { return recLess(idx[i], idx[j]) })
 		}
 		first := sort.Search(len(idx), func(i int) bool { return !pidLess(idx[i].pid, pid) })
-		dropped := 0
 		for i := first; i < len(idx) && idx[i].pid == pid; i++ {
 			if seen[idx[i].lsn] {
 				continue
 			}
 			raw, derr := s.readEntryAt(ss.seg, idx[i].off, ss.size)
 			if derr != nil {
-				dropped++
 				continue
 			}
 			e, ok, err := s.deliver(ss.seg, raw)
@@ -393,7 +370,6 @@ func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, pag
 				return err
 			}
 			if !ok || e.Kind != EntryLogPage || e.PID != pid || e.LSN != idx[i].lsn {
-				dropped++
 				continue
 			}
 			seen[e.LSN] = true
@@ -401,14 +377,13 @@ func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, pag
 				return err
 			}
 		}
-		s.noteDamage(dropped)
 	}
 	return nil
 }
 
 // deliver runs the arch.read fault point for one entry about to reach a
 // caller. ok=false means the entry was damaged (injected or pre-existing)
-// and must be skipped — detected rot, counted by the caller.
+// and must be skipped — detected rot, never delivered.
 func (s *Store) deliver(seg *segment, e Entry) (Entry, bool, error) {
 	if s.inj == nil {
 		return e, true, nil
@@ -462,15 +437,6 @@ func (s *Store) readEntryAt(seg *segment, off, limit int64) (Entry, error) {
 		}
 	}
 	return parseEntry(payload, start)
-}
-
-func (s *Store) noteDamage(n int) {
-	if n == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.damaged += n
-	s.mu.Unlock()
 }
 
 // --- backends ---

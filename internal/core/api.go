@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
 	"mmdb/internal/simdisk"
@@ -92,7 +90,7 @@ func (m *Manager) BinStates() []BinState {
 			UpdateCount: b.updateCount,
 			Pages:       append([]simdisk.LSN(nil), b.pages...),
 			CurRecords:  b.curCount,
-			CkptPending: b.ckptPending,
+			CkptPending: b.ckptTrigger != 0,
 			FenceActive: b.fenceActive,
 		})
 	}
@@ -142,47 +140,15 @@ func (m *Manager) BinResidues() []BinResidue {
 	return out
 }
 
-// RequestCheckpoint manually enqueues a checkpoint for a partition
+// RequestCheckpoint manually requests a checkpoint of a partition
 // (tests, shutdown flushes, media-failure re-imaging, and the paper's
-// "checkpointed because of age" path exercised directly). The bin is
-// created if the partition has never been logged.
+// "checkpointed because of age" path exercised directly), unless one is
+// already pending. The bin is created if the partition has never been
+// logged.
 func (m *Manager) RequestCheckpoint(pid addr.PartitionID) {
 	m.slt.st.mu.Lock()
-	b, err := m.slt.binForLocked(pid)
-	if err != nil {
-		m.slt.st.mu.Unlock()
-		return
-	}
-	pending := b.ckptPending
-	if !pending {
-		b.ckptPending = true
-	}
-	m.slt.st.mu.Unlock()
-	if !pending {
-		m.slb.enqueueCkpt(pid, trigUpdateCount)
-	}
-}
-
-// WaitIdle blocks until every stream's committed list is drained and no
-// checkpoint requests are outstanding; used by tests and orderly
-// shutdown to reach a quiescent stable state.
-func (m *Manager) WaitIdle() {
-	for {
-		if !m.slb.busy() {
-			return
-		}
-		if m.inj.Crashed() {
-			// The simulated machine halted: the committed list will
-			// never drain until restart, so waiting is pointless.
-			return
-		}
-		select {
-		case <-m.stop:
-			return
-		default:
-		}
-		// The sorter and checkpointer are nudged by their channels;
-		// polling here keeps WaitIdle simple.
-		time.Sleep(500 * time.Microsecond)
+	defer m.slt.st.mu.Unlock()
+	if b, err := m.slt.binForLocked(pid); err == nil {
+		m.slt.raiseLocked(b, trigUpdateCount)
 	}
 }

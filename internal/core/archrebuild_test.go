@@ -21,10 +21,8 @@ func (h *harness) runArchiveWorkload() (a addrEntity, want []byte) {
 		want = []byte(fmt.Sprintf("v%04d", i))
 		h.update(ea, want)
 	}
-	h.m.WaitIdle()
-	h.waitFor("checkpoint completion", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
-	h.waitFor("archive entries", func() bool { return h.hw.Arch.Entries() > 0 })
-	h.m.WaitIdle()
+	h.idleWith("checkpoint completion", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
+	h.idleWith("archive entries", func() bool { return h.hw.Arch.Entries() > 0 })
 	return addrEntity{ea.Partition(), ea.Slot}, want
 }
 

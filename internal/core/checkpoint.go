@@ -101,55 +101,43 @@ func openImage(blob []byte) ([]byte, error) {
 	return img, nil
 }
 
-// maxCkptAttempts bounds retries of a failing checkpoint before its
-// request is dropped (it re-arms via the normal triggers).
-const maxCkptAttempts = 5
-
-// checkpointer is the main-CPU loop: between transactions it checks the
-// checkpoint request queue in the Stable Log Buffer and runs a
-// checkpoint transaction for each request (§2.4).
+// checkpointer is the main-CPU loop: between transactions it serves the
+// checkpoint requests the recovery CPU raised in the Stable Log Tail,
+// oldest first, running a checkpoint transaction for each (§2.4). It
+// sleeps only on its nudge channel, which every raise fills.
 func (m *Manager) checkpointer() {
 	defer m.wg.Done()
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-m.stop:
 			return
-		case <-m.slb.ckptCh:
-		case <-ticker.C:
+		case <-m.slt.ckptCh:
 		}
 		for {
-			req := m.slb.nextCkptRequest()
-			if req == nil {
+			pid, trig, ok := m.slt.nextCkpt()
+			if !ok {
 				break
 			}
-			if err := m.runCheckpoint(req); err != nil {
+			err := m.runCheckpoint(pid, trig)
+			if err != nil {
 				m.metrics.CkptFailed.Add(1)
-				m.tracer.Emit(pidEvent(trace.Event{Kind: trace.KindCkptFail}, req.pid))
-				select {
-				case <-m.stop:
-					// Crash/shutdown mid-checkpoint: leave the request
-					// in-progress; restart resets it to request state.
-					m.clearFence(req.pid)
+				m.tracer.Emit(pidEvent(trace.Event{Kind: trace.KindCkptFail}, pid))
+				if m.halted() {
+					// The machine stopped mid-checkpoint: the request and
+					// its fence stay as the crash left them, and the next
+					// incarnation re-queues the one and drops the other.
 					return
-				default:
 				}
-				// Settle the request before clearFence lowers ckptPending:
-				// a trigger firing in between would be dropped as the
-				// duplicate of a request that is about to go away.
-				req.attempts++
-				if req.attempts >= maxCkptAttempts {
-					// Persistent failure (e.g. checkpoint disks full):
-					// drop the request rather than wedging the queue;
-					// the update-count/age trigger re-requests once
-					// the partition accumulates more log records.
-					m.slb.dropCkpt(req)
+				if m.slt.failCkpt(pid) {
+					// Persistent failure (e.g. checkpoint disks full): the
+					// request is dropped rather than wedging the queue; the
+					// update-count/age trigger re-requests once the
+					// partition accumulates more log records.
 					m.metrics.CkptAbandoned.Add(1)
-				} else {
-					m.slb.requeueCkpt(req)
 				}
-				m.clearFence(req.pid)
+			}
+			m.signalIdle()
+			if err != nil {
 				// Back off to avoid a hot failure loop.
 				select {
 				case <-m.stop:
@@ -157,7 +145,6 @@ func (m *Manager) checkpointer() {
 				case <-time.After(2 * time.Millisecond):
 				}
 			}
-			// On success finishCheckpoint has already retired the request.
 		}
 	}
 }
@@ -174,19 +161,17 @@ func (m *Manager) checkpointer() {
 //     the new location is installed atomically at commit;
 //  6. signal finished: the recovery CPU flushes/drops the partition's
 //     superseded log information.
-func (m *Manager) runCheckpoint(req *ckptReq) error {
-	pid := req.pid
+func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	relID, ok := m.cb.OwnerRel(pid)
 	if !ok {
 		// Partition freed while the request was queued.
-		m.slt.dropBin(pid)
-		m.slb.dropCkpt(req)
+		m.dropBin(pid)
 		return nil
 	}
 	start := time.Now()
 	t := m.Txns.Begin()
 	m.tracer.Emit(pidEvent(trace.Event{
-		Kind: trace.KindCkptBegin, Txn: t.ID(), Arg2: uint64(req.trigger),
+		Kind: trace.KindCkptBegin, Txn: t.ID(), Arg2: uint64(trig),
 	}, pid))
 	committed := false
 	defer func() {

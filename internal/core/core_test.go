@@ -157,7 +157,17 @@ func (h *harness) update(a addr.EntityAddr, data []byte) {
 	}
 }
 
-// waitFor polls until cond is true or the deadline passes.
+// idleWith waits for the manager to go idle, then requires cond.
+func (h *harness) idleWith(what string, cond func() bool) {
+	h.t.Helper()
+	h.m.WaitIdle()
+	if !cond() {
+		h.t.Fatalf("idle without %s", what)
+	}
+}
+
+// waitFor polls until cond is true or the deadline passes, for states
+// WaitIdle does not cover.
 func (h *harness) waitFor(what string, cond func() bool) {
 	h.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -179,7 +189,7 @@ func TestUpdateCountTriggersCheckpoint(t *testing.T) {
 	for i := 0; i < h.cfg.UpdateThreshold+10; i++ {
 		h.update(a, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	h.waitFor("update-count checkpoint", func() bool {
+	h.idleWith("update-count checkpoint", func() bool {
 		return h.m.Metrics().CkptCompleted.Value() >= 1
 	})
 	st := h.m.Metrics()
@@ -187,7 +197,6 @@ func TestUpdateCountTriggersCheckpoint(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// The bin's update count must have been reset by the fence drop.
-	h.m.WaitIdle()
 	for _, b := range h.m.BinStates() {
 		if b.PID == a.Partition() && b.UpdateCount > h.cfg.UpdateThreshold {
 			t.Fatalf("bin update count %d not reset", b.UpdateCount)
@@ -229,7 +238,7 @@ func TestAgeTriggersCheckpoint(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		h.update(b, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	h.waitFor("age checkpoint", func() bool { return h.m.Metrics().CkptByAge.Value() >= 1 })
+	h.idleWith("age checkpoint", func() bool { return h.m.Metrics().CkptByAge.Value() >= 1 })
 }
 
 func TestCheckpointFailureRetriesAndRecovers(t *testing.T) {
@@ -253,7 +262,7 @@ func TestCheckpointFailureRetriesAndRecovers(t *testing.T) {
 	for i := 0; i < h.cfg.UpdateThreshold+5; i++ {
 		h.update(a, []byte(fmt.Sprintf("v%04d", i)))
 	}
-	h.waitFor("checkpoint success after failures", func() bool {
+	h.idleWith("checkpoint success after failures", func() bool {
 		return h.m.Metrics().CkptCompleted.Value() >= 1
 	})
 	if h.m.Metrics().CkptFailed.Value() < 3 {
@@ -278,8 +287,7 @@ func TestCrashBetweenCommitAndFinish(t *testing.T) {
 	for i := 0; i < h.cfg.UpdateThreshold+5; i++ {
 		h.update(a, []byte(fmt.Sprintf("state-%04d", i)))
 	}
-	h.waitFor("first checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
-	h.m.WaitIdle()
+	h.idleWith("first checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 
 	// More updates after the checkpoint.
 	for i := 0; i < 7; i++ {
@@ -382,10 +390,9 @@ func TestWindowArchivesToStore(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		h.update(a, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	h.m.WaitIdle()
-	h.waitFor("archive segments", func() bool { return h.hw.Arch.Entries() > 0 })
+	h.idleWith("archive segments", func() bool { return h.hw.Arch.Entries() > 0 })
 	// The log disk footprint stays near the window size.
-	h.waitFor("bounded log disk", func() bool {
+	h.idleWith("bounded log disk", func() bool {
 		return h.m.Hardware().Log.Primary.PageCount() <= cfg.LogWindowPages+cfg.GracePages+4
 	})
 }
@@ -509,6 +516,18 @@ func TestStatsAndWaitIdle(t *testing.T) {
 	}
 	if st.BytesSorted.Value() <= 0 {
 		t.Fatal("BytesSorted not counted")
+	}
+}
+
+// TestWaitIdleSignalAllocatesNothing: the recovery CPU signals idle after
+// every drained batch, so the signal must cost no allocation.
+func TestWaitIdleSignalAllocatesNothing(t *testing.T) {
+	h := newHarness(t, testCfg())
+	h.start()
+	defer h.m.Stop()
+	h.m.WaitIdle()
+	if n := testing.AllocsPerRun(100, h.m.signalIdle); n != 0 {
+		t.Fatalf("signalIdle allocates %.1f times per call", n)
 	}
 }
 

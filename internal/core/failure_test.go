@@ -52,13 +52,13 @@ func TestCheckpointDiskFullAbandonsRequest(t *testing.T) {
 	for i := 0; i < cfg.UpdateThreshold+4; i++ {
 		h.update(a, []byte(fmt.Sprintf("a%02d", i%90)))
 	}
-	h.waitFor("first checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
+	h.idleWith("first checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	// Partition B's checkpoints cannot allocate a track; after the
 	// bounded retries the request is abandoned.
 	for i := 0; i < cfg.UpdateThreshold+4; i++ {
 		h.update(b, []byte(fmt.Sprintf("b%02d", i%90)))
 	}
-	h.waitFor("abandonment", func() bool { return h.m.Metrics().CkptAbandoned.Value() >= 1 })
+	h.idleWith("abandonment", func() bool { return h.m.Metrics().CkptAbandoned.Value() >= 1 })
 	// The system still processes transactions and can recover B from
 	// its log alone.
 	h.update(b, []byte("final"))

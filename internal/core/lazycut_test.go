@@ -44,6 +44,14 @@ func (h *harness) stableBin(pid addr.PartitionID) *bin {
 	return b
 }
 
+// flush writes the bin's current page the way a checkpoint's fence does
+// (the fence serves a request, so one is raised first).
+func (h *harness) flush(pid addr.PartitionID) {
+	h.t.Helper()
+	h.m.RequestCheckpoint(pid)
+	mustOK(h.t, h.m.fence(pid))
+}
+
 // marked reports whether the bin carries this incarnation's mark.
 func (h *harness) marked(b *bin) bool { return b.checked == h.m.slt.st.boot }
 
@@ -119,7 +127,7 @@ func TestLazyCutOnDemand(t *testing.T) {
 	h.wantCounts("after demand", 1, 0, 0)
 	// Later touches find the mark and leave the counters alone.
 	h.m.BinResidues()
-	mustOK(t, h.m.fence(a.Partition()))
+	h.flush(a.Partition())
 	h.wantCounts("after later touches", 1, 0, 0)
 }
 
@@ -143,7 +151,7 @@ func TestLazyCutOnResort(t *testing.T) {
 		t.Fatalf("last record in the buffer carries %q, want the re-sorted v2", last.Data)
 	}
 	// The page the bin later flushes decodes and replays.
-	mustOK(t, h.m.fence(a.Partition()))
+	h.flush(a.Partition())
 	pages, err := h.m.binPages(a.Partition(), b.pages)
 	if err != nil || len(pages) != 1 {
 		t.Fatalf("flushed pages = %d, %v", len(pages), err)
@@ -161,7 +169,7 @@ func TestLazyCutCountsRotOnce(t *testing.T) {
 	touches := map[string]func(h *harness, a addr.EntityAddr){
 		"demand":   func(h *harness, a addr.EntityAddr) { h.wantEntity(a, "v0") },
 		"residues": func(h *harness, a addr.EntityAddr) { h.m.BinResidues() },
-		"flush":    func(h *harness, a addr.EntityAddr) { mustOK(h.t, h.m.fence(a.Partition())) },
+		"flush":    func(h *harness, a addr.EntityAddr) { h.flush(a.Partition()) },
 	}
 	for _, first := range []string{"demand", "residues", "flush"} {
 		t.Run(first+"-first", func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mmdb/internal/addr"
@@ -113,6 +114,18 @@ type Manager struct {
 	// seeded from the heat ranking recovered at attach.
 	heat *heat.Tracker
 	prog progressState
+
+	// WaitIdle's signal. idleMu guards no state of its own: every change
+	// that can make settled() true is followed by signalIdle, which takes
+	// idleMu, so a waiter between its check and its Wait cannot miss it.
+	// Lock order: idleMu before the SLT and stream mutexes, so nothing
+	// holding those may signal.
+	idleMu   sync.Mutex
+	idleCond *sync.Cond
+	// sweeping is set from Resume until the background sweep returns;
+	// crashed is set by a crash act's event sink.
+	sweeping atomic.Bool
+	crashed  atomic.Bool
 }
 
 // New creates the recovery component over hardware hw. For a fresh
@@ -146,6 +159,7 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 		freedCh:  make(chan addr.PartitionID, 64),
 		metrics:  mt,
 	}
+	m.idleCond = sync.NewCond(&m.idleMu)
 	// Thread the instruments through the components the manager wires:
 	// the SLB reports record-write latency and the group-commit seal
 	// cadence, the lock table wait time and deadlocks, the transaction
@@ -276,11 +290,48 @@ func (m *Manager) Stop() {
 	default:
 		close(m.stop)
 	}
+	m.signalIdle()
 	m.wg.Wait()
 }
 
+// WaitIdle blocks until the recovery component is idle: no committed
+// chain waits on any stream, no bin is checkpoint-pending (which covers
+// a checkpoint in progress), and no background sweep is running. It
+// also returns once the machine stops or crashes, since nothing moves
+// after that. It waits on a signal, never on a timer.
+func (m *Manager) WaitIdle() {
+	m.idleMu.Lock()
+	defer m.idleMu.Unlock()
+	for !m.settled() {
+		m.idleCond.Wait()
+	}
+}
+
+// settled is WaitIdle's predicate; idleMu held.
+func (m *Manager) settled() bool {
+	return m.crashed.Load() || m.halted() || !m.sweeping.Load() && !m.slb.busy() && !m.slt.pending()
+}
+
+// halted reports whether the machine has stopped or crashed.
+func (m *Manager) halted() bool {
+	select {
+	case <-m.stop:
+		return true
+	default:
+		return m.inj.Crashed()
+	}
+}
+
+// signalIdle wakes WaitIdle callers to re-check settled(). The caller
+// must hold neither the SLT nor a stream mutex.
+func (m *Manager) signalIdle() {
+	m.idleMu.Lock()
+	m.idleCond.Broadcast()
+	m.idleMu.Unlock()
+}
+
 // PartitionFreed tells the recovery CPU a partition was dropped: its
-// bin and any queued checkpoint are discarded.
+// bin and any pending checkpoint request are discarded.
 func (m *Manager) PartitionFreed(pid addr.PartitionID) {
 	select {
 	case m.freedCh <- pid:
@@ -306,6 +357,8 @@ func (m *Manager) recoveryCPU() {
 			// remain.
 			if m.drainSome(64) {
 				nudge(m.slb.commitCh)
+			} else {
+				m.signalIdle()
 			}
 		case msg := <-m.drainCh:
 			m.drainCommitted()
@@ -313,7 +366,7 @@ func (m *Manager) recoveryCPU() {
 		case msg := <-m.finishCh:
 			msg.reply <- m.finishCheckpoint(msg.pid, msg.track)
 		case pid := <-m.freedCh:
-			m.slt.dropBin(pid)
+			m.dropBin(pid)
 		}
 	}
 }
@@ -451,11 +504,7 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 	}
 	b.curCount++
 	b.updateCount++
-	trigger := b.updateCount >= m.cfg.UpdateThreshold && !b.ckptPending
-	if trigger {
-		b.ckptPending = true
-	}
-	pid := b.pid
+	trigger := b.updateCount >= m.cfg.UpdateThreshold && s.raiseLocked(b, trigUpdateCount)
 	s.st.mu.Unlock()
 	cost := &m.cfg.Cost
 	m.metrics.RecordsSorted.Add(1)
@@ -467,7 +516,6 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 	if trigger {
 		m.metrics.CkptByUpdateCount.Add(1)
 		m.metrics.SimRecoveryInstr.Add(int64(cost.ICheckpoint))
-		m.slb.enqueueCkpt(pid, trigUpdateCount)
 	}
 	return nil
 }
@@ -547,11 +595,9 @@ func (m *Manager) advanceWindowLocked() {
 		if e.lsn > ageLimit {
 			break // rest of the list is younger
 		}
-		if !b.ckptPending {
-			b.ckptPending = true
+		if m.slt.raiseLocked(b, trigAge) {
 			m.metrics.CkptByAge.Add(1)
 			m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
-			m.slb.enqueueCkpt(b.pid, trigAge)
 		}
 	}
 	for _, e := range keep {
@@ -621,9 +667,9 @@ func (m *Manager) fence(pid addr.PartitionID) error {
 	s := m.slt
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
-	b, err := s.binForLocked(pid)
-	if err != nil {
-		return err
+	b, ok := s.st.bins[pid]
+	if !ok || b.ckptTrigger == 0 {
+		return fmt.Errorf("core: checkpoint of %v withdrawn (partition freed)", pid)
 	}
 	if b.cur != nil && b.cur.Len() > 0 {
 		if err := m.flushBinPageLocked(b); err != nil {
@@ -636,17 +682,13 @@ func (m *Manager) fence(pid addr.PartitionID) error {
 	return nil
 }
 
-// clearFence abandons a fence after a failed checkpoint attempt.
-func (m *Manager) clearFence(pid addr.PartitionID) {
-	s := m.slt
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	if b, ok := s.st.bins[pid]; ok {
-		b.fenceActive = false
-		b.fencePages = 0
-		b.fenceUpdates = 0
-		b.ckptPending = false
+// dropBin discards a freed partition's bin. A checkpoint request it had
+// pending ends unserved, and is counted as abandoned.
+func (m *Manager) dropBin(pid addr.PartitionID) {
+	if m.slt.dropBin(pid) {
+		m.metrics.CkptAbandoned.Add(1)
 	}
+	m.signalIdle()
 }
 
 // finishCheckpoint drops the fenced prefix from the memory-recovery
@@ -669,7 +711,7 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 	b.fenceActive = false
 	b.fencePages = 0
 	b.fenceUpdates = 0
-	b.ckptPending = false
+	s.lowerLocked(b)
 	// Rebuild chain/directory state for the surviving suffix. The
 	// on-disk chain still crosses the checkpoint (harmless: recovery
 	// uses the SLT page list; the archive uses the full chain).
@@ -699,19 +741,10 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 	// The surviving suffix may already exceed the threshold (records
 	// kept arriving between fence and finish); re-trigger immediately
 	// rather than waiting for the next record.
-	again := b.updateCount >= m.cfg.UpdateThreshold
-	if again {
-		b.ckptPending = true
+	if b.updateCount >= m.cfg.UpdateThreshold && s.raiseLocked(b, trigUpdateCount) {
 		m.metrics.CkptByUpdateCount.Add(1)
 		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 	}
-	// Retire the request here, under the SLT lock that cleared
-	// ckptPending, and last. From this point a trigger for the partition
-	// must find no request of its own in the queue, or it is dropped as
-	// a duplicate and the bin stays pending for good; and WaitIdle takes
-	// an empty queue to mean that this function is done and has not
-	// re-triggered.
-	m.slb.finishCkpt(pid, again)
 	return nil
 }
 

@@ -210,7 +210,7 @@ func newMetrics(streams int) *Metrics {
 		CkptByAge:         ckpt.Counter("triggered_by_age", "ckpts", "checkpoints triggered by the log window (§2.3.3)"),
 		CkptCompleted:     ckpt.Counter("completed", "ckpts", "checkpoint transactions committed"),
 		CkptFailed:        ckpt.Counter("failed", "ckpts", "checkpoint attempts that aborted"),
-		CkptAbandoned:     ckpt.Counter("abandoned", "ckpts", "requests dropped after repeated failures"),
+		CkptAbandoned:     ckpt.Counter("abandoned", "ckpts", "requests dropped unserved: repeated failures, or the partition was freed"),
 		CkptVerifyFailed: ckpt.Counter("verify_failed", "ckpts",
 			"image writes whose read-back bytes mismatched (silent track rot detected by write-verify)"),
 

@@ -37,8 +37,7 @@ import (
 //     volatile memory), roll back committed chains whose group-commit
 //     epoch was never globally sealed (their committers were never
 //     acknowledged — a crash between per-stream seals must not surface
-//     half an epoch), and reset crashed in-progress checkpoint
-//     requests;
+//     half an epoch);
 //  2. synchronously re-sort the remaining committed chains — merged
 //     across streams in (epoch, stream, sequence) order — into
 //     partition bins, completing the Stable Log Tail;
@@ -87,12 +86,12 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 }
 
 // DrainStableOnly performs the stable-log half of restart without
-// touching the checkpoint disks: uncommitted SLB chains are discarded,
-// crashed in-progress checkpoint requests reset, mid-flight fences
-// cleared, and committed-but-unsorted chains sorted into the bins. Its
-// cost follows the SLB's contents and the number of bins, not the bytes
-// the bins hold: a tail the crash tore is cut when its bin is first
-// touched (checkTailLocked).
+// touching the checkpoint disks: uncommitted SLB chains are discarded
+// and committed-but-unsorted chains sorted into the bins. Its cost
+// follows the SLB's contents, not the bytes the bins hold: a tail the
+// crash tore is cut when its bin is first touched (checkTailLocked).
+// Checkpoint requests need nothing here: a bin's trigger is the only
+// record of one, and attaching the SLT re-queued every pending bin.
 func (m *Manager) DrainStableOnly() {
 	m.slb.discardUncommitted()
 	// Group-commit rollback: a committed chain whose epoch was never
@@ -106,27 +105,6 @@ func (m *Manager) DrainStableOnly() {
 			Kind: trace.KindEpochRollback, Txn: c.id,
 			Arg: c.epoch, Arg2: uint64(c.stream.id),
 		})
-	}
-	m.slb.resetInProgress()
-	m.slt.st.mu.Lock()
-	var pending []addr.PartitionID
-	for _, b := range m.slt.st.bins {
-		if b.ckptPending {
-			pending = append(pending, b.pid)
-		}
-		b.fenceActive = false
-		b.fencePages = 0
-		b.fenceUpdates = 0
-	}
-	m.slt.st.mu.Unlock()
-	// ckptPending and the request queue are both stable, but they are
-	// written under different locks, so a crash can separate them. A bin
-	// that is pending with no request would never be checkpointed again
-	// (every trigger defers to the flag): give it one. enqueueCkpt skips
-	// the bins whose request survived.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Less(pending[j]) })
-	for _, pid := range pending {
-		m.slb.enqueueCkpt(pid, trigUpdateCount)
 	}
 	// Duplicates from partially sorted chains are absorbed by lenient
 	// replay.
@@ -155,6 +133,7 @@ func (m *Manager) Resume() {
 	})
 	if m.cfg.BackgroundRecovery {
 		m.wg.Add(1)
+		m.sweeping.Store(true)
 		go m.backgroundSweep()
 	}
 }
@@ -167,6 +146,8 @@ func (m *Manager) Resume() {
 func (m *Manager) backgroundSweep() {
 	defer m.wg.Done()
 	m.runSweep(false)
+	m.sweeping.Store(false)
+	m.signalIdle()
 }
 
 // Sweep runs one background-sweep pass synchronously on the calling

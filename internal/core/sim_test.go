@@ -29,7 +29,7 @@ func TestSimCountersFollowTheGeneration(t *testing.T) {
 	for i := 0; i < 40; i++ { // past N_update = 32: a checkpoint image
 		h.update(a, bytes.Repeat([]byte{byte(i)}, 200))
 	}
-	h.waitFor("checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
+	h.idleWith("checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 1 })
 	for i := 0; i < 10; i++ { // and log pages written after it
 		h.update(a, bytes.Repeat([]byte{byte(100 + i)}, 200))
 	}

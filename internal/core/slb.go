@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mmdb/internal/addr"
 	"mmdb/internal/fault"
 	"mmdb/internal/metrics"
 	"mmdb/internal/stablemem"
@@ -54,35 +53,6 @@ import (
 
 // slbRootKey names the Stable Log Buffer in the stable memory root.
 const slbRootKey = "mmdb-slb"
-
-// ckptState is the status flag of a checkpoint request in the
-// communication buffer (§2.4): request -> in-progress -> finished.
-type ckptState uint8
-
-const (
-	ckptRequest ckptState = iota + 1
-	ckptInProgress
-	ckptFinished
-)
-
-// ckptTrigger records why the checkpoint was requested.
-type ckptTrigger uint8
-
-const (
-	trigUpdateCount ckptTrigger = iota + 1
-	trigAge
-)
-
-// ckptReq is one entry of the checkpoint communication buffer in the
-// Stable Log Buffer: the recovery CPU enters a partition address and a
-// status flag; the transaction manager on the main CPU picks it up
-// between transactions (§2.4).
-type ckptReq struct {
-	pid      addr.PartitionID
-	state    ckptState
-	trigger  ckptTrigger
-	attempts int
-}
 
 // txnChain is a transaction's chain of SLB blocks. A block is dedicated
 // to a single transaction for its lifetime, so no critical section
@@ -137,8 +107,9 @@ type logStream struct {
 }
 
 // slbState is the Stable Log Buffer: per-stream REDO chain lists plus
-// the epoch counters and the checkpoint communication buffer. It lives
-// in stable memory and survives crashes.
+// the epoch counters. It lives in stable memory and survives crashes.
+// (The §2.4 checkpoint communication buffer is the bins' ckptTrigger in
+// the Stable Log Tail.)
 type slbState struct {
 	streams []*logStream
 	// epoch is the current open epoch (first epoch is 1); sealed is
@@ -146,9 +117,6 @@ type slbState struct {
 	// epochs never repeat across restarts.
 	epoch  atomic.Uint64
 	sealed atomic.Uint64
-
-	ckptMu    sync.Mutex
-	ckptQueue []*ckptReq
 }
 
 // newSLBState builds a fresh buffer with n streams, each owning an
@@ -197,7 +165,6 @@ type slb struct {
 	interval time.Duration // GroupCommitInterval; 0 seals eagerly
 	inj      *fault.Injector
 	commitCh chan struct{} // nudges the sorter
-	ckptCh   chan struct{} // nudges the checkpointer
 	// stopCh is closed by Manager.Stop (the crash path included) so
 	// commit waiters parked on an unsealed epoch are released.
 	stopCh chan struct{}
@@ -243,7 +210,6 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 		fresh := newSLBState(mem, n, extent)
 		fresh.epoch.Store(st.epoch.Load())
 		fresh.sealed.Store(st.sealed.Load())
-		fresh.ckptQueue = st.ckptQueue
 		st.releaseArenas()
 		st = fresh
 		mem.SetRoot(slbRootKey, st)
@@ -255,7 +221,6 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 		interval: cfg.GroupCommitInterval,
 		inj:      cfg.FaultInjector,
 		commitCh: make(chan struct{}, 1),
-		ckptCh:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 
 		wakeCh:     make(chan struct{}),
@@ -580,8 +545,7 @@ func (s *slb) discardUnsealed() []*txnChain {
 	return dropped
 }
 
-// busy reports whether any stream still holds committed chains or the
-// checkpoint queue is non-empty (WaitIdle's condition).
+// busy reports whether any stream still holds committed chains.
 func (s *slb) busy() bool {
 	for _, ls := range s.st.streams {
 		ls.mu.Lock()
@@ -591,96 +555,5 @@ func (s *slb) busy() bool {
 			return true
 		}
 	}
-	s.st.ckptMu.Lock()
-	n := len(s.st.ckptQueue)
-	s.st.ckptMu.Unlock()
-	return n > 0
-}
-
-// enqueueCkpt adds a checkpoint request to the communication buffer if
-// the partition has none outstanding.
-func (s *slb) enqueueCkpt(pid addr.PartitionID, trig ckptTrigger) {
-	s.st.ckptMu.Lock()
-	for _, r := range s.st.ckptQueue {
-		if r.pid == pid && r.state != ckptFinished {
-			s.st.ckptMu.Unlock()
-			return
-		}
-	}
-	s.st.ckptQueue = append(s.st.ckptQueue, &ckptReq{pid: pid, state: ckptRequest, trigger: trig})
-	s.st.ckptMu.Unlock()
-	nudge(s.ckptCh)
-}
-
-// nextCkptRequest claims the oldest request-state entry, moving it to
-// in-progress, or returns nil.
-func (s *slb) nextCkptRequest() *ckptReq {
-	s.st.ckptMu.Lock()
-	defer s.st.ckptMu.Unlock()
-	for _, r := range s.st.ckptQueue {
-		if r.state == ckptRequest {
-			r.state = ckptInProgress
-			return r
-		}
-	}
-	return nil
-}
-
-// finishCkpt retires pid's in-progress request and, if again is set,
-// queues the next one in the same step, so the queue never looks empty
-// in between. The recovery CPU calls it from finishCheckpoint: the
-// request must be gone before anything can re-trigger the partition.
-func (s *slb) finishCkpt(pid addr.PartitionID, again bool) {
-	s.st.ckptMu.Lock()
-	q := s.st.ckptQueue[:0]
-	for _, r := range s.st.ckptQueue {
-		if r.pid == pid && r.state == ckptInProgress {
-			r.state = ckptFinished
-			continue
-		}
-		q = append(q, r)
-	}
-	if again {
-		q = append(q, &ckptReq{pid: pid, state: ckptRequest, trigger: trigUpdateCount})
-	}
-	s.st.ckptQueue = q
-	s.st.ckptMu.Unlock()
-	if again {
-		nudge(s.ckptCh)
-	}
-}
-
-// requeueCkpt returns a failed in-progress request to the request state
-// so a later pass retries it.
-func (s *slb) requeueCkpt(req *ckptReq) {
-	s.st.ckptMu.Lock()
-	req.state = ckptRequest
-	s.st.ckptMu.Unlock()
-	nudge(s.ckptCh)
-}
-
-// dropCkpt removes a request entirely (e.g. its partition was freed).
-func (s *slb) dropCkpt(req *ckptReq) {
-	s.st.ckptMu.Lock()
-	defer s.st.ckptMu.Unlock()
-	q := s.st.ckptQueue[:0]
-	for _, r := range s.st.ckptQueue {
-		if r != req {
-			q = append(q, r)
-		}
-	}
-	s.st.ckptQueue = q
-}
-
-// resetInProgress returns crashed in-progress requests to the request
-// state; called on restart (their checkpoint transactions died with the
-// main CPU).
-func (s *slb) resetInProgress() {
-	s.st.ckptMu.Lock()
-	defer s.st.ckptMu.Unlock()
-	for _, r := range s.st.ckptQueue {
-		if r.state == ckptInProgress {
-			r.state = ckptRequest
-		}
-	}
+	return false
 }

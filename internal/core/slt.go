@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"sort"
 	"sync"
 
 	"mmdb/internal/addr"
@@ -57,15 +58,30 @@ type bin struct {
 	// one further, so every bin reads as unchecked again, unvisited.
 	checked uint64
 
-	// Checkpoint bookkeeping. fencePages/fenceUpdates snapshot the
-	// pre-checkpoint prefix at the drain barrier; the prefix is
-	// dropped from the memory-recovery set when the checkpoint
-	// finishes (§2.4 step 7).
-	ckptPending  bool
+	// Checkpoint bookkeeping, the §2.4 communication buffer's stable
+	// half. ckptTrigger is the trigger that requested a checkpoint of the
+	// partition (zero: none requested); it stays set while the checkpoint
+	// runs and is lowered when it finishes or is abandoned.
+	// fencePages/fenceUpdates snapshot the pre-checkpoint prefix at the
+	// drain barrier; the prefix is dropped from the memory-recovery set
+	// when the checkpoint finishes (§2.4 step 7).
+	ckptTrigger  ckptTrigger
 	fenceActive  bool
 	fencePages   int
 	fenceUpdates int
 }
+
+// ckptTrigger records why a checkpoint was requested.
+type ckptTrigger uint8
+
+const (
+	trigUpdateCount ckptTrigger = iota + 1
+	trigAge
+)
+
+// maxCkptAttempts bounds the attempts at one checkpoint request before
+// it is abandoned (it re-arms via the normal triggers).
+const maxCkptAttempts = 5
 
 func (b *bin) firstLSN() simdisk.LSN {
 	if len(b.pages) == 0 {
@@ -101,6 +117,19 @@ type slt struct {
 	// active partitions' first log pages, checked when the log window
 	// advances (§2.3.3). Volatile: rebuilt from bins on restart.
 	firstList *lsnHeap
+	// ckptQueue is the claim order of the checkpoint-pending bins: one
+	// entry per bin with a ckptTrigger, appended when the trigger is
+	// raised and removed when it is lowered, both under st.mu. The head
+	// is the request the checkpointer is serving. Volatile: rebuilt from
+	// the bins, in PID order, on restart.
+	ckptQueue []ckptClaim
+	ckptCh    chan struct{} // nudges the checkpointer
+}
+
+// ckptClaim is one checkpoint request in the claim order.
+type ckptClaim struct {
+	pid      addr.PartitionID
+	attempts int
 }
 
 func newSLT(mem *stablemem.Memory) *slt {
@@ -109,17 +138,105 @@ func newSLT(mem *stablemem.Memory) *slt {
 		st = newSLTState()
 		mem.SetRoot(sltRootKey, st)
 	}
-	s := &slt{st: st, mem: mem, firstList: &lsnHeap{}}
-	// Rebuild the volatile First LSN list from stable bins.
+	s := &slt{st: st, mem: mem, firstList: &lsnHeap{}, ckptCh: make(chan struct{}, 1)}
+	// Rebuild the volatile First LSN list and claim order from stable
+	// bins. A fence belongs to a checkpoint transaction, and none
+	// survives into a new incarnation.
 	st.mu.Lock()
 	st.boot++
+	var pending []addr.PartitionID
 	for _, b := range st.bins {
 		if f := b.firstLSN(); f != simdisk.NilLSN {
 			heap.Push(s.firstList, lsnEntry{lsn: f, pid: b.pid})
 		}
+		if b.ckptTrigger != 0 {
+			pending = append(pending, b.pid)
+		}
+		b.fenceActive, b.fencePages, b.fenceUpdates = false, 0, 0
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i].Less(pending[j]) })
+	for _, pid := range pending {
+		s.ckptQueue = append(s.ckptQueue, ckptClaim{pid: pid})
 	}
 	st.mu.Unlock()
+	if len(pending) > 0 {
+		nudge(s.ckptCh)
+	}
 	return s
+}
+
+// raiseLocked requests a checkpoint of b's partition unless one is
+// already pending, reporting whether it did. SLT mutex held.
+func (s *slt) raiseLocked(b *bin, trig ckptTrigger) bool {
+	if b.ckptTrigger != 0 {
+		return false
+	}
+	b.ckptTrigger = trig
+	s.ckptQueue = append(s.ckptQueue, ckptClaim{pid: b.pid})
+	nudge(s.ckptCh)
+	return true
+}
+
+// lowerLocked retires b's checkpoint request. SLT mutex held.
+func (s *slt) lowerLocked(b *bin) {
+	b.ckptTrigger = 0
+	if i := s.claimLocked(b.pid); i >= 0 {
+		s.ckptQueue = append(s.ckptQueue[:i], s.ckptQueue[i+1:]...)
+	}
+}
+
+// claimLocked returns the index of pid's entry in the claim order, or
+// -1. SLT mutex held.
+func (s *slt) claimLocked(pid addr.PartitionID) int {
+	for i, c := range s.ckptQueue {
+		if c.pid == pid {
+			return i
+		}
+	}
+	return -1
+}
+
+// nextCkpt returns the request at the head of the claim order. The
+// entry stays there until the checkpoint finishes or is abandoned.
+func (s *slt) nextCkpt() (addr.PartitionID, ckptTrigger, bool) {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	if len(s.ckptQueue) == 0 {
+		return addr.PartitionID{}, 0, false
+	}
+	pid := s.ckptQueue[0].pid
+	return pid, s.st.bins[pid].ckptTrigger, true
+}
+
+// failCkpt abandons the fence of a failed checkpoint attempt and counts
+// the attempt; the request stays queued for a retry until
+// maxCkptAttempts, when it is lowered. It reports whether the request
+// was abandoned.
+func (s *slt) failCkpt(pid addr.PartitionID) bool {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	b, ok := s.st.bins[pid]
+	if !ok {
+		return false // dropBin already retired the request
+	}
+	b.fenceActive, b.fencePages, b.fenceUpdates = false, 0, 0
+	i := s.claimLocked(pid)
+	if i < 0 {
+		return false
+	}
+	s.ckptQueue[i].attempts++
+	if s.ckptQueue[i].attempts < maxCkptAttempts {
+		return false
+	}
+	s.lowerLocked(b)
+	return true
+}
+
+// pending reports whether any bin is checkpoint-pending.
+func (s *slt) pending() bool {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	return len(s.ckptQueue) > 0
 }
 
 // binForLocked returns the partition's bin, allocating its permanent
@@ -145,14 +262,17 @@ func (s *slt) binForLocked(pid addr.PartitionID) (*bin, error) {
 	return b, nil
 }
 
-// dropBin removes a freed partition's bin entirely.
-func (s *slt) dropBin(pid addr.PartitionID) {
+// dropBin removes a freed partition's bin entirely, with any checkpoint
+// request it had pending, and reports whether there was one.
+func (s *slt) dropBin(pid addr.PartitionID) (dropped bool) {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
 	b, ok := s.st.bins[pid]
 	if !ok {
-		return
+		return false
 	}
+	dropped = b.ckptTrigger != 0
+	s.lowerLocked(b)
 	delete(s.st.bins, pid)
 	s.st.tbl[b.index] = nil
 	s.st.free = append(s.st.free, b.index)
@@ -160,6 +280,7 @@ func (s *slt) dropBin(pid addr.PartitionID) {
 		b.cur.Free()
 	}
 	s.mem.Release(binInfoBytes)
+	return dropped
 }
 
 // archivedTo returns the highest LSN rolled into the archive and

@@ -63,7 +63,7 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 	defer h.m.Stop()
 
 	var end trace.Event
-	h.waitFor("sweep end", func() bool {
+	h.idleWith("sweep end", func() bool {
 		for _, e := range h.m.TraceEvents() {
 			if e.Kind == trace.KindSweepEnd {
 				end = e
@@ -102,6 +102,34 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 		got, err := h.store.Read(a)
 		if err != nil || !bytes.Equal(got, w) {
 			t.Fatalf("%v = %q (%v), want %q", a, got, err, w)
+		}
+	}
+}
+
+// TestWaitIdleCoversTheSweep: after a restart WaitIdle returns only once
+// the background sweep has finished, here held back by a catalog scan
+// that answers late.
+func TestWaitIdleCoversTheSweep(t *testing.T) {
+	cfg := testCfg()
+	cfg.BackgroundRecovery = true
+	h := newHarness(t, cfg)
+	h.start()
+	_, pids := seedPartitions(h, 4)
+	sweepCrash(h, pids)
+	h.m.cb.AllPartitions = func() ([]addr.PartitionID, error) {
+		<-time.After(30 * time.Millisecond)
+		return pids, nil
+	}
+	h.m.Resume()
+	h.m.Start()
+	defer h.m.Stop()
+	h.m.WaitIdle()
+	if !h.m.RecoveryProgress(0).SweepDone {
+		t.Fatal("WaitIdle returned before the sweep finished")
+	}
+	for _, pid := range pids {
+		if !h.store.Resident(pid) {
+			t.Fatalf("partition %v not resident after WaitIdle", pid)
 		}
 	}
 }
@@ -202,8 +230,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 			}
 			addrs = append(addrs, a)
 		}
-		h.waitFor("checkpoints", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 3 })
-		h.m.WaitIdle()
+		h.idleWith("checkpoints", func() bool { return h.m.Metrics().CkptCompleted.Value() >= 3 })
 		pids := h.store.ResidentIDs()
 		sweepCrash(h, pids)
 		return h, pids, addrs

@@ -42,7 +42,8 @@ func pidEvent(e trace.Event, pid addr.PartitionID) trace.Event {
 // wireTrace attaches the tracer to stable memory (recovering any prior
 // flight ring as the crash trace) and hooks the fault injector's event
 // sink so rule firings land in the timeline; a crash-act firing seals
-// the flight recorder with the trigger event as its final entry.
+// the flight recorder with the trigger event as its final entry, and
+// releases WaitIdle.
 func (m *Manager) wireTrace() error {
 	tr, crash, err := trace.Attach(m.hw.Stable, m.cfg.TraceBufferEvents, m.cfg.FlightRecorderBytes)
 	if err != nil {
@@ -60,6 +61,10 @@ func (m *Manager) wireTrace() error {
 			}
 			if act.IsCrash() {
 				tracer.EmitLast(e)
+				m.crashed.Store(true)
+				// The faulting goroutine may hold the SLT mutex, which
+				// WaitIdle's check takes under idleMu: signal from aside.
+				go m.signalIdle()
 			} else {
 				tracer.Emit(e)
 			}

@@ -830,29 +830,35 @@ func (r *runner) run() *Violation {
 			continue
 		}
 		err = r.warm(d)
-		if err == nil {
-			db = d
-			break
+		// Rot can amputate whole structures — a quarantined catalog update
+		// can orphan an index partition whose log records a checkpoint
+		// already superseded — so the structural audit is allowed to fail
+		// under a mutation plan. It is recorded as a loss: judgeLosses
+		// still demands detection-counter evidence, and the duplex, scrub
+		// and progress invariants below still apply. Row and probe
+		// verification are skipped — the database is legitimately
+		// degraded, not silently wrong.
+		degraded := err != nil && !fault.IsCrash(err) && !r.inj.Crashed() && hasMutationAct(r.plan)
+		if err == nil || degraded {
+			// The plan stays armed until the instance is idle: the
+			// checkpoints and sweep the warm-up left running can still hit
+			// it, and a crash there is one more power cycle.
+			d.WaitIdle()
+			if !r.inj.Crashed() {
+				if degraded {
+					r.loss("post-recovery audit: %v", err)
+					r.auditFailed = true
+				}
+				db = d
+				break
+			}
+			err = fault.ErrCrashed
 		}
 		if fault.IsCrash(err) || r.inj.Crashed() {
 			hw = d.Crash()
 			r.collect(d)
 			r.inj.ClearCrash()
 			continue
-		}
-		if hasMutationAct(r.plan) {
-			// Rot can amputate whole structures — a quarantined catalog
-			// update can orphan an index partition whose log records a
-			// checkpoint already superseded — so the structural audit is
-			// allowed to fail under a mutation plan. It is recorded as a
-			// loss: judgeLosses still demands detection-counter evidence,
-			// and the duplex and scrub invariants below still apply. Row
-			// and probe verification are skipped — the database is
-			// legitimately degraded, not silently wrong.
-			r.loss("post-recovery audit: %v", err)
-			r.auditFailed = true
-			db = d
-			break
 		}
 		d.Crash()
 		r.collect(d)
@@ -862,7 +868,6 @@ func (r *runner) run() *Violation {
 	// Everything the plan was going to inject has had its chance;
 	// snapshot the injector and disarm it so verification runs
 	// fault-free.
-	db.WaitIdle()
 	r.hits = r.inj.Hits()
 	r.fired = r.inj.Triggered()
 	r.inj.Reset()
@@ -1162,12 +1167,20 @@ func (r *runner) verify(db *mmdb.DB) *Violation {
 	mgr := db.Manager()
 	hw := mgr.Hardware()
 
+	// Progress (ROADMAP item 2's first invariant): the instance is idle,
+	// so every checkpoint request has been served or abandoned. A bin
+	// still pending, or still fenced, is a request nobody will serve.
+	bins := mgr.BinStates()
+	for _, bs := range bins {
+		if bs.CkptPending || bs.FenceActive {
+			return r.viof("bin %v checkpoint-pending=%v fenced=%v after WaitIdle", bs.PID, bs.CkptPending, bs.FenceActive)
+		}
+	}
 	// Log scrub (§2.2, content-checked): read every page recovery still
 	// depends on through the duplex pair with the page checksum layered
 	// on top of the device ECC, so ECC-valid rot on the primary falls
 	// back to — and is repaired from — the mirror, exactly like the
 	// replay path.
-	bins := mgr.BinStates()
 	for _, bs := range bins {
 		for _, lsn := range bs.Pages {
 			pid := bs.PID

@@ -86,24 +86,21 @@ func TestHolderWithQueuedConversionStillBlocks(t *testing.T) {
 	}
 	convDone := make(chan error, 1)
 	go func() { convDone <- m.Lock(1, r, X) }() // waits on txn 2's S
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 
 	xDone := make(chan error, 1)
 	go func() { xDone <- m.Lock(3, r, X) }() // must wait: 1 and 2 hold S
-	select {
-	case err := <-xDone:
-		t.Fatalf("fresh X granted while two S holders exist (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
+	waitQueued(t, m, 2)
+	if got := m.Held(3, r); got != None {
+		t.Fatalf("fresh X request holds %v while two S holders exist", got)
 	}
 	// Unwind: txn 2 releases; conversion gets X; txn 3 still waits.
 	m.ReleaseAll(2)
 	if err := <-convDone; err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-xDone:
-		t.Fatalf("fresh X granted while converted X held (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
+	if got := m.Held(3, r); got != None {
+		t.Fatalf("fresh X request holds %v while converted X held", got)
 	}
 	m.ReleaseAll(1)
 	if err := <-xDone; err != nil {
@@ -134,12 +131,11 @@ func TestReleaseSweepDetectsNewCycle(t *testing.T) {
 	// txn 3 waits for l2 (blocked by 2).
 	w3 := make(chan error, 1)
 	go func() { w3 <- m.Lock(3, l2, S) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	// txn 2 queues a conversion... it needs to WAIT first: 2 requests
 	// X on l1 (blocked by holders 1 and 3).
 	w2 := make(chan error, 1)
 	go func() { w2 <- m.Lock(2, l1, X) }()
-	time.Sleep(20 * time.Millisecond)
 	// Cycle already: 2 -> {1,3}, 3 -> 2. Entry-time detection should
 	// have fired for txn 2's request (it closed the cycle).
 	select {
@@ -167,7 +163,7 @@ func TestNoConflictingGrantsUnderConversionChurn(t *testing.T) {
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		base := uint64(w*100000 + 1)
+		base := uint64(w)<<32 + 1 // disjoint ids: see TestNoConflictingGrantsProperty
 		go func() {
 			defer wg.Done()
 			for i := uint64(0); ; i++ {

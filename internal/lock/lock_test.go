@@ -3,11 +3,29 @@ package lock
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// waitQueued blocks until n requests wait in the lock table, so a Lock
+// call started on another goroutine has queued before the test goes on.
+func waitQueued(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		m.mu.Lock()
+		k := len(m.waiting)
+		m.mu.Unlock()
+		if k >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued", k, n)
+		}
+	}
+}
 
 func TestCompatibilityMatrix(t *testing.T) {
 	// Spot-check the classic hierarchical locking matrix.
@@ -75,7 +93,7 @@ func TestBlockAndRelease(t *testing.T) {
 		acquired.Store(true)
 		got <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	if acquired.Load() {
 		t.Fatal("conflicting X granted while held")
 	}
@@ -141,7 +159,7 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	step := make(chan error, 1)
 	go func() { step <- m.Lock(1, b, X) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	err := m.Lock(2, a, X) // would close the cycle
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
@@ -163,7 +181,7 @@ func TestConversionDeadlock(t *testing.T) {
 	}
 	step := make(chan error, 1)
 	go func() { step <- m.Lock(1, r, X) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	if err := m.Lock(2, r, X); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
 	}
@@ -181,7 +199,7 @@ func TestCancelWaiter(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- m.Lock(2, e, S) }()
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, m, 1)
 	m.ReleaseAll(2) // abort the waiter
 	if err := <-done; !errors.Is(err, ErrAborted) {
 		t.Fatalf("got %v, want ErrAborted", err)
@@ -215,7 +233,7 @@ func TestFIFOFairness(t *testing.T) {
 			mu.Unlock()
 			m.ReleaseAll(i)
 		}()
-		time.Sleep(20 * time.Millisecond) // deterministic queue order
+		waitQueued(t, m, int(i-1)) // deterministic queue order
 	}
 	m.ReleaseAll(1)
 	wg.Wait()
@@ -250,7 +268,9 @@ func TestNoConflictingGrantsProperty(t *testing.T) {
 	}
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
-		txnBase := uint64(w*1000 + 1)
+		// Disjoint id ranges: two workers sharing a txn id would break
+		// the one-pending-request-per-transaction rule and hang.
+		txnBase := uint64(w)<<32 + 1
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(txnBase)))

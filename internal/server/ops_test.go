@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,13 +97,10 @@ func TestOpsHealthAndRecoveryAcrossCrash(t *testing.T) {
 	if _, err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	// WaitIdle covers the log and checkpoint queues but not the background
-	// sweep (ROADMAP item 1), so wait for that by its own flag.
+	// WaitIdle covers the background sweep.
 	s.DB().WaitIdle()
-	for deadline := time.Now().Add(10 * time.Second); s.DB().RecoveryProgress(0).Recovering; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("background sweep never finished")
-		}
+	if s.DB().RecoveryProgress(0).Recovering {
+		t.Fatal("still recovering after WaitIdle")
 	}
 
 	if code, body := opsGet(s, "/healthz"); code != 200 || !strings.Contains(body, "ready") {
@@ -180,9 +176,10 @@ func TestOpsScrapeUnderLoad(t *testing.T) {
 						return
 					}
 				}
-				// Scrapes pace like a real scraper, not a busy loop: a
-				// /metrics snapshot stops the world (ReadMemStats), and
-				// three unthrottled scrapers starve the executors.
+				// Deliberate pacing, not a wait for the engine: scrapes pace
+				// like a real scraper, not a busy loop, since a /metrics
+				// snapshot stops the world (ReadMemStats) and three
+				// unthrottled scrapers starve the executors.
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()

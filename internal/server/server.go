@@ -216,10 +216,6 @@ func (s *Server) Close() error {
 	if db == nil {
 		return nil
 	}
-	// WaitIdle drains the sorter and the checkpoint queue. It does not
-	// wait for a background sweep still restoring partitions after a
-	// remote crash (ROADMAP item 1); DB.Close interrupts the sweep.
-	db.WaitIdle()
 	return db.Close()
 }
 

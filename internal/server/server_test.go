@@ -538,11 +538,11 @@ func TestServerCrashUnderLoad(t *testing.T) {
 		}(w)
 	}
 
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // deliberate: load runs this long before the crash
 	if _, err := boot.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // deliberate: load keeps running across recovery
 	close(stop)
 	wg.Wait()
 

@@ -349,7 +349,8 @@ func (db *DB) allPartitions() ([]addr.PartitionID, error) {
 }
 
 // Close stops the recovery component gracefully after reaching a
-// quiescent stable state.
+// quiescent stable state (WaitIdle): a background recovery sweep still
+// running after Recover is let finish.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -537,5 +538,8 @@ func (db *DB) RecoveryProgress(topK int) core.RecoveryProgress {
 	return db.mgr.RecoveryProgress(topK)
 }
 
-// WaitIdle blocks until the recovery component is quiescent.
+// WaitIdle blocks until the recovery component is idle: every committed
+// transaction sorted into the bins, every requested checkpoint finished
+// or abandoned, and the background recovery sweep (after Recover)
+// finished. It returns early once the database crashes or closes.
 func (db *DB) WaitIdle() { db.mgr.WaitIdle() }

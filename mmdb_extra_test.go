@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"mmdb/internal/heap"
 )
@@ -159,26 +158,20 @@ func TestBackgroundRecovery(t *testing.T) {
 	defer db2.Close()
 	// Without touching anything, the background sweep should restore
 	// all partitions.
-	deadline := time.Now().Add(5 * time.Second)
 	rel2, _ := db2.GetRelation("r")
 	want, err := db2.partsOfSegment(rel2.seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		resident := 0
-		for _, ps := range want {
-			if db2.store.Resident(RowID{Segment: rel2.seg, Part: ps.Part}.Partition()) {
-				resident++
-			}
+	db2.WaitIdle()
+	resident := 0
+	for _, ps := range want {
+		if db2.store.Resident(RowID{Segment: rel2.seg, Part: ps.Part}.Partition()) {
+			resident++
 		}
-		if resident == len(want) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background sweep restored %d of %d partitions", resident, len(want))
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if resident != len(want) {
+		t.Fatalf("background sweep restored %d of %d partitions", resident, len(want))
 	}
 }
 
@@ -201,7 +194,7 @@ func TestDeadlockDetectedAtFacade(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- t1.Update(rel, b, map[string]any{"balance": 11.0}) }()
-	time.Sleep(20 * time.Millisecond)
+	waitForLockQueue(t, db)
 	err := t2.Update(rel, a, map[string]any{"balance": 21.0})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("got %v, want deadlock", err)

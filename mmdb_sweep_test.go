@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mmdb/internal/heap"
 )
@@ -93,21 +92,15 @@ func TestParallelSweepWithConcurrentDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resident := 0
-		for _, pid := range all {
-			if db2.store.Resident(pid) {
-				resident++
-			}
+	db2.WaitIdle()
+	resident := 0
+	for _, pid := range all {
+		if db2.store.Resident(pid) {
+			resident++
 		}
-		if resident == len(all) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep restored %d of %d partitions", resident, len(all))
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if resident != len(all) {
+		t.Fatalf("sweep restored %d of %d partitions", resident, len(all))
 	}
 	// One recovery transaction per partition, no matter how many
 	// sweep workers and foreground readers demanded it.
