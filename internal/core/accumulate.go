@@ -25,6 +25,13 @@ import "mmdb/internal/wal"
 //
 // Partition lifecycle records pass through untouched.
 
+// logRec is a record as the sorter read it from the SLB, with its
+// encoding there; enc is nil for a record accumulation rewrote.
+type logRec struct {
+	wal.Record
+	enc []byte
+}
+
 type accKey struct {
 	pid  uint64 // packed partition id
 	slot uint16
@@ -45,9 +52,10 @@ func isDelete(t wal.Tag) bool { return t == wal.TagRelDelete || t == wal.TagIdxD
 func isWrite(t wal.Tag) bool { return t == wal.TagRelWrite || t == wal.TagIdxWrite }
 
 // accumulate coalesces one transaction's record sequence, returning the
-// surviving records (order preserved) and the number dropped.
-func accumulate(recs []wal.Record) ([]*wal.Record, int) {
-	out := make([]*wal.Record, 0, len(recs))
+// surviving records (order preserved) and the number dropped. A record
+// that survives unchanged is returned as is, encoding included.
+func accumulate(recs []logRec) ([]*logRec, int) {
+	out := make([]*logRec, 0, len(recs))
 	last := make(map[accKey]int) // slot -> index of its live record in out
 	dropped := 0
 	for i := range recs {
@@ -74,23 +82,24 @@ func accumulate(recs []wal.Record) ([]*wal.Record, int) {
 			// The later record fully determines the slot's state;
 			// keep insert-ness from the earlier record so replay
 			// still creates the slot.
-			nr := *r
-			if fullImage(r.Tag) && isInsert(p.Tag) {
-				if r.Tag == wal.TagRelUpdate {
-					nr.Tag = wal.TagRelInsert
-				} else if r.Tag == wal.TagIdxUpdate {
-					nr.Tag = wal.TagIdxInsert
+			nr := r
+			if isInsert(p.Tag) && (r.Tag == wal.TagRelUpdate || r.Tag == wal.TagIdxUpdate) {
+				c := *r
+				c.Tag, c.enc = wal.TagRelInsert, nil
+				if r.Tag == wal.TagIdxUpdate {
+					c.Tag = wal.TagIdxInsert
 				}
+				nr = &c
 			}
 			out[j] = nil
-			out = append(out, &nr)
+			out = append(out, nr)
 			last[k] = len(out) - 1
 			dropped++
 		case isWrite(r.Tag) && fullImage(p.Tag):
 			// Fold the in-place bytes into the full image.
 			if int(r.Off)+len(r.Data) <= len(p.Data) {
 				np := *p
-				np.Data = append([]byte(nil), p.Data...)
+				np.Data, np.enc = append([]byte(nil), p.Data...), nil
 				copy(np.Data[r.Off:], r.Data)
 				out[j] = &np
 				dropped++

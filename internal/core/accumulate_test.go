@@ -11,20 +11,20 @@ import (
 	"mmdb/internal/wal"
 )
 
-func accRec(tag wal.Tag, slot addr.Slot, off uint16, data string) wal.Record {
-	return wal.Record{Tag: tag, Txn: 1, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: slot, Off: off, Data: []byte(data)}
+func accRec(tag wal.Tag, slot addr.Slot, off uint16, data string) logRec {
+	return logRec{Record: wal.Record{Tag: tag, Txn: 1, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: slot, Off: off, Data: []byte(data)}}
 }
 
 func TestAccumulateRules(t *testing.T) {
 	cases := []struct {
 		name    string
-		in      []wal.Record
+		in      []logRec
 		wantLen int
 		dropped int
 	}{
 		{
 			name: "update-supersedes-update",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelUpdate, 1, 0, "v1"),
 				accRec(wal.TagRelUpdate, 1, 0, "v2"),
 			},
@@ -32,7 +32,7 @@ func TestAccumulateRules(t *testing.T) {
 		},
 		{
 			name: "insert-plus-delete-cancels",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelInsert, 1, 0, "x"),
 				accRec(wal.TagRelDelete, 1, 0, ""),
 			},
@@ -40,7 +40,7 @@ func TestAccumulateRules(t *testing.T) {
 		},
 		{
 			name: "insertness-preserved",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelInsert, 1, 0, "v1"),
 				accRec(wal.TagRelUpdate, 1, 0, "v2"),
 			},
@@ -48,7 +48,7 @@ func TestAccumulateRules(t *testing.T) {
 		},
 		{
 			name: "write-folds-into-image",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelInsert, 1, 0, "abcdef"),
 				accRec(wal.TagRelWrite, 1, 2, "XY"),
 			},
@@ -56,7 +56,7 @@ func TestAccumulateRules(t *testing.T) {
 		},
 		{
 			name: "distinct-slots-untouched",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelInsert, 1, 0, "a"),
 				accRec(wal.TagRelInsert, 2, 0, "b"),
 			},
@@ -64,7 +64,7 @@ func TestAccumulateRules(t *testing.T) {
 		},
 		{
 			name: "write-after-write-kept",
-			in: []wal.Record{
+			in: []logRec{
 				accRec(wal.TagRelWrite, 1, 0, "A"),
 				accRec(wal.TagRelWrite, 1, 4, "B"),
 			},
@@ -80,14 +80,14 @@ func TestAccumulateRules(t *testing.T) {
 		})
 	}
 	// Detail checks.
-	out, _ := accumulate([]wal.Record{
+	out, _ := accumulate([]logRec{
 		accRec(wal.TagRelInsert, 1, 0, "v1"),
 		accRec(wal.TagRelUpdate, 1, 0, "v2"),
 	})
 	if out[0].Tag != wal.TagRelInsert || string(out[0].Data) != "v2" {
 		t.Fatalf("insert-ness: %v %q", out[0].Tag, out[0].Data)
 	}
-	out, _ = accumulate([]wal.Record{
+	out, _ = accumulate([]logRec{
 		accRec(wal.TagRelInsert, 1, 0, "abcdef"),
 		accRec(wal.TagRelWrite, 1, 2, "XY"),
 	})
@@ -106,7 +106,7 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 		// Build a random valid op sequence against a scratch
 		// partition (validity: ops target slots in sensible states).
 		scratch := mm.NewPartition(pid, 8192)
-		var recs []wal.Record
+		var recs []logRec
 		liveData := map[addr.Slot][]byte{}
 		for op := 0; op < 20; op++ {
 			switch c := rng.Intn(10); {
@@ -117,7 +117,7 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				recs = append(recs, wal.Record{Tag: wal.TagRelInsert, PID: pid, Slot: s, Data: append([]byte(nil), data...)})
+				recs = append(recs, logRec{Record: wal.Record{Tag: wal.TagRelInsert, PID: pid, Slot: s, Data: append([]byte(nil), data...)}})
 				liveData[s] = append([]byte(nil), data...)
 			case c < 6: // update
 				for s := range liveData {
@@ -126,7 +126,7 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 					if err := scratch.Update(s, data); err != nil {
 						break
 					}
-					recs = append(recs, wal.Record{Tag: wal.TagRelUpdate, PID: pid, Slot: s, Data: append([]byte(nil), data...)})
+					recs = append(recs, logRec{Record: wal.Record{Tag: wal.TagRelUpdate, PID: pid, Slot: s, Data: append([]byte(nil), data...)}})
 					liveData[s] = append([]byte(nil), data...)
 					break
 				}
@@ -142,7 +142,7 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 					if err := scratch.WriteAt(s, off, data); err != nil {
 						break
 					}
-					recs = append(recs, wal.Record{Tag: wal.TagRelWrite, PID: pid, Slot: s, Off: uint16(off), Data: data})
+					recs = append(recs, logRec{Record: wal.Record{Tag: wal.TagRelWrite, PID: pid, Slot: s, Off: uint16(off), Data: data}})
 					copy(liveData[s][off:], data)
 					break
 				}
@@ -151,7 +151,7 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 					if err := scratch.Delete(s); err != nil {
 						break
 					}
-					recs = append(recs, wal.Record{Tag: wal.TagRelDelete, PID: pid, Slot: s})
+					recs = append(recs, logRec{Record: wal.Record{Tag: wal.TagRelDelete, PID: pid, Slot: s}})
 					delete(liveData, s)
 					break
 				}
@@ -160,14 +160,14 @@ func TestAccumulateReplayEquivalence(t *testing.T) {
 		// Replay originals and accumulated onto fresh partitions.
 		plain := mm.NewPartition(pid, 8192)
 		for i := range recs {
-			if err := ApplyRecord(plain, &recs[i]); err != nil {
+			if err := ApplyRecord(plain, &recs[i].Record); err != nil {
 				t.Fatalf("trial %d: plain replay: %v", trial, err)
 			}
 		}
 		acc, _ := accumulate(recs)
 		compact := mm.NewPartition(pid, 8192)
 		for _, r := range acc {
-			if err := ApplyRecord(compact, r); err != nil {
+			if err := ApplyRecord(compact, &r.Record); err != nil {
 				t.Fatalf("trial %d: accumulated replay: %v", trial, err)
 			}
 		}

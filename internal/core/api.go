@@ -114,8 +114,8 @@ func (m *Manager) InjectCommitted(txnID uint64, records []wal.Record) error {
 }
 
 // RootSentinelPID is the partition address under which catalog root
-// pages are written to the log disk (§2.5); media recovery looks for
-// it.
+// pages are written to the log disk (§2.5). No recovery path reads those
+// pages; readers of the raw log use the address to skip them.
 func RootSentinelPID() addr.PartitionID { return rootPID }
 
 // BinResidue is a partition's not-yet-flushed log records in the

@@ -54,10 +54,6 @@ type Config struct {
 	// partition's first log page would fall off the window (§2.3.3's
 	// grace period).
 	GracePages int
-	// DirSize is N: the log page directory size; chosen near the
-	// median page count of an active partition so recovery can read
-	// pages in written order (§2.3.3).
-	DirSize int
 	// CheckpointTracks is the checkpoint disk capacity in tracks.
 	CheckpointTracks int
 	// ArchiveDir is the directory holding the append-only archive
@@ -134,7 +130,6 @@ func DefaultConfig() Config {
 		UpdateThreshold:    1000,
 		LogWindowPages:     4096,
 		GracePages:         16,
-		DirSize:            8,
 		CheckpointTracks:   4096,
 		StableBytes:        8 << 20,
 		StableSlowdown:     4,

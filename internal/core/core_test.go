@@ -40,7 +40,6 @@ func testCfg() Config {
 	cfg.UpdateThreshold = 32
 	cfg.LogWindowPages = 64
 	cfg.GracePages = 4
-	cfg.DirSize = 3
 	cfg.CheckpointTracks = 256
 	cfg.StableBytes = 8 << 20
 	cfg.BackgroundRecovery = false

@@ -59,7 +59,7 @@ func (h *harness) marked(b *bin) bool { return b.checked == h.m.slt.st.boot }
 // crash in the middle of the sorter's append would.
 func (h *harness) tear(b *bin, a addr.EntityAddr) {
 	h.t.Helper()
-	enc := (&wal.Record{Tag: wal.TagRelUpdate, Bin: b.index, Txn: 99,
+	enc := (&wal.Record{Tag: wal.TagRelUpdate, Txn: 99,
 		PID: b.pid, Slot: a.Slot, Data: []byte("torn-away")}).Encode(nil)
 	mustOK(h.t, b.cur.Append(enc[:len(enc)-3]))
 }
@@ -234,7 +234,7 @@ func TestLazyCutMarkForgottenByCrash(t *testing.T) {
 	h.wantCounts("second incarnation's demand", 1, 0, 0)
 }
 
-func TestRestartTouchesNoBinBytes(t *testing.T) {
+func TestRestartLeavesBinTailsUnread(t *testing.T) {
 	cfg := testCfg()
 	cfg.PartitionSize = 16 << 10
 	cfg.LogPageSize = 8 << 10

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/fault"
@@ -57,6 +59,88 @@ func TestEpochBoundaryCrashRollsBackWholeEpoch(t *testing.T) {
 	}
 	if !bytes.Equal(got, []byte("sealed-and-durable")) {
 		t.Fatalf("after rollback entity = %q, want the epoch-1 value", got)
+	}
+}
+
+// committedChains counts the chains on every stream's committed list,
+// and the distinct epochs they carry.
+func (h *harness) committedChains() (n int, epochs map[uint64]bool) {
+	epochs = map[uint64]bool{}
+	for _, ls := range h.m.slb.st.streams {
+		ls.mu.Lock()
+		for _, c := range ls.committed {
+			n++
+			epochs[c.epoch] = true
+		}
+		ls.mu.Unlock()
+	}
+	return n, epochs
+}
+
+// TestGroupCommitIntervalParksUntilStop: under a one-hour epoch timer K
+// committers all land in the open epoch and wait. Stop releases each of
+// them with an error, none acknowledged, and restart rolls the epoch back
+// whole.
+func TestGroupCommitIntervalParksUntilStop(t *testing.T) {
+	const k = 4
+	cfg := testCfg()
+	cfg.LogStreams = 2
+	cfg.GroupCommitInterval = time.Hour
+	h := newHarness(t, cfg)
+	sealed := h.m.slb.st.sealed.Load()
+	errs := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func(txn uint64) {
+			errs <- h.m.InjectCommitted(txn, []wal.Record{{
+				Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: addr.Slot(txn), Data: []byte("parked"),
+			}})
+		}(uint64(i + 1))
+	}
+	// Yield until every chain is on a committed list; no commit can
+	// return before the hour is up, so none may have.
+	for n, _ := h.committedChains(); n < k; n, _ = h.committedChains() {
+		runtime.Gosched()
+	}
+	if n, epochs := h.committedChains(); n != k || len(epochs) != 1 || h.m.slb.st.sealed.Load() != sealed {
+		t.Fatalf("%d chains over epochs %v, sealed %d -> %d", n, epochs, sealed, h.m.slb.st.sealed.Load())
+	}
+	if len(errs) != 0 {
+		t.Fatalf("a commit returned before the epoch timer or Stop: %v", <-errs)
+	}
+	h.m.Stop()
+	for i := 0; i < k; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("Stop acknowledged a commit of an unsealed epoch")
+		}
+	}
+	h.attach()
+	if _, err := h.m.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	defer h.m.Stop()
+	if rb := h.m.Metrics().EpochRollbacks.Value(); rb != k {
+		t.Fatalf("EpochRollbacks = %d, want %d", rb, k)
+	}
+}
+
+// TestGroupCommitIntervalHoldsTheEpochOpen: a commit returns no earlier
+// than the interval after the previous seal. It is a lower bound only;
+// how much later the seal comes depends on the scheduler.
+func TestGroupCommitIntervalHoldsTheEpochOpen(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	cfg := testCfg()
+	cfg.GroupCommitInterval = interval
+	h := newHarness(t, cfg)
+	defer h.m.Stop()
+	seg := h.seg()
+	for i := 0; i < 3; i++ {
+		h.m.slb.gcMu.Lock()
+		prev := h.m.slb.epochStart
+		h.m.slb.gcMu.Unlock()
+		h.insert(seg, []byte("timed"))
+		if held := time.Since(prev); held < interval {
+			t.Fatalf("commit %d returned %v after the previous seal, want >= %v", i, held, interval)
+		}
 	}
 }
 

@@ -412,15 +412,21 @@ func (m *Manager) drainSome(n int) bool {
 }
 
 // sortChain relocates one committed transaction's records from the SLB
-// into partition bins in the SLT, in record order, optionally change-
-// accumulating them first (§1.2).
+// into partition bins in the SLT, in record order. A record's SLB bytes
+// are the bytes its bin page stores, so each is copied as it was
+// written; with change accumulation on (§1.2) the chain is coalesced
+// first, and only the records it rewrote are encoded again.
 func (m *Manager) sortChain(c *txnChain) error {
-	var recs []wal.Record
+	var recs []logRec // the chain, gathered for change accumulation only
 	for _, blk := range c.blocks {
 		buf := blk.Bytes()
 		w := wal.Walk(buf)
 		for w.Next() {
-			recs = append(recs, *w.Record())
+			if m.cfg.ChangeAccumulation {
+				recs = append(recs, logRec{Record: *w.Record(), enc: w.Bytes()})
+			} else if err := m.sortRecord(w.Record().PID, w.Bytes()); err != nil {
+				return err
+			}
 		}
 		if err := w.Err(); err != nil {
 			// Rotted bytes inside a committed chain — a mutation act or
@@ -431,44 +437,42 @@ func (m *Manager) sortChain(c *txnChain) error {
 			m.quarantineSuffix(trace.Event{Txn: c.id}, w.Clean(), len(buf), err, false)
 		}
 	}
-	if m.cfg.ChangeAccumulation && len(recs) > 1 {
-		if acc, dropped := accumulate(recs); dropped > 0 {
-			m.metrics.RecordsAccumulated.Add(int64(dropped))
-			// Accumulation work: roughly one lookup + copy per input
-			// record.
-			cost := m.cfg.Cost
-			m.metrics.SimRecoveryInstr.Add(int64(float64(len(recs)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
-			for _, r := range acc {
-				if err := m.sortRecord(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	if len(recs) == 0 {
+		return nil
 	}
-	for i := range recs {
-		if err := m.sortRecord(&recs[i]); err != nil {
+	acc, dropped := accumulate(recs)
+	if dropped > 0 {
+		m.metrics.RecordsAccumulated.Add(int64(dropped))
+		// Accumulation work: roughly one lookup + copy per input
+		// record.
+		cost := m.cfg.Cost
+		m.metrics.SimRecoveryInstr.Add(int64(float64(len(recs)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
+	}
+	for _, r := range acc {
+		enc := r.enc
+		if enc == nil {
+			enc = r.Encode(nil)
+		}
+		if err := m.sortRecord(r.PID, enc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sortRecord places one record into its partition bin, flushing the
-// bin's page if full and triggering an update-count checkpoint at the
-// threshold.
-func (m *Manager) sortRecord(r *wal.Record) error {
+// sortRecord copies one record's encoding into its partition's bin,
+// flushing the bin's page if full and triggering an update-count
+// checkpoint at the threshold.
+func (m *Manager) sortRecord(pid addr.PartitionID, enc []byte) error {
 	s := m.slt
 	s.st.mu.Lock()
-	b, err := s.binForLocked(r.PID)
+	b, err := s.binForLocked(pid)
 	if err != nil {
 		s.st.mu.Unlock()
 		return err
 	}
 	// The restart re-sort must never append after a torn record.
 	m.checkTailLocked(b)
-	r.Bin = b.index
-	enc := r.Encode(nil)
 	if b.cur == nil {
 		sz := m.cfg.LogPageSize
 		if len(enc) > sz {
@@ -520,21 +524,15 @@ func (m *Manager) sortRecord(r *wal.Record) error {
 	return nil
 }
 
-// flushBinPageLocked writes the bin's current page to the log disk and
-// resets the buffer; the SLT mutex must be held. Pages for a given
-// partition are chained, and when the N-entry directory fills its
-// contents are embedded in the page being written (§2.3.3).
+// flushBinPageLocked writes the bin's current page to the log disk,
+// adds it to the bin's page list and resets the buffer; the SLT mutex
+// must be held.
 func (m *Manager) flushBinPageLocked(b *bin) error {
 	m.checkTailLocked(b)
 	if b.cur == nil || b.cur.Len() == 0 {
 		return nil
 	}
-	pg := &wal.Page{PID: b.pid, Prev: b.prevLSN, Records: b.cur.Bytes()}
-	embed := len(b.dir) >= m.cfg.DirSize
-	if embed {
-		pg.Dir = append([]simdisk.LSN(nil), b.dir...)
-		pg.DirPrev = b.dirPrev
-	}
+	pg := &wal.Page{PID: b.pid, Records: b.cur.Bytes()}
 	flushStart := time.Now()
 	lsn, err := m.hw.Log.Append(pg.Encode())
 	if err != nil {
@@ -546,13 +544,6 @@ func (m *Manager) flushBinPageLocked(b *bin) error {
 	}, b.pid))
 	wasFirst := len(b.pages) == 0
 	b.pages = append(b.pages, lsn)
-	b.prevLSN = lsn
-	if embed {
-		b.dirPrev = lsn
-		b.dir = append(b.dir[:0], lsn)
-	} else {
-		b.dir = append(b.dir, lsn)
-	}
 	b.cur.Reset()
 	b.curCount = 0
 	if wasFirst {
@@ -712,20 +703,12 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 	b.fencePages = 0
 	b.fenceUpdates = 0
 	s.lowerLocked(b)
-	// Rebuild chain/directory state for the surviving suffix. The
-	// on-disk chain still crosses the checkpoint (harmless: recovery
-	// uses the SLT page list; the archive uses the full chain).
-	if len(b.pages) == 0 {
-		b.dir = nil
-		b.dirPrev = simdisk.NilLSN
-		b.prevLSN = simdisk.NilLSN
-		if b.cur != nil && b.cur.Len() == 0 {
-			// Partition goes inactive: release the large page buffer,
-			// keeping only the permanent information block.
-			b.cur.Free()
-			b.cur = nil
-			b.curCount = 0
-		}
+	if len(b.pages) == 0 && b.cur != nil && b.cur.Len() == 0 {
+		// Partition goes inactive: release the large page buffer,
+		// keeping only the permanent information block.
+		b.cur.Free()
+		b.cur = nil
+		b.curCount = 0
 	}
 	// Refresh the First LSN list entry.
 	if f := b.firstLSN(); f != simdisk.NilLSN {

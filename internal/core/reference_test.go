@@ -121,14 +121,11 @@ func randomStream(rng *rand.Rand, pid addr.PartitionID, n int) []byte {
 	var buf []byte
 	for i := 0; i < n; i++ {
 		r := wal.Record{
-			Tag: tags[rng.Intn(len(tags))], Bin: wal.BinIndex(rng.Intn(300)),
-			Txn: uint64(rng.Intn(1 << 20)), PID: pid, Slot: addr.Slot(rng.Intn(6)),
+			Tag: tags[rng.Intn(len(tags))], Txn: uint64(rng.Intn(1 << 20)),
+			PID: pid, Slot: addr.Slot(rng.Intn(6)),
 		}
 		if rng.Intn(8) == 0 {
 			r.PID.Part++ // foreign: decoded, never applied
-		}
-		if rng.Intn(16) == 0 {
-			r.Bin = wal.NoBin
 		}
 		switch r.Tag {
 		case wal.TagRelWrite, wal.TagIdxWrite:
@@ -177,7 +174,7 @@ func TestReplayPrefixAllocatesNothing(t *testing.T) {
 	}
 	var page []byte
 	for i := 0; len(page) < 8<<10; i++ {
-		page = (&wal.Record{Tag: wal.TagRelWrite, Bin: 5, Txn: uint64(i), PID: pid,
+		page = (&wal.Record{Tag: wal.TagRelWrite, Txn: uint64(i), PID: pid,
 			Slot: addr.Slot(i % 4), Off: uint16(i % 56), Data: []byte("12345678")}).Encode(page)
 	}
 	allocs := testing.AllocsPerRun(50, func() {

@@ -67,10 +67,6 @@ type txnChain struct {
 	stream *logStream
 	epoch  uint64
 	seq    uint64
-	// sorted is set by the recovery CPU once every record of the
-	// chain has been relocated into partition bins; a chain that is
-	// committed but unsorted at crash time is re-sorted on restart.
-	sorted bool
 }
 
 func (c *txnChain) free() {
@@ -482,7 +478,6 @@ func (s *slb) peekSealed() *txnChain {
 func (s *slb) markSorted(c *txnChain) {
 	ls := c.stream
 	ls.mu.Lock()
-	c.sorted = true
 	for i, x := range ls.committed {
 		if x == c {
 			ls.committed = append(ls.committed[:i], ls.committed[i+1:]...)

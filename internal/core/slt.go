@@ -9,23 +9,24 @@ import (
 	"mmdb/internal/catalog"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/stablemem"
-	"mmdb/internal/wal"
 )
 
 // sltRootKey names the Stable Log Tail in the stable memory root.
 const sltRootKey = "mmdb-slt"
 
-// binInfoBytes approximates the paper's per-partition information block
-// footprint ("on the order of 50 bytes") reserved in stable memory.
+// binInfoBytes is the stable memory reserved for a bin's information
+// block — partition address, update count, checkpoint state — which
+// §2.3.3 puts "on the order of 50 bytes". The page list is not charged:
+// it replaces §2.3.3's page chain and N-entry directory, and is as long
+// as the partition's log since its last checkpoint.
 const binInfoBytes = 64
 
 // bin is a partition bin in the Stable Log Tail: the information block
-// (partition address, update count, LSN of first log page, log page
-// directory) plus, while the partition is active, the much larger
+// (partition address, update count, the log pages written since the
+// last checkpoint) plus, while the partition is active, the much larger
 // current log page buffer (§2.3.3).
 type bin struct {
-	pid   addr.PartitionID
-	index wal.BinIndex
+	pid addr.PartitionID
 
 	// updateCount is the number of log records accumulated since the
 	// partition's last checkpoint; it triggers update-count
@@ -33,19 +34,11 @@ type bin struct {
 	updateCount int
 
 	// pages lists the flushed, not-yet-superseded log pages of the
-	// partition in write order: the memory-recovery set. pages[0] is
-	// the "LSN of First Log Page"; it feeds the First LSN list.
+	// partition in write order: the memory-recovery set, and the whole
+	// of the log page directory, so no page carries a chain or a
+	// directory of its own. pages[0] is the "LSN of First Log Page"; it
+	// feeds the First LSN list.
 	pages []simdisk.LSN
-
-	// prevLSN chains pages newest-to-oldest (stored in page headers).
-	prevLSN simdisk.LSN
-
-	// dir is the N-entry log page directory; when it fills, its
-	// contents are embedded into the next page written (every Nth
-	// page carries a directory, §2.3.3) and dirPrev points at the
-	// most recent directory-carrying page.
-	dir     []simdisk.LSN
-	dirPrev simdisk.LSN
 
 	// cur is the current log page buffer; nil while the partition is
 	// inactive. curCount counts its records.
@@ -96,8 +89,6 @@ func (b *bin) firstLSN() simdisk.LSN {
 type sltState struct {
 	mu   sync.Mutex
 	bins map[addr.PartitionID]*bin
-	tbl  []*bin // bin table; index = wal.BinIndex
-	free []wal.BinIndex
 	root *catalog.Root
 	// lastArchived is the highest LSN already rolled to tape.
 	lastArchived simdisk.LSN
@@ -250,14 +241,6 @@ func (s *slt) binForLocked(pid addr.PartitionID) (*bin, error) {
 		return nil, err
 	}
 	b := &bin{pid: pid}
-	if n := len(s.st.free); n > 0 {
-		b.index = s.st.free[n-1]
-		s.st.free = s.st.free[:n-1]
-		s.st.tbl[b.index] = b
-	} else {
-		b.index = wal.BinIndex(len(s.st.tbl))
-		s.st.tbl = append(s.st.tbl, b)
-	}
 	s.st.bins[pid] = b
 	return b, nil
 }
@@ -274,8 +257,6 @@ func (s *slt) dropBin(pid addr.PartitionID) (dropped bool) {
 	dropped = b.ckptTrigger != 0
 	s.lowerLocked(b)
 	delete(s.st.bins, pid)
-	s.st.tbl[b.index] = nil
-	s.st.free = append(s.st.free, b.index)
 	if b.cur != nil {
 		b.cur.Free()
 	}

@@ -279,7 +279,6 @@ func Config() mmdb.Config {
 	cfg.UpdateThreshold = 24
 	cfg.LogWindowPages = 48
 	cfg.GracePages = 4
-	cfg.DirSize = 3
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 8 << 20
 	// One log stream by default so the baseline cycle's per-point hit

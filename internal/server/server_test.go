@@ -28,7 +28,6 @@ func testDBConfig() mmdb.Config {
 	cfg.UpdateThreshold = 64
 	cfg.LogWindowPages = 256
 	cfg.GracePages = 4
-	cfg.DirSize = 4
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 16 << 20
 	cfg.BackgroundRecovery = false

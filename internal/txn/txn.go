@@ -168,7 +168,7 @@ func (t *Txn) LockIndex(idxID uint64, mode lock.Mode) error {
 }
 
 func (t *Txn) emit(tag wal.Tag, pid addr.PartitionID, slot addr.Slot, off uint16, data []byte) error {
-	rec := &wal.Record{Tag: tag, Bin: wal.NoBin, Txn: t.id, PID: pid, Slot: slot, Off: off, Data: data}
+	rec := &wal.Record{Tag: tag, Txn: t.id, PID: pid, Slot: slot, Off: off, Data: data}
 	if err := t.m.sink.WriteRecord(rec); err != nil {
 		return err
 	}

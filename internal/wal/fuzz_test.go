@@ -5,23 +5,22 @@ import (
 	"testing"
 
 	"mmdb/internal/addr"
-	"mmdb/internal/simdisk"
 )
 
 // fuzzSeedRecords is the valid-record seed set: one of each shape the
 // replay path meets in practice (tiny control records, payload-bearing
-// updates, NoBin records, multi-byte varint fields).
+// updates, payload-free records, multi-byte varint fields).
 func fuzzSeedRecords() [][]byte {
 	recs := []Record{
-		{Tag: TagRelInsert, Bin: 0, Txn: 1,
+		{Tag: TagRelInsert, Txn: 1,
 			PID:  addr.PartitionID{Segment: 2, Part: 0},
 			Slot: 1, Data: []byte("hello")},
-		{Tag: TagRelWrite, Bin: 300, Txn: 7777,
+		{Tag: TagRelWrite, Txn: 7777,
 			PID:  addr.PartitionID{Segment: 31, Part: 129},
 			Slot: 4097, Off: 513, Data: bytes.Repeat([]byte{0xAB}, 40)},
-		{Tag: TagPartAlloc, Bin: NoBin, Txn: 1,
+		{Tag: TagPartAlloc, Txn: 1,
 			PID: addr.PartitionID{Segment: 5, Part: 3}},
-		{Tag: TagIdxDelete, Bin: 12, Txn: 900000,
+		{Tag: TagIdxDelete, Txn: 900000,
 			PID:  addr.PartitionID{Segment: 1, Part: 2},
 			Slot: 15},
 	}
@@ -64,7 +63,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if n2 != len(enc) {
 				t.Fatalf("re-decode consumed %d of %d bytes", n2, len(enc))
 			}
-			if r2.Tag != r.Tag || r2.Bin != r.Bin || r2.Txn != r.Txn ||
+			if r2.Tag != r.Tag || r2.Txn != r.Txn ||
 				r2.PID != r.PID || r2.Slot != r.Slot || r2.Off != r.Off ||
 				!bytes.Equal(r2.Data, r.Data) {
 				t.Fatalf("record round-trip mismatch: %+v != %+v", r2, r)
@@ -86,9 +85,8 @@ func FuzzDecodeRecord(f *testing.F) {
 func FuzzDecodePage(f *testing.F) {
 	recs := fuzzSeedRecords()
 	pages := []*Page{
-		{PID: addr.PartitionID{Segment: 2, Part: 0}, Prev: 17, Records: recs[0]},
-		{PID: addr.PartitionID{Segment: 31, Part: 129}, Prev: 0,
-			Dir: []simdisk.LSN{3, 9, 12}, DirPrev: 3, Records: recs[4]},
+		{PID: addr.PartitionID{Segment: 2, Part: 0}, Records: recs[0]},
+		{PID: addr.PartitionID{Segment: 31, Part: 129}, Records: recs[4]},
 		{PID: addr.PartitionID{Segment: 1, Part: 1}},
 	}
 	for _, p := range pages {

@@ -6,66 +6,43 @@ import (
 	"hash/crc32"
 
 	"mmdb/internal/addr"
-	"mmdb/internal/simdisk"
 )
 
 // Page is one partition-bin log page as flushed from the Stable Log
-// Tail to the log disk (§2.3.3, §2.3.4). Each page carries:
-//
-//   - the Partition Address, attached to every page as a consistency
-//     check during recovery and to let archive recovery locate a
-//     partition's pages;
-//   - Prev, chaining a partition's log pages from newest to oldest;
-//   - optionally an embedded log page directory: when the in-SLT
-//     directory fills (N entries), its contents are stored in the next
-//     log page written ("the directory will be stored in every Nth log
-//     page"), so that recovery can schedule page reads in original
-//     write order instead of walking the whole backward chain first;
-//   - the concatenated record encodings.
+// Tail to the log disk (§2.3.3, §2.3.4): the Partition Address, attached
+// to every page as a consistency check during recovery and to let
+// archive recovery find a partition's pages, and the concatenated record
+// encodings. §2.3.3 also chains a partition's pages and embeds a page
+// directory in every Nth one; here the bin's page list in the Stable Log
+// Tail is the whole directory, so no page carries either.
 type Page struct {
 	PID     addr.PartitionID
-	Prev    simdisk.LSN   // previous log page of this partition, NilLSN if first
-	Dir     []simdisk.LSN // embedded directory of older pages (oldest first)
-	DirPrev simdisk.LSN   // previous directory-carrying page, NilLSN if none
-	Records []byte        // concatenated record encodings
+	Records []byte // concatenated record encodings
 }
 
-// pageHeaderSize is the fixed page header:
-// seg(4) part(4) prev(8) dirPrev(8) dirLen(2) recLen(4).
-const pageHeaderSize = 4 + 4 + 8 + 8 + 2 + 4
+// pageHeaderSize is the fixed page header: seg(4) part(4) recLen(4).
+const pageHeaderSize = 4 + 4 + 4
 
-// pageCRCSize is the page checksum trailer: CRC32-IEEE over the header,
-// directory, and record bytes. The simulated disks model ECC at sector
-// granularity (bad-sector errors), but a mutated write keeps valid ECC
-// — the trailer is what lets a reader distinguish a well-formed page
-// from bit rot and fall back to the duplexed mirror copy (§2.2).
+// pageCRCSize is the page checksum trailer: CRC32-IEEE over the header
+// and record bytes. The simulated disks model ECC at sector granularity
+// (bad-sector errors), but a mutated write keeps valid ECC — the trailer
+// is what lets a reader distinguish a well-formed page from bit rot and
+// fall back to the duplexed mirror copy (§2.2).
 const pageCRCSize = 4
 
 // EncodedSize returns the byte size of the encoded page.
 func (p *Page) EncodedSize() int {
-	return pageHeaderSize + 8*len(p.Dir) + len(p.Records) + pageCRCSize
+	return pageHeaderSize + len(p.Records) + pageCRCSize
 }
 
 // Encode serialises the page for the log disk.
 func (p *Page) Encode() []byte {
-	out := make([]byte, 0, p.EncodedSize())
-	var h [pageHeaderSize]byte
-	binary.LittleEndian.PutUint32(h[0:], uint32(p.PID.Segment))
-	binary.LittleEndian.PutUint32(h[4:], uint32(p.PID.Part))
-	binary.LittleEndian.PutUint64(h[8:], uint64(p.Prev))
-	binary.LittleEndian.PutUint64(h[16:], uint64(p.DirPrev))
-	binary.LittleEndian.PutUint16(h[24:], uint16(len(p.Dir)))
-	binary.LittleEndian.PutUint32(h[26:], uint32(len(p.Records)))
-	out = append(out, h[:]...)
-	for _, l := range p.Dir {
-		var e [8]byte
-		binary.LittleEndian.PutUint64(e[:], uint64(l))
-		out = append(out, e[:]...)
-	}
+	out := make([]byte, pageHeaderSize, p.EncodedSize())
+	binary.LittleEndian.PutUint32(out[0:], uint32(p.PID.Segment))
+	binary.LittleEndian.PutUint32(out[4:], uint32(p.PID.Part))
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(p.Records)))
 	out = append(out, p.Records...)
-	var crc [pageCRCSize]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 // DecodePage parses a log page read back from the log disk or tape,
@@ -77,23 +54,16 @@ func DecodePage(buf []byte) (*Page, error) {
 	p := &Page{}
 	p.PID.Segment = addr.SegmentID(binary.LittleEndian.Uint32(buf[0:]))
 	p.PID.Part = addr.PartitionNum(binary.LittleEndian.Uint32(buf[4:]))
-	p.Prev = simdisk.LSN(binary.LittleEndian.Uint64(buf[8:]))
-	p.DirPrev = simdisk.LSN(binary.LittleEndian.Uint64(buf[16:]))
-	dirLen := int(binary.LittleEndian.Uint16(buf[24:]))
-	recLen := int(binary.LittleEndian.Uint32(buf[26:]))
-	rest := buf[pageHeaderSize:]
-	if uint64(8*dirLen)+uint64(recLen) > uint64(len(rest)-pageCRCSize) {
-		return nil, fmt.Errorf("%w: page body %d bytes, want %d", ErrCorrupt, len(rest)-pageCRCSize, 8*dirLen+recLen)
+	recLen := uint64(binary.LittleEndian.Uint32(buf[8:]))
+	if recLen > uint64(len(buf)-pageHeaderSize-pageCRCSize) {
+		return nil, fmt.Errorf("%w: page body %d bytes, want %d", ErrCorrupt, len(buf)-pageHeaderSize-pageCRCSize, recLen)
 	}
-	end := pageHeaderSize + 8*dirLen + recLen
+	end := pageHeaderSize + int(recLen)
 	want := binary.LittleEndian.Uint32(buf[end:])
 	if got := crc32.ChecksumIEEE(buf[:end]); got != want {
 		return nil, fmt.Errorf("%w: page (got %08x, want %08x)", ErrChecksum, got, want)
 	}
-	for i := 0; i < dirLen; i++ {
-		p.Dir = append(p.Dir, simdisk.LSN(binary.LittleEndian.Uint64(rest[8*i:])))
-	}
-	p.Records = rest[8*dirLen : 8*dirLen+recLen : 8*dirLen+recLen]
+	p.Records = buf[pageHeaderSize:end:end]
 	return p, nil
 }
 

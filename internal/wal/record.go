@@ -1,8 +1,9 @@
 // Package wal defines the REDO log record and log page formats of
-// §2.3.2. Every log record has four main parts — TAG, Bin Index,
-// Transaction Id, and Operation — and corresponds to exactly one entity
-// in exactly one partition: a relation tuple or an index structure
-// component (a T-Tree node or Modified Linear Hash node).
+// §2.3.2. Every log record corresponds to exactly one entity in exactly
+// one partition — a relation tuple or an index structure component (a
+// T-Tree node or Modified Linear Hash node) — and carries its TAG,
+// Transaction Id and Operation. §2.3.2's fourth part, the Bin Index, is
+// not written: the sorter finds a record's bin by its partition address.
 //
 // Relation records are operation records for a partition (the string
 // space is heap-managed, not two-phase locked), and index records
@@ -82,18 +83,10 @@ var ErrCorrupt = errors.New("wal: corrupt encoding")
 // damaged content that must be counted as quarantined.
 var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 
-// BinIndex is the direct index into the partition bin table in the
-// Stable Log Tail where a record will be relocated by the recovery CPU.
-type BinIndex uint32
-
-// NoBin marks a record whose bin index has not been assigned.
-const NoBin BinIndex = 0xFFFFFFFF
-
 // Record is one REDO log record.
 type Record struct {
 	Tag  Tag
-	Bin  BinIndex // direct index into the partition bin table
-	Txn  uint64   // transaction identifier
+	Txn  uint64 // transaction identifier
 	PID  addr.PartitionID
 	Slot addr.Slot
 	Off  uint16 // intra-entity offset, for TagRelWrite / TagIdxWrite
@@ -116,18 +109,13 @@ const recordCRCSize = 4
 // Records use a compact variable-length encoding — the paper notes
 // that typical log records are only 8 to 24 bytes, and that redundant
 // address information is condensed; small identifiers cost one byte
-// each. Layout: tag(1), then uvarints for bin+1 (NoBin encodes as 0),
-// txn, segment, partition, slot, offset, and payload length, followed
-// by the payload and a CRC32 trailer over all of the preceding bytes.
+// each. Layout: tag(1), then uvarints for txn, segment, partition, slot,
+// offset, and payload length, followed by the payload and a CRC32
+// trailer over all of the preceding bytes.
 //
 // EncodedSize returns the number of bytes Encode will produce.
 func (r *Record) EncodedSize() int {
 	n := 1
-	binv := uint64(r.Bin) + 1
-	if r.Bin == NoBin {
-		binv = 0
-	}
-	n += uvarintLen(binv)
 	n += uvarintLen(r.Txn)
 	n += uvarintLen(uint64(r.PID.Segment))
 	n += uvarintLen(uint64(r.PID.Part))
@@ -155,11 +143,6 @@ func (r *Record) Encode(dst []byte) []byte {
 		n := binary.PutUvarint(tmp[:], v)
 		dst = append(dst, tmp[:n]...)
 	}
-	binv := uint64(r.Bin) + 1
-	if r.Bin == NoBin {
-		binv = 0
-	}
-	put(binv)
 	put(r.Txn)
 	put(uint64(r.PID.Segment))
 	put(uint64(r.PID.Part))
@@ -194,14 +177,6 @@ func Decode(buf []byte) (Record, int, error) {
 	}
 	var v uint64
 	var err error
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	if v == 0 {
-		r.Bin = NoBin
-	} else {
-		r.Bin = BinIndex(uint32(v - 1))
-	}
 	if r.Txn, err = get(); err != nil {
 		return Record{}, 0, err
 	}
@@ -251,6 +226,7 @@ func Decode(buf []byte) (Record, int, error) {
 // rot (ErrChecksum) from truncation.
 type Walker struct {
 	buf   []byte
+	start int // where the record Next just decoded begins
 	clean int
 	err   error
 	rec   Record
@@ -266,6 +242,7 @@ func (w *Walker) Next() bool {
 		return false
 	}
 	var n int
+	w.start = w.clean
 	w.rec, n, w.err = Decode(w.buf[w.clean:])
 	w.clean += n
 	return w.err == nil
@@ -274,6 +251,10 @@ func (w *Walker) Next() bool {
 // Record returns the record Next just decoded; the following Next
 // overwrites it, and its Data aliases the walked buffer.
 func (w *Walker) Record() *Record { return &w.rec }
+
+// Bytes returns the encoding of the record Next just decoded, CRC
+// trailer included; it aliases the walked buffer.
+func (w *Walker) Bytes() []byte { return w.buf[w.start:w.clean] }
 
 // Clean returns the length of the prefix walked so far, whole records
 // all; Err the decode error that stopped the walk, if one did.

@@ -2,20 +2,20 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mmdb/internal/addr"
-	"mmdb/internal/simdisk"
 )
 
 func sampleRecord() Record {
 	return Record{
 		Tag:  TagRelUpdate,
-		Bin:  7,
 		Txn:  0xDEADBEEF01,
 		PID:  addr.PartitionID{Segment: 3, Part: 12},
 		Slot: 44,
@@ -42,8 +42,53 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenRecord is the byte layout of one record, spelled out: no field
+// may move, widen or reappear without this test saying so.
+func goldenRecord() (Record, []byte) {
+	r := Record{Tag: TagRelUpdate, Txn: 300, PID: addr.PartitionID{Segment: 3, Part: 12}, Slot: 44, Off: 16, Data: []byte("ab")}
+	return r, []byte{
+		0x03,       // tag: rel-update
+		0xac, 0x02, // txn 300, uvarint
+		0x03,           // segment
+		0x0c,           // partition
+		0x2c,           // slot 44
+		0x10,           // offset 16
+		0x02, 'a', 'b', // payload length, payload
+		0x70, 0x64, 0xd4, 0x86, // CRC32-IEEE of the above, little-endian
+	}
+}
+
+func TestRecordGoldenBytes(t *testing.T) {
+	r, want := goldenRecord()
+	if got := r.Encode(nil); !bytes.Equal(got, want) {
+		t.Fatalf("record encodes as\n% x\nwant\n% x", got, want)
+	}
+	got, n, err := Decode(want)
+	if err != nil || n != len(want) || !reflect.DeepEqual(got, r) {
+		t.Fatalf("golden bytes decode to %+v, %d bytes, %v", got, n, err)
+	}
+}
+
+func TestPageGoldenBytes(t *testing.T) {
+	_, rec := goldenRecord()
+	p := &Page{PID: addr.PartitionID{Segment: 9, Part: 4}, Records: rec}
+	want := append([]byte{
+		0x09, 0x00, 0x00, 0x00, // segment
+		0x04, 0x00, 0x00, 0x00, // partition
+		0x0e, 0x00, 0x00, 0x00, // record bytes
+	}, rec...)
+	want = append(want, 0x4b, 0x12, 0xab, 0xa8) // CRC32-IEEE of the above
+	if got := p.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("page encodes as\n% x\nwant\n% x", got, want)
+	}
+	got, err := DecodePage(want)
+	if err != nil || got.PID != p.PID || !bytes.Equal(got.Records, rec) {
+		t.Fatalf("golden bytes decode to %+v, %v", got, err)
+	}
+}
+
 func TestRecordRoundTripEmptyData(t *testing.T) {
-	r := Record{Tag: TagRelDelete, Bin: NoBin, Txn: 1, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: 3}
+	r := Record{Tag: TagRelDelete, Txn: 1, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: 3}
 	got, _, err := Decode(r.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +99,9 @@ func TestRecordRoundTripEmptyData(t *testing.T) {
 }
 
 func TestRecordQuickRoundTrip(t *testing.T) {
-	f := func(tag uint8, bin uint32, txn uint64, seg, part uint32, slot uint16, off uint16, data []byte) bool {
+	f := func(tag uint8, txn uint64, seg, part uint32, slot uint16, off uint16, data []byte) bool {
 		r := Record{
 			Tag:  Tag(tag%uint8(tagMax-1)) + 1, // any valid tag
-			Bin:  BinIndex(bin),
 			Txn:  txn,
 			PID:  addr.PartitionID{Segment: addr.SegmentID(seg), Part: addr.PartitionNum(part)},
 			Slot: addr.Slot(slot),
@@ -102,7 +146,6 @@ func TestDecodeAll(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := Record{
 			Tag:  Tag(rng.Intn(int(tagMax)-1) + 1),
-			Bin:  BinIndex(rng.Uint32()),
 			Txn:  rng.Uint64(),
 			PID:  addr.PartitionID{Segment: addr.SegmentID(rng.Uint32()), Part: addr.PartitionNum(rng.Uint32())},
 			Slot: addr.Slot(rng.Intn(1 << 16)),
@@ -155,13 +198,7 @@ func TestPageRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	recs = r.Encode(recs)
 	recs = r.Encode(recs)
-	p := &Page{
-		PID:     addr.PartitionID{Segment: 9, Part: 4},
-		Prev:    simdisk.LSN(17),
-		Dir:     []simdisk.LSN{3, 9, 17},
-		DirPrev: simdisk.LSN(2),
-		Records: recs,
-	}
+	p := &Page{PID: addr.PartitionID{Segment: 9, Part: 4}, Records: recs}
 	enc := p.Encode()
 	if len(enc) != p.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, len = %d", p.EncodedSize(), len(enc))
@@ -170,11 +207,8 @@ func TestPageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PID != p.PID || got.Prev != p.Prev || got.DirPrev != p.DirPrev {
+	if got.PID != p.PID {
 		t.Fatalf("header mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Dir, p.Dir) {
-		t.Fatalf("dir mismatch: %v", got.Dir)
 	}
 	if !bytes.Equal(got.Records, p.Records) {
 		t.Fatal("records mismatch")
@@ -184,13 +218,13 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPageRoundTripNoDir(t *testing.T) {
-	p := &Page{PID: addr.PartitionID{Segment: 1, Part: 1}, Prev: simdisk.NilLSN, Records: []byte{}}
+func TestPageRoundTripEmpty(t *testing.T) {
+	p := &Page{PID: addr.PartitionID{Segment: 1, Part: 1}}
 	got, err := DecodePage(p.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Dir) != 0 || got.Prev != simdisk.NilLSN {
+	if got.PID != p.PID || len(got.Records) != 0 {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -199,10 +233,27 @@ func TestPageDecodeCorrupt(t *testing.T) {
 	if _, err := DecodePage([]byte{1}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short header: %v", err)
 	}
-	p := &Page{PID: addr.PartitionID{Segment: 1, Part: 1}, Dir: []simdisk.LSN{1, 2}}
+	p := &Page{PID: addr.PartitionID{Segment: 1, Part: 1}, Records: []byte("xyz")}
 	enc := p.Encode()
 	if _, err := DecodePage(enc[:len(enc)-4]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated body: %v", err)
+	}
+	enc[pageHeaderSize] ^= 1
+	if _, err := DecodePage(enc); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("rotted body: %v", err)
+	}
+	// A page of the older 30-byte header — seg, part, an 8-byte chain
+	// pointer, an 8-byte directory pointer, a 2-byte directory length,
+	// then recLen — reads the chain pointer as its record length and
+	// fails.
+	old := binary.LittleEndian.AppendUint32(nil, 1)
+	old = binary.LittleEndian.AppendUint32(old, 1)
+	old = binary.LittleEndian.AppendUint64(old, 17)
+	old = append(old, make([]byte, 10)...)
+	old = binary.LittleEndian.AppendUint32(old, 0)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	if _, err := DecodePage(old); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("older layout: %v", err)
 	}
 }
 
@@ -217,27 +268,19 @@ func TestPageCheckPID(t *testing.T) {
 }
 
 func TestPageQuickRoundTrip(t *testing.T) {
-	f := func(seg, part uint32, prev uint64, dir []uint64, recs []byte) bool {
+	f := func(seg, part uint32, recs []byte) bool {
 		// Records must be a valid concatenation; use raw bytes as a
 		// single record payload instead.
 		r := Record{Tag: TagIdxWrite, Txn: 1, Data: recs}
 		p := &Page{
 			PID:     addr.PartitionID{Segment: addr.SegmentID(seg), Part: addr.PartitionNum(part)},
-			Prev:    simdisk.LSN(prev),
 			Records: r.Encode(nil),
-		}
-		for _, d := range dir {
-			p.Dir = append(p.Dir, simdisk.LSN(d))
-		}
-		if len(p.Dir) > 1000 {
-			p.Dir = p.Dir[:1000]
 		}
 		got, err := DecodePage(p.Encode())
 		if err != nil {
 			return false
 		}
-		return got.PID == p.PID && got.Prev == p.Prev &&
-			reflect.DeepEqual(got.Dir, p.Dir) && bytes.Equal(got.Records, p.Records)
+		return got.PID == p.PID && bytes.Equal(got.Records, p.Records)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -305,6 +348,9 @@ func TestWalk(t *testing.T) {
 	for ; w.Next(); i++ {
 		if !reflect.DeepEqual(*w.Record(), want[i]) {
 			t.Fatalf("record %d = %+v, want %+v", i, *w.Record(), want[i])
+		}
+		if !bytes.Equal(w.Bytes(), want[i].Encode(nil)) || w.Clean() != ends[i] {
+			t.Fatalf("record %d spans % x, ending at %d", i, w.Bytes(), w.Clean())
 		}
 	}
 	if i != len(want) || w.Clean() != len(page) || w.Err() != nil {

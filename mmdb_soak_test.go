@@ -24,7 +24,6 @@ func TestSoakSustainedWorkloadWithCrashes(t *testing.T) {
 	cfg.UpdateThreshold = 80
 	cfg.LogWindowPages = 96
 	cfg.GracePages = 8
-	cfg.DirSize = 4
 	cfg.CheckpointTracks = 2048
 	cfg.StableBytes = 64 << 20
 	cfg.BackgroundRecovery = true

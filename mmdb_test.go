@@ -20,7 +20,6 @@ func testConfig() Config {
 	cfg.UpdateThreshold = 64
 	cfg.LogWindowPages = 256
 	cfg.GracePages = 4
-	cfg.DirSize = 4
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 16 << 20
 	cfg.BackgroundRecovery = false // tests control recovery explicitly
