@@ -33,8 +33,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7707", "TCP listen address")
 		httpAddr    = flag.String("http", "", "ops-plane HTTP listen address (empty disables)")
 		workers     = flag.Int("workers", 8, "transactions executing at once")
-		traceEvents = flag.Int("trace-events", 0, "volatile trace ring size (0 disables tracing)")
-		flightBytes = flag.Int("flight-recorder", 0, "stable flight-recorder bytes (0 disables)")
+		flightBytes = flag.Int("flight-recorder", 0, "stable flight-recorder bytes (0 disables tracing)")
 		logStreams  = flag.Int("log-streams", 0, "SLB log streams (0 = config default)")
 		bgRecovery  = flag.Bool("bg-recovery", true, "background partition recovery after a crash")
 		recWorkers  = flag.Int("recovery-workers", 4, "background sweep worker count")
@@ -44,7 +43,6 @@ func main() {
 	flag.Parse()
 
 	cfg := mmdb.DefaultConfig()
-	cfg.TraceBufferEvents = *traceEvents
 	cfg.FlightRecorderBytes = *flightBytes
 	if *logStreams > 0 {
 		cfg.LogStreams = *logStreams

@@ -74,10 +74,9 @@ func main() {
 		os.Exit(remoteShell(*connect))
 	}
 	cfg := mmdb.DefaultConfig()
-	// Tracing is always on in the shell: the rings are small and the
+	// Tracing is always on in the shell: the ring is small and the
 	// whole point of the tool is watching the machinery work.
-	cfg.TraceBufferEvents = 1 << 14
-	cfg.FlightRecorderBytes = 32 << 10
+	cfg.FlightRecorderBytes = 256 << 10
 	db, err := mmdb.Open(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -135,7 +134,7 @@ func main() {
 // traceCmd implements "trace", "trace crash", and "trace export <file>".
 func traceCmd(db *mmdb.DB, args []string) error {
 	if len(args) == 0 {
-		return printEvents(db.TraceEvents(), "no trace events (tracing rings are empty)")
+		return printEvents(db.TraceEvents(), "no trace events (the flight ring is empty)")
 	}
 	switch args[0] {
 	case "crash":

@@ -30,7 +30,6 @@ func traceReport() error {
 	cfg.UpdateThreshold = 150
 	cfg.LogWindowPages = 64
 	cfg.GracePages = 8
-	cfg.TraceBufferEvents = 1 << 16
 	cfg.FlightRecorderBytes = 64 << 10
 	db, err := mmdb.Open(cfg)
 	if err != nil {

@@ -17,7 +17,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	pid := addr.PartitionID{Segment: 2, Part: 3}
 	f.Add([]byte{})
 	f.Add(encodeEntry(EntryLogPage, pid, 7, []byte("page-bytes")))
-	f.Add(encodeEntry(EntryAudit, addr.PartitionID{}, 0, []byte("audit")))
+	f.Add(encodeEntry(0xA5, addr.PartitionID{}, 0, []byte("audit"))) // retired kind: damaged
 	f.Add(encodeEntry(EntryIndex, addr.PartitionID{}, 0, encodeIndex([]indexRec{{pid: pid, lsn: 7, off: 0}})))
 	multi := encodeEntry(EntryLogPage, pid, 9, bytes.Repeat([]byte{0x42}, 3*frameCap))
 	f.Add(multi)
@@ -39,7 +39,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		for _, e := range entries {
 			switch e.Kind {
-			case EntryLogPage, EntryAudit, EntryIndex:
+			case EntryLogPage, EntryIndex:
 			default:
 				t.Fatalf("invalid entry kind 0x%02x surfaced", e.Kind)
 			}

@@ -19,12 +19,12 @@
 //
 //	entry := kind(1) | segment(4 LE) | part(4 LE) | lsn(8 LE) | dlen(4 LE) | data
 //
-// Kinds: EntryLogPage is a rolled wal page, EntryAudit an audit-trail
-// spool block (PID and LSN zero), EntryIndex the per-segment index
-// appended when a segment is sealed. The index entry's data is the
-// segment's page directory sorted by (segment, part, lsn), one record
-// per archived page, enabling binary-search lookup of one partition's
-// history without replaying the whole segment:
+// Kinds: EntryLogPage is a rolled wal page, EntryIndex the per-segment
+// index appended when a segment is sealed; any other kind byte is a
+// damaged entry. The index entry's data is the segment's page directory
+// sorted by (segment, part, lsn), one record per archived page,
+// enabling binary-search lookup of one partition's history without
+// replaying the whole segment:
 //
 //	index := count(4 LE) then count × { segment(4) | part(4) | lsn(8) | off(8) }
 package archive
@@ -58,7 +58,6 @@ const (
 // Entry kinds, the first byte of every entry payload.
 const (
 	EntryLogPage byte = 0x01
-	EntryAudit   byte = 0xA5
 	EntryIndex   byte = 0x49
 )
 
@@ -153,7 +152,7 @@ func parseEntry(payload []byte, off int64) (Entry, error) {
 			ErrBadFrame, dlen, len(payload))
 	}
 	switch e.Kind {
-	case EntryLogPage, EntryAudit, EntryIndex:
+	case EntryLogPage, EntryIndex:
 	default:
 		return Entry{}, fmt.Errorf("%w: unknown entry kind 0x%02x", ErrBadFrame, e.Kind)
 	}

@@ -40,7 +40,7 @@ type Store struct {
 	segs     []*segment
 	inj      *fault.Injector
 	onSeal   func()
-	entries  int // page + audit entries (index entries excluded)
+	entries  int // page entries (index entries excluded)
 }
 
 type segment struct {
@@ -101,15 +101,12 @@ func Open(dir string, segBytes int) (*Store, error) {
 		entries, clean, _, _ := DecodeSegment(buf)
 		seg := &segment{name: name, f: f, size: int64(clean)}
 		for _, e := range entries {
-			switch e.Kind {
-			case EntryIndex:
+			if e.Kind == EntryIndex {
 				seg.sealed = true
-			case EntryLogPage:
-				seg.index = append(seg.index, indexRec{pid: e.PID, lsn: e.LSN, off: e.Off})
-				seg.entries++
-			default:
-				seg.entries++
+				continue
 			}
+			seg.index = append(seg.index, indexRec{pid: e.PID, lsn: e.LSN, off: e.Off})
+			seg.entries++
 		}
 		sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
 		s.entries += seg.entries
@@ -136,20 +133,9 @@ func (s *Store) SetOnSeal(fn func()) {
 
 // AppendPage archives one rolled log page under its partition identity
 // and log-disk LSN.
-func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, page []byte) error {
+func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(EntryLogPage, pid, lsn, page)
-}
-
-// AppendAudit archives one audit-trail spool block.
-func (s *Store) AppendAudit(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(EntryAudit, addr.PartitionID{}, 0, data)
-}
-
-func (s *Store) appendLocked(kind byte, pid addr.PartitionID, lsn simdisk.LSN, data []byte) error {
 	seg, err := s.activeLocked()
 	if err != nil {
 		return err
@@ -168,7 +154,7 @@ func (s *Store) appendLocked(kind byte, pid addr.PartitionID, lsn simdisk.LSN, d
 		// catches it at rebuild time.
 		data = dec.MutateBytes(data)
 	}
-	frames := encodeEntry(kind, pid, lsn, data)
+	frames := encodeEntry(EntryLogPage, pid, lsn, data)
 	apply := dec.ApplyBytes(len(frames))
 	if _, err := seg.f.writeAt(frames[:apply], seg.size); err != nil {
 		return fmt.Errorf("archive: appending to %s: %w", seg.name, err)
@@ -193,9 +179,7 @@ func (s *Store) appendLocked(kind byte, pid addr.PartitionID, lsn simdisk.LSN, d
 			_, _ = seg.f.writeAt(flip[:], seg.size+FrameSize-1)
 		}
 	}
-	if kind == EntryLogPage {
-		seg.index = append(seg.index, indexRec{pid: pid, lsn: lsn, off: seg.size})
-	}
+	seg.index = append(seg.index, indexRec{pid: pid, lsn: lsn, off: seg.size})
 	seg.size += int64(len(frames))
 	seg.entries++
 	s.entries++
@@ -253,7 +237,7 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Entries returns the number of archived page + audit entries.
+// Entries returns the number of archived pages.
 func (s *Store) Entries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,9 +296,9 @@ type scanSeg struct {
 	size int64
 }
 
-// Scan calls fn for every archived page and audit entry in append
-// (time) order. Index entries are internal and skipped, and so are
-// damaged frames and entries. fn must not retain Entry.Data.
+// Scan calls fn for every archived page in append (time) order. Index
+// entries are internal and skipped, and so are damaged frames and
+// entries. fn must not retain Entry.Data.
 func (s *Store) Scan(fn func(Entry) error) error {
 	for _, ss := range s.snapshot() {
 		buf := make([]byte, ss.size)

@@ -22,10 +22,11 @@ func newTestStore(t *testing.T) *Store {
 func TestStoreScanOrderAndKinds(t *testing.T) {
 	st := newTestStore(t)
 	pid := addr.PartitionID{Segment: 2, Part: 3}
+	other := addr.PartitionID{Segment: 4, Part: 1}
 	if err := st.AppendPage(pid, 7, []byte("page-7")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendAudit([]byte("audit-block")); err != nil {
+	if err := st.AppendPage(other, 3, []byte("other-3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendPage(pid, 8, []byte("page-8")); err != nil {
@@ -48,7 +49,7 @@ func TestStoreScanOrderAndKinds(t *testing.T) {
 	if got[0].Kind != EntryLogPage || got[0].PID != pid || got[0].LSN != 7 || !bytes.Equal(got[0].Data, []byte("page-7")) {
 		t.Fatalf("entry 0 = %+v", got[0])
 	}
-	if got[1].Kind != EntryAudit || !bytes.Equal(got[1].Data, []byte("audit-block")) {
+	if got[1].Kind != EntryLogPage || got[1].PID != other || got[1].LSN != 3 || !bytes.Equal(got[1].Data, []byte("other-3")) {
 		t.Fatalf("entry 1 = %+v", got[1])
 	}
 	if got[2].Kind != EntryLogPage || got[2].LSN != 8 {
@@ -158,9 +159,6 @@ func TestStoreReopenFromDirSurvivesProcess(t *testing.T) {
 		if err := st.AppendPage(pid, lsn, bytes.Repeat([]byte{byte(lsn)}, 80)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.AppendAudit([]byte("audit")); err != nil {
-		t.Fatal(err)
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
@@ -280,6 +278,27 @@ func TestDecodeSegmentResyncsPastDamage(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].LSN != 1 || entries[1].LSN != 3 {
 		t.Fatalf("entries = %+v, want LSNs 1 and 3", entries)
+	}
+}
+
+// An audit-trail spool block (kind 0xA5) from a segment written before
+// the kind was retired is a damaged entry: counted, skipped, and the
+// pages around it still decode.
+func TestDecodeSegmentSkipsRetiredAuditKind(t *testing.T) {
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	var buf []byte
+	buf = append(buf, encodeEntry(EntryLogPage, pid, 1, []byte("one"))...)
+	buf = append(buf, encodeEntry(0xA5, addr.PartitionID{}, 0, []byte("audit"))...)
+	buf = append(buf, encodeEntry(EntryLogPage, pid, 2, []byte("two"))...)
+	entries, clean, damaged, err := DecodeSegment(buf)
+	if damaged != 1 || err == nil {
+		t.Fatalf("damaged = %d, err = %v; want the audit entry counted", damaged, err)
+	}
+	if clean != len(buf) {
+		t.Fatalf("clean = %d, want %d", clean, len(buf))
+	}
+	if len(entries) != 2 || entries[0].LSN != 1 || entries[1].LSN != 2 {
+		t.Fatalf("entries = %+v, want the two pages", entries)
 	}
 }
 

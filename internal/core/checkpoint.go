@@ -183,7 +183,7 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	if err := t.LockRelation(relID, lock.S); err != nil {
 		return err
 	}
-	if err := m.drainAndFence(pid); err != nil {
+	if err := m.askRecoveryCPU(m.drainCh, pid); err != nil {
 		return err
 	}
 	if m.Hooks.AfterFence != nil {
@@ -289,7 +289,7 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	if oldTrack != simdisk.NilTrack {
 		m.hw.Ckpt.FreeTrack(oldTrack)
 	}
-	return m.notifyFinished(pid, track)
+	return m.askRecoveryCPU(m.finishCh, pid)
 }
 
 // setRootTrack records a catalog partition's new checkpoint location in

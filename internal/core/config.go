@@ -95,15 +95,11 @@ type Config struct {
 	// tear, or corrupt I/O at named fault points. Nil costs one branch
 	// per instrumented operation.
 	FaultInjector *fault.Injector
-	// TraceBufferEvents sizes the volatile trace ring (decoded events
-	// kept in process for live inspection and Chrome export). 0
-	// disables it.
-	TraceBufferEvents int
-	// FlightRecorderBytes sizes the stable-memory flight recorder: a
-	// crash-surviving ring of encoded trace events, recovered on
-	// restart and exposed as the crash trace. 0 disables it; the bytes
-	// count against StableBytes. With both trace knobs zero the tracer
-	// is nil and every instrumented path pays a single branch.
+	// FlightRecorderBytes sizes the stable-memory flight recorder, the
+	// tracer's one sink: a crash-surviving ring of encoded trace events,
+	// read live as the trace and recovered on restart as the crash
+	// trace. The bytes count against StableBytes. 0 turns tracing off:
+	// the tracer is nil and every instrumented path pays a single branch.
 	FlightRecorderBytes int
 	// HeatSnapshotBytes sizes the crash-surviving partition-heat
 	// snapshot: per-partition access counts tracked on the store's

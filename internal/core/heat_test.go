@@ -19,7 +19,7 @@ func heatCfg() Config {
 	cfg := testCfg()
 	cfg.HeatSnapshotBytes = 4 << 10
 	cfg.HeatPersistEvery = 8
-	cfg.TraceBufferEvents = 4096
+	cfg.FlightRecorderBytes = 128 << 10
 	return cfg
 }
 
@@ -216,7 +216,7 @@ func TestRecoveryProgressAndTTP99(t *testing.T) {
 // before (unordered sweep, zero-valued progress).
 func TestHeatDisabledIsInert(t *testing.T) {
 	cfg := testCfg()
-	cfg.TraceBufferEvents = 1024
+	cfg.FlightRecorderBytes = 32 << 10
 	h := newHarness(t, cfg)
 	h.start()
 	_, pids := seedPartitions(h, 3)

@@ -204,8 +204,8 @@ func TestHistoryRereadsWhenRolloverMovesAPage(t *testing.T) {
 
 // TestRestoreLostImageFromArchiveLogAndTail drives the whole recovery
 // transaction over a hand-built history: the image the catalog names is
-// gone, the oldest pages (with a catalog root page and an audit block
-// between them) are in the archive, newer ones on the log disk — one of
+// gone, the oldest pages (with a catalog root page between them) are in
+// the archive, newer ones on the log disk — one of
 // them still on the bin's page list — and the newest records in the
 // bin's stable buffer. Every page applies exactly once, in LSN order,
 // and the tail last.
@@ -233,9 +233,6 @@ func TestRestoreLostImageFromArchiveLogAndTail(t *testing.T) {
 		if err := h.hw.Arch.AppendPage(a.pid, a.lsn, a.page); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.hw.Arch.AppendAudit([]byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
 	}
 	h.hw.Log.Drop(lsn3)
 

@@ -56,18 +56,12 @@ type Hooks struct {
 	BeforeCommit    func(pid addr.PartitionID) error
 }
 
-// drainMsg asks the recovery CPU to sort all currently committed
-// chains and then fence the partition's bin.
-type drainMsg struct {
+// binMsg asks the recovery CPU to act on one partition's bin and
+// answer: on drainCh, sort all currently committed chains and then
+// fence the bin; on finishCh, drop the fenced prefix because the
+// checkpoint committed (§2.4 step 7).
+type binMsg struct {
 	pid   addr.PartitionID
-	reply chan error
-}
-
-// finishMsg tells the recovery CPU a checkpoint committed: flush and
-// drop the fenced prefix (§2.4 step 7).
-type finishMsg struct {
-	pid   addr.PartitionID
-	track simdisk.TrackLoc
 	reply chan error
 }
 
@@ -95,8 +89,8 @@ type Manager struct {
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	drainCh  chan drainMsg
-	finishCh chan finishMsg
+	drainCh  chan binMsg
+	finishCh chan binMsg
 	freedCh  chan addr.PartitionID
 
 	// metrics is this generation's registry: every number the component
@@ -154,8 +148,8 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 		slt:      newSLT(hw.Stable),
 		dmap:     newDiskMap(cfg.CheckpointTracks),
 		stop:     make(chan struct{}),
-		drainCh:  make(chan drainMsg),
-		finishCh: make(chan finishMsg),
+		drainCh:  make(chan binMsg),
+		finishCh: make(chan binMsg),
 		freedCh:  make(chan addr.PartitionID, 64),
 		metrics:  mt,
 	}
@@ -364,7 +358,7 @@ func (m *Manager) recoveryCPU() {
 			m.drainCommitted()
 			msg.reply <- m.fence(msg.pid)
 		case msg := <-m.finishCh:
-			msg.reply <- m.finishCheckpoint(msg.pid, msg.track)
+			msg.reply <- m.finishCheckpoint(msg.pid)
 		case pid := <-m.freedCh:
 			m.dropBin(pid)
 		}
@@ -686,7 +680,7 @@ func (m *Manager) dropBin(pid addr.PartitionID) {
 // set: the new checkpoint image supersedes those log records, though
 // they remain on the log disk for the archive (§2.4 step 7). Runs on
 // the recovery CPU.
-func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc) error {
+func (m *Manager) finishCheckpoint(pid addr.PartitionID) error {
 	s := m.slt
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
@@ -731,22 +725,13 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID, track simdisk.TrackLoc)
 	return nil
 }
 
-// drainAndFence is the main-CPU side of the drain barrier.
-func (m *Manager) drainAndFence(pid addr.PartitionID) error {
-	msg := drainMsg{pid: pid, reply: make(chan error, 1)}
+// askRecoveryCPU is the main-CPU side of the drain barrier (drainCh)
+// and of checkpoint completion (finishCh): it hands pid to the recovery
+// CPU and waits for the answer.
+func (m *Manager) askRecoveryCPU(ch chan binMsg, pid addr.PartitionID) error {
+	msg := binMsg{pid: pid, reply: make(chan error, 1)}
 	select {
-	case m.drainCh <- msg:
-		return <-msg.reply
-	case <-m.stop:
-		return fmt.Errorf("core: recovery CPU stopped")
-	}
-}
-
-// notifyFinished is the main-CPU side of checkpoint completion.
-func (m *Manager) notifyFinished(pid addr.PartitionID, track simdisk.TrackLoc) error {
-	msg := finishMsg{pid: pid, track: track, reply: make(chan error, 1)}
-	select {
-	case m.finishCh <- msg:
+	case ch <- msg:
 		return <-msg.reply
 	case <-m.stop:
 		return fmt.Errorf("core: recovery CPU stopped")

@@ -104,7 +104,7 @@ func TestRetriggerWhileCheckpointInFlight(t *testing.T) {
 // reconcile it with.
 func TestRestartServesPendingBin(t *testing.T) {
 	cfg := testCfg()
-	cfg.TraceBufferEvents = 1024
+	cfg.FlightRecorderBytes = 32 << 10
 	h := newHarness(t, cfg)
 	h.start()
 	seg := h.seg()

@@ -50,7 +50,7 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 	cfg := testCfg()
 	cfg.BackgroundRecovery = true
 	cfg.RecoveryWorkers = 4
-	cfg.TraceBufferEvents = 4096
+	cfg.FlightRecorderBytes = 128 << 10
 	h := newHarness(t, cfg)
 	h.start()
 	want, pids := seedPartitions(h, 8)
@@ -217,7 +217,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 	seed := func(t *testing.T) (*harness, []addr.PartitionID, []addr.EntityAddr) {
 		cfg := testCfg()
 		cfg.RecoveryWorkers = 2
-		cfg.TraceBufferEvents = 1024
+		cfg.FlightRecorderBytes = 32 << 10
 		h := newHarness(t, cfg)
 		h.start()
 		// Checkpoint three partitions so sweep recovery reads images.
@@ -299,7 +299,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 // counted and lands on the trace timeline.
 func TestSweepEnumerationErrorSurfaced(t *testing.T) {
 	cfg := testCfg()
-	cfg.TraceBufferEvents = 256
+	cfg.FlightRecorderBytes = 8 << 10
 	h := newHarness(t, cfg)
 	defer h.m.Stop()
 	boom := errors.New("catalog scan failed")

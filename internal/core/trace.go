@@ -18,12 +18,9 @@ func (m *Manager) CrashTrace() []trace.Event {
 	return append([]trace.Event(nil), m.crashTrace...)
 }
 
-// TraceEvents returns the volatile trace ring's contents.
+// TraceEvents decodes the current generation's flight ring (what a
+// crash right now would preserve).
 func (m *Manager) TraceEvents() []trace.Event { return m.tracer.Events() }
-
-// FlightEvents returns the current generation's stable flight-recorder
-// contents (what a crash right now would preserve).
-func (m *Manager) FlightEvents() []trace.Event { return m.tracer.FlightEvents() }
 
 // SealTrace writes a final fault-trigger event labelled reason into the
 // flight recorder and seals it. DB.Crash uses it so that a forced crash
@@ -45,7 +42,7 @@ func pidEvent(e trace.Event, pid addr.PartitionID) trace.Event {
 // the flight recorder with the trigger event as its final entry, and
 // releases WaitIdle.
 func (m *Manager) wireTrace() error {
-	tr, crash, err := trace.Attach(m.hw.Stable, m.cfg.TraceBufferEvents, m.cfg.FlightRecorderBytes)
+	tr, crash, err := trace.Attach(m.hw.Stable, m.cfg.FlightRecorderBytes)
 	if err != nil {
 		return err
 	}

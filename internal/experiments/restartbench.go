@@ -153,7 +153,8 @@ func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepSc
 	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
 	cfg.StableBytes = 256 << 20
 	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
-	cfg.TraceBufferEvents = 4 * nParts
+	// The trace read below: about 4 events of up to 32 B per partition.
+	cfg.FlightRecorderBytes = 4 * 32 * nParts
 
 	hw, tracks, pids, err := crashedFixture(cfg, nParts, recsPerPart, nil)
 	if err != nil {

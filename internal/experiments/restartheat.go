@@ -68,7 +68,8 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
 	cfg.StableBytes = 256 << 20
 	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
-	cfg.TraceBufferEvents = 8 * nParts
+	// The trace read below: about 8 events of up to 32 B per partition.
+	cfg.FlightRecorderBytes = 8 * 32 * nParts
 	cfg.HeatSnapshotBytes = 64 << 10
 	cfg.HeatPersistEvery = 1 << 30 // persist only on explicit request
 

@@ -70,12 +70,11 @@ const (
 	PointCkptAfterFence   Point = "ckpt.after-fence"
 	PointCkptAfterImage   Point = "ckpt.after-image"
 	PointCkptBeforeCommit Point = "ckpt.before-commit"
-	// Archive segment store (§2.6): one "arch.append" hit per entry
-	// appended during log-disk rollover (and audit spooling), one
-	// "arch.read" hit per entry delivered to an archive scan or a
-	// partition rebuild. Faulting arch.read exercises the fallback of
-	// the fallback: recovery of a rotted checkpoint image crashing or
-	// rotting mid-rebuild.
+	// Archive segment store (§2.6): one "arch.append" hit per log page
+	// appended during log-disk rollover, one "arch.read" hit per entry
+	// delivered to an archive scan or a partition rebuild. Faulting
+	// arch.read exercises the fallback of the fallback: recovery of a
+	// rotted checkpoint image crashing or rotting mid-rebuild.
 	PointArchAppend Point = "arch.append"
 	PointArchRead   Point = "arch.read"
 )

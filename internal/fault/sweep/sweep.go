@@ -290,7 +290,6 @@ func Config() mmdb.Config {
 	// the pre-crash event timeline. Its ring writes bypass the fault
 	// points (stablemem.Region is uninstrumented), so enabling it does
 	// not shift plan hit counts.
-	cfg.TraceBufferEvents = 4096
 	cfg.FlightRecorderBytes = 32 << 10
 	return cfg
 }

@@ -356,13 +356,15 @@ func (s *Snapshot) CorruptSlots() {
 	half := s.reg.Size() / 2
 	for slot := 0; slot < 2; slot++ {
 		off := slot * half
-		hdr := s.reg.ReadAt(off, slotHdrSize)
+		var hdr [slotHdrSize]byte
+		s.reg.ReadAt(hdr[:], off)
 		if string(hdr[:4]) != snapMagic {
 			continue
 		}
-		b := s.reg.ReadAt(off+slotHdrSize, 1)
+		var b [1]byte
+		s.reg.ReadAt(b[:], off+slotHdrSize)
 		b[0] ^= 0xFF
-		s.reg.WriteAt(off+slotHdrSize, b)
+		s.reg.WriteAt(off+slotHdrSize, b[:])
 	}
 }
 
@@ -439,7 +441,8 @@ func (s *Snapshot) Load() (ranking []PartHeat, rejected int) {
 	var bestGen uint64
 	for slot := 0; slot < 2; slot++ {
 		off := slot * half
-		hdr := s.reg.ReadAt(off, slotHdrSize)
+		var hdr [slotHdrSize]byte
+		s.reg.ReadAt(hdr[:], off)
 		if string(hdr[:4]) != snapMagic {
 			continue
 		}
@@ -449,7 +452,8 @@ func (s *Snapshot) Load() (ranking []PartHeat, rejected int) {
 			rejected++
 			continue
 		}
-		payload := s.reg.ReadAt(off+slotHdrSize, plen)
+		payload := make([]byte, plen)
+		s.reg.ReadAt(payload, off+slotHdrSize)
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[16:20]) {
 			rejected++
 			continue

@@ -345,13 +345,11 @@ func (r *Region) WriteAt(off int, p []byte) {
 	r.mem.ChargeWrite(len(p))
 }
 
-// ReadAt copies n bytes at off out of the region, charging stable-read
-// cost.
-func (r *Region) ReadAt(off, n int) []byte {
-	out := make([]byte, n)
-	copy(out, r.buf[off:off+n])
-	r.mem.ChargeRead(n)
-	return out
+// ReadAt fills p with the region bytes at off, charging stable-read
+// cost. The read must fit; callers own the layout and the buffer.
+func (r *Region) ReadAt(p []byte, off int) {
+	copy(p, r.buf[off:off+len(p)])
+	r.mem.ChargeRead(len(p))
 }
 
 // Truncate discards appended bytes past n, so restart can cut a torn

@@ -25,9 +25,8 @@ const flightRootKey = "mmdb-trace-flight"
 type FlightRing struct {
 	mu   sync.Mutex
 	reg  *stablemem.Region
-	h    int   // offset of the oldest live byte
-	used int   // live bytes (≤ region size)
-	drop int64 // frames discarded because they exceeded the ring size
+	h    int // offset of the oldest live byte
+	used int // live bytes (≤ region size)
 }
 
 // NewFlightRing carves a flight ring of the given size out of stable
@@ -66,17 +65,14 @@ func (r *FlightRing) free() {
 }
 
 // Append writes one framed event, evicting the oldest frames to make
-// room. A frame larger than the whole ring is dropped (counted), never
-// partially written.
+// room. A frame larger than the whole ring is dropped, never partially
+// written.
 func (r *FlightRing) Append(frame []byte) {
 	if r == nil {
 		return
 	}
 	c := r.reg.Size()
 	if len(frame) > c {
-		r.mu.Lock()
-		r.drop++
-		r.mu.Unlock()
 		return
 	}
 	r.mu.Lock()
@@ -100,7 +96,9 @@ func (r *FlightRing) Append(frame []byte) {
 // corruption), the whole ring is discarded — safer than guessing at
 // frame boundaries.
 func (r *FlightRing) evictOldestLocked() {
-	hdr := r.peekLocked(r.h, min(binary.MaxVarintLen64, r.used))
+	var buf [binary.MaxVarintLen64]byte
+	hdr := buf[:min(len(buf), r.used)]
+	r.readLocked(hdr, r.h)
 	plen, hn := binary.Uvarint(hdr)
 	if hn <= 0 || plen == 0 || int(plen)+hn > r.used {
 		r.h, r.used = 0, 0
@@ -111,15 +109,16 @@ func (r *FlightRing) evictOldestLocked() {
 	r.used -= sz
 }
 
-// peekLocked reads n bytes starting at offset off, wrapping.
-func (r *FlightRing) peekLocked(off, n int) []byte {
+// readLocked fills p with the ring bytes starting at offset off,
+// wrapping.
+func (r *FlightRing) readLocked(p []byte, off int) {
 	c := r.reg.Size()
 	off %= c
-	if off+n <= c {
-		return r.reg.ReadAt(off, n)
+	first := min(len(p), c-off)
+	r.reg.ReadAt(p[:first], off)
+	if first < len(p) {
+		r.reg.ReadAt(p[first:], 0)
 	}
-	out := r.reg.ReadAt(off, c-off)
-	return append(out, r.reg.ReadAt(0, n-(c-off))...)
 }
 
 // Events decodes the ring's live contents, oldest first. A torn or
@@ -134,7 +133,8 @@ func (r *FlightRing) Events() []Event {
 	if r.used == 0 {
 		return nil
 	}
-	buf := r.peekLocked(r.h, r.used)
+	buf := make([]byte, r.used)
+	r.readLocked(buf, r.h)
 	var out []Event
 	for len(buf) > 0 {
 		e, n, err := decodeFrame(buf)
@@ -147,16 +147,6 @@ func (r *FlightRing) Events() []Event {
 	return out
 }
 
-// Dropped returns how many oversized frames were discarded.
-func (r *FlightRing) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.drop
-}
-
 // Attach recovers the previous generation's flight ring from stable
 // memory and installs the new generation's tracer:
 //
@@ -165,37 +155,31 @@ func (r *FlightRing) Dropped() int64 {
 //   - if flightBytes > 0 a flight ring of that size is (re)installed in
 //     the stable root — the previous ring is reused when the size
 //     matches, else freed and reallocated;
-//   - if flightBytes <= 0 the previous ring is freed and unregistered.
-//
-// A nil tracer (tracing fully disabled) is returned when both sizes are
-// zero; the crash trace is still recovered.
-func Attach(mem *stablemem.Memory, volatileEvents, flightBytes int) (*Tracer, []Event, error) {
+//   - if flightBytes <= 0 the previous ring is freed and unregistered,
+//     and the tracer is nil (tracing off); the crash trace is still
+//     recovered.
+func Attach(mem *stablemem.Memory, flightBytes int) (*Tracer, []Event, error) {
 	prior, _ := mem.Root(flightRootKey).(*FlightRing)
 	var crash []Event
 	if prior != nil {
 		crash = prior.Events()
 	}
-	var flight *FlightRing
 	switch {
 	case flightBytes > 0 && prior != nil && prior.Size() == flightBytes:
 		prior.Reset()
-		flight = prior
+		return New(prior), crash, nil
 	case flightBytes > 0:
 		prior.free()
 		f, err := NewFlightRing(mem, flightBytes)
 		if err != nil {
 			return nil, crash, err
 		}
-		flight = f
 		mem.SetRoot(flightRootKey, f)
-	default:
-		prior.free()
-		if prior != nil {
-			mem.SetRoot(flightRootKey, nil)
-		}
+		return New(f), crash, nil
 	}
-	if volatileEvents <= 0 && flight == nil {
-		return nil, crash, nil
+	prior.free()
+	if prior != nil {
+		mem.SetRoot(flightRootKey, nil)
 	}
-	return New(volatileEvents, flight), crash, nil
+	return nil, crash, nil
 }

@@ -10,19 +10,17 @@
 // checkpoint transactions, every restart phase, and fault-injector
 // rule firings.
 //
-// A Tracer feeds two sinks:
+// A Tracer writes into one sink, the flight recorder: a fixed-size ring
+// of encoded events carved out of stable reliable memory
+// (internal/stablemem), which survives injected crashes exactly as the
+// Stable Log Buffer does (§2.2). Live inspection (mmdbsh trace, Chrome
+// trace export) decodes the current generation's ring; after a crash,
+// Attach recovers the previous generation's ring so the restarted
+// system can dump the precise pre-crash timeline (DB.CrashTrace).
 //
-//   - a volatile in-process ring buffer of decoded events, for live
-//     inspection (mmdbsh trace, Chrome trace export);
-//   - an optional flight recorder: a fixed-size ring of encoded events
-//     carved out of stable reliable memory (internal/stablemem), which
-//     survives injected crashes exactly as the Stable Log Buffer does
-//     (§2.2). After a crash, Attach recovers the ring so the restarted
-//     system can dump the precise pre-crash timeline (DB.CrashTrace).
-//
-// The flight recorder is sealed the instant a crash fires — the fault
-// trigger event is the last event written — so the recovered timeline
-// ends at the failure, not in post-crash shutdown noise.
+// The ring is sealed the instant a crash fires — the fault trigger
+// event is the last event written — so the recovered timeline ends at
+// the failure, not in post-crash shutdown noise.
 //
 // A nil *Tracer is the zero-cost off state: every method is
 // nil-receiver safe and untraced hot paths pay a single branch, the
@@ -34,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -352,35 +349,19 @@ func decodeFrame(buf []byte) (Event, int, error) {
 	return e, hn + int(plen), nil
 }
 
-// Tracer emits events into the volatile ring and, when configured, the
-// stable flight recorder. All methods are nil-receiver safe and safe
-// for concurrent use.
+// Tracer stamps events and writes them into its flight ring. All
+// methods are nil-receiver safe and safe for concurrent use.
 type Tracer struct {
-	sealed atomic.Bool
-
 	mu     sync.Mutex
-	seq    uint64  // last sequence number handed out
-	ring   []Event // volatile ring storage (fixed capacity)
-	next   int     // next write position in ring
-	wrap   bool    // ring has wrapped at least once
+	seq    uint64 // last sequence number handed out
+	sealed bool   // EmitLast wrote the ring's final event
 	flight *FlightRing
-	enc    []byte // reusable frame-encoding buffer, guarded by mu
+	enc    []byte // reusable frame-encoding buffer
 }
 
-// New creates a tracer with a volatile ring of volatileEvents decoded
-// events (0 keeps only the flight recorder) and an optional stable
-// flight ring. If both are absent the tracer is pointless; callers
-// normally return a nil *Tracer instead for the free off state.
-func New(volatileEvents int, flight *FlightRing) *Tracer {
-	t := &Tracer{flight: flight}
-	if volatileEvents > 0 {
-		t.ring = make([]Event, volatileEvents)
-	}
-	return t
-}
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
+// New creates a tracer writing into flight. Callers that trace nothing
+// use a nil *Tracer instead, the free off state.
+func New(flight *FlightRing) *Tracer { return &Tracer{flight: flight} }
 
 // Emit records one event, stamping its timestamp and sequence number.
 // Nil-safe: the disabled path is a single branch.
@@ -391,12 +372,11 @@ func (t *Tracer) Emit(e Event) {
 	t.emit(e, false)
 }
 
-// EmitLast records e and seals the flight recorder in the same critical
-// section, guaranteeing that e is the stable ring's final event — no
-// concurrent Emit can slip in behind it. The fault-injector sink uses
-// it for crash triggers. A second EmitLast on a sealed tracer is
-// dropped from the stable ring (the first crash wins) but still enters
-// the volatile ring.
+// EmitLast records e and seals the ring in the same critical section,
+// guaranteeing that e is the ring's final event — no concurrent Emit
+// can slip in behind it. The fault-injector sink uses it for crash
+// triggers. Every event after it, a second EmitLast included, is
+// dropped: the first crash wins, and the crashed instance is discarded.
 func (t *Tracer) EmitLast(e Event) {
 	if t == nil {
 		return
@@ -409,60 +389,21 @@ func (t *Tracer) emit(e Event, seal bool) {
 	t.mu.Lock()
 	// Numbered under the ring lock, so ring order is sequence order: two
 	// emitters that took their numbers first could enter in either order.
-	t.seq++
-	e.Seq = t.seq
-	if len(t.ring) > 0 {
-		t.ring[t.next] = e
-		t.next++
-		if t.next == len(t.ring) {
-			t.next = 0
-			t.wrap = true
-		}
-	}
-	if t.flight != nil && !t.sealed.Load() {
+	if !t.sealed {
+		t.seq++
+		e.Seq = t.seq
 		t.enc = appendFrame(t.enc[:0], &e)
 		t.flight.Append(t.enc)
-		if seal {
-			t.sealed.Store(true)
-		}
+		t.sealed = seal
 	}
 	t.mu.Unlock()
 }
 
-// Seal stops all further flight-recorder writes without emitting an
-// event. Idempotent.
-func (t *Tracer) Seal() {
-	if t == nil {
-		return
-	}
-	t.sealed.Store(true)
-}
-
-// Sealed reports whether the flight recorder has been sealed.
-func (t *Tracer) Sealed() bool { return t != nil && t.sealed.Load() }
-
-// Events returns the volatile ring's contents in emission order.
+// Events decodes the ring's current contents, oldest first: what a
+// crash right now would preserve.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.wrap {
-		return append([]Event(nil), t.ring[:t.next]...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
-}
-
-// FlightEvents decodes the stable flight ring's current contents
-// (oldest first). Empty when no flight recorder is configured.
-func (t *Tracer) FlightEvents() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.flight.Events()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 
@@ -91,9 +92,6 @@ func TestFlightRingOversizedFrameDropped(t *testing.T) {
 	}
 	e := Event{Kind: KindFaultTrigger, Str: string(make([]byte, 64))}
 	ring.Append(appendFrame(nil, &e))
-	if got := ring.Dropped(); got != 1 {
-		t.Fatalf("Dropped() = %d, want 1", got)
-	}
 	if got := ring.Events(); len(got) != 0 {
 		t.Fatalf("oversized frame partially written: %d events decoded", len(got))
 	}
@@ -131,58 +129,59 @@ func TestFlightRingTornTailTruncated(t *testing.T) {
 	}
 }
 
+// After EmitLast the live trace is exactly the crash trace the next
+// generation recovers, ending with the trigger; what is emitted after
+// the seal is in neither.
 func TestEmitLastSealsFlightRing(t *testing.T) {
 	mem := testMem()
-	ring, err := NewFlightRing(mem, 4<<10)
+	tr, _, err := Attach(mem, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(16, ring)
 	tr.Emit(Event{Kind: KindTxnBegin, Txn: 1})
 	tr.EmitLast(Event{Kind: KindFaultTrigger, Str: "stable.append:crash-before"})
 	tr.Emit(Event{Kind: KindTxnAbort, Txn: 1}) // post-crash noise
-	if !tr.Sealed() {
-		t.Fatal("tracer not sealed after EmitLast")
+	tr.EmitLast(Event{Kind: KindFaultTrigger, Str: "second-crash"})
+	live := tr.Events()
+	if len(live) != 2 {
+		t.Fatalf("ring holds %d events, want 2 (sealed after the trigger)", len(live))
 	}
-	flight := tr.FlightEvents()
-	if len(flight) != 2 {
-		t.Fatalf("flight ring holds %d events, want 2 (sealed after the trigger)", len(flight))
+	if last := live[len(live)-1]; last.Kind != KindFaultTrigger || last.Str != "stable.append:crash-before" {
+		t.Fatalf("final event = %+v, want the first fault trigger", last)
 	}
-	last := flight[len(flight)-1]
-	if last.Kind != KindFaultTrigger || last.Str != "stable.append:crash-before" {
-		t.Fatalf("final flight event = %+v, want the fault trigger", last)
-	}
-	// The volatile ring still sees everything.
-	if got := tr.Events(); len(got) != 3 {
-		t.Fatalf("volatile ring holds %d events, want 3", len(got))
-	}
-}
-
-func TestVolatileRingWraps(t *testing.T) {
-	tr := New(4, nil)
-	for i := 1; i <= 10; i++ {
-		tr.Emit(Event{Kind: KindTxnBegin, Txn: uint64(i)})
-	}
-	got := tr.Events()
-	if len(got) != 4 {
-		t.Fatalf("volatile ring holds %d events, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := uint64(7 + i); e.Txn != want {
-			t.Fatalf("event %d is txn %d, want %d (newest window in order)", i, e.Txn, want)
-		}
-	}
-}
-
-// Both rings must hold events in sequence order whatever the emitters'
-// interleaving: a reader that takes the newest event for the latest
-// (the crash trigger, after EmitLast) relies on it.
-func TestConcurrentEmitKeepsRingInSeqOrder(t *testing.T) {
-	fr, err := NewFlightRing(testMem(), 1<<18)
+	_, crash, err := Attach(mem, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New(1<<14, fr)
+	if !slices.Equal(crash, live) {
+		t.Fatalf("recovered crash trace %+v, want the sealed live trace %+v", crash, live)
+	}
+}
+
+// Emit on a full ring evicts the oldest frames without allocating: the
+// evicted frame's header is read into a stack buffer.
+func TestEmitOnFullRingAllocatesNothing(t *testing.T) {
+	tr, _, err := Attach(testMem(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Event{Kind: KindSLBAppend, Txn: 7, Seg: 2, Part: 3, Arg: 24}
+	for i := 0; i < 64; i++ { // fill the ring and grow the encode buffer
+		tr.Emit(e)
+	}
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit(e) }); n != 0 {
+		t.Fatalf("Emit on a full ring allocates %.1f times, want 0", n)
+	}
+}
+
+// The ring holds events in sequence order whatever the emitters'
+// interleaving: a reader that takes the newest event for the latest
+// (the crash trigger, after EmitLast) relies on it.
+func TestConcurrentEmitKeepsRingInSeqOrder(t *testing.T) {
+	tr, _, err := Attach(testMem(), 1<<18)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -194,14 +193,13 @@ func TestConcurrentEmitKeepsRingInSeqOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for name, got := range map[string][]Event{"volatile": tr.Events(), "flight": tr.FlightEvents()} {
-		if len(got) != 8000 {
-			t.Fatalf("%s ring holds %d events, want 8000", name, len(got))
-		}
-		for i, e := range got {
-			if want := uint64(i + 1); e.Seq != want {
-				t.Fatalf("%s ring position %d has seq %d, want %d", name, i, e.Seq, want)
-			}
+	got := tr.Events()
+	if len(got) != 8000 {
+		t.Fatalf("ring holds %d events, want 8000", len(got))
+	}
+	for i, e := range got {
+		if want := uint64(i + 1); e.Seq != want {
+			t.Fatalf("ring position %d has seq %d, want %d", i, e.Seq, want)
 		}
 	}
 }
@@ -210,15 +208,14 @@ func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: KindTxnBegin})
 	tr.EmitLast(Event{Kind: KindFaultTrigger})
-	tr.Seal()
-	if tr.Enabled() || tr.Sealed() || tr.Events() != nil || tr.FlightEvents() != nil {
+	if tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
 }
 
 func TestAttachRecoversCrashTrace(t *testing.T) {
 	mem := testMem()
-	tr, crash, err := Attach(mem, 64, 4<<10)
+	tr, crash, err := Attach(mem, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +228,7 @@ func TestAttachRecoversCrashTrace(t *testing.T) {
 
 	// Next generation on the same stable memory: the pre-crash timeline
 	// must come back, ending with the trigger event.
-	tr2, crash, err := Attach(mem, 64, 4<<10)
+	tr2, crash, err := Attach(mem, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +242,7 @@ func TestAttachRecoversCrashTrace(t *testing.T) {
 		t.Fatalf("crash trace does not end with the trigger: %+v", last)
 	}
 	// The reused ring starts empty for the new generation.
-	if got := tr2.FlightEvents(); len(got) != 0 {
+	if got := tr2.Events(); len(got) != 0 {
 		t.Fatalf("reused flight ring not reset: %d events", len(got))
 	}
 
@@ -253,12 +250,12 @@ func TestAttachRecoversCrashTrace(t *testing.T) {
 	// ring so a third attach sees nothing.
 	tr2.Emit(Event{Kind: KindTxnBegin, Txn: 1})
 	used := mem.Used()
-	tr3, crash, err := Attach(mem, 0, 0)
+	tr3, crash, err := Attach(mem, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr3 != nil {
-		t.Fatal("Attach with both sizes zero returned a live tracer")
+		t.Fatal("Attach with a zero size returned a live tracer")
 	}
 	if len(crash) != 1 {
 		t.Fatalf("disabled attach recovered %d events, want 1", len(crash))
@@ -266,7 +263,7 @@ func TestAttachRecoversCrashTrace(t *testing.T) {
 	if mem.Used() >= used {
 		t.Fatalf("flight ring reservation not released: %d -> %d", used, mem.Used())
 	}
-	if _, crash, _ := Attach(mem, 0, 0); len(crash) != 0 {
+	if _, crash, _ := Attach(mem, 0); len(crash) != 0 {
 		t.Fatalf("freed ring still yielded %d crash events", len(crash))
 	}
 }

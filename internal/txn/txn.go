@@ -15,6 +15,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,12 +99,11 @@ func (m *Manager) Begin() *Txn {
 type undoKind uint8
 
 const (
-	undoInsert        undoKind = iota + 1 // physical delete of a
-	undoUpdate                            // physical update back to old
-	undoWriteAt                           // physical write-back of old bytes
-	undoPendingDelete                     // unmark deferred delete
-	undoIdxDelete                         // physical re-insert of old at a
-	undoPartAlloc                         // evict the new partition
+	undoInsert    undoKind = iota + 1 // physical delete of a
+	undoUpdate                        // physical update back to old
+	undoWriteAt                       // physical write-back of old bytes
+	undoIdxDelete                     // physical re-insert of old at a
+	undoPartAlloc                     // evict the new partition
 )
 
 type undoEntry struct {
@@ -121,9 +121,9 @@ type Txn struct {
 	m          *Manager
 	id         uint64
 	start      time.Time
-	undo       []undoEntry              // the volatile UNDO space
-	pendingDel map[addr.EntityAddr]bool // allocated by the first delete
-	newParts   []*mm.Partition          // privately owned until commit
+	undo       []undoEntry       // the volatile UNDO space
+	pendingDel []addr.EntityAddr // deferred deletes, in delete (log) order
+	newParts   []*mm.Partition   // privately owned until commit
 	nRecords   int
 	done       bool
 }
@@ -241,7 +241,7 @@ func (t *Txn) LendEntity(a addr.EntityAddr) ([]byte, sync.Locker, error) {
 	if err := t.check(); err != nil {
 		return nil, nil, err
 	}
-	if t.pendingDel[a] {
+	if t.PendingDelete(a) {
 		return nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
 	data, held, err := t.m.store.Lend(a)
@@ -267,7 +267,7 @@ func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	if t.pendingDel[a] {
+	if t.PendingDelete(a) {
 		return fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
 	tag := wal.TagRelUpdate
@@ -303,7 +303,7 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 	if err := t.check(); err != nil {
 		return err
 	}
-	if t.pendingDel[a] {
+	if t.PendingDelete(a) {
 		return fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
 	tag := wal.TagRelWrite
@@ -345,7 +345,7 @@ func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	if t.pendingDel[a] {
+	if t.PendingDelete(a) {
 		return fmt.Errorf("%w: %v (already deleted)", ErrNotFound, a)
 	}
 	// Verify existence so a bogus delete fails now, not at commit.
@@ -362,11 +362,7 @@ func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
 		}
 		return err
 	}
-	if t.pendingDel == nil {
-		t.pendingDel = make(map[addr.EntityAddr]bool)
-	}
-	t.pendingDel[a] = true
-	t.undo = append(t.undo, undoEntry{kind: undoPendingDelete, a: a})
+	t.pendingDel = append(t.pendingDel, a)
 	return t.emit(wal.TagRelDelete, a.Partition(), a.Slot, 0, nil)
 }
 
@@ -412,13 +408,16 @@ func (t *Txn) FreePartition(pid addr.PartitionID) error {
 	return t.emit(wal.TagPartFree, pid, 0, 0, nil)
 }
 
-// Commit applies deferred deletes, makes the transaction durable in
-// stable memory (instant commit), and releases all locks.
+// Commit applies deferred deletes in log order, makes the transaction
+// durable in stable memory (instant commit), and releases all locks.
+// The free-slot chain is LIFO, so applying the deletes in the order
+// their REDO records were written leaves it as replay does: the slots
+// handed out next are the same live and after a restart.
 func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	for a := range t.pendingDel {
+	for _, a := range t.pendingDel {
 		p, err := t.m.store.Partition(a.Partition())
 		if err != nil {
 			return fmt.Errorf("txn %d commit: %w", t.id, err)
@@ -445,7 +444,8 @@ func (t *Txn) Commit() error {
 
 // Abort rolls back every effect of the transaction by applying the
 // volatile UNDO records in reverse, discards its REDO chain, and
-// releases all locks.
+// releases all locks. Deferred deletes touched nothing; they are
+// forgotten.
 func (t *Txn) Abort() error {
 	if t.done {
 		return ErrTxnDone
@@ -456,6 +456,7 @@ func (t *Txn) Abort() error {
 			firstErr = err
 		}
 	}
+	t.pendingDel = nil
 	t.m.sink.AbortTxn(t.id)
 	t.done = true
 	t.m.locks.ReleaseAll(t.id)
@@ -464,11 +465,7 @@ func (t *Txn) Abort() error {
 }
 
 func (t *Txn) applyUndo(u undoEntry) error {
-	switch u.kind {
-	case undoPendingDelete:
-		delete(t.pendingDel, u.a)
-		return nil
-	case undoPartAlloc:
+	if u.kind == undoPartAlloc {
 		t.m.store.Evict(u.pid)
 		return nil
 	}
@@ -494,7 +491,7 @@ func (t *Txn) applyUndo(u undoEntry) error {
 
 // PendingDelete reports whether the transaction has a deferred delete
 // for the entity (used by scans for read-your-own-deletes).
-func (t *Txn) PendingDelete(a addr.EntityAddr) bool { return t.pendingDel[a] }
+func (t *Txn) PendingDelete(a addr.EntityAddr) bool { return slices.Contains(t.pendingDel, a) }
 
 // IndexPager adapts a transaction to the Pager interface shared by the
 // index structures, scoping inserts to one index segment.

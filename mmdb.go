@@ -54,8 +54,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 type MetricsSnapshot = metrics.Snapshot
 
 // TraceEvent is one structured trace event; see docs/TRACING.md for the
-// event catalog. Enabled via Config.TraceBufferEvents (volatile ring)
-// and Config.FlightRecorderBytes (crash-surviving stable ring).
+// event catalog. Enabled via Config.FlightRecorderBytes, the size of the
+// crash-surviving stable ring every event is written to.
 type TraceEvent = trace.Event
 
 // Hardware is the crash-surviving hardware bundle.
@@ -502,8 +502,8 @@ func (db *DB) Metrics() MetricsSnapshot { return db.mgr.MetricsSnapshot() }
 // with a benchmark phase or a trace capture.
 func (db *DB) ResetMetrics() { db.mgr.Metrics().Registry().Reset() }
 
-// TraceEvents returns the volatile trace ring's contents in emission
-// order. Empty when Config.TraceBufferEvents is zero.
+// TraceEvents decodes this generation's flight ring, oldest event
+// first. Empty when Config.FlightRecorderBytes is zero.
 func (db *DB) TraceEvents() []TraceEvent { return db.mgr.TraceEvents() }
 
 // CrashTrace returns the previous generation's flight-recorder
@@ -513,7 +513,7 @@ func (db *DB) TraceEvents() []TraceEvent { return db.mgr.TraceEvents() }
 // generation ran without a flight recorder.
 func (db *DB) CrashTrace() []TraceEvent { return db.mgr.CrashTrace() }
 
-// ExportChromeTrace writes the volatile trace ring as Chrome
+// ExportChromeTrace writes this generation's flight ring as Chrome
 // trace_event JSON, loadable in chrome://tracing or Perfetto: one lane
 // per subsystem, with spans built from begin/end event pairs.
 func (db *DB) ExportChromeTrace(w io.Writer) error {

@@ -3,6 +3,7 @@ package mmdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +118,72 @@ func TestBasicCRUD(t *testing.T) {
 	n, err := tx4.Count(rel)
 	if err != nil || n != 0 {
 		t.Fatalf("Count = %d, %v", n, err)
+	}
+}
+
+// TestDeferredDeletesFreeSlotsInLogOrder: one transaction deletes eight
+// rows of one partition. Commit frees their slots in delete order, as
+// replay of the log does, so the next eight inserts get the same RowIDs
+// live as after a crash and recovery.
+func TestDeferredDeletesFreeSlotsInLogOrder(t *testing.T) {
+	nextIDs := func(crash bool) []RowID {
+		cfg := testConfig()
+		cfg.UpdateThreshold = 1 << 30 // no checkpoint: restart replays the deletes
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := db.CreateRelation("r", acctSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		var ids []RowID
+		for i := 0; i < 20; i++ {
+			id, err := tx.Insert(rel, heap.Tuple{int64(i), 0.0, "row"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		mustCommit(t, tx)
+		if p := ids[len(ids)-1].Partition(); p != ids[0].Partition() {
+			t.Fatalf("rows span partitions %v and %v, want one", ids[0].Partition(), p)
+		}
+		tx = db.Begin()
+		for _, i := range []int{3, 11, 5, 17, 0, 9, 14, 7} {
+			if err := tx.Delete(rel, ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+		if crash {
+			db = crashAndRecover(t, db, cfg)
+			if rel, err = db.GetRelation("r"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer db.Close()
+		tx = db.Begin()
+		if n, err := tx.Count(rel); err != nil || n != 12 { // demands the partition after a restart
+			t.Fatalf("Count = %d, %v; want 12", n, err)
+		}
+		mustCommit(t, tx)
+		tx = db.Begin()
+		var got []RowID
+		for i := 0; i < 8; i++ {
+			id, err := tx.Insert(rel, heap.Tuple{int64(100 + i), 0.0, "new"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, id)
+		}
+		mustCommit(t, tx)
+		return got
+	}
+	live, recovered := nextIDs(false), nextIDs(true)
+	if !slices.Equal(live, recovered) {
+		t.Fatalf("inserts after the deletes got %v live but %v after recovery", live, recovered)
 	}
 }
 

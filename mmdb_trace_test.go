@@ -13,10 +13,9 @@ import (
 	"mmdb/internal/trace"
 )
 
-// traceConfig is testConfig with both trace sinks enabled.
+// traceConfig is testConfig with tracing on.
 func traceConfig() Config {
 	cfg := testConfig()
-	cfg.TraceBufferEvents = 1 << 14
 	cfg.FlightRecorderBytes = 32 << 10
 	return cfg
 }
@@ -56,7 +55,7 @@ func TestFlightRecorderSurvivesForcedCrash(t *testing.T) {
 	traceWorkload(t, db, 30)
 	db.WaitIdle()
 	if n := len(db.TraceEvents()); n == 0 {
-		t.Fatal("no volatile trace events after a traced workload")
+		t.Fatal("no trace events after a traced workload")
 	}
 
 	db2 := crashAndRecover(t, db, cfg)
@@ -314,7 +313,6 @@ func BenchmarkCommitTracingOff(b *testing.B) { benchCommit(b, testConfig()) }
 
 func BenchmarkCommitTracingOn(b *testing.B) {
 	cfg := testConfig()
-	cfg.TraceBufferEvents = 1 << 14
 	cfg.FlightRecorderBytes = 64 << 10
 	benchCommit(b, cfg)
 }
