@@ -6,7 +6,6 @@ import (
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
 	"mmdb/internal/lock"
-	"mmdb/internal/simdisk"
 )
 
 // Preload recovers every partition of the relation and its indexes
@@ -184,9 +183,7 @@ func (db *DB) reapSegment(seg addr.SegmentID, parts []catalog.PartState) {
 	for _, ps := range parts {
 		pid := addr.PartitionID{Segment: seg, Part: ps.Part}
 		db.mgr.PartitionFreed(pid)
-		if ps.Track != simdisk.NilTrack {
-			db.mgr.Hardware().Ckpt.FreeTrack(ps.Track)
-		}
+		db.mgr.FreeImage(ps.Track)
 	}
 	db.store.DropSegment(seg)
 }

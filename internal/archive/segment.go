@@ -19,14 +19,11 @@
 //
 //	entry := kind(1) | segment(4 LE) | part(4 LE) | lsn(8 LE) | dlen(4 LE) | data
 //
-// Kinds: EntryLogPage is a rolled wal page, EntryIndex the per-segment
-// index appended when a segment is sealed; any other kind byte is a
-// damaged entry. The index entry's data is the segment's page directory
-// sorted by (segment, part, lsn), one record per archived page,
-// enabling binary-search lookup of one partition's history without
-// replaying the whole segment:
-//
-//	index := count(4 LE) then count × { segment(4) | part(4) | lsn(8) | off(8) }
+// The one kind is EntryLogPage, a rolled wal page. Any other kind byte
+// is a damaged entry, counted and skipped; that includes the page
+// directory (0x49) and audit (0xA5) entries older builds wrote. A
+// segment stores log pages only: its directory is rebuilt from these
+// headers when the store opens.
 package archive
 
 import (
@@ -34,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/simdisk"
@@ -55,11 +51,8 @@ const (
 	flagLast  = 0x02
 )
 
-// Entry kinds, the first byte of every entry payload.
-const (
-	EntryLogPage byte = 0x01
-	EntryIndex   byte = 0x49
-)
+// EntryLogPage is the kind byte, the first byte of every entry payload.
+const EntryLogPage byte = 0x01
 
 const entryHdrSize = 1 + 4 + 4 + 8 + 4 // kind + segment + part + lsn + dlen
 
@@ -70,7 +63,6 @@ var ErrBadFrame = errors.New("archive: bad segment frame")
 
 // Entry is one decoded archive entry.
 type Entry struct {
-	Kind byte
 	PID  addr.PartitionID
 	LSN  simdisk.LSN
 	Data []byte
@@ -137,27 +129,22 @@ func parseEntry(payload []byte, off int64) (Entry, error) {
 	if len(payload) < entryHdrSize {
 		return Entry{}, fmt.Errorf("%w: %d-byte entry payload", ErrBadFrame, len(payload))
 	}
-	e := Entry{
-		Kind: payload[0],
+	if dlen := int(binary.LittleEndian.Uint32(payload[17:])); dlen != len(payload)-entryHdrSize {
+		return Entry{}, fmt.Errorf("%w: entry data length %d in %d-byte payload",
+			ErrBadFrame, dlen, len(payload))
+	}
+	if payload[0] != EntryLogPage {
+		return Entry{}, fmt.Errorf("%w: unknown entry kind 0x%02x", ErrBadFrame, payload[0])
+	}
+	return Entry{
 		PID: addr.PartitionID{
 			Segment: addr.SegmentID(binary.LittleEndian.Uint32(payload[1:])),
 			Part:    addr.PartitionNum(binary.LittleEndian.Uint32(payload[5:])),
 		},
-		LSN: simdisk.LSN(binary.LittleEndian.Uint64(payload[9:])),
-		Off: off,
-	}
-	dlen := int(binary.LittleEndian.Uint32(payload[17:]))
-	if dlen != len(payload)-entryHdrSize {
-		return Entry{}, fmt.Errorf("%w: entry data length %d in %d-byte payload",
-			ErrBadFrame, dlen, len(payload))
-	}
-	switch e.Kind {
-	case EntryLogPage, EntryIndex:
-	default:
-		return Entry{}, fmt.Errorf("%w: unknown entry kind 0x%02x", ErrBadFrame, e.Kind)
-	}
-	e.Data = payload[entryHdrSize:]
-	return e, nil
+		LSN:  simdisk.LSN(binary.LittleEndian.Uint64(payload[9:])),
+		Data: payload[entryHdrSize:],
+		Off:  off,
+	}, nil
 }
 
 // DecodeSegment parses a segment's bytes. Damaged frames are skipped
@@ -217,65 +204,4 @@ func DecodeSegment(data []byte) (entries []Entry, clean int, damaged int, err er
 		clean = int(entryStart)
 	}
 	return entries, clean, damaged, firstErr
-}
-
-// indexRec locates one archived log page inside a segment.
-type indexRec struct {
-	pid addr.PartitionID
-	lsn simdisk.LSN
-	off int64
-}
-
-func pidLess(a, b addr.PartitionID) bool {
-	if a.Segment != b.Segment {
-		return a.Segment < b.Segment
-	}
-	return a.Part < b.Part
-}
-
-func recLess(a, b indexRec) bool {
-	if a.pid != b.pid {
-		return pidLess(a.pid, b.pid)
-	}
-	return a.lsn < b.lsn
-}
-
-// encodeIndex renders a segment's page directory, sorted by (PID, LSN).
-func encodeIndex(recs []indexRec) []byte {
-	sorted := append([]indexRec(nil), recs...)
-	sort.Slice(sorted, func(i, j int) bool { return recLess(sorted[i], sorted[j]) })
-	out := make([]byte, 4+len(sorted)*24)
-	binary.LittleEndian.PutUint32(out, uint32(len(sorted)))
-	for i, r := range sorted {
-		p := out[4+i*24:]
-		binary.LittleEndian.PutUint32(p, uint32(r.pid.Segment))
-		binary.LittleEndian.PutUint32(p[4:], uint32(r.pid.Part))
-		binary.LittleEndian.PutUint64(p[8:], uint64(r.lsn))
-		binary.LittleEndian.PutUint64(p[16:], uint64(r.off))
-	}
-	return out
-}
-
-// DecodeIndex parses an EntryIndex data block.
-func DecodeIndex(data []byte) ([]indexRec, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: %d-byte index", ErrBadFrame, len(data))
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n*24 != len(data)-4 {
-		return nil, fmt.Errorf("%w: index count %d in %d bytes", ErrBadFrame, n, len(data))
-	}
-	recs := make([]indexRec, n)
-	for i := range recs {
-		p := data[4+i*24:]
-		recs[i] = indexRec{
-			pid: addr.PartitionID{
-				Segment: addr.SegmentID(binary.LittleEndian.Uint32(p)),
-				Part:    addr.PartitionNum(binary.LittleEndian.Uint32(p[4:])),
-			},
-			lsn: simdisk.LSN(binary.LittleEndian.Uint64(p[8:])),
-			off: int64(binary.LittleEndian.Uint64(p[16:])),
-		}
-	}
-	return recs, nil
 }

@@ -1,8 +1,8 @@
 // Package archive is the append-only archive tier (§2.6), and only the
 // storage half of it: log pages rolled off the log disks are appended to
 // checksummed segment files under their partition address and LSN, and
-// read back either whole (Scan) or one partition at a time through the
-// per-segment index (ScanPartition). Together with the still-resident
+// read back one partition at a time through each segment's in-memory
+// page directory (ScanPartition). Together with the still-resident
 // log pages that is every partition's complete REDO history, so losing
 // a checkpoint image, or the whole checkpoint disk set, never loses
 // committed data. Replaying the history into a partition is recovery,
@@ -25,10 +25,11 @@ import (
 
 // Store is the append-only archive tier (§2.6): the medium that filled
 // log disks are rolled onto. It replaces the simulated in-memory tape
-// with immutable, checksummed, fixed-frame, time-ordered segment files
-// plus a per-segment (PID, LSN) index, so one partition's history can
-// be located by binary search instead of a full replay — and so the
-// archive actually survives the process.
+// with immutable, checksummed, fixed-frame, time-ordered segment files,
+// so the archive actually survives the process. Each segment's page
+// directory, sorted by (PID, LSN), is kept in memory and rebuilt from
+// the segment's frames at Open, so one partition's history is located by
+// binary search instead of a full replay.
 //
 // Backed by a directory when opened with one (real files, fsynced on
 // demand), or by an in-process buffer for tests and ephemeral databases
@@ -40,16 +41,36 @@ type Store struct {
 	segs     []*segment
 	inj      *fault.Injector
 	onSeal   func()
-	entries  int // page entries (index entries excluded)
+	entries  int // archived pages
 }
 
 type segment struct {
-	name    string
-	f       segFile
-	size    int64 // clean frame-aligned logical size
-	sealed  bool
-	index   []indexRec // page directory; sorted by (PID, LSN) once sealed
-	entries int
+	name   string
+	f      segFile
+	size   int64      // clean frame-aligned logical size
+	sealed bool       // rotated away from and fsynced: no more appends
+	index  []indexRec // page directory; sorted by (PID, LSN) once sealed
+}
+
+// indexRec locates one archived log page inside a segment.
+type indexRec struct {
+	pid addr.PartitionID
+	lsn simdisk.LSN
+	off int64
+}
+
+func pidLess(a, b addr.PartitionID) bool {
+	if a.Segment != b.Segment {
+		return a.Segment < b.Segment
+	}
+	return a.Part < b.Part
+}
+
+func recLess(a, b indexRec) bool {
+	if a.pid != b.pid {
+		return pidLess(a.pid, b.pid)
+	}
+	return a.lsn < b.lsn
 }
 
 // DefaultSegmentBytes is the segment rotation threshold used when the
@@ -61,7 +82,8 @@ const segSuffix = ".mmar"
 // Open opens (or creates) an archive store. dir == "" selects the
 // in-memory backend; otherwise dir is created if needed and existing
 // segment files are scanned, torn tails from a crashed append are
-// truncated away, and appends resume on the last unsealed segment.
+// truncated away, and appends resume on the last segment unless it is
+// full.
 func Open(dir string, segBytes int) (*Store, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -82,7 +104,7 @@ func Open(dir string, segBytes int) (*Store, error) {
 		return nil, err
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	for i, name := range names {
 		f, err := fs.open(name)
 		if err != nil {
 			return nil, fmt.Errorf("archive: opening segment %s: %w", name, err)
@@ -95,21 +117,18 @@ func Open(dir string, segBytes int) (*Store, error) {
 		if _, err := readFull(f, buf, 0); err != nil {
 			return nil, fmt.Errorf("archive: reading segment %s: %w", name, err)
 		}
-		// The frame scan is authoritative: it tolerates torn tails,
-		// skips damaged frames individually, and rebuilds the page
-		// index even if the embedded index entry never made it out.
+		// The frame scan rebuilds the page directory: it tolerates torn
+		// tails and skips damaged frames individually. A segment is
+		// rotated away from once it reaches segBytes, so every segment
+		// but the last is sealed, and the last is if it is full.
 		entries, clean, _, _ := DecodeSegment(buf)
 		seg := &segment{name: name, f: f, size: int64(clean)}
+		seg.sealed = i < len(names)-1 || seg.size >= s.segBytes
 		for _, e := range entries {
-			if e.Kind == EntryIndex {
-				seg.sealed = true
-				continue
-			}
 			seg.index = append(seg.index, indexRec{pid: e.PID, lsn: e.LSN, off: e.Off})
-			seg.entries++
 		}
 		sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
-		s.entries += seg.entries
+		s.entries += len(seg.index)
 		s.segs = append(s.segs, seg)
 	}
 	return s, nil
@@ -181,7 +200,6 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) e
 	}
 	seg.index = append(seg.index, indexRec{pid: pid, lsn: lsn, off: seg.size})
 	seg.size += int64(len(frames))
-	seg.entries++
 	s.entries++
 	if seg.size >= s.segBytes {
 		s.sealLocked(seg)
@@ -205,20 +223,15 @@ func (s *Store) activeLocked() (*segment, error) {
 	return seg, nil
 }
 
-// sealLocked freezes a full segment: its page directory is appended as
-// an EntryIndex entry (sorted by PID then LSN for binary search), the
-// file is fsynced, and the segment becomes immutable. Failures leave
-// the segment unsealed; the next append retries.
+// sealLocked freezes a full segment: its page directory is sorted by
+// PID then LSN for binary search, the file is fsynced, and the segment
+// takes no more appends. A failed fsync leaves the segment unsealed;
+// the next append retries.
 func (s *Store) sealLocked(seg *segment) {
 	sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
-	frames := encodeEntry(EntryIndex, addr.PartitionID{}, 0, encodeIndex(seg.index))
-	if _, err := seg.f.writeAt(frames, seg.size); err != nil {
-		return
-	}
 	if err := seg.f.sync(); err != nil {
 		return
 	}
-	seg.size += int64(len(frames))
 	seg.sealed = true
 	if s.onSeal != nil {
 		s.onSeal()
@@ -278,9 +291,9 @@ func (s *Store) Close() error {
 	return first
 }
 
-// snapshotLocked captures the segment list and their clean sizes so
-// scans run without the store lock (the satellite-1 lesson: never hold
-// the lock across a user callback).
+// snapshot captures the segment list and their clean sizes, so that
+// ScanPartition reads without the store lock and never holds it across
+// its caller's callback.
 func (s *Store) snapshot() []scanSeg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,37 +309,8 @@ type scanSeg struct {
 	size int64
 }
 
-// Scan calls fn for every archived page in append (time) order. Index
-// entries are internal and skipped, and so are damaged frames and
-// entries. fn must not retain Entry.Data.
-func (s *Store) Scan(fn func(Entry) error) error {
-	for _, ss := range s.snapshot() {
-		buf := make([]byte, ss.size)
-		if _, err := readFull(ss.seg.f, buf, 0); err != nil {
-			return fmt.Errorf("archive: reading segment %s: %w", ss.seg.name, err)
-		}
-		entries, _, _, _ := DecodeSegment(buf)
-		for i := range entries {
-			if entries[i].Kind == EntryIndex {
-				continue
-			}
-			e, ok, err := s.deliver(ss.seg, entries[i])
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // ScanPartition calls fn with every archived log page of one partition
-// in LSN order, located through the per-segment indexes by binary
+// in LSN order, located through the per-segment directories by binary
 // search. Duplicate LSNs (an append retried across a crash is
 // at-least-once) are delivered once. page is a fresh buffer that fn may
 // keep.
@@ -353,7 +337,7 @@ func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, pag
 			if err != nil {
 				return err
 			}
-			if !ok || e.Kind != EntryLogPage || e.PID != pid || e.LSN != idx[i].lsn {
+			if !ok || e.PID != pid || e.LSN != idx[i].lsn {
 				continue
 			}
 			seen[e.LSN] = true

@@ -2,6 +2,8 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +21,25 @@ func newTestStore(t *testing.T) *Store {
 	return st
 }
 
-func TestStoreScanOrderAndKinds(t *testing.T) {
+// pages collects every page ScanPartition delivers for pid, in order.
+func pages(t *testing.T, st *Store, pid addr.PartitionID) map[simdisk.LSN]string {
+	t.Helper()
+	got := make(map[simdisk.LSN]string)
+	last := simdisk.NilLSN
+	if err := st.ScanPartition(pid, func(lsn simdisk.LSN, page []byte) error {
+		if lsn <= last {
+			t.Fatalf("%v: lsn %d delivered after %d", pid, lsn, last)
+		}
+		last = lsn
+		got[lsn] = string(page)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func TestStoreScanPartitionSeparatesPartitions(t *testing.T) {
 	st := newTestStore(t)
 	pid := addr.PartitionID{Segment: 2, Part: 3}
 	other := addr.PartitionID{Segment: 4, Part: 1}
@@ -35,25 +55,11 @@ func TestStoreScanOrderAndKinds(t *testing.T) {
 	if n := st.Entries(); n != 3 {
 		t.Fatalf("Entries = %d", n)
 	}
-	var got []Entry
-	if err := st.Scan(func(e Entry) error {
-		e.Data = append([]byte(nil), e.Data...)
-		got = append(got, e)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if got := fmt.Sprint(pages(t, st, pid)); got != "map[7:page-7 8:page-8]" {
+		t.Fatalf("%v: %s", pid, got)
 	}
-	if len(got) != 3 {
-		t.Fatalf("scanned %d entries", len(got))
-	}
-	if got[0].Kind != EntryLogPage || got[0].PID != pid || got[0].LSN != 7 || !bytes.Equal(got[0].Data, []byte("page-7")) {
-		t.Fatalf("entry 0 = %+v", got[0])
-	}
-	if got[1].Kind != EntryLogPage || got[1].PID != other || got[1].LSN != 3 || !bytes.Equal(got[1].Data, []byte("other-3")) {
-		t.Fatalf("entry 1 = %+v", got[1])
-	}
-	if got[2].Kind != EntryLogPage || got[2].LSN != 8 {
-		t.Fatalf("entry 2 = %+v", got[2])
+	if got := fmt.Sprint(pages(t, st, other)); got != "map[3:other-3]" {
+		t.Fatalf("%v: %s", other, got)
 	}
 }
 
@@ -64,18 +70,9 @@ func TestStoreMultiFrameEntry(t *testing.T) {
 	if err := st.AppendPage(pid, 1, big); err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	if err := st.Scan(func(e Entry) error {
-		n++
-		if !bytes.Equal(e.Data, big) {
-			t.Fatal("multi-frame entry data mangled")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("scanned %d entries", n)
+	got := pages(t, st, pid)
+	if len(got) != 1 || got[1] != string(big) {
+		t.Fatalf("multi-frame entry: %d pages, data intact %v", len(got), got[1] == string(big))
 	}
 }
 
@@ -103,7 +100,7 @@ func TestStoreSealRotationAndPartitionIndex(t *testing.T) {
 	if st.SealedSegments() == 0 || seals != st.SealedSegments() {
 		t.Fatalf("sealed = %d, onSeal fired %d times", st.SealedSegments(), seals)
 	}
-	// ScanPartition walks the per-segment indexes: only A's pages, in
+	// ScanPartition walks the per-segment directories: only A's pages, in
 	// LSN order, with the right bytes.
 	want := simdisk.LSN(1)
 	if err := st.ScanPartition(pidA, func(lsn simdisk.LSN, page []byte) error {
@@ -248,15 +245,8 @@ func TestStoreReopenRepairsTornTail(t *testing.T) {
 	if err := st2.AppendPage(pid, 2, []byte("after-crash")); err != nil {
 		t.Fatal(err)
 	}
-	var got [][]byte
-	if err := st2.Scan(func(e Entry) error {
-		got = append(got, append([]byte(nil), e.Data...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("before-crash")) || !bytes.Equal(got[1], []byte("after-crash")) {
-		t.Fatalf("entries after repair = %q", got)
+	if got := fmt.Sprint(pages(t, st2, pid)); got != "map[1:before-crash 2:after-crash]" {
+		t.Fatalf("pages after repair = %s", got)
 	}
 }
 
@@ -317,24 +307,124 @@ func TestDecodeSegmentTornTail(t *testing.T) {
 	}
 }
 
-func TestIndexRoundtrip(t *testing.T) {
-	recs := []indexRec{
-		{pid: addr.PartitionID{Segment: 3, Part: 1}, lsn: 9, off: 512},
-		{pid: addr.PartitionID{Segment: 2, Part: 7}, lsn: 4, off: 0},
-		{pid: addr.PartitionID{Segment: 2, Part: 7}, lsn: 2, off: 256},
+// fill appends n 100-byte pages spread over pids, LSNs from first on.
+func fill(t *testing.T, st *Store, pids []addr.PartitionID, first simdisk.LSN, n int) {
+	t.Helper()
+	for lsn := first; lsn < first+simdisk.LSN(n); lsn++ {
+		if err := st.AppendPage(pids[int(lsn)%len(pids)], lsn, bytes.Repeat([]byte{byte(lsn)}, 100)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := DecodeIndex(encodeIndex(recs))
+}
+
+// Sealed is derived at Open, not read from the segment: every segment but
+// the last is sealed, and the last is if it is full. Appends after a
+// reopen therefore land where they would have landed without one.
+func TestStoreReopenResumesOnTheRightSegment(t *testing.T) {
+	pids := []addr.PartitionID{{Segment: 2, Part: 0}, {Segment: 2, Part: 1}, {Segment: 3, Part: 0}}
+	for _, tc := range []struct {
+		name                string
+		n                   int
+		segs, sealed, after int // segments and sealed ones at reopen; segments after one more append
+	}{
+		// A 100-byte page is one 256-byte frame: eight fill a segment.
+		{"last segment full", 16, 2, 2, 3},
+		{"last segment part-full", 19, 3, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, 2048)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, st, pids, 1, tc.n)
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]map[simdisk.LSN]string, len(pids))
+			for i, pid := range pids {
+				before[i] = pages(t, st, pid)
+			}
+			st.Close()
+
+			st2, err := Open(dir, 2048)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			if st2.Segments() != tc.segs || st2.SealedSegments() != tc.sealed {
+				t.Fatalf("reopened %d segments, %d sealed; want %d, %d", st2.Segments(), st2.SealedSegments(), tc.segs, tc.sealed)
+			}
+			for i, pid := range pids {
+				if got := pages(t, st2, pid); fmt.Sprint(got) != fmt.Sprint(before[i]) {
+					t.Fatalf("%v after reopen:\n got %v\nwant %v", pid, got, before[i])
+				}
+			}
+			fill(t, st2, pids, simdisk.LSN(tc.n+1), 1)
+			if st2.Segments() != tc.after {
+				t.Fatalf("append after reopen: %d segments, want %d", st2.Segments(), tc.after)
+			}
+			if got := pages(t, st2, pids[(tc.n+1)%len(pids)]); len(got) != len(before[(tc.n+1)%len(pids)])+1 {
+				t.Fatalf("resumed page not delivered: %d pages", len(got))
+			}
+		})
+	}
+}
+
+// retiredIndexEntry renders the page directory entry (kind 0x49) that
+// older builds appended to a segment when they sealed it: a count, then
+// per page segment(4) part(4) lsn(8) off(8), all little-endian.
+func retiredIndexEntry(recs []indexRec) []byte {
+	data := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
+	for _, r := range recs {
+		data = binary.LittleEndian.AppendUint32(data, uint32(r.pid.Segment))
+		data = binary.LittleEndian.AppendUint32(data, uint32(r.pid.Part))
+		data = binary.LittleEndian.AppendUint64(data, uint64(r.lsn))
+		data = binary.LittleEndian.AppendUint64(data, uint64(r.off))
+	}
+	return encodeEntry(0x49, addr.PartitionID{}, 0, data)
+}
+
+// A segment sealed by an older build ends in its page directory entry.
+// The entry is now a damaged kind: skipped, never delivered, and every
+// page before it still is.
+func TestStoreReopensSegmentWithRetiredIndexEntry(t *testing.T) {
+	dir := t.TempDir()
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	var seg []byte
+	var recs []indexRec
+	for lsn := simdisk.LSN(1); lsn <= 8; lsn++ {
+		recs = append(recs, indexRec{pid: pid, lsn: lsn, off: int64(len(seg))})
+		seg = append(seg, encodeEntry(EntryLogPage, pid, lsn, bytes.Repeat([]byte{byte(lsn)}, 100))...)
+	}
+	seg = append(seg, retiredIndexEntry(recs)...)
+	if _, _, damaged, err := DecodeSegment(seg); damaged != 1 || err == nil {
+		t.Fatalf("retired index entry: damaged %d, err %v", damaged, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000000"+segSuffix), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("decoded %d records", len(got))
+	defer st.Close()
+	if st.Entries() != 8 || st.SealedSegments() != 1 {
+		t.Fatalf("entries %d, sealed %d; want 8, 1", st.Entries(), st.SealedSegments())
 	}
-	// encodeIndex sorts by (PID, LSN).
-	if got[0].lsn != 2 || got[1].lsn != 4 || got[2].lsn != 9 {
-		t.Fatalf("index order = %+v", got)
+	got := pages(t, st, pid)
+	for lsn := simdisk.LSN(1); lsn <= 8; lsn++ {
+		if got[lsn] != string(bytes.Repeat([]byte{byte(lsn)}, 100)) {
+			t.Fatalf("lsn %d: %q", lsn, got[lsn])
+		}
 	}
-	if got[0].off != 256 || got[2].pid.Segment != 3 {
-		t.Fatalf("index fields = %+v", got)
+	if len(got) != 8 {
+		t.Fatalf("%d pages delivered, want 8", len(got))
+	}
+	if err := st.AppendPage(pid, 9, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if st.Segments() != 2 {
+		t.Fatalf("append after a sealed old segment: %d segments, want 2", st.Segments())
 	}
 }

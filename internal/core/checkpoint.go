@@ -173,10 +173,14 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	m.tracer.Emit(pidEvent(trace.Event{
 		Kind: trace.KindCkptBegin, Txn: t.ID(), Arg2: uint64(trig),
 	}, pid))
+	// An attempt that does not commit installs nothing, so the track it
+	// claimed (if it got that far) goes back to the allocation map.
 	committed := false
+	track := simdisk.NilTrack
 	defer func() {
 		if !committed {
 			_ = t.Abort()
+			m.dmap.free(track)
 		}
 	}()
 
@@ -211,13 +215,12 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	// two-phase. (The interference window is the memory copy either
 	// way; the disk write below blocks no one.)
 
-	track, err := m.dmap.alloc()
+	track, err = m.dmap.alloc()
 	if err != nil {
 		return err
 	}
 	oldTrack, err := m.cb.InstallCkpt(t, pid, track)
 	if err != nil {
-		m.dmap.free(track)
 		return err
 	}
 	// The image travels in a checksummed envelope: FromImage validates
@@ -227,7 +230,6 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	// silent-wrong-data window.
 	blob := sealImage(img)
 	if err := m.hw.Ckpt.WriteTrack(track, blob); err != nil {
-		m.dmap.free(track)
 		return err
 	}
 	// Write-verify: a mutation fault can rot the image bytes while
@@ -238,7 +240,6 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	// never overwrites the old copy, so the failure costs nothing).
 	if stored, bad, ok := m.hw.Ckpt.TrackState(track); !ok || bad || !bytes.Equal(stored, blob) {
 		m.metrics.CkptVerifyFailed.Inc()
-		m.dmap.free(track)
 		return fmt.Errorf("core: checkpoint write-verify of %v failed on track %d", pid, track)
 	}
 	m.tracer.Emit(pidEvent(trace.Event{
@@ -246,12 +247,10 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	}, pid))
 	if m.Hooks.AfterImageWrite != nil {
 		if err := m.Hooks.AfterImageWrite(pid); err != nil {
-			m.dmap.free(track)
 			return err
 		}
 	}
 	if err := m.faultPoint(fault.PointCkptAfterImage); err != nil {
-		m.dmap.free(track)
 		return err
 	}
 	// Catalog partitions' locations must always be findable: refresh
@@ -261,22 +260,18 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 			setRootTrack(r, pid, track)
 		})
 		if err := m.writeRootToLog(root); err != nil {
-			m.dmap.free(track)
 			return err
 		}
 	}
 	if m.Hooks.BeforeCommit != nil {
 		if err := m.Hooks.BeforeCommit(pid); err != nil {
-			m.dmap.free(track)
 			return err
 		}
 	}
 	if err := m.faultPoint(fault.PointCkptBeforeCommit); err != nil {
-		m.dmap.free(track)
 		return err
 	}
 	if err := t.Commit(); err != nil {
-		m.dmap.free(track)
 		return err
 	}
 	committed = true
@@ -285,11 +280,19 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	m.tracer.Emit(pidEvent(trace.Event{
 		Kind: trace.KindCkptEnd, Txn: t.ID(), Arg: uint64(len(img)),
 	}, pid))
-	m.dmap.free(oldTrack)
-	if oldTrack != simdisk.NilTrack {
-		m.hw.Ckpt.FreeTrack(oldTrack)
-	}
+	m.FreeImage(oldTrack)
 	return m.askRecoveryCPU(m.finishCh, pid)
+}
+
+// FreeImage releases a checkpoint image nothing will read again, one a
+// newer checkpoint superseded or one of a dropped partition: its track
+// leaves the allocation map and the disk.
+func (m *Manager) FreeImage(track simdisk.TrackLoc) {
+	if track == simdisk.NilTrack {
+		return
+	}
+	m.dmap.free(track)
+	m.hw.Ckpt.FreeTrack(track)
 }
 
 // setRootTrack records a catalog partition's new checkpoint location in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -536,13 +535,9 @@ func (m *Manager) flushBinPageLocked(b *bin) error {
 	m.tracer.Emit(pidEvent(trace.Event{
 		Kind: trace.KindPageFlush, LSN: uint64(lsn), Arg: uint64(b.curCount),
 	}, b.pid))
-	wasFirst := len(b.pages) == 0
 	b.pages = append(b.pages, lsn)
 	b.cur.Reset()
 	b.curCount = 0
-	if wasFirst {
-		heap.Push(m.slt.firstList, lsnEntry{lsn: lsn, pid: b.pid})
-	}
 	m.metrics.PagesFlushed.Add(1)
 	c := m.cfg.Cost
 	m.metrics.SimRecoveryInstr.Add(int64(c.IWriteInit + c.IPageAlloc + c.IProcessLSN))
@@ -550,9 +545,10 @@ func (m *Manager) flushBinPageLocked(b *bin) error {
 	return nil
 }
 
-// advanceWindowLocked checks the First LSN list against the log window
-// after a page write, triggering age checkpoints for partitions whose
-// oldest log page is about to fall off the window, and rolls safely
+// advanceWindowLocked is the window pass after a page write: one scan
+// over the bins finds the archive floor and the partitions whose oldest
+// log page is inside the grace region at the window's tail, raises an
+// age checkpoint for each, oldest first (§2.3.3), and rolls safely
 // obsolete pages to the archive tape. SLT mutex held.
 func (m *Manager) advanceWindowLocked() {
 	head := m.hw.Log.NextLSN() - 1
@@ -560,50 +556,22 @@ func (m *Manager) advanceWindowLocked() {
 	if tail < 1 {
 		return
 	}
-	// Age triggers: the First LSN list is ordered, so the check walks
-	// from the head only as far as entries inside the grace region
-	// (§2.3.3: the head holds the oldest partition). Stale lazy-heap
-	// entries are refreshed against the live bin; triggered entries
-	// stay on the list until their checkpoint completes.
-	ageLimit := tail + simdisk.LSN(m.cfg.GracePages)
-	var keep []lsnEntry
-	for m.slt.firstList.Len() > 0 {
-		e := heap.Pop(m.slt.firstList).(lsnEntry)
-		b := m.slt.st.bins[e.pid]
-		if b == nil || b.firstLSN() != e.lsn {
-			if b != nil && b.firstLSN() != simdisk.NilLSN {
-				keep = append(keep, lsnEntry{lsn: b.firstLSN(), pid: b.pid})
-			}
-			continue
-		}
-		keep = append(keep, e)
-		if e.lsn > ageLimit {
-			break // rest of the list is younger
-		}
-		if m.slt.raiseLocked(b, trigAge) {
-			m.metrics.CkptByAge.Add(1)
-			m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
-		}
+	floor, aged := m.slt.windowLocked(tail + simdisk.LSN(m.cfg.GracePages))
+	for _, b := range aged {
+		m.slt.raiseLocked(b, trigAge)
+		m.metrics.CkptByAge.Add(1)
+		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 	}
-	for _, e := range keep {
-		heap.Push(m.slt.firstList, e)
-	}
-	m.archiveLocked(tail)
+	m.archiveLocked(tail, floor)
 }
 
-// archiveLocked rolls log pages onto the tape and drops them from the
-// log disks, but never pages still needed for memory recovery: the
-// floor is the minimum first LSN over all bins (safety over window
-// discipline; overruns are counted).
-func (m *Manager) archiveLocked(tail simdisk.LSN) {
-	floor := simdisk.LSN(0)
-	for _, b := range m.slt.st.bins {
-		if f := b.firstLSN(); f != simdisk.NilLSN && (floor == 0 || f < floor) {
-			floor = f
-		}
-	}
+// archiveLocked rolls log pages up to tail onto the tape and drops them
+// from the log disks, but never pages still needed for memory recovery:
+// nothing at or above floor, the minimum first LSN over all bins, goes
+// (safety over window discipline; overruns are counted).
+func (m *Manager) archiveLocked(tail, floor simdisk.LSN) {
 	limit := tail
-	if floor != 0 && floor-1 < limit {
+	if floor != simdisk.NilLSN && floor-1 < limit {
 		m.metrics.WindowOverruns.Add(1)
 		limit = floor - 1
 	}
@@ -623,7 +591,7 @@ func (m *Manager) archiveLocked(tail simdisk.LSN) {
 			continue
 		}
 		// The archive entry records the page's partition and LSN: the
-		// per-segment index needs the identity for partition-granular
+		// segment directories need the identity for partition-granular
 		// rebuild, and the LSN is what rebuilds dedupe by (a crashed
 		// rollover retries, so appends are at-least-once).
 		if err := m.hw.Arch.AppendPage(pg.PID, lsn, page); err != nil {
@@ -704,16 +672,13 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID) error {
 		b.cur = nil
 		b.curCount = 0
 	}
-	// Refresh the First LSN list entry.
-	if f := b.firstLSN(); f != simdisk.NilLSN {
-		heap.Push(m.slt.firstList, lsnEntry{lsn: f, pid: b.pid})
-	}
 	m.metrics.CkptCompleted.Add(1)
 	// Dropping the fenced prefix may have raised the archive floor:
 	// roll newly safe pages to tape now rather than waiting for the
 	// next page flush.
 	if head := m.hw.Log.NextLSN() - 1; head >= simdisk.LSN(m.cfg.LogWindowPages) {
-		m.archiveLocked(head - simdisk.LSN(m.cfg.LogWindowPages) + 1)
+		floor, _ := s.windowLocked(simdisk.NilLSN)
+		m.archiveLocked(head-simdisk.LSN(m.cfg.LogWindowPages)+1, floor)
 	}
 	// The surviving suffix may already exceed the threshold (records
 	// kept arriving between fence and finish); re-trigger immediately

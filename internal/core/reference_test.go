@@ -2,16 +2,19 @@ package core
 
 import (
 	"bytes"
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/mm"
+	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
 )
 
@@ -233,4 +236,252 @@ func FuzzReplayPrefix(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// The window pass as it was before it became one scan over the bins: a
+// lazy min-heap of first LSNs (§2.3.3's First LSN list), pushed when a
+// bin's first page is flushed and when a checkpoint finishes, rebuilt
+// when the SLT attaches, and popped at every page flush as far as the
+// grace region. Stale entries are refreshed against the bin. It is kept,
+// unchanged, as the model TestWindowPassEqualsFirstLSNHeap holds
+// slt.windowLocked to, over a mirror of the bins' first pages and
+// triggers.
+
+type refLSNEntry struct {
+	lsn simdisk.LSN
+	pid addr.PartitionID
+}
+
+type refLSNHeap []refLSNEntry
+
+func (h refLSNHeap) Len() int           { return len(h) }
+func (h refLSNHeap) Less(i, j int) bool { return h[i].lsn < h[j].lsn }
+func (h refLSNHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refLSNHeap) Push(x any)        { *h = append(*h, x.(refLSNEntry)) }
+func (h *refLSNHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+type refBin struct {
+	pages []simdisk.LSN
+	trig  ckptTrigger
+}
+
+func (b *refBin) firstLSN() simdisk.LSN {
+	if len(b.pages) == 0 {
+		return simdisk.NilLSN
+	}
+	return b.pages[0]
+}
+
+// refRaise is one checkpoint request: the partition and its trigger.
+type refRaise struct {
+	pid  addr.PartitionID
+	trig ckptTrigger
+}
+
+type refWindow struct {
+	bins      map[addr.PartitionID]*refBin
+	firstList refLSNHeap
+}
+
+func (w *refWindow) bin(pid addr.PartitionID) *refBin {
+	b := w.bins[pid]
+	if b == nil {
+		b = &refBin{}
+		w.bins[pid] = b
+	}
+	return b
+}
+
+func (w *refWindow) raise(pid addr.PartitionID, trig ckptTrigger) []refRaise {
+	if b := w.bin(pid); b.trig == 0 {
+		b.trig = trig
+		return []refRaise{{pid, trig}}
+	}
+	return nil
+}
+
+// attach rebuilds the volatile heap from the bins, as newSLT did.
+func (w *refWindow) attach() {
+	w.firstList = nil
+	for pid, b := range w.bins {
+		if f := b.firstLSN(); f != simdisk.NilLSN {
+			heap.Push(&w.firstList, refLSNEntry{lsn: f, pid: pid})
+		}
+	}
+}
+
+// flush is flushBinPageLocked's part: the page joins the bin, then the
+// old advanceWindowLocked's age loop runs. It returns the raises and the
+// floor the old archiveLocked computed.
+func (w *refWindow) flush(pid addr.PartitionID, lsn, tail, ageLimit simdisk.LSN) (raised []refRaise, floor simdisk.LSN) {
+	b := w.bin(pid)
+	if len(b.pages) == 0 {
+		heap.Push(&w.firstList, refLSNEntry{lsn: lsn, pid: pid})
+	}
+	b.pages = append(b.pages, lsn)
+	if tail < 1 {
+		return nil, simdisk.NilLSN
+	}
+	var keep []refLSNEntry
+	for w.firstList.Len() > 0 {
+		e := heap.Pop(&w.firstList).(refLSNEntry)
+		b := w.bins[e.pid]
+		if b == nil || b.firstLSN() != e.lsn {
+			if b != nil && b.firstLSN() != simdisk.NilLSN {
+				keep = append(keep, refLSNEntry{lsn: b.firstLSN(), pid: e.pid})
+			}
+			continue
+		}
+		keep = append(keep, e)
+		if e.lsn > ageLimit {
+			break
+		}
+		raised = append(raised, w.raise(e.pid, trigAge)...)
+	}
+	for _, e := range keep {
+		heap.Push(&w.firstList, e)
+	}
+	return raised, w.floor()
+}
+
+func (w *refWindow) floor() simdisk.LSN {
+	floor := simdisk.NilLSN
+	for _, b := range w.bins {
+		if f := b.firstLSN(); f != simdisk.NilLSN && (floor == simdisk.NilLSN || f < floor) {
+			floor = f
+		}
+	}
+	return floor
+}
+
+// finish drops a finished checkpoint's fenced prefix and refreshes the
+// bin's heap entry.
+func (w *refWindow) finish(pid addr.PartitionID, fenced int) {
+	b := w.bins[pid]
+	b.pages = append([]simdisk.LSN(nil), b.pages[fenced:]...)
+	b.trig = 0
+	if f := b.firstLSN(); f != simdisk.NilLSN {
+		heap.Push(&w.firstList, refLSNEntry{lsn: f, pid: pid})
+	}
+}
+
+// newRaises reads the raises an operation made off the claim order, to
+// which raiseLocked appends; nothing lowers a trigger during a flush or
+// a manual request.
+func newRaises(m *Manager, before int) []refRaise {
+	m.slt.st.mu.Lock()
+	defer m.slt.st.mu.Unlock()
+	var out []refRaise
+	for _, c := range m.slt.ckptQueue[before:] {
+		out = append(out, refRaise{c.pid, m.slt.st.bins[c.pid].ckptTrigger})
+	}
+	return out
+}
+
+// The window pass is one scan over the bins. Random schedules of page
+// flushes, manual requests, checkpoint finishes, dropped partitions and
+// re-attaches (a new incarnation over the surviving SLT) drive the real
+// pass and the First LSN heap it replaced; at every flush both must raise
+// the same checkpoints in the same order and agree on the archive floor,
+// and the archive must stay below it.
+func TestWindowPassEqualsFirstLSNHeap(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {
+			cfg := testCfg()
+			cfg.LogWindowPages = 24
+			cfg.GracePages = 5
+			cfg.UpdateThreshold = 1 << 30 // only age and manual triggers
+			h := newHarness(t, cfg)
+			rng := rand.New(rand.NewSource(seed))
+			ref := &refWindow{bins: make(map[addr.PartitionID]*refBin)}
+			pids := make([]addr.PartitionID, 10)
+			for i := range pids {
+				pids[i] = addr.PartitionID{Segment: 5, Part: addr.PartitionNum(i)}
+			}
+			rec := func(pid addr.PartitionID) []byte {
+				return (&wal.Record{Tag: wal.TagRelWrite, PID: pid, Off: 1, Data: []byte{7}}).Encode(nil)
+			}
+			var flushes, ages, finishes, drops, attaches int
+			for op := 0; op < 3000; op++ {
+				m := h.m
+				pid := pids[rng.Intn(len(pids))]
+				m.slt.st.mu.Lock()
+				queued := len(m.slt.ckptQueue)
+				b := m.slt.st.bins[pid]
+				m.slt.st.mu.Unlock()
+				switch r := rng.Intn(100); {
+				case r < 75: // a page of pid's bin is flushed
+					m.slt.st.mu.Lock()
+					b, err := m.slt.binForLocked(pid)
+					if err == nil && b.cur == nil {
+						b.cur, err = m.hw.Stable.NewBlock(cfg.LogPageSize)
+					}
+					if err == nil {
+						err = b.cur.Append(rec(pid))
+					}
+					if err == nil {
+						err = m.flushBinPageLocked(b)
+					}
+					if err != nil {
+						m.slt.st.mu.Unlock()
+						t.Fatal(err)
+					}
+					lsn := b.pages[len(b.pages)-1]
+					floor, _ := m.slt.windowLocked(simdisk.NilLSN)
+					archived := m.slt.st.lastArchived
+					m.slt.st.mu.Unlock()
+					tail := m.hw.Log.NextLSN() - 1 - simdisk.LSN(cfg.LogWindowPages) + 1
+					want, wantFloor := ref.flush(pid, lsn, tail, tail+simdisk.LSN(cfg.GracePages))
+					got := newRaises(m, queued)
+					if !slices.Equal(got, want) {
+						t.Fatalf("op %d, flush of LSN %d: raised %v, the heap raised %v", op, lsn, got, want)
+					}
+					if tail >= 1 && floor != wantFloor {
+						t.Fatalf("op %d, flush of LSN %d: floor %d, the heap's %d", op, lsn, floor, wantFloor)
+					}
+					if floor != simdisk.NilLSN && archived >= floor {
+						t.Fatalf("op %d: archived to %d, past the floor %d", op, archived, floor)
+					}
+					flushes++
+					ages += len(want)
+				case r < 83: // a manual request
+					m.RequestCheckpoint(pid)
+					if got, want := newRaises(m, queued), ref.raise(pid, trigUpdateCount); !slices.Equal(got, want) {
+						t.Fatalf("op %d, request of %v: raised %v, want %v", op, pid, got, want)
+					}
+				case r < 95: // a checkpoint of pid finishes
+					if b == nil || len(b.pages) == 0 {
+						continue
+					}
+					fenced := 1 + rng.Intn(len(b.pages))
+					m.slt.st.mu.Lock()
+					b.fenceActive, b.fencePages, b.fenceUpdates = true, fenced, 0
+					m.slt.st.mu.Unlock()
+					if err := m.finishCheckpoint(pid); err != nil {
+						t.Fatal(err)
+					}
+					ref.finish(pid, fenced)
+					finishes++
+				case r < 98: // the partition is dropped
+					m.dropBin(pid)
+					delete(ref.bins, pid)
+					drops++
+				default: // a new incarnation attaches to the surviving SLT
+					h.attach()
+					ref.attach()
+					attaches++
+				}
+			}
+			t.Logf("%d flushes raised %d age checkpoints; %d finishes, %d drops, %d attaches; archived to %d",
+				flushes, ages, finishes, drops, attaches, h.m.slt.archivedTo())
+			if ages < 100 || finishes == 0 || drops == 0 || attaches == 0 {
+				t.Fatal("the schedule does not reach every operation; it proves nothing")
+			}
+		})
+	}
 }

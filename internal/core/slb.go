@@ -77,8 +77,8 @@ func (c *txnChain) free() {
 }
 
 // logStream is one per-core stream of the sharded SLB. It lives in
-// stable memory: the committed list, sequence counter, and per-stream
-// seal watermark all survive a crash.
+// stable memory: the committed list and sequence counter survive a
+// crash.
 type logStream struct {
 	id int
 	mu sync.Mutex
@@ -90,10 +90,6 @@ type logStream struct {
 	// oldest unsorted chain.
 	committed []*txnChain
 	nextSeq   uint64
-	// sealedEpoch is this stream's seal watermark; the epoch is
-	// globally durable only once every stream's watermark has reached
-	// it AND the slbState.sealed counter published it.
-	sealedEpoch uint64
 	// epochChains counts chains committed since the last seal touched
 	// this stream (for the chains-per-epoch histogram).
 	epochChains uint64
@@ -403,11 +399,11 @@ func (s *slb) awaitSeal(e uint64) error {
 }
 
 // seal closes the open epoch: bump the epoch counter (new commits land
-// in the next epoch), stamp every stream's seal watermark, then
-// publish the epoch as globally durable. The per-stream "slb.seal"
-// fault point sits before each stream's stamp — a crash there leaves
-// the epoch sealed on a strict prefix of the streams and NOT published,
-// which restart treats as wholly unsealed.
+// in the next epoch), pass every stream's latch, then publish the epoch
+// as globally durable in the one stable word restart reads. The
+// per-stream "slb.seal" fault point sits before each stream's latch — a
+// crash there leaves the epoch passed on a strict prefix of the streams
+// and NOT published, which restart treats as wholly unsealed.
 func (s *slb) seal() error {
 	e := s.st.epoch.Add(1) - 1
 	var chains uint64
@@ -415,13 +411,12 @@ func (s *slb) seal() error {
 		if dec := s.inj.Check(fault.PointSLBSeal, 0); dec.Err != nil {
 			return fmt.Errorf("core: sealing epoch %d on stream %d: %w", e, ls.id, dec.Err)
 		}
+		// Taking the stream latch is the barrier: every chain stamped e
+		// on this stream is on its committed list once it is held.
 		ls.mu.Lock()
-		ls.sealedEpoch = e
 		chains += ls.epochChains
 		ls.epochChains = 0
 		ls.mu.Unlock()
-		// The watermark is one stable-memory word per stream.
-		s.mem.ChargeWrite(8)
 		s.tracer.Emit(trace.Event{Kind: trace.KindStreamSeal, Arg: e, Arg2: uint64(ls.id)})
 	}
 	s.st.sealed.Store(e)

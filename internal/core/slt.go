@@ -1,7 +1,8 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,8 +37,8 @@ type bin struct {
 	// pages lists the flushed, not-yet-superseded log pages of the
 	// partition in write order: the memory-recovery set, and the whole
 	// of the log page directory, so no page carries a chain or a
-	// directory of its own. pages[0] is the "LSN of First Log Page"; it
-	// feeds the First LSN list.
+	// directory of its own. pages[0] is the "LSN of First Log Page"; the
+	// window pass reads it (slt.windowLocked).
 	pages []simdisk.LSN
 
 	// cur is the current log page buffer; nil while the partition is
@@ -104,10 +105,6 @@ func newSLTState() *sltState {
 type slt struct {
 	st  *sltState
 	mem *stablemem.Memory
-	// firstList is the First LSN list: an ordered structure over
-	// active partitions' first log pages, checked when the log window
-	// advances (§2.3.3). Volatile: rebuilt from bins on restart.
-	firstList *lsnHeap
 	// ckptQueue is the claim order of the checkpoint-pending bins: one
 	// entry per bin with a ckptTrigger, appended when the trigger is
 	// raised and removed when it is lowered, both under st.mu. The head
@@ -129,17 +126,14 @@ func newSLT(mem *stablemem.Memory) *slt {
 		st = newSLTState()
 		mem.SetRoot(sltRootKey, st)
 	}
-	s := &slt{st: st, mem: mem, firstList: &lsnHeap{}, ckptCh: make(chan struct{}, 1)}
-	// Rebuild the volatile First LSN list and claim order from stable
-	// bins. A fence belongs to a checkpoint transaction, and none
-	// survives into a new incarnation.
+	s := &slt{st: st, mem: mem, ckptCh: make(chan struct{}, 1)}
+	// Rebuild the volatile claim order from stable bins. A fence belongs
+	// to a checkpoint transaction, and none survives into a new
+	// incarnation.
 	st.mu.Lock()
 	st.boot++
 	var pending []addr.PartitionID
 	for _, b := range st.bins {
-		if f := b.firstLSN(); f != simdisk.NilLSN {
-			heap.Push(s.firstList, lsnEntry{lsn: f, pid: b.pid})
-		}
 		if b.ckptTrigger != 0 {
 			pending = append(pending, b.pid)
 		}
@@ -223,6 +217,30 @@ func (s *slt) failCkpt(pid addr.PartitionID) bool {
 	return true
 }
 
+// windowLocked is the window pass's one scan over the bins. floor is the
+// minimum first LSN, the oldest log page memory recovery still needs
+// (NilLSN: none); it is the head of §2.3.3's First LSN list, computed
+// where it is used. aged are the bins whose first page is at or below
+// ageLimit and that have no checkpoint pending, oldest first; at ageLimit
+// NilLSN there are none, and the scan only finds the floor. SLT mutex
+// held.
+func (s *slt) windowLocked(ageLimit simdisk.LSN) (floor simdisk.LSN, aged []*bin) {
+	for _, b := range s.st.bins {
+		f := b.firstLSN()
+		if f == simdisk.NilLSN {
+			continue
+		}
+		if floor == simdisk.NilLSN || f < floor {
+			floor = f
+		}
+		if f <= ageLimit && b.ckptTrigger == 0 {
+			aged = append(aged, b)
+		}
+	}
+	slices.SortFunc(aged, func(a, b *bin) int { return cmp.Compare(a.firstLSN(), b.firstLSN()) })
+	return floor, aged
+}
+
 // pending reports whether any bin is checkpoint-pending.
 func (s *slt) pending() bool {
 	s.st.mu.Lock()
@@ -286,26 +304,4 @@ func (s *slt) updateRoot(fn func(r *catalog.Root)) *catalog.Root {
 	defer s.st.mu.Unlock()
 	fn(s.st.root)
 	return s.st.root.Clone()
-}
-
-// lsnEntry / lsnHeap implement the First LSN list as a min-heap with
-// lazy invalidation: the head is validated against the bin's current
-// first LSN before use.
-type lsnEntry struct {
-	lsn simdisk.LSN
-	pid addr.PartitionID
-}
-
-type lsnHeap []lsnEntry
-
-func (h lsnHeap) Len() int           { return len(h) }
-func (h lsnHeap) Less(i, j int) bool { return h[i].lsn < h[j].lsn }
-func (h lsnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *lsnHeap) Push(x any)        { *h = append(*h, x.(lsnEntry)) }
-func (h *lsnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

@@ -532,7 +532,12 @@ func (ar *armedRule) matches(hit int64) bool {
 // Injector evaluates a Plan against named fault points. All methods
 // are safe on a nil receiver (the off state) and for concurrent use.
 type Injector struct {
+	// crashed fails every later Check. halted is set first, the instant
+	// a crash rule fires, so that Crashed already reports the crash to
+	// anyone the rule's sink wakes, while the sink records the trigger
+	// before any I/O fails.
 	crashed atomic.Bool
+	halted  atomic.Bool
 
 	mu    sync.Mutex
 	seed  int64
@@ -629,7 +634,7 @@ func (in *Injector) Reset() {
 	in.hits = make(map[Point]int64)
 	in.fired = 0
 	in.mu.Unlock()
-	in.crashed.Store(false)
+	in.ClearCrash()
 }
 
 // ClearCrash clears the crash flag but keeps rules and hit counters:
@@ -640,6 +645,7 @@ func (in *Injector) ClearCrash() {
 		return
 	}
 	in.crashed.Store(false)
+	in.halted.Store(false)
 }
 
 // ForceCrash halts the machine immediately: every subsequent
@@ -652,8 +658,9 @@ func (in *Injector) ForceCrash() {
 	in.crashed.Store(true)
 }
 
-// Crashed reports whether the machine has halted.
-func (in *Injector) Crashed() bool { return in != nil && in.crashed.Load() }
+// Crashed reports whether the machine has halted: from the instant a
+// crash rule fires, before its sink runs, until Reset or ClearCrash.
+func (in *Injector) Crashed() bool { return in != nil && (in.halted.Load() || in.crashed.Load()) }
 
 // Triggered returns how many rule firings have occurred since the last
 // Reset.
@@ -783,8 +790,11 @@ func (in *Injector) Check(p Point, size int) Decision {
 		c.Armed.Add(int64(len(stageArmed)))
 		c.MutationsArmed.Add(countMutations(stageArmed))
 	}
+	if r.Act.IsCrash() {
+		in.halted.Store(true)
+	}
 	if sink != nil {
-		// Recorded before the halt is applied, so a flight recorder can
+		// Recorded before I/O starts failing, so a flight recorder can
 		// capture the trigger as its final pre-crash event.
 		sink(p, hit, r.Act)
 	}

@@ -267,6 +267,28 @@ func TestCrashAtNthHit(t *testing.T) {
 	}
 }
 
+// A crash rule's sink runs before I/O starts failing, but the crash is
+// already reported to whoever the sink wakes: a waiter released by the
+// sink and then asking Crashed must not take the machine for running.
+func TestCrashVisibleFromItsSink(t *testing.T) {
+	in := NewInjector(Plan{Seed: 1, Rules: []Rule{
+		{Point: PointCkptAfterFence, Hit: 1, Act: ActCrashBefore},
+	}})
+	var crashed, ioFails bool
+	in.SetEventSink(func(Point, int64, Act) {
+		crashed = in.Crashed()
+		ioFails = IsCrash(in.Check(PointCkptWrite, 1).Err)
+	})
+	in.Check(PointCkptAfterFence, 0)
+	if !crashed || ioFails {
+		t.Fatalf("inside the sink: Crashed %v (want true), I/O failing %v (want false)", crashed, ioFails)
+	}
+	in.ClearCrash()
+	if in.Crashed() {
+		t.Fatal("still crashed after ClearCrash")
+	}
+}
+
 func TestFailOnceThenSucceed(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1, Rules: []Rule{
 		{Point: PointCkptWrite, Hit: 1, Count: 2, Act: ActIOErr},

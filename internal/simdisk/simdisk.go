@@ -353,42 +353,22 @@ func (d *DuplexLog) Append(page []byte) (LSN, error) {
 	return lsn, nil
 }
 
-// Read returns the page at lsn from the primary, falling back to the
-// mirror on error (§2.2). After a successful fallback the primary's
-// damaged or missing sector is rewritten from the mirror copy; after a
-// successful primary read the mirror is scrubbed the same way, so a
-// page left simplexed by a write-time fault reconverges on first use.
+// Read returns the page at lsn: ReadChecked with a check that accepts
+// every copy the device reads cleanly.
 func (d *DuplexLog) Read(lsn LSN) ([]byte, error) {
-	p, perr := d.Primary.Read(lsn)
-	if perr == nil {
-		d.repairIfDamaged(d.Mirror, lsn, p)
-		return p, nil
-	}
-	if fault.IsCrash(perr) || d.disableFallback.Load() {
-		return nil, perr
-	}
-	m, merr := d.Mirror.Read(lsn)
-	if merr != nil {
-		return nil, perr
-	}
-	d.Fallbacks.Inc()
-	if errors.Is(perr, ErrBadSector) || errors.Is(perr, ErrNoSuchPage) {
-		if d.Primary.WriteAt(lsn, m) == nil {
-			d.Repairs.Inc()
-		}
-	}
-	return m, nil
+	return d.ReadChecked(lsn, func([]byte) error { return nil })
 }
 
-// ReadChecked is Read with a caller-supplied content check layered on
-// top of the device ECC. The simulated drives detect torn and marked-
-// bad sectors themselves, but bit rot inside an ECC-valid sector is
-// invisible to the device — only the reader's format knowledge (a wal
-// page checksum, a record CRC) can catch it. When the primary copy
-// reads cleanly but fails check, ReadChecked falls back to the mirror
-// exactly as Read does for bad sectors, verifies the mirror copy too,
-// and rewrites the rotten primary from the verified copy so the pair
-// reconverges (§2.2). If both copies fail the check, the caller's typed
+// ReadChecked returns the page at lsn from the primary, falling back to
+// the mirror (§2.2) when the primary read fails or its copy fails check,
+// a caller-supplied content check layered on top of the device ECC. The
+// simulated drives detect torn and marked-bad sectors themselves, but
+// bit rot inside an ECC-valid sector is invisible to the device — only
+// the reader's format knowledge (a wal page checksum, a record CRC) can
+// catch it. The mirror copy is checked too, and a good one rewrites the
+// primary so the pair reconverges; after a good primary read the mirror
+// is scrubbed the same way, so a page left simplexed by a write-time
+// fault reconverges on first use. If both copies fail the check, the caller's typed
 // error for the primary copy is returned — never silently-damaged
 // bytes.
 func (d *DuplexLog) ReadChecked(lsn LSN, check func([]byte) error) ([]byte, error) {

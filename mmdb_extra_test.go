@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mmdb/internal/addr"
 	"mmdb/internal/heap"
 )
 
@@ -57,6 +58,52 @@ func TestDropRelation(t *testing.T) {
 	n, err := tx3.Count(rel3)
 	if err != nil || n != 1 {
 		t.Fatalf("recovered reused relation has %d rows, %v", n, err)
+	}
+}
+
+// Dropping a relation frees its checkpoint images in the allocation map
+// as well as on the disk, so a track is reused at once rather than after
+// the next restart. Twelve tracks carry thirty create, checkpoint, drop
+// cycles without one failed attempt.
+func TestDropFreesCheckpointTracks(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointTracks = 12
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for cycle := 0; cycle < 30; cycle++ {
+		rel, err := db.CreateRelation("cycled", acctSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		for i := 0; i < 20; i++ {
+			if _, err := tx.Insert(rel, heap.Tuple{int64(i), 1.0, "x"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+		parts, err := db.partsOfSegment(rel.seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range parts {
+			db.mgr.RequestCheckpoint(addr.PartitionID{Segment: rel.seg, Part: ps.Part})
+		}
+		db.WaitIdle()
+		if err := db.DropRelation("cycled"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitIdle()
+	if n := counter(db, "checkpoint", "failed"); n != 0 {
+		t.Fatalf("%d checkpoint attempts failed (%d requests abandoned, %d completed)",
+			n, counter(db, "checkpoint", "abandoned"), counter(db, "checkpoint", "completed"))
+	}
+	if n := counter(db, "checkpoint", "completed"); n < 30 {
+		t.Fatalf("%d checkpoints completed over 30 cycles", n)
 	}
 }
 
