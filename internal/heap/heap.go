@@ -100,49 +100,48 @@ func (s Schema) Encode(t Tuple) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(t), len(s))
 	}
 	size := 0
-	for i, c := range s {
-		switch c.Type {
-		case Int64, Float64:
-			size += 8
-		case String:
-			str, ok := t[i].(string)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %q wants string, got %T", ErrSchemaMismatch, c.Name, t[i])
-			}
-			if len(str) > math.MaxUint16 {
-				return nil, fmt.Errorf("%w: string column %q too long (%d bytes)", ErrSchemaMismatch, c.Name, len(str))
-			}
+	for _, v := range t {
+		if str, ok := v.(string); ok {
 			size += 2 + len(str)
+		} else {
+			size += 8
 		}
 	}
 	out := make([]byte, 0, size)
-	for i, c := range s {
-		switch c.Type {
-		case Int64:
-			v, ok := t[i].(int64)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %q wants int64, got %T", ErrSchemaMismatch, c.Name, t[i])
-			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(v))
-			out = append(out, b[:]...)
-		case Float64:
-			v, ok := t[i].(float64)
-			if !ok {
-				return nil, fmt.Errorf("%w: column %q wants float64, got %T", ErrSchemaMismatch, c.Name, t[i])
-			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			out = append(out, b[:]...)
-		case String:
-			str := t[i].(string)
-			var b [2]byte
-			binary.LittleEndian.PutUint16(b[:], uint16(len(str)))
-			out = append(out, b[:]...)
-			out = append(out, str...)
+	for i := range s {
+		var err error
+		if out, err = s.AppendValue(out, i, t[i]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// AppendValue appends v encoded as column col, as Encode lays it out, to
+// dst.
+func (s Schema) AppendValue(dst []byte, col int, v any) ([]byte, error) {
+	if col < 0 || col >= len(s) {
+		return nil, fmt.Errorf("%w: column %d", ErrNoColumn, col)
+	}
+	c := s[col]
+	switch x := v.(type) {
+	case int64:
+		if c.Type == Int64 {
+			return binary.LittleEndian.AppendUint64(dst, uint64(x)), nil
+		}
+	case float64:
+		if c.Type == Float64 {
+			return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x)), nil
+		}
+	case string:
+		if c.Type == String {
+			if len(x) > math.MaxUint16 {
+				return nil, fmt.Errorf("%w: string column %q too long (%d bytes)", ErrSchemaMismatch, c.Name, len(x))
+			}
+			return append(binary.LittleEndian.AppendUint16(dst, uint16(len(x))), x...), nil
+		}
+	}
+	return nil, fmt.Errorf("%w: column %q wants %v, got %T", ErrSchemaMismatch, c.Name, c.Type, v)
 }
 
 // Decode parses an encoded tuple.
@@ -181,50 +180,30 @@ func (s Schema) Decode(buf []byte) (Tuple, error) {
 	return t, nil
 }
 
-// FixedOffset returns the byte offset of column col within an encoded
-// tuple and true, when the offset is position-independent — i.e. every
-// earlier column is fixed-width and the column itself is fixed-width.
-// Updates to such columns can be logged as small in-place write records
-// (the paper's typical 8–24 byte records) instead of whole-tuple
-// images.
-func (s Schema) FixedOffset(col int) (int, bool) {
-	if col < 0 || col >= len(s) || !s[col].Type.Fixed() {
-		return 0, false
-	}
+// Layout checks an encoded tuple as Decode does — every column whole,
+// nothing trailing — without decoding it, and appends to dst the offset
+// at which each column's encoding starts, then the tuple's length:
+// column i is tuple[offs[i]:offs[i+1]].
+func (s Schema) Layout(tuple []byte, dst []int) ([]int, error) {
 	off := 0
-	for i := 0; i < col; i++ {
-		if !s[i].Type.Fixed() {
-			return 0, false
+	for _, c := range s {
+		dst = append(dst, off)
+		n := 8
+		if !c.Type.Fixed() {
+			if len(tuple) < off+2 {
+				return nil, fmt.Errorf("%w: truncated string header %q", ErrCorruptTuple, c.Name)
+			}
+			n = 2 + int(binary.LittleEndian.Uint16(tuple[off:]))
 		}
-		off += 8
-	}
-	return off, true
-}
-
-// EncodeValue serialises a single fixed-width value for an in-place
-// column write.
-func (s Schema) EncodeValue(col int, v any) ([]byte, error) {
-	if col < 0 || col >= len(s) {
-		return nil, fmt.Errorf("%w: column %d", ErrNoColumn, col)
-	}
-	var b [8]byte
-	switch s[col].Type {
-	case Int64:
-		iv, ok := v.(int64)
-		if !ok {
-			return nil, fmt.Errorf("%w: column %q wants int64, got %T", ErrSchemaMismatch, s[col].Name, v)
+		if len(tuple) < off+n {
+			return nil, fmt.Errorf("%w: truncated %v column %q", ErrCorruptTuple, c.Type, c.Name)
 		}
-		binary.LittleEndian.PutUint64(b[:], uint64(iv))
-	case Float64:
-		fv, ok := v.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%w: column %q wants float64, got %T", ErrSchemaMismatch, s[col].Name, v)
-		}
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(fv))
-	default:
-		return nil, fmt.Errorf("%w: column %q is not fixed-width", ErrSchemaMismatch, s[col].Name)
+		off += n
 	}
-	return b[:], nil
+	if off != len(tuple) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptTuple, len(tuple)-off)
+	}
+	return append(dst, off), nil
 }
 
 // Equal reports deep equality of two tuples.

@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,57 +86,70 @@ func TestColIndex(t *testing.T) {
 	}
 }
 
-func TestFixedOffset(t *testing.T) {
-	off, ok := accountSchema.FixedOffset(0)
-	if !ok || off != 0 {
-		t.Fatalf("col 0: %d, %v", off, ok)
+// TestLayoutOffsets reads each column's span out of an encoded tuple,
+// fixed-width columns before and after a string alike.
+func TestLayoutOffsets(t *testing.T) {
+	enc, _ := wideSchema.Encode(Tuple{int64(7), "alice", 2.5, "", int64(9)})
+	offs, err := wideSchema.Layout(enc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	off, ok = accountSchema.FixedOffset(1)
-	if !ok || off != 8 {
-		t.Fatalf("col 1: %d, %v", off, ok)
+	if want := []int{0, 8, 15, 23, 25, 33}; !slices.Equal(offs, want) {
+		t.Fatalf("Layout = %v, want %v", offs, want)
 	}
-	if _, ok := accountSchema.FixedOffset(2); ok {
-		t.Fatal("string column reported fixed")
-	}
-	// A fixed column after a string column is not position-independent.
-	s := Schema{{Name: "s", Type: String}, {Name: "i", Type: Int64}}
-	if _, ok := s.FixedOffset(1); ok {
-		t.Fatal("fixed column after string reported position-independent")
-	}
-	if _, ok := accountSchema.FixedOffset(-1); ok {
-		t.Fatal("negative column")
-	}
-	if _, ok := accountSchema.FixedOffset(99); ok {
-		t.Fatal("out of range column")
+	if offs[len(offs)-1] != len(enc) {
+		t.Fatalf("last offset %d, tuple is %d bytes", offs[len(offs)-1], len(enc))
 	}
 }
 
-func TestEncodeValueMatchesFullEncoding(t *testing.T) {
+// TestLayoutRejectsWhatDecodeRejects cuts, pads and overstates an
+// encoded tuple: Layout fails exactly when Decode does.
+func TestLayoutRejectsWhatDecodeRejects(t *testing.T) {
+	enc, _ := wideSchema.Encode(Tuple{int64(7), "alice", 2.5, "t", int64(9)})
+	bad := append([]byte(nil), enc...)
+	bad[8], bad[9] = 0xFF, 0xFF
+	inputs := [][]byte{append(enc, 0), bad, enc}
+	for cut := 0; cut < len(enc); cut++ {
+		inputs = append(inputs, enc[:cut])
+	}
+	for _, in := range inputs {
+		_, lerr := wideSchema.Layout(in, nil)
+		_, derr := wideSchema.Decode(in)
+		if (lerr == nil) != (derr == nil) || (lerr != nil && !errors.Is(lerr, ErrCorruptTuple)) {
+			t.Fatalf("%d bytes: Layout %v, Decode %v", len(in), lerr, derr)
+		}
+	}
+}
+
+// TestAppendValueMatchesFullEncoding patches each column of an encoded
+// tuple with AppendValue's bytes and compares against re-encoding.
+func TestAppendValueMatchesFullEncoding(t *testing.T) {
 	tup := Tuple{int64(7), 2.5, "carol"}
-	enc, _ := accountSchema.Encode(tup)
-	// Patch balance in place and compare against re-encoding.
-	val, err := accountSchema.EncodeValue(1, 3.75)
-	if err != nil {
-		t.Fatal(err)
+	for col, v := range []any{int64(8), 3.75, "dave"} {
+		enc, _ := accountSchema.Encode(tup)
+		offs, _ := accountSchema.Layout(enc, nil)
+		val, err := accountSchema.AppendValue(nil, col, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patched := slices.Concat(enc[:offs[col]], val, enc[offs[col+1]:])
+		want := tup.Clone()
+		want[col] = v
+		if wantEnc, _ := accountSchema.Encode(want); !slices.Equal(patched, wantEnc) {
+			t.Fatalf("col %d: patched %x, encoded %x", col, patched, wantEnc)
+		}
 	}
-	off, _ := accountSchema.FixedOffset(1)
-	copy(enc[off:], val)
-	got, err := accountSchema.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := accountSchema.AppendValue(nil, 2, 1.0); !errors.Is(err, ErrSchemaMismatch) {
+		t.Fatalf("float on string column: %v", err)
 	}
-	want := Tuple{int64(7), 3.75, "carol"}
-	if !got.Equal(want) {
-		t.Fatalf("patched tuple = %v", got)
+	if _, err := accountSchema.AppendValue(nil, 1, int64(1)); !errors.Is(err, ErrSchemaMismatch) {
+		t.Fatalf("type mismatch: %v", err)
 	}
-	if _, err := accountSchema.EncodeValue(2, "x"); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("EncodeValue on string column: %v", err)
+	if _, err := accountSchema.AppendValue(nil, 2, strings.Repeat("x", 70000)); !errors.Is(err, ErrSchemaMismatch) {
+		t.Fatalf("oversize string: %v", err)
 	}
-	if _, err := accountSchema.EncodeValue(1, int64(1)); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("EncodeValue type mismatch: %v", err)
-	}
-	if _, err := accountSchema.EncodeValue(9, int64(1)); !errors.Is(err, ErrNoColumn) {
-		t.Fatalf("EncodeValue bad column: %v", err)
+	if _, err := accountSchema.AppendValue(nil, 9, int64(1)); !errors.Is(err, ErrNoColumn) {
+		t.Fatalf("bad column: %v", err)
 	}
 }
 

@@ -15,6 +15,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -323,9 +324,9 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 		}
 		return err
 	}
-	if off < 0 || off+len(data) > len(cur) {
+	if off < 0 || off+len(data) > len(cur) || off > math.MaxUint16 {
 		p.Unlatch()
-		return fmt.Errorf("txn: WriteEntityAt [%d,%d) outside entity of %d bytes", off, off+len(data), len(cur))
+		return fmt.Errorf("txn: WriteEntityAt [%d,%d) outside entity of %d bytes or past a record's 16-bit offset", off, off+len(data), len(cur))
 	}
 	oldCopy := append([]byte(nil), cur[off:off+len(data)]...)
 	err = p.WriteAt(a.Slot, off, data)

@@ -1,9 +1,12 @@
 package mmdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
@@ -79,7 +82,8 @@ func (tx *Txn) Insert(rel *Relation, tuple heap.Tuple) (RowID, error) {
 	return a, nil
 }
 
-// Get reads a tuple by row ID under a share lock.
+// Get reads a tuple by row ID under a share lock. The tuple's bytes are
+// decoded where they lie, not copied first.
 func (tx *Txn) Get(rel *Relation, id RowID) (heap.Tuple, error) {
 	if err := tx.t.LockRelation(rel.relID, lock.IS); err != nil {
 		return nil, err
@@ -87,29 +91,64 @@ func (tx *Txn) Get(rel *Relation, id RowID) (heap.Tuple, error) {
 	if err := tx.t.LockEntity(id, lock.S); err != nil {
 		return nil, err
 	}
-	return tx.decodeRow(rel, id)
-}
-
-// decodeRow decodes the row straight from its partition: the tuple's
-// bytes are borrowed for the decode, not copied first.
-func (tx *Txn) decodeRow(rel *Relation, id RowID) (heap.Tuple, error) {
-	raw, held, err := tx.t.LendEntity(id)
+	raw, held, err := tx.lendRow(id)
 	if err != nil {
-		if errors.Is(err, txn.ErrNotFound) {
-			return nil, fmt.Errorf("%w: row %v", ErrNotFound, id)
-		}
 		return nil, err
 	}
 	defer held.Unlock()
 	return rel.schema.Decode(raw)
 }
 
-// Update applies column changes to a row, maintaining indexes whose
-// key changes. Fixed-width single-column changes are logged as small
-// in-place write records; otherwise the whole tuple image is logged.
+// lendRow borrows the row's bytes (txn.Txn.LendEntity); a missing row is
+// the facade's ErrNotFound.
+func (tx *Txn) lendRow(id RowID) ([]byte, sync.Locker, error) {
+	raw, held, err := tx.t.LendEntity(id)
+	if errors.Is(err, txn.ErrNotFound) {
+		err = fmt.Errorf("%w: row %v", ErrNotFound, id)
+	}
+	return raw, held, err
+}
+
+// patch is one changed column of an Update: its new encoding is
+// enc[from:to] of the update's buffer, its stored one tuple[off:end].
+type patch struct {
+	col                int
+	val                any
+	from, to, off, end int
+	same               bool // the stored bytes already equal the new ones
+}
+
+// Update applies column changes to a row, maintaining the indexes whose
+// key bytes change. Every change is resolved and type-checked before
+// anything is touched, and the stored tuple is read where it lies, never
+// decoded. Each run of adjacent changed columns is one in-place write
+// record with range-sized UNDO — the paper's 8–24 byte REDO record
+// (§2.3.2). Only when a string changes length (or a column lies past a
+// record's 16-bit offset) is the whole new image, spliced from the
+// stored one, written and logged.
 func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 	if len(changes) == 0 {
 		return nil
+	}
+	var few [8]patch // a few changes' patches stay on the stack
+	ps := few[:0]
+	for name, v := range changes {
+		c, err := rel.schema.ColIndex(name)
+		if err != nil {
+			return err
+		}
+		ps = append(ps, patch{col: c, val: v})
+	}
+	slices.SortFunc(ps, func(a, b patch) int { return a.col - b.col })
+	enc := make([]byte, 0, 8*len(ps))
+	for i := range ps {
+		p := &ps[i]
+		var err error
+		p.from = len(enc)
+		if enc, err = rel.schema.AppendValue(enc, p.col, p.val); err != nil {
+			return err
+		}
+		p.to = len(enc)
 	}
 	if err := tx.t.LockRelation(rel.relID, lock.IX); err != nil {
 		return err
@@ -117,32 +156,15 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 	if err := tx.t.LockEntity(id, lock.X); err != nil {
 		return err
 	}
-	oldTup, err := tx.decodeRow(rel, id)
+	img, err := tx.locate(rel, id, ps, enc)
 	if err != nil {
 		return err
 	}
-	newTup := oldTup.Clone()
-	cols := make([]int, 0, len(changes))
-	for name, v := range changes {
-		c, err := rel.schema.ColIndex(name)
-		if err != nil {
-			return err
-		}
-		newTup[c] = v
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
 	// Index maintenance: delete old entries before the tuple bytes
 	// change (comparators read the stored tuple), reinsert after.
 	var touched []*Index
 	for _, idx := range rel.Indexes() {
-		changed := false
-		for _, c := range cols {
-			if c == idx.col && oldTup[c] != newTup[c] {
-				changed = true
-			}
-		}
-		if !changed {
+		if !slices.ContainsFunc(ps, func(p patch) bool { return p.col == idx.col && !p.same }) {
 			continue
 		}
 		if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
@@ -153,33 +175,19 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 		}
 		touched = append(touched, idx)
 	}
-	// Apply the tuple change.
-	if len(cols) == 1 {
-		if off, ok := rel.schema.FixedOffset(cols[0]); ok {
-			val, err := rel.schema.EncodeValue(cols[0], newTup[cols[0]])
-			if err != nil {
-				return err
-			}
-			if err := tx.t.WriteEntityAt(id, false, off, val); err != nil {
-				return err
-			}
-		} else {
-			enc, err := rel.schema.Encode(newTup)
-			if err != nil {
-				return err
-			}
-			if err := tx.t.UpdateEntity(id, false, enc); err != nil {
-				return err
-			}
-		}
+	if img != nil {
+		err = tx.t.UpdateEntity(id, false, img)
 	} else {
-		enc, err := rel.schema.Encode(newTup)
-		if err != nil {
-			return err
+		// One write per run of adjacent columns: their new encodings
+		// are adjacent in enc too.
+		for i, j := 0, 0; i < len(ps) && err == nil; i = j {
+			for j = i + 1; j < len(ps) && ps[j].col == ps[j-1].col+1; j++ {
+			}
+			err = tx.t.WriteEntityAt(id, false, ps[i].off, enc[ps[i].from:ps[j-1].to])
 		}
-		if err := tx.t.UpdateEntity(id, false, enc); err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	for _, idx := range touched {
 		if err := idx.insertEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
@@ -187,6 +195,41 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 		}
 	}
 	return nil
+}
+
+// locate fills in each patch's stored span from the lent tuple, which it
+// checks as Decode would. When a patch changes its column's length, or
+// starts past what a write record's 16-bit offset addresses, it returns
+// the tuple's new image, spliced from the stored bytes and enc;
+// otherwise nil, and the patches are written in place.
+func (tx *Txn) locate(rel *Relation, id RowID, ps []patch, enc []byte) ([]byte, error) {
+	raw, held, err := tx.lendRow(id)
+	if err != nil {
+		return nil, err
+	}
+	defer held.Unlock()
+	var buf [16]int
+	offs, err := rel.schema.Layout(raw, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	size, whole := len(raw), false
+	for i := range ps {
+		p := &ps[i]
+		p.off, p.end = offs[p.col], offs[p.col+1]
+		p.same = bytes.Equal(raw[p.off:p.end], enc[p.from:p.to])
+		whole = whole || p.to-p.from != p.end-p.off || p.off > math.MaxUint16
+		size += (p.to - p.from) - (p.end - p.off)
+	}
+	if !whole {
+		return nil, nil
+	}
+	img, prev := make([]byte, 0, size), 0
+	for _, p := range ps {
+		img = append(append(img, raw[prev:p.off]...), enc[p.from:p.to]...)
+		prev = p.end
+	}
+	return append(img, raw[prev:]...), nil
 }
 
 // Delete removes a row and its index entries. The physical tuple
@@ -199,11 +242,8 @@ func (tx *Txn) Delete(rel *Relation, id RowID) error {
 	if err := tx.t.LockEntity(id, lock.X); err != nil {
 		return err
 	}
-	_, held, err := tx.t.LendEntity(id)
+	_, held, err := tx.lendRow(id)
 	if err != nil {
-		if errors.Is(err, txn.ErrNotFound) {
-			return fmt.Errorf("%w: row %v", ErrNotFound, id)
-		}
 		return err
 	}
 	held.Unlock()
