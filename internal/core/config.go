@@ -31,10 +31,11 @@ type Config struct {
 	// one transaction for their lifetime (§2.3.1).
 	SLBBlockSize int
 	// LogStreams shards the Stable Log Buffer into this many per-core
-	// log streams, each its own stable-memory region with its own
-	// latch; committing transactions are affinitized to streams by
-	// transaction ID. 0 or negative means GOMAXPROCS. A non-empty
-	// buffer surviving a crash keeps its own stream count regardless.
+	// log streams, each with its own latch; all of them draw blocks
+	// from the one stable-memory pool. Committing transactions are
+	// affinitized to streams by transaction ID. 0 or negative means
+	// GOMAXPROCS. A non-empty buffer surviving a crash keeps its own
+	// stream count regardless.
 	LogStreams int
 	// GroupCommitInterval is the epoch-closer timer of group commit: a
 	// commit epoch stays open at least this long before it is sealed

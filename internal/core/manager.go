@@ -264,9 +264,6 @@ func (m *Manager) Store() *mm.Store { return m.store }
 // Hardware returns the crash-surviving hardware bundle.
 func (m *Manager) Hardware() *Hardware { return m.hw }
 
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Start launches the recovery CPU and the main-CPU checkpointer.
 func (m *Manager) Start() {
 	m.wg.Add(2)

@@ -57,7 +57,7 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 	defer m.metrics.RestartRootScan.ObserveSince(scanStart)
 	m.tracer.Emit(trace.Event{Kind: trace.KindRootScanBegin})
 	defer m.tracer.Emit(trace.Event{Kind: trace.KindRootScanEnd})
-	m.DrainStableOnly()
+	m.drainStableOnly()
 	root := m.slt.rootCopy()
 	// Restore the catalogs first (§2.5): their partition addresses
 	// and checkpoint locations come from the well-known root.
@@ -85,14 +85,14 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 	return root, nil
 }
 
-// DrainStableOnly performs the stable-log half of restart without
+// drainStableOnly performs the stable-log half of restart without
 // touching the checkpoint disks: uncommitted SLB chains are discarded
 // and committed-but-unsorted chains sorted into the bins. Its cost
 // follows the SLB's contents, not the bytes the bins hold: a tail the
 // crash tore is cut when its bin is first touched (checkTailLocked).
 // Checkpoint requests need nothing here: a bin's trigger is the only
 // record of one, and attaching the SLT re-queued every pending bin.
-func (m *Manager) DrainStableOnly() {
+func (m *Manager) drainStableOnly() {
 	m.slb.discardUncommitted()
 	// Group-commit rollback: a committed chain whose epoch was never
 	// globally sealed belongs to a transaction that was never

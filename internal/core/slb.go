@@ -3,12 +3,12 @@ package core
 // The Stable Log Buffer (§2.3.1), sharded into per-core log streams
 // with epoch-based group commit.
 //
-// Each stream is an independent stable-memory region (its blocks carved
-// from a stablemem.Arena) with its own latch, uncommitted-chain map,
-// and committed list; a committing transaction is affinitised to the
-// stream txnID % N, so with N ≥ the number of committing cores the
-// per-stream latch is effectively uncontended — the sharded version of
-// the paper's "no critical section protects record writing" property.
+// Each stream has its own latch, uncommitted-chain map and committed
+// list, and allocates its blocks from the one stable-memory pool; a
+// committing transaction is affinitised to the stream txnID % N, so
+// with N ≥ the number of committing cores the per-stream latch is
+// effectively uncontended — the sharded version of the paper's "no
+// critical section protects record writing" property.
 //
 // Durability is epoch-based: a committer stamps its chain with the
 // current open epoch and appends it to its stream's committed list, at
@@ -56,8 +56,7 @@ const slbRootKey = "mmdb-slb"
 
 // txnChain is a transaction's chain of SLB blocks. A block is dedicated
 // to a single transaction for its lifetime, so no critical section
-// protects record writing — only block allocation (§2.3.1), and that
-// only within the transaction's stream's arena.
+// protects record writing — only block allocation (§2.3.1).
 type txnChain struct {
 	id     uint64
 	blocks []*stablemem.Block
@@ -93,9 +92,6 @@ type logStream struct {
 	// epochChains counts chains committed since the last seal touched
 	// this stream (for the chains-per-epoch histogram).
 	epochChains uint64
-	// arena is the stream's carved-out stable-memory region; all of
-	// the stream's chain blocks are allocated from it.
-	arena *stablemem.Arena
 }
 
 // slbState is the Stable Log Buffer: per-stream REDO chain lists plus
@@ -111,16 +107,14 @@ type slbState struct {
 	sealed atomic.Uint64
 }
 
-// newSLBState builds a fresh buffer with n streams, each owning an
-// arena that grows in extent-byte steps.
-func newSLBState(mem *stablemem.Memory, n int, extent int64) *slbState {
+// newSLBState builds a fresh buffer with n streams.
+func newSLBState(n int) *slbState {
 	st := &slbState{streams: make([]*logStream, n)}
 	st.epoch.Store(1)
 	for i := range st.streams {
 		st.streams[i] = &logStream{
 			id:          i,
 			uncommitted: make(map[uint64]*txnChain),
-			arena:       mem.NewArena(extent),
 		}
 	}
 	return st
@@ -137,14 +131,6 @@ func (st *slbState) empty() bool {
 		}
 	}
 	return true
-}
-
-// releaseArenas returns every stream's region to the shared pool; all
-// chains must already be freed.
-func (st *slbState) releaseArenas() {
-	for _, ls := range st.streams {
-		ls.arena.Release()
-	}
 }
 
 // slb is the volatile handle the running system uses to operate on the
@@ -192,17 +178,15 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	extent := int64(cfg.SLBBlockSize) * 16
 	st, _ := mem.Root(slbRootKey).(*slbState)
 	switch {
 	case st == nil:
-		st = newSLBState(mem, n, extent)
+		st = newSLBState(n)
 		mem.SetRoot(slbRootKey, st)
 	case len(st.streams) != n && st.empty():
-		fresh := newSLBState(mem, n, extent)
+		fresh := newSLBState(n)
 		fresh.epoch.Store(st.epoch.Load())
 		fresh.sealed.Store(st.sealed.Load())
-		st.releaseArenas()
 		st = fresh
 		mem.SetRoot(slbRootKey, st)
 	}
@@ -246,8 +230,8 @@ func (s *slb) BeginTxn(id uint64) {
 }
 
 // WriteRecord implements txn.RedoSink: append the record's encoding to
-// the transaction's chain, allocating blocks on demand from the
-// chain's stream's arena.
+// the transaction's chain, allocating blocks on demand from stable
+// memory.
 func (s *slb) WriteRecord(rec *wal.Record) error {
 	start := time.Now()
 	defer s.writeLatency.ObserveSince(start)
@@ -279,7 +263,7 @@ func (s *slb) WriteRecord(rec *wal.Record) error {
 		if len(enc) > sz {
 			sz = len(enc)
 		}
-		b, err := ls.arena.NewBlock(sz)
+		b, err := s.mem.NewBlock(sz)
 		if err != nil {
 			return fmt.Errorf("core: stable log buffer: %w", err)
 		}
@@ -469,7 +453,7 @@ func (s *slb) peekSealed() *txnChain {
 }
 
 // markSorted removes a fully sorted chain from its stream's committed
-// list and frees its stable blocks back to the stream's arena.
+// list and frees its stable blocks back to stable memory.
 func (s *slb) markSorted(c *txnChain) {
 	ls := c.stream
 	ls.mu.Lock()

@@ -6,7 +6,6 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/core"
-	"mmdb/internal/model"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
 	"mmdb/internal/workload"
@@ -16,35 +15,6 @@ import (
 )
 
 func nowNS() int64 { return time.Now().UnixNano() }
-
-// DirectoryAblation is experiment A1: the log page directory (§2.3.3)
-// lets recovery read a partition's log pages in originally-written
-// order, pipelining record application behind page reads; a pure
-// backward chain must read every page before applying the first. The
-// series show total partition-recovery time vs log page count.
-func DirectoryAblation(pageCounts []int) []Series {
-	if len(pageCounts) == 0 {
-		pageCounts = []int{1, 2, 4, 8, 16, 32}
-	}
-	disk := simdisk.DefaultParams()
-	cfg := core.DefaultConfig()
-	imageUS := disk.AvgSeekMicros + disk.RotateMicros + int64(cfg.PartitionSize)*1e6/(2*disk.BytesPerSec)
-	pageUS := disk.AdjSeekMicros + int64(cfg.LogPageSize)*1e6/disk.BytesPerSec
-	// Applying a page of records on the 1-MIPS recovery CPU: about
-	// I_record_sort-scale work per record.
-	recsPerPage := int64(cfg.LogPageSize) / int64(cfg.Cost.SLogRecord)
-	applyUS := recsPerPage * 30 // ~30 instructions/record at 1 MIPS
-
-	ordered := Series{Label: "with log page directory (ordered reads)"}
-	chained := Series{Label: "backward chain only"}
-	for _, n := range pageCounts {
-		o := model.PartitionRecoveryTime(imageUS, pageUS, applyUS, n, true)
-		c := model.PartitionRecoveryTime(imageUS, pageUS, applyUS, n, false)
-		ordered.Points = append(ordered.Points, Point{X: float64(n), Analytic: float64(o.TotalMicros), Measured: float64(o.TotalMicros)})
-		chained.Points = append(chained.Points, Point{X: float64(n), Analytic: float64(c.TotalMicros), Measured: float64(c.TotalMicros)})
-	}
-	return []Series{ordered, chained}
-}
 
 // HotspotResult is experiment A2: per-transaction SLB block chains
 // (critical sections only for block allocation, §2.3.1) against a

@@ -133,25 +133,6 @@ func TestRecoveryComparisonScaling(t *testing.T) {
 	}
 }
 
-func TestDirectoryAblation(t *testing.T) {
-	series := DirectoryAblation([]int{1, 8, 32})
-	if len(series) != 2 {
-		t.Fatalf("%d series", len(series))
-	}
-	ordered, chained := series[0], series[1]
-	for i := range ordered.Points {
-		if ordered.Points[i].Measured > chained.Points[i].Measured {
-			t.Fatalf("ordered reads slower at %v pages", ordered.Points[i].X)
-		}
-	}
-	// The gap grows with page count.
-	gap0 := chained.Points[0].Measured - ordered.Points[0].Measured
-	gapN := chained.Points[len(chained.Points)-1].Measured - ordered.Points[len(ordered.Points)-1].Measured
-	if gapN <= gap0 {
-		t.Fatal("directory advantage should grow with page count")
-	}
-}
-
 func TestRunHotspot(t *testing.T) {
 	res, err := RunHotspot(4, 2000)
 	if err != nil {

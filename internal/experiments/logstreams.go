@@ -62,7 +62,7 @@ func runLogStreams(streams, workers, txns, recsPerTxn int) (LogStreamPoint, erro
 	cfg := core.DefaultConfig()
 	cfg.LogStreams = streams
 	// Keep the run commit-bound: a huge update threshold suppresses
-	// checkpoints, ample stable memory keeps the arenas out of the way,
+	// checkpoints, ample stable memory keeps block allocation from failing,
 	// and the sorter drains sealed chains concurrently as in production.
 	cfg.UpdateThreshold = 1 << 30
 	cfg.StableBytes = 256 << 20

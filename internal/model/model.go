@@ -174,45 +174,3 @@ func (p Params) MinLogWindowPages(activePartitions int) int {
 	pagesPerPart := p.NUpdate * p.SLogRecord / p.SLogPage
 	return int(pagesPerPart*float64(activePartitions) + 0.5)
 }
-
-// RecoveryEstimate models §3.4: the time to recover one partition is
-// the time to read its checkpoint image plus the time to read its log
-// pages, overlapped with applying them (image and log reads proceed in
-// parallel from different disks; with an adequate directory the log
-// pages stream in write order).
-type RecoveryEstimate struct {
-	ImageReadMicros int64
-	LogReadMicros   int64
-	ApplyMicros     int64
-	TotalMicros     int64
-}
-
-// PartitionRecoveryTime estimates recovery time for one partition with
-// nLogPages of log, given disk timing. applyPerPageMicros is the CPU
-// time to apply one page of records (overlapped with reads when the
-// directory permits ordered reads).
-func PartitionRecoveryTime(imageMicros, logPageMicros, applyPerPageMicros int64, nLogPages int, ordered bool) RecoveryEstimate {
-	e := RecoveryEstimate{
-		ImageReadMicros: imageMicros,
-		LogReadMicros:   logPageMicros * int64(nLogPages),
-		ApplyMicros:     applyPerPageMicros * int64(nLogPages),
-	}
-	if ordered {
-		// Image read overlaps log reads; applying page i overlaps
-		// reading page i+1 (assumes apply <= read per page).
-		read := e.LogReadMicros
-		if e.ImageReadMicros > read {
-			read = e.ImageReadMicros
-		}
-		e.TotalMicros = read + applyPerPageMicros // last page's apply
-	} else {
-		// Backward chain: all pages must be read before the first can
-		// be applied, and the image must also be present.
-		read := e.LogReadMicros
-		if e.ImageReadMicros > read {
-			read = e.ImageReadMicros
-		}
-		e.TotalMicros = read + e.ApplyMicros
-	}
-	return e
-}

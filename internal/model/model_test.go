@@ -115,29 +115,6 @@ func TestMinLogWindowPages(t *testing.T) {
 	}
 }
 
-func TestPartitionRecoveryOrderedVsChained(t *testing.T) {
-	// Ordered (directory) reads pipeline applies behind reads; the
-	// backward chain pays reads then applies serially. Ordered must
-	// always win, and the gap grows with page count.
-	const img, page, apply = 20000, 6000, 2000
-	ord := PartitionRecoveryTime(img, page, apply, 10, true)
-	chain := PartitionRecoveryTime(img, page, apply, 10, false)
-	if ord.TotalMicros >= chain.TotalMicros {
-		t.Fatalf("ordered %dus !< chained %dus", ord.TotalMicros, chain.TotalMicros)
-	}
-	if want := int64(10*page + apply); ord.TotalMicros != want {
-		t.Fatalf("ordered total = %d, want %d", ord.TotalMicros, want)
-	}
-	if want := int64(10*page + 10*apply); chain.TotalMicros != want {
-		t.Fatalf("chained total = %d, want %d", chain.TotalMicros, want)
-	}
-	// With zero log pages both degenerate to the image read.
-	z := PartitionRecoveryTime(img, page, apply, 0, true)
-	if z.TotalMicros != img+apply {
-		t.Fatalf("zero-page ordered = %d", z.TotalMicros)
-	}
-}
-
 func TestGraphSeriesShapes(t *testing.T) {
 	// Graph 1's series: for every page size, records/s decreases in
 	// record size; larger pages dominate smaller pages pointwise.

@@ -10,28 +10,20 @@
 // than actually sleeping, so experiments measure it without wall-clock
 // penalty.
 //
-// The stable memory hosts three logically distinct regions, all bounded
-// by the configured capacity:
+// The stable memory hosts three logically distinct regions, all drawn
+// from one pool bounded by the configured capacity:
 //
-//   - the Stable Log Buffer (SLB): one region per log stream, carved
-//     out with an Arena. Fixed-size blocks are allocated to
-//     transactions on demand from their stream's arena, each dedicated
-//     to a single transaction for its lifetime, so critical sections
-//     are needed only for block allocation, never for log writing
-//     itself (§2.3.1) — and with per-stream arenas even block
-//     allocation contends only within one stream;
+//   - the Stable Log Buffer (SLB): fixed-size blocks are allocated to
+//     transactions on demand, each dedicated to a single transaction
+//     for its lifetime, so critical sections are needed only for block
+//     allocation, never for log writing itself (§2.3.1);
 //   - the Stable Log Tail (SLT): per-partition information blocks and,
 //     for active partitions, a current log-page buffer (§2.3.3);
 //   - the root area: the well-known location holding catalog partition
 //     addresses and the checkpoint communication buffer (§2.4, §2.5).
 //
-// Region carving: an Arena reserves extents of the shared capacity in
-// coarse chunks under the Memory's global mutex, then sub-allocates
-// blocks against its private accounting. The global capacity lock is
-// therefore touched once per extent, not once per block — the
-// allocation analogue of sharding the log stream latch. Freed block
-// bytes return to the arena (reuse within the same region) and the
-// extents return to the shared pool only when the arena is released.
+// Every allocation and free takes the Memory's one mutex, so a block
+// freed by any SLB stream or by the SLT is at once usable by all.
 //
 // Typed stable structures are registered under Root by their owners; the
 // byte-level Block type is used where the paper manipulates raw pages.
@@ -161,10 +153,9 @@ func (m *Memory) Root(name string) any {
 // Block is a fixed-size block of stable memory. Blocks back the Stable
 // Log Buffer and the Stable Log Tail's log pages.
 type Block struct {
-	mem   *Memory
-	arena *Arena // non-nil when allocated from an Arena; Free returns there
-	buf   []byte
-	n     int // bytes appended so far
+	mem *Memory
+	buf []byte
+	n   int // bytes appended so far
 }
 
 // NewBlock allocates a block of the given size, reserving its footprint.
@@ -175,99 +166,11 @@ func (m *Memory) NewBlock(size int) (*Block, error) {
 	return &Block{mem: m, buf: make([]byte, size)}, nil
 }
 
-// Free releases the block's stable memory reservation — back to its
-// arena's region when arena-allocated, otherwise to the shared pool.
+// Free releases the block's stable memory reservation to the pool.
 func (b *Block) Free() {
-	if b.arena != nil {
-		b.arena.free(int64(len(b.buf)))
-		b.arena = nil
-		b.mem = nil
-		return
-	}
 	if b.mem != nil {
 		b.mem.Release(int64(len(b.buf)))
 		b.mem = nil
-	}
-}
-
-// Arena is one carved-out region of stable memory: it reserves capacity
-// from the shared Memory in coarse extents and sub-allocates Blocks
-// against its own mutex. The per-core SLB log streams each own one, so
-// concurrent committers on different streams never contend on the
-// global capacity lock for block allocation. An Arena lives in the
-// stable object graph (it survives crashes with the structures carved
-// from it).
-type Arena struct {
-	mem    *Memory
-	extent int64 // reservation growth step
-
-	mu       sync.Mutex
-	reserved int64 // bytes currently reserved from mem
-	used     int64 // bytes handed out to live blocks
-}
-
-// NewArena carves a new region growing in extent-byte steps (minimum
-// 4 KB). Nothing is reserved until the first block is allocated, so an
-// idle stream costs no stable capacity.
-func (m *Memory) NewArena(extent int64) *Arena {
-	if extent < 4<<10 {
-		extent = 4 << 10
-	}
-	return &Arena{mem: m, extent: extent}
-}
-
-// NewBlock allocates a block of the given size from the arena's region,
-// growing the region by whole extents when needed.
-func (a *Arena) NewBlock(size int) (*Block, error) {
-	a.mu.Lock()
-	if a.used+int64(size) > a.reserved {
-		grow := a.extent
-		if need := a.used + int64(size) - a.reserved; need > grow {
-			grow = (need + a.extent - 1) / a.extent * a.extent
-		}
-		if err := a.mem.Reserve(grow); err != nil {
-			a.mu.Unlock()
-			return nil, err
-		}
-		a.reserved += grow
-	}
-	a.used += int64(size)
-	mem := a.mem
-	a.mu.Unlock()
-	return &Block{mem: mem, arena: a, buf: make([]byte, size)}, nil
-}
-
-// free returns block bytes to the arena's region for reuse.
-func (a *Arena) free(n int64) {
-	a.mu.Lock()
-	a.used -= n
-	if a.used < 0 {
-		a.mu.Unlock()
-		panic("stablemem: arena free underflow")
-	}
-	a.mu.Unlock()
-}
-
-// Used returns the bytes currently handed out to live blocks.
-func (a *Arena) Used() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used
-}
-
-// Release returns every reserved extent to the shared pool. All blocks
-// allocated from the arena must have been freed; the stable-state reset
-// path frees the SLB chains before releasing their streams' arenas.
-func (a *Arena) Release() {
-	a.mu.Lock()
-	res := a.reserved
-	a.reserved = 0
-	a.used = 0
-	mem := a.mem
-	a.mem = nil
-	a.mu.Unlock()
-	if mem != nil && res > 0 {
-		mem.Release(res)
 	}
 }
 

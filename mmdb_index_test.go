@@ -220,7 +220,6 @@ func TestTwoIndexesStayConsistent(t *testing.T) {
 func TestStableMemoryExhaustion(t *testing.T) {
 	cfg := testConfig()
 	cfg.StableBytes = 24 << 10 // tiny: fills after a few blocks
-	cfg.LogStreams = 1         // the budget is sized for one stream's arena, whatever GOMAXPROCS is
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +229,10 @@ func TestStableMemoryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Skipf("stable memory too small even for DDL: %v", err)
 	}
+	// Let the sorter take the DDL's records before the SLB is filled:
+	// a bin that needs a page while an open transaction holds the last
+	// byte panics the recovery CPU, which ROADMAP item 13 owns.
+	db.WaitIdle()
 	// Keep writing in one transaction until the SLB gives out; the
 	// transaction must fail cleanly and abort must fully roll back.
 	tx := db.Begin()
@@ -252,6 +255,43 @@ func TestStableMemoryExhaustion(t *testing.T) {
 		t.Fatalf("after rollback: %v", err)
 	}
 	mustCommit(t, tx2)
+}
+
+// TestFreedLogBlocksServeEveryStream runs large transactions one after
+// another on a stable memory that holds about three of them at once.
+// Consecutive transactions land on different log streams, so each one
+// fits only if the blocks its predecessors' sorted chains freed are
+// usable by any stream.
+func TestFreedLogBlocksServeEveryStream(t *testing.T) {
+	cfg := testConfig()
+	cfg.LogStreams = 4
+	cfg.StableBytes = 1 << 20
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rel, err := db.CreateRelation("r", acctSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.WaitIdle()
+	pad := string(make([]byte, 1000))
+	const txns, rowsPerTxn = 8, 350 // ≈ 350 KB of rows per transaction
+	for i := 0; i < txns; i++ {
+		tx := db.Begin()
+		for j := 0; j < rowsPerTxn; j++ {
+			if _, err := tx.Insert(rel, heap.Tuple{int64(i*rowsPerTxn + j), 0.0, pad}); err != nil {
+				t.Fatalf("txn %d row %d: %v", i, j, err)
+			}
+		}
+		mustCommit(t, tx)
+		db.WaitIdle()
+	}
+	stable := db.Manager().Hardware().Stable
+	if used := stable.Used(); used >= cfg.StableBytes/8 {
+		t.Fatalf("stable memory in use after the last WaitIdle = %d B, want < %d", used, cfg.StableBytes/8)
+	}
 }
 
 func TestScanEarlyStopAndReadYourWrites(t *testing.T) {
