@@ -85,11 +85,6 @@ type Config struct {
 	// through the store's resolve path, so a partition is never
 	// recovered twice.
 	RecoveryWorkers int
-	// ChangeAccumulation enables §1.2's stable-buffer post-processing:
-	// the recovery CPU coalesces each committed transaction's records
-	// before binning them, shrinking the log at the cost of some
-	// sorter CPU.
-	ChangeAccumulation bool
 	// FaultInjector, when non-nil, is threaded through the storage
 	// stack (log disks, checkpoint disk, stable memory, checkpoint
 	// transaction steps) so tests and the crashhunt sweep can crash,

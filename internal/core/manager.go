@@ -402,19 +402,15 @@ func (m *Manager) drainSome(n int) bool {
 }
 
 // sortChain relocates one committed transaction's records from the SLB
-// into partition bins in the SLT, in record order. A record's SLB bytes
-// are the bytes its bin page stores, so each is copied as it was
-// written; with change accumulation on (§1.2) the chain is coalesced
-// first, and only the records it rewrote are encoded again.
+// into partition bins in the SLT, in record order (§2.3). A record's SLB
+// bytes are the bytes its bin page stores, so each is copied as it was
+// written.
 func (m *Manager) sortChain(c *txnChain) error {
-	var recs []logRec // the chain, gathered for change accumulation only
 	for _, blk := range c.blocks {
 		buf := blk.Bytes()
 		w := wal.Walk(buf)
 		for w.Next() {
-			if m.cfg.ChangeAccumulation {
-				recs = append(recs, logRec{Record: *w.Record(), enc: w.Bytes()})
-			} else if err := m.sortRecord(w.Record().PID, w.Bytes()); err != nil {
+			if err := m.sortRecord(w.Record().PID, w.Bytes()); err != nil {
 				return err
 			}
 		}
@@ -425,26 +421,6 @@ func (m *Manager) sortChain(c *txnChain) error {
 			// the clean prefix is sorted and the loss counted and traced,
 			// so crash sweeps can tell detected damage from silence.
 			m.quarantineSuffix(trace.Event{Txn: c.id}, w.Clean(), len(buf), err, false)
-		}
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	acc, dropped := accumulate(recs)
-	if dropped > 0 {
-		m.metrics.RecordsAccumulated.Add(int64(dropped))
-		// Accumulation work: roughly one lookup + copy per input
-		// record.
-		cost := m.cfg.Cost
-		m.metrics.SimRecoveryInstr.Add(int64(float64(len(recs)) * (cost.IRecordLookup/2 + cost.ICopyFixed)))
-	}
-	for _, r := range acc {
-		enc := r.enc
-		if enc == nil {
-			enc = r.Encode(nil)
-		}
-		if err := m.sortRecord(r.PID, enc); err != nil {
-			return err
 		}
 	}
 	return nil

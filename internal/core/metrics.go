@@ -47,13 +47,12 @@ type Metrics struct {
 
 	// log — the recovery-CPU side: sorting committed chains into
 	// partition bins and flushing full bin pages to the log disk.
-	PageFlushLatency   *metrics.Histogram
-	RecordsSorted      *metrics.Counter
-	RecordsAccumulated *metrics.Counter
-	BytesSorted        *metrics.Counter
-	PagesFlushed       *metrics.Counter
-	PagesArchived      *metrics.Counter
-	WindowOverruns     *metrics.Counter
+	PageFlushLatency *metrics.Histogram
+	RecordsSorted    *metrics.Counter
+	BytesSorted      *metrics.Counter
+	PagesFlushed     *metrics.Counter
+	PagesArchived    *metrics.Counter
+	WindowOverruns   *metrics.Counter
 
 	// checkpoint — per-partition checkpoint cost, the amortisation the
 	// paper's Graph 3 is about.
@@ -195,12 +194,11 @@ func newMetrics(streams int) *Metrics {
 
 		PageFlushLatency: logS.Histogram("page_flush", "ns",
 			"latency of one bin page write to the duplexed log disks (§2.3.3)"),
-		RecordsSorted:      logS.Counter("records_sorted", "records", "records moved SLB -> SLT bins"),
-		RecordsAccumulated: logS.Counter("records_accumulated", "records", "records removed by change accumulation (§1.2)"),
-		BytesSorted:        logS.Counter("bytes_sorted", "bytes", "record bytes moved into bins"),
-		PagesFlushed:       logS.Counter("pages_flushed", "pages", "bin pages written to the log disk"),
-		PagesArchived:      logS.Counter("pages_archived", "pages", "log pages rolled to the archive tape (§2.6)"),
-		WindowOverruns:     logS.Counter("window_overruns", "events", "pages kept past the log window for safety"),
+		RecordsSorted:  logS.Counter("records_sorted", "records", "records moved SLB -> SLT bins"),
+		BytesSorted:    logS.Counter("bytes_sorted", "bytes", "record bytes moved into bins"),
+		PagesFlushed:   logS.Counter("pages_flushed", "pages", "bin pages written to the log disk"),
+		PagesArchived:  logS.Counter("pages_archived", "pages", "log pages rolled to the archive tape (§2.6)"),
+		WindowOverruns: logS.Counter("window_overruns", "events", "pages kept past the log window for safety"),
 
 		CkptDuration: ckpt.Histogram("duration", "ns",
 			"wall time of one checkpoint transaction, fence to commit (§2.4)"),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mmdb/internal/addr"
 	"mmdb/internal/core"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
@@ -150,90 +149,6 @@ func CommitLatency(recsPerTxn, recordSize, groupSize int) *CommitLatencyResult {
 		SpeedupVsGroup: group / instantUS,
 	}
 }
-
-// AccumulationResult is experiment A4: §1.2's change accumulation in
-// the stable log buffer — per-transaction coalescing of records before
-// they reach the Stable Log Tail.
-type AccumulationResult struct {
-	UpdatesPerEntity int
-	RecordsIn        int64 // records written by transactions
-	RecordsSortedOff int64 // records reaching bins, accumulation off
-	RecordsSortedOn  int64 // records reaching bins, accumulation on
-	BytesOff         int64
-	BytesOn          int64
-	ReductionFactor  float64
-}
-
-// RunAccumulation measures the log-volume reduction for transactions
-// that update the same entities repeatedly (updatesPerEntity times per
-// transaction).
-func RunAccumulation(txns, entitiesPerTxn, updatesPerEntity int) (*AccumulationResult, error) {
-	run := func(on bool) (int64, int64, int64, error) {
-		cfg := core.DefaultConfig()
-		cfg.ChangeAccumulation = on
-		cfg.UpdateThreshold = 1 << 30
-		cfg.StableBytes = 256 << 20
-		h, err := newHarness(cfg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		h.ensureParts(2, 4)
-		h.m.Start()
-		defer h.m.Stop()
-		var in int64
-		rng := rand.New(rand.NewSource(3))
-		for t := 0; t < txns; t++ {
-			var recs []wal.Record
-			for e := 0; e < entitiesPerTxn; e++ {
-				slot := t*entitiesPerTxn + e
-				for u := 0; u < updatesPerEntity; u++ {
-					data := make([]byte, 16)
-					rng.Read(data)
-					tag := wal.TagRelInsert
-					if u > 0 {
-						tag = wal.TagRelUpdate
-					}
-					recs = append(recs, wal.Record{
-						Tag: tag, PID: addrPID(2, slot%4), Slot: addrSlot(slot / 4), Data: data,
-					})
-				}
-			}
-			in += int64(len(recs))
-			if err := h.m.InjectCommitted(uint64(t+1), recs); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		h.m.WaitIdle()
-		st := h.m.Metrics()
-		return in, st.RecordsSorted.Value(), st.BytesSorted.Value(), nil
-	}
-	inOff, sortedOff, bytesOff, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	_, sortedOn, bytesOn, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	res := &AccumulationResult{
-		UpdatesPerEntity: updatesPerEntity,
-		RecordsIn:        inOff,
-		RecordsSortedOff: sortedOff,
-		RecordsSortedOn:  sortedOn,
-		BytesOff:         bytesOff,
-		BytesOn:          bytesOn,
-	}
-	if sortedOn > 0 {
-		res.ReductionFactor = float64(sortedOff) / float64(sortedOn)
-	}
-	return res, nil
-}
-
-func addrPID(seg uint32, part int) addr.PartitionID {
-	return addr.PartitionID{Segment: addr.SegmentID(seg), Part: addr.PartitionNum(part)}
-}
-
-func addrSlot(s int) addr.Slot { return addr.Slot(s % 60000) }
 
 // FormatSeries renders series as an aligned text table.
 func FormatSeries(title, xLabel, yLabel string, series []Series) string {

@@ -159,23 +159,6 @@ func TestCommitLatency(t *testing.T) {
 	}
 }
 
-func TestRunAccumulation(t *testing.T) {
-	res, err := RunAccumulation(50, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecordsSortedOff != res.RecordsIn {
-		t.Fatalf("off path sorted %d of %d", res.RecordsSortedOff, res.RecordsIn)
-	}
-	// 5 updates per entity should shrink ~5x.
-	if res.ReductionFactor < 4 || res.ReductionFactor > 6 {
-		t.Fatalf("reduction = %.2f, want ~5", res.ReductionFactor)
-	}
-	if res.BytesOn >= res.BytesOff {
-		t.Fatal("accumulation did not shrink bytes")
-	}
-}
-
 func TestFormatSeries(t *testing.T) {
 	s := []Series{{Label: "a", Points: []Point{{X: 1, Analytic: 2, Measured: 3}}}}
 	out := FormatSeries("T", "x", "y", s)
