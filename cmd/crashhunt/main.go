@@ -27,44 +27,8 @@ import (
 	"mmdb/internal/fault/sweep"
 )
 
-// jsonReport is the machine-readable sweep result written by -json,
-// stable enough for CI artifact consumers to parse.
-type jsonReport struct {
-	Seed           int64            `json:"seed"`
-	Depth          int              `json:"depth"`
-	PlansRun       int              `json:"plans_run"`
-	RulesFired     int              `json:"rules_fired"`
-	CrashesFired   int              `json:"crashes_fired"`
-	MutationsFired int              `json:"mutations_fired"`
-	ChainsFired    int              `json:"chains_fired"`
-	Livelocks      int              `json:"livelocks"`
-	BaselineHits   map[string]int64 `json:"baseline_hits"`
-	// DetectionTotals sums every plan's detection ledger; CI smokes
-	// assert on these (e.g. ckpt-rot plans must show archive_rebuilds
-	// >= 1 with archive_rebuild_failed == 0).
-	DetectionTotals sweep.Detection `json:"detection_totals"`
-	// Plans is the per-plan ledger: reproducer string, rule firings,
-	// power-cycle count, and the corruption-detection tallies.
-	Plans      []sweep.PlanStat `json:"plans"`
-	Violations []jsonViolation  `json:"violations"`
-}
-
-// jsonViolation is one failure with its reproducer plan and the
-// recovered pre-crash flight-recorder timeline.
-type jsonViolation struct {
-	Plan  string   `json:"plan"`
-	Desc  string   `json:"desc"`
-	Trace []string `json:"trace,omitempty"`
-}
-
 // writeJSON writes the report to path ("-" means stdout).
-func writeJSON(path string, rep jsonReport) error {
-	if rep.Violations == nil {
-		rep.Violations = []jsonViolation{}
-	}
-	if rep.Plans == nil {
-		rep.Plans = []sweep.PlanStat{}
-	}
+func writeJSON(path string, res *sweep.Result) error {
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -76,7 +40,7 @@ func writeJSON(path string, rep jsonReport) error {
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return enc.Encode(res)
 }
 
 func main() {
@@ -123,99 +87,51 @@ func main() {
 		}
 	}
 
+	var res *sweep.Result
 	if *planStr != "" {
 		plan, err := fault.ParsePlan(*planStr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crashhunt: %v\n", err)
 			os.Exit(2)
 		}
-		stat, vio := sweep.Replay(opts, plan)
-		if *jsonPath != "" {
-			rep := jsonReport{
-				Seed:            *seed,
-				Depth:           plan.Depth(),
-				PlansRun:        1,
-				DetectionTotals: stat.Detection,
-				BaselineHits:    map[string]int64{},
-				Plans:           []sweep.PlanStat{stat},
-			}
-			if stat.Fired > 0 {
-				rep.RulesFired = 1
-			}
-			if vio != nil {
-				rep.Violations = append(rep.Violations, jsonViolation{
-					Plan: vio.Plan.String(), Desc: vio.Desc, Trace: vio.Trace,
-				})
-			}
-			if err := writeJSON(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "crashhunt: writing %s: %v\n", *jsonPath, err)
-				os.Exit(2)
-			}
+		res = sweep.RunPlans(opts, []fault.Plan{plan})
+	} else {
+		sel, err := parsePoints(*points)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crashhunt: %v\n", err)
+			os.Exit(2)
 		}
-		if vio != nil {
-			fmt.Printf("VIOLATION %s\n", vio)
-			printTrace(vio)
+		opts.Points = sel
+		if res, err = sweep.Run(opts); err != nil {
+			fmt.Fprintf(os.Stderr, "crashhunt: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("crashhunt: plan %q ok (rules fired: %d)\n", plan.String(), stat.Fired)
-		return
-	}
-
-	if sel, err := parsePoints(*points); err != nil {
-		fmt.Fprintf(os.Stderr, "crashhunt: %v\n", err)
-		os.Exit(2)
-	} else {
-		opts.Points = sel
-	}
-
-	res, err := sweep.Run(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashhunt: %v\n", err)
-		os.Exit(1)
-	}
-
-	pts := make([]string, 0, len(res.BaselineHits))
-	for p, n := range res.BaselineHits {
-		pts = append(pts, fmt.Sprintf("%s=%d", p, n))
-	}
-	sort.Strings(pts)
-	fmt.Printf("crashhunt: seed=%d baseline hits: %s\n", *seed, strings.Join(pts, " "))
-	fmt.Printf("crashhunt: depth=%d: %d plans run, %d rules fired, %d distinct crash points, %d mutation plans fired, %d chains completed, %d livelocks, %d violations\n",
-		*depth, res.PlansRun, res.RulesFired, res.CrashesFired,
-		res.MutationsFired, res.ChainsFired, res.Livelocks, len(res.Violations))
-	if *jsonPath != "" {
-		rep := jsonReport{
-			Seed:            *seed,
-			Depth:           *depth,
-			PlansRun:        res.PlansRun,
-			RulesFired:      res.RulesFired,
-			CrashesFired:    res.CrashesFired,
-			MutationsFired:  res.MutationsFired,
-			ChainsFired:     res.ChainsFired,
-			Livelocks:       res.Livelocks,
-			BaselineHits:    make(map[string]int64, len(res.BaselineHits)),
-			DetectionTotals: res.Detection,
-			Plans:           res.PlanStats,
-		}
+		pts := make([]string, 0, len(res.BaselineHits))
 		for p, n := range res.BaselineHits {
-			rep.BaselineHits[string(p)] = n
+			pts = append(pts, fmt.Sprintf("%s=%d", p, n))
 		}
-		for _, v := range res.Violations {
-			rep.Violations = append(rep.Violations, jsonViolation{
-				Plan: v.Plan.String(), Desc: v.Desc, Trace: v.Trace,
-			})
-		}
-		if err := writeJSON(*jsonPath, rep); err != nil {
+		sort.Strings(pts)
+		fmt.Printf("crashhunt: seed=%d baseline hits: %s\n", res.Seed, strings.Join(pts, " "))
+		fmt.Printf("crashhunt: depth=%d: %d plans run, %d rules fired, %d distinct crash points, %d mutation plans fired, %d chains completed, %d livelocks, %d violations\n",
+			res.Depth, res.PlansRun, res.RulesFired, res.CrashesFired,
+			res.MutationsFired, res.ChainsFired, res.Livelocks, len(res.Violations))
+	}
+
+	if *jsonPath != "" {
+		if err := writeJSON(*jsonPath, res); err != nil {
 			fmt.Fprintf(os.Stderr, "crashhunt: writing %s: %v\n", *jsonPath, err)
 			os.Exit(2)
 		}
 	}
+	for _, v := range res.Violations {
+		fmt.Printf("VIOLATION %s\n", v)
+		printTrace(&v)
+	}
 	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Printf("VIOLATION %s\n", v)
-			printTrace(&v)
-		}
 		os.Exit(1)
+	}
+	if *planStr != "" {
+		fmt.Printf("crashhunt: plan %q ok (rules fired: %d)\n", res.PlanStats[0].Plan, res.PlanStats[0].Fired)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mmdb/internal/core"
-	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
 	"mmdb/internal/workload"
 
@@ -112,42 +111,6 @@ func RunHotspot(writers, recsEach int) (*HotspotResult, error) {
 	res.ChainCriticalSections = (total + int64(recsPerBlock) - 1) / int64(recsPerBlock)
 	res.GlobalCriticalSections = total
 	return res, nil
-}
-
-// CommitLatencyResult is experiment A3: instant commit into stable
-// memory vs a disk-forced WAL (Lindsay method 4), with and without
-// group commit.
-type CommitLatencyResult struct {
-	InstantUS      float64 // stable-memory commit (records already there)
-	SyncForceUS    float64 // per-txn disk force
-	GroupCommitUS  float64 // per-txn share with group commit
-	GroupSize      int
-	SpeedupVsSync  float64
-	SpeedupVsGroup float64
-}
-
-// CommitLatency computes the three commit paths for a transaction of
-// recsPerTxn records of recordSize bytes.
-func CommitLatency(recsPerTxn, recordSize, groupSize int) *CommitLatencyResult {
-	disk := simdisk.DefaultParams()
-	bytes := float64(recsPerTxn * recordSize)
-	// Instant commit: the records were written to stable memory as
-	// they were generated; commit moves a chain pointer. Cost model:
-	// one 8-byte stable-memory reference ≈ 1 µs at the 4x slowdown
-	// (the paper's "memory reference ≈ one microsecond"), plus ~50
-	// instructions of pointer work on the 1-MIPS model CPU.
-	instantUS := bytes/8.0*4.0 + 50
-
-	force := float64(disk.RotateMicros) + bytes*1e6/float64(disk.BytesPerSec)
-	group := force/float64(groupSize) + 0 // share of one force
-	return &CommitLatencyResult{
-		InstantUS:      instantUS,
-		SyncForceUS:    force,
-		GroupCommitUS:  group,
-		GroupSize:      groupSize,
-		SpeedupVsSync:  force / instantUS,
-		SpeedupVsGroup: group / instantUS,
-	}
 }
 
 // FormatSeries renders series as an aligned text table.

@@ -143,22 +143,6 @@ func TestRunHotspot(t *testing.T) {
 	}
 }
 
-func TestCommitLatency(t *testing.T) {
-	res := CommitLatency(4, 24, 8)
-	if res.InstantUS <= 0 {
-		t.Fatalf("instant = %v", res.InstantUS)
-	}
-	if res.SyncForceUS <= res.InstantUS {
-		t.Fatal("sync force should dwarf instant commit")
-	}
-	if res.GroupCommitUS >= res.SyncForceUS {
-		t.Fatal("group commit should amortise the force")
-	}
-	if res.SpeedupVsSync < 10 {
-		t.Fatalf("speedup vs sync = %.1f, expected large", res.SpeedupVsSync)
-	}
-}
-
 func TestFormatSeries(t *testing.T) {
 	s := []Series{{Label: "a", Points: []Point{{X: 1, Analytic: 2, Measured: 3}}}}
 	out := FormatSeries("T", "x", "y", s)

@@ -293,6 +293,10 @@ func (p Plan) String() string {
 	return b.String()
 }
 
+// MarshalText encodes the plan as its String form, so a JSON report
+// carries the reproducer ParsePlan reads back.
+func (p Plan) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // ParsePlan parses the Plan.String format.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan

@@ -122,31 +122,17 @@ func (o *Options) defaults() {
 	}
 }
 
-// ErrRecoveryLivelock reports that a plan's power-cycle loop never
-// converged: recovery kept crashing (or kept being crashed) past the
-// maxRecoveryCycles backstop. It carries the reproducer plan so the
-// livelock can be replayed directly (crashhunt -plan "...").
-type ErrRecoveryLivelock struct {
-	// Plan is the one-line reproducer of the livelocking schedule.
-	Plan string
-	// Cycles is how many power cycles were attempted before giving up.
-	Cycles int
-}
-
-func (e *ErrRecoveryLivelock) Error() string {
-	return fmt.Sprintf("sweep: recovery livelock: plan %q did not converge after %d power cycles", e.Plan, e.Cycles)
-}
-
 // Violation is one detected crash-consistency failure, with the plan
 // that reproduces it.
 type Violation struct {
-	Plan fault.Plan
-	Desc string
+	// Plan encodes in JSON as its one-line reproducer string.
+	Plan fault.Plan `json:"plan"`
+	Desc string     `json:"desc"`
 	// Trace is the pre-crash flight-recorder timeline recovered from
 	// stable memory on the cycle's last restart: the exact event
 	// sequence leading up to the injected crash, one formatted line per
 	// event. Empty when the plan failed before any recovery happened.
-	Trace []string
+	Trace []string `json:"trace,omitempty"`
 }
 
 func (v Violation) String() string {
@@ -212,8 +198,7 @@ func (d Detection) Total() int64 {
 		d.ImagesQuarantined + d.TornTailCuts
 }
 
-// PlanStat is the per-plan record of one executed cycle, surfaced in
-// crashhunt -json so CI artifacts carry the full sweep ledger.
+// PlanStat is the per-plan record of one executed cycle.
 type PlanStat struct {
 	// Plan is the one-line reproducer string.
 	Plan string `json:"plan"`
@@ -228,43 +213,50 @@ type PlanStat struct {
 	// raised; for mutation plans a zero here with committed effects
 	// missing is the silent-corruption violation.
 	Detection Detection `json:"detection"`
-	// Tolerable is the number of committed effects whose loss was
+	// TolerableLosses is the number of committed effects whose loss was
 	// announced by detection counters and therefore tolerated (only
 	// ever non-zero for plans with mutation acts).
 	TolerableLosses int `json:"tolerable_losses,omitempty"`
-	// Livelock records that the plan tripped ErrRecoveryLivelock.
+	// Livelock records that the plan's power cycles never converged.
 	Livelock bool `json:"livelock,omitempty"`
 	// Violation is the failure description, empty when the plan passed.
 	Violation string `json:"violation,omitempty"`
 }
 
-// Result summarises a sweep.
+// Result is the ledger of a run of plans; crashhunt -json writes it
+// as is.
 type Result struct {
+	// Seed is the workload seed (Options.Seed).
+	Seed int64 `json:"seed"`
+	// Depth is Options.Depth, or the depth of the deepest plan run if
+	// that is greater.
+	Depth int `json:"depth"`
 	// PlansRun counts fault plans executed (excluding the baseline).
-	PlansRun int
+	PlansRun int `json:"plans_run"`
 	// RulesFired counts plans whose rule actually fired.
-	RulesFired int
+	RulesFired int `json:"rules_fired"`
 	// CrashesFired counts plans whose crash rule fired: the number of
 	// distinct (point, hit, action) crash sites the sweep exercised.
-	CrashesFired int
+	CrashesFired int `json:"crashes_fired"`
 	// MutationsFired counts plans in which a byte-mutation rule fired.
-	MutationsFired int
+	MutationsFired int `json:"mutations_fired"`
 	// ChainsFired counts depth-2 plans whose second stage fired: both
 	// the arming fault and the chained recovery-phase fault landed.
-	ChainsFired int
-	// Livelocks counts plans that tripped the ErrRecoveryLivelock
-	// backstop (each is also reported as a violation).
-	Livelocks int
+	ChainsFired int `json:"chains_fired"`
+	// Livelocks counts plans whose power cycles never converged (each
+	// is also reported as a violation).
+	Livelocks int `json:"livelocks"`
 	// BaselineHits is the per-point hit count of the fault-free cycle,
-	// the space the plans were sampled from.
-	BaselineHits map[fault.Point]int64
-	// PlanStats is the per-plan ledger, in execution order.
-	PlanStats []PlanStat
+	// the space the plans were sampled from; empty when the plans were
+	// given rather than enumerated.
+	BaselineHits map[fault.Point]int64 `json:"baseline_hits"`
 	// Detection sums every plan's detection ledger: the sweep-wide
 	// evidence totals (quarantines, duplex fallbacks, image rebuilds).
-	Detection Detection
+	Detection Detection `json:"detection_totals"`
+	// PlanStats is the per-plan ledger, in execution order.
+	PlanStats []PlanStat `json:"plans"`
 	// Violations are the detected failures, each with its reproducer.
-	Violations []Violation
+	Violations []Violation `json:"violations"`
 }
 
 // Config returns the small-geometry database configuration the sweep
@@ -294,34 +286,49 @@ func Config() mmdb.Config {
 	return cfg
 }
 
-// Run executes a full sweep: baseline cycle, plan enumeration, one
-// cycle per plan.
+// Run executes a full sweep: baseline cycle, plan enumeration, then
+// RunPlans over the enumerated plans.
 func Run(opts Options) (*Result, error) {
 	opts.defaults()
-	res := &Result{}
 
 	// Baseline: an empty plan counts hits through a complete
 	// workload–crash–recover–verify cycle. It must pass — a violation
 	// here is a bug reachable without any fault at all.
-	base := runPlan(&opts, fault.Plan{Seed: opts.Seed})
-	if base.vio != nil {
-		return nil, fmt.Errorf("sweep: baseline (fault-free) cycle failed: %s", base.vio.Desc)
+	_, vio, hits := runPlan(&opts, fault.Plan{Seed: opts.Seed})
+	if vio != nil {
+		return nil, fmt.Errorf("sweep: baseline (fault-free) cycle failed: %s", vio.Desc)
 	}
-	res.BaselineHits = base.hits
 
 	var plans []fault.Plan
 	if opts.Depth >= 2 {
-		plans = enumerateDepth2(&opts, base.hits)
+		plans = enumerateDepth2(&opts, hits)
 	} else {
-		plans = enumerate(&opts, base.hits)
+		plans = enumerate(&opts, hits)
 	}
 	opts.Logf("sweep: baseline hit %d points, enumerated %d depth-%d plans",
-		len(base.hits), len(plans), opts.Depth)
+		len(hits), len(plans), opts.Depth)
+	res := RunPlans(opts, plans)
+	res.BaselineHits = hits
+	return res, nil
+}
+
+// RunPlans runs one cycle per plan, in order, and returns their
+// ledger. Replaying a reproducer is RunPlans with that one plan.
+func RunPlans(opts Options, plans []fault.Plan) *Result {
+	opts.defaults()
+	res := &Result{
+		Seed:         opts.Seed,
+		Depth:        opts.Depth,
+		BaselineHits: map[fault.Point]int64{},
+		PlanStats:    make([]PlanStat, 0, len(plans)),
+		Violations:   []Violation{},
+	}
 	for i, pl := range plans {
-		r := runPlan(&opts, pl)
+		stat, vio, _ := runPlan(&opts, pl)
 		res.PlansRun++
+		res.Depth = max(res.Depth, pl.Depth())
 		status := "idle"
-		if r.fired > 0 {
+		if stat.Fired > 0 {
 			res.RulesFired++
 			status = "fired"
 			if pl.Rules[0].Act.IsCrash() {
@@ -330,32 +337,23 @@ func Run(opts Options) (*Result, error) {
 			if hasMutationAct(pl) {
 				res.MutationsFired++
 			}
-			if pl.Depth() >= 2 && r.fired >= int64(len(pl.Rules)+1) {
+			if pl.Depth() >= 2 && stat.Fired >= int64(len(pl.Rules)+1) {
 				res.ChainsFired++
 				status = "chained"
 			}
 		}
-		if r.livelock {
+		if stat.Livelock {
 			res.Livelocks++
 		}
-		stat := PlanStat{
-			Plan:            pl.String(),
-			Fired:           r.fired,
-			PowerCycles:     r.cycles,
-			Detection:       r.det,
-			TolerableLosses: r.tolerated,
-			Livelock:        r.livelock,
-		}
-		if r.vio != nil {
-			res.Violations = append(res.Violations, *r.vio)
-			stat.Violation = r.vio.Desc
+		if vio != nil {
+			res.Violations = append(res.Violations, *vio)
 			status = "VIOLATION"
 		}
 		res.PlanStats = append(res.PlanStats, stat)
-		res.Detection.add(r.det)
+		res.Detection.add(stat.Detection)
 		opts.Logf("sweep: [%d/%d] %s — %s", i+1, len(plans), pl.String(), status)
 	}
-	return res, nil
+	return res
 }
 
 // hasMutationAct reports whether any stage of the plan carries a
@@ -369,34 +367,15 @@ func hasMutationAct(p fault.Plan) bool {
 	return false
 }
 
-// Replay runs a single explicit plan, returning its full per-plan
-// ledger and the violation, if any.
-func Replay(opts Options, plan fault.Plan) (stat PlanStat, vio *Violation) {
-	opts.defaults()
-	r := runPlan(&opts, plan)
-	stat = PlanStat{
-		Plan:            plan.String(),
-		Fired:           r.fired,
-		PowerCycles:     r.cycles,
-		Detection:       r.det,
-		TolerableLosses: r.tolerated,
-		Livelock:        r.livelock,
-	}
-	if r.vio != nil {
-		stat.Violation = r.vio.Desc
-	}
-	return stat, r.vio
-}
-
-// enumerate builds the plan list: for every selected point, every
+// firstStage is the single-rule grid: for every selected point, every
 // meaningful action on it, at PerPoint hit indexes sampled evenly over
 // the baseline hit count.
-func enumerate(opts *Options, hits map[fault.Point]int64) []fault.Plan {
+func firstStage(opts *Options, hits map[fault.Point]int64) []fault.Rule {
 	points := opts.Points
 	if len(points) == 0 {
 		points = fault.AllPoints()
 	}
-	var plans []fault.Plan
+	var rules []fault.Rule
 	for _, p := range points {
 		total := hits[p]
 		if total == 0 {
@@ -404,15 +383,22 @@ func enumerate(opts *Options, hits map[fault.Point]int64) []fault.Plan {
 		}
 		for _, act := range actsFor(p) {
 			for _, h := range sampleHits(total, opts.PerPoint) {
-				plans = append(plans, fault.Plan{
-					Seed:  opts.Seed,
-					Rules: []fault.Rule{{Point: p, Hit: int(h), Act: act, Torn: -1}},
-				})
-				if opts.MaxPlans > 0 && len(plans) >= opts.MaxPlans {
-					return plans
-				}
+				rules = append(rules, fault.Rule{Point: p, Hit: int(h), Act: act, Torn: -1})
 			}
 		}
+	}
+	return rules
+}
+
+// enumerate builds the depth-1 plan list: one plan per firstStage rule,
+// capped at MaxPlans.
+func enumerate(opts *Options, hits map[fault.Point]int64) []fault.Plan {
+	var plans []fault.Plan
+	for _, rule := range firstStage(opts, hits) {
+		if opts.MaxPlans > 0 && len(plans) >= opts.MaxPlans {
+			break
+		}
+		plans = append(plans, fault.Plan{Seed: opts.Seed, Rules: []fault.Rule{rule}})
 	}
 	return plans
 }
@@ -536,22 +522,7 @@ func stage2Rules() []fault.Rule {
 // (tens of thousands of pairs), so the sweep samples it reproducibly:
 // the same seed and budget always yield the same plan list.
 func enumerateDepth2(opts *Options, hits map[fault.Point]int64) []fault.Plan {
-	points := opts.Points
-	if len(points) == 0 {
-		points = fault.AllPoints()
-	}
-	var first []fault.Rule
-	for _, p := range points {
-		total := hits[p]
-		if total == 0 {
-			continue
-		}
-		for _, act := range actsFor(p) {
-			for _, h := range sampleHits(total, opts.PerPoint) {
-				first = append(first, fault.Rule{Point: p, Hit: int(h), Act: act, Torn: -1})
-			}
-		}
-	}
+	first := firstStage(opts, hits)
 	second := stage2Rules()
 	if len(first) == 0 || len(second) == 0 {
 		return nil
@@ -605,16 +576,6 @@ func sampleHits(total int64, per int) []int64 {
 // One plan = one full cycle.
 // ---------------------------------------------------------------------
 
-type planResult struct {
-	hits      map[fault.Point]int64
-	fired     int64
-	cycles    int
-	det       Detection
-	tolerated int
-	livelock  bool
-	vio       *Violation
-}
-
 type runner struct {
 	opts *Options
 	plan fault.Plan
@@ -629,13 +590,12 @@ type runner struct {
 	ids     [nRels][]mmdb.RowID // deterministic pick order (commit order)
 	nextKey int64
 
-	hits   map[fault.Point]int64
-	fired  int64
-	cycles int
-	// det accumulates the corruption-detection counters across every
-	// database instance the cycle powered up (each instance has a fresh
-	// metrics registry, so per-instance snapshots sum cleanly).
-	det Detection
+	hits map[fault.Point]int64
+	// stat is the plan's ledger entry, filled in as the cycle runs. Its
+	// Detection accumulates the counters of every database instance the
+	// cycle powered up (each instance has a fresh metrics registry, so
+	// per-instance snapshots sum cleanly).
+	stat PlanStat
 	// losses collects committed effects found missing during warm-up
 	// and verification. For plans with mutation acts a loss is tolerable
 	// — the rot destroyed a committed record — but ONLY if detection
@@ -643,15 +603,11 @@ type runner struct {
 	// events is silent corruption, the violation the mutation invariant
 	// exists to catch. Plans without mutation acts never tolerate loss.
 	losses []string
-	// toleratedN is how many losses the mutation invariant accepted as
-	// announced casualties (set only when the cycle passes).
-	toleratedN int
 	// auditFailed means CheckConsistency failed under a mutation plan:
 	// relation-level verification and the probe are skipped (the
 	// database is degraded by announced loss), but the duplex and scrub
 	// invariants still run and judgeLosses still demands detection.
 	auditFailed bool
-	livelock    bool
 	// trace holds the most recently recovered flight-recorder timeline,
 	// attached to any violation the rest of the cycle reports.
 	trace []string
@@ -667,7 +623,7 @@ func (r *runner) collect(db *mmdb.DB) {
 	restart := s.Subsystem("restart")
 	faultS := s.Subsystem("fault")
 	arch := s.Subsystem("archive")
-	r.det.add(Detection{
+	r.stat.Detection.add(Detection{
 		QuarantinedRecords:   restart.Counter("quarantined_records"),
 		CorruptDetected:      restart.Counter("corrupt_records_detected"),
 		DuplexFallbacks:      faultS.Counter("duplex_fallbacks"),
@@ -688,7 +644,7 @@ func (r *runner) collect(db *mmdb.DB) {
 // still hold every committed effect from LSN 1, so recovery must
 // rebuild the partition, not surrender records.
 func (r *runner) lossTolerated() bool {
-	if !hasMutationAct(r.plan) || r.det.Total() == 0 {
+	if !hasMutationAct(r.plan) || r.stat.Detection.Total() == 0 {
 		return false
 	}
 	return !mutationsOnlyAt(r.plan, fault.PointCkptRead)
@@ -718,7 +674,7 @@ func mutationsOnlyAt(pl fault.Plan, p fault.Point) bool {
 // (A fault that kills a rebuild mid-read leaves no quarantine behind:
 // the image is counted with its outcome, and the retry starts over.)
 func (r *runner) ckptRotInvariant() *Violation {
-	if d := r.det; d.ImagesQuarantined != d.ArchiveRebuilds || d.ArchiveRebuildFailed > 0 {
+	if d := r.stat.Detection; d.ImagesQuarantined != d.ArchiveRebuilds || d.ArchiveRebuildFailed > 0 {
 		return r.viof("%d checkpoint images quarantined, %d rebuilt from the archive, %d degraded to empty images",
 			d.ImagesQuarantined, d.ArchiveRebuilds, d.ArchiveRebuildFailed)
 	}
@@ -731,10 +687,14 @@ func (r *runner) loss(format string, args ...any) {
 	r.losses = append(r.losses, fmt.Sprintf(format, args...))
 }
 
-func runPlan(opts *Options, plan fault.Plan) planResult {
+// runPlan runs the plan's cycle and returns its ledger entry, its
+// violation (nil when it passed) and the injector's per-point hit
+// counts.
+func runPlan(opts *Options, plan fault.Plan) (PlanStat, *Violation, map[fault.Point]int64) {
 	r := &runner{
 		opts: opts,
 		plan: plan,
+		stat: PlanStat{Plan: plan.String()},
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 		inj:  fault.NewInjector(plan),
 	}
@@ -761,10 +721,15 @@ func runPlan(opts *Options, plan fault.Plan) planResult {
 		defer os.RemoveAll(dir)
 	}
 	vio := r.run()
-	return planResult{
-		hits: r.hits, fired: r.fired, cycles: r.cycles,
-		det: r.det, tolerated: r.toleratedN, livelock: r.livelock, vio: vio,
+	if r.hits == nil {
+		// The cycle failed before run's snapshot: the injector still
+		// holds the plan's counts.
+		r.hits, r.stat.Fired = r.inj.Hits(), r.inj.Triggered()
 	}
+	if vio != nil {
+		r.stat.Violation = vio.Desc
+	}
+	return r.stat, vio, r.hits
 }
 
 func (r *runner) run() *Violation {
@@ -791,15 +756,15 @@ func (r *runner) run() *Violation {
 	for cycle := 0; ; cycle++ {
 		if cycle >= maxRecoveryCycles {
 			// The backstop tripped: recovery kept dying without ever
-			// consuming the plan's rules. Typed so callers (and the JSON
-			// report) can tell a livelock from an ordinary divergence;
-			// still surfaced as a violation — a recovery path that never
-			// converges is as fatal as one that loses data.
-			r.livelock = true
-			lerr := &ErrRecoveryLivelock{Plan: r.plan.String(), Cycles: maxRecoveryCycles}
-			return r.viof("%v", lerr)
+			// consuming the plan's rules. Flagged so the ledger can tell a
+			// livelock from an ordinary divergence; still surfaced as a
+			// violation — a recovery path that never converges is as
+			// fatal as one that loses data.
+			r.stat.Livelock = true
+			return r.viof("sweep: recovery livelock: plan %q did not converge after %d power cycles",
+				r.plan.String(), maxRecoveryCycles)
 		}
-		r.cycles = cycle + 1
+		r.stat.PowerCycles = cycle + 1
 		d, err := r.recover(hw)
 		if err == nil {
 			if ct := d.CrashTrace(); len(ct) > 0 {
@@ -867,7 +832,7 @@ func (r *runner) run() *Violation {
 	// snapshot the injector and disarm it so verification runs
 	// fault-free.
 	r.hits = r.inj.Hits()
-	r.fired = r.inj.Triggered()
+	r.stat.Fired = r.inj.Triggered()
 	r.inj.Reset()
 
 	v := r.verify(db)
@@ -912,7 +877,7 @@ func (r *runner) judgeLosses() *Violation {
 		return nil
 	}
 	if r.lossTolerated() {
-		r.toleratedN = len(r.losses)
+		r.stat.TolerableLosses = len(r.losses)
 		return nil
 	}
 	if hasMutationAct(r.plan) {

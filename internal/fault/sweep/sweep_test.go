@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -87,13 +90,69 @@ func TestSweepDetectsBrokenDuplexRepair(t *testing.T) {
 	// on -> violation again; sabotage off -> the fallback repairs it.
 	broken := opts
 	broken.Points = nil
-	if stat, vio := Replay(broken, v.Plan); vio == nil {
-		t.Fatalf("plan %q did not reproduce its violation (fired=%d)", v.Plan.String(), stat.Fired)
+	if rep := RunPlans(broken, []fault.Plan{v.Plan}); len(rep.Violations) == 0 {
+		t.Fatalf("plan %q did not reproduce its violation (fired=%d)", v.Plan.String(), rep.PlanStats[0].Fired)
 	}
 	fixed := broken
 	fixed.BreakDuplex = false
-	if stat, vio := Replay(fixed, v.Plan); vio != nil {
-		t.Fatalf("plan %q violates even with the duplex fallback enabled: %s (fired=%d)", v.Plan.String(), vio, stat.Fired)
+	if rep := RunPlans(fixed, []fault.Plan{v.Plan}); len(rep.Violations) != 0 {
+		t.Fatalf("plan %q violates even with the duplex fallback enabled: %s (fired=%d)", v.Plan.String(), rep.Violations[0], rep.PlanStats[0].Fired)
+	}
+}
+
+// TestRunPlansLedger checks the report of given plans: its counters
+// agree with the per-plan ledger, its JSON carries exactly the report's
+// keys, and a violation's plan reads back as its reproducer.
+func TestRunPlansLedger(t *testing.T) {
+	var plans []fault.Plan
+	for _, s := range []string{"seed=1;slb.append@20:crash", "seed=1;log.write.primary@3:corrupt"} {
+		pl, err := fault.ParsePlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	// With the duplex fallback sabotaged the crash plan still passes and
+	// the corrupted primary page is a violation.
+	res := RunPlans(Options{Seed: 1, Ops: 40, BreakDuplex: true}, plans)
+	if res.PlansRun != 2 || res.RulesFired != 2 || res.CrashesFired != 1 || res.Depth != 1 {
+		t.Fatalf("plans_run=%d rules_fired=%d crashes_fired=%d depth=%d, want 2, 2, 1, 1",
+			res.PlansRun, res.RulesFired, res.CrashesFired, res.Depth)
+	}
+	if st := res.PlanStats[0]; st.Plan != plans[0].String() || st.Fired != 1 || st.Violation != "" {
+		t.Fatalf("crash plan's ledger entry %+v disagrees with crashes_fired=1", st)
+	}
+	if len(res.Violations) != 1 || res.PlanStats[1].Violation != res.Violations[0].Desc {
+		t.Fatalf("violations %v, plans[1].violation %q: want the corrupt plan's one violation",
+			res.Violations, res.PlanStats[1].Violation)
+	}
+
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(top))
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"baseline_hits", "chains_fired", "crashes_fired", "depth", "detection_totals",
+		"livelocks", "mutations_fired", "plans", "plans_run", "rules_fired", "seed", "violations"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("report keys %v, want %v", keys, want)
+	}
+	var vios []struct {
+		Plan string `json:"plan"`
+	}
+	if err := json.Unmarshal(top["violations"], &vios); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := fault.ParsePlan(vios[0].Plan); err != nil || pl.String() != plans[1].String() {
+		t.Fatalf("violation plan %q does not read back as %q (err %v)", vios[0].Plan, plans[1].String(), err)
 	}
 }
 
