@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the
-// paper's §3 evaluation, plus the ablations called out in DESIGN.md.
+// paper's §3 evaluation, plus the restart and logging experiments
+// (R2–R5) that go beyond it.
 // Each experiment returns structured series so that cmd/paperbench can
 // print them and the package tests can assert on their shape.
 //
@@ -484,4 +485,29 @@ func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, err
 		res.SpeedupFirstTxn = float64(res.DBLevelFirstUS) / float64(res.PartLevelFirstUS)
 	}
 	return res, nil
+}
+
+// FormatSeries renders series as an aligned text table.
+func FormatSeries(title, xLabel, yLabel string, series []Series) string {
+	out := fmt.Sprintf("%s\n  %-12s", title, xLabel)
+	for _, s := range series {
+		out += fmt.Sprintf("  %28s", s.Label)
+	}
+	out += fmt.Sprintf("\n  %-12s", "")
+	for range series {
+		out += fmt.Sprintf("  %13s %14s", "analytic", "measured")
+	}
+	out += "\n"
+	if len(series) == 0 || len(series[0].Points) == 0 {
+		return out
+	}
+	for i := range series[0].Points {
+		out += fmt.Sprintf("  %-12.4g", series[0].Points[i].X)
+		for _, s := range series {
+			out += fmt.Sprintf("  %13.4g %14.4g", s.Points[i].Analytic, s.Points[i].Measured)
+		}
+		out += "\n"
+	}
+	out += fmt.Sprintf("  (y = %s)\n", yLabel)
+	return out
 }

@@ -133,16 +133,6 @@ func TestRecoveryComparisonScaling(t *testing.T) {
 	}
 }
 
-func TestRunHotspot(t *testing.T) {
-	res, err := RunHotspot(4, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerTxnChainNS <= 0 || res.GlobalTailNS <= 0 {
-		t.Fatalf("bad timings %+v", res)
-	}
-}
-
 func TestFormatSeries(t *testing.T) {
 	s := []Series{{Label: "a", Points: []Point{{X: 1, Analytic: 2, Measured: 3}}}}
 	out := FormatSeries("T", "x", "y", s)

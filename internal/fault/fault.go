@@ -28,7 +28,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -688,26 +687,6 @@ func (in *Injector) Hits() map[Point]int64 {
 	for p, n := range in.hits {
 		out[p] = n
 	}
-	return out
-}
-
-// HitPoints returns the points hit at least once, sorted, with counts.
-func (in *Injector) HitPoints() []struct {
-	Point Point
-	Hits  int64
-} {
-	m := in.Hits()
-	out := make([]struct {
-		Point Point
-		Hits  int64
-	}, 0, len(m))
-	for p, n := range m {
-		out = append(out, struct {
-			Point Point
-			Hits  int64
-		}{p, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Point < out[j].Point })
 	return out
 }
 

@@ -407,13 +407,13 @@ func TestCountersWired(t *testing.T) {
 	}
 }
 
-func TestHitPointsSorted(t *testing.T) {
+func TestHitsCountEachPoint(t *testing.T) {
 	in := NewInjector(Plan{Seed: 1})
 	in.Check(PointStableAppend, 1)
 	in.Check(PointCkptWrite, 1)
 	in.Check(PointCkptWrite, 1)
-	hp := in.HitPoints()
-	if len(hp) != 2 || hp[0].Point != PointCkptWrite || hp[0].Hits != 2 || hp[1].Point != PointStableAppend {
-		t.Fatalf("HitPoints wrong: %+v", hp)
+	hits := in.Hits()
+	if len(hits) != 2 || hits[PointCkptWrite] != 2 || hits[PointStableAppend] != 1 {
+		t.Fatalf("Hits wrong: %+v", hits)
 	}
 }

@@ -23,7 +23,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -331,15 +330,4 @@ func (s *SubsystemSnapshot) Histogram(name string) *HistogramValue {
 		}
 	}
 	return nil
-}
-
-// Sorted returns a copy of the snapshot with subsystems ordered by
-// name (snapshots preserve creation order by default).
-func (s Snapshot) Sorted() Snapshot {
-	out := s
-	out.Subsystems = append([]SubsystemSnapshot(nil), s.Subsystems...)
-	sort.Slice(out.Subsystems, func(i, j int) bool {
-		return out.Subsystems[i].Name < out.Subsystems[j].Name
-	})
-	return out
 }

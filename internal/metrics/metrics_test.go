@@ -207,11 +207,6 @@ func TestRegistrySnapshotStructure(t *testing.T) {
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot must marshal to JSON: %v", err)
 	}
-
-	sorted := s.Sorted()
-	if sorted.Subsystems[0].Name != "alpha" {
-		t.Fatalf("sorted order wrong: %+v", sorted.Subsystems)
-	}
 }
 
 func TestQuantileMonotone(t *testing.T) {

@@ -164,14 +164,6 @@ func EscapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// EscapeLabel escapes a label value per the exposition format:
-// backslash, double quote, and newline.
-func EscapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
 // MergeSnapshots concatenates several registries' snapshots into one,
 // prefixing colliding subsystem names is the caller's job (the server
 // and DB registries use disjoint subsystem names by construction).

@@ -127,14 +127,6 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 }
 
-func TestEscapeLabel(t *testing.T) {
-	in := "a\"b\\c\nd"
-	want := `a\"b\\c\nd`
-	if got := EscapeLabel(in); got != want {
-		t.Fatalf("EscapeLabel(%q) = %q, want %q", in, got, want)
-	}
-}
-
 func TestRegisterRuntime(t *testing.T) {
 	reg := NewRegistry()
 	RegisterRuntime(reg)

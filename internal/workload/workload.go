@@ -1,7 +1,7 @@
 // Package workload provides the synthetic workload generators used by
 // the benchmark harness: Gray's debit/credit transaction mix
 // ([Gray 85], the paper's §3.2 reference point of four log records per
-// transaction), update-intensive and computation-intensive mixes, and
+// transaction), open-loop arrival schedules, REDO record streams, and
 // skewed partition-access patterns (hot/cold and Zipf) that drive the
 // checkpoint-frequency and recovery experiments.
 package workload
@@ -14,22 +14,9 @@ import (
 	"mmdb/internal/wal"
 )
 
-// OpKind is the kind of one generated operation.
-type OpKind uint8
-
-// Operation kinds.
-const (
-	OpDebitCredit OpKind = iota + 1 // balance update + teller + branch + history
-	OpUpdate                        // single small field update
-	OpInsert                        // tuple insert
-	OpDelete                        // tuple delete
-	OpLookup                        // read-only point lookup
-)
-
 // Op is one abstract operation against an account-style relation; the
 // driver maps keys to rows.
 type Op struct {
-	Kind    OpKind
 	Account int64
 	Teller  int64
 	Branch  int64
@@ -90,33 +77,11 @@ func DebitCredit(accounts KeyDist, tellers, branches int64, rng *rand.Rand, n in
 	ops := make([]Op, n)
 	for i := range ops {
 		ops[i] = Op{
-			Kind:    OpDebitCredit,
 			Account: accounts.Next(),
 			Teller:  rng.Int63n(tellers),
 			Branch:  rng.Int63n(branches),
 			Delta:   float64(rng.Intn(2000)-1000) / 100,
 		}
-	}
-	return ops
-}
-
-// Mixed generates a configurable insert/update/delete/lookup mix.
-func Mixed(accounts KeyDist, rng *rand.Rand, n int, insertPct, updatePct, deletePct int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		p := rng.Intn(100)
-		var k OpKind
-		switch {
-		case p < insertPct:
-			k = OpInsert
-		case p < insertPct+updatePct:
-			k = OpUpdate
-		case p < insertPct+updatePct+deletePct:
-			k = OpDelete
-		default:
-			k = OpLookup
-		}
-		ops[i] = Op{Kind: k, Account: accounts.Next(), Delta: float64(rng.Intn(100))}
 	}
 	return ops
 }
