@@ -495,26 +495,8 @@ func scrapeServer(c *client.Conn) *ServerSideStats {
 		return nil
 	}
 	histP99 := func(sub, name string) float64 {
-		ss := snap.Subsystem(sub)
-		if ss == nil {
-			return 0
-		}
-		for _, h := range ss.Histograms {
-			if h.Name == name {
-				return h.P99 / 1e3 // ns -> us
-			}
-		}
-		return 0
-	}
-	counter := func(sub, name string) int64 {
-		ss := snap.Subsystem(sub)
-		if ss == nil {
-			return 0
-		}
-		for _, cv := range ss.Counters {
-			if cv.Name == name {
-				return cv.Value
-			}
+		if h := snap.Subsystem(sub).Histogram(name); h != nil {
+			return h.P99 / 1e3 // ns -> us
 		}
 		return 0
 	}
@@ -531,8 +513,8 @@ func scrapeServer(c *client.Conn) *ServerSideStats {
 		return 0
 	}
 	return &ServerSideStats{
-		Requests:         counter("server", "requests"),
-		CrashCycles:      counter("server", "crash_recover_cycles"),
+		Requests:         snap.Subsystem("server").Counter("requests"),
+		CrashCycles:      snap.Subsystem("server").Counter("crash_recover_cycles"),
 		CommitP99us:      histP99("txn", "commit_latency"),
 		GroupWaitP99us:   histP99("txn", "group_commit_wait"),
 		SLBWriteP99us:    histP99("slb", "record_write"),

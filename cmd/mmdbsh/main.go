@@ -168,7 +168,11 @@ func (sh *shell) command(f []string) error {
 		if f[0] == "trace" {
 			return sh.trace(f[1:])
 		}
-		for _, b := range sh.srv.DB().Manager().BinStates() {
+		// The recovery CPU sorts a commit into its bin after the commit
+		// returns: wait for it, so bins shows every committed record.
+		db := sh.srv.DB()
+		db.WaitIdle()
+		for _, b := range db.Manager().BinStates() {
 			fmt.Fprintf(out, "%v: %d updates, %d pages, %d buffered records, ckpt-pending=%v\n",
 				b.PID, b.UpdateCount, len(b.Pages), b.CurRecords, b.CkptPending)
 		}

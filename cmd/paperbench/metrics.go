@@ -13,7 +13,8 @@ import (
 // checkpoints, a crash, and a two-phase recovery whose count demands
 // every partition. beforeCrash sees the idle pre-crash instance. It
 // returns the recovered instance, which the caller closes, and the
-// rows it counted.
+// rows it counted, or an error unless that count is every row it
+// inserted.
 func crashCycle(payload string, flightRecorderBytes int, beforeCrash func(*mmdb.DB)) (*mmdb.DB, int, error) {
 	cfg := mmdb.DefaultConfig()
 	cfg.LogPageSize = 2 << 10
@@ -78,6 +79,10 @@ func crashCycle(payload string, flightRecorderBytes int, beforeCrash func(*mmdb.
 	}
 	if err := tx.Abort(); err != nil {
 		log.Printf("paperbench: abort: %v", err)
+	}
+	if count != len(rows) {
+		db2.Close()
+		return nil, 0, fmt.Errorf("recovered %d rows, inserted %d", count, len(rows))
 	}
 	db2.WaitIdle()
 	return db2, count, nil

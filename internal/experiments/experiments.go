@@ -23,7 +23,6 @@ import (
 	"mmdb/internal/model"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/txn"
-	"mmdb/internal/wal"
 	"mmdb/internal/workload"
 )
 
@@ -94,21 +93,6 @@ func newHarness(cfg core.Config) (*harness, error) {
 		return nil, err
 	}
 	return attach(hw, cfg, map[addr.PartitionID]simdisk.TrackLoc{}, nil)
-}
-
-// restart attaches the next generation over the stable state a stopped
-// one left, runs the §2.5 restart, and installs on-demand recovery:
-// from here store.Partition is the way in.
-func restart(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc, pids []addr.PartitionID) (*harness, error) {
-	h, err := attach(hw, cfg, tracks, pids)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h.m.Restart(); err != nil {
-		return nil, err
-	}
-	h.m.Resume()
-	return h, nil
 }
 
 // diskUS is the simulated disk busy time this generation has been
@@ -358,125 +342,22 @@ type RecoveryResult struct {
 // track map survives the crash in place of the recoverable catalog
 // (whose restore cost is one extra partition for both designs).
 func RecoveryComparison(nParts, hotParts, recsPerPart int) (*RecoveryResult, error) {
-	cfg := core.DefaultConfig()
-	cfg.PartitionSize = 16 << 10
-	cfg.LogPageSize = 2 << 10
-	cfg.UpdateThreshold = 1 << 30 // checkpoints run only on request
-	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
-	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false
-
-	hw, err := core.NewHardware(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-	h, err := attach(hw, cfg, tracks, nil)
-	if err != nil {
-		return nil, err
-	}
-	h.ensureParts(2, nParts)
-	h.m.Start()
-
-	// Baseline engine mirrors the same contents.
+	cfg := restartConfig()
 	base := baseline.New(cfg.PartitionSize, cfg.LogPageSize, 4*nParts+16, cfg.Disk)
-
-	rng := rand.New(rand.NewSource(11))
-	txnID := uint64(1)
-	for part := 0; part < nParts; part++ {
-		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-		var recs []wal.Record
-		for i := 0; i < recsPerPart; i++ {
-			data := make([]byte, 64)
-			rng.Read(data)
-			recs = append(recs, wal.Record{
-				Tag: wal.TagRelInsert, PID: pid, Slot: addr.Slot(i), Data: data,
-			})
-		}
-		// Apply to both live stores and both logs.
-		p, _ := h.store.Partition(pid)
-		base.Store().EnsureSegment(2)
-		bp, err := base.Store().Partition(pid)
-		if err != nil {
-			if bp, err = base.Store().AllocPartitionAt(pid); err != nil {
-				return nil, err
-			}
-		}
-		for i := range recs {
-			if err := core.ApplyRecord(p, &recs[i]); err != nil {
-				return nil, err
-			}
-			if err := core.ApplyRecord(bp, &recs[i]); err != nil {
-				return nil, err
-			}
-		}
-		if err := h.m.InjectCommitted(txnID, recs); err != nil {
-			return nil, err
-		}
-		txnID++
-	}
-	h.m.WaitIdle()
-	// Checkpoint everything on both systems (half the history is then
-	// superseded; the rest replays from the log on recovery).
-	for part := 0; part < nParts; part++ {
-		h.m.RequestCheckpoint(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)})
-	}
-	h.m.WaitIdle()
-	if err := base.Checkpoint(); err != nil {
-		return nil, err
-	}
-	// Post-checkpoint updates so recovery must also read log pages.
-	for part := 0; part < nParts; part++ {
-		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-		var recs []wal.Record
-		for i := 0; i < recsPerPart/4; i++ {
-			data := make([]byte, 64)
-			rng.Read(data)
-			recs = append(recs, wal.Record{Tag: wal.TagRelUpdate, PID: pid, Slot: addr.Slot(i), Data: data})
-		}
-		p, _ := h.store.Partition(pid)
-		bp, _ := base.Store().Partition(pid)
-		for i := range recs {
-			_ = core.ApplyRecord(p, &recs[i])
-			_ = core.ApplyRecord(bp, &recs[i])
-		}
-		if err := h.m.InjectCommitted(txnID, recs); err != nil {
-			return nil, err
-		}
-		txnID++
-		if err := base.Commit(recs); err != nil {
-			return nil, err
-		}
-	}
-	h.m.WaitIdle()
-
-	// ---- crash ----
-	h.m.Stop()
-
-	// Partition-level recovery: re-attach, then recover hot
-	// partitions first; the first transaction can run as soon as they
-	// are resident.
-	h2, err := restart(hw, cfg, tracks, nil)
+	f, err := crashedFixture(cfg, nParts, recsPerPart, base, nil)
 	if err != nil {
 		return nil, err
 	}
+	// Partition-level recovery: the first transaction can run as soon
+	// as the hot partitions, demanded first, are resident.
 	res := &RecoveryResult{Partitions: nParts, HotPartitions: hotParts}
-	before := h2.diskUS()
-	for part := 0; part < nParts; part++ {
-		if err := h2.recover(part); err != nil {
-			return nil, err
-		}
-		if part+1 == hotParts {
-			res.PartLevelFirstUS = h2.diskUS() - before
-		}
+	if res.PartLevelFirstUS, res.PartLevelFullUS, err = f.demandAll(hotParts); err != nil {
+		return nil, err
 	}
-	res.PartLevelFullUS = h2.diskUS() - before
-	h2.m.Stop()
-
 	// Database-level recovery: the entire database must be reloaded
 	// and the whole log processed before any transaction runs.
 	baseUS := func() int64 { return base.LogDiskBusy.Value() + base.CkptDiskBusy.Value() }
-	before = baseUS()
+	before := baseUS()
 	if _, err := base.Recover(cfg.PartitionSize); err != nil {
 		return nil, err
 	}

@@ -195,3 +195,21 @@ func TestSweepScalingMonotonic(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartExperimentsShareOneDatabase holds §3.4.1 and R2 to one
+// crashed database: restoring every partition costs the same in both.
+// At 120 records per partition the post-checkpoint updates fill log
+// pages, so the restore reads log pages as well as images.
+func TestRestartExperimentsShareOneDatabase(t *testing.T) {
+	rc, err := RecoveryComparison(32, 4, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := PredeclareVsDemand(32, 8, 50, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.PartLevelFullUS != pd.PredeclareFirstUS {
+		t.Fatalf("§3.4.1 full restore %dus != R2 predeclare %dus", rc.PartLevelFullUS, pd.PredeclareFirstUS)
+	}
+}

@@ -3,12 +3,6 @@ package experiments
 import (
 	"math/rand"
 	"sort"
-
-	"mmdb/internal/addr"
-	"mmdb/internal/core"
-	"mmdb/internal/mm"
-	"mmdb/internal/simdisk"
-	"mmdb/internal/wal"
 )
 
 // PredeclareResult is experiment R2: §2.5 describes two ways a
@@ -40,48 +34,9 @@ type PredeclareResult struct {
 // of hotParts (90%) or the cold remainder (10%), under both §2.5
 // recovery-driving methods. Latencies are simulated disk time.
 func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareResult, error) {
-	build := func() (*core.Hardware, map[addr.PartitionID]simdisk.TrackLoc, error) {
-		cfg := predeclareCfg()
-		hw, err := core.NewHardware(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-		h, err := attach(hw, cfg, tracks, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		h.ensureParts(2, nParts)
-		m, store := h.m, h.store
-		m.Start()
-		rng := rand.New(rand.NewSource(17))
-		id := uint64(1)
-		for part := 0; part < nParts; part++ {
-			pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
-			var recs []wal.Record
-			for i := 0; i < recsPerPart; i++ {
-				data := make([]byte, 48)
-				rng.Read(data)
-				recs = append(recs, wal.Record{Tag: wal.TagRelInsert, PID: pid, Slot: addr.Slot(i), Data: data})
-			}
-			p, _ := store.Partition(pid)
-			for i := range recs {
-				if err := applyForBuild(p, &recs[i]); err != nil {
-					return nil, nil, err
-				}
-			}
-			if err := m.InjectCommitted(id, recs); err != nil {
-				return nil, nil, err
-			}
-			id++
-		}
-		m.WaitIdle()
-		for part := 0; part < nParts; part++ {
-			m.RequestCheckpoint(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)})
-		}
-		m.WaitIdle()
-		m.Stop() // crash
-		return hw, tracks, nil
+	f, err := crashedFixture(restartConfig(), nParts, recsPerPart, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// The workload: txn i touches these partitions.
@@ -100,52 +55,35 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 
 	res := &PredeclareResult{Partitions: nParts, HotParts: hotParts, Txns: txns}
 
-	// --- Method 1: predeclare ---
-	hw, tracks, err := build()
-	if err != nil {
+	// Method 1, predeclare: every transaction waits for the full
+	// restore, so the first one's latency is the whole reload
+	// (transactions themselves are memory-speed and contribute ~nothing
+	// in disk time).
+	if _, res.PredeclareFirstUS, err = f.demandAll(0); err != nil {
 		return nil, err
 	}
-	cfg := predeclareCfg()
-	h2, err := restart(hw, cfg, tracks, nil)
-	if err != nil {
-		return nil, err
-	}
-	start := h2.diskUS()
-	for part := 0; part < nParts; part++ {
-		if err := h2.recover(part); err != nil {
-			return nil, err
-		}
-	}
-	// Every transaction waits for the full restore; the first one's
-	// latency is the whole reload (transactions themselves are
-	// memory-speed and contribute ~nothing in disk time).
-	res.PredeclareFirstUS = h2.diskUS() - start
 	res.PredeclareTotalUS = res.PredeclareFirstUS
-	h2.m.Stop()
 
-	// --- Method 2: on demand ---
-	hw, tracks, err = build()
+	// Method 2, on demand, from the same crashed state: each
+	// transaction restores what it touches.
+	h, err := f.restart(0)
 	if err != nil {
 		return nil, err
 	}
-	h3, err := restart(hw, cfg, tracks, nil)
-	if err != nil {
-		return nil, err
-	}
+	defer h.m.Stop()
 	var latencies []int64
 	total := int64(0)
 	for _, parts := range touches {
-		before := h3.diskUS()
+		before := h.diskUS()
 		for _, part := range parts {
-			if err := h3.recover(part); err != nil {
+			if err := h.recover(part); err != nil {
 				return nil, err
 			}
 		}
-		lat := h3.diskUS() - before
+		lat := h.diskUS() - before
 		latencies = append(latencies, lat)
 		total += lat
 	}
-	h3.m.Stop()
 	res.DemandFirstUS = latencies[0]
 	res.DemandTotalUS = total
 	sorted := append([]int64(nil), latencies...)
@@ -153,21 +91,4 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 	res.DemandP50US = sorted[len(sorted)/2]
 	res.DemandMaxUS = sorted[len(sorted)-1]
 	return res, nil
-}
-
-func predeclareCfg() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.PartitionSize = 16 << 10
-	cfg.LogPageSize = 2 << 10
-	cfg.UpdateThreshold = 1 << 30
-	cfg.LogWindowPages = 1 << 20
-	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false
-	return cfg
-}
-
-// applyForBuild applies a record to the live store during workload
-// construction (core.ApplyRecord for an insert-only build).
-func applyForBuild(p *mm.Partition, r *wal.Record) error {
-	return p.InsertAt(r.Slot, r.Data)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmdb/internal/addr"
+	"mmdb/internal/baseline"
 	"mmdb/internal/core"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/trace"
@@ -61,35 +62,70 @@ func SweepScaling(sizes, workerCounts []int, recsPerPart int) ([]SweepScalingPoi
 	return out, nil
 }
 
-// crashedFixture builds the stable state the restart benchmarks sweep,
-// once, and crashes it: recsPerPart inserts into each of nParts
-// partitions, a checkpoint of every partition, then a quarter as many
-// post-checkpoint updates, so recovering a partition reads both its
-// image and log pages. beforeCrash, if not nil, runs against the live
-// generation just before it stops. What survives is hw, the track map
-// standing in for the catalog, and the partition list; restart attaches
-// the next generation to them as often as the caller likes.
-func crashedFixture(cfg core.Config, nParts, recsPerPart int, beforeCrash func(*harness, []addr.PartitionID) error) (*core.Hardware, map[addr.PartitionID]simdisk.TrackLoc, []addr.PartitionID, error) {
+// restartConfig is the one geometry the restart experiments (§3.4.1,
+// R2, R3, R5) crash and recover: 16 KiB partitions and 2 KiB log pages,
+// checkpoints only on request, every log page kept on disk, and no
+// background sweep — each experiment demands or sweeps partitions
+// itself.
+func restartConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.PartitionSize = 16 << 10
+	cfg.LogPageSize = 2 << 10
+	cfg.UpdateThreshold = 1 << 30
+	cfg.LogWindowPages = 1 << 20
+	cfg.StableBytes = 256 << 20
+	cfg.BackgroundRecovery = false
+	return cfg
+}
+
+// fixture is the crashed database the restart experiments recover: the
+// hardware, the track map standing in for the catalog, and the
+// partition list. Each restart attaches the next generation to it, as
+// often as the caller likes.
+type fixture struct {
+	hw     *core.Hardware
+	cfg    core.Config
+	tracks map[addr.PartitionID]simdisk.TrackLoc
+	pids   []addr.PartitionID
+}
+
+// crashedFixture builds the stable state the restart experiments
+// recover, once, and crashes it: recsPerPart inserts into each of
+// nParts partitions, a checkpoint of every partition, then a quarter as
+// many post-checkpoint updates, so recovering a partition reads both
+// its image and, once they fill a page, log pages. base, if not nil, is
+// given the same database: every record applied and logged through
+// base.Commit, and a full checkpoint between the inserts and the
+// updates. beforeCrash, if not nil, runs against the live generation
+// just before it stops.
+func crashedFixture(cfg core.Config, nParts, recsPerPart int, base *baseline.Engine, beforeCrash func(*harness, []addr.PartitionID) error) (*fixture, error) {
 	hw, err := core.NewHardware(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	tracks := map[addr.PartitionID]simdisk.TrackLoc{}
-	pids := make([]addr.PartitionID, nParts)
-	for i := range pids {
-		pids[i] = addr.PartitionID{Segment: 2, Part: addr.PartitionNum(i)}
+	f := &fixture{hw: hw, cfg: cfg, tracks: map[addr.PartitionID]simdisk.TrackLoc{}, pids: make([]addr.PartitionID, nParts)}
+	for i := range f.pids {
+		f.pids[i] = addr.PartitionID{Segment: 2, Part: addr.PartitionNum(i)}
 	}
-	h, err := attach(hw, cfg, tracks, pids)
+	h, err := attach(hw, cfg, f.tracks, f.pids)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	h.ensureParts(2, nParts)
 	h.m.Start()
 	defer h.m.Stop() // the crash
+	if base != nil {
+		base.Store().EnsureSegment(2)
+		for _, pid := range f.pids {
+			if _, err := base.Store().AllocPartitionAt(pid); err != nil {
+				return nil, err
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(7))
 	txnID := uint64(1)
 	inject := func(tag wal.Tag, n int) error {
-		for _, pid := range pids {
+		for _, pid := range f.pids {
 			recs := make([]wal.Record, 0, n)
 			for i := 0; i < n; i++ {
 				data := make([]byte, 64)
@@ -100,35 +136,94 @@ func crashedFixture(cfg core.Config, nParts, recsPerPart int, beforeCrash func(*
 				return err
 			}
 			txnID++
+			if base != nil {
+				// After InjectCommitted, which stamps each record's Txn:
+				// the baseline logs the records the core logged.
+				bp, err := base.Store().Partition(pid)
+				if err != nil {
+					return err
+				}
+				for i := range recs {
+					if err := core.ApplyRecord(bp, &recs[i]); err != nil {
+						return err
+					}
+				}
+				if err := base.Commit(recs); err != nil {
+					return err
+				}
+			}
 		}
 		h.m.WaitIdle()
 		return nil
 	}
 	if err := inject(wal.TagRelInsert, recsPerPart); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	for _, pid := range pids {
+	for _, pid := range f.pids {
 		h.m.RequestCheckpoint(pid)
 	}
 	h.m.WaitIdle()
-	if err := inject(wal.TagRelUpdate, recsPerPart/4); err != nil {
-		return nil, nil, nil, err
-	}
-	if beforeCrash != nil {
-		if err := beforeCrash(h, pids); err != nil {
-			return nil, nil, nil, err
+	if base != nil {
+		if err := base.Checkpoint(); err != nil {
+			return nil, err
 		}
 	}
-	return hw, tracks, pids, nil
+	if err := inject(wal.TagRelUpdate, recsPerPart/4); err != nil {
+		return nil, err
+	}
+	if beforeCrash != nil {
+		if err := beforeCrash(h, f.pids); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// restart attaches the next generation over the crashed state with
+// workers recovery workers (0: one per CPU), runs the §2.5 restart, and
+// installs on-demand recovery: from here store.Partition is the way in.
+func (f *fixture) restart(workers int) (*harness, error) {
+	cfg := f.cfg
+	cfg.RecoveryWorkers = workers
+	h, err := attach(f.hw, cfg, f.tracks, f.pids)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := h.m.Restart(); err != nil {
+		return nil, err
+	}
+	h.m.Resume()
+	return h, nil
+}
+
+// demandAll restarts the crashed state and demands every partition in
+// catalog order, as a transaction that needs the whole database would.
+// It returns the simulated disk microseconds until the first hot
+// partitions are resident and until all of them are.
+func (f *fixture) demandAll(hot int) (hotUS, fullUS int64, err error) {
+	h, err := f.restart(0)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer h.m.Stop()
+	start := h.diskUS()
+	for part := range f.pids {
+		if err := h.recover(part); err != nil {
+			return 0, 0, err
+		}
+		if part+1 == hot {
+			hotUS = h.diskUS() - start
+		}
+	}
+	return hotUS, h.diskUS() - start, nil
 }
 
 // sweepOnce restarts the crashed state with w recovery workers, runs one
 // synchronous sweep (in catalog order if asked) and returns the stopped
 // generation with the simulated microseconds the sweep was charged:
 // disk busy time plus recovery-CPU time.
-func sweepOnce(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]simdisk.TrackLoc, pids []addr.PartitionID, w int, catalogOrder bool) (h *harness, chargedUS, hostMS float64, err error) {
-	cfg.RecoveryWorkers = w
-	if h, err = restart(hw, cfg, tracks, pids); err != nil {
+func (f *fixture) sweepOnce(w int, catalogOrder bool) (h *harness, chargedUS, hostMS float64, err error) {
+	if h, err = f.restart(w); err != nil {
 		return nil, 0, 0, err
 	}
 	defer h.m.Stop()
@@ -137,33 +232,26 @@ func sweepOnce(hw *core.Hardware, cfg core.Config, tracks map[addr.PartitionID]s
 	h.m.Sweep(catalogOrder)
 	hostMS = float64(time.Since(hostStart).Microseconds()) / 1e3
 	disk, instr = h.diskUS()-disk, h.m.Metrics().SimRecoveryInstr.Value()-instr
-	for _, pid := range pids {
+	for _, pid := range f.pids {
 		if !h.store.Resident(pid) {
 			return nil, 0, 0, fmt.Errorf("experiments: %d-worker sweep left %v unrecovered", w, pid)
 		}
 	}
-	return h, float64(disk) + cpuSeconds(instr, cfg.Cost.PRecovery)*1e6, hostMS, nil
+	return h, float64(disk) + cpuSeconds(instr, f.cfg.Cost.PRecovery)*1e6, hostMS, nil
 }
 
 func sweepScalingOne(nParts int, workerCounts []int, recsPerPart int) ([]SweepScalingPoint, error) {
-	cfg := core.DefaultConfig()
-	cfg.PartitionSize = 16 << 10
-	cfg.LogPageSize = 2 << 10
-	cfg.UpdateThreshold = 1 << 30 // checkpoints run only on request
-	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
-	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
+	cfg := restartConfig()
 	// The trace read below: about 4 events of up to 32 B per partition.
 	cfg.FlightRecorderBytes = 4 * 32 * nParts
-
-	hw, tracks, pids, err := crashedFixture(cfg, nParts, recsPerPart, nil)
+	f, err := crashedFixture(cfg, nParts, recsPerPart, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	// Sweep the same stable state once per worker count.
 	var out []SweepScalingPoint
 	for _, w := range workerCounts {
-		h, totalUS, hostMS, err := sweepOnce(hw, cfg, tracks, pids, w, false)
+		h, totalUS, hostMS, err := f.sweepOnce(w, false)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mmdb/internal/addr"
-	"mmdb/internal/core"
 	"mmdb/internal/heat"
 	"mmdb/internal/trace"
 )
@@ -61,13 +60,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 	if recsPerPart == 0 {
 		recsPerPart = 400
 	}
-	cfg := core.DefaultConfig()
-	cfg.PartitionSize = 16 << 10
-	cfg.LogPageSize = 2 << 10
-	cfg.UpdateThreshold = 1 << 30 // checkpoints run only on request
-	cfg.LogWindowPages = 1 << 20  // keep every log page on disk
-	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false // the benchmark calls Sweep itself
+	cfg := restartConfig()
 	// The trace read below: about 8 events of up to 32 B per partition.
 	cfg.FlightRecorderBytes = 8 * 32 * nParts
 	cfg.HeatSnapshotBytes = 64 << 10
@@ -75,7 +68,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 
 	// The stable state of the sweep-scaling benchmark, plus a skewed
 	// access profile persisted into the heat snapshot before the crash.
-	hw, tracks, pids, err := crashedFixture(cfg, nParts, recsPerPart, func(h *harness, pids []addr.PartitionID) error {
+	f, err := crashedFixture(cfg, nParts, recsPerPart, nil, func(h *harness, pids []addr.PartitionID) error {
 		return skewHeat(h, pids, hotParts)
 	})
 	if err != nil {
@@ -88,7 +81,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 	for _, w := range workerCounts {
 		pt := HeatOrderingPoint{Partitions: nParts, HotParts: hotParts, Workers: w}
 		for _, catalogOrder := range []bool{false, true} {
-			h, chargedUS, _, err := sweepOnce(hw, cfg, tracks, pids, w, catalogOrder)
+			h, chargedUS, _, err := f.sweepOnce(w, catalogOrder)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +101,7 @@ func HeatOrderingTTP99(nParts, hotParts int, workerCounts []int, recsPerPart int
 			if len(cost) != nParts {
 				return nil, fmt.Errorf("experiments: redo trace covered %d of %d partitions", len(cost), nParts)
 			}
-			order := append([]addr.PartitionID(nil), pids...)
+			order := append([]addr.PartitionID(nil), f.pids...)
 			if !catalogOrder {
 				weights := map[addr.PartitionID]int64{}
 				for _, ph := range ranked {
