@@ -35,11 +35,11 @@ func (db *DB) CheckConsistency() error {
 
 func (db *DB) checkRelation(rel *Relation) error {
 	// Catalog descriptor must decode and match the handle.
-	db.mu.RLock()
-	da := db.relDescAddr[rel.relID]
-	db.mu.RUnlock()
-	rp := txn.ReadPager{Store: db.store}
-	raw, err := rp.Read(da)
+	o, err := db.owner(rel.seg)
+	var raw []byte
+	if err == nil {
+		raw, err = txn.ReadPager{Store: db.store}.Read(o.desc)
+	}
 	if err != nil {
 		return fmt.Errorf("descriptor unreadable: %w", err)
 	}
@@ -87,56 +87,29 @@ func (db *DB) checkRelation(rel *Relation) error {
 func (db *DB) checkIndex(idx *Index, live map[uint64]bool) error {
 	idx.latch.RLock()
 	defer idx.latch.RUnlock()
+	s, err := idx.read()
+	if err != nil {
+		return err
+	}
+	if err := s.Check(); err != nil {
+		return err
+	}
 	seen := map[uint64]bool{}
-	collect := func(e uint64) error {
-		if !live[e] {
-			return fmt.Errorf("phantom entry %v", addr.Unpack(e))
-		}
-		if seen[e] {
-			return fmt.Errorf("duplicate entry %v", addr.Unpack(e))
+	var walkErr error
+	if err := s.walk(func(e uint64) bool {
+		switch {
+		case !live[e]:
+			walkErr = fmt.Errorf("phantom entry %v", addr.Unpack(e))
+		case seen[e]:
+			walkErr = fmt.Errorf("duplicate entry %v", addr.Unpack(e))
 		}
 		seen[e] = true
-		return nil
+		return walkErr == nil
+	}); err != nil {
+		return err
 	}
-	switch idx.kind {
-	case catalog.KindTTree:
-		tr, err := idx.readTree()
-		if err != nil {
-			return err
-		}
-		if err := tr.Check(); err != nil {
-			return err
-		}
-		var walkErr error
-		if err := tr.Range(nil, nil, func(e uint64) bool {
-			walkErr = collect(e)
-			return walkErr == nil
-		}); err != nil {
-			return err
-		}
-		if walkErr != nil {
-			return walkErr
-		}
-	case catalog.KindLinHash:
-		tb, err := idx.readTable()
-		if err != nil {
-			return err
-		}
-		if err := tb.Check(); err != nil {
-			return err
-		}
-		var walkErr error
-		if err := tb.Scan(func(e uint64) bool {
-			walkErr = collect(e)
-			return walkErr == nil
-		}); err != nil {
-			return err
-		}
-		if walkErr != nil {
-			return walkErr
-		}
-	default:
-		return fmt.Errorf("unknown kind %v", idx.kind)
+	if walkErr != nil {
+		return walkErr
 	}
 	if len(seen) != len(live) {
 		return fmt.Errorf("index has %d entries, relation has %d tuples", len(seen), len(live))

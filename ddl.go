@@ -6,6 +6,7 @@ import (
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
 	"mmdb/internal/lock"
+	"mmdb/internal/txn"
 )
 
 // Preload recovers every partition of the relation and its indexes
@@ -14,11 +15,7 @@ import (
 // once they are restored in their entirety. On a fully resident
 // database it is a no-op.
 func (db *DB) Preload(rel *Relation) error {
-	segs := []addr.SegmentID{rel.seg}
-	for _, idx := range rel.Indexes() {
-		segs = append(segs, idx.seg)
-	}
-	for _, seg := range segs {
+	for _, seg := range rel.segments() {
 		parts, err := db.partsOfSegment(seg)
 		if err != nil {
 			return err
@@ -32,6 +29,20 @@ func (db *DB) Preload(rel *Relation) error {
 	return nil
 }
 
+// inTxn runs fn in a transaction of its own and commits it, or aborts
+// it when fn or the commit fails.
+func (db *DB) inTxn(fn func(t *txn.Txn) error) error {
+	t := db.mgr.Txns.Begin()
+	err := fn(t)
+	if err == nil {
+		err = t.Commit()
+	}
+	if err != nil {
+		_ = t.Abort()
+	}
+	return err
+}
+
 // DropIndex removes an index: its catalog entry, its segment, its bins,
 // and its checkpoint images.
 func (db *DB) DropIndex(rel *Relation, name string) error {
@@ -41,49 +52,7 @@ func (db *DB) DropIndex(rel *Relation, name string) error {
 	if idx == nil {
 		return fmt.Errorf("%w: index %q", ErrNotFound, name)
 	}
-	parts, err := db.partsOfSegment(idx.seg)
-	if err != nil {
-		return err
-	}
-	db.mu.RLock()
-	da := db.idxDescAddr[idx.idxID]
-	db.mu.RUnlock()
-
-	t := db.mgr.Txns.Begin()
-	// Writers of the index are excluded by the relation X lock.
-	if err := t.LockRelation(rel.relID, lock.X); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	if err := t.LockEntity(da, lock.X); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	for _, ps := range parts {
-		if err := t.FreePartition(addr.PartitionID{Segment: idx.seg, Part: ps.Part}); err != nil {
-			_ = t.Abort()
-			return err
-		}
-	}
-	if err := t.DeleteEntity(da); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	if err := t.Commit(); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	db.reapSegment(idx.seg, parts)
-	rel.removeIndex(idx)
-	db.mu.Lock()
-	delete(db.idxDescAddr, idx.idxID)
-	delete(db.segOwner, idx.seg)
-	db.mu.Unlock()
-	return nil
+	return db.drop(rel, []addr.SegmentID{idx.seg})
 }
 
 // DropRelation removes a relation, its indexes, and all their storage.
@@ -96,96 +65,84 @@ func (db *DB) DropRelation(name string) error {
 	if rel == nil {
 		return fmt.Errorf("%w: relation %q", ErrNotFound, name)
 	}
-	relParts, err := db.partsOfSegment(rel.seg)
-	if err != nil {
-		return err
-	}
-	type idxDrop struct {
-		idx   *Index
-		parts []catalog.PartState
-	}
-	var idxDrops []idxDrop
-	for _, idx := range rel.Indexes() {
-		parts, err := db.partsOfSegment(idx.seg)
+	return db.drop(rel, rel.segments())
+}
+
+// drop removes the catalog objects owning segs, all of them rel's: the
+// relation with its indexes when segs starts with rel's own segment,
+// else indexes alone. One transaction, under rel's X lock (it excludes
+// the objects' writers and checkpoints), X-locks each descriptor as every
+// descriptor write does, frees every partition and deletes every
+// descriptor, the relation's last; after it commits each segment's memory
+// copy, bins and checkpoint images are reclaimed.
+func (db *DB) drop(rel *Relation, segs []addr.SegmentID) error {
+	objs := make([]object, len(segs))
+	parts := make([][]catalog.PartState, len(segs))
+	for i, seg := range segs {
+		var err error
+		if objs[i], err = db.owner(seg); err == nil {
+			parts[i], err = db.partsOfSegment(seg)
+		}
 		if err != nil {
 			return err
 		}
-		idxDrops = append(idxDrops, idxDrop{idx: idx, parts: parts})
 	}
-	db.mu.RLock()
-	relDA := db.relDescAddr[rel.relID]
-	db.mu.RUnlock()
-
-	t := db.mgr.Txns.Begin()
-	if err := t.LockRelation(rel.relID, lock.X); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	if err := t.LockRelation(catalog.RelIDRelationCatalog, lock.IX); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	for _, ps := range relParts {
-		if err := t.FreePartition(addr.PartitionID{Segment: rel.seg, Part: ps.Part}); err != nil {
-			_ = t.Abort()
+	dropRel := segs[0] == rel.seg
+	err := db.inTxn(func(t *txn.Txn) error {
+		if err := t.LockRelation(rel.relID, lock.X); err != nil {
 			return err
 		}
-	}
-	for _, d := range idxDrops {
-		for _, ps := range d.parts {
-			if err := t.FreePartition(addr.PartitionID{Segment: d.idx.seg, Part: ps.Part}); err != nil {
-				_ = t.Abort()
+		if dropRel {
+			if err := t.LockRelation(catalog.RelIDRelationCatalog, lock.IX); err != nil {
 				return err
 			}
 		}
-		db.mu.RLock()
-		da := db.idxDescAddr[d.idx.idxID]
-		db.mu.RUnlock()
-		if err := t.DeleteEntity(da); err != nil {
-			_ = t.Abort()
+		if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
 			return err
 		}
-	}
-	if err := t.DeleteEntity(relDA); err != nil {
-		_ = t.Abort()
+		for i, o := range objs {
+			if err := t.LockEntity(o.desc, lock.X); err != nil {
+				return err
+			}
+			for _, ps := range parts[i] {
+				if err := t.FreePartition(addr.PartitionID{Segment: segs[i], Part: ps.Part}); err != nil {
+					return err
+				}
+			}
+			if o.index != nil {
+				if err := t.DeleteEntity(o.desc); err != nil {
+					return err
+				}
+			}
+		}
+		if dropRel {
+			return t.DeleteEntity(objs[0].desc)
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if err := t.Commit(); err != nil {
-		_ = t.Abort()
-		return err
+	for i, seg := range segs {
+		for _, ps := range parts[i] {
+			db.mgr.PartitionFreed(addr.PartitionID{Segment: seg, Part: ps.Part})
+			db.mgr.FreeImage(ps.Track)
+		}
+		db.store.DropSegment(seg)
 	}
-
-	db.reapSegment(rel.seg, relParts)
-	for _, d := range idxDrops {
-		db.reapSegment(d.idx.seg, d.parts)
+	if !dropRel {
+		rel.removeIndex(objs[0].index)
 	}
 	db.mu.Lock()
-	delete(db.rels, name)
-	delete(db.relByID, rel.relID)
-	delete(db.relDescAddr, rel.relID)
-	delete(db.segOwner, rel.seg)
-	for _, d := range idxDrops {
-		delete(db.idxDescAddr, d.idx.idxID)
-		delete(db.segOwner, d.idx.seg)
+	for _, seg := range segs {
+		delete(db.objects, seg)
+	}
+	if dropRel {
+		delete(db.rels, rel.name)
+		delete(db.relByID, rel.relID)
 	}
 	db.mu.Unlock()
 	return nil
-}
-
-// reapSegment performs the post-commit physical cleanup of a dropped
-// segment: evict the memory copy, drop the partition bins, and free the
-// checkpoint images.
-func (db *DB) reapSegment(seg addr.SegmentID, parts []catalog.PartState) {
-	for _, ps := range parts {
-		pid := addr.PartitionID{Segment: seg, Part: ps.Part}
-		db.mgr.PartitionFreed(pid)
-		db.mgr.FreeImage(ps.Track)
-	}
-	db.store.DropSegment(seg)
 }
 
 // RecoverFromMediaFailure recovers the database after the loss of the

@@ -244,6 +244,29 @@ func TrackAt(raw []byte, index bool, part addr.PartitionNum) (off int, track sim
 	return len(raw) - len(word), simdisk.TrackLoc(int32(binary.LittleEndian.Uint32(word))), nil
 }
 
+// Parts returns the partition list of an encoded relation (index: index)
+// descriptor, as its decoder would, without decoding the rest.
+func Parts(raw []byte, index bool) ([]PartState, error) {
+	list, err := partList(raw, index)
+	if err != nil {
+		return nil, err
+	}
+	parts, _, err := getParts(list)
+	return parts, err
+}
+
+// WithParts returns a copy of an encoded relation (index: index)
+// descriptor with its partition list replaced by parts: the bytes Encode
+// gives for the descriptor with that list.
+func WithParts(raw []byte, index bool, parts []PartState) ([]byte, error) {
+	list, err := partList(raw, index)
+	if err != nil {
+		return nil, err
+	}
+	head := raw[:len(raw)-len(list)]
+	return putParts(append(make([]byte, 0, len(head)+4+8*len(parts)), head...), parts), nil
+}
+
 // Encode serialises the relation descriptor as a catalog entity.
 func (d *RelationDesc) Encode() []byte {
 	out := putU64(nil, d.RelID)

@@ -200,3 +200,52 @@ func TestTrackAtPatchEqualsReEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestWithPartsEqualsReEncode pins Parts and WithParts to the codec: Parts
+// reads the list the decoder reads, and WithParts gives exactly the
+// descriptor re-encoded with the new list, for relation and index
+// descriptors, when the list grows, shrinks or empties. Every truncation,
+// and a trailing byte, is ErrCorrupt to both.
+func TestWithPartsEqualsReEncode(t *testing.T) {
+	parts := []PartState{{Part: 0, Track: 3}, {Part: 1, Track: simdisk.NilTrack}, {Part: 4, Track: 9}}
+	rel := sampleRelation()
+	idx := &IndexDesc{IdxID: 9, Name: "accounts_id", RelID: 7, Seg: 5, Kind: KindTTree, Column: 0, Order: 16,
+		Header: addr.EntityAddr{Segment: 5, Part: 0, Slot: 1}}
+	for _, c := range []struct {
+		index  bool
+		encode func() []byte
+		list   *[]PartState
+	}{{false, rel.Encode, &rel.Parts}, {true, idx.Encode, &idx.Parts}} {
+		*c.list = parts
+		raw := c.encode()
+		got, err := Parts(raw, c.index)
+		if err != nil || !reflect.DeepEqual(got, parts) {
+			t.Fatalf("index=%v: Parts = %v, %v; want %v", c.index, got, err, parts)
+		}
+		for _, next := range [][]PartState{
+			append(append([]PartState(nil), parts...), PartState{Part: 5, Track: 70000}), // grown
+			parts[:1], // shrunk
+			nil,       // empty
+		} {
+			spliced, err := WithParts(raw, c.index, next)
+			*c.list = next
+			if want := c.encode(); err != nil || !reflect.DeepEqual(spliced, want) {
+				t.Fatalf("index=%v: WithParts(%v) = %x, %v; Encode gives %x", c.index, next, spliced, err, want)
+			}
+			if got, err := Parts(spliced, c.index); err != nil || !reflect.DeepEqual(got, next) {
+				t.Fatalf("index=%v: Parts of the spliced descriptor = %v, %v; want %v", c.index, got, err, next)
+			}
+		}
+		for cut := 0; cut < len(raw); cut++ {
+			if _, err := Parts(raw[:cut], c.index); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("index=%v: Parts, cut at %d of %d: %v", c.index, cut, len(raw), err)
+			}
+			if _, err := WithParts(raw[:cut], c.index, parts); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("index=%v: WithParts, cut at %d of %d: %v", c.index, cut, len(raw), err)
+			}
+		}
+		if _, err := WithParts(append(raw, 0), c.index, parts); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("index=%v: trailing byte: %v", c.index, err)
+		}
+	}
+}

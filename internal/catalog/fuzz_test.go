@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -83,6 +84,41 @@ func checkTrackAt(t *testing.T, raw []byte, index bool, parts []PartState) {
 	}
 }
 
+// checkRejected: the byte walkers accept no descriptor the decoder
+// rejects.
+func checkRejected(t *testing.T, raw []byte, index bool, decodeErr error) {
+	t.Helper()
+	if _, _, err := TrackAt(raw, index, 0); err == nil {
+		t.Fatalf("TrackAt accepted a descriptor the decoder rejects: %v", decodeErr)
+	}
+	if _, err := Parts(raw, index); err == nil {
+		t.Fatalf("Parts accepted a descriptor the decoder rejects: %v", decodeErr)
+	}
+	if _, err := WithParts(raw, index, nil); err == nil {
+		t.Fatalf("WithParts accepted a descriptor the decoder rejects: %v", decodeErr)
+	}
+}
+
+// checkParts holds Parts to the decoded list, and WithParts to encode,
+// the descriptor re-encoded with a given list: for the list as decoded,
+// one entry shorter, one longer, and empty.
+func checkParts(t *testing.T, raw []byte, index bool, parts []PartState, encode func([]PartState) []byte) {
+	t.Helper()
+	if got, err := Parts(raw, index); err != nil || !reflect.DeepEqual(got, parts) {
+		t.Fatalf("Parts = %v, %v; decoded %v", got, err, parts)
+	}
+	lists := [][]PartState{parts, append(append([]PartState(nil), parts...), PartState{Part: 7, Track: 3}), nil}
+	if len(parts) > 0 {
+		lists = append(lists, parts[1:])
+	}
+	for _, p := range lists {
+		got, err := WithParts(raw, index, p)
+		if want := encode(p); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("WithParts(%v) = %x, %v; Encode gives %x", p, got, err, want)
+		}
+	}
+}
+
 // FuzzDecodeRelation hammers the relation-descriptor parser.
 func FuzzDecodeRelation(f *testing.F) {
 	for _, seed := range fuzzRelationSeeds() {
@@ -92,12 +128,15 @@ func FuzzDecodeRelation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		d, err := DecodeRelation(buf)
 		if err != nil {
-			if _, _, terr := TrackAt(buf, false, 0); terr == nil {
-				t.Fatalf("TrackAt accepted a descriptor DecodeRelation rejects: %v", err)
-			}
+			checkRejected(t, buf, false, err)
 			return
 		}
 		checkTrackAt(t, buf, false, d.Parts)
+		checkParts(t, buf, false, d.Parts, func(p []PartState) []byte {
+			e := *d
+			e.Parts = p
+			return e.Encode()
+		})
 		d2, err := DecodeRelation(d.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded relation failed: %v", err)
@@ -117,12 +156,15 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		d, err := DecodeIndex(buf)
 		if err != nil {
-			if _, _, terr := TrackAt(buf, true, 0); terr == nil {
-				t.Fatalf("TrackAt accepted a descriptor DecodeIndex rejects: %v", err)
-			}
+			checkRejected(t, buf, true, err)
 			return
 		}
 		checkTrackAt(t, buf, true, d.Parts)
+		checkParts(t, buf, true, d.Parts, func(p []PartState) []byte {
+			e := *d
+			e.Parts = p
+			return e.Encode()
+		})
 		d2, err := DecodeIndex(d.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded index failed: %v", err)

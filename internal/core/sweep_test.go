@@ -283,9 +283,9 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 				t.Fatalf("partition %v installed despite failing recovery", pid)
 			}
 		}
-		// The sweep gave up, but the fault clearing (here: disarm)
+		// The sweep gave up, but the fault clearing (here: a reset)
 		// leaves the partitions demand-recoverable.
-		h.cfg.FaultInjector.Disarm()
+		h.cfg.FaultInjector.Reset()
 		for _, a := range addrs {
 			if _, err := h.store.Read(a); err != nil {
 				t.Fatalf("demand recovery after failed sweep: %v: %v", a, err)

@@ -611,19 +611,6 @@ func countMutations(rules []Rule) int64 {
 	return n
 }
 
-// Disarm removes every rule (pending stages included) but keeps
-// counting hits.
-func (in *Injector) Disarm() {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.rules = nil
-	in.pending = nil
-	in.remaining = 0
-	in.mu.Unlock()
-}
-
 // Reset disarms, clears the crash flag, and zeroes hit counters: the
 // machine is powered back on with a fresh injector.
 func (in *Injector) Reset() {

@@ -234,7 +234,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	in.Reset()
 	in.ClearCrash()
 	in.Arm(Plan{})
-	in.Disarm()
 	in.SetCounters(Counters{})
 	if in.Hits() != nil || in.Triggered() != 0 {
 		t.Fatal("nil injector has state")

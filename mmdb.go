@@ -85,13 +85,11 @@ type DB struct {
 
 	ddlMu sync.Mutex // serialises DDL
 
-	mu          sync.RWMutex
-	rels        map[string]*Relation
-	relByID     map[uint64]*Relation
-	segOwner    map[addr.SegmentID]uint64 // any segment -> owning relation ID
-	relDescAddr map[uint64]addr.EntityAddr
-	idxDescAddr map[uint64]addr.EntityAddr
-	closed      bool
+	mu      sync.RWMutex
+	rels    map[string]*Relation
+	relByID map[uint64]*Relation
+	objects map[addr.SegmentID]object // every relation's and index's segment
+	closed  bool
 }
 
 // Open creates a fresh database on newly provisioned hardware.
@@ -116,15 +114,13 @@ func Open(cfg Config) (*DB, error) {
 
 func newDB(cfg Config, mgr *core.Manager, store *mm.Store, locks *lock.Manager) *DB {
 	return &DB{
-		cfg:         cfg,
-		mgr:         mgr,
-		store:       store,
-		locks:       locks,
-		rels:        make(map[string]*Relation),
-		relByID:     make(map[uint64]*Relation),
-		segOwner:    map[addr.SegmentID]uint64{addr.SegRelationCatalog: catalog.RelIDRelationCatalog, addr.SegIndexCatalog: catalog.RelIDIndexCatalog},
-		relDescAddr: make(map[uint64]addr.EntityAddr),
-		idxDescAddr: make(map[uint64]addr.EntityAddr),
+		cfg:     cfg,
+		mgr:     mgr,
+		store:   store,
+		locks:   locks,
+		rels:    make(map[string]*Relation),
+		relByID: make(map[uint64]*Relation),
+		objects: make(map[addr.SegmentID]object),
 	}
 }
 
@@ -140,16 +136,37 @@ func (db *DB) wire() {
 	db.mgr.Txns.OnPartAlloc = db.onPartAlloc
 }
 
+// object is one catalog object, a relation or one of its indexes: the
+// owner of a segment, with the address of the catalog descriptor that
+// lists the segment's partitions.
+type object struct {
+	rel   *Relation
+	desc  addr.EntityAddr
+	index *Index // nil for the relation itself
+}
+
+// owner returns the catalog object that owns seg.
+func (db *DB) owner(seg addr.SegmentID) (object, error) {
+	db.mu.RLock()
+	o, ok := db.objects[seg]
+	db.mu.RUnlock()
+	if !ok {
+		return object{}, fmt.Errorf("%w: no owner for segment %d", ErrNotFound, seg)
+	}
+	return o, nil
+}
+
 // ownerRel maps a partition to the relation whose read lock makes it
 // transaction-consistent.
 func (db *DB) ownerRel(pid addr.PartitionID) (uint64, bool) {
 	if pid.Segment == addr.SegRelationCatalog || pid.Segment == addr.SegIndexCatalog {
 		return uint64(pid.Segment), true
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	relID, ok := db.segOwner[pid.Segment]
-	return relID, ok
+	o, err := db.owner(pid.Segment)
+	if err != nil {
+		return 0, false
+	}
+	return o.rel.relID, true
 }
 
 // onPartAlloc records a freshly allocated partition: catalog partitions
@@ -188,75 +205,37 @@ func (db *DB) installCkpt(t *txn.Txn, pid addr.PartitionID, track simdisk.TrackL
 	return old, err
 }
 
-// ownerDesc returns the address of the catalog descriptor that lists
-// seg's partitions: its relation's, or (index) one of that relation's
-// indexes'.
-func (db *DB) ownerDesc(seg addr.SegmentID) (da addr.EntityAddr, index bool, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	relID, ok := db.segOwner[seg]
-	rel := db.relByID[relID]
-	if !ok || rel == nil {
-		return addr.Nil, false, fmt.Errorf("%w: no owner for segment %d", ErrNotFound, seg)
-	}
-	if seg == rel.seg {
-		if da, ok := db.relDescAddr[rel.relID]; ok {
-			return da, false, nil
-		}
-		return addr.Nil, false, fmt.Errorf("%w: relation descriptor for %d", ErrNotFound, rel.relID)
-	}
-	idx := rel.indexBySeg(seg)
-	if idx == nil {
-		return addr.Nil, false, fmt.Errorf("%w: no index for segment %d", ErrNotFound, seg)
-	}
-	if da, ok := db.idxDescAddr[idx.idxID]; ok {
-		return da, true, nil
-	}
-	return addr.Nil, true, fmt.Errorf("%w: index descriptor for %d", ErrNotFound, idx.idxID)
-}
-
-// lockOwnerDesc is ownerDesc with the catalog locks an update of the
-// descriptor needs, taken by transaction t.
-func (db *DB) lockOwnerDesc(t *txn.Txn, seg addr.SegmentID) (da addr.EntityAddr, index bool, err error) {
-	if da, index, err = db.ownerDesc(seg); err != nil {
-		return addr.Nil, false, err
+// updateOwnerDesc applies fn to the partition list of the catalog
+// descriptor owning pid's segment, with proper catalog locking, inside
+// transaction t, and logs the descriptor whole: the new list spliced in
+// behind the untouched head, the bytes a re-encode would give.
+func (db *DB) updateOwnerDesc(t *txn.Txn, pid addr.PartitionID, fn func([]catalog.PartState) []catalog.PartState) error {
+	o, err := db.owner(pid.Segment)
+	if err != nil {
+		return err
 	}
 	cat := catalog.RelIDRelationCatalog
-	if index {
+	if o.index != nil {
 		cat = catalog.RelIDIndexCatalog
 	}
 	if err := t.LockRelation(cat, lock.IX); err != nil {
-		return addr.Nil, false, err
+		return err
 	}
-	return da, index, t.LockEntity(da, lock.X)
-}
-
-// updateOwnerDesc applies fn to the partition list of the catalog
-// descriptor owning pid's segment, with proper catalog locking, inside
-// transaction t, and logs the descriptor whole.
-func (db *DB) updateOwnerDesc(t *txn.Txn, pid addr.PartitionID, fn func([]catalog.PartState) []catalog.PartState) error {
-	da, index, err := db.lockOwnerDesc(t, pid.Segment)
+	if err := t.LockEntity(o.desc, lock.X); err != nil {
+		return err
+	}
+	raw, err := t.ReadEntity(o.desc)
 	if err != nil {
 		return err
 	}
-	raw, err := t.ReadEntity(da)
+	parts, err := catalog.Parts(raw, o.index != nil)
 	if err != nil {
 		return err
 	}
-	if index {
-		desc, err := catalog.DecodeIndex(raw)
-		if err != nil {
-			return err
-		}
-		desc.Parts = fn(desc.Parts)
-		return t.UpdateEntity(da, false, desc.Encode())
-	}
-	desc, err := catalog.DecodeRelation(raw)
-	if err != nil {
+	if raw, err = catalog.WithParts(raw, o.index != nil, fn(parts)); err != nil {
 		return err
 	}
-	desc.Parts = fn(desc.Parts)
-	return t.UpdateEntity(da, false, desc.Encode())
+	return t.UpdateEntity(o.desc, false, raw)
 }
 
 // locate returns a partition's checkpoint image location: one track
@@ -268,15 +247,15 @@ func (db *DB) locate(pid addr.PartitionID) (simdisk.TrackLoc, error) {
 	case addr.SegRelationCatalog, addr.SegIndexCatalog:
 		return db.mgr.LocateCatalogPart(pid), nil
 	}
-	da, index, err := db.ownerDesc(pid.Segment)
+	o, err := db.owner(pid.Segment)
 	if err != nil {
 		return simdisk.NilTrack, fmt.Errorf("partition %v: %w", pid, err)
 	}
-	raw, held, err := db.store.Lend(da)
+	raw, held, err := db.store.Lend(o.desc)
 	if err != nil {
 		return simdisk.NilTrack, err
 	}
-	_, track, err := catalog.TrackAt(raw, index, pid.Part)
+	_, track, err := catalog.TrackAt(raw, o.index != nil, pid.Part)
 	held.Unlock()
 	if errors.Is(err, catalog.ErrNoPartition) {
 		return simdisk.NilTrack, fmt.Errorf("%w: partition %v not in catalog", ErrNotFound, pid)
@@ -287,27 +266,16 @@ func (db *DB) locate(pid addr.PartitionID) (simdisk.TrackLoc, error) {
 // partsOfSegment reads the authoritative partition list for a segment
 // from the catalog bytes.
 func (db *DB) partsOfSegment(seg addr.SegmentID) ([]catalog.PartState, error) {
-	da, index, err := db.ownerDesc(seg)
+	o, err := db.owner(seg)
 	if err != nil {
 		return nil, err
 	}
-	raw, held, err := db.store.Lend(da)
+	raw, held, err := db.store.Lend(o.desc)
 	if err != nil {
 		return nil, err
 	}
 	defer held.Unlock()
-	if index {
-		desc, err := catalog.DecodeIndex(raw)
-		if err != nil {
-			return nil, err
-		}
-		return desc.Parts, nil
-	}
-	desc, err := catalog.DecodeRelation(raw)
-	if err != nil {
-		return nil, err
-	}
-	return desc.Parts, nil
+	return catalog.Parts(raw, o.index != nil)
 }
 
 // allPartitions enumerates every partition known to the catalogs, for
@@ -328,20 +296,13 @@ func (db *DB) allPartitions() ([]addr.PartitionID, error) {
 	}
 	db.mu.RUnlock()
 	for _, rel := range rels {
-		parts, err := db.partsOfSegment(rel.seg)
-		if err != nil {
-			return nil, err
-		}
-		for _, ps := range parts {
-			out = append(out, addr.PartitionID{Segment: rel.seg, Part: ps.Part})
-		}
-		for _, idx := range rel.Indexes() {
-			iparts, err := db.partsOfSegment(idx.seg)
+		for _, seg := range rel.segments() {
+			parts, err := db.partsOfSegment(seg)
 			if err != nil {
 				return nil, err
 			}
-			for _, ps := range iparts {
-				out = append(out, addr.PartitionID{Segment: idx.seg, Part: ps.Part})
+			for _, ps := range parts {
+				out = append(out, addr.PartitionID{Segment: seg, Part: ps.Part})
 			}
 		}
 	}
@@ -419,73 +380,58 @@ func Recover(hw *Hardware, cfg Config) (*DB, error) {
 }
 
 // loadCatalogs rebuilds the volatile catalog maps by scanning the
-// restored catalog partitions.
+// restored catalog partitions: every relation before any index.
 func (db *DB) loadCatalogs() error {
-	// Relations first.
-	for _, p := range db.store.Partitions(addr.SegRelationCatalog) {
-		var scanErr error
-		p.Slots(func(s addr.Slot, data []byte) bool {
-			desc, err := catalog.DecodeRelation(data)
-			if err != nil {
-				scanErr = err
-				return false
+	for _, cat := range []addr.SegmentID{addr.SegRelationCatalog, addr.SegIndexCatalog} {
+		for _, p := range db.store.Partitions(cat) {
+			var scanErr error
+			p.Slots(func(s addr.Slot, data []byte) bool {
+				scanErr = db.loadDesc(addr.EntityAddr{Segment: cat, Part: p.ID().Part, Slot: s}, data)
+				return scanErr == nil
+			})
+			if scanErr != nil {
+				return scanErr
 			}
-			rel := &Relation{
-				db:     db,
-				relID:  desc.RelID,
-				name:   desc.Name,
-				seg:    desc.Seg,
-				schema: append(heap.Schema(nil), desc.Schema...),
-			}
-			da := addr.EntityAddr{Segment: addr.SegRelationCatalog, Part: p.ID().Part, Slot: s}
-			db.rels[desc.Name] = rel
-			db.relByID[desc.RelID] = rel
-			db.segOwner[desc.Seg] = desc.RelID
-			db.relDescAddr[desc.RelID] = da
-			db.store.EnsureSegment(desc.Seg)
-			for _, ps := range desc.Parts {
-				db.store.Reserve(addr.PartitionID{Segment: desc.Seg, Part: ps.Part})
-				db.mgr.MarkTrackUsed(ps.Track)
-			}
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
 		}
 	}
-	// Then indexes.
-	for _, p := range db.store.Partitions(addr.SegIndexCatalog) {
-		var scanErr error
-		p.Slots(func(s addr.Slot, data []byte) bool {
-			desc, err := catalog.DecodeIndex(data)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			rel := db.relByID[desc.RelID]
-			if rel == nil {
-				scanErr = fmt.Errorf("mmdb: index %q references missing relation %d", desc.Name, desc.RelID)
-				return false
-			}
-			idx, err := newIndex(rel, desc)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			da := addr.EntityAddr{Segment: addr.SegIndexCatalog, Part: p.ID().Part, Slot: s}
-			rel.addIndex(idx)
-			db.segOwner[desc.Seg] = desc.RelID
-			db.idxDescAddr[desc.IdxID] = da
-			db.store.EnsureSegment(desc.Seg)
-			for _, ps := range desc.Parts {
-				db.store.Reserve(addr.PartitionID{Segment: desc.Seg, Part: ps.Part})
-				db.mgr.MarkTrackUsed(ps.Track)
-			}
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
+	return nil
+}
+
+// loadDesc registers the catalog object whose descriptor raw lies at da,
+// and reserves its partitions and their checkpoint tracks.
+func (db *DB) loadDesc(da addr.EntityAddr, raw []byte) error {
+	o := object{desc: da}
+	var seg addr.SegmentID
+	var parts []catalog.PartState
+	if da.Segment == addr.SegRelationCatalog {
+		desc, err := catalog.DecodeRelation(raw)
+		if err != nil {
+			return err
 		}
+		o.rel = &Relation{db: db, relID: desc.RelID, name: desc.Name, seg: desc.Seg,
+			schema: append(heap.Schema(nil), desc.Schema...)}
+		db.rels[desc.Name] = o.rel
+		db.relByID[desc.RelID] = o.rel
+		seg, parts = desc.Seg, desc.Parts
+	} else {
+		desc, err := catalog.DecodeIndex(raw)
+		if err != nil {
+			return err
+		}
+		if o.rel = db.relByID[desc.RelID]; o.rel == nil {
+			return fmt.Errorf("mmdb: index %q references missing relation %d", desc.Name, desc.RelID)
+		}
+		if o.index, err = newIndex(o.rel, desc); err != nil {
+			return err
+		}
+		o.rel.addIndex(o.index)
+		seg, parts = desc.Seg, desc.Parts
+	}
+	db.objects[seg] = o
+	db.store.EnsureSegment(seg)
+	for _, ps := range parts {
+		db.store.Reserve(addr.PartitionID{Segment: seg, Part: ps.Part})
+		db.mgr.MarkTrackUsed(ps.Track)
 	}
 	return nil
 }

@@ -348,10 +348,11 @@ func TestLocateRejectsDamagedDescriptor(t *testing.T) {
 	db := openTestDB(t)
 	defer db.Close()
 	rel, _, _ := newWide(t, db, 100, 300)
-	da, _, err := db.ownerDesc(rel.seg)
+	o, err := db.owner(rel.seg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	da := o.desc
 	p, err := db.store.Partition(da.Partition())
 	if err != nil {
 		t.Fatal(err)

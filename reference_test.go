@@ -12,7 +12,6 @@ import (
 
 	"mmdb/internal/heap"
 	"mmdb/internal/lock"
-	"mmdb/internal/txn"
 )
 
 // referenceUpdate is the update Txn.Update replaced, kept as the model
@@ -60,10 +59,7 @@ func referenceUpdate(tx *Txn, rel *Relation, id RowID, changes map[string]any) e
 		if !changed {
 			continue
 		}
-		if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
-			return err
-		}
-		if err := idx.deleteEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
+		if err := tx.maintain(idx, id, true); err != nil {
 			return err
 		}
 		touched = append(touched, idx)
@@ -86,7 +82,7 @@ func referenceUpdate(tx *Txn, rel *Relation, id RowID, changes map[string]any) e
 		}
 	}
 	for _, idx := range touched {
-		if err := idx.insertEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
+		if err := tx.maintain(idx, id, false); err != nil {
 			return err
 		}
 	}
@@ -172,27 +168,15 @@ func (d *diffDB) rel(t *testing.T) *Relation {
 	return rel
 }
 
-// indexEntries lists an index's entries: a T-Tree's in key order, a
-// linear hash table's sorted.
+// indexEntries lists an index's entries, sorted.
 func indexEntries(t *testing.T, idx *Index) []uint64 {
 	t.Helper()
 	idx.latch.RLock()
 	defer idx.latch.RUnlock()
 	var out []uint64
-	collect := func(e uint64) bool { out = append(out, e); return true }
-	if idx.kind == KindTTree {
-		tr, err := idx.readTree()
-		if err == nil {
-			err = tr.Range(nil, nil, collect)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	tb, err := idx.readTable()
+	s, err := idx.read()
 	if err == nil {
-		err = tb.Scan(collect)
+		err = s.walk(func(e uint64) bool { out = append(out, e); return true })
 	}
 	if err != nil {
 		t.Fatal(err)

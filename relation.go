@@ -64,13 +64,13 @@ func (r *Relation) Index(name string) *Index {
 	return nil
 }
 
-func (r *Relation) indexBySeg(seg addr.SegmentID) *Index {
+// segments lists the relation's segment, then its indexes'.
+func (r *Relation) segments() []addr.SegmentID {
+	segs := []addr.SegmentID{r.seg}
 	for _, i := range r.Indexes() {
-		if i.seg == seg {
-			return i
-		}
+		segs = append(segs, i.seg)
 	}
-	return nil
+	return segs
 }
 
 func (r *Relation) addIndex(i *Index) {
@@ -110,9 +110,46 @@ type Index struct {
 	// The structure opened over the store for reading, by the first probe
 	// that needs it (the header's partition may not be recovered before
 	// that) and kept: a probe does not re-open its index.
-	tree  atomic.Pointer[ttree.Tree]
-	table atomic.Pointer[linhash.Table]
+	reader atomic.Pointer[structure]
 }
+
+// structure is an index's access method, a T-Tree or a linear hash table,
+// opened over one pager. Delete reports an absent entry as its package's
+// ErrNotFound.
+type structure interface {
+	Insert(entry uint64) error
+	Delete(entry uint64) error
+	// probe appends to out the entries that may hold keys in [lo, hi]
+	// (a hash table: keys equal to lo).
+	probe(lo, hi any, out []uint64) ([]uint64, error)
+	// walk visits every entry.
+	walk(fn func(entry uint64) bool) error
+	Check() error
+}
+
+type tree struct{ *ttree.Tree }
+
+func (t tree) probe(lo, hi any, out []uint64) ([]uint64, error) {
+	err := t.Range(lo, hi, func(e uint64) bool { out = append(out, e); return true })
+	return out, err
+}
+
+func (t tree) walk(fn func(uint64) bool) error { return t.Range(nil, nil, fn) }
+
+type table struct {
+	*linhash.Table
+	idx *Index
+}
+
+func (t table) probe(key, _ any, out []uint64) ([]uint64, error) {
+	kh, err := t.idx.hashKey(key)
+	if err == nil {
+		err = t.Lookup(key, kh, func(e uint64) bool { out = append(out, e); return true })
+	}
+	return out, err
+}
+
+func (t table) walk(fn func(uint64) bool) error { return t.Scan(fn) }
 
 // newIndex builds the handle for a catalog descriptor.
 func newIndex(rel *Relation, d *catalog.IndexDesc) (*Index, error) {
@@ -250,39 +287,40 @@ func fnv1a[B string | []byte](b B) uint64 {
 	return h
 }
 
-// openTree opens the T-Tree over the given pager.
-func (i *Index) openTree(p ttree.Pager) (*ttree.Tree, error) {
-	return ttree.Open(p, i.header, i.compareEntries, i.compareKey)
-}
-
-// openTable opens the linear hash table over the given pager.
-func (i *Index) openTable(p linhash.Pager) (*linhash.Table, error) {
-	return linhash.Open(p, i.header, i.hashEntry, i.matchKey)
-}
-
-// readTree returns the T-Tree opened over the store for reading.
-func (i *Index) readTree() (*ttree.Tree, error) {
-	if t := i.tree.Load(); t != nil {
-		return t, nil
+// create builds the index's empty structure through p and returns its
+// header address.
+func (i *Index) create(p ttree.Pager) (hdr addr.EntityAddr, err error) {
+	if i.kind == KindTTree {
+		_, hdr, err = ttree.Create(p, i.order, nil, nil)
+	} else {
+		_, hdr, err = linhash.Create(p, i.order, nil, nil)
 	}
-	t, err := i.openTree(txn.ReadPager{Store: i.rel.db.store})
+	return hdr, err
+}
+
+// open opens the index's structure over p.
+func (i *Index) open(p ttree.Pager) (structure, error) {
+	switch i.kind {
+	case KindTTree:
+		t, err := ttree.Open(p, i.header, i.compareEntries, i.compareKey)
+		return tree{t}, err
+	case KindLinHash:
+		t, err := linhash.Open(p, i.header, i.hashEntry, i.matchKey)
+		return table{t, i}, err
+	}
+	return nil, fmt.Errorf("mmdb: unknown index kind %v", i.kind)
+}
+
+// read returns the structure opened over the store for reading.
+func (i *Index) read() (structure, error) {
+	if s := i.reader.Load(); s != nil {
+		return *s, nil
+	}
+	s, err := i.open(txn.ReadPager{Store: i.rel.db.store})
 	if err == nil {
-		i.tree.Store(t)
+		i.reader.Store(&s)
 	}
-	return t, err
-}
-
-// readTable returns the linear hash table opened over the store for
-// reading.
-func (i *Index) readTable() (*linhash.Table, error) {
-	if t := i.table.Load(); t != nil {
-		return t, nil
-	}
-	t, err := i.openTable(txn.ReadPager{Store: i.rel.db.store})
-	if err == nil {
-		i.table.Store(t)
-	}
-	return t, err
+	return s, err
 }
 
 // CreateRelation creates a relation with the given schema. DDL is
@@ -309,18 +347,14 @@ func (db *DB) CreateRelation(name string, schema heap.Schema) (*Relation, error)
 	db.store.EnsureSegment(seg)
 
 	desc := &catalog.RelationDesc{RelID: relID, Name: name, Seg: seg, Schema: schema}
-	t := db.mgr.Txns.Begin()
-	if err := t.LockRelation(catalog.RelIDRelationCatalog, lock.IX); err != nil {
-		_ = t.Abort()
-		return nil, err
-	}
-	da, err := t.InsertEntity(addr.SegRelationCatalog, false, desc.Encode())
+	var da addr.EntityAddr
+	err := db.inTxn(func(t *txn.Txn) (err error) {
+		if err = t.LockRelation(catalog.RelIDRelationCatalog, lock.IX); err == nil {
+			da, err = t.InsertEntity(addr.SegRelationCatalog, false, desc.Encode())
+		}
+		return err
+	})
 	if err != nil {
-		_ = t.Abort()
-		return nil, err
-	}
-	if err := t.Commit(); err != nil {
-		_ = t.Abort()
 		return nil, err
 	}
 
@@ -328,8 +362,7 @@ func (db *DB) CreateRelation(name string, schema heap.Schema) (*Relation, error)
 	db.mu.Lock()
 	db.rels[name] = rel
 	db.relByID[relID] = rel
-	db.segOwner[seg] = relID
-	db.relDescAddr[relID] = da
+	db.objects[seg] = object{rel: rel, desc: da}
 	db.mu.Unlock()
 	return rel, nil
 }
@@ -387,70 +420,50 @@ func (db *DB) CreateIndex(rel *Relation, name string, column string, kind catalo
 	}
 	db.store.EnsureSegment(seg)
 
-	t := db.mgr.Txns.Begin()
-	rollback := func(err error) (*Index, error) {
-		_ = t.Abort()
+	err = db.inTxn(func(t *txn.Txn) error {
+		// Lock out writers of the relation while the index is built.
+		if err := t.LockRelation(rel.relID, lock.S); err != nil {
+			return err
+		}
+		if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
+			return err
+		}
+		da, err := t.InsertEntity(addr.SegIndexCatalog, false, desc.Encode())
+		if err != nil {
+			return err
+		}
+		// Register the object before building: partition allocations
+		// during the build look up the descriptor address.
 		db.mu.Lock()
-		delete(db.idxDescAddr, idxID)
-		delete(db.segOwner, seg)
+		db.objects[seg] = object{rel: rel, desc: da, index: idx}
+		db.mu.Unlock()
+		rel.addIndex(idx)
+		if idx.header, err = idx.create(txn.IndexPager{T: t, Seg: seg}); err != nil {
+			return err
+		}
+		// Record the header address in the descriptor, which lists the
+		// partitions the build has allocated so far.
+		raw, err := t.ReadEntity(da)
+		if err != nil {
+			return err
+		}
+		cur, err := catalog.DecodeIndex(raw)
+		if err != nil {
+			return err
+		}
+		cur.Header = idx.header
+		if err := t.UpdateEntity(da, false, cur.Encode()); err != nil {
+			return err
+		}
+		// Populate from existing tuples.
+		return db.populateIndex(t, idx)
+	})
+	if err != nil {
+		db.mu.Lock()
+		delete(db.objects, seg)
 		db.mu.Unlock()
 		rel.removeIndex(idx)
 		return nil, err
-	}
-	// Lock out writers of the relation while the index is built.
-	if err := t.LockRelation(rel.relID, lock.S); err != nil {
-		return rollback(err)
-	}
-	if err := t.LockRelation(catalog.RelIDIndexCatalog, lock.IX); err != nil {
-		return rollback(err)
-	}
-	da, err := t.InsertEntity(addr.SegIndexCatalog, false, desc.Encode())
-	if err != nil {
-		return rollback(err)
-	}
-	// Register maps before building: partition allocations during the
-	// build look up the descriptor address.
-	db.mu.Lock()
-	db.idxDescAddr[idxID] = da
-	db.segOwner[seg] = rel.relID
-	db.mu.Unlock()
-	rel.addIndex(idx)
-
-	pager := txn.IndexPager{T: t, Seg: seg}
-	switch kind {
-	case catalog.KindTTree:
-		_, hdr, err := ttree.Create(pager, order, nil, nil)
-		if err != nil {
-			return rollback(err)
-		}
-		idx.header = hdr
-	case catalog.KindLinHash:
-		_, hdr, err := linhash.Create(pager, order, nil, nil)
-		if err != nil {
-			return rollback(err)
-		}
-		idx.header = hdr
-	}
-	// Record the header address in the descriptor.
-	desc.Header = idx.header
-	raw, err := t.ReadEntity(da)
-	if err != nil {
-		return rollback(err)
-	}
-	cur, err := catalog.DecodeIndex(raw)
-	if err != nil {
-		return rollback(err)
-	}
-	cur.Header = idx.header
-	if err := t.UpdateEntity(da, false, cur.Encode()); err != nil {
-		return rollback(err)
-	}
-	// Populate from existing tuples.
-	if err := db.populateIndex(t, idx); err != nil {
-		return rollback(err)
-	}
-	if err := t.Commit(); err != nil {
-		return rollback(err)
 	}
 	return idx, nil
 }
@@ -479,7 +492,7 @@ func (db *DB) populateIndex(t *txn.Txn, idx *Index) error {
 		p.Unlatch()
 		for _, s := range slots {
 			ea := addr.EntityAddr{Segment: rel.seg, Part: ps.Part, Slot: s}
-			if err := idx.insertEntry(pager, ea.Pack()); err != nil {
+			if err := idx.change(pager, ea.Pack(), false); err != nil {
 				return err
 			}
 		}
@@ -487,51 +500,21 @@ func (db *DB) populateIndex(t *txn.Txn, idx *Index) error {
 	return nil
 }
 
-// insertEntry adds one entry to the index structure (caller holds the
-// index writer lock / build lock and the latch is taken here).
-func (idx *Index) insertEntry(pager txn.IndexPager, entry uint64) error {
+// change inserts entry into the index structure, or takes it out when
+// remove is set (an absent entry is not an error then). The caller holds
+// the index writer lock or the build lock; the latch is taken here.
+func (idx *Index) change(pager txn.IndexPager, entry uint64, remove bool) error {
 	idx.latch.Lock()
 	defer idx.latch.Unlock()
-	switch idx.kind {
-	case catalog.KindTTree:
-		tr, err := idx.openTree(pager)
-		if err != nil {
-			return err
-		}
-		return tr.Insert(entry)
-	case catalog.KindLinHash:
-		tb, err := idx.openTable(pager)
-		if err != nil {
-			return err
-		}
-		return tb.Insert(entry)
+	s, err := idx.open(pager)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("mmdb: unknown index kind %v", idx.kind)
-}
-
-// deleteEntry removes one entry from the index structure.
-func (idx *Index) deleteEntry(pager txn.IndexPager, entry uint64) error {
-	idx.latch.Lock()
-	defer idx.latch.Unlock()
-	switch idx.kind {
-	case catalog.KindTTree:
-		tr, err := idx.openTree(pager)
-		if err != nil {
-			return err
-		}
-		if err := tr.Delete(entry); err != nil && !errors.Is(err, ttree.ErrNotFound) {
-			return err
-		}
-		return nil
-	case catalog.KindLinHash:
-		tb, err := idx.openTable(pager)
-		if err != nil {
-			return err
-		}
-		if err := tb.Delete(entry); err != nil && !errors.Is(err, linhash.ErrNotFound) {
-			return err
-		}
-		return nil
+	if !remove {
+		return s.Insert(entry)
 	}
-	return fmt.Errorf("mmdb: unknown index kind %v", idx.kind)
+	if err := s.Delete(entry); !errors.Is(err, ttree.ErrNotFound) && !errors.Is(err, linhash.ErrNotFound) {
+		return err
+	}
+	return nil
 }

@@ -72,14 +72,20 @@ func (tx *Txn) Insert(rel *Relation, tuple heap.Tuple) (RowID, error) {
 		return RowID{}, err
 	}
 	for _, idx := range rel.Indexes() {
-		if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
-			return RowID{}, err
-		}
-		if err := idx.insertEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, a.Pack()); err != nil {
+		if err := tx.maintain(idx, a, false); err != nil {
 			return RowID{}, err
 		}
 	}
 	return a, nil
+}
+
+// maintain takes idx's writer lock, held to commit, and adds row id's entry
+// to it, or takes the entry out when remove is set.
+func (tx *Txn) maintain(idx *Index, id RowID, remove bool) error {
+	if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
+		return err
+	}
+	return idx.change(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack(), remove)
 }
 
 // Get reads a tuple by row ID under a share lock. The tuple's bytes are
@@ -167,10 +173,7 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 		if !slices.ContainsFunc(ps, func(p patch) bool { return p.col == idx.col && !p.same }) {
 			continue
 		}
-		if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
-			return err
-		}
-		if err := idx.deleteEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
+		if err := tx.maintain(idx, id, true); err != nil {
 			return err
 		}
 		touched = append(touched, idx)
@@ -190,7 +193,7 @@ func (tx *Txn) Update(rel *Relation, id RowID, changes map[string]any) error {
 		return err
 	}
 	for _, idx := range touched {
-		if err := idx.insertEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
+		if err := tx.maintain(idx, id, false); err != nil {
 			return err
 		}
 	}
@@ -250,10 +253,7 @@ func (tx *Txn) Delete(rel *Relation, id RowID) error {
 	// Remove index entries while the tuple is still readable (the
 	// comparators need its key).
 	for _, idx := range rel.Indexes() {
-		if err := tx.t.LockIndex(idx.idxID, lock.X); err != nil {
-			return err
-		}
-		if err := idx.deleteEntry(txn.IndexPager{T: tx.t, Seg: idx.seg}, id.Pack()); err != nil {
+		if err := tx.maintain(idx, id, true); err != nil {
 			return err
 		}
 	}
@@ -357,31 +357,13 @@ func (tx *Txn) probe(idx *Index, lo, hi any, out []uint64) ([]uint64, error) {
 	if err := idx.checkKeyType(hi); err != nil {
 		return nil, err
 	}
-	collect := func(e uint64) bool {
-		out = append(out, e)
-		return true
-	}
 	idx.latch.RLock()
 	defer idx.latch.RUnlock()
-	switch idx.kind {
-	case KindTTree:
-		tr, err := idx.readTree()
-		if err != nil {
-			return nil, err
-		}
-		return out, tr.Range(lo, hi, collect)
-	case KindLinHash:
-		tb, err := idx.readTable()
-		if err != nil {
-			return nil, err
-		}
-		kh, err := idx.hashKey(lo)
-		if err != nil {
-			return nil, err
-		}
-		return out, tb.Lookup(lo, kh, collect)
+	s, err := idx.read()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("mmdb: unknown index kind %v", idx.kind)
+	return s.probe(lo, hi, out)
 }
 
 // validateAndVisit locks and re-reads each candidate, dropping rows
