@@ -139,7 +139,7 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline: image of %v: %w", pid, err)
 		}
-		p, err := mm.FromImage(pid, img)
+		p, err := mm.AdoptImage(pid, img)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: image of %v: %w", pid, err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,16 +70,14 @@ func (d *diskMap) markUsed(t simdisk.TrackLoc) {
 	d.used[t] = true
 }
 
-// sealImage wraps a partition image with a CRC32 trailer for the trip
-// to (and especially back from) the checkpoint disk. Sector ECC and the
+// sealImage appends the CRC32 trailer of img to it, for the trip to
+// (and especially back from) the checkpoint disk. Sector ECC and the
 // write-verify cover the write path; the trailer is what lets the
 // restart path detect rot that happened while the image sat on disk —
-// content damage FromImage's structural checks cannot see.
+// content damage AdoptImage's structural checks cannot see. Given
+// capacity for the trailer, it seals img in place.
 func sealImage(img []byte) []byte {
-	out := make([]byte, len(img)+4)
-	copy(out, img)
-	binary.LittleEndian.PutUint32(out[len(img):], crc32.ChecksumIEEE(img))
-	return out
+	return binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
 }
 
 // errImageChecksum reports a checkpoint image whose envelope CRC no
@@ -88,17 +85,17 @@ func sealImage(img []byte) []byte {
 // checkpoint disk.
 var errImageChecksum = errors.New("core: checkpoint image envelope checksum mismatch")
 
-// openImage verifies and strips the envelope written by sealImage.
-func openImage(blob []byte) ([]byte, error) {
-	if len(blob) < 4 {
-		return nil, fmt.Errorf("%w: %d-byte envelope", errImageChecksum, len(blob))
+// openImage verifies an envelope written by sealImage and read back
+// split at its trailer: img is the image, checked in place, and crc the
+// trailer, which must be exactly 4 bytes.
+func openImage(img, crc []byte) error {
+	if len(crc) != 4 {
+		return fmt.Errorf("%w: %d-byte envelope", errImageChecksum, len(img)+len(crc))
 	}
-	img := blob[:len(blob)-4]
-	want := binary.LittleEndian.Uint32(blob[len(blob)-4:])
-	if crc32.ChecksumIEEE(img) != want {
-		return nil, errImageChecksum
+	if crc32.ChecksumIEEE(img) != binary.LittleEndian.Uint32(crc) {
+		return errImageChecksum
 	}
-	return img, nil
+	return nil
 }
 
 // checkpointer is the main-CPU loop: between transactions it serves the
@@ -202,8 +199,10 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	if err != nil {
 		return err
 	}
+	// The copy leaves room for the envelope trailer, sealed in place
+	// below once the latch is released.
 	p.Latch()
-	img := p.Snapshot()
+	img := p.AppendImage(make([]byte, 0, p.Size()+4))
 	p.Unlatch()
 	// Relation locks are held just long enough to copy the partition
 	// at memory speed (§2.4 step 4): release the read lock early by
@@ -223,7 +222,7 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	if err != nil {
 		return err
 	}
-	// The image travels in a checksummed envelope: FromImage validates
+	// The image travels in a checksummed envelope: AdoptImage validates
 	// structure but cannot see content rot (a flipped byte inside row
 	// data parses fine), so the restart path needs an end-to-end CRC to
 	// decide "this image rotted, rebuild from the archive" with no
@@ -234,11 +233,11 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	}
 	// Write-verify: a mutation fault can rot the image bytes while
 	// WriteTrack reports success and the track keeps valid sector ECC.
-	// TrackState inspects the stored bytes without touching the
+	// TrackEqual compares the stored bytes without touching the
 	// ckpt.read fault point; a mismatch fails this attempt into the
 	// normal retry path while the superseded image is still live (§2.4
 	// never overwrites the old copy, so the failure costs nothing).
-	if stored, bad, ok := m.hw.Ckpt.TrackState(track); !ok || bad || !bytes.Equal(stored, blob) {
+	if equal, bad, ok := m.hw.Ckpt.TrackEqual(track, blob); !ok || bad || !equal {
 		m.metrics.CkptVerifyFailed.Inc()
 		return fmt.Errorf("core: checkpoint write-verify of %v failed on track %d", pid, track)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -313,6 +314,52 @@ func TestCrashBetweenCommitAndFinish(t *testing.T) {
 	got, err := p.Read(a.Slot)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("recovered %q, want %q (%v)", got, want, err)
+	}
+}
+
+// TestRestoreAllocatesOneImage holds the recovery transaction to one
+// image-sized allocation: the checkpoint track is read once, split at
+// its CRC trailer, into the exact-size buffer the restored partition
+// keeps. The bin is empty, so the image is all there is to restore.
+func TestRestoreAllocatesOneImage(t *testing.T) {
+	cfg := testCfg()
+	cfg.PartitionSize = 48 << 10 // an allocator size class: exact means exact
+	cfg.UpdateThreshold = 1 << 30
+	h := newHarness(t, cfg)
+	h.start()
+	a := h.insert(h.seg(), bytes.Repeat([]byte{7}, 512))
+	pid := a.Partition()
+	h.m.RequestCheckpoint(pid)
+	h.idleWith("a checkpoint", func() bool { return h.m.Metrics().CkptCompleted.Value() == 1 })
+	h.powerOff()
+	h.powerOn()
+	defer h.m.Stop()
+	for _, b := range h.m.BinStates() {
+		if b.PID == pid && (len(b.Pages) != 0 || b.CurRecords != 0) {
+			t.Fatalf("bin of %v holds %d pages and %d records, want none", pid, len(b.Pages), b.CurRecords)
+		}
+	}
+	h.mu.Lock()
+	track := h.tracks[pid]
+	h.mu.Unlock()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := h.m.restorePartition(pid, track)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.Read(a.Slot); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{7}, 512)) {
+		t.Fatalf("restored entity: %v", err)
+	}
+	if c := cap(p.Image()); c != cfg.PartitionSize {
+		t.Fatalf("restored image has capacity %d, want %d", c, cfg.PartitionSize)
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("restore allocated %d bytes", n)
+	if n >= uint64(cfg.PartitionSize+8<<10) {
+		t.Fatalf("restore allocated %d bytes, want under %d", n, cfg.PartitionSize+8<<10)
 	}
 }
 

@@ -314,7 +314,12 @@ func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc)
 	var lost error // why the image the catalog names cannot be used
 	imgBytes := 0
 	if track != simdisk.NilTrack {
-		blob, err := m.hw.Ckpt.ReadTrack(track)
+		// The track is read once, split at its CRC trailer: img is an
+		// exact-size copy of the image, the buffer the partition keeps.
+		// (Adopting a PartitionSize + 4 envelope instead would pin an
+		// 8 KB page past the 48 KB size class per resident partition,
+		// EXPERIMENTS.md B24.)
+		img, crc, err := m.hw.Ckpt.ReadTrackSplit(track, 4)
 		if err != nil && !errors.Is(err, simdisk.ErrNoSuchTrack) {
 			// Transient faults and whole-disk failures propagate: the
 			// restart retries, or escalates to media-failure recovery.
@@ -322,22 +327,13 @@ func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc)
 		}
 		if err == nil {
 			// The envelope CRC catches content rot under valid sector
-			// ECC; FromImage catches structural rot. Either failure
+			// ECC; AdoptImage catches structural rot. Either failure
 			// means the image cannot be trusted at all.
-			//
-			// FromImage copies the image, and the copy is the cheaper
-			// choice: blob is PartitionSize + 4 bytes of CRC, which for
-			// the default 48 KB partition falls one 8 KB page past its
-			// allocator size class, so a partition that adopted blob
-			// would pin that page for as long as it is resident
-			// (measured: heap_live_mb +2.3 % on dc_inproc, +2.7 % on
-			// read_mix, EXPERIMENTS.md B24).
-			var img []byte
-			if img, err = openImage(blob); err == nil {
-				p, err = mm.FromImage(pid, img)
+			if err = openImage(img, crc); err == nil {
+				p, err = mm.AdoptImage(pid, img)
 			}
 		}
-		lost, imgBytes = err, len(blob)
+		lost, imgBytes = err, len(img)+len(crc)
 	}
 	if track == simdisk.NilTrack || lost != nil {
 		p = mm.NewPartition(pid, m.cfg.PartitionSize)

@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzFromImage feeds arbitrary bytes to the partition-image validator.
-// It must never panic, and any image it accepts must be safe to operate
-// on: slot iteration, reads, an insert, and a delete must all stay in
-// bounds (the validator's job is exactly to make the later fast paths
+// It must never panic, FromImage and AdoptImage must agree on every
+// input, and any image they accept must be safe to operate on: slot
+// iteration, reads, an insert, and a delete must all stay in bounds
+// (the validator's job is exactly to make the later fast paths
 // unconditionally safe).
 func FuzzFromImage(f *testing.F) {
 	pid := addr.PartitionID{Segment: 2, Part: 1}
@@ -32,8 +33,17 @@ func FuzzFromImage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, image []byte) {
 		p, err := FromImage(pid, image)
+		// AdoptImage runs the same checks over the buffer it keeps:
+		// it accepts exactly what FromImage accepts, as the same image.
+		a, aerr := AdoptImage(pid, bytes.Clone(image))
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("FromImage: %v, AdoptImage: %v", err, aerr)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(a.Image(), image) || !bytes.Equal(p.Image(), image) {
+			t.Fatal("an accepted image differs from its input")
 		}
 		live := 0
 		p.Slots(func(s addr.Slot, data []byte) bool {

@@ -14,6 +14,7 @@
 package mm
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -83,15 +84,23 @@ func NewPartition(id addr.PartitionID, size int) *Partition {
 // deep inside replay.
 var ErrBadImage = errors.New("mm: corrupt partition image")
 
-// FromImage reconstructs a partition from a checkpoint image, validating
-// every structural invariant the accessors rely on. The image bytes come
-// off a disk track whose ECC a mutation fault (or real bit rot) can
-// leave intact, so nothing about them can be trusted.
+// FromImage reconstructs a partition from a copy of a checkpoint image:
+// AdoptImage over bytes.Clone(image), so the caller keeps image.
 func FromImage(id addr.PartitionID, image []byte) (*Partition, error) {
+	return AdoptImage(id, bytes.Clone(image))
+}
+
+// AdoptImage reconstructs a partition from a checkpoint image, validating
+// every structural invariant the accessors rely on, and keeps image as
+// the partition's buffer: the caller hands it over and must not touch it
+// again. The image bytes come off a disk track whose ECC a mutation
+// fault (or real bit rot) can leave intact, so nothing about them can be
+// trusted.
+func AdoptImage(id addr.PartitionID, image []byte) (*Partition, error) {
 	if len(image) < headerSize+slotEntrySize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadImage, len(image), headerSize+slotEntrySize)
 	}
-	p := &Partition{id: id, buf: append([]byte(nil), image...)}
+	p := &Partition{id: id, buf: image}
 	n := int(p.u16(hdrNumSlots))
 	tableEnd := headerSize + n*slotEntrySize
 	top := int(p.u32(hdrHeapTop))
@@ -492,12 +501,14 @@ func (p *Partition) Slots(fn func(s addr.Slot, data []byte) bool) {
 	}
 }
 
-// Snapshot returns a copy of the partition image: the unit of transfer
-// for checkpoint operations (§2). The caller must hold whatever locks
-// make the content transaction-consistent.
-func (p *Partition) Snapshot() []byte {
-	return append([]byte(nil), p.buf...)
-}
+// Snapshot returns a copy of the partition image: AppendImage(nil).
+func (p *Partition) Snapshot() []byte { return p.AppendImage(nil) }
+
+// AppendImage appends the partition image to dst and returns the
+// extended slice: the unit of transfer for checkpoint operations (§2).
+// The caller must hold whatever locks make the content
+// transaction-consistent.
+func (p *Partition) AppendImage(dst []byte) []byte { return append(dst, p.buf...) }
 
 // Image exposes the raw partition image for in-place REDO replay; the
 // caller must hold the latch.

@@ -21,6 +21,7 @@
 package simdisk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -514,50 +515,65 @@ func (d *CheckpointDisk) WriteTrack(loc TrackLoc, data []byte) error {
 // plus rotation plus the double-rate track transfer. A torn or
 // corrupted track fails with ErrBadSector.
 func (d *CheckpointDisk) ReadTrack(loc TrackLoc) ([]byte, error) {
+	data, _, err := d.ReadTrackSplit(loc, 0) // an empty tail: all of it is head
+	return data, err
+}
+
+// ReadTrackSplit is ReadTrack with the track split at its last tailLen
+// bytes: head is an exact-size copy of everything before them (for a
+// checkpoint image, the buffer the partition keeps) and tail is those
+// bytes (the envelope trailer). Fault points, errors and the busy
+// charge are ReadTrack's; a read mutation damages the whole track
+// before the split, so head‖tail is always what ReadTrack returns. A
+// track shorter than tailLen comes back whole in tail.
+func (d *CheckpointDisk) ReadTrackSplit(loc TrackLoc, tailLen int) (head, tail []byte, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failed {
-		return nil, ErrMediaFailure
+		return nil, nil, ErrMediaFailure
 	}
 	dec := d.inj.Check(fault.PointCkptRead, 0)
 	if dec.Err != nil {
-		return nil, dec.Err
+		return nil, nil, dec.Err
 	}
 	t, ok := d.tracks[loc]
 	if !ok {
-		return nil, fmt.Errorf("%w: track %d", ErrNoSuchTrack, loc)
+		return nil, nil, fmt.Errorf("%w: track %d", ErrNoSuchTrack, loc)
 	}
 	if dec.MarkBad {
 		t.bad = true
 	}
 	if t.bad {
-		return nil, fmt.Errorf("%w: track %d", ErrBadSector, loc)
+		return nil, nil, fmt.Errorf("%w: track %d", ErrBadSector, loc)
 	}
 	d.busy.Add(d.params.AvgSeekMicros + d.params.RotateMicros + d.params.trackTransferMicros(len(t.data)))
-	out := append([]byte(nil), t.data...)
+	data := t.data
 	if dec.Mutated() {
 		// Transient read rot with clean ECC; image validation in the
 		// partition loader is the detector.
-		out = dec.MutateBytes(out)
+		data = dec.MutateBytes(data)
 	}
-	return out, nil
+	cut := max(len(data)-tailLen, 0)
+	// append from nil sizes each copy exactly and zeroes nothing first.
+	return append([]byte(nil), data[:cut]...), append([]byte(nil), data[cut:]...), nil
 }
 
-// TrackState inspects the stored bytes of the track at loc without
-// charging cost or fault points: the checkpoint manager's write-verify
-// pass compares them against what it meant to write, so a silently
-// mutated image write is caught while the previous image still exists.
+// TrackEqual compares the stored bytes of the track at loc with want
+// without copying them or charging cost or fault points, and reports
+// the track's ECC-bad flag and whether it holds anything at all: the
+// checkpoint manager's write-verify pass, so a silently mutated image
+// write is caught while the previous image still exists.
 // (Deliberately uninstrumented — a verify read through the ckpt.read
 // fault point would shift recovery-time hit counts and break plan
 // reproducibility, like stablemem.Region.)
-func (d *CheckpointDisk) TrackState(loc TrackLoc) (data []byte, bad bool, ok bool) {
+func (d *CheckpointDisk) TrackEqual(loc TrackLoc, want []byte) (equal, bad, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tracks[loc]
 	if !ok {
-		return nil, false, false
+		return false, false, false
 	}
-	return append([]byte(nil), t.data...), t.bad, true
+	return bytes.Equal(t.data, want), t.bad, true
 }
 
 // FreeTrack discards the image at loc (its partition has a newer copy).

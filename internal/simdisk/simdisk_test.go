@@ -415,3 +415,77 @@ func TestDuplexSimplexedWriteThenCrashAfter(t *testing.T) {
 		t.Fatalf("mirror not re-duplexed: %q, %v", m, err)
 	}
 }
+
+// TestReadTrackSplitEqualsReadTrack holds the split read to the whole
+// read: each case runs the same injector plan on two fresh disks, one
+// read each way, and the two must agree on the bytes (head‖tail), the
+// error and the busy charge.
+func TestReadTrackSplitEqualsReadTrack(t *testing.T) {
+	const size, tailLen = 48<<10 + 4, 4
+	img := make([]byte, size)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	read := func(act fault.Act, torn int) fault.Plan {
+		return fault.Plan{Seed: 7, Rules: []fault.Rule{{Point: fault.PointCkptRead, Hit: 1, Act: act, Torn: torn}}}
+	}
+	cases := []struct {
+		name    string
+		plan    fault.Plan
+		loc     TrackLoc // the track read; the image is written to track 0
+		fail    bool     // the medium fails before the read
+		rot     bool     // the read returns damaged bytes
+		wantErr error
+	}{
+		{name: "clean"},
+		{name: "flip", rot: true, plan: read(fault.ActMutFlip, -1)},
+		{name: "zero", rot: true, plan: read(fault.ActMutZero, -1)},
+		{name: "trunc", rot: true, plan: read(fault.ActMutTrunc, -1)},
+		{name: "trunc-into-tail", rot: true, plan: read(fault.ActMutTrunc, 2)},
+		{name: "markbad", plan: read(fault.ActCorrupt, 0), wantErr: ErrBadSector},
+		{name: "missing", loc: 1, wantErr: ErrNoSuchTrack},
+		{name: "failed", fail: true, wantErr: ErrMediaFailure},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			disk := func() (*CheckpointDisk, *metrics.Counter) {
+				busy := &metrics.Counter{}
+				d := NewCheckpointDisk(4, DefaultParams(), nil)
+				if err := d.WriteTrack(0, img); err != nil {
+					t.Fatal(err)
+				}
+				d.SetBusy(busy)
+				d.SetInjector(fault.NewInjector(c.plan))
+				if c.fail {
+					d.Fail()
+				}
+				return d, busy
+			}
+			whole, wholeBusy := disk()
+			split, splitBusy := disk()
+			want, werr := whole.ReadTrack(c.loc)
+			head, tail, serr := split.ReadTrackSplit(c.loc, tailLen)
+			if !errors.Is(werr, c.wantErr) || !errors.Is(serr, c.wantErr) || (werr == nil) != (serr == nil) {
+				t.Fatalf("errors: ReadTrack %v, ReadTrackSplit %v, want %v", werr, serr, c.wantErr)
+			}
+			if werr != nil && werr.Error() != serr.Error() {
+				t.Fatalf("errors differ: ReadTrack %q, ReadTrackSplit %q", werr, serr)
+			}
+			if got := append(append([]byte(nil), head...), tail...); !bytes.Equal(got, want) {
+				t.Fatalf("head‖tail is %d bytes, ReadTrack %d, or they differ", len(got), len(want))
+			}
+			if werr == nil && c.rot == bytes.Equal(want, img) {
+				t.Fatalf("read returned the stored image unchanged: %v, want %v", !c.rot, c.rot)
+			}
+			if wholeBusy.Value() != splitBusy.Value() {
+				t.Fatalf("busy charge: ReadTrack %d µs, ReadTrackSplit %d µs", wholeBusy.Value(), splitBusy.Value())
+			}
+			if len(want) >= tailLen && len(tail) != tailLen {
+				t.Fatalf("tail of a %d-byte track is %d bytes, want %d", len(want), len(tail), tailLen)
+			}
+			if c.name == "clean" && (len(head) != 48<<10 || cap(head) != len(head)) {
+				t.Fatalf("head len %d cap %d, want both %d", len(head), cap(head), 48<<10)
+			}
+		})
+	}
+}
