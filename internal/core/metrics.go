@@ -251,7 +251,7 @@ func newMetrics(streams int) *Metrics {
 		HeatPersists: heatS.Counter("persists", "persists", "heat-ranking serialisations into the stable snapshot region"),
 		HeatDecays:   heatS.Counter("decays", "halvings", "exponential-decay halvings applied to the heat counts"),
 		HeatTrackedParts: heatS.Gauge("tracked_partitions", "parts",
-			"partitions with a live heat count"),
+			"partitions with a heat count, zeroed ones included"),
 		HeatSnapshotBytes: heatS.Gauge("snapshot_bytes", "bytes",
 			"payload bytes of the last persisted heat snapshot"),
 		HeatRecoveredParts: heatS.Gauge("recovered_partitions", "parts",

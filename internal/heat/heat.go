@@ -5,9 +5,13 @@
 // the moment ≥99% of pre-crash access weight is resident again — beats
 // time-to-fully-recovered by a wide margin on skewed workloads).
 //
-// The tracker lives on the hot path of mm.Store.Partition, so Touch is
-// one RLock map probe plus an atomic add; entries are created once per
-// partition lifetime. Counts decay exponentially (configurable
+// The tracker lives on the hot path of mm.Store.Partition. Each
+// partition's count is created once and kept for the tracker's life
+// (Forget and decay zero it, never delete it), so the store holds a
+// resident partition's count on the partition itself: a resident
+// resolve is one atomic add on that count plus Tick, which drives the
+// touch metric and the persist cadence. Only a miss looks the count up
+// by address (Count, Touch). Counts decay exponentially (configurable
 // half-life) so the ranking follows the working set rather than
 // all-time totals.
 //
@@ -25,7 +29,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +61,21 @@ type Tracker struct {
 	persistEvery int64
 	halfLife     time.Duration
 
+	// mu guards counts: one per partition ever counted, never removed,
+	// so a count handed out by Count stays the partition's for the
+	// tracker's life.
 	mu     sync.RWMutex
 	counts map[addr.PartitionID]*atomic.Int64
 
-	touches    atomic.Int64 // total touches, drives the persist cadence
-	persisting atomic.Bool  // single-flight guard for periodic persists
-	lastDecay  atomic.Int64 // unixnano of the last decay pass
+	// untilPersist counts down the touches left before the next periodic
+	// persist: the toucher that takes it to zero adds persistEvery back,
+	// so persists fall every persistEvery touches without a division.
+	untilPersist atomic.Int64
+	persisting   atomic.Bool  // single-flight guard for periodic persists
+	lastDecay    atomic.Int64 // unixnano of the last decay pass
+
+	persistMu sync.Mutex
+	ranked    []PartHeat // persist's ranking buffer, reused
 
 	recovered []PartHeat // pre-crash ranking recovered at Attach
 
@@ -130,12 +143,15 @@ func Attach(mem *stablemem.Memory, bytes, persistEvery int, halfLife time.Durati
 		counts:       make(map[addr.PartitionID]*atomic.Int64, len(recovered)),
 		recovered:    recovered,
 	}
+	t.untilPersist.Store(t.persistEvery)
 	t.lastDecay.Store(time.Now().UnixNano())
-	for _, ph := range recovered {
+	// Seed the counts from one allocation: a restart recovers every
+	// partition's count before its first transaction.
+	seeds := make([]atomic.Int64, len(recovered))
+	for i, ph := range recovered {
 		if ph.Weight > 0 {
-			c := new(atomic.Int64)
-			c.Store(ph.Weight)
-			t.counts[ph.PID] = c
+			seeds[i].Store(ph.Weight)
+			t.counts[ph.PID] = &seeds[i]
 		}
 	}
 	if snap != prior && len(recovered) > 0 {
@@ -155,11 +171,23 @@ func (t *Tracker) Recovered() []PartHeat {
 	return t.recovered
 }
 
-// Touch records one access to the partition: the hot-path entry point,
-// called from mm.Store.Partition on every resolve. Nil-safe.
+// Touch records one access to the partition: Count plus Tick, for a
+// caller that does not hold the count. Nil-safe.
 func (t *Tracker) Touch(pid addr.PartitionID) {
 	if t == nil {
 		return
+	}
+	t.Count(pid).Add(1)
+	t.Tick()
+}
+
+// Count returns the partition's access count, creating it at zero. The
+// same count is returned for as long as the tracker lives, so a caller
+// may keep it and add to it directly, then call Tick. Nil-safe: a nil
+// tracker returns nil.
+func (t *Tracker) Count(pid addr.PartitionID) *atomic.Int64 {
+	if t == nil {
+		return nil
 	}
 	t.mu.RLock()
 	c := t.counts[pid]
@@ -173,9 +201,18 @@ func (t *Tracker) Touch(pid addr.PartitionID) {
 		}
 		t.mu.Unlock()
 	}
-	c.Add(1)
+	return c
+}
+
+// Tick records one access whose count the caller has already added to:
+// it counts the touch and persists every persistEvery touches. Nil-safe.
+func (t *Tracker) Tick() {
+	if t == nil {
+		return
+	}
 	t.Touches.Inc()
-	if n := t.touches.Add(1); n%t.persistEvery == 0 {
+	if t.untilPersist.Add(-1) == 0 {
+		t.untilPersist.Add(t.persistEvery)
 		// Single-flight: one toucher persists, concurrent touchers skip.
 		if t.persisting.CompareAndSwap(false, true) {
 			t.persist()
@@ -184,15 +221,16 @@ func (t *Tracker) Touch(pid addr.PartitionID) {
 	}
 }
 
-// Forget drops a partition from the tracker (segment/partition freed).
+// Forget resets a partition's heat to zero (segment/partition freed).
 // Nil-safe.
 func (t *Tracker) Forget(pid addr.PartitionID) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	delete(t.counts, pid)
-	t.TrackedParts.Set(int64(len(t.counts)))
+	if c := t.counts[pid]; c != nil {
+		c.Store(0)
+	}
 	t.mu.Unlock()
 }
 
@@ -211,26 +249,42 @@ func (t *Tracker) Weight(pid addr.PartitionID) int64 {
 }
 
 // Ranking returns the live ranking, hottest first; ties break by
-// partition address so the order is deterministic. Nil-safe.
+// partition address so the order is deterministic. Partitions of zero
+// heat are left out. Nil-safe.
 func (t *Tracker) Ranking() []PartHeat {
 	if t == nil {
 		return nil
 	}
+	return t.rank(nil)
+}
+
+// rank writes the ranking into buf, reusing its storage.
+func (t *Tracker) rank(buf []PartHeat) []PartHeat {
 	t.mu.RLock()
-	out := make([]PartHeat, 0, len(t.counts))
+	buf = slices.Grow(buf[:0], len(t.counts))
 	for pid, c := range t.counts {
 		if w := c.Load(); w > 0 {
-			out = append(out, PartHeat{PID: pid, Weight: w})
+			buf = append(buf, PartHeat{PID: pid, Weight: w})
 		}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].PID.Less(out[j].PID)
-	})
-	return out
+	slices.SortFunc(buf, hotterFirst)
+	return buf
+}
+
+// hotterFirst orders by weight, heaviest first, then by address.
+func hotterFirst(a, b PartHeat) int {
+	switch {
+	case a.Weight > b.Weight:
+		return -1
+	case a.Weight < b.Weight:
+		return 1
+	case a.PID.Less(b.PID):
+		return -1
+	case b.PID.Less(a.PID):
+		return 1
+	}
+	return 0
 }
 
 // Persist serialises the current ranking into the stable snapshot
@@ -245,8 +299,10 @@ func (t *Tracker) Persist() {
 
 func (t *Tracker) persist() {
 	t.maybeDecay()
-	ranked := t.Ranking()
-	stored, bytes := t.snap.Store(ranked)
+	t.persistMu.Lock()
+	t.ranked = t.rank(t.ranked)
+	stored, bytes := t.snap.Store(t.ranked)
+	t.persistMu.Unlock()
 	t.Persists.Inc()
 	t.SnapshotBytes.Set(int64(bytes))
 	if t.OnPersist != nil {
@@ -255,8 +311,7 @@ func (t *Tracker) persist() {
 }
 
 // maybeDecay halves every count once per elapsed half-life, so the
-// ranking tracks the working set rather than all-time totals. Counts
-// that decay to zero are dropped.
+// ranking tracks the working set rather than all-time totals.
 func (t *Tracker) maybeDecay() {
 	if t.halfLife <= 0 {
 		return
@@ -273,9 +328,9 @@ func (t *Tracker) maybeDecay() {
 	t.DecayN(halvings)
 }
 
-// DecayN halves every count n times (counts reaching zero are
-// dropped). Exposed so tests and benchmarks can age the ranking
-// deterministically. Nil-safe.
+// DecayN halves every count n times; a count reaching zero stays, at
+// zero, and leaves the ranking. Exposed so tests and benchmarks can age
+// the ranking deterministically. Nil-safe.
 func (t *Tracker) DecayN(n int64) {
 	if t == nil || n <= 0 {
 		return
@@ -284,14 +339,9 @@ func (t *Tracker) DecayN(n int64) {
 		n = 62
 	}
 	t.mu.Lock()
-	for pid, c := range t.counts {
-		if v := c.Load() >> n; v > 0 {
-			c.Store(v)
-		} else {
-			delete(t.counts, pid)
-		}
+	for _, c := range t.counts {
+		c.Store(c.Load() >> n)
 	}
-	t.TrackedParts.Set(int64(len(t.counts)))
 	t.mu.Unlock()
 	t.Decays.Add(n)
 }
@@ -314,9 +364,10 @@ const (
 // memory and registered in the stable root. It survives crashes
 // because the stablemem.Memory value does.
 type Snapshot struct {
-	mu  sync.Mutex
-	reg *stablemem.Region
-	gen uint64
+	mu      sync.Mutex
+	reg     *stablemem.Region
+	gen     uint64
+	payload []byte // Store's encoding buffer, reused
 }
 
 // NewSnapshot carves a snapshot region of the given size out of stable
@@ -396,7 +447,10 @@ func (s *Snapshot) Store(ranked []PartHeat) (stored, payloadBytes int) {
 	defer s.mu.Unlock()
 	slotCap := s.reg.Size()/2 - slotHdrSize
 	var tmp [3 * binary.MaxVarintLen64]byte
-	payload := make([]byte, 8, slotCap)
+	if cap(s.payload) < slotCap {
+		s.payload = make([]byte, 0, slotCap)
+	}
+	payload := s.payload[:8]
 	for _, ph := range ranked {
 		n := binary.PutUvarint(tmp[:], uint64(ph.PID.Segment))
 		n += binary.PutUvarint(tmp[n:], uint64(ph.PID.Part))

@@ -270,3 +270,20 @@ func TestConcurrentTouch(t *testing.T) {
 		t.Fatalf("total weight = %d, want %d", total, goroutines*per)
 	}
 }
+
+func TestPersistAllocatesNothing(t *testing.T) {
+	tr := persistTracker(t, 1000)
+	if n := testing.AllocsPerRun(50, tr.Persist); n != 0 {
+		t.Fatalf("a persist after the first allocates %v", n)
+	}
+	r := tr.Ranking()
+	got, _ := tr.Snap().Load()
+	if len(got) == 0 || len(got) > len(r) {
+		t.Fatalf("persisted %d of %d entries", len(got), len(r))
+	}
+	for i := range got {
+		if got[i] != r[i] {
+			t.Fatalf("persisted entry %d = %v, ranking has %v", i, got[i], r[i])
+		}
+	}
+}

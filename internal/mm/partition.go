@@ -61,8 +61,11 @@ type Partition struct {
 	// once it commits); other transactions' inserts pass it over. hint
 	// is the owning segment's first-fit cursor, set when the store
 	// attaches the partition; operations that free space rewind it.
+	// heat is the partition's access counter while the store has a heat
+	// sink, set on attach and by Store.SetHeat.
 	owner atomic.Uint64
 	hint  *placeHint
+	heat  atomic.Pointer[heatRef]
 }
 
 // NewPartition creates an empty partition image of size bytes.

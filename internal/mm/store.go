@@ -21,12 +21,88 @@ var ErrNotResident = errors.New("mm: partition not memory-resident")
 // recovered"). It returns the recovered partition or an error.
 type ResolveFunc func(id addr.PartitionID) (*Partition, error)
 
-// Toucher receives one notification per partition access — the
-// heat tracker's hot-path seam. Implementations must be cheap and safe
-// for concurrent use; Partition calls it on every demand, resident or
-// not.
+// Toucher is the heat tracker as the store sees it: one access count
+// per partition, the same counter for as long as the tracker lives. The
+// store keeps a resident partition's counter on the partition, so a
+// resident resolve adds to it and calls Tick, and only a miss asks for
+// the counter by address. Implementations must be safe for concurrent
+// use; Count may return nil to count nothing.
 type Toucher interface {
-	Touch(id addr.PartitionID)
+	// Count returns id's access counter.
+	Count(id addr.PartitionID) *atomic.Int64
+	// Tick records one access already added to a counter.
+	Tick()
+}
+
+// heatRef is a resident partition's access counter and the tracker
+// that owns it.
+type heatRef struct {
+	n *atomic.Int64
+	t Toucher
+}
+
+// newHeatRef returns id's counter under h, or nil if h counts nothing.
+func newHeatRef(h Toucher, id addr.PartitionID) *heatRef {
+	if h == nil {
+		return nil
+	}
+	if n := h.Count(id); n != nil {
+		return &heatRef{n: n, t: h}
+	}
+	return nil
+}
+
+func (r *heatRef) hit() {
+	r.n.Add(1)
+	r.t.Tick()
+}
+
+// Bounds of the published table. Segments and the partitions of a
+// segment are numbered densely, so real addresses sit far below them;
+// an address past them (a rotted catalog entry, say) is kept in
+// Store.far rather than growing the table to its size.
+const (
+	tableSegs  = 1 << 16
+	tableParts = 1 << 20
+)
+
+func inTable(id addr.PartitionID) bool {
+	return id.Segment < tableSegs && id.Part < tableParts
+}
+
+// table is the store's residency as Partition reads it without a lock:
+// segs[seg] holds the segment's partition slots, indexed by partition
+// number, or is nil. Writers hold Store.mu and publish every change
+// before they return; a level that must grow is copied at double the
+// size and the copy published.
+type table struct {
+	segs []atomic.Pointer[slots]
+}
+
+type slots []atomic.Pointer[Partition]
+
+func (t *table) at(id addr.PartitionID) *Partition {
+	if int(id.Segment) < len(t.segs) {
+		if s := t.segs[id.Segment].Load(); s != nil && int(id.Part) < len(*s) {
+			return (*s)[id.Part].Load()
+		}
+	}
+	return nil
+}
+
+// grown returns a copy of s with room for at least n slots.
+func (s *slots) grown(n int) *slots {
+	size := 8
+	for size < n {
+		size *= 2
+	}
+	g := make(slots, size)
+	if s != nil {
+		for i := range *s {
+			g[i].Store((*s)[i].Load())
+		}
+	}
+	return &g
 }
 
 // Store is the volatile memory manager: the set of segments making up
@@ -35,8 +111,13 @@ type Toucher interface {
 type Store struct {
 	partSize int
 
+	// tab publishes which partitions are resident; see table. Every
+	// change to it is made under mu.
+	tab atomic.Pointer[table]
+
 	mu      sync.RWMutex
 	segs    map[addr.SegmentID]*segment
+	far     map[addr.PartitionID]*Partition // resident, outside the table
 	nextSeg addr.SegmentID
 	resolve ResolveFunc
 	heat    Toucher
@@ -59,8 +140,7 @@ type inflightRecovery struct {
 }
 
 type segment struct {
-	id    addr.SegmentID
-	parts map[addr.PartitionNum]*Partition
+	id addr.SegmentID
 	// nextPart is past every partition of the segment known to exist,
 	// resident (attach) or only named by the catalogs (Store.Reserve).
 	nextPart addr.PartitionNum
@@ -75,7 +155,7 @@ type segment struct {
 }
 
 func newSegment(id addr.SegmentID) *segment {
-	return &segment{id: id, parts: make(map[addr.PartitionNum]*Partition)}
+	return &segment{id: id}
 }
 
 // view returns ordered for reading. Caller holds st.mu.
@@ -95,11 +175,12 @@ func (s *segment) unshare() {
 	}
 }
 
-// attach makes p resident, replacing any prior copy. Caller holds st.mu
-// for writing.
-func (s *segment) attach(p *Partition) {
+// attach makes p resident in s, replacing any prior copy. Caller holds
+// st.mu for writing.
+func (st *Store) attach(s *segment, p *Partition) {
 	p.hint = &s.hint
-	s.parts[p.id.Part] = p
+	p.heat.Store(newHeatRef(st.heat, p.id))
+	st.publish(p.id, p)
 	if p.id.Part >= s.nextPart {
 		s.nextPart = p.id.Part + 1
 	}
@@ -117,15 +198,72 @@ func (s *segment) attach(p *Partition) {
 	s.hint.rewind(p.id.Part) // p may have room
 }
 
-// detach removes a partition from memory. Caller holds st.mu for writing.
-func (s *segment) detach(part addr.PartitionNum) {
-	if _, ok := s.parts[part]; !ok {
+// detach removes a partition from memory. Caller holds st.mu for
+// writing.
+func (st *Store) detach(s *segment, part addr.PartitionNum) {
+	id := addr.PartitionID{Segment: s.id, Part: part}
+	if st.lookup(id) == nil {
 		return
 	}
-	delete(s.parts, part)
+	st.publish(id, nil)
 	s.unshare()
 	i := firstAtOrAbove(s.ordered, part)
 	s.ordered = slices.Delete(s.ordered, i, i+1)
+}
+
+// publish makes p the resident copy at id, or none if p is nil. Caller
+// holds st.mu for writing.
+func (st *Store) publish(id addr.PartitionID, p *Partition) {
+	switch {
+	case inTable(id):
+		(*st.room(id))[id.Part].Store(p)
+	case p == nil:
+		delete(st.far, id)
+	default:
+		st.far[id] = p
+	}
+}
+
+// room returns the slots of id's segment, first growing the table and
+// the slots to hold id. Caller holds st.mu for writing; id is in the
+// table.
+func (st *Store) room(id addr.PartitionID) *slots {
+	t := st.tab.Load()
+	if int(id.Segment) >= len(t.segs) {
+		g := &table{segs: make([]atomic.Pointer[slots], min(2*int(id.Segment)+1, tableSegs))}
+		for i := range t.segs {
+			g.segs[i].Store(t.segs[i].Load())
+		}
+		st.tab.Store(g)
+		t = g
+	}
+	seg := &t.segs[id.Segment]
+	s := seg.Load()
+	if s == nil || int(id.Part) >= len(*s) {
+		s = s.grown(int(id.Part) + 1)
+		seg.Store(s)
+	}
+	return s
+}
+
+// lookup returns the resident copy at id or nil. Caller holds st.mu
+// unless id is in the table.
+func (st *Store) lookup(id addr.PartitionID) *Partition {
+	if inTable(id) {
+		return st.tab.Load().at(id)
+	}
+	return st.far[id]
+}
+
+// residentPart returns the resident partition or nil. For an address
+// in the table it takes no lock.
+func (st *Store) residentPart(id addr.PartitionID) *Partition {
+	if inTable(id) {
+		return st.tab.Load().at(id)
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.far[id]
 }
 
 // firstAtOrAbove returns the position in parts, which is ordered, of the
@@ -176,12 +314,15 @@ func (h *placeHint) rewind(part addr.PartitionNum) {
 
 // NewStore creates an empty store whose partitions are partSize bytes.
 func NewStore(partSize int) *Store {
-	return &Store{
+	st := &Store{
 		partSize: partSize,
 		segs:     make(map[addr.SegmentID]*segment),
+		far:      make(map[addr.PartitionID]*Partition),
 		nextSeg:  addr.FirstUserSegment,
 		inflight: make(map[addr.PartitionID]*inflightRecovery),
 	}
+	st.tab.Store(&table{})
+	return st
 }
 
 // PartitionSize returns the configured partition size in bytes.
@@ -194,12 +335,18 @@ func (st *Store) SetResolve(fn ResolveFunc) {
 	st.resolve = fn
 }
 
-// SetHeat installs the access-heat sink consulted on every Partition
-// demand. nil disables tracking.
+// SetHeat installs the access-heat sink that counts every Partition
+// demand, and hands each resident partition its counter. nil disables
+// tracking.
 func (st *Store) SetHeat(h Toucher) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.heat = h
+	for _, s := range st.segs {
+		for _, p := range s.ordered {
+			p.heat.Store(newHeatRef(h, p.id))
+		}
+	}
 }
 
 // CreateSegment allocates a fresh segment ID for a new database object.
@@ -251,6 +398,16 @@ func (st *Store) Reserve(id addr.PartitionID) {
 func (st *Store) DropSegment(id addr.SegmentID) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	s, ok := st.segs[id]
+	if !ok {
+		return
+	}
+	for _, p := range s.ordered {
+		delete(st.far, p.id)
+	}
+	if t := st.tab.Load(); int(id) < len(t.segs) {
+		t.segs[id].Store(nil)
+	}
 	delete(st.segs, id)
 }
 
@@ -264,7 +421,7 @@ func (st *Store) AllocPartition(seg addr.SegmentID) (*Partition, error) {
 		return nil, fmt.Errorf("mm: no such segment %d", seg)
 	}
 	p := NewPartition(addr.PartitionID{Segment: seg, Part: s.nextPart}, st.partSize)
-	s.attach(p)
+	st.attach(s, p)
 	return p, nil
 }
 
@@ -277,11 +434,11 @@ func (st *Store) AllocPartitionAt(id addr.PartitionID) (*Partition, error) {
 	if !ok {
 		return nil, fmt.Errorf("mm: no such segment %d", id.Segment)
 	}
-	if _, dup := s.parts[id.Part]; dup {
+	if st.lookup(id) != nil {
 		return nil, fmt.Errorf("mm: partition %v already exists", id)
 	}
 	p := NewPartition(id, st.partSize)
-	s.attach(p)
+	st.attach(s, p)
 	return p, nil
 }
 
@@ -290,7 +447,7 @@ func (st *Store) AllocPartitionAt(id addr.PartitionID) (*Partition, error) {
 func (st *Store) Install(p *Partition) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.ensureSegment(p.id.Segment).attach(p)
+	st.attach(st.ensureSegment(p.id.Segment), p)
 }
 
 // Evict removes a partition from memory without touching stable copies;
@@ -299,41 +456,38 @@ func (st *Store) Evict(id addr.PartitionID) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if s, ok := st.segs[id.Segment]; ok {
-		s.detach(id.Part)
+		st.detach(s, id.Part)
 	}
 }
 
 // Resident reports whether the partition is currently in memory.
 func (st *Store) Resident(id addr.PartitionID) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s, ok := st.segs[id.Segment]
-	if !ok {
-		return false
-	}
-	_, ok = s.parts[id.Part]
-	return ok
+	return st.residentPart(id) != nil
 }
 
 // Partition returns the partition, triggering on-demand recovery through
 // the resolve hook if it is not resident. Concurrent demanders of the
 // same partition coalesce into one recovery transaction (§2.5); distinct
-// partitions recover in parallel.
+// partitions recover in parallel. Every call counts one access to the
+// heat sink. A resident partition is found in the published table and
+// counted on its own counter, with no lock taken.
 func (st *Store) Partition(id addr.PartitionID) (*Partition, error) {
-	st.mu.RLock()
-	s, ok := st.segs[id.Segment]
-	var p *Partition
-	if ok {
-		p = s.parts[id.Part]
-	}
-	resolve := st.resolve
-	heat := st.heat
-	st.mu.RUnlock()
-	if heat != nil {
-		heat.Touch(id)
-	}
-	if p != nil {
+	if p := st.residentPart(id); p != nil {
+		if h := p.heat.Load(); h != nil {
+			h.hit()
+		}
 		return p, nil
+	}
+	return st.miss(id)
+}
+
+// miss is Partition for a partition that was not resident.
+func (st *Store) miss(id addr.PartitionID) (*Partition, error) {
+	st.mu.RLock()
+	resolve, heat := st.resolve, st.heat
+	st.mu.RUnlock()
+	if h := newHeatRef(heat, id); h != nil {
+		h.hit()
 	}
 	if resolve == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotResident, id)
@@ -362,15 +516,17 @@ func (st *Store) Partition(id addr.PartitionID) (*Partition, error) {
 	st.resolveMu.Unlock()
 
 	f.p, f.err = resolve(id)
+	// Install and remove the inflight entry under one hold of
+	// resolveMu, so a demander that re-checks under it finds either the
+	// resident partition or this entry — never a gap that would start a
+	// second recovery of an installed partition, nor an entry that
+	// outlives its install and would hand this copy to a demander after
+	// a later Evict. Failed recoveries clear the entry so a later demand
+	// can retry.
+	st.resolveMu.Lock()
 	if f.err == nil {
 		st.Install(f.p)
 	}
-	// Install before removing the inflight entry, so every future
-	// demander hits either the resident fast path or this entry — never
-	// a gap that would start a second recovery of an installed
-	// partition. Failed recoveries clear the entry so a later demand
-	// can retry.
-	st.resolveMu.Lock()
 	delete(st.inflight, id)
 	st.resolveMu.Unlock()
 	close(f.done)
@@ -378,16 +534,6 @@ func (st *Store) Partition(id addr.PartitionID) (*Partition, error) {
 		return nil, f.err
 	}
 	return f.p, nil
-}
-
-// residentPart returns the resident partition or nil.
-func (st *Store) residentPart(id addr.PartitionID) *Partition {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if s, ok := st.segs[id.Segment]; ok {
-		return s.parts[id.Part]
-	}
-	return nil
 }
 
 // Partitions returns the resident partitions of a segment in partition
@@ -502,8 +648,8 @@ func (st *Store) ResidentIDs() []addr.PartitionID {
 	defer st.mu.RUnlock()
 	var out []addr.PartitionID
 	for _, s := range st.segs {
-		for pn := range s.parts {
-			out = append(out, addr.PartitionID{Segment: s.id, Part: pn})
+		for _, p := range s.ordered {
+			out = append(out, p.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })

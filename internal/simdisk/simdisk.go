@@ -103,13 +103,14 @@ type LogDisk struct {
 	rpt    fault.Point // fault point charged per page read
 	pages  map[LSN]*logPage
 	next   LSN
+	low    LSN // no page is stored below it, so Drop starts there
 	failed bool
 }
 
 // NewLogDisk creates an empty log disk charging its simulated busy
 // microseconds to busy, which may be nil.
 func NewLogDisk(params Params, busy *metrics.Counter) *LogDisk {
-	return &LogDisk{params: params, busy: busy, pages: make(map[LSN]*logPage), next: 1}
+	return &LogDisk{params: params, busy: busy, pages: make(map[LSN]*logPage), next: 1, low: 1}
 }
 
 // SetBusy points the busy-time charges at c (nil detaches): the disk
@@ -146,6 +147,9 @@ func (d *LogDisk) writePageLocked(lsn LSN, page []byte) error {
 	d.pages[lsn] = &logPage{data: stored, bad: dec.MarkBad}
 	if lsn >= d.next {
 		d.next = lsn + 1
+	}
+	if lsn < d.low {
+		d.low = lsn
 	}
 	d.busy.Add(d.params.transferMicros(len(stored)))
 	return dec.Err
@@ -250,13 +254,13 @@ func (d *LogDisk) LSNs() []LSN {
 
 // Drop releases pages up to and including lsn (after they have been
 // rolled to the archive), bounding the disk's footprint to the window.
+// It deletes from the low-water mark up, so a roll-over costs the pages
+// it drops, not every page the disk holds.
 func (d *LogDisk) Drop(upTo LSN) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for l := range d.pages {
-		if l <= upTo {
-			delete(d.pages, l)
-		}
+	for ; d.low <= upTo; d.low++ {
+		delete(d.pages, d.low)
 	}
 }
 

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"mmdb/internal/fault"
@@ -65,6 +66,65 @@ func TestLogDiskDrop(t *testing.T) {
 	if d.NextLSN() != 6 {
 		t.Fatalf("NextLSN = %d, want 6", d.NextLSN())
 	}
+	holds := func(d *LogDisk, want ...LSN) {
+		t.Helper()
+		if got := d.LSNs(); !slices.Equal(got, want) {
+			t.Fatalf("disk holds %v, want %v", got, want)
+		}
+	}
+	// Repeated drops, and drops at or below what is already gone.
+	d.Drop(4)
+	holds(d, 5)
+	d.Drop(4)
+	d.Drop(2)
+	holds(d, 5)
+	for i := 0; i < 3; i++ {
+		if _, err := d.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Drop(6)
+	holds(d, 7, 8)
+
+	// Fail empties the disk; after Repair the sequence resumes and drops
+	// as before.
+	d.Fail()
+	d.Repair()
+	holds(d)
+	for i := 0; i < 3; i++ {
+		if _, err := d.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds(d, 9, 10, 11)
+	d.Drop(10)
+	holds(d, 11)
+
+	// A failed append leaves the mirror a hole; drops step over it.
+	inj := fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.PointLogWriteMirror, Hit: 2, Act: fault.ActIOErr},
+	}})
+	dx := NewDuplexLog(DefaultParams(), nil)
+	dx.Mirror.SetInjector(inj, fault.PointLogWriteMirror, fault.PointLogReadMirror)
+	for i := 0; i < 5; i++ {
+		if _, err := dx.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds(dx.Mirror, 1, 3, 4, 5)
+	dx.Mirror.Drop(2)
+	holds(dx.Mirror, 3, 4, 5)
+
+	// A repair rewrites a page below the mirror's mark; the next drop
+	// must still release it.
+	dx.Mirror.Drop(3)
+	if _, err := dx.Read(2); err != nil {
+		t.Fatal(err)
+	}
+	holds(dx.Mirror, 2, 4, 5)
+	dx.Drop(4)
+	holds(dx.Mirror, 5)
+	holds(dx.Primary, 5)
 }
 
 func TestLogDiskFailRepair(t *testing.T) {
