@@ -77,8 +77,6 @@ type Tracker struct {
 	persistMu sync.Mutex
 	ranked    []PartHeat // persist's ranking buffer, reused
 
-	recovered []PartHeat // pre-crash ranking recovered at Attach
-
 	// Optional instruments and hooks, wired by the owning manager.
 	// All nil-safe.
 	Touches       *metrics.Counter
@@ -141,7 +139,6 @@ func Attach(mem *stablemem.Memory, bytes, persistEvery int, halfLife time.Durati
 		persistEvery: int64(persistEvery),
 		halfLife:     halfLife,
 		counts:       make(map[addr.PartitionID]*atomic.Int64, len(recovered)),
-		recovered:    recovered,
 	}
 	t.untilPersist.Store(t.persistEvery)
 	t.lastDecay.Store(time.Now().UnixNano())
@@ -160,15 +157,6 @@ func Attach(mem *stablemem.Memory, bytes, persistEvery int, halfLife time.Durati
 		t.Persist()
 	}
 	return t, recovered, rejected, nil
-}
-
-// Recovered returns the pre-crash ranking recovered at Attach, hottest
-// first. Nil-safe.
-func (t *Tracker) Recovered() []PartHeat {
-	if t == nil {
-		return nil
-	}
-	return t.recovered
 }
 
 // Touch records one access to the partition: Count plus Tick, for a

@@ -391,146 +391,122 @@ func frame(buf []byte) ([]byte, int, error) {
 	return buf[hn : hn+int(plen)], hn + int(plen), nil
 }
 
-// reader walks one frame payload; every get reports corruption instead
-// of panicking.
+// reader walks one frame payload. It keeps the first corruption it
+// meets and empties itself, so every later read returns zero: a decoder
+// reads its fields straight through and checks once, at done. Every
+// length is checked against its cap and the payload before it drives an
+// allocation.
 type reader struct {
 	buf []byte
 	pos int
+	err error
 }
 
-func (d *reader) uvarint() (uint64, error) {
+// fail records the first corruption and ends the payload.
+func (d *reader) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	d.pos = len(d.buf)
+}
+
+func (d *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
+		d.fail("truncated varint")
+		return 0
 	}
 	d.pos += n
-	return v, nil
+	return v
 }
 
-func (d *reader) byte() (byte, error) {
+func (d *reader) float() float64 { return math.Float64frombits(d.uvarint()) }
+
+func (d *reader) byte() byte {
 	if d.pos >= len(d.buf) {
-		return 0, fmt.Errorf("%w: truncated byte", ErrCorrupt)
+		d.fail("truncated byte")
+		return 0
 	}
-	b := d.buf[d.pos]
 	d.pos++
-	return b, nil
+	return d.buf[d.pos-1]
 }
 
-func (d *reader) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+// take returns the next n bytes of a field whose length n was read off
+// the wire, in place; limit caps n.
+func (d *reader) take(limit uint64, what string) []byte {
+	n := d.uvarint()
+	if n > limit || n > uint64(len(d.buf)-d.pos) {
+		d.fail("%s length %d exceeds payload", what, n)
+		return nil
 	}
-	if n > MaxString || n > uint64(len(d.buf)-d.pos) {
-		return "", fmt.Errorf("%w: string length %d exceeds payload", ErrCorrupt, n)
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
 	d.pos += int(n)
-	return s, nil
+	return d.buf[d.pos-int(n) : d.pos]
 }
 
-func (d *reader) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxFrame || n > uint64(len(d.buf)-d.pos) {
-		return nil, fmt.Errorf("%w: blob length %d exceeds payload", ErrCorrupt, n)
-	}
-	b := append([]byte(nil), d.buf[d.pos:d.pos+int(n)]...)
-	d.pos += int(n)
-	return b, nil
-}
+func (d *reader) string() string { return string(d.take(MaxString, "string")) }
 
-func (d *reader) value() (any, error) {
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func (d *reader) bytes() []byte { return append([]byte(nil), d.take(MaxFrame, "blob")...) }
+
+func (d *reader) value() any {
+	switch tag := d.byte(); tag {
 	case tagInt:
-		v, err := d.uvarint()
-		return int64(v), err
+		return int64(d.uvarint())
 	case tagFloat:
-		v, err := d.uvarint()
-		return math.Float64frombits(v), err
+		return d.float()
 	case tagString:
 		return d.string()
+	default:
+		d.fail("bad value tag %d", tag)
+		return nil
 	}
-	return nil, fmt.Errorf("%w: bad value tag %d", ErrCorrupt, tag)
 }
 
-func (d *reader) vals() ([]any, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (d *reader) vals() []any {
+	n := d.uvarint()
 	if n > MaxCols*4 || n > uint64(len(d.buf)-d.pos) {
-		return nil, fmt.Errorf("%w: %d values exceed payload", ErrCorrupt, n)
+		d.fail("%d values exceed payload", n)
 	}
-	if n == 0 {
-		return nil, nil
+	if n == 0 || d.err != nil {
+		return nil
 	}
 	out := make([]any, n)
 	for i := range out {
-		v, err := d.value()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = d.value()
 	}
-	return out, nil
+	return out
 }
 
-func (d *reader) row() (Row, error) {
-	seg, err := d.uvarint()
-	if err != nil {
-		return Row{}, err
-	}
-	part, err := d.uvarint()
-	if err != nil {
-		return Row{}, err
-	}
-	slot, err := d.uvarint()
-	if err != nil {
-		return Row{}, err
-	}
+func (d *reader) row() Row {
+	seg, part, slot := d.uvarint(), d.uvarint(), d.uvarint()
 	if seg > math.MaxUint32 || part > math.MaxUint32 || slot > math.MaxUint16 {
-		return Row{}, fmt.Errorf("%w: row address out of range", ErrCorrupt)
+		d.fail("row address out of range")
 	}
-	return Row{Seg: uint32(seg), Part: uint32(part), Slot: uint16(slot)}, nil
+	return Row{Seg: uint32(seg), Part: uint32(part), Slot: uint16(slot)}
 }
 
-func (d *reader) cols() ([]Col, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (d *reader) cols() []Col {
+	n := d.uvarint()
 	if n > MaxCols {
-		return nil, fmt.Errorf("%w: %d columns exceeds cap", ErrCorrupt, n)
+		d.fail("%d columns exceeds cap", n)
 	}
-	if n == 0 {
-		return nil, nil
+	if n == 0 || d.err != nil {
+		return nil
 	}
 	out := make([]Col, n)
 	for i := range out {
-		if out[i].Name, err = d.string(); err != nil {
-			return nil, err
-		}
-		if out[i].Type, err = d.byte(); err != nil {
-			return nil, err
-		}
+		out[i] = Col{Name: d.string(), Type: d.byte()}
 	}
-	return out, nil
+	return out
 }
 
-// done verifies the whole payload was consumed: trailing garbage is
-// corruption, exactly like the trace decoder's label-length check.
+// done reports the first corruption, or trailing garbage when the whole
+// payload was not consumed, exactly like the trace decoder's
+// label-length check.
 func (d *reader) done() error {
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.pos)
+	if d.err == nil && d.pos != len(d.buf) {
+		d.fail("%d trailing bytes", len(d.buf)-d.pos)
 	}
-	return nil
+	return d.err
 }
 
 // DecodeRequest parses one framed request from the front of buf,
@@ -541,123 +517,36 @@ func DecodeRequest(buf []byte) (Request, int, error) {
 	if err != nil {
 		return Request{}, 0, err
 	}
-	var r Request
-	d := &reader{buf: payload}
-	if r.ID, err = d.uvarint(); err != nil {
-		return Request{}, 0, err
-	}
-	op, err := d.byte()
-	if err != nil {
-		return Request{}, 0, err
-	}
-	r.Op = Op(op)
+	d := reader{buf: payload}
+	r := Request{ID: d.uvarint(), Op: Op(d.byte())}
 	if !r.Op.Valid() {
-		return Request{}, 0, fmt.Errorf("%w: bad opcode %d", ErrCorrupt, op)
+		d.fail("bad opcode %d", byte(r.Op))
 	}
 	switch r.Op {
-	case OpPing, OpCrash, OpMetrics:
 	case OpCreateRel:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Cols, err = d.cols(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Cols = d.string(), d.cols()
 	case OpCreateIndex:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Idx, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Col, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Kind, err = d.byte(); err != nil {
-			return Request{}, 0, err
-		}
-		order, err := d.uvarint()
-		if err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Idx, r.Col, r.Kind = d.string(), d.string(), d.string(), d.byte()
+		order := d.uvarint()
 		if order > math.MaxUint32 {
-			return Request{}, 0, fmt.Errorf("%w: index order out of range", ErrCorrupt)
+			d.fail("index order out of range")
 		}
 		r.Order = uint32(order)
 	case OpInsert:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Vals, err = d.vals(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Vals = d.string(), d.vals()
 	case OpGet, OpDelete:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Addr, err = d.row(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Addr = d.string(), d.row()
 	case OpUpdate:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Addr, err = d.row(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Cols, err = d.cols(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Vals, err = d.vals(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Addr, r.Cols, r.Vals = d.string(), d.row(), d.cols(), d.vals()
 	case OpLookup:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Idx, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		if r.Vals, err = d.vals(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel, r.Idx, r.Vals = d.string(), d.string(), d.vals()
 	case OpScan:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
-		limit, err := d.uvarint()
-		if err != nil {
-			return Request{}, 0, err
-		}
-		if limit > MaxRows {
-			limit = MaxRows
-		}
-		r.Limit = uint32(limit)
+		r.Rel, r.Limit = d.string(), uint32(min(d.uvarint(), MaxRows))
 	case OpSchema:
-		if r.Rel, err = d.string(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Rel = d.string()
 	case OpDebitCredit:
-		var v uint64
-		if v, err = d.uvarint(); err != nil {
-			return Request{}, 0, err
-		}
-		r.Account = int64(v)
-		if v, err = d.uvarint(); err != nil {
-			return Request{}, 0, err
-		}
-		r.Teller = int64(v)
-		if v, err = d.uvarint(); err != nil {
-			return Request{}, 0, err
-		}
-		r.Branch = int64(v)
-		if v, err = d.uvarint(); err != nil {
-			return Request{}, 0, err
-		}
-		r.Delta = math.Float64frombits(v)
-		if r.Seq, err = d.uvarint(); err != nil {
-			return Request{}, 0, err
-		}
+		r.Account, r.Teller, r.Branch = int64(d.uvarint()), int64(d.uvarint()), int64(d.uvarint())
+		r.Delta, r.Seq = d.float(), d.uvarint()
 	}
 	if err := d.done(); err != nil {
 		return Request{}, 0, err
@@ -673,67 +562,23 @@ func DecodeResponse(buf []byte) (Response, int, error) {
 	if err != nil {
 		return Response{}, 0, err
 	}
-	var r Response
-	d := &reader{buf: payload}
-	if r.ID, err = d.uvarint(); err != nil {
-		return Response{}, 0, err
-	}
-	st, err := d.byte()
-	if err != nil {
-		return Response{}, 0, err
-	}
-	r.Status = Status(st)
-	if !r.Status.Valid() {
-		return Response{}, 0, fmt.Errorf("%w: bad status %d", ErrCorrupt, st)
-	}
-	if r.Status != StatusOK {
-		if r.Msg, err = d.string(); err != nil {
-			return Response{}, 0, err
+	d := reader{buf: payload}
+	r := Response{ID: d.uvarint(), Status: Status(d.byte())}
+	switch {
+	case !r.Status.Valid():
+		d.fail("bad status %d", byte(r.Status))
+	case r.Status != StatusOK:
+		r.Msg = d.string()
+	default:
+		r.Addr, r.Tuple = d.row(), d.vals()
+		nrows := d.uvarint()
+		if nrows > MaxRows {
+			d.fail("%d rows exceeds cap", nrows)
 		}
-		if err := d.done(); err != nil {
-			return Response{}, 0, err
+		for ; nrows > 0 && d.err == nil; nrows-- {
+			r.Rows = append(r.Rows, RowTuple{Addr: d.row(), Tuple: d.vals()})
 		}
-		return r, n, nil
-	}
-	if r.Addr, err = d.row(); err != nil {
-		return Response{}, 0, err
-	}
-	if r.Tuple, err = d.vals(); err != nil {
-		return Response{}, 0, err
-	}
-	nrows, err := d.uvarint()
-	if err != nil {
-		return Response{}, 0, err
-	}
-	if nrows > MaxRows {
-		return Response{}, 0, fmt.Errorf("%w: %d rows exceeds cap", ErrCorrupt, nrows)
-	}
-	for i := uint64(0); i < nrows; i++ {
-		var rt RowTuple
-		if rt.Addr, err = d.row(); err != nil {
-			return Response{}, 0, err
-		}
-		if rt.Tuple, err = d.vals(); err != nil {
-			return Response{}, 0, err
-		}
-		r.Rows = append(r.Rows, rt)
-	}
-	if r.Schema, err = d.cols(); err != nil {
-		return Response{}, 0, err
-	}
-	if r.Seq, err = d.uvarint(); err != nil {
-		return Response{}, 0, err
-	}
-	v, err := d.uvarint()
-	if err != nil {
-		return Response{}, 0, err
-	}
-	r.Val = math.Float64frombits(v)
-	if r.N, err = d.uvarint(); err != nil {
-		return Response{}, 0, err
-	}
-	if r.Blob, err = d.bytes(); err != nil {
-		return Response{}, 0, err
+		r.Schema, r.Seq, r.Val, r.N, r.Blob = d.cols(), d.uvarint(), d.float(), d.uvarint(), d.bytes()
 	}
 	if err := d.done(); err != nil {
 		return Response{}, 0, err

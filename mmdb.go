@@ -255,7 +255,7 @@ func (db *DB) locate(pid addr.PartitionID) (simdisk.TrackLoc, error) {
 	if err != nil {
 		return simdisk.NilTrack, err
 	}
-	_, track, err := catalog.TrackAt(raw, o.index != nil, pid.Part)
+	track, err := catalog.TrackAt(raw, o.index != nil, pid.Part)
 	held.Unlock()
 	if errors.Is(err, catalog.ErrNoPartition) {
 		return simdisk.NilTrack, fmt.Errorf("%w: partition %v not in catalog", ErrNotFound, pid)

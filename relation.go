@@ -378,17 +378,6 @@ func (db *DB) GetRelation(name string) (*Relation, error) {
 	return rel, nil
 }
 
-// Relations lists relation names.
-func (db *DB) Relations() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.rels))
-	for n := range db.rels {
-		out = append(out, n)
-	}
-	return out
-}
-
 // CreateIndex builds an index of the given kind on one column,
 // populating it from existing tuples. order is the node fan-out (0 for
 // a default).
