@@ -26,7 +26,7 @@ import (
 	"mmdb/internal/model"
 )
 
-var quick = flag.Bool("quick", false, "smaller record counts for a fast pass")
+var quick = flag.Bool("quick", false, "smaller record counts for the host-time subcommands (logstreams, metrics, trace)")
 
 func main() {
 	flag.Parse()
@@ -75,6 +75,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: paperbench [-quick] [-trace-out FILE] {table2|graph1|graph2|graph3|recovery|restart|predeclare|logstreams|metrics|trace|all}")
 }
 
+// n shrinks a host-time subcommand's record count under -quick. The
+// simulated subcommands always run at full size: each takes well under a
+// second, and their rows are the ones the capture pins.
 func n(full int) int {
 	if *quick {
 		return full / 5
@@ -99,7 +102,7 @@ func table2() error {
 }
 
 func graph1() error {
-	series, err := experiments.Graph1(nil, nil, n(20000))
+	series, err := experiments.Graph1(nil, nil, 20000)
 	if err != nil {
 		return err
 	}
@@ -110,7 +113,7 @@ func graph1() error {
 }
 
 func graph2() error {
-	series, err := experiments.Graph2(nil, nil, n(20000))
+	series, err := experiments.Graph2(nil, nil, 20000)
 	if err != nil {
 		return err
 	}
@@ -121,7 +124,7 @@ func graph2() error {
 }
 
 func graph3() error {
-	series, err := experiments.Graph3(nil, nil, n(30000))
+	series, err := experiments.Graph3(nil, nil, 30000)
 	if err != nil {
 		return err
 	}
@@ -136,7 +139,7 @@ func recovery() error {
 	fmt.Printf("  %8s %6s  %18s %18s %18s %10s\n",
 		"parts", "hot", "part-first-txn us", "part-full us", "db-first-txn us", "speedup")
 	for _, parts := range []int{16, 32, 64, 128, 256} {
-		res, err := experiments.RecoveryComparison(parts, 4, n(32)+8)
+		res, err := experiments.RecoveryComparison(parts, 4, 40)
 		if err != nil {
 			return err
 		}
@@ -152,7 +155,7 @@ func restart() error {
 	fmt.Println("R3 — background-sweep completion time vs recovery workers (§2.5)")
 	fmt.Printf("  %8s %8s  %14s %14s %10s %8s\n",
 		"parts", "workers", "sweep ms (sim)", "parts/s (sim)", "host ms", "errors")
-	pts, err := experiments.SweepScaling(nil, nil, n(600))
+	pts, err := experiments.SweepScaling(nil, nil, 600)
 	if err != nil {
 		return err
 	}
@@ -173,7 +176,7 @@ func restart() error {
 	fmt.Println("R5 — time-to-p99-restored: heat-ordered vs catalog-order sweep")
 	fmt.Printf("  %8s %4s %8s  %14s %14s %8s %14s\n",
 		"parts", "hot", "workers", "heat ttp99 ms", "catalog ms", "speedup", "full sweep ms")
-	hpts, err := experiments.HeatOrderingTTP99(128, 16, nil, n(400))
+	hpts, err := experiments.HeatOrderingTTP99(128, 16, nil, 400)
 	if err != nil {
 		return err
 	}
@@ -194,7 +197,7 @@ func predeclare() error {
 	fmt.Printf("  %8s %6s  %16s %14s %12s %12s %14s\n",
 		"parts", "hot", "predeclare us", "demand 1st us", "demand p50", "demand max", "demand total")
 	for _, parts := range []int{32, 128, 256} {
-		res, err := experiments.PredeclareVsDemand(parts, 8, n(200)+50, 24)
+		res, err := experiments.PredeclareVsDemand(parts, 8, 250, 24)
 		if err != nil {
 			return err
 		}

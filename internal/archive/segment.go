@@ -1,4 +1,4 @@
-// Segment file format of the append-only archive tier.
+// Segment format of the append-only archive tier.
 //
 // A segment is a sequence of fixed-size frames. Each frame is
 // self-delimiting and individually checksummed, so a reader can always
@@ -20,10 +20,8 @@
 //	entry := kind(1) | segment(4 LE) | part(4 LE) | lsn(8 LE) | dlen(4 LE) | data
 //
 // The one kind is EntryLogPage, a rolled wal page. Any other kind byte
-// is a damaged entry, counted and skipped; that includes the page
-// directory (0x49) and audit (0xA5) entries older builds wrote. A
-// segment stores log pages only: its directory is rebuilt from these
-// headers when the store opens.
+// is a damaged entry, skipped on read. A segment stores log pages only:
+// its page directory lives beside it in the store, never in its bytes.
 package archive
 
 import (
@@ -145,63 +143,4 @@ func parseEntry(payload []byte, off int64) (Entry, error) {
 		Data: payload[entryHdrSize:],
 		Off:  off,
 	}, nil
-}
-
-// DecodeSegment parses a segment's bytes. Damaged frames are skipped
-// individually (frames are fixed-size, so the reader resynchronises on
-// the next boundary) and the entries they belonged to are dropped;
-// damaged counts how many frames were lost that way. A trailing
-// partial frame — the torn tail of a crashed append — is ignored, and
-// clean reports the frame-aligned prefix length up to which the
-// segment decoded, i.e. where appends may safely resume.
-func DecodeSegment(data []byte) (entries []Entry, clean int, damaged int, err error) {
-	var payload []byte
-	var entryStart int64
-	open := false
-	var firstErr error
-	note := func(e error) {
-		damaged++
-		if firstErr == nil {
-			firstErr = e
-		}
-	}
-	for pos := 0; pos+FrameSize <= len(data); pos += FrameSize {
-		flags, chunk, ferr := decodeFrame(data[pos : pos+FrameSize])
-		if ferr != nil {
-			note(ferr)
-			open, payload = false, nil
-			clean = pos + FrameSize
-			continue
-		}
-		if flags&flagFirst != 0 {
-			if open {
-				note(fmt.Errorf("%w: entry restarted mid-chain at %d", ErrBadFrame, pos))
-			}
-			open, payload, entryStart = true, nil, int64(pos)
-		} else if !open {
-			note(fmt.Errorf("%w: continuation frame with no open entry at %d", ErrBadFrame, pos))
-			clean = pos + FrameSize
-			continue
-		}
-		payload = append(payload, chunk...)
-		if flags&flagLast == 0 {
-			continue
-		}
-		open = false
-		e, perr := parseEntry(payload, entryStart)
-		payload = nil
-		if perr != nil {
-			note(perr)
-			clean = pos + FrameSize
-			continue
-		}
-		entries = append(entries, e)
-		clean = pos + FrameSize
-	}
-	if open {
-		// Entry never closed: the torn tail of a crashed multi-frame
-		// append. Resume appends at its first frame.
-		clean = int(entryStart)
-	}
-	return entries, clean, damaged, firstErr
 }

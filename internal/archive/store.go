@@ -1,21 +1,18 @@
 // Package archive is the append-only archive tier (§2.6), and only the
 // storage half of it: log pages rolled off the log disks are appended to
-// checksummed segment files under their partition address and LSN, and
-// read back one partition at a time through each segment's in-memory
-// page directory (ScanPartition). Together with the still-resident
-// log pages that is every partition's complete REDO history, so losing
-// a checkpoint image, or the whole checkpoint disk set, never loses
-// committed data. Replaying the history into a partition is recovery,
-// and lives with the rest of it in internal/core (restorePartition).
+// checksummed segments under their partition address and LSN, and read
+// back one partition at a time through each segment's page directory
+// (ScanPartition). Together with the still-resident log pages that is
+// every partition's complete REDO history, so losing a checkpoint image,
+// or the whole checkpoint disk set, never loses committed data.
+// Replaying the history into a partition is recovery, and lives with the
+// rest of it in internal/core (restorePartition).
 package archive
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"mmdb/internal/addr"
@@ -23,20 +20,15 @@ import (
 	"mmdb/internal/simdisk"
 )
 
-// Store is the append-only archive tier (§2.6): the medium that filled
-// log disks are rolled onto. It replaces the simulated in-memory tape
-// with immutable, checksummed, fixed-frame, time-ordered segment files,
-// so the archive actually survives the process. Each segment's page
-// directory, sorted by (PID, LSN), is kept in memory and rebuilt from
-// the segment's frames at Open, so one partition's history is located by
-// binary search instead of a full replay.
-//
-// Backed by a directory when opened with one (real files, fsynced on
-// demand), or by an in-process buffer for tests and ephemeral databases
-// (same byte format, no durability across process exit).
+// Store is the append-only archive tier (§2.6): the tape that filled log
+// disks are rolled onto. Like the log and checkpoint disks it is a
+// simulated device in process memory, carried across DB.Crash/Recover
+// with the rest of the Hardware. It holds immutable, checksummed,
+// fixed-frame, time-ordered segments, each with a page directory sorted
+// by (PID, LSN), so one partition's history is located by binary search
+// instead of a full replay.
 type Store struct {
 	mu       sync.Mutex
-	fs       archFS
 	segBytes int64
 	segs     []*segment
 	inj      *fault.Injector
@@ -44,11 +36,14 @@ type Store struct {
 	entries  int // archived pages
 }
 
+// segment is one byte buffer of frames. Its own lock guards b:
+// ScanPartition reads frames outside the store lock, and a decayed read
+// damages a frame in place.
 type segment struct {
-	name   string
-	f      segFile
-	size   int64      // clean frame-aligned logical size
-	sealed bool       // rotated away from and fsynced: no more appends
+	mu     sync.Mutex
+	b      []byte
+	size   int64      // clean frame-aligned logical size; under Store.mu
+	sealed bool       // rotated away from: no more appends
 	index  []indexRec // page directory; sorted by (PID, LSN) once sealed
 }
 
@@ -77,61 +72,16 @@ func recLess(a, b indexRec) bool {
 // caller passes 0.
 const DefaultSegmentBytes = 1 << 20
 
-const segSuffix = ".mmar"
-
-// Open opens (or creates) an archive store. dir == "" selects the
-// in-memory backend; otherwise dir is created if needed and existing
-// segment files are scanned, torn tails from a crashed append are
-// truncated away, and appends resume on the last segment unless it is
-// full.
+// Open creates an empty archive store. The archive lives in memory, so
+// dir must be empty; the parameter remains for existing callers.
 func Open(dir string, segBytes int) (*Store, error) {
+	if dir != "" {
+		return nil, errors.New("archive: the store is in memory and takes no directory")
+	}
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	var fs archFS
-	if dir == "" {
-		fs = newMemFS()
-	} else {
-		ofs, err := newOSFS(dir)
-		if err != nil {
-			return nil, err
-		}
-		fs = ofs
-	}
-	s := &Store{fs: fs, segBytes: int64(segBytes)}
-	names, err := fs.list()
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	for i, name := range names {
-		f, err := fs.open(name)
-		if err != nil {
-			return nil, fmt.Errorf("archive: opening segment %s: %w", name, err)
-		}
-		size, err := f.size()
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, size)
-		if _, err := readFull(f, buf, 0); err != nil {
-			return nil, fmt.Errorf("archive: reading segment %s: %w", name, err)
-		}
-		// The frame scan rebuilds the page directory: it tolerates torn
-		// tails and skips damaged frames individually. A segment is
-		// rotated away from once it reaches segBytes, so every segment
-		// but the last is sealed, and the last is if it is full.
-		entries, clean, _, _ := DecodeSegment(buf)
-		seg := &segment{name: name, f: f, size: int64(clean)}
-		seg.sealed = i < len(names)-1 || seg.size >= s.segBytes
-		for _, e := range entries {
-			seg.index = append(seg.index, indexRec{pid: e.PID, lsn: e.LSN, off: e.Off})
-		}
-		sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
-		s.entries += len(seg.index)
-		s.segs = append(s.segs, seg)
-	}
-	return s, nil
+	return &Store{segBytes: int64(segBytes)}, nil
 }
 
 // SetInjector attaches the fault injector; appends hit arch.append and
@@ -142,8 +92,8 @@ func (s *Store) SetInjector(inj *fault.Injector) {
 	s.inj = inj
 }
 
-// SetOnSeal registers a callback invoked (outside the store lock is NOT
-// guaranteed; keep it cheap) each time a segment is sealed.
+// SetOnSeal registers a callback invoked, under the store lock (keep it
+// cheap), each time a segment is sealed.
 func (s *Store) SetOnSeal(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,10 +105,7 @@ func (s *Store) SetOnSeal(fn func()) {
 func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seg, err := s.activeLocked()
-	if err != nil {
-		return err
-	}
+	seg := s.activeLocked()
 	dec := fault.Decision{Apply: -1}
 	if s.inj != nil {
 		dec = s.inj.Check(fault.PointArchAppend, len(data))
@@ -175,14 +122,11 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) e
 	}
 	frames := encodeEntry(EntryLogPage, pid, lsn, data)
 	apply := dec.ApplyBytes(len(frames))
-	if _, err := seg.f.writeAt(frames[:apply], seg.size); err != nil {
-		return fmt.Errorf("archive: appending to %s: %w", seg.name, err)
-	}
+	seg.writeAt(frames[:apply], seg.size)
 	if apply < len(frames) || dec.Err != nil {
 		// Torn or failed append: the logical size is not advanced, so
-		// the partial frames are overwritten by the next append (or
-		// truncated away by tail repair after a crash) and the caller
-		// retries the whole entry.
+		// no reader looks at the partial frames, the next append
+		// overwrites them, and the caller retries the whole entry.
 		if dec.Err != nil {
 			return dec.Err
 		}
@@ -192,11 +136,7 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) e
 		// ActCorrupt: the append "succeeds" while the medium decays —
 		// damage the first frame's checksum in place so a later read
 		// detects and skips the entry.
-		var flip [1]byte
-		if _, err := readFull(seg.f, flip[:], seg.size+FrameSize-1); err == nil {
-			flip[0] ^= 0xFF
-			_, _ = seg.f.writeAt(flip[:], seg.size+FrameSize-1)
-		}
+		seg.decay(seg.size)
 	}
 	seg.index = append(seg.index, indexRec{pid: pid, lsn: lsn, off: seg.size})
 	seg.size += int64(len(frames))
@@ -207,48 +147,30 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) e
 	return nil
 }
 
-// activeLocked returns the segment open for appends, creating the next
+// activeLocked returns the segment open for appends, starting the next
 // one if the store is empty or the last segment is sealed.
-func (s *Store) activeLocked() (*segment, error) {
+func (s *Store) activeLocked() *segment {
 	if n := len(s.segs); n > 0 && !s.segs[n-1].sealed {
-		return s.segs[n-1], nil
+		return s.segs[n-1]
 	}
-	name := fmt.Sprintf("seg-%08d%s", len(s.segs), segSuffix)
-	f, err := s.fs.create(name)
-	if err != nil {
-		return nil, fmt.Errorf("archive: creating segment %s: %w", name, err)
-	}
-	seg := &segment{name: name, f: f}
+	seg := &segment{}
 	s.segs = append(s.segs, seg)
-	return seg, nil
+	return seg
 }
 
 // sealLocked freezes a full segment: its page directory is sorted by
-// PID then LSN for binary search, the file is fsynced, and the segment
-// takes no more appends. A failed fsync leaves the segment unsealed;
-// the next append retries.
+// PID then LSN for binary search, and the segment takes no more appends.
 func (s *Store) sealLocked(seg *segment) {
 	sort.Slice(seg.index, func(i, j int) bool { return recLess(seg.index[i], seg.index[j]) })
-	if err := seg.f.sync(); err != nil {
-		return
-	}
 	seg.sealed = true
 	if s.onSeal != nil {
 		s.onSeal()
 	}
 }
 
-// Sync flushes the active segment to its medium. Log-disk rollover
-// calls it before dropping the rolled pages, so the archive never
-// trails the drop.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.segs); n > 0 && !s.segs[n-1].sealed {
-		return s.segs[n-1].f.sync()
-	}
-	return nil
-}
+// Sync does nothing: an append returns with its bytes on the device.
+// It remains for existing callers.
+func (s *Store) Sync() error { return nil }
 
 // Entries returns the number of archived pages.
 func (s *Store) Entries() int {
@@ -257,7 +179,7 @@ func (s *Store) Entries() int {
 	return s.entries
 }
 
-// Segments returns the number of segment files, sealed or active.
+// Segments returns the number of segments, sealed or active.
 func (s *Store) Segments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -277,19 +199,8 @@ func (s *Store) SealedSegments() int {
 	return n
 }
 
-// Close closes the underlying segment files. The store must not be
-// used afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	for _, seg := range s.segs {
-		if err := seg.f.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close does nothing; it remains for existing callers.
+func (s *Store) Close() error { return nil }
 
 // snapshot captures the segment list and their clean sizes, so that
 // ScanPartition reads without the store lock and never holds it across
@@ -329,7 +240,7 @@ func (s *Store) ScanPartition(pid addr.PartitionID, fn func(lsn simdisk.LSN, pag
 			if seen[idx[i].lsn] {
 				continue
 			}
-			raw, derr := s.readEntryAt(ss.seg, idx[i].off, ss.size)
+			raw, derr := ss.seg.readEntry(idx[i].off, ss.size)
 			if derr != nil {
 				continue
 			}
@@ -363,11 +274,7 @@ func (s *Store) deliver(seg *segment, e Entry) (Entry, bool, error) {
 	if dec.MarkBad {
 		// Media decay: damage the entry's first frame in place so every
 		// later read fails too.
-		var flip [1]byte
-		if _, err := readFull(seg.f, flip[:], e.Off+FrameSize-1); err == nil {
-			flip[0] ^= 0xFF
-			_, _ = seg.f.writeAt(flip[:], e.Off+FrameSize-1)
-		}
+		seg.decay(e.Off)
 		return e, false, nil
 	}
 	if dec.Mutated() {
@@ -379,198 +286,46 @@ func (s *Store) deliver(seg *segment, e Entry) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// readEntryAt re-reads one entry from its frame offset.
-func (s *Store) readEntryAt(seg *segment, off, limit int64) (Entry, error) {
+// readEntry re-reads one entry from its first frame's offset, reading
+// no further than limit.
+func (g *segment) readEntry(off, limit int64) (Entry, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var payload []byte
-	start := off
-	for {
-		if off+FrameSize > limit {
-			return Entry{}, fmt.Errorf("%w: entry at %d runs past segment end", ErrBadFrame, start)
+	for pos := off; ; pos += FrameSize {
+		if pos+FrameSize > limit {
+			return Entry{}, fmt.Errorf("%w: entry at %d runs past segment end", ErrBadFrame, off)
 		}
-		var f [FrameSize]byte
-		if _, err := readFull(seg.f, f[:], off); err != nil {
-			return Entry{}, err
-		}
-		flags, chunk, err := decodeFrame(f[:])
+		flags, chunk, err := decodeFrame(g.b[pos : pos+FrameSize])
 		if err != nil {
 			return Entry{}, err
 		}
-		if off == start && flags&flagFirst == 0 {
-			return Entry{}, fmt.Errorf("%w: offset %d is not an entry start", ErrBadFrame, start)
+		if pos == off && flags&flagFirst == 0 {
+			return Entry{}, fmt.Errorf("%w: offset %d is not an entry start", ErrBadFrame, off)
 		}
 		payload = append(payload, chunk...)
-		off += FrameSize
 		if flags&flagLast != 0 {
-			break
+			return parseEntry(payload, off)
 		}
 	}
-	return parseEntry(payload, start)
 }
 
-// --- backends ---
-
-type archFS interface {
-	list() ([]string, error)
-	create(name string) (segFile, error)
-	open(name string) (segFile, error)
-}
-
-type segFile interface {
-	io.ReaderAt
-	writeAt(p []byte, off int64) (int, error)
-	size() (int64, error)
-	sync() error
-	close() error
-}
-
-func readFull(f io.ReaderAt, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
+// writeAt copies p into the segment at off, growing it as needed.
+func (g *segment) writeAt(p []byte, off int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if need := off + int64(len(p)); need > int64(len(g.b)) {
+		g.b = append(g.b, make([]byte, need-int64(len(g.b)))...)
 	}
-	n, err := f.ReadAt(p, off)
-	if err == io.EOF && n == len(p) {
-		err = nil
+	copy(g.b[off:], p)
+}
+
+// decay damages the checksum of the frame at off in place, so every
+// later read of it fails.
+func (g *segment) decay(off int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i := off + FrameSize - 1; i < int64(len(g.b)) {
+		g.b[i] ^= 0xFF
 	}
-	return n, err
 }
-
-// osFS stores segments as real files in a directory, with the directory
-// entry fsynced on segment creation so a crash cannot lose the file
-// itself.
-type osFS struct {
-	dir string
-}
-
-func newOSFS(dir string) (*osFS, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &osFS{dir: dir}, nil
-}
-
-func (o *osFS) list() ([]string, error) {
-	des, err := os.ReadDir(o.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), segSuffix) {
-			names = append(names, de.Name())
-		}
-	}
-	return names, nil
-}
-
-func (o *osFS) create(name string) (segFile, error) {
-	f, err := os.OpenFile(filepath.Join(o.dir, name), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if d, derr := os.Open(o.dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return (*osFile)(f), nil
-}
-
-func (o *osFS) open(name string) (segFile, error) {
-	f, err := os.OpenFile(filepath.Join(o.dir, name), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return (*osFile)(f), nil
-}
-
-type osFile os.File
-
-func (f *osFile) ReadAt(p []byte, off int64) (int, error) { return (*os.File)(f).ReadAt(p, off) }
-func (f *osFile) writeAt(p []byte, off int64) (int, error) {
-	return (*os.File)(f).WriteAt(p, off)
-}
-func (f *osFile) size() (int64, error) {
-	st, err := (*os.File)(f).Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-func (f *osFile) sync() error  { return (*os.File)(f).Sync() }
-func (f *osFile) close() error { return (*os.File)(f).Close() }
-
-// memFS keeps segments in process memory: the same byte format with no
-// durability across process exit. It survives the simulated power
-// cycles of crashhunt (the Hardware, and so the Store, is carried
-// across DB.Crash/Recover) but not a real restart — production
-// configurations set Config.ArchiveDir.
-type memFS struct {
-	mu    sync.Mutex
-	files map[string]*memFile
-}
-
-func newMemFS() *memFS { return &memFS{files: make(map[string]*memFile)} }
-
-func (m *memFS) list() ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var names []string
-	for n := range m.files {
-		names = append(names, n)
-	}
-	return names, nil
-}
-
-func (m *memFS) create(name string) (segFile, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := &memFile{}
-	m.files[name] = f
-	return f, nil
-}
-
-func (m *memFS) open(name string) (segFile, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return nil, os.ErrNotExist
-	}
-	return f, nil
-}
-
-type memFile struct {
-	mu sync.Mutex
-	b  []byte
-}
-
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if off >= int64(len(f.b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (f *memFile) writeAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if need := off + int64(len(p)); need > int64(len(f.b)) {
-		f.b = append(f.b, make([]byte, need-int64(len(f.b)))...)
-	}
-	copy(f.b[off:], p)
-	return len(p), nil
-}
-
-func (f *memFile) size() (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.b)), nil
-}
-
-func (f *memFile) sync() error  { return nil }
-func (f *memFile) close() error { return nil }

@@ -2,14 +2,14 @@ package archive
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mmdb/internal/addr"
+	"mmdb/internal/fault"
 	"mmdb/internal/simdisk"
+	"mmdb/internal/wal"
 )
 
 func newTestStore(t *testing.T) *Store {
@@ -142,289 +142,115 @@ func TestStoreDuplicateLSNDeliveredOnce(t *testing.T) {
 	}
 }
 
-func TestStoreReopenFromDirSurvivesProcess(t *testing.T) {
-	// The acceptance bar for "real archive": everything written and
-	// synced is still there when a new Store opens the same directory —
-	// nothing lives only in process memory.
-	dir := t.TempDir()
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	st, err := Open(dir, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lsn := simdisk.LSN(1); lsn <= 30; lsn++ {
-		if err := st.AppendPage(pid, lsn, bytes.Repeat([]byte{byte(lsn)}, 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	entries, sealed := st.Entries(), st.SealedSegments()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sealed == 0 {
-		t.Fatal("test needs at least one sealed segment")
-	}
-
-	st2, err := Open(dir, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Entries() != entries {
-		t.Fatalf("reopened entries = %d, want %d", st2.Entries(), entries)
-	}
-	if st2.SealedSegments() != sealed {
-		t.Fatalf("reopened sealed = %d, want %d", st2.SealedSegments(), sealed)
-	}
-	want := simdisk.LSN(1)
-	if err := st2.ScanPartition(pid, func(lsn simdisk.LSN, page []byte) error {
-		if lsn != want || !bytes.Equal(page, bytes.Repeat([]byte{byte(lsn)}, 80)) {
-			t.Fatalf("reopened lsn %d (want %d) mangled", lsn, want)
-		}
-		want++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want != 31 {
-		t.Fatalf("reopened scan stopped at lsn %d", want-1)
-	}
-	// And appends resume on the unsealed tail.
-	if err := st2.AppendPage(pid, 31, []byte("resumed")); err != nil {
-		t.Fatal(err)
-	}
-	if st2.Entries() != entries+1 {
-		t.Fatalf("resumed entries = %d", st2.Entries())
+func TestStoreOpenRefusesDirectory(t *testing.T) {
+	if _, err := Open("archive", 0); err == nil {
+		t.Fatal("Open with a directory succeeded; the store is in memory")
 	}
 }
 
-func TestStoreReopenRepairsTornTail(t *testing.T) {
-	// A crash mid-append leaves a partial frame at the end of the active
-	// segment. Open must truncate it away logically and resume appends
-	// over it without losing the clean prefix.
-	dir := t.TempDir()
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	st, err := Open(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendPage(pid, 1, []byte("before-crash")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := os.ReadDir(dir)
-	if err != nil || len(names) != 1 {
-		t.Fatalf("segments on disk = %v, %v", names, err)
-	}
-	path := filepath.Join(dir, names[0].Name())
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(bytes.Repeat([]byte{0xEE}, 100)); err != nil { // torn tail
-		t.Fatal(err)
-	}
-	f.Close()
-
-	st2, err := Open(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Entries() != 1 {
-		t.Fatalf("entries after tail repair = %d", st2.Entries())
-	}
-	if err := st2.AppendPage(pid, 2, []byte("after-crash")); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(pages(t, st2, pid)); got != "map[1:before-crash 2:after-crash]" {
-		t.Fatalf("pages after repair = %s", got)
-	}
-}
-
-func TestDecodeSegmentResyncsPastDamage(t *testing.T) {
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	var buf []byte
-	buf = append(buf, encodeEntry(EntryLogPage, pid, 1, []byte("one"))...)
-	mid := len(buf)
-	buf = append(buf, encodeEntry(EntryLogPage, pid, 2, []byte("two"))...)
-	buf = append(buf, encodeEntry(EntryLogPage, pid, 3, []byte("three"))...)
-	buf[mid+10] ^= 0xFF // rot inside the middle entry's only frame
-
-	entries, clean, damaged, err := DecodeSegment(buf)
-	if damaged != 1 || err == nil {
-		t.Fatalf("damaged = %d, err = %v", damaged, err)
-	}
-	if clean != len(buf) {
-		t.Fatalf("clean = %d, want %d (resync past the bad frame)", clean, len(buf))
-	}
-	if len(entries) != 2 || entries[0].LSN != 1 || entries[1].LSN != 3 {
-		t.Fatalf("entries = %+v, want LSNs 1 and 3", entries)
-	}
-}
-
-// An audit-trail spool block (kind 0xA5) from a segment written before
-// the kind was retired is a damaged entry: counted, skipped, and the
-// pages around it still decode.
-func TestDecodeSegmentSkipsRetiredAuditKind(t *testing.T) {
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	var buf []byte
-	buf = append(buf, encodeEntry(EntryLogPage, pid, 1, []byte("one"))...)
-	buf = append(buf, encodeEntry(0xA5, addr.PartitionID{}, 0, []byte("audit"))...)
-	buf = append(buf, encodeEntry(EntryLogPage, pid, 2, []byte("two"))...)
-	entries, clean, damaged, err := DecodeSegment(buf)
-	if damaged != 1 || err == nil {
-		t.Fatalf("damaged = %d, err = %v; want the audit entry counted", damaged, err)
-	}
-	if clean != len(buf) {
-		t.Fatalf("clean = %d, want %d", clean, len(buf))
-	}
-	if len(entries) != 2 || entries[0].LSN != 1 || entries[1].LSN != 2 {
-		t.Fatalf("entries = %+v, want the two pages", entries)
-	}
-}
-
-func TestDecodeSegmentTornTail(t *testing.T) {
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	whole := encodeEntry(EntryLogPage, pid, 1, []byte("whole"))
-	multi := encodeEntry(EntryLogPage, pid, 2, bytes.Repeat([]byte{9}, 2*frameCap))
-	// Crash after the multi-frame entry's first frame only.
-	buf := append(append([]byte(nil), whole...), multi[:FrameSize]...)
-	entries, clean, _, _ := DecodeSegment(buf)
-	if len(entries) != 1 || entries[0].LSN != 1 {
-		t.Fatalf("entries = %+v", entries)
-	}
-	if clean != len(whole) {
-		t.Fatalf("clean = %d, want %d (resume over the unclosed entry)", clean, len(whole))
-	}
-}
-
-// fill appends n 100-byte pages spread over pids, LSNs from first on.
-func fill(t *testing.T, st *Store, pids []addr.PartitionID, first simdisk.LSN, n int) {
+// faultyStore returns an empty store with an injector armed with plan.
+func faultyStore(t *testing.T, plan string) (*Store, *fault.Injector) {
 	t.Helper()
-	for lsn := first; lsn < first+simdisk.LSN(n); lsn++ {
-		if err := st.AppendPage(pids[int(lsn)%len(pids)], lsn, bytes.Repeat([]byte{byte(lsn)}, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// Sealed is derived at Open, not read from the segment: every segment but
-// the last is sealed, and the last is if it is full. Appends after a
-// reopen therefore land where they would have landed without one.
-func TestStoreReopenResumesOnTheRightSegment(t *testing.T) {
-	pids := []addr.PartitionID{{Segment: 2, Part: 0}, {Segment: 2, Part: 1}, {Segment: 3, Part: 0}}
-	for _, tc := range []struct {
-		name                string
-		n                   int
-		segs, sealed, after int // segments and sealed ones at reopen; segments after one more append
-	}{
-		// A 100-byte page is one 256-byte frame: eight fill a segment.
-		{"last segment full", 16, 2, 2, 3},
-		{"last segment part-full", 19, 3, 2, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := Open(dir, 2048)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fill(t, st, pids, 1, tc.n)
-			if err := st.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			before := make([]map[simdisk.LSN]string, len(pids))
-			for i, pid := range pids {
-				before[i] = pages(t, st, pid)
-			}
-			st.Close()
-
-			st2, err := Open(dir, 2048)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st2.Close()
-			if st2.Segments() != tc.segs || st2.SealedSegments() != tc.sealed {
-				t.Fatalf("reopened %d segments, %d sealed; want %d, %d", st2.Segments(), st2.SealedSegments(), tc.segs, tc.sealed)
-			}
-			for i, pid := range pids {
-				if got := pages(t, st2, pid); fmt.Sprint(got) != fmt.Sprint(before[i]) {
-					t.Fatalf("%v after reopen:\n got %v\nwant %v", pid, got, before[i])
-				}
-			}
-			fill(t, st2, pids, simdisk.LSN(tc.n+1), 1)
-			if st2.Segments() != tc.after {
-				t.Fatalf("append after reopen: %d segments, want %d", st2.Segments(), tc.after)
-			}
-			if got := pages(t, st2, pids[(tc.n+1)%len(pids)]); len(got) != len(before[(tc.n+1)%len(pids)])+1 {
-				t.Fatalf("resumed page not delivered: %d pages", len(got))
-			}
-		})
-	}
-}
-
-// retiredIndexEntry renders the page directory entry (kind 0x49) that
-// older builds appended to a segment when they sealed it: a count, then
-// per page segment(4) part(4) lsn(8) off(8), all little-endian.
-func retiredIndexEntry(recs []indexRec) []byte {
-	data := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)))
-	for _, r := range recs {
-		data = binary.LittleEndian.AppendUint32(data, uint32(r.pid.Segment))
-		data = binary.LittleEndian.AppendUint32(data, uint32(r.pid.Part))
-		data = binary.LittleEndian.AppendUint64(data, uint64(r.lsn))
-		data = binary.LittleEndian.AppendUint64(data, uint64(r.off))
-	}
-	return encodeEntry(0x49, addr.PartitionID{}, 0, data)
-}
-
-// A segment sealed by an older build ends in its page directory entry.
-// The entry is now a damaged kind: skipped, never delivered, and every
-// page before it still is.
-func TestStoreReopensSegmentWithRetiredIndexEntry(t *testing.T) {
-	dir := t.TempDir()
-	pid := addr.PartitionID{Segment: 2, Part: 0}
-	var seg []byte
-	var recs []indexRec
-	for lsn := simdisk.LSN(1); lsn <= 8; lsn++ {
-		recs = append(recs, indexRec{pid: pid, lsn: lsn, off: int64(len(seg))})
-		seg = append(seg, encodeEntry(EntryLogPage, pid, lsn, bytes.Repeat([]byte{byte(lsn)}, 100))...)
-	}
-	seg = append(seg, retiredIndexEntry(recs)...)
-	if _, _, damaged, err := DecodeSegment(seg); damaged != 1 || err == nil {
-		t.Fatalf("retired index entry: damaged %d, err %v", damaged, err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000000"+segSuffix), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, 2048)
+	p, err := fault.ParsePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if st.Entries() != 8 || st.SealedSegments() != 1 {
-		t.Fatalf("entries %d, sealed %d; want 8, 1", st.Entries(), st.SealedSegments())
+	st := newTestStore(t)
+	inj := fault.NewInjector(p)
+	st.SetInjector(inj)
+	return st, inj
+}
+
+// A crash mid-append leaves a prefix of the entry's frames in the
+// segment, the whole first frame included. None of it is visible, and
+// the retried append is delivered once.
+func TestAppendTornIsInvisibleAndRetried(t *testing.T) {
+	st, inj := faultyStore(t, "seed=1;arch.append@2:crash-torn:300")
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	big := bytes.Repeat([]byte{0x5A}, 2*frameCap) // three frames
+	if err := st.AppendPage(pid, 1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendPage(pid, 2, big); !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("torn append: %v, want the crash", err)
+	}
+	inj.ClearCrash()
+	if n := st.Entries(); n != 1 {
+		t.Fatalf("Entries = %d after the torn append, want 1", n)
+	}
+	if got := fmt.Sprint(pages(t, st, pid)); got != "map[1:one]" {
+		t.Fatalf("after the torn append: %s", got)
+	}
+	if err := st.AppendPage(pid, 2, big); err != nil {
+		t.Fatal(err)
 	}
 	got := pages(t, st, pid)
-	for lsn := simdisk.LSN(1); lsn <= 8; lsn++ {
-		if got[lsn] != string(bytes.Repeat([]byte{byte(lsn)}, 100)) {
-			t.Fatalf("lsn %d: %q", lsn, got[lsn])
-		}
+	if len(got) != 2 || got[1] != "one" || got[2] != string(big) || st.Entries() != 2 {
+		t.Fatalf("after the retry: %d pages, %d entries", len(got), st.Entries())
 	}
-	if len(got) != 8 {
-		t.Fatalf("%d pages delivered, want 8", len(got))
-	}
-	if err := st.AppendPage(pid, 9, []byte("next")); err != nil {
+}
+
+// An I/O error reaches no byte of the device.
+func TestAppendIOErrLeavesStoreUnchanged(t *testing.T) {
+	st, _ := faultyStore(t, "seed=1;arch.append@2:ioerr")
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	if err := st.AppendPage(pid, 1, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if st.Segments() != 2 {
-		t.Fatalf("append after a sealed old segment: %d segments, want 2", st.Segments())
+	seg := st.segs[0]
+	before := append([]byte(nil), seg.b...)
+	if err := st.AppendPage(pid, 2, []byte("two")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("append: %v, want the injected error", err)
+	}
+	if st.Entries() != 1 || st.Segments() != 1 || seg.size != FrameSize || len(seg.index) != 1 {
+		t.Fatalf("entries %d, segments %d, size %d, directory %d", st.Entries(), st.Segments(), seg.size, len(seg.index))
+	}
+	if !bytes.Equal(seg.b, before) {
+		t.Fatal("segment bytes changed")
+	}
+	if got := fmt.Sprint(pages(t, st, pid)); got != "map[1:one]" {
+		t.Fatalf("after the I/O error: %s", got)
+	}
+}
+
+// A corrupt append succeeds while the device decays: the entry is
+// counted but skipped on every read, and the entries around it are not.
+func TestAppendCorruptEntrySkippedOnRead(t *testing.T) {
+	st, _ := faultyStore(t, "seed=1;arch.append@2:corrupt")
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	for lsn, page := range []string{"one", "two", "three"} {
+		if err := st.AppendPage(pid, simdisk.LSN(lsn+1), []byte(page)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.Entries(); n != 3 {
+		t.Fatalf("Entries = %d, want 3", n)
+	}
+	for i := 0; i < 2; i++ {
+		if got := fmt.Sprint(pages(t, st, pid)); got != "map[1:one 3:three]" {
+			t.Fatalf("read %d: %s", i, got)
+		}
+	}
+}
+
+// A mutation rots the page before it is framed, so the frames pass
+// their CRCs and the page is delivered; the wal page CRC catches it.
+func TestAppendMutationCaughtByPageCRC(t *testing.T) {
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	page := (&wal.Page{PID: pid, Records: bytes.Repeat([]byte{0xA7, 0x3C}, 300)}).Encode()
+	for _, act := range []string{"flip", "zero", "trunc", "splice"} {
+		t.Run(act, func(t *testing.T) {
+			st, _ := faultyStore(t, "seed=1;arch.append@1:"+act)
+			if err := st.AppendPage(pid, 1, page); err != nil {
+				t.Fatal(err)
+			}
+			got := pages(t, st, pid)
+			if len(got) != 1 || got[1] == string(page) {
+				t.Fatalf("%d pages delivered, intact %v; want the rotted page", len(got), got[1] == string(page))
+			}
+			if _, err := wal.DecodePage([]byte(got[1])); err == nil {
+				t.Fatal("wal.DecodePage accepted the rotted page")
+			}
+		})
 	}
 }

@@ -57,11 +57,6 @@ type Config struct {
 	GracePages int
 	// CheckpointTracks is the checkpoint disk capacity in tracks.
 	CheckpointTracks int
-	// ArchiveDir is the directory holding the append-only archive
-	// segment files (§2.6). Empty keeps the archive in process memory:
-	// the same segment format, surviving simulated power cycles but
-	// not process exit.
-	ArchiveDir string
 	// ArchiveSegmentBytes is the archive segment rotation threshold;
 	// 0 uses archive.DefaultSegmentBytes.
 	ArchiveSegmentBytes int

@@ -22,13 +22,11 @@ type Hardware struct {
 	Arch   *archive.Store
 }
 
-// NewHardware builds the hardware complement for a fresh database.
-// With Config.ArchiveDir set, the archive tier opens (or resumes) real
-// segment files there, so archived history survives the process; empty
-// selects the in-memory backend, which survives simulated power cycles
-// but not process exit.
+// NewHardware builds the hardware complement for a fresh database. Like
+// the disks, the archive is simulated in process memory: it survives
+// simulated power cycles but not process exit.
 func NewHardware(cfg Config) (*Hardware, error) {
-	arch, err := archive.Open(cfg.ArchiveDir, cfg.ArchiveSegmentBytes)
+	arch, err := archive.Open("", cfg.ArchiveSegmentBytes)
 	if err != nil {
 		return nil, err
 	}

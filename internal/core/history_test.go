@@ -98,7 +98,7 @@ func TestHistorySkipsDamagedPage(t *testing.T) {
 }
 
 func TestHistoryOverlapWindowReplaysOnce(t *testing.T) {
-	// The rollover window is real: pages are fsynced into the archive
+	// The rollover window is real: pages are appended to the archive
 	// before the log copies drop, and a crash between the two leaves the
 	// same LSNs live on both media. They must replay exactly once — a
 	// second pass over an insert that a later page deleted would

@@ -574,14 +574,10 @@ func (m *Manager) archiveLocked(tail, floor simdisk.LSN) {
 		m.metrics.PagesArchived.Add(1)
 	}
 	if limit > m.slt.st.lastArchived {
-		// Fsync the archive segment before dropping the rolled pages
-		// from the log disks: at no instant may a page exist only in a
-		// volatile archive buffer. A failed sync leaves the pages on
-		// the disks; the roll is retried next round.
-		if err := m.hw.Arch.Sync(); err == nil {
-			m.hw.Log.Drop(limit)
-			m.slt.st.lastArchived = limit
-		}
+		// Every append up to limit returned with its bytes on the
+		// archive device, so the rolled pages may leave the log disks.
+		m.hw.Log.Drop(limit)
+		m.slt.st.lastArchived = limit
 	}
 }
 

@@ -239,7 +239,7 @@ func newMetrics(streams int) *Metrics {
 			"undecodable bin-tail suffixes cut at restart: a torn final append or tail-truncating rot (indistinguishable)"),
 
 		ArchSegments: archS.Counter("segments_written", "segments",
-			"archive segments sealed (full, fsynced, taking no more appends)"),
+			"archive segments sealed (full, taking no more appends)"),
 		ArchRebuilds: archS.Counter("rebuilds", "parts",
 			"partitions rebuilt from the archive after a lost or rotted checkpoint image (§2.6)"),
 		ArchRebuildFailed: archS.Counter("rebuild_failed", "parts",

@@ -492,7 +492,7 @@ func readLogPage(log logWindow, lsn simdisk.LSN, want *addr.PartitionID) (pg *wa
 // LSN order, and the number of pages skipped as detected rot (one
 // decayed archive frame costs exactly the records it held).
 //
-// Each LSN once: rollover fsyncs a page into the archive before it
+// Each LSN once: rollover appends a page to the archive before it
 // drops the log copy, and a crashed rollover retries, so an LSN can be
 // live on both media; replayed twice, old operations would land after
 // newer ones and resurrect deleted slots.

@@ -64,35 +64,36 @@ func TestGraph2DerivedRates(t *testing.T) {
 	}
 }
 
+// Graph 3 at paperbench's size: at every logging rate, the more
+// checkpoints are age-triggered, the more checkpoints per second, both
+// analytic and measured (0 < 25 < 50 < 100 % by age).
 func TestGraph3MixOrdering(t *testing.T) {
-	series, err := Graph3([]float64{5000, 10000}, []float64{0, 1.0}, 8000)
+	series, err := Graph3(nil, nil, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("%d series", len(series))
+	if len(series) != 4 {
+		t.Fatalf("%d series, want the 0, 25, 50 and 100 %% mixes", len(series))
 	}
 	for _, s := range series {
 		for _, p := range s.Points {
-			if p.Analytic <= 0 {
-				t.Fatalf("%s: bad analytic %+v", s.Label, p)
-			}
-			if p.Measured < 0 {
-				t.Fatalf("%s: negative measured %+v", s.Label, p)
+			if p.Analytic <= 0 || p.Measured < 0 {
+				t.Fatalf("%s: bad point %+v", s.Label, p)
 			}
 		}
-		// Linear in logging rate.
+		// Linear in logging rate: the rates run 2500, 5000, ...
 		if r := s.Points[1].Analytic / s.Points[0].Analytic; r < 1.99 || r > 2.01 {
 			t.Fatalf("%s: not linear (%v)", s.Label, r)
 		}
 	}
-	// All-age checkpoints are costlier than all-update-count.
-	if series[1].Points[0].Analytic <= series[0].Points[0].Analytic {
-		t.Fatal("age mix should have higher checkpoint frequency")
-	}
-	// Measured shape: age mix produces more checkpoints per record.
-	if series[1].Points[0].Measured <= series[0].Points[0].Measured {
-		t.Fatal("measured age mix should exceed update-count mix")
+	for i := range series[0].Points {
+		for k := 1; k < len(series); k++ {
+			lo, hi := series[k-1].Points[i], series[k].Points[i]
+			if hi.Analytic <= lo.Analytic || hi.Measured <= lo.Measured {
+				t.Fatalf("at %v records/s: %s (%+v) does not exceed %s (%+v)",
+					lo.X, series[k].Label, hi, series[k-1].Label, lo)
+			}
+		}
 	}
 }
 

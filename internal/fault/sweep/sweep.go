@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 
 	"mmdb"
@@ -713,13 +712,6 @@ func runPlan(opts *Options, plan fault.Plan) (PlanStat, *Violation, map[fault.Po
 		r.cfg.LogWindowPages = 1 << 20
 	}
 	r.cfg.FaultInjector = r.inj
-	// Real segment files for the archive tier, so every plan's rebuild
-	// path exercises the osFS backend (frame decode off disk, fsync
-	// ordering, tail repair) rather than the in-memory stand-in.
-	if dir, err := os.MkdirTemp("", "sweep-arch-*"); err == nil {
-		r.cfg.ArchiveDir = dir
-		defer os.RemoveAll(dir)
-	}
 	vio := r.run()
 	if r.hits == nil {
 		// The cycle failed before run's snapshot: the injector still
