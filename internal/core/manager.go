@@ -491,20 +491,23 @@ func (m *Manager) sortRecord(pid addr.PartitionID, enc []byte) error {
 }
 
 // flushBinPageLocked writes the bin's current page to the log disk,
-// adds it to the bin's page list and resets the buffer; the SLT mutex
-// must be held.
+// folded (fold.go), adds it to the bin's page list and resets the
+// buffer; the SLT mutex must be held.
 func (m *Manager) flushBinPageLocked(b *bin) error {
 	m.checkTailLocked(b)
 	if b.cur == nil || b.cur.Len() == 0 {
 		return nil
 	}
-	pg := &wal.Page{PID: b.pid, Records: b.cur.Bytes()}
+	body, folded, foldedBytes := m.slt.fold.fold(b.cur.Bytes())
+	pg := &wal.Page{PID: b.pid, Records: body}
 	flushStart := time.Now()
 	lsn, err := m.hw.Log.Append(pg.Encode())
 	if err != nil {
 		return err
 	}
 	m.metrics.PageFlushLatency.ObserveSince(flushStart)
+	m.metrics.RecordsFolded.Add(int64(folded))
+	m.metrics.BytesFolded.Add(int64(foldedBytes))
 	m.tracer.Emit(pidEvent(trace.Event{
 		Kind: trace.KindPageFlush, LSN: uint64(lsn), Arg: uint64(b.curCount),
 	}, b.pid))

@@ -50,6 +50,8 @@ type Metrics struct {
 	PageFlushLatency *metrics.Histogram
 	RecordsSorted    *metrics.Counter
 	BytesSorted      *metrics.Counter
+	RecordsFolded    *metrics.Counter
+	BytesFolded      *metrics.Counter
 	PagesFlushed     *metrics.Counter
 	PagesArchived    *metrics.Counter
 	WindowOverruns   *metrics.Counter
@@ -194,8 +196,11 @@ func newMetrics(streams int) *Metrics {
 
 		PageFlushLatency: logS.Histogram("page_flush", "ns",
 			"latency of one bin page write to the duplexed log disks (§2.3.3)"),
-		RecordsSorted:  logS.Counter("records_sorted", "records", "records moved SLB -> SLT bins"),
-		BytesSorted:    logS.Counter("bytes_sorted", "bytes", "record bytes moved into bins"),
+		RecordsSorted: logS.Counter("records_sorted", "records", "records moved SLB -> SLT bins"),
+		BytesSorted:   logS.Counter("bytes_sorted", "bytes", "record bytes moved into bins"),
+		RecordsFolded: logS.Counter("records_folded", "records",
+			"records left out of flushed bin pages because a later record of the page supersedes them"),
+		BytesFolded:    logS.Counter("bytes_folded", "bytes", "record bytes left out of flushed bin pages"),
 		PagesFlushed:   logS.Counter("pages_flushed", "pages", "bin pages written to the log disk"),
 		PagesArchived:  logS.Counter("pages_archived", "pages", "log pages rolled to the archive tape (§2.6)"),
 		WindowOverruns: logS.Counter("window_overruns", "events", "pages kept past the log window for safety"),

@@ -112,6 +112,8 @@ type slt struct {
 	// the bins, in PID order, on restart.
 	ckptQueue []ckptClaim
 	ckptCh    chan struct{} // nudges the checkpointer
+	// fold is the page flush's change-accumulation scratch, under st.mu.
+	fold folder
 }
 
 // ckptClaim is one checkpoint request in the claim order.

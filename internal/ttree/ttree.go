@@ -14,9 +14,11 @@
 package ttree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mmdb/internal/addr"
@@ -263,14 +265,19 @@ func (v *view) free(a addr.EntityAddr) error {
 	return v.t.pager.Delete(a)
 }
 
-// flush writes every dirty node and, if changed, the header.
+// flush writes every dirty node and, if changed, the header. Nodes go
+// in address order, so one schedule logs the same records in the same
+// order every time it runs.
 func (v *view) flush() error {
+	dirty := make([]addr.EntityAddr, 0, len(v.dirty))
 	for a := range v.dirty {
-		n, ok := v.nodes[a]
-		if !ok {
-			continue // freed after being dirtied
+		if _, ok := v.nodes[a]; ok { // else freed after being dirtied
+			dirty = append(dirty, a)
 		}
-		if err := v.t.pager.Update(a, marshalNode(n, v.t.order)); err != nil {
+	}
+	slices.SortFunc(dirty, func(a, b addr.EntityAddr) int { return cmp.Compare(a.Pack(), b.Pack()) })
+	for _, a := range dirty {
+		if err := v.t.pager.Update(a, marshalNode(v.nodes[a], v.t.order)); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,9 @@ import (
 type RedoSink interface {
 	// BeginTxn opens a log record chain for the transaction.
 	BeginTxn(id uint64)
-	// WriteRecord appends a REDO record to its transaction's chain.
+	// WriteRecord appends a REDO record to its transaction's chain. The
+	// record is the caller's again when it returns: a sink copies what
+	// it keeps.
 	WriteRecord(rec *wal.Record) error
 	// CommitTxn atomically moves the chain to the committed list; the
 	// transaction is durable when this returns.
@@ -127,6 +129,9 @@ type Txn struct {
 	newParts   []*mm.Partition   // privately owned until commit
 	nRecords   int
 	done       bool
+	// rec is the record emit hands the sink, held here so that logging
+	// a record allocates nothing: the sink copies what it keeps.
+	rec wal.Record
 }
 
 // ID returns the transaction identifier.
@@ -169,8 +174,10 @@ func (t *Txn) LockIndex(idxID uint64, mode lock.Mode) error {
 }
 
 func (t *Txn) emit(tag wal.Tag, pid addr.PartitionID, slot addr.Slot, off uint16, data []byte) error {
-	rec := &wal.Record{Tag: tag, Txn: t.id, PID: pid, Slot: slot, Off: off, Data: data}
-	if err := t.m.sink.WriteRecord(rec); err != nil {
+	t.rec = wal.Record{Tag: tag, Txn: t.id, PID: pid, Slot: slot, Off: off, Data: data}
+	err := t.m.sink.WriteRecord(&t.rec)
+	t.rec.Data = nil
+	if err != nil {
 		return err
 	}
 	t.nRecords++

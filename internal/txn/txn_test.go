@@ -2,7 +2,9 @@ package txn
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -446,6 +448,73 @@ func TestIndexPagerWithTTreeAbort(t *testing.T) {
 	n, err := tree3.Count()
 	if err != nil || n != 100 {
 		t.Fatalf("Count = %d, %v", n, err)
+	}
+}
+
+// nopSink accepts every record and keeps none.
+type nopSink struct{}
+
+func (nopSink) BeginTxn(uint64)               {}
+func (nopSink) WriteRecord(*wal.Record) error { return nil }
+func (nopSink) CommitTxn(uint64) error        { return nil }
+func (nopSink) AbortTxn(uint64)               {}
+
+// Logging a record allocates nothing of its own: the transaction hands
+// the sink the record it holds, and the sink copies what it keeps.
+func TestEmitAllocatesNothing(t *testing.T) {
+	m := NewManager(mm.NewStore(4096), lock.NewManager(), nopSink{})
+	tx := m.Begin()
+	pid := addr.PartitionID{Segment: 2, Part: 1}
+	data := []byte("12345678")
+	if n := testing.AllocsPerRun(100, func() {
+		if err := tx.emit(wal.TagRelWrite, pid, 3, 8, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("emitting a record allocates %.0f times, want 0", n)
+	}
+}
+
+// One schedule of T-Tree inserts and deletes, run twice on fresh
+// stores, logs byte-identical chains: the tree writes the nodes an
+// operation dirtied in address order, not in map order.
+func TestIndexChainIsDeterministic(t *testing.T) {
+	cmpE := func(a, b uint64) (int, error) { return cmp.Compare(a, b), nil }
+	cmpK := func(k any, e uint64) (int, error) { return cmp.Compare(k.(uint64), e), nil }
+	run := func() []byte {
+		m, sink, _ := newTestManager()
+		idxSeg := m.Store().CreateSegment()
+		tx := m.Begin()
+		tree, _, err := ttree.Create(IndexPager{T: tx, Seg: idxSeg}, 4, cmpE, cmpK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		keys := rng.Perm(300)
+		for _, k := range keys {
+			if err := tree.Insert(uint64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range keys[:150] {
+			if err := tree.Delete(uint64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var chain []byte
+		for _, r := range sink.chains[tx.ID()] {
+			chain = r.Encode(chain)
+		}
+		return chain
+	}
+	first := run()
+	for i := 0; i < 5; i++ {
+		if again := run(); !bytes.Equal(first, again) {
+			t.Fatalf("run %d logged a %d-byte chain that differs from the first run's %d bytes", i+2, len(again), len(first))
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"mmdb/internal/addr"
 )
@@ -135,24 +136,19 @@ func uvarintLen(v uint64) int {
 }
 
 // Encode appends the record's encoding to dst and returns the result.
+// It grows dst at most once, to the record's EncodedSize.
 func (r *Record) Encode(dst []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
+	dst = slices.Grow(dst, r.EncodedSize())
 	start := len(dst)
 	dst = append(dst, byte(r.Tag))
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		dst = append(dst, tmp[:n]...)
-	}
-	put(r.Txn)
-	put(uint64(r.PID.Segment))
-	put(uint64(r.PID.Part))
-	put(uint64(r.Slot))
-	put(uint64(r.Off))
-	put(uint64(len(r.Data)))
+	dst = binary.AppendUvarint(dst, r.Txn)
+	dst = binary.AppendUvarint(dst, uint64(r.PID.Segment))
+	dst = binary.AppendUvarint(dst, uint64(r.PID.Part))
+	dst = binary.AppendUvarint(dst, uint64(r.Slot))
+	dst = binary.AppendUvarint(dst, uint64(r.Off))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
 	dst = append(dst, r.Data...)
-	var crc [recordCRCSize]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(dst[start:]))
-	return append(dst, crc[:]...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // Decode parses one record from the front of buf, returning the record
@@ -166,43 +162,27 @@ func Decode(buf []byte) (Record, int, error) {
 	if !r.Tag.Valid() {
 		return Record{}, 0, fmt.Errorf("%w: bad tag %d", ErrCorrupt, buf[0])
 	}
+	// The six header uvarints: txn, segment, partition, slot, offset,
+	// payload length.
+	var hdr [6]uint64
 	pos := 1
-	get := func() (uint64, error) {
+	for i := range hdr {
 		v, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated record header", ErrCorrupt)
+			return Record{}, 0, fmt.Errorf("%w: truncated record header", ErrCorrupt)
 		}
+		hdr[i] = v
 		pos += n
-		return v, nil
 	}
-	var v uint64
-	var err error
-	if r.Txn, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	r.PID.Segment = addr.SegmentID(v)
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	r.PID.Part = addr.PartitionNum(v)
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	r.Slot = addr.Slot(v)
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	r.Off = uint16(v)
-	if v, err = get(); err != nil {
-		return Record{}, 0, err
-	}
-	if v > uint64(len(buf)-pos) {
+	r.Txn = hdr[0]
+	r.PID.Segment = addr.SegmentID(hdr[1])
+	r.PID.Part = addr.PartitionNum(hdr[2])
+	r.Slot = addr.Slot(hdr[3])
+	r.Off = uint16(hdr[4])
+	if v := hdr[5]; v > uint64(len(buf)-pos) {
 		return Record{}, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, len(buf)-pos, v)
 	}
-	dlen := int(v)
+	dlen := int(hdr[5])
 	if dlen > 0 {
 		r.Data = buf[pos : pos+dlen : pos+dlen]
 	}

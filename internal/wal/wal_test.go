@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,40 @@ func TestRecordGoldenBytes(t *testing.T) {
 	got, n, err := Decode(want)
 	if err != nil || n != len(want) || !reflect.DeepEqual(got, r) {
 		t.Fatalf("golden bytes decode to %+v, %d bytes, %v", got, n, err)
+	}
+}
+
+// raceBuild reports a -race build, whose instrumentation keeps the
+// compiler from folding slices.Grow's make into its append.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// Encode grows its buffer once, to the record's size, and not at all
+// when the buffer has room; Decode allocates nothing.
+func TestRecordCodecAllocations(t *testing.T) {
+	r := sampleRecord()
+	want := 1.0
+	if raceBuild() {
+		want = 2
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = r.Encode(nil) }); n != want {
+		t.Fatalf("Encode(nil) allocates %.0f times, want %.0f", n, want)
+	}
+	buf := make([]byte, 0, 2*r.EncodedSize())
+	if n := testing.AllocsPerRun(100, func() { _ = r.Encode(buf[:1]) }); n != 0 {
+		t.Fatalf("Encode into a buffer with room allocates %.0f times, want 0", n)
+	}
+	enc := r.Encode(nil)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = Decode(enc) }); n != 0 {
+		t.Fatalf("Decode allocates %.0f times, want 0", n)
 	}
 }
 
