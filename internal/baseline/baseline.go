@@ -111,6 +111,7 @@ func (e *Engine) Checkpoint() error {
 		}
 		t := e.nextTrack
 		e.nextTrack = (e.nextTrack + 1) % simdisk.TrackLoc(e.ckptDisk.Tracks())
+		// The track keeps the snapshot; nothing writes it again.
 		if err := e.ckptDisk.WriteTrack(t, p.Snapshot()); err != nil {
 			return err
 		}
@@ -139,7 +140,7 @@ func (e *Engine) Recover(partSize int) (*mm.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline: image of %v: %w", pid, err)
 		}
-		p, err := mm.AdoptImage(pid, img)
+		p, err := mm.AdoptImage(pid, img) // reads the track until the first write
 		if err != nil {
 			return nil, fmt.Errorf("baseline: image of %v: %w", pid, err)
 		}

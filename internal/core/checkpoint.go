@@ -226,7 +226,9 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	// structure but cannot see content rot (a flipped byte inside row
 	// data parses fine), so the restart path needs an end-to-end CRC to
 	// decide "this image rotted, rebuild from the archive" with no
-	// silent-wrong-data window.
+	// silent-wrong-data window. The track keeps blob itself, so the
+	// image is copied once, out of the partition, and blob is never
+	// written again.
 	blob := sealImage(img)
 	if err := m.hw.Ckpt.WriteTrack(track, blob); err != nil {
 		return err

@@ -317,11 +317,13 @@ func TestCrashBetweenCommitAndFinish(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocatesOneImage holds the recovery transaction to one
-// image-sized allocation: the checkpoint track is read once, split at
-// its CRC trailer, into the exact-size buffer the restored partition
-// keeps. The bin is empty, so the image is all there is to restore.
-func TestRestoreAllocatesOneImage(t *testing.T) {
+// TestRestoreSharesTrackUntilFirstWrite holds the recovery transaction
+// to no image copy: with the bin empty, the restored partition reads its
+// checkpoint track in place (after the envelope CRC and the structural
+// checks) and the restore allocates under 8 KiB. The partition's first
+// write then allocates one exact-size image of its own and leaves the
+// track as it was.
+func TestRestoreSharesTrackUntilFirstWrite(t *testing.T) {
 	cfg := testCfg()
 	cfg.PartitionSize = 48 << 10 // an allocator size class: exact means exact
 	cfg.UpdateThreshold = 1 << 30
@@ -342,6 +344,12 @@ func TestRestoreAllocatesOneImage(t *testing.T) {
 	h.mu.Lock()
 	track := h.tracks[pid]
 	h.mu.Unlock()
+	stored, _, err := h.m.hw.Ckpt.ReadTrackSplit(track, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(stored)
+	shared := h.m.Metrics().ImagesShared.Value()
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -353,13 +361,36 @@ func TestRestoreAllocatesOneImage(t *testing.T) {
 	if got, err := p.Read(a.Slot); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{7}, 512)) {
 		t.Fatalf("restored entity: %v", err)
 	}
-	if c := cap(p.Image()); c != cfg.PartitionSize {
-		t.Fatalf("restored image has capacity %d, want %d", c, cfg.PartitionSize)
+	if img := p.Image(); !p.Shared() || len(img) != cfg.PartitionSize || &img[0] != &stored[0] {
+		t.Fatalf("restored image (shared %v, %d bytes) is not a view of its track", p.Shared(), len(img))
+	}
+	if got := h.m.Metrics().ImagesShared.Value() - shared; got != 1 {
+		t.Fatalf("restart/images_shared moved by %d, want 1", got)
 	}
 	n := after.TotalAlloc - before.TotalAlloc
 	t.Logf("restore allocated %d bytes", n)
-	if n >= uint64(cfg.PartitionSize+8<<10) {
-		t.Fatalf("restore allocated %d bytes, want under %d", n, cfg.PartitionSize+8<<10)
+	if n >= 8<<10 {
+		t.Fatalf("restore allocated %d bytes, want under %d", n, 8<<10)
+	}
+
+	runtime.ReadMemStats(&before)
+	p.Latch()
+	err = p.WriteAt(a.Slot, 0, []byte{8})
+	p.Unlatch()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = after.TotalAlloc - before.TotalAlloc
+	t.Logf("first write allocated %d bytes", n)
+	if n < uint64(cfg.PartitionSize) || n >= uint64(cfg.PartitionSize+8<<10) {
+		t.Fatalf("first write allocated %d bytes, want one %d-byte image and under 8 KiB besides", n, cfg.PartitionSize)
+	}
+	if img := p.Image(); p.Shared() || cap(img) != cfg.PartitionSize || &img[0] == &stored[0] {
+		t.Fatalf("written image (shared %v, capacity %d) is not a private exact-size copy", p.Shared(), cap(img))
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatal("the first write changed the checkpoint track")
 	}
 }
 

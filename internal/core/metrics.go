@@ -72,12 +72,15 @@ type Metrics struct {
 	// The progress gauges publish live restart state: partitions
 	// recovered vs total, the heat-weighted fraction restored (ppm),
 	// and TTP99Restored — the nanoseconds from Restart until ≥99% of
-	// pre-crash access weight was resident again.
+	// pre-crash access weight was resident again. ImagesShared counts
+	// the restores that installed a partition still reading its
+	// checkpoint track in place: nothing replayed onto it wrote.
 	RestartRootScan     *metrics.Histogram
 	PartitionRecovery   *metrics.Histogram
 	BackgroundSweep     *metrics.Histogram
 	SweepWorkerTime     *metrics.Histogram
 	PartsRecovered      *metrics.Counter
+	ImagesShared        *metrics.Counter
 	RecoveryLogPages    *metrics.Counter
 	RecoverySweepErrors *metrics.Counter
 	SweepPartsPerSec    *metrics.Gauge
@@ -220,12 +223,13 @@ func newMetrics(streams int) *Metrics {
 		RestartRootScan: restart.Histogram("root_scan", "ns",
 			"stable-root + catalog restore time before the first transaction (§2.5)"),
 		PartitionRecovery: restart.Histogram("partition_recovery", "ns",
-			"per-partition recovery transaction time: image read + log replay (§2.5)"),
+			"per-partition recovery transaction time: image view + CRC check + log replay (§2.5)"),
 		BackgroundSweep: restart.Histogram("background_sweep", "ns",
 			"total background-recovery sweep time (§2.5 method 2)"),
 		SweepWorkerTime: restart.Histogram("sweep_worker", "ns",
 			"per-worker wall-clock of the parallel background sweep (one observation per worker)"),
 		PartsRecovered:      restart.Counter("partitions_recovered", "parts", "partitions restored post-crash"),
+		ImagesShared:        restart.Counter("images_shared", "parts", "restores that installed a partition still reading its checkpoint track in place (no write replayed)"),
 		RecoveryLogPages:    restart.Counter("log_pages_read", "pages", "log pages read during recovery"),
 		RecoverySweepErrors: restart.Counter("sweep_errors", "errors", "failed recovery attempts during the background sweep (enumeration + per-partition)"),
 		SweepPartsPerSec:    restart.Gauge("sweep_parts_per_sec", "parts/s", "background-sweep recovery throughput of the last completed sweep"),

@@ -314,11 +314,14 @@ func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc)
 	var lost error // why the image the catalog names cannot be used
 	imgBytes := 0
 	if track != simdisk.NilTrack {
-		// The track is read once, split at its CRC trailer: img is an
-		// exact-size copy of the image, the buffer the partition keeps.
-		// (Adopting a PartitionSize + 4 envelope instead would pin an
-		// 8 KB page past the 48 KB size class per resident partition,
-		// EXPERIMENTS.md B24.)
+		// The track is read once, split at its CRC trailer: img is a
+		// read-only view of the image, which the partition adopts
+		// copy-on-write. A partition nothing writes keeps reading the
+		// track and costs no copy; the first replayed or transactional
+		// write copies img, without the trailer, into an exact-size
+		// buffer. (Copying the PartitionSize + 4 envelope instead would
+		// pin an 8 KB page past the 48 KB size class per written
+		// partition, EXPERIMENTS.md B24.)
 		img, crc, err := m.hw.Ckpt.ReadTrackSplit(track, 4)
 		if err != nil && !errors.Is(err, simdisk.ErrNoSuchTrack) {
 			// Transient faults and whole-disk failures propagate: the
@@ -432,6 +435,9 @@ func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc)
 		m.metrics.ArchRebuildTime.ObserveSince(recStart)
 	}
 	m.metrics.PartsRecovered.Add(1)
+	if p.Shared() {
+		m.metrics.ImagesShared.Inc()
+	}
 	m.metrics.PartitionRecovery.ObserveSince(recStart)
 	m.noteRecovered(pid)
 	m.tracer.Emit(pidEvent(trace.Event{

@@ -13,7 +13,9 @@ import (
 // input, and any image they accept must be safe to operate on: slot
 // iteration, reads, an insert, and a delete must all stay in bounds
 // (the validator's job is exactly to make the later fast paths
-// unconditionally safe).
+// unconditionally safe). AdoptImage reads the fuzz input itself, and
+// the insert and delete probes run on adopted partitions, so the input
+// must come out of them unchanged: an adopted image is copy-on-write.
 func FuzzFromImage(f *testing.F) {
 	pid := addr.PartitionID{Segment: 2, Part: 1}
 	// Seeds: a fresh empty partition, one with live entities, and one
@@ -32,10 +34,11 @@ func FuzzFromImage(f *testing.F) {
 	f.Add(filled.Snapshot())
 
 	f.Fuzz(func(t *testing.T, image []byte) {
+		orig := bytes.Clone(image)
 		p, err := FromImage(pid, image)
-		// AdoptImage runs the same checks over the buffer it keeps:
-		// it accepts exactly what FromImage accepts, as the same image.
-		a, aerr := AdoptImage(pid, bytes.Clone(image))
+		// AdoptImage runs the same checks over the input in place: it
+		// accepts exactly what FromImage accepts, as the same image.
+		a, aerr := AdoptImage(pid, image)
 		if (err == nil) != (aerr == nil) {
 			t.Fatalf("FromImage: %v, AdoptImage: %v", err, aerr)
 		}
@@ -69,16 +72,16 @@ func FuzzFromImage(f *testing.F) {
 			t.Fatalf("header says room for %d bytes, slots say %d", room, want)
 		}
 		if over := room + 1; over <= MaxEntity(len(image)) {
-			q, _ := FromImage(pid, image)
+			q, _ := AdoptImage(pid, image)
 			if _, err := q.Insert(make([]byte, over)); !errors.Is(err, ErrPartitionFull) {
 				t.Fatalf("insert of %d bytes with room for %d: %v", over, room, err)
 			}
-			if !bytes.Equal(q.Image(), image) {
-				t.Fatal("refused insert changed the image")
+			if !q.Shared() || !bytes.Equal(q.Image(), orig) {
+				t.Fatal("refused insert changed or copied the image")
 			}
 		}
 		if room >= 0 {
-			q, _ := FromImage(pid, image)
+			q, _ := AdoptImage(pid, image)
 			if _, err := q.Insert(make([]byte, room)); err != nil {
 				t.Fatalf("insert of %d bytes with room for %d: %v", room, room, err)
 			}
@@ -90,15 +93,16 @@ func FuzzFromImage(f *testing.F) {
 		// insert (which walks the validated free chain) followed by a
 		// delete must leave the entity count unchanged.
 		before := p.EntityCount()
-		s, ierr := p.Insert([]byte("probe"))
-		if ierr != nil {
-			return // legitimately full
+		if s, ierr := a.Insert([]byte("probe")); ierr == nil { // else legitimately full
+			if err := a.Delete(s); err != nil {
+				t.Fatalf("delete of fresh insert failed: %v", err)
+			}
+			if a.EntityCount() != before {
+				t.Fatalf("entity count %d after insert+delete, want %d", a.EntityCount(), before)
+			}
 		}
-		if err := p.Delete(s); err != nil {
-			t.Fatalf("delete of fresh insert failed: %v", err)
-		}
-		if p.EntityCount() != before {
-			t.Fatalf("entity count %d after insert+delete, want %d", p.EntityCount(), before)
+		if !bytes.Equal(image, orig) {
+			t.Fatal("a probe of an adopted image wrote to the input")
 		}
 	})
 }

@@ -55,6 +55,10 @@ type Partition struct {
 	id  addr.PartitionID
 	mu  sync.Mutex // the partition latch
 	buf []byte
+	// shared marks buf as an adopted image the partition does not own
+	// (a view of a checkpoint track): it is never written, and the
+	// first mutation replaces it with a private copy (own).
+	shared bool
 
 	// Volatile attributes, not part of the image. owner is the
 	// transaction whose uncommitted allocation created the partition (0
@@ -88,22 +92,30 @@ func NewPartition(id addr.PartitionID, size int) *Partition {
 var ErrBadImage = errors.New("mm: corrupt partition image")
 
 // FromImage reconstructs a partition from a copy of a checkpoint image:
-// AdoptImage over bytes.Clone(image), so the caller keeps image.
+// AdoptImage over bytes.Clone(image), a copy the partition owns, so the
+// caller keeps image.
 func FromImage(id addr.PartitionID, image []byte) (*Partition, error) {
-	return AdoptImage(id, bytes.Clone(image))
+	p, err := AdoptImage(id, bytes.Clone(image))
+	if err != nil {
+		return nil, err
+	}
+	p.shared = false
+	return p, nil
 }
 
 // AdoptImage reconstructs a partition from a checkpoint image, validating
-// every structural invariant the accessors rely on, and keeps image as
-// the partition's buffer: the caller hands it over and must not touch it
-// again. The image bytes come off a disk track whose ECC a mutation
-// fault (or real bit rot) can leave intact, so nothing about them can be
-// trusted.
+// every structural invariant the accessors rely on, and reads image in
+// place, copy-on-write: the partition never writes it, and its first
+// mutation copies it into a buffer of its own. The caller must not
+// write image while the partition may still read it; a checkpoint
+// track's bytes never change, so a restore adopts a view of the track.
+// The image bytes come off a disk track whose ECC a mutation fault (or
+// real bit rot) can leave intact, so nothing about them can be trusted.
 func AdoptImage(id addr.PartitionID, image []byte) (*Partition, error) {
 	if len(image) < headerSize+slotEntrySize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadImage, len(image), headerSize+slotEntrySize)
 	}
-	p := &Partition{id: id, buf: image}
+	p := &Partition{id: id, buf: image, shared: true}
 	n := int(p.u16(hdrNumSlots))
 	tableEnd := headerSize + n*slotEntrySize
 	top := int(p.u32(hdrHeapTop))
@@ -160,6 +172,19 @@ func MaxEntity(partSize int) int { return partSize - headerSize - slotEntrySize 
 
 // ID returns the partition's identity.
 func (p *Partition) ID() addr.PartitionID { return p.id }
+
+// Shared reports whether the partition still reads the image it adopted,
+// having made no copy of its own yet.
+func (p *Partition) Shared() bool { return p.shared }
+
+// own gives the partition a private buffer before it writes to an
+// adopted image; every mutator calls it before its first write.
+func (p *Partition) own() {
+	if p.shared {
+		p.buf = bytes.Clone(p.buf)
+		p.shared = false
+	}
+}
 
 // Size returns the partition image size in bytes.
 func (p *Partition) Size() int { return len(p.buf) }
@@ -329,6 +354,7 @@ func (p *Partition) Insert(data []byte) (addr.Slot, error) {
 	if len(data) > p.Room() {
 		return 0, ErrPartitionFull
 	}
+	p.own()
 	s, err := p.allocSlot()
 	if err != nil {
 		return 0, err
@@ -348,6 +374,7 @@ func (p *Partition) Insert(data []byte) (addr.Slot, error) {
 // which must reproduce the exact addresses the original operations
 // produced. The slot must be free (or beyond the current table).
 func (p *Partition) InsertAt(s addr.Slot, data []byte) error {
+	p.own()
 	// Grow the table (as free slots) until s exists. allocSlot would
 	// prefer the free chain, so extend the table explicitly.
 	for int(s) >= int(p.u16(hdrNumSlots)) {
@@ -430,6 +457,7 @@ func (p *Partition) Update(s addr.Slot, data []byte) error {
 	if off == freeOffset {
 		return fmt.Errorf("%w: slot %d", ErrBadSlot, s)
 	}
+	p.own()
 	if int(length) == len(data) {
 		copy(p.buf[off:], data)
 		return nil
@@ -471,6 +499,7 @@ func (p *Partition) WriteAt(s addr.Slot, entOff int, data []byte) error {
 	if entOff < 0 || entOff+len(data) > int(length) {
 		return fmt.Errorf("mm: WriteAt [%d,%d) outside entity of %d bytes", entOff, entOff+len(data), length)
 	}
+	p.own()
 	copy(p.buf[int(off)+entOff:], data)
 	return nil
 }
@@ -484,6 +513,7 @@ func (p *Partition) Delete(s addr.Slot) error {
 	if off == freeOffset {
 		return fmt.Errorf("%w: slot %d", ErrBadSlot, s)
 	}
+	p.own()
 	p.setU32(hdrLiveBytes, p.u32(hdrLiveBytes)-length)
 	p.freeSlot(s)
 	p.hint.rewind(p.id.Part)
@@ -513,6 +543,7 @@ func (p *Partition) Snapshot() []byte { return p.AppendImage(nil) }
 // transaction-consistent.
 func (p *Partition) AppendImage(dst []byte) []byte { return append(dst, p.buf...) }
 
-// Image exposes the raw partition image for in-place REDO replay; the
-// caller must hold the latch.
-func (p *Partition) Image() []byte { return p.buf }
+// Image returns a read-only view of the partition image, valid until
+// the next mutation; the caller must hold the latch and must not write
+// through it.
+func (p *Partition) Image() []byte { return p.buf[:len(p.buf):len(p.buf)] }

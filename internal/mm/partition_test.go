@@ -220,6 +220,72 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
+// TestAdoptedImageCopyOnWrite runs every mutator on an adopted image:
+// each must leave the source bytes as they were and the partition equal
+// to the same operation on a private copy. The source's bump gap is
+// short of the insert and the resize below, so both compact first.
+func TestAdoptedImageCopyOnWrite(t *testing.T) {
+	src := NewPartition(testPID, 512)
+	s0, _ := src.Insert(bytes.Repeat([]byte{'a'}, 40))
+	s1, _ := src.Insert(bytes.Repeat([]byte{'b'}, 200))
+	s2, _ := src.Insert(bytes.Repeat([]byte{'c'}, 40))
+	if _, err := src.Insert(bytes.Repeat([]byte{'d'}, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Delete(s1); err != nil {
+		t.Fatal(err)
+	}
+	image := src.Snapshot()
+	gap := int(src.u32(hdrHeapTop)) - src.slotTableEnd()
+	if gap >= 60 || src.Room() < 100 {
+		t.Fatalf("fixture: gap %d, room %d; want a gap under 60 and room for 100", gap, src.Room())
+	}
+	tableEnd := addr.Slot(src.u16(hdrNumSlots))
+
+	cases := []struct {
+		name string
+		op   func(p *Partition) error
+	}{
+		{"update same size", func(p *Partition) error { return p.Update(s0, bytes.Repeat([]byte{'A'}, 40)) }},
+		{"update resize", func(p *Partition) error { return p.Update(s0, bytes.Repeat([]byte{'A'}, 60)) }},
+		{"insert that compacts", func(p *Partition) error { _, err := p.Insert(bytes.Repeat([]byte{'e'}, 100)); return err }},
+		{"insertAt past the table end", func(p *Partition) error { return p.InsertAt(tableEnd+2, []byte("zeta")) }},
+		{"writeAt", func(p *Partition) error { return p.WriteAt(s2, 1, []byte("XY")) }},
+		{"delete", func(p *Partition) error { return p.Delete(s2) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			source := bytes.Clone(image)
+			adopted, err := AdoptImage(testPID, source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			private, err := FromImage(testPID, image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !adopted.Shared() || private.Shared() {
+				t.Fatalf("Shared: adopted %v, private %v; want true, false", adopted.Shared(), private.Shared())
+			}
+			if err := c.op(adopted); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.op(private); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(source, image) {
+				t.Fatal("the mutation wrote to the adopted source")
+			}
+			if adopted.Shared() {
+				t.Fatal("a written partition still shares its source")
+			}
+			if !bytes.Equal(adopted.Image(), private.Image()) {
+				t.Fatal("the adopted partition differs from the same operation on a private copy")
+			}
+		})
+	}
+}
+
 func TestSlotsIteration(t *testing.T) {
 	p := NewPartition(testPID, 2048)
 	want := map[addr.Slot][]byte{}

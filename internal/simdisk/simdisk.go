@@ -453,6 +453,11 @@ const NilTrack TrackLoc = -1
 // organised by the recovery design as a pseudo-circular queue of tracks
 // (§2.4). The disk itself only stores and times track I/O; allocation
 // policy lives in the checkpoint manager.
+//
+// A stored track's bytes never change: WriteTrack keeps the buffer it is
+// handed, FreeTrack and Fail only drop the reference, and a mutation
+// fault damages a copy. So a read returns views of the stored bytes, not
+// copies, and neither the writer nor any reader may write through them.
 type CheckpointDisk struct {
 	params Params
 
@@ -490,7 +495,9 @@ func (d *CheckpointDisk) Tracks() int { return d.n }
 
 // WriteTrack stores a whole-track partition image. Writes land at the
 // head of the pseudo-circular queue, so they pay a short seek plus the
-// double-rate track transfer.
+// double-rate track transfer. The caller hands data over: the track
+// keeps it (or, after a torn write, a prefix of it) and the caller must
+// not write to it again.
 func (d *CheckpointDisk) WriteTrack(loc TrackLoc, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -504,7 +511,8 @@ func (d *CheckpointDisk) WriteTrack(loc TrackLoc, data []byte) error {
 	if dec.Err != nil && dec.ApplyBytes(len(data)) == 0 && !dec.MarkBad {
 		return dec.Err
 	}
-	stored := append([]byte(nil), data[:dec.ApplyBytes(len(data))]...)
+	n := dec.ApplyBytes(len(data))
+	stored := data[:n:n]
 	if dec.Mutated() {
 		// Silent image rot: the track keeps valid ECC. The checkpoint
 		// manager's write-verify pass is what catches this.
@@ -517,19 +525,21 @@ func (d *CheckpointDisk) WriteTrack(loc TrackLoc, data []byte) error {
 
 // ReadTrack fetches a partition image during recovery: a random seek
 // plus rotation plus the double-rate track transfer. A torn or
-// corrupted track fails with ErrBadSector.
+// corrupted track fails with ErrBadSector. The result is read-only.
 func (d *CheckpointDisk) ReadTrack(loc TrackLoc) ([]byte, error) {
 	data, _, err := d.ReadTrackSplit(loc, 0) // an empty tail: all of it is head
 	return data, err
 }
 
 // ReadTrackSplit is ReadTrack with the track split at its last tailLen
-// bytes: head is an exact-size copy of everything before them (for a
-// checkpoint image, the buffer the partition keeps) and tail is those
-// bytes (the envelope trailer). Fault points, errors and the busy
-// charge are ReadTrack's; a read mutation damages the whole track
-// before the split, so head‖tail is always what ReadTrack returns. A
-// track shorter than tailLen comes back whole in tail.
+// bytes: head is everything before them (for a checkpoint image, the
+// buffer the partition adopts) and tail is those bytes (the envelope
+// trailer). Both are read-only views of the stored track, head capped
+// at its length; a read mutation instead returns a private damaged
+// copy of the whole track, split the same way, and leaves the stored
+// bytes as they were. Fault points, errors and the busy charge are
+// ReadTrack's, and head‖tail is always what ReadTrack returns. A track
+// shorter than tailLen comes back whole in tail.
 func (d *CheckpointDisk) ReadTrackSplit(loc TrackLoc, tailLen int) (head, tail []byte, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -553,13 +563,13 @@ func (d *CheckpointDisk) ReadTrackSplit(loc TrackLoc, tailLen int) (head, tail [
 	d.busy.Add(d.params.AvgSeekMicros + d.params.RotateMicros + d.params.trackTransferMicros(len(t.data)))
 	data := t.data
 	if dec.Mutated() {
-		// Transient read rot with clean ECC; image validation in the
-		// partition loader is the detector.
+		// Transient read rot with clean ECC, in a private copy: the
+		// stored track stays intact. Image validation in the partition
+		// loader is the detector.
 		data = dec.MutateBytes(data)
 	}
 	cut := max(len(data)-tailLen, 0)
-	// append from nil sizes each copy exactly and zeroes nothing first.
-	return append([]byte(nil), data[:cut]...), append([]byte(nil), data[cut:]...), nil
+	return data[:cut:cut], data[cut:], nil
 }
 
 // TrackEqual compares the stored bytes of the track at loc with want

@@ -549,3 +549,53 @@ func TestReadTrackSplitEqualsReadTrack(t *testing.T) {
 		})
 	}
 }
+
+// TestTrackBytesNeverChange holds the checkpoint disk to its
+// immutability invariant: a clean read is a view of the very buffer the
+// writer handed over, a read mutation returns a damaged private copy and
+// the next clean read of the track returns the original bytes, and a
+// write mutation stores a damaged copy that the write-verify compare
+// sees, leaving the caller's buffer as it was.
+func TestTrackBytesNeverChange(t *testing.T) {
+	img := make([]byte, 48<<10+4)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	want := bytes.Clone(img)
+	d := NewCheckpointDisk(4, DefaultParams(), nil)
+	d.SetInjector(fault.NewInjector(fault.Plan{Seed: 7, Rules: []fault.Rule{
+		{Point: fault.PointCkptRead, Hit: 1, Act: fault.ActMutFlip},
+		{Point: fault.PointCkptWrite, Hit: 2, Act: fault.ActMutFlip},
+	}}))
+	if err := d.WriteTrack(0, img); err != nil {
+		t.Fatal(err)
+	}
+	head, tail, err := d.ReadTrackSplit(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(bytes.Clone(head), tail...); bytes.Equal(got, want) || &head[0] == &img[0] {
+		t.Fatal("a mutated read did not return a damaged private copy")
+	}
+	head, tail, err = d.ReadTrackSplit(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(bytes.Clone(head), tail...); !bytes.Equal(got, want) || !bytes.Equal(img, want) {
+		t.Fatal("a read mutation changed the stored track")
+	}
+	if &head[0] != &img[0] || cap(head) != len(head) {
+		t.Fatal("a clean read is not a capped view of the written buffer")
+	}
+
+	other := bytes.Clone(want)
+	if err := d.WriteTrack(1, other); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(other, want) {
+		t.Fatal("a write mutation damaged the caller's buffer")
+	}
+	if equal, bad, ok := d.TrackEqual(1, other); !ok || bad || equal {
+		t.Fatalf("write-verify of a mutated write: equal %v, bad %v, ok %v; want false, false, true", equal, bad, ok)
+	}
+}
