@@ -150,14 +150,15 @@ func (m *Manager) checkpointer() {
 //
 //  1. read lock the partition's relation — a single relation read lock
 //     suffices for a transaction-consistent partition;
-//  2. drain barrier + fence on the recovery CPU;
-//  3. copy the partition at memory speed and release the read lock;
+//  2. drain barrier: sort every sealed chain and fence the bin, under
+//     sortMu;
+//  3. copy the partition at memory speed;
 //  4. allocate a free checkpoint disk location (never overwriting the
 //     old image) and log the catalog update;
 //  5. write the partition image to the checkpoint disk and commit;
 //     the new location is installed atomically at commit;
-//  6. signal finished: the recovery CPU flushes/drops the partition's
-//     superseded log information.
+//  6. finish: drop the partition's superseded log information from
+//     its bin.
 func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	relID, ok := m.cb.OwnerRel(pid)
 	if !ok {
@@ -184,7 +185,18 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	if err := t.LockRelation(relID, lock.S); err != nil {
 		return err
 	}
-	if err := m.askRecoveryCPU(m.drainCh, pid); err != nil {
+	// The drain barrier: with the read lock held every writer of the
+	// partition has committed, so sorting the sealed chains puts all of
+	// their records in the bin, and the fence marks them as the prefix
+	// the new image supersedes. sortMu spans both.
+	m.sortMu.Lock()
+	err := errHalted
+	if !m.halted() {
+		m.drain()
+		err = m.fence(pid)
+	}
+	m.sortMu.Unlock()
+	if err != nil {
 		return err
 	}
 	if m.Hooks.AfterFence != nil {
@@ -204,15 +216,13 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	p.Latch()
 	img := p.AppendImage(make([]byte, 0, p.Size()+4))
 	p.Unlatch()
-	// Relation locks are held just long enough to copy the partition
-	// at memory speed (§2.4 step 4): release the read lock early by
-	// downgrading through ReleaseAll at commit — strict 2PL would keep
-	// it, but the paper explicitly releases after the copy. We keep
-	// the lock until commit instead: the checkpoint transaction's
-	// remaining work takes no other entity locks, so holding the read
-	// lock cannot deadlock, and it keeps the implementation strictly
-	// two-phase. (The interference window is the memory copy either
-	// way; the disk write below blocks no one.)
+	// §2.4 step 4 releases the relation read lock right after this
+	// memory-speed copy. The checkpoint transaction keeps it to commit
+	// instead (strict 2PL), so writers of the relation also wait for
+	// what follows: the catalog install, which takes the catalog's IX
+	// lock and the owner descriptor's X lock, the image write and its
+	// verify, the root write for a catalog partition, and the
+	// group-commit wait.
 
 	track, err = m.dmap.alloc()
 	if err != nil {
@@ -282,8 +292,15 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 		Kind: trace.KindCkptEnd, Txn: t.ID(), Arg: uint64(len(img)),
 	}, pid))
 	m.FreeImage(oldTrack)
-	return m.askRecoveryCPU(m.finishCh, pid)
+	if m.halted() {
+		return errHalted
+	}
+	return m.finishCheckpoint(pid)
 }
+
+// errHalted fails a checkpoint step reached after the machine stopped
+// or crashed: the bin stays as the halt left it.
+var errHalted = errors.New("core: recovery component halted")
 
 // FreeImage releases a checkpoint image nothing will read again, one a
 // newer checkpoint superseded or one of a dropped partition: its track

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -166,18 +167,12 @@ func (h *harness) idleWith(what string, cond func() bool) {
 	}
 }
 
-// waitFor polls until cond is true or the deadline passes, for states
-// WaitIdle does not cover.
-func (h *harness) waitFor(what string, cond func() bool) {
-	h.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.t.Fatalf("timeout waiting for %s", what)
+// drain runs the sorter on the calling goroutine, as its callers in the
+// manager do: under sortMu.
+func (h *harness) drain() {
+	h.m.sortMu.Lock()
+	defer h.m.sortMu.Unlock()
+	h.m.drain()
 }
 
 func TestUpdateCountTriggersCheckpoint(t *testing.T) {
@@ -608,22 +603,84 @@ func TestWaitIdleSignalAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPartitionFreedDropsBin: the bin is gone when PartitionFreed
+// returns and stays gone. The insert is committed but not yet sorted
+// when the partition is freed, so the drop must sort it first: sorted
+// after the drop, it would make the bin again.
 func TestPartitionFreedDropsBin(t *testing.T) {
 	h := newHarness(t, testCfg())
-	h.start()
 	defer h.m.Stop()
-	seg := h.seg()
-	a := h.insert(seg, []byte("gone"))
-	h.m.WaitIdle()
-	h.m.PartitionFreed(a.Partition())
-	h.waitFor("bin dropped", func() bool {
+	pid := h.insert(h.seg(), []byte("gone")).Partition()
+	gone := func(when string) {
+		t.Helper()
 		for _, b := range h.m.BinStates() {
-			if b.PID == a.Partition() {
-				return false
+			if b.PID == pid {
+				t.Fatalf("%s: bin %+v present", when, b)
 			}
 		}
-		return true
-	})
+	}
+	h.m.PartitionFreed(pid)
+	gone("when PartitionFreed returns")
+	h.start()
+	h.m.WaitIdle()
+	gone("once the recovery CPU has run")
+}
+
+// TestPartitionFreedAfterStopKeepsBin: once the machine has stopped,
+// freeing a partition changes no stable state; the next incarnation
+// finds the bin as the stop left it.
+func TestPartitionFreedAfterStopKeepsBin(t *testing.T) {
+	h := newHarness(t, testCfg())
+	h.start()
+	a := h.insert(h.seg(), []byte("kept"))
+	h.m.WaitIdle()
+	h.m.Stop()
+	before := h.m.BinStates()
+	h.m.PartitionFreed(a.Partition())
+	if after := h.m.BinStates(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("bins after a stopped PartitionFreed = %+v, want %+v", after, before)
+	}
+}
+
+// TestCheckpointRunsWithoutRecoveryCPU: the drain barrier, the fence
+// and the finish are plain calls, so a checkpoint completes on the
+// calling goroutine with no recovery-CPU loop running.
+func TestCheckpointRunsWithoutRecoveryCPU(t *testing.T) {
+	h := newHarness(t, testCfg())
+	defer h.m.Stop()
+	a := h.insert(h.seg(), []byte("v0000"))
+	pid := a.Partition()
+	for i := 0; i < 5; i++ {
+		h.update(a, []byte(fmt.Sprintf("v%04d", i)))
+	}
+	h.m.RequestCheckpoint(pid)
+	// A checkpoint that waits for a loop nobody started would hang:
+	// stopping the machine at the deadline fails it instead.
+	deadline := time.AfterFunc(10*time.Second, h.m.Stop)
+	defer deadline.Stop()
+	got, trig, ok := h.m.slt.nextCkpt()
+	if !ok || got != pid {
+		t.Fatalf("next checkpoint request = %v (%v), want %v", got, ok, pid)
+	}
+	if err := h.m.runCheckpoint(got, trig); err != nil {
+		t.Fatalf("checkpoint without a recovery CPU: %v", err)
+	}
+	if b := h.binOf(pid); b.CkptPending || b.FenceActive || b.UpdateCount != 0 || len(b.Pages) != 0 || b.CurRecords != 0 {
+		t.Fatalf("bin after the checkpoint = %+v, want its fenced prefix dropped", b)
+	}
+	if n := h.m.Metrics().CkptCompleted.Value(); n != 1 {
+		t.Fatalf("%d checkpoints completed, want 1", n)
+	}
+	h.mu.Lock()
+	track := h.tracks[pid]
+	h.mu.Unlock()
+	rec, err := h.m.restorePartition(pid, track)
+	mustOK(t, err)
+	live, err := h.store.Partition(pid)
+	mustOK(t, err)
+	if !bytes.Equal(rec.Image(), live.Image()) {
+		t.Fatal("the partition restored from the new track differs from the live one")
+	}
 }
 
 // --- helpers ---

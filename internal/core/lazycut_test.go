@@ -104,7 +104,7 @@ func sortedEntity(t *testing.T) (*harness, addr.EntityAddr) {
 	h := newHarness(t, testCfg())
 	a := h.insert(h.seg(), []byte("v0"))
 	h.update(a, []byte("v1"))
-	h.m.drainCommitted()
+	h.drain()
 	return h, a
 }
 
@@ -210,7 +210,7 @@ func TestLazyCutMarkForgottenByCrash(t *testing.T) {
 	// A second, clean bin that the first incarnation does touch, to see
 	// its mark forgotten as well.
 	other := h.insert(h.seg(), []byte("other"))
-	h.m.drainCommitted()
+	h.drain()
 	h.powerOff()
 	b, ob := h.stableBin(a.Partition()), h.stableBin(other.Partition())
 	clean := b.cur.Len()
@@ -248,7 +248,7 @@ func TestRestartLeavesBinTailsUnread(t *testing.T) {
 			ents = append(ents, h.insert(seg, bytes.Repeat([]byte{byte(s)}, 400)))
 		}
 	}
-	h.m.drainCommitted()
+	h.drain()
 	h.powerOff()
 	h.powerOn()
 	defer h.m.Stop()

@@ -55,15 +55,6 @@ type Hooks struct {
 	BeforeCommit    func(pid addr.PartitionID) error
 }
 
-// binMsg asks the recovery CPU to act on one partition's bin and
-// answer: on drainCh, sort all currently committed chains and then
-// fence the bin; on finishCh, drop the fenced prefix because the
-// checkpoint committed (§2.4 step 7).
-type binMsg struct {
-	pid   addr.PartitionID
-	reply chan error
-}
-
 // Manager is the recovery component: it owns the stable log structures
 // and the two "CPUs'" recovery duties. The main CPU's transaction
 // processing runs through Txns; the recovery CPU is a dedicated
@@ -86,11 +77,15 @@ type Manager struct {
 	// injection is off.
 	inj *fault.Injector
 
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	drainCh  chan binMsg
-	finishCh chan binMsg
-	freedCh  chan addr.PartitionID
+	stop chan struct{}
+	wg   sync.WaitGroup
+
+	// sortMu makes the sorter single-flight: drain runs only under it,
+	// taken by the recovery CPU's loop, restart's drainStableOnly,
+	// PartitionFreed and the checkpoint's drain barrier, which holds it
+	// through the fence. Lock order: sortMu before the SLT and stream
+	// mutexes; signalIdle is never called while holding it.
+	sortMu sync.Mutex
 
 	// metrics is this generation's registry: every number the component
 	// reports, measured or simulated, is an instrument in it.
@@ -139,18 +134,15 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	hw.Log.SetBusy(mt.SimLogDiskBusy)
 	hw.Ckpt.SetBusy(mt.SimCkptDiskBusy)
 	m := &Manager{
-		cfg:      cfg,
-		hw:       hw,
-		store:    store,
-		locks:    locks,
-		slb:      s,
-		slt:      newSLT(hw.Stable),
-		dmap:     newDiskMap(cfg.CheckpointTracks),
-		stop:     make(chan struct{}),
-		drainCh:  make(chan binMsg),
-		finishCh: make(chan binMsg),
-		freedCh:  make(chan addr.PartitionID, 64),
-		metrics:  mt,
+		cfg:     cfg,
+		hw:      hw,
+		store:   store,
+		locks:   locks,
+		slb:     s,
+		slt:     newSLT(hw.Stable),
+		dmap:    newDiskMap(cfg.CheckpointTracks),
+		stop:    make(chan struct{}),
+		metrics: mt,
 	}
 	m.idleCond = sync.NewCond(&m.idleMu)
 	// Thread the instruments through the components the manager wires:
@@ -320,13 +312,19 @@ func (m *Manager) signalIdle() {
 	m.idleMu.Unlock()
 }
 
-// PartitionFreed tells the recovery CPU a partition was dropped: its
-// bin and any pending checkpoint request are discarded.
+// PartitionFreed discards a dropped partition's bin and any checkpoint
+// request it had pending, after sorting what is sealed: a record of the
+// partition's last writers sorted after the drop would make the bin
+// again. Once the machine has halted it changes nothing.
 func (m *Manager) PartitionFreed(pid addr.PartitionID) {
-	select {
-	case m.freedCh <- pid:
-	case <-m.stop:
+	m.sortMu.Lock()
+	if m.halted() {
+		m.sortMu.Unlock()
+		return
 	}
+	m.drain()
+	m.sortMu.Unlock()
+	m.dropBin(pid)
 }
 
 // ---------------------------------------------------------------------
@@ -342,41 +340,28 @@ func (m *Manager) recoveryCPU() {
 		case <-m.stop:
 			return
 		case <-m.slb.commitCh:
-			// Bounded batch so checkpoint finish/drain messages are
-			// not starved under a commit flood; re-nudge if chains
-			// remain.
-			if m.drainSome(64) {
-				nudge(m.slb.commitCh)
-			} else {
-				m.signalIdle()
-			}
-		case msg := <-m.drainCh:
-			m.drainCommitted()
-			msg.reply <- m.fence(msg.pid)
-		case msg := <-m.finishCh:
-			msg.reply <- m.finishCheckpoint(msg.pid)
-		case pid := <-m.freedCh:
-			m.dropBin(pid)
+			m.sortMu.Lock()
+			m.drain()
+			m.sortMu.Unlock()
+			m.signalIdle()
 		}
 	}
 }
 
-// drainCommitted sorts every committed chain currently in the SLB.
-func (m *Manager) drainCommitted() {
-	for m.drainSome(1 << 30) {
-	}
-}
-
-// drainSome sorts up to n committed chains, reporting whether more
-// remain.
-func (m *Manager) drainSome(n int) bool {
-	for i := 0; i < n; i++ {
+// drain sorts the sealed committed chains in the SLB, oldest first;
+// sortMu must be held. It sorts only epochs sealed when it began, so a
+// commit flood cannot hold sortMu (and with it a checkpoint barrier or
+// Stop) for ever: each later seal nudges the recovery CPU to drain
+// again.
+func (m *Manager) drain() {
+	upTo := m.slb.st.sealed.Load()
+	for {
 		// Only sealed chains are visible to the sorter: an unsealed
 		// epoch's effects must stay out of the partition bins, since a
 		// crash would roll that epoch back.
-		c := m.slb.peekSealed()
+		c := m.slb.peekSealed(upTo)
 		if c == nil {
-			return false
+			return
 		}
 		if err := m.sortChain(c); err != nil {
 			if fault.IsFault(err) {
@@ -389,7 +374,7 @@ func (m *Manager) drainSome(n int) bool {
 				if !fault.IsCrash(err) {
 					nudge(m.slb.commitCh)
 				}
-				return false
+				return
 			}
 			// Stable memory exhaustion is the only other expected
 			// cause; pushing the chain back and stalling would deadlock
@@ -398,7 +383,6 @@ func (m *Manager) drainSome(n int) bool {
 		}
 		m.slb.markSorted(c)
 	}
-	return true
 }
 
 // sortChain relocates one committed transaction's records from the SLB
@@ -587,7 +571,8 @@ func (m *Manager) archiveLocked(tail, floor simdisk.LSN) {
 // fence snapshots the pre-checkpoint prefix of the partition's bin: the
 // current partial page is flushed to the log disk so the fence lies on
 // a page boundary, then the page count and update count are recorded.
-// Runs on the recovery CPU after a drain barrier.
+// The checkpoint's drain barrier runs it right after drain, under
+// sortMu.
 func (m *Manager) fence(pid addr.PartitionID) error {
 	s := m.slt
 	s.st.mu.Lock()
@@ -618,8 +603,8 @@ func (m *Manager) dropBin(pid addr.PartitionID) {
 
 // finishCheckpoint drops the fenced prefix from the memory-recovery
 // set: the new checkpoint image supersedes those log records, though
-// they remain on the log disk for the archive (§2.4 step 7). Runs on
-// the recovery CPU.
+// they remain on the log disk for the archive (§2.4 step 7). The SLT
+// mutex orders it against the sorter; it needs no sortMu.
 func (m *Manager) finishCheckpoint(pid addr.PartitionID) error {
 	s := m.slt
 	s.st.mu.Lock()
@@ -660,17 +645,4 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID) error {
 		m.metrics.SimRecoveryInstr.Add(int64(m.cfg.Cost.ICheckpoint))
 	}
 	return nil
-}
-
-// askRecoveryCPU is the main-CPU side of the drain barrier (drainCh)
-// and of checkpoint completion (finishCh): it hands pid to the recovery
-// CPU and waits for the answer.
-func (m *Manager) askRecoveryCPU(ch chan binMsg, pid addr.PartitionID) error {
-	msg := binMsg{pid: pid, reply: make(chan error, 1)}
-	select {
-	case ch <- msg:
-		return <-msg.reply
-	case <-m.stop:
-		return fmt.Errorf("core: recovery CPU stopped")
-	}
 }

@@ -108,7 +108,9 @@ func (m *Manager) drainStableOnly() {
 	}
 	// Duplicates from partially sorted chains are absorbed by lenient
 	// replay.
-	m.drainCommitted()
+	m.sortMu.Lock()
+	m.drain()
+	m.sortMu.Unlock()
 }
 
 // MarkTrackUsed records a live checkpoint image during the facade's

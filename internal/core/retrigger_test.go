@@ -52,12 +52,13 @@ func TestRetriggerWhileCheckpointInFlight(t *testing.T) {
 			for i := 0; i < h.cfg.UpdateThreshold+3; i++ {
 				h.update(a, []byte(fmt.Sprintf("f%04d", i)))
 			}
-			// The recovery CPU must have binned them before the finish
-			// message arrives, or there is nothing to re-trigger on.
-			// (WaitIdle cannot serve here: this checkpoint is pending.)
-			h.waitFor("in-flight updates sorted", func() bool {
-				return h.binOf(pid).UpdateCount >= before+h.cfg.UpdateThreshold
-			})
+			// They must be binned before the finish, or there is nothing
+			// to re-trigger on. (WaitIdle cannot serve here: this
+			// checkpoint is pending.)
+			h.drain()
+			if got := h.binOf(pid).UpdateCount; got < before+h.cfg.UpdateThreshold {
+				t.Errorf("bin holds %d updates after the in-flight drain, want at least %d", got, before+h.cfg.UpdateThreshold)
+			}
 		})
 		return nil
 	}

@@ -426,22 +426,21 @@ func (s *slb) AbortTxn(id uint64) {
 }
 
 // peekSealed returns the globally oldest committed, sealed, unsorted
-// chain — minimum (epoch, stream, seq) with epoch ≤ the published seal
-// watermark — without removing it, or nil. Committed-but-unsealed
-// chains are invisible to the sorter: their effects must not reach the
-// partition bins (and so the recoverable state) until their epoch is
-// durable. The chain stays on its stream's list until markSorted, so a
+// chain — minimum (epoch, stream, seq) with epoch ≤ upTo, a seal
+// watermark the caller read — without removing it, or nil.
+// Committed-but-unsealed chains are invisible to the sorter: their
+// effects must not reach the partition bins (and so the recoverable
+// state) until their epoch is durable. The chain stays on its stream's list until markSorted, so a
 // crash mid-sort cannot lose committed records: the restart drain
 // re-sorts the whole chain and lenient replay absorbs the duplicated
 // prefix.
-func (s *slb) peekSealed() *txnChain {
-	sealed := s.st.sealed.Load()
+func (s *slb) peekSealed(upTo uint64) *txnChain {
 	var best *txnChain
 	for _, ls := range s.st.streams {
 		ls.mu.Lock()
 		if len(ls.committed) > 0 {
 			c := ls.committed[0]
-			if c.epoch <= sealed &&
+			if c.epoch <= upTo &&
 				(best == nil || c.epoch < best.epoch ||
 					(c.epoch == best.epoch && c.stream.id < best.stream.id)) {
 				best = c

@@ -90,7 +90,7 @@ func TestSorterCopiesRecordBytes(t *testing.T) {
 		for txn := uint64(1); txn <= 40; txn++ {
 			updates(txn)
 		}
-		h.m.drainCommitted()
+		h.drain()
 		if pages := h.m.Metrics().PagesFlushed.Value(); pages < 4 {
 			t.Fatalf("%d pages flushed by the commit drain; the test means to cover flushed pages", pages)
 		}
@@ -118,7 +118,7 @@ func TestSorterCopiesRecordBytes(t *testing.T) {
 		for txn := uint64(1); txn <= 60; txn++ {
 			commit(txn, []wal.Record{{Tag: wal.TagRelWrite, PID: pids[0], Slot: 3, Off: uint16(txn), Data: []byte("12345678")}})
 		}
-		h.m.drainCommitted()
+		h.drain()
 		var all []byte
 		for _, enc := range sent[pids[0]] {
 			all = append(all, enc...)
@@ -154,7 +154,7 @@ func TestSorterCopiesRecordBytes(t *testing.T) {
 		for txn := uint64(8); txn < 40; txn++ {
 			commit(txn, []wal.Record{rec(wal.TagRelWrite, 9, uint16(txn), "filler")})
 		}
-		h.m.drainCommitted()
+		h.drain()
 		check(t, h, sent)
 		var page []byte
 		for _, b := range h.m.BinStates() {
