@@ -99,9 +99,8 @@ func openImage(img, crc []byte) error {
 }
 
 // checkpointer is the main-CPU loop: between transactions it serves the
-// checkpoint requests the recovery CPU raised in the Stable Log Tail,
-// oldest first, running a checkpoint transaction for each (§2.4). It
-// sleeps only on its nudge channel, which every raise fills.
+// checkpoint requests the recovery CPU raised in the Stable Log Tail
+// (§2.4). It sleeps only on its nudge channel, which every raise fills.
 func (m *Manager) checkpointer() {
 	defer m.wg.Done()
 	for {
@@ -109,40 +108,36 @@ func (m *Manager) checkpointer() {
 		case <-m.stop:
 			return
 		case <-m.slt.ckptCh:
+			m.serveCheckpoints()
 		}
-		for {
-			pid, trig, ok := m.slt.nextCkpt()
-			if !ok {
-				break
-			}
-			err := m.runCheckpoint(pid, trig)
-			if err != nil {
-				m.metrics.CkptFailed.Add(1)
-				m.tracer.Emit(pidEvent(trace.Event{Kind: trace.KindCkptFail}, pid))
-				if m.halted() {
-					// The machine stopped mid-checkpoint: the request and
-					// its fence stay as the crash left them, and the next
-					// incarnation re-queues the one and drops the other.
-					return
-				}
-				if m.slt.failCkpt(pid) {
-					// Persistent failure (e.g. checkpoint disks full): the
-					// request is dropped rather than wedging the queue; the
-					// update-count/age trigger re-requests once the
-					// partition accumulates more log records.
-					m.metrics.CkptAbandoned.Add(1)
-				}
-			}
-			m.signalIdle()
-			if err != nil {
-				// Back off to avoid a hot failure loop.
-				select {
-				case <-m.stop:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-			}
+	}
+}
+
+// serveCheckpoints runs a checkpoint transaction for each pending
+// request, oldest first, until none is left or the machine halts. A
+// failed attempt is retried at once. After maxCkptAttempts the request
+// is abandoned rather than wedging the queue (e.g. checkpoint disks
+// full); its update-count or age trigger raises it again on a later
+// event, the partition's next sorted record or the next window pass, so
+// a persistent failure cannot spin here.
+func (m *Manager) serveCheckpoints() {
+	for {
+		pid, trig, ok := m.slt.nextCkpt()
+		if !ok {
+			return
 		}
+		if err := m.runCheckpoint(pid, trig); err != nil {
+			m.metrics.CkptFailed.Add(1)
+			m.tracer.Emit(pidEvent(trace.Event{Kind: trace.KindCkptFail}, pid))
+			if m.halted() {
+				// The machine stopped mid-checkpoint: the request and
+				// its fence stay as the crash left them, and the next
+				// incarnation re-queues the one and drops the other.
+				return
+			}
+			m.slt.failCkpt(pid, m.metrics.CkptAbandoned)
+		}
+		m.signalIdle()
 	}
 }
 

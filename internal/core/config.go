@@ -37,13 +37,11 @@ type Config struct {
 	// GOMAXPROCS. A non-empty buffer surviving a crash keeps its own
 	// stream count regardless.
 	LogStreams int
-	// GroupCommitInterval is the epoch-closer timer of group commit: a
-	// commit epoch stays open at least this long before it is sealed
-	// across all streams and its committers released, trading commit
-	// latency for larger durable groups. 0 seals eagerly — a seal
-	// leader closes the epoch as soon as no other seal is in flight,
-	// so batching still emerges under concurrency but an uncontended
-	// commit stays at stable-memory latency.
+	// GroupCommitInterval must be 0; New rejects any other value. A seal
+	// leader closes the open epoch as soon as no other seal is in
+	// flight, so batching emerges under concurrency and an uncontended
+	// commit stays at stable-memory latency. The field remains only
+	// because the benchmark harness sets it.
 	GroupCommitInterval time.Duration
 	// UpdateThreshold is N_update: log records a partition may
 	// accumulate before a checkpoint is triggered by update count.

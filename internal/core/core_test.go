@@ -683,6 +683,40 @@ func TestCheckpointRunsWithoutRecoveryCPU(t *testing.T) {
 	}
 }
 
+// TestFailedCheckpointRetriesAtOnce: a failed attempt is retried
+// without waiting, so one call of serveCheckpoints on the test goroutine,
+// with no Start, runs the request through four failures to completion.
+func TestFailedCheckpointRetriesAtOnce(t *testing.T) {
+	const failures = 4 // below maxCkptAttempts, so the request survives
+	h := newHarness(t, testCfg())
+	defer h.m.Stop()
+	a := h.insert(h.seg(), []byte("v0000"))
+	pid := a.Partition()
+	for i := 0; i < 5; i++ {
+		h.update(a, []byte(fmt.Sprintf("v%04d", i)))
+	}
+	attempts := 0
+	h.m.Hooks.BeforeCommit = func(addr.PartitionID) error {
+		if attempts++; attempts <= failures {
+			return fmt.Errorf("injected failure %d", attempts)
+		}
+		return nil
+	}
+	h.m.RequestCheckpoint(pid)
+	// A retry that waited for something would hang: stopping the machine
+	// at the deadline ends the serving call instead.
+	deadline := time.AfterFunc(10*time.Second, h.m.Stop)
+	defer deadline.Stop()
+	h.m.serveCheckpoints()
+	mt := h.m.Metrics()
+	if f, c := mt.CkptFailed.Value(), mt.CkptCompleted.Value(); f != failures || c != 1 {
+		t.Fatalf("%d attempts failed and %d completed, want %d and 1", f, c, failures)
+	}
+	if b := h.binOf(pid); b.CkptPending || b.FenceActive {
+		t.Fatalf("bin after the retries = %+v, want no request and no fence", b)
+	}
+}
+
 // --- helpers ---
 
 func mustOK(t *testing.T, err error) {

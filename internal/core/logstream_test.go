@@ -10,6 +10,8 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/fault"
+	"mmdb/internal/lock"
+	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/wal"
 )
@@ -77,18 +79,18 @@ func (h *harness) committedChains() (n int, epochs map[uint64]bool) {
 	return n, epochs
 }
 
-// TestGroupCommitIntervalParksUntilStop: under a one-hour epoch timer K
-// committers all land in the open epoch and wait. Stop releases each of
-// them with an error, none acknowledged, and restart rolls the epoch back
-// whole.
-func TestGroupCommitIntervalParksUntilStop(t *testing.T) {
+// TestCrashFailsEveryCommitOfAnUnsealedEpoch: K committers stamp one
+// epoch while the test holds gcMu, so none can seal it; the machine then
+// crashes. Released, each committer becomes seal leader in turn and
+// fails, none acknowledged, and restart rolls the epoch back whole.
+func TestCrashFailsEveryCommitOfAnUnsealedEpoch(t *testing.T) {
 	const k = 4
 	cfg := testCfg()
 	cfg.LogStreams = 2
-	cfg.GroupCommitInterval = time.Hour
 	h := newHarness(t, cfg)
 	sealed := h.m.slb.st.sealed.Load()
 	errs := make(chan error, k)
+	h.m.slb.gcMu.Lock()
 	for i := 0; i < k; i++ {
 		go func(txn uint64) {
 			errs <- h.m.InjectCommitted(txn, []wal.Record{{
@@ -96,8 +98,8 @@ func TestGroupCommitIntervalParksUntilStop(t *testing.T) {
 			}})
 		}(uint64(i + 1))
 	}
-	// Yield until every chain is on a committed list; no commit can
-	// return before the hour is up, so none may have.
+	// Yield until every chain is on a committed list; no seal can start
+	// while gcMu is held, so no commit may have returned.
 	for n, _ := h.committedChains(); n < k; n, _ = h.committedChains() {
 		runtime.Gosched()
 	}
@@ -105,14 +107,20 @@ func TestGroupCommitIntervalParksUntilStop(t *testing.T) {
 		t.Fatalf("%d chains over epochs %v, sealed %d -> %d", n, epochs, sealed, h.m.slb.st.sealed.Load())
 	}
 	if len(errs) != 0 {
-		t.Fatalf("a commit returned before the epoch timer or Stop: %v", <-errs)
+		t.Fatalf("a commit returned before its epoch could seal: %v", <-errs)
 	}
-	h.m.Stop()
+	h.cfg.FaultInjector.ForceCrash()
+	h.m.slb.gcMu.Unlock()
 	for i := 0; i < k; i++ {
-		if err := <-errs; err == nil {
-			t.Fatal("Stop acknowledged a commit of an unsealed epoch")
+		if err := <-errs; !fault.IsCrash(err) {
+			t.Fatalf("commit of an unsealed epoch after the crash returned %v, want a crash error", err)
 		}
 	}
+	if s := h.m.slb.st.sealed.Load(); s != sealed {
+		t.Fatalf("sealed moved %d -> %d after the crash", sealed, s)
+	}
+	h.m.Stop()
+	h.cfg.FaultInjector.Reset()
 	h.attach()
 	if _, err := h.m.Restart(); err != nil {
 		t.Fatal(err)
@@ -123,24 +131,62 @@ func TestGroupCommitIntervalParksUntilStop(t *testing.T) {
 	}
 }
 
-// TestGroupCommitIntervalHoldsTheEpochOpen: a commit returns no earlier
-// than the interval after the previous seal. It is a lower bound only;
-// how much later the seal comes depends on the scheduler.
-func TestGroupCommitIntervalHoldsTheEpochOpen(t *testing.T) {
-	const interval = 10 * time.Millisecond
+// TestCrashMidSealWakesItsFollowers: the seal leader stops inside its
+// seal, on a stream latch the test holds, while the other committers
+// wait for that seal; the machine crashes before the leader goes on.
+// Its failed seal must still wake them, and each then fails a seal of
+// its own: no commit hangs and none is acknowledged.
+func TestCrashMidSealWakesItsFollowers(t *testing.T) {
 	cfg := testCfg()
-	cfg.GroupCommitInterval = interval
+	cfg.LogStreams = 3
 	h := newHarness(t, cfg)
 	defer h.m.Stop()
-	seg := h.seg()
-	for i := 0; i < 3; i++ {
-		h.m.slb.gcMu.Lock()
-		prev := h.m.slb.epochStart
-		h.m.slb.gcMu.Unlock()
-		h.insert(seg, []byte("timed"))
-		if held := time.Since(prev); held < interval {
-			t.Fatalf("commit %d returned %v after the previous seal, want >= %v", i, held, interval)
+	held := h.m.slb.st.streams[1]
+	held.mu.Lock()
+	txns := []uint64{3, 5, 6, 8} // streams 0 and 2, never the held one
+	errs := make(chan error, len(txns))
+	for _, id := range txns {
+		go func(txn uint64) {
+			errs <- h.m.InjectCommitted(txn, []wal.Record{{
+				Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: addr.Slot(txn), Data: []byte("mid-seal"),
+			}})
+		}(id)
+	}
+	// No seal can pass the held latch, so once every chain is on a
+	// committed list the first committer is leader, stopped in its seal,
+	// and the others wait for it.
+	for stamped := 0; stamped < len(txns); {
+		runtime.Gosched()
+		stamped = 0
+		for _, ls := range []*logStream{h.m.slb.st.streams[0], h.m.slb.st.streams[2]} {
+			ls.mu.Lock()
+			stamped += len(ls.committed)
+			ls.mu.Unlock()
 		}
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	h.cfg.FaultInjector.ForceCrash()
+	held.mu.Unlock()
+	for range txns {
+		if err := <-errs; !fault.IsCrash(err) {
+			t.Fatalf("commit waiting on a seal that crashed returned %v, want a crash error", err)
+		}
+	}
+}
+
+// TestNewRejectsGroupCommitInterval: epochs seal eagerly, so New
+// refuses any group-commit interval but 0.
+func TestNewRejectsGroupCommitInterval(t *testing.T) {
+	cfg := testCfg()
+	cfg.GroupCommitInterval = time.Millisecond
+	hw, err := NewHardware(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(hw, cfg, mm.NewStore(cfg.PartitionSize), lock.NewManager()); err == nil {
+		t.Fatal("New accepted a 1 ms group-commit interval")
 	}
 }
 

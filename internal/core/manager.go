@@ -148,9 +148,7 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	// Thread the instruments through the components the manager wires:
 	// the SLB reports record-write latency and the group-commit seal
 	// cadence, the lock table wait time and deadlocks, the transaction
-	// manager begin-to-commit latency. Commit waiters park on the
-	// manager's stop channel so Stop (and the crash path) releases them.
-	s.stopCh = m.stop
+	// manager begin-to-commit latency.
 	s.writeLatency = mt.SLBRecordWrite
 	s.groupWait = mt.GroupCommitWait
 	s.streamRecords = mt.StreamRecords
@@ -191,7 +189,6 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	if ht != nil {
 		ht.Touches = mt.HeatTouches
 		ht.Persists = mt.HeatPersists
-		ht.Decays = mt.HeatDecays
 		ht.TrackedParts = mt.HeatTrackedParts
 		ht.SnapshotBytes = mt.HeatSnapshotBytes
 		ht.OnPersist = func(parts, bytes int) {
@@ -595,9 +592,7 @@ func (m *Manager) fence(pid addr.PartitionID) error {
 // dropBin discards a freed partition's bin. A checkpoint request it had
 // pending ends unserved, and is counted as abandoned.
 func (m *Manager) dropBin(pid addr.PartitionID) {
-	if m.slt.dropBin(pid) {
-		m.metrics.CkptAbandoned.Add(1)
-	}
+	m.slt.dropBin(pid, m.metrics.CkptAbandoned)
 	m.signalIdle()
 }
 

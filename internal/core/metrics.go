@@ -120,7 +120,6 @@ type Metrics struct {
 	// crash-surviving ranking behind heat-ordered recovery.
 	HeatTouches         *metrics.Counter
 	HeatPersists        *metrics.Counter
-	HeatDecays          *metrics.Counter
 	HeatTrackedParts    *metrics.Gauge
 	HeatSnapshotBytes   *metrics.Gauge
 	HeatRecoveredParts  *metrics.Gauge
@@ -258,7 +257,6 @@ func newMetrics(streams int) *Metrics {
 
 		HeatTouches:  heatS.Counter("touches", "touches", "partition accesses recorded by the heat tracker"),
 		HeatPersists: heatS.Counter("persists", "persists", "heat-ranking serialisations into the stable snapshot region"),
-		HeatDecays:   heatS.Counter("decays", "halvings", "exponential-decay halvings applied to the heat counts"),
 		HeatTrackedParts: heatS.Gauge("tracked_partitions", "parts",
 			"partitions with a heat count, zeroed ones included"),
 		HeatSnapshotBytes: heatS.Gauge("snapshot_bytes", "bytes",

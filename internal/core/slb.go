@@ -23,11 +23,9 @@ package core
 // Sealing is leader-based rather than a dedicated goroutine: the first
 // committer to find no seal in flight becomes the leader, seals, and
 // broadcasts; committers that arrive while a seal is in flight ride
-// the next one — group commit emerges from concurrency instead of a
-// timer. Config.GroupCommitInterval > 0 adds the classic timer policy:
-// the leader waits until the open epoch is that old before sealing,
-// trading commit latency for larger groups. The default (0) seals
-// eagerly, keeping single-stream commit latency at stable-memory speed.
+// the next one — group commit emerges from concurrency, and no clock
+// holds an epoch open, so an uncontended commit returns at
+// stable-memory speed.
 //
 // Two-phase locking makes the cross-stream merge order safe: locks are
 // released only after CommitTxn returns, i.e. after the global seal,
@@ -140,20 +138,15 @@ type slb struct {
 	st       *slbState
 	mem      *stablemem.Memory
 	blockSz  int
-	interval time.Duration // GroupCommitInterval; 0 seals eagerly
 	inj      *fault.Injector
 	commitCh chan struct{} // nudges the sorter
-	// stopCh is closed by Manager.Stop (the crash path included) so
-	// commit waiters parked on an unsealed epoch are released.
-	stopCh chan struct{}
 
 	// Group-commit coordination. gcMu is volatile and is never held
 	// while a stream mutex is held; wakeCh is a broadcast channel
 	// (closed and replaced on every seal attempt's completion).
-	gcMu       sync.Mutex
-	sealing    bool
-	wakeCh     chan struct{}
-	epochStart time.Time // when the open epoch started (timer policy)
+	gcMu    sync.Mutex
+	sealing bool
+	wakeCh  chan struct{}
 
 	// Instruments, all nil-safe: writeLatency observes each
 	// WriteRecord (the main-CPU cost of logging one REDO record,
@@ -174,6 +167,9 @@ type slb struct {
 // stream affinity (txnID % N) is already fixed; an empty survivor is
 // resharded to the new count.
 func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
+	if cfg.GroupCommitInterval != 0 {
+		return nil, fmt.Errorf("core: GroupCommitInterval is %v; it must be 0, epochs seal eagerly", cfg.GroupCommitInterval)
+	}
 	n := cfg.LogStreams
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -194,13 +190,9 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 		st:       st,
 		mem:      mem,
 		blockSz:  cfg.SLBBlockSize,
-		interval: cfg.GroupCommitInterval,
 		inj:      cfg.FaultInjector,
 		commitCh: make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
-
-		wakeCh:     make(chan struct{}),
-		epochStart: time.Now(),
+		wakeCh:   make(chan struct{}),
 	}, nil
 }
 
@@ -320,6 +312,10 @@ func (s *slb) CommitTxn(id uint64) error {
 // awaitSeal blocks until epoch e is globally sealed, electing the
 // calling goroutine seal leader when no seal is in flight (so group
 // commit needs no dedicated closer goroutine and works before Start).
+// A follower waits only for the seal in flight, whose leader closes
+// wakeCh however the seal ends; after a crash every committer of the
+// epoch becomes leader in turn and fails its seal, so none is
+// acknowledged and restart rolls the whole epoch back.
 func (s *slb) awaitSeal(e uint64) error {
 	start := time.Now()
 	defer s.groupWait.ObserveSince(start)
@@ -335,50 +331,26 @@ func (s *slb) awaitSeal(e uint64) error {
 			return nil
 		}
 		wake := s.wakeCh
-		var timer <-chan time.Time
-		if !s.sealing {
-			var wait time.Duration
-			if s.interval > 0 {
-				if age := time.Since(s.epochStart); age < s.interval {
-					wait = s.interval - age
-				}
-			}
-			if wait == 0 {
-				// Become the leader: seal outside gcMu (stream
-				// mutexes are leaf locks of the seal), then broadcast.
-				s.sealing = true
-				s.gcMu.Unlock()
-				err := s.seal()
-				s.gcMu.Lock()
-				s.sealing = false
-				s.epochStart = time.Now()
-				wake = s.wakeCh
-				s.wakeCh = make(chan struct{})
-				s.gcMu.Unlock()
-				close(wake)
-				if err != nil {
-					if fault.IsCrash(err) {
-						return err
-					}
-					continue // transient injected error: retry the seal
-				}
-				continue
-			}
-			timer = time.After(wait)
+		if s.sealing {
+			s.gcMu.Unlock()
+			<-wake
+			continue
 		}
+		// Become the leader: seal outside gcMu (stream mutexes are leaf
+		// locks of the seal), then broadcast.
+		s.sealing = true
 		s.gcMu.Unlock()
-		select {
-		case <-wake:
-		case <-timer:
-		case <-s.stopCh:
-			// The machine is stopping (crash or shutdown) with the
-			// epoch unsealed: the chain stays on the committed list
-			// and restart rolls the whole epoch back.
-			if s.inj.Crashed() {
-				return fmt.Errorf("core: commit of txn awaiting epoch %d: %w", e, fault.ErrCrashed)
-			}
-			return fmt.Errorf("core: recovery component stopped before epoch %d sealed", e)
+		err := s.seal()
+		s.gcMu.Lock()
+		s.sealing = false
+		s.wakeCh = make(chan struct{})
+		s.gcMu.Unlock()
+		close(wake)
+		if fault.IsCrash(err) {
+			return err
 		}
+		// Sealed, or a transient injected error: look again, and retry
+		// the seal if e is still open.
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mmdb/internal/addr"
 	"mmdb/internal/catalog"
+	"mmdb/internal/metrics"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/stablemem"
 )
@@ -197,26 +198,27 @@ func (s *slt) nextCkpt() (addr.PartitionID, ckptTrigger, bool) {
 
 // failCkpt abandons the fence of a failed checkpoint attempt and counts
 // the attempt; the request stays queued for a retry until
-// maxCkptAttempts, when it is lowered. It reports whether the request
-// was abandoned.
-func (s *slt) failCkpt(pid addr.PartitionID) bool {
+// maxCkptAttempts, when it is lowered and counted in abandoned. The
+// count is taken under the SLT mutex, like a completion's, so a WaitIdle
+// caller that finds no request pending also finds it counted.
+func (s *slt) failCkpt(pid addr.PartitionID, abandoned *metrics.Counter) {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
 	b, ok := s.st.bins[pid]
 	if !ok {
-		return false // dropBin already retired the request
+		return // dropBin already retired the request
 	}
 	b.fenceActive, b.fencePages, b.fenceUpdates = false, 0, 0
 	i := s.claimLocked(pid)
 	if i < 0 {
-		return false
+		return
 	}
 	s.ckptQueue[i].attempts++
 	if s.ckptQueue[i].attempts < maxCkptAttempts {
-		return false
+		return
 	}
 	s.lowerLocked(b)
-	return true
+	abandoned.Inc()
 }
 
 // windowLocked is the window pass's one scan over the bins. floor is the
@@ -266,22 +268,24 @@ func (s *slt) binForLocked(pid addr.PartitionID) (*bin, error) {
 }
 
 // dropBin removes a freed partition's bin entirely, with any checkpoint
-// request it had pending, and reports whether there was one.
-func (s *slt) dropBin(pid addr.PartitionID) (dropped bool) {
+// request it had pending, which it counts in abandoned (under the SLT
+// mutex, as failCkpt does).
+func (s *slt) dropBin(pid addr.PartitionID, abandoned *metrics.Counter) {
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
 	b, ok := s.st.bins[pid]
 	if !ok {
-		return false
+		return
 	}
-	dropped = b.ckptTrigger != 0
+	if b.ckptTrigger != 0 {
+		abandoned.Inc()
+	}
 	s.lowerLocked(b)
 	delete(s.st.bins, pid)
 	if b.cur != nil {
 		b.cur.Free()
 	}
 	s.mem.Release(binInfoBytes)
-	return dropped
 }
 
 // archivedTo returns the highest LSN rolled into the archive and

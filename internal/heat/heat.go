@@ -7,13 +7,13 @@
 //
 // The tracker lives on the hot path of mm.Store.Partition. Each
 // partition's count is created once and kept for the tracker's life
-// (Forget and decay zero it, never delete it), so the store holds a
-// resident partition's count on the partition itself: a resident
-// resolve is one atomic add on that count plus Tick, which drives the
-// touch metric and the persist cadence. Only a miss looks the count up
-// by address (Count, Touch). Counts decay exponentially (configurable
-// half-life) so the ranking follows the working set rather than
-// all-time totals.
+// (Forget zeroes it, never deletes it), so the store holds a resident
+// partition's count on the partition itself: a resident resolve is one
+// atomic add on that count plus Tick, which drives the touch metric and
+// the persist cadence. Only a miss looks the count up by address
+// (Count, Touch). Counts only grow, so the ranking is by all-time
+// totals since the partition was last forgotten; nothing in the
+// tracker reads the clock.
 //
 // Persistence follows the trace.FlightRing pattern: the ranking is
 // serialised into a stablemem.Region registered under a well-known
@@ -27,6 +27,7 @@ package heat
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -59,7 +60,6 @@ type PartHeat struct {
 type Tracker struct {
 	snap         *Snapshot
 	persistEvery int64
-	halfLife     time.Duration
 
 	// mu guards counts: one per partition ever counted, never removed,
 	// so a count handed out by Count stays the partition's for the
@@ -71,8 +71,7 @@ type Tracker struct {
 	// persist: the toucher that takes it to zero adds persistEvery back,
 	// so persists fall every persistEvery touches without a division.
 	untilPersist atomic.Int64
-	persisting   atomic.Bool  // single-flight guard for periodic persists
-	lastDecay    atomic.Int64 // unixnano of the last decay pass
+	persisting   atomic.Bool // single-flight guard for periodic persists
 
 	persistMu sync.Mutex
 	ranked    []PartHeat // persist's ranking buffer, reused
@@ -81,7 +80,6 @@ type Tracker struct {
 	// All nil-safe.
 	Touches       *metrics.Counter
 	Persists      *metrics.Counter
-	Decays        *metrics.Counter
 	TrackedParts  *metrics.Gauge
 	SnapshotBytes *metrics.Gauge
 	// OnPersist runs after each stable persist with the entry count and
@@ -107,7 +105,13 @@ type Tracker struct {
 // failed validation (length, checksum, or payload decode): the recovery
 // then proceeds in catalog order as if no ranking existed, and the
 // owner surfaces the count as heat/snapshot_rejected.
-func Attach(mem *stablemem.Memory, bytes, persistEvery int, halfLife time.Duration) (t *Tracker, recovered []PartHeat, rejected int, err error) {
+//
+// decay must be 0, and any other value is an error: counts do not decay.
+// The parameter remains only because the benchmark harness passes it.
+func Attach(mem *stablemem.Memory, bytes, persistEvery int, decay time.Duration) (t *Tracker, recovered []PartHeat, rejected int, err error) {
+	if decay != 0 {
+		return nil, nil, 0, fmt.Errorf("heat: decay is %v; it must be 0, counts do not decay", decay)
+	}
 	prior, _ := mem.Root(rootKey).(*Snapshot)
 	if prior != nil {
 		recovered, rejected = prior.Load()
@@ -137,11 +141,9 @@ func Attach(mem *stablemem.Memory, bytes, persistEvery int, halfLife time.Durati
 	t = &Tracker{
 		snap:         snap,
 		persistEvery: int64(persistEvery),
-		halfLife:     halfLife,
 		counts:       make(map[addr.PartitionID]*atomic.Int64, len(recovered)),
 	}
 	t.untilPersist.Store(t.persistEvery)
-	t.lastDecay.Store(time.Now().UnixNano())
 	// Seed the counts from one allocation: a restart recovers every
 	// partition's count before its first transaction.
 	seeds := make([]atomic.Int64, len(recovered))
@@ -286,7 +288,6 @@ func (t *Tracker) Persist() {
 }
 
 func (t *Tracker) persist() {
-	t.maybeDecay()
 	t.persistMu.Lock()
 	t.ranked = t.rank(t.ranked)
 	stored, bytes := t.snap.Store(t.ranked)
@@ -296,42 +297,6 @@ func (t *Tracker) persist() {
 	if t.OnPersist != nil {
 		t.OnPersist(stored, bytes)
 	}
-}
-
-// maybeDecay halves every count once per elapsed half-life, so the
-// ranking tracks the working set rather than all-time totals.
-func (t *Tracker) maybeDecay() {
-	if t.halfLife <= 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := t.lastDecay.Load()
-	halvings := (now - last) / int64(t.halfLife)
-	if halvings <= 0 {
-		return
-	}
-	if !t.lastDecay.CompareAndSwap(last, last+halvings*int64(t.halfLife)) {
-		return // another goroutine is decaying this interval
-	}
-	t.DecayN(halvings)
-}
-
-// DecayN halves every count n times; a count reaching zero stays, at
-// zero, and leaves the ranking. Exposed so tests and benchmarks can age
-// the ranking deterministically. Nil-safe.
-func (t *Tracker) DecayN(n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	if n > 62 {
-		n = 62
-	}
-	t.mu.Lock()
-	for _, c := range t.counts {
-		c.Store(c.Load() >> n)
-	}
-	t.mu.Unlock()
-	t.Decays.Add(n)
 }
 
 // ---------------------------------------------------------------------

@@ -137,26 +137,15 @@ func TestSnapshotTruncatesToHottest(t *testing.T) {
 	}
 }
 
-func TestDecay(t *testing.T) {
+// TestAttachRejectsDecay: counts do not decay, so any half-life but 0
+// is refused before the stable region is touched.
+func TestAttachRejectsDecay(t *testing.T) {
 	mem := newMem(t)
-	tr, _, _, err := Attach(mem, 4<<10, 0, time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, _, err := Attach(mem, 4<<10, 0, time.Hour); err == nil {
+		t.Fatal("Attach accepted a one-hour half-life")
 	}
-	for i := 0; i < 64; i++ {
-		tr.Touch(pid(2, 0))
-	}
-	tr.Touch(pid(2, 1))
-	tr.DecayN(1)
-	if w := tr.Weight(pid(2, 0)); w != 32 {
-		t.Fatalf("after one halving, weight = %d, want 32", w)
-	}
-	if w := tr.Weight(pid(2, 1)); w != 0 {
-		t.Fatalf("count of 1 should decay away, got %d", w)
-	}
-	tr.DecayN(10)
-	if r := tr.Ranking(); len(r) != 0 {
-		t.Fatalf("ranking should be empty after deep decay, got %v", r)
+	if mem.Root(rootKey) != nil {
+		t.Fatal("a refused Attach installed a snapshot region")
 	}
 }
 

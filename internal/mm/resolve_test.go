@@ -178,7 +178,7 @@ func TestResolveSeesInstallAndEvict(t *testing.T) {
 
 // TestHeatCountsEveryResolve holds the counts kept on resident
 // partitions to a reference that counts one per resolve, through
-// misses, Forget, decay and a swap of the heat sink.
+// misses, Forget and a swap of the heat sink.
 func TestHeatCountsEveryResolve(t *testing.T) {
 	st := NewStore(256)
 	recoveries := 0
@@ -218,12 +218,6 @@ func TestHeatCountsEveryResolve(t *testing.T) {
 			trackers[cur].Forget(pid)
 			refs[cur][pid] = 0
 		case r < 25:
-			n := int64(1 + rng.Intn(3))
-			trackers[cur].DecayN(n)
-			for k, w := range refs[cur] {
-				refs[cur][k] = w >> n
-			}
-		case r < 27:
 			cur = 1 - cur
 			st.SetHeat(trackers[cur])
 		}
