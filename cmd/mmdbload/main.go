@@ -72,7 +72,6 @@ func main() {
 	var inproc *server.Server
 	if target == "" {
 		cfg := mmdb.DefaultConfig()
-		cfg.BackgroundRecovery = true
 		cfg.RecoveryWorkers = 4
 		cfg.FaultInjector = fault.NewInjector(fault.Plan{})
 		db, err := mmdb.Open(cfg)

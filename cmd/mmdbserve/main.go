@@ -35,8 +35,7 @@ func main() {
 		workers     = flag.Int("workers", 8, "transactions executing at once")
 		flightBytes = flag.Int("flight-recorder", 0, "stable flight-recorder bytes (0 disables tracing)")
 		logStreams  = flag.Int("log-streams", 0, "SLB log streams (0 = config default)")
-		bgRecovery  = flag.Bool("bg-recovery", true, "background partition recovery after a crash")
-		recWorkers  = flag.Int("recovery-workers", 4, "background sweep worker count")
+		recWorkers  = flag.Int("recovery-workers", 4, "background sweep workers after a crash (0 disables the sweep)")
 		heatBytes   = flag.Int("heat-snapshot", 16<<10, "stable heat-snapshot bytes (0 disables heat tracking)")
 		heatEvery   = flag.Int("heat-persist-every", 0, "persist the heat ranking every N touches (0 = default)")
 	)
@@ -47,7 +46,6 @@ func main() {
 	if *logStreams > 0 {
 		cfg.LogStreams = *logStreams
 	}
-	cfg.BackgroundRecovery = *bgRecovery
 	cfg.RecoveryWorkers = *recWorkers
 	cfg.HeatSnapshotBytes = *heatBytes
 	cfg.HeatPersistEvery = *heatEvery

@@ -18,7 +18,6 @@ import (
 func main() {
 	cfg := mmdb.DefaultConfig()
 	cfg.UpdateThreshold = 2000
-	cfg.BackgroundRecovery = true
 	db, err := mmdb.Open(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"mmdb/internal/fault"
@@ -67,16 +68,14 @@ type Config struct {
 	// Cost carries the Table 2 instruction costs charged by the
 	// recovery CPU's code paths.
 	Cost model.Params
-	// BackgroundRecovery starts the low-priority sweep that restores
-	// not-yet-demanded partitions after a crash (§2.5).
-	BackgroundRecovery bool
-	// RecoveryWorkers is the number of goroutines the background sweep
-	// fans partition recovery out across, making restart wall-clock
-	// scale with cores instead of database size (§3.4's independence
-	// claim, measured by `paperbench restart`). 0 or negative means
-	// GOMAXPROCS. Workers coalesce with concurrent on-demand recovery
-	// through the store's resolve path, so a partition is never
-	// recovered twice.
+	// RecoveryWorkers is the number of goroutines of the low-priority
+	// background sweep that Resume starts to restore not-yet-demanded
+	// partitions after a crash (§2.5); 0 means no sweep, and New rejects
+	// a negative value. The fan-out makes restart wall-clock scale with
+	// cores instead of database size (§3.4's independence claim,
+	// measured by `paperbench restart`). Workers coalesce with
+	// concurrent on-demand recovery through the store's resolve path, so
+	// a partition is never recovered twice.
 	RecoveryWorkers int
 	// FaultInjector, when non-nil, is threaded through the storage
 	// stack (log disks, checkpoint disk, stable memory, checkpoint
@@ -106,20 +105,21 @@ type Config struct {
 
 // DefaultConfig returns the paper's environment: 48 KB partitions, 8 KB
 // log pages, N_update = 1000, a few megabytes of stable memory at 4x
-// slowdown, and the Table 2 instruction costs.
+// slowdown, the Table 2 instruction costs, and a background sweep
+// GOMAXPROCS workers wide.
 func DefaultConfig() Config {
 	return Config{
-		PartitionSize:      48 << 10,
-		LogPageSize:        8 << 10,
-		SLBBlockSize:       2 << 10,
-		UpdateThreshold:    1000,
-		LogWindowPages:     4096,
-		GracePages:         16,
-		CheckpointTracks:   4096,
-		StableBytes:        8 << 20,
-		StableSlowdown:     4,
-		Disk:               simdisk.DefaultParams(),
-		Cost:               model.PaperParams(),
-		BackgroundRecovery: true,
+		PartitionSize:    48 << 10,
+		LogPageSize:      8 << 10,
+		SLBBlockSize:     2 << 10,
+		UpdateThreshold:  1000,
+		LogWindowPages:   4096,
+		GracePages:       16,
+		CheckpointTracks: 4096,
+		StableBytes:      8 << 20,
+		StableSlowdown:   4,
+		Disk:             simdisk.DefaultParams(),
+		Cost:             model.PaperParams(),
+		RecoveryWorkers:  runtime.GOMAXPROCS(0),
 	}
 }

@@ -44,7 +44,7 @@ func testCfg() Config {
 	cfg.GracePages = 4
 	cfg.CheckpointTracks = 256
 	cfg.StableBytes = 8 << 20
-	cfg.BackgroundRecovery = false
+	cfg.RecoveryWorkers = 0
 	// Every harness carries an (initially empty) injector so crashes go
 	// through the same fault machinery as the crashhunt sweeps.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{})

@@ -8,6 +8,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mmdb/internal/addr"
@@ -71,7 +72,6 @@ func TestHeatSnapshotSurvivesInjectedCrash(t *testing.T) {
 // ranking.
 func TestSweepFollowsHeatOrder(t *testing.T) {
 	cfg := heatCfg()
-	cfg.RecoveryWorkers = 1
 	h := newHarness(t, cfg)
 	h.start()
 	want, pids := seedPartitions(h, 6)
@@ -81,7 +81,7 @@ func TestSweepFollowsHeatOrder(t *testing.T) {
 	defer h.m.Stop()
 
 	h.m.Resume()
-	h.m.Sweep(false)
+	h.m.Sweep(false, 1)
 
 	// The sweep must have declared itself heat-ordered...
 	var begin trace.Event
@@ -119,7 +119,6 @@ func TestSweepFollowsHeatOrder(t *testing.T) {
 
 func TestSweepHeatOrderingDisabled(t *testing.T) {
 	cfg := heatCfg()
-	cfg.RecoveryWorkers = 1
 	h := newHarness(t, cfg)
 	h.start()
 	_, pids := seedPartitions(h, 4)
@@ -129,7 +128,7 @@ func TestSweepHeatOrderingDisabled(t *testing.T) {
 	defer h.m.Stop()
 
 	h.m.Resume()
-	h.m.Sweep(true)
+	h.m.Sweep(true, 1)
 	for _, e := range h.m.TraceEvents() {
 		if e.Kind == trace.KindSweepBegin && e.Arg != 0 {
 			t.Fatalf("sweep begin Arg = %d with heat ordering disabled, want 0", e.Arg)
@@ -146,7 +145,6 @@ func TestSweepHeatOrderingDisabled(t *testing.T) {
 // residency list.
 func TestRecoveryProgressAndTTP99(t *testing.T) {
 	cfg := heatCfg()
-	cfg.RecoveryWorkers = 2
 	h := newHarness(t, cfg)
 	h.start()
 	_, pids := seedPartitions(h, 6)
@@ -173,7 +171,7 @@ func TestRecoveryProgressAndTTP99(t *testing.T) {
 	}
 
 	h.m.Resume()
-	h.m.Sweep(false)
+	h.m.Sweep(false, 2)
 
 	p = h.m.RecoveryProgress(3)
 	if p.Recovering || !p.SweepDone {
@@ -226,7 +224,7 @@ func TestHeatDisabledIsInert(t *testing.T) {
 	sweepCrash(h, pids)
 	defer h.m.Stop()
 	h.m.Resume()
-	h.m.Sweep(false)
+	h.m.Sweep(false, runtime.GOMAXPROCS(0))
 	p := h.m.RecoveryProgress(4)
 	if p.HeatOrdered || p.HeatWeightTotal != 0 || p.TTP99RestoredNS != 0 || len(p.TopHot) != 0 {
 		t.Fatalf("progress with heat disabled = %+v, want inert heat fields", p)
@@ -243,7 +241,6 @@ func TestHeatDisabledIsInert(t *testing.T) {
 // fall back to clean catalog order with every row still recovered.
 func TestCorruptHeatSnapshotFallsBackToCatalogOrder(t *testing.T) {
 	cfg := heatCfg()
-	cfg.RecoveryWorkers = 1
 	h := newHarness(t, cfg)
 	h.start()
 	want, pids := seedPartitions(h, 6)
@@ -261,7 +258,7 @@ func TestCorruptHeatSnapshotFallsBackToCatalogOrder(t *testing.T) {
 		t.Fatalf("heat/snapshot_rejected = %d, want >= 1", n)
 	}
 	h.m.Resume()
-	h.m.Sweep(false)
+	h.m.Sweep(false, 1)
 
 	var begin trace.Event
 	for _, e := range h.m.TraceEvents() {

@@ -120,6 +120,9 @@ type Manager struct {
 // database the stable memory is empty; after a crash, Attach recovers
 // the stable structures (use Restart for the full §2.5 sequence).
 func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manager, error) {
+	if cfg.RecoveryWorkers < 0 {
+		return nil, fmt.Errorf("core: RecoveryWorkers is %d; it must be 0 (no sweep) or more", cfg.RecoveryWorkers)
+	}
 	s, err := newSLB(hw.Stable, cfg)
 	if err != nil {
 		return nil, err

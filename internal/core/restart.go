@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,8 +118,9 @@ func (m *Manager) MarkTrackUsed(t simdisk.TrackLoc) { m.dmap.markUsed(t) }
 
 // Resume installs on-demand recovery (§2.5 method 2: transactions that
 // reference an unrecovered partition generate a restore process for it)
-// and, if configured, the background sweep that restores the remaining
-// partitions at low priority between regular transactions.
+// and, when cfg.RecoveryWorkers is above 0, the background sweep that
+// restores the remaining partitions at low priority between regular
+// transactions.
 func (m *Manager) Resume() {
 	m.store.SetResolve(func(pid addr.PartitionID) (*mm.Partition, error) {
 		track := simdisk.NilTrack
@@ -133,7 +133,7 @@ func (m *Manager) Resume() {
 		}
 		return m.restorePartition(pid, track)
 	})
-	if m.cfg.BackgroundRecovery {
+	if m.cfg.RecoveryWorkers > 0 {
 		m.wg.Add(1)
 		m.sweeping.Store(true)
 		go m.backgroundSweep()
@@ -147,29 +147,29 @@ func (m *Manager) Resume() {
 // partitions that have not yet been recovered").
 func (m *Manager) backgroundSweep() {
 	defer m.wg.Done()
-	m.runSweep(false)
+	m.Sweep(false, m.cfg.RecoveryWorkers)
 	m.sweeping.Store(false)
 	m.signalIdle()
 }
 
 // Sweep runs one background-sweep pass synchronously on the calling
-// goroutine: benchmarks (`paperbench restart`) and tests use it to
-// time the sweep exactly, without Resume's goroutine hand-off.
+// goroutine, fanning partition recovery out across workers goroutines:
+// worker w takes partitions w, w+W, w+2W, … — deterministic round-robin
+// shards, so the split does not depend on host scheduling. Resume's
+// sweep calls it with cfg.RecoveryWorkers; benchmarks (`paperbench
+// restart`) and tests call it directly on a manager configured with
+// RecoveryWorkers 0, to time the sweep exactly at the width they pick.
 // catalogOrder keeps the directory order even when a heat ranking was
 // recovered — the unordered baseline `paperbench restart` compares
 // time-to-p99-restored against; the product's sweep never does.
-func (m *Manager) Sweep(catalogOrder bool) { m.runSweep(catalogOrder) }
-
-// runSweep fans partition recovery out across cfg.RecoveryWorkers
-// goroutines (default GOMAXPROCS), worker w taking partitions w,
-// w+W, w+2W, … — deterministic round-robin shards, so the split does
-// not depend on host scheduling. Every worker demands partitions
-// through the store's resolve path, so a sweep worker and a concurrent
-// foreground transaction — or two workers handed overlapping demand —
-// coalesce into a single recovery transaction per partition and never
-// install racing copies. Closing m.stop interrupts every worker before
-// its next partition; in-flight recoveries finish whole.
-func (m *Manager) runSweep(catalogOrder bool) {
+//
+// Every worker demands partitions through the store's resolve path, so
+// a sweep worker and a concurrent foreground transaction — or two
+// workers handed overlapping demand — coalesce into a single recovery
+// transaction per partition and never install racing copies. Closing
+// m.stop interrupts every worker before its next partition; in-flight
+// recoveries finish whole.
+func (m *Manager) Sweep(catalogOrder bool, workers int) {
 	if m.cb.AllPartitions == nil {
 		return
 	}
@@ -218,10 +218,6 @@ func (m *Manager) runSweep(catalogOrder bool) {
 	progressStep := int64(len(pids) / 16)
 	if progressStep < 1 {
 		progressStep = 1
-	}
-	workers := m.cfg.RecoveryWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(pids) {
 		workers = len(pids)

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mmdb/internal/addr"
 	"mmdb/internal/fault"
+	"mmdb/internal/lock"
+	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
 	"mmdb/internal/trace"
 )
@@ -46,9 +49,22 @@ func seedPartitions(h *harness, n int) (map[addr.EntityAddr][]byte, []addr.Parti
 	return want, h.store.ResidentIDs()
 }
 
+// TestNewRejectsNegativeRecoveryWorkers: 0 is the only way to say "no
+// sweep"; a negative width is a configuration error, not GOMAXPROCS.
+func TestNewRejectsNegativeRecoveryWorkers(t *testing.T) {
+	cfg := testCfg()
+	cfg.RecoveryWorkers = -1
+	hw, err := NewHardware(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(hw, cfg, mm.NewStore(cfg.PartitionSize), lock.NewManager()); err == nil {
+		t.Fatal("New accepted RecoveryWorkers = -1")
+	}
+}
+
 func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 	cfg := testCfg()
-	cfg.BackgroundRecovery = true
 	cfg.RecoveryWorkers = 4
 	cfg.FlightRecorderBytes = 128 << 10
 	h := newHarness(t, cfg)
@@ -58,7 +74,7 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 		t.Fatalf("only %d partitions seeded, need >= %d", len(pids), cfg.RecoveryWorkers)
 	}
 	sweepCrash(h, pids)
-	h.m.Resume() // BackgroundRecovery => sweep starts
+	h.m.Resume() // RecoveryWorkers > 0 => sweep starts
 	h.m.Start()
 	defer h.m.Stop()
 
@@ -111,7 +127,7 @@ func TestParallelSweepRestoresAllPartitions(t *testing.T) {
 // that answers late.
 func TestWaitIdleCoversTheSweep(t *testing.T) {
 	cfg := testCfg()
-	cfg.BackgroundRecovery = true
+	cfg.RecoveryWorkers = runtime.GOMAXPROCS(0)
 	h := newHarness(t, cfg)
 	h.start()
 	_, pids := seedPartitions(h, 4)
@@ -141,7 +157,6 @@ func TestWaitIdleCoversTheSweep(t *testing.T) {
 // the sweep is gone.
 func TestSweepCancellationMidFlight(t *testing.T) {
 	cfg := testCfg()
-	cfg.BackgroundRecovery = true
 	cfg.RecoveryWorkers = 2
 	h := newHarness(t, cfg)
 	h.start()
@@ -216,7 +231,6 @@ func TestSweepCancellationMidFlight(t *testing.T) {
 func TestSweepCountsInjectedIOErrors(t *testing.T) {
 	seed := func(t *testing.T) (*harness, []addr.PartitionID, []addr.EntityAddr) {
 		cfg := testCfg()
-		cfg.RecoveryWorkers = 2
 		cfg.FlightRecorderBytes = 32 << 10
 		h := newHarness(t, cfg)
 		h.start()
@@ -241,7 +255,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 		defer h.m.Stop()
 		mustArm(t, h, "seed=1;ckpt.read@1:ioerr")
 		h.m.Resume()
-		h.m.Sweep(false)
+		h.m.Sweep(false, 2)
 		st := h.m.Metrics()
 		if st.RecoverySweepErrors.Value() != 1 {
 			t.Fatalf("SweepErrors = %d, want 1 (the retried attempt)", st.RecoverySweepErrors.Value())
@@ -263,7 +277,7 @@ func TestSweepCountsInjectedIOErrors(t *testing.T) {
 		// recovery (attempt + retry) fails.
 		mustArm(t, h, "seed=1;ckpt.read@1+*:ioerr")
 		h.m.Resume()
-		h.m.Sweep(false)
+		h.m.Sweep(false, 2)
 		st := h.m.Metrics()
 		if st.RecoverySweepErrors.Value() < int64(2*len(pids)) {
 			t.Fatalf("SweepErrors = %d, want >= %d (attempt + retry per partition)",
@@ -304,7 +318,7 @@ func TestSweepEnumerationErrorSurfaced(t *testing.T) {
 	defer h.m.Stop()
 	boom := errors.New("catalog scan failed")
 	h.m.cb.AllPartitions = func() ([]addr.PartitionID, error) { return nil, boom }
-	h.m.Sweep(false)
+	h.m.Sweep(false, runtime.GOMAXPROCS(0))
 	if got := h.m.Metrics().RecoverySweepErrors.Value(); got != 1 {
 		t.Fatalf("SweepErrors = %d, want 1", got)
 	}

@@ -66,7 +66,6 @@ func runLogStreams(streams, workers, txns, recsPerTxn int) (LogStreamPoint, erro
 	// and the sorter drains sealed chains concurrently as in production.
 	cfg.UpdateThreshold = 1 << 30
 	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false
 	h, err := newHarness(cfg)
 	if err != nil {
 		return LogStreamPoint{}, err

@@ -66,7 +66,7 @@ func PredeclareVsDemand(nParts, hotParts, txns, recsPerPart int) (*PredeclareRes
 
 	// Method 2, on demand, from the same crashed state: each
 	// transaction restores what it touches.
-	h, err := f.restart(0)
+	h, err := f.restart()
 	if err != nil {
 		return nil, err
 	}

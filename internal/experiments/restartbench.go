@@ -74,7 +74,7 @@ func restartConfig() core.Config {
 	cfg.UpdateThreshold = 1 << 30
 	cfg.LogWindowPages = 1 << 20
 	cfg.StableBytes = 256 << 20
-	cfg.BackgroundRecovery = false
+	cfg.RecoveryWorkers = 0
 	return cfg
 }
 
@@ -179,13 +179,11 @@ func crashedFixture(cfg core.Config, nParts, recsPerPart int, base *baseline.Eng
 	return f, nil
 }
 
-// restart attaches the next generation over the crashed state with
-// workers recovery workers (0: one per CPU), runs the §2.5 restart, and
-// installs on-demand recovery: from here store.Partition is the way in.
-func (f *fixture) restart(workers int) (*harness, error) {
-	cfg := f.cfg
-	cfg.RecoveryWorkers = workers
-	h, err := attach(f.hw, cfg, f.tracks, f.pids)
+// restart attaches the next generation over the crashed state, runs the
+// §2.5 restart, and installs on-demand recovery: from here
+// store.Partition is the way in.
+func (f *fixture) restart() (*harness, error) {
+	h, err := attach(f.hw, f.cfg, f.tracks, f.pids)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +199,7 @@ func (f *fixture) restart(workers int) (*harness, error) {
 // It returns the simulated disk microseconds until the first hot
 // partitions are resident and until all of them are.
 func (f *fixture) demandAll(hot int) (hotUS, fullUS int64, err error) {
-	h, err := f.restart(0)
+	h, err := f.restart()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -223,13 +221,13 @@ func (f *fixture) demandAll(hot int) (hotUS, fullUS int64, err error) {
 // generation with the simulated microseconds the sweep was charged:
 // disk busy time plus recovery-CPU time.
 func (f *fixture) sweepOnce(w int, catalogOrder bool) (h *harness, chargedUS, hostMS float64, err error) {
-	if h, err = f.restart(w); err != nil {
+	if h, err = f.restart(); err != nil {
 		return nil, 0, 0, err
 	}
 	defer h.m.Stop()
 	disk, instr := h.diskUS(), h.m.Metrics().SimRecoveryInstr.Value()
 	hostStart := time.Now()
-	h.m.Sweep(catalogOrder)
+	h.m.Sweep(catalogOrder, w)
 	hostMS = float64(time.Since(hostStart).Microseconds()) / 1e3
 	disk, instr = h.diskUS()-disk, h.m.Metrics().SimRecoveryInstr.Value()-instr
 	for _, pid := range f.pids {

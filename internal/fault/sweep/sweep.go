@@ -276,7 +276,7 @@ func Config() mmdb.Config {
 	// counts (and therefore every enumerated plan's hit index) are
 	// machine-independent; Options.LogStreams widens the matrix.
 	cfg.LogStreams = 1
-	cfg.BackgroundRecovery = false // the warm-up phase demands recovery deterministically
+	cfg.RecoveryWorkers = 0 // no background sweep: the warm-up phase demands recovery deterministically
 	// The flight recorder rides along so every violation report carries
 	// the pre-crash event timeline. Its ring writes bypass the fault
 	// points (stablemem.Region is uninstrumented), so enabling it does

@@ -30,7 +30,7 @@ func testDBConfig() mmdb.Config {
 	cfg.GracePages = 4
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 16 << 20
-	cfg.BackgroundRecovery = false
+	cfg.RecoveryWorkers = 0
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{})
 	return cfg
 }
@@ -485,7 +485,6 @@ func TestServerDebitCredit(t *testing.T) {
 // an acknowledged one.
 func TestServerCrashUnderLoad(t *testing.T) {
 	dbCfg := testDBConfig()
-	dbCfg.BackgroundRecovery = true
 	dbCfg.RecoveryWorkers = 2
 	s, cleanup := startServer(t, dbCfg, Config{Workers: 4})
 	defer cleanup()
@@ -572,7 +571,6 @@ func TestServerCrashUnderLoad(t *testing.T) {
 // down mid-partition. Run under -race in CI.
 func TestServerCloseAfterCrashDoesNotRaceSweep(t *testing.T) {
 	dbCfg := testDBConfig()
-	dbCfg.BackgroundRecovery = true
 	dbCfg.RecoveryWorkers = 4
 	s, cleanup := startServer(t, dbCfg, Config{Workers: 4})
 	defer cleanup()

@@ -349,7 +349,8 @@ func (db *DB) Crash() *Hardware {
 // Recover rebuilds a database from crash-surviving hardware, following
 // §2.5: restore the catalogs from the well-known root, resume
 // transaction processing immediately, and recover data partitions on
-// demand (plus a background sweep when cfg.BackgroundRecovery is set).
+// demand (plus a background sweep of cfg.RecoveryWorkers workers when
+// that is above 0).
 //
 // When restart itself fails, Recover returns BOTH the error and a dead
 // husk of the instance, good only for Crash() and Metrics(): restart

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"mmdb/internal/addr"
+	"mmdb/internal/fault"
 	"mmdb/internal/heap"
+	"mmdb/internal/trace"
 )
 
 func TestDropRelation(t *testing.T) {
@@ -196,9 +199,9 @@ func TestPreload(t *testing.T) {
 	}
 }
 
-func TestBackgroundRecovery(t *testing.T) {
+func TestBackgroundSweepRestoresAll(t *testing.T) {
 	cfg := testConfig()
-	cfg.BackgroundRecovery = true
+	cfg.RecoveryWorkers = runtime.GOMAXPROCS(0)
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +233,51 @@ func TestBackgroundRecovery(t *testing.T) {
 	}
 	if resident != len(want) {
 		t.Fatalf("background sweep restored %d of %d partitions", resident, len(want))
+	}
+}
+
+// TestZeroRecoveryWorkersDisablesSweep: RecoveryWorkers is the one
+// knob of the §2.5 background sweep, so the default geometry with 0
+// workers recovers without a sweep: no sweep begins, and a partition
+// nobody demands stays on disk.
+func TestZeroRecoveryWorkersDisablesSweep(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RecoveryWorkers = 0
+	cfg.FlightRecorderBytes = 64 << 10
+	cfg.FaultInjector = fault.NewInjector(fault.Plan{})
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := db.CreateRelation("r", acctSchema)
+	tx := db.Begin()
+	for i := 0; i < 20; i++ {
+		if _, err := tx.Insert(rel, heap.Tuple{int64(i), 0.0, "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCommit(t, tx)
+	db.WaitIdle()
+	db2 := crashAndRecover(t, db, cfg)
+	defer db2.Close()
+	db2.WaitIdle()
+	for _, e := range db2.TraceEvents() {
+		if e.Kind == trace.KindSweepBegin {
+			t.Fatalf("a sweep began with RecoveryWorkers 0: %+v", e)
+		}
+	}
+	rel2, _ := db2.GetRelation("r")
+	parts, err := db2.partsOfSegment(rel2.seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) == 0 {
+		t.Fatal("relation has no data partition")
+	}
+	for _, ps := range parts {
+		if pid := (RowID{Segment: rel2.seg, Part: ps.Part}).Partition(); db2.store.Resident(pid) {
+			t.Fatalf("undemanded partition %v resident after WaitIdle", pid)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ func TestSoakSustainedWorkloadWithCrashes(t *testing.T) {
 	cfg.GracePages = 8
 	cfg.CheckpointTracks = 2048
 	cfg.StableBytes = 64 << 20
-	cfg.BackgroundRecovery = true
 
 	db, err := Open(cfg)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 // copies.
 func TestParallelSweepWithConcurrentDemand(t *testing.T) {
 	cfg := testConfig()
-	cfg.BackgroundRecovery = true
 	cfg.RecoveryWorkers = 4
 	db, err := Open(cfg)
 	if err != nil {

@@ -23,7 +23,7 @@ func testConfig() Config {
 	cfg.GracePages = 4
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 16 << 20
-	cfg.BackgroundRecovery = false // tests control recovery explicitly
+	cfg.RecoveryWorkers = 0 // no sweep: tests control recovery explicitly
 	// An (initially empty) injector so test crashes go through the same
 	// fault machinery as the crashhunt sweeps.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{})
