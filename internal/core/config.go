@@ -56,8 +56,9 @@ type Config struct {
 	GracePages int
 	// CheckpointTracks is the checkpoint disk capacity in tracks.
 	CheckpointTracks int
-	// ArchiveSegmentBytes is the archive segment rotation threshold;
-	// 0 uses archive.DefaultSegmentBytes.
+	// ArchiveSegmentBytes must be 0; NewHardware rejects any other
+	// value. The archive keeps whole pages, not size-rotated segments.
+	// The field remains only because the benchmark harness reads it.
 	ArchiveSegmentBytes int
 	// StableBytes / StableSlowdown configure the stable reliable
 	// memory (§1: two to four times slower than regular memory).

@@ -462,7 +462,7 @@ func TestWindowArchivesToStore(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		h.update(a, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	h.idleWith("archive segments", func() bool { return h.hw.Arch.Entries() > 0 })
+	h.idleWith("archived pages", func() bool { return h.hw.Arch.Entries() > 0 })
 	// The log disk footprint stays near the window size.
 	h.idleWith("bounded log disk", func() bool {
 		return h.m.Hardware().Log.Primary.PageCount() <= cfg.LogWindowPages+cfg.GracePages+4

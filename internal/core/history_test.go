@@ -7,8 +7,10 @@ import (
 	"mmdb/internal/addr"
 	"mmdb/internal/archive"
 	"mmdb/internal/catalog"
+	"mmdb/internal/fault"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
+	"mmdb/internal/trace"
 	"mmdb/internal/wal"
 )
 
@@ -276,5 +278,64 @@ func TestRestoreLostImageFromArchiveLogAndTail(t *testing.T) {
 	}
 	if got := mt.QuarantinedRecords.Value(); got != 0 {
 		t.Fatalf("quarantined records = %d, want 0", got)
+	}
+}
+
+// TestRestoreCountsDecayedArchivePage: the image is lost and one page of
+// the partition's archived history has decayed on the archive medium.
+// The rebuild skips it, and the skip is detected rot: counted once in
+// the rebuild trace's damage count and in
+// restart/corrupt_records_detected, beside the lost image's own count.
+func TestRestoreCountsDecayedArchivePage(t *testing.T) {
+	cfg := testCfg()
+	cfg.FlightRecorderBytes = 32 << 10
+	h := newHarness(t, cfg)
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	p1 := histPage(pid, histRec(wal.TagRelInsert, pid, 0, "a0"))
+	p2 := histPage(pid, histRec(wal.TagRelInsert, pid, 1, "a1"))
+	var lsns []simdisk.LSN
+	for _, page := range [][]byte{p1, p2} {
+		lsn, err := h.hw.Log.Append(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	plan, err := fault.ParsePlan("seed=1;arch.append@1:corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.cfg.FaultInjector.Arm(plan)
+	for i, page := range [][]byte{p1, p2} {
+		if err := h.hw.Arch.AppendPage(pid, lsns[i], page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.hw.Log.Drop(lsns[1])
+	h.m.slt.st.mu.Lock()
+	h.m.slt.st.lastArchived = lsns[1]
+	h.m.slt.st.mu.Unlock()
+
+	p, err := h.m.restorePartition(pid, simdisk.TrackLoc(7)) // no such track
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Read(0); err == nil {
+		t.Fatal("slot0 present: the decayed page was applied")
+	}
+	if got, _ := p.Read(1); !bytes.Equal(got, []byte("a1")) {
+		t.Fatalf("slot1 = %q: good history lost behind the decayed page", got)
+	}
+	var damaged []uint64
+	for _, e := range h.m.TraceEvents() {
+		if e.Kind == trace.KindArchiveRebuild {
+			damaged = append(damaged, e.Arg2)
+		}
+	}
+	if len(damaged) != 1 || damaged[0] != 1 {
+		t.Fatalf("rebuild damage counts = %v, want one rebuild counting 1", damaged)
+	}
+	if got := h.m.Metrics().CorruptDetected.Value(); got != 2 {
+		t.Fatalf("corrupt_records_detected = %d, want 2 (the lost image and the decayed page)", got)
 	}
 }

@@ -210,7 +210,6 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	hw.Log.Mirror.SetInjector(m.inj, fault.PointLogWriteMirror, fault.PointLogReadMirror)
 	hw.Ckpt.SetInjector(m.inj)
 	hw.Arch.SetInjector(m.inj)
-	hw.Arch.SetOnSeal(m.metrics.ArchSegments.Inc)
 	hw.Log.Fallbacks = mt.DuplexFallbacks
 	hw.Log.Repairs = mt.DuplexRepairs
 	m.inj.SetCounters(fault.Counters{
@@ -550,10 +549,10 @@ func (m *Manager) archiveLocked(tail, floor simdisk.LSN) {
 			// (nothing left worth archiving); skip.
 			continue
 		}
-		// The archive entry records the page's partition and LSN: the
-		// segment directories need the identity for partition-granular
-		// rebuild, and the LSN is what rebuilds dedupe by (a crashed
-		// rollover retries, so appends are at-least-once).
+		// The archive keeps the page under its partition and LSN: the
+		// identity is what a partition-granular rebuild reads by, and
+		// the LSN is what rebuilds dedupe by (a crashed rollover
+		// retries, so appends are at-least-once).
 		if err := m.hw.Arch.AppendPage(pg.PID, lsn, page); err != nil {
 			limit = lsn - 1
 			break

@@ -106,12 +106,11 @@ type Metrics struct {
 	ImagesQuarantined  *metrics.Counter
 	TornTailCuts       *metrics.Counter
 
-	// archive — the append-only segment store (§2.6) and the
+	// archive — the append-only page store (§2.6) and the
 	// partition-granular rebuild path that turns a rotted checkpoint
 	// image into a repair instead of a loss. ArchRebuildFailed counts
 	// the degraded path: the archive itself could not serve and
 	// recovery fell back to an announced empty image.
-	ArchSegments      *metrics.Counter
 	ArchRebuilds      *metrics.Counter
 	ArchRebuildFailed *metrics.Counter
 	ArchRebuildTime   *metrics.Histogram
@@ -246,8 +245,6 @@ func newMetrics(streams int) *Metrics {
 		TornTailCuts: restart.Counter("torn_tail_cuts", "cuts",
 			"undecodable bin-tail suffixes cut at restart: a torn final append or tail-truncating rot (indistinguishable)"),
 
-		ArchSegments: archS.Counter("segments_written", "segments",
-			"archive segments sealed (full, taking no more appends)"),
 		ArchRebuilds: archS.Counter("rebuilds", "parts",
 			"partitions rebuilt from the archive after a lost or rotted checkpoint image (§2.6)"),
 		ArchRebuildFailed: archS.Counter("rebuild_failed", "parts",

@@ -367,7 +367,7 @@ func (m *Manager) restorePartition(pid addr.PartitionID, track simdisk.TrackLoc)
 		// leaving the catalog aimed at a superseded, physically freed
 		// track), or the image bytes rotted in place. Either way this is
 		// a repair, not a loss: the partition's history from its first
-		// log page is still in the archive segments plus the resident log
+		// log page is still in the archive plus the resident log
 		// window (§2.6), bin pages included, so it replaces the image and
 		// the bin's page list together.
 		//
@@ -493,8 +493,9 @@ func readLogPage(log logWindow, lsn simdisk.LSN, want *addr.PartitionID) (pg *wa
 
 // partitionHistory returns every surviving log page of pid — archived
 // pages plus its pages in the resident log window — each LSN once, in
-// LSN order, and the number of pages skipped as detected rot (one
-// decayed archive frame costs exactly the records it held).
+// LSN order, and the number of pages skipped as detected rot: an
+// archived page the archive reports decayed, or one that no longer
+// decodes, costs exactly the records it held.
 //
 // Each LSN once: rollover appends a page to the archive before it
 // drops the log copy, and a crashed rollover retries, so an LSN can be
@@ -516,9 +517,11 @@ func partitionHistory(arch *archive.Store, log logWindow, archivedTo func() simd
 		pages, damaged = nil, 0
 		seen := make(map[simdisk.LSN]bool)
 		err = arch.ScanPartition(pid, func(lsn simdisk.LSN, raw []byte) error {
+			// raw is nil for a page the archive medium decayed under,
+			// which fails the decode like rot in the archived copy.
 			pg, derr := wal.DecodePage(raw)
 			if derr != nil || pg.PID != pid {
-				damaged++ // rot in the archived copy
+				damaged++
 				return nil
 			}
 			seen[lsn] = true

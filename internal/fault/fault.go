@@ -69,9 +69,9 @@ const (
 	PointCkptAfterFence   Point = "ckpt.after-fence"
 	PointCkptAfterImage   Point = "ckpt.after-image"
 	PointCkptBeforeCommit Point = "ckpt.before-commit"
-	// Archive segment store (§2.6): one "arch.append" hit per log page
-	// appended during log-disk rollover, one "arch.read" hit per entry
-	// delivered to an archive scan or a partition rebuild. Faulting
+	// Archive page store (§2.6): one "arch.append" hit per log page
+	// appended during log-disk rollover, one "arch.read" hit per page
+	// read for an archive scan or a partition rebuild. Faulting
 	// arch.read exercises the fallback of the fallback: recovery of a
 	// rotted checkpoint image crashing or rotting mid-rebuild.
 	PointArchAppend Point = "arch.append"
