@@ -64,7 +64,8 @@ func (s *Store) SetInjector(inj *fault.Injector) {
 
 // AppendPage archives one rolled log page under its partition identity
 // and log-disk LSN. A torn, failed or crashed append stores nothing, and
-// the caller retries the whole page.
+// the caller retries the whole page. The store keeps data, as the log
+// disks do (simdisk.LogDisk): the caller must not write to it again.
 func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,10 +76,13 @@ func (s *Store) AppendPage(pid addr.PartitionID, lsn simdisk.LSN, data []byte) e
 	if dec.ApplyBytes(len(data)) < len(data) {
 		return fault.ErrInjected
 	}
-	// MutateBytes copies the page, damaging the copy under a mutation
-	// act: rot under valid ECC, which the wal page CRC catches at
-	// rebuild time. ActCorrupt stores the page while the medium decays.
-	p := &page{lsn: lsn, data: dec.MutateBytes(data), bad: dec.MarkBad}
+	// A mutation act stores a damaged copy: rot under valid ECC, which
+	// the wal page CRC catches at rebuild time. ActCorrupt stores the
+	// page while the medium decays.
+	if dec.Mutated() {
+		data = dec.MutateBytes(data)
+	}
+	p := &page{lsn: lsn, data: data, bad: dec.MarkBad}
 	s.parts[pid] = append(s.parts[pid], p)
 	s.entries++
 	return nil

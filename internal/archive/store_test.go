@@ -276,6 +276,36 @@ func TestAppendMutationCaughtByPageCRC(t *testing.T) {
 	}
 }
 
+// The store keeps the page it is handed, as the log disks do: a clean
+// append stores the buffer itself and a scan returns it, while a
+// mutated append stores a damaged copy and leaves the buffer intact.
+func TestPageBytesNeverChange(t *testing.T) {
+	st, _ := faultyStore(t, "seed=1;arch.append@2:flip")
+	pid := addr.PartitionID{Segment: 2, Part: 0}
+	clean := (&wal.Page{PID: pid, Records: bytes.Repeat([]byte{0xA7, 0x3C}, 300)}).Encode()
+	rotted := (&wal.Page{PID: pid, Records: bytes.Repeat([]byte{0x5A}, 600)}).Encode()
+	want := bytes.Clone(rotted)
+	for lsn, page := range [][]byte{clean, rotted} {
+		if err := st.AppendPage(pid, simdisk.LSN(lsn+1), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(rotted, want) {
+		t.Fatal("a mutated append damaged the caller's buffer")
+	}
+	if err := st.ScanPartition(pid, func(lsn simdisk.LSN, page []byte) error {
+		switch {
+		case lsn == 1 && &page[0] != &clean[0]:
+			t.Error("a clean append did not keep the handed buffer")
+		case lsn == 2 && (bytes.Equal(page, want) || &page[0] == &rotted[0]):
+			t.Error("a mutated append did not store a damaged copy")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Rollover appends while a rebuild scans the same partition, and a
 // corrupt read decays a page mid-run. Every scan sees an ascending run
 // of intact pages from LSN 1, whatever the appends have reached; run it

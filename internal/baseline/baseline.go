@@ -79,7 +79,7 @@ func (e *Engine) flushLogPage() error {
 		return err
 	}
 	e.logPages = append(e.logPages, lsn)
-	e.cur = nil
+	e.cur = nil // the log disks keep the page; start a new buffer
 	return nil
 }
 

@@ -484,6 +484,8 @@ func (m *Manager) flushBinPageLocked(b *bin) error {
 	body, folded, foldedBytes := m.slt.fold.fold(b.cur.Bytes())
 	pg := &wal.Page{PID: b.pid, Records: body}
 	flushStart := time.Now()
+	// The log disks, and later the archive, keep this fresh encoding;
+	// nothing writes it again.
 	lsn, err := m.hw.Log.Append(pg.Encode())
 	if err != nil {
 		return err
@@ -552,7 +554,8 @@ func (m *Manager) archiveLocked(tail, floor simdisk.LSN) {
 		// The archive keeps the page under its partition and LSN: the
 		// identity is what a partition-granular rebuild reads by, and
 		// the LSN is what rebuilds dedupe by (a crashed rollover
-		// retries, so appends are at-least-once).
+		// retries, so appends are at-least-once). page is the log disks'
+		// own buffer; the archive keeps it without a copy.
 		if err := m.hw.Arch.AppendPage(pg.PID, lsn, page); err != nil {
 			limit = lsn - 1
 			break

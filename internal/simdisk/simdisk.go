@@ -83,7 +83,8 @@ func (p Params) trackTransferMicros(n int) int64 {
 }
 
 // logPage is one stored sector: its contents (possibly a torn prefix)
-// plus the ECC-valid bit.
+// plus the ECC-valid bit. bad is this sector's own, even where data is
+// shared with the other spindle or the archive.
 type logPage struct {
 	data []byte
 	bad  bool
@@ -93,6 +94,14 @@ type logPage struct {
 // because sectors are interleaved, sequential page appends pay only the
 // transfer time (the inter-sector gap covers setup), while reads during
 // recovery pay a short seek per page.
+//
+// A stored page's bytes never change, as a CheckpointDisk track's do
+// not: Append and WriteAt keep the buffer they are handed (a torn write
+// keeps a capped prefix of it), Drop and Fail only drop the reference,
+// and a write or read mutation damages a private copy. So Read and
+// PageState return the stored bytes, not copies, and one buffer can be
+// the page on both spindles and on the archive. Neither the writer nor
+// any reader may write through such a buffer.
 type LogDisk struct {
 	params Params
 
@@ -134,13 +143,14 @@ func (d *LogDisk) SetInjector(inj *fault.Injector, write, read fault.Point) {
 // a prefix and flips the ECC bit; a corrupt write stores everything but
 // still flips the ECC bit; a mutation act silently stores damaged bytes
 // with the ECC bit *intact* — only a content check (wal page checksum)
-// can catch it.
+// can catch it. The sector keeps page itself, capped at what landed.
 func (d *LogDisk) writePageLocked(lsn LSN, page []byte) error {
 	dec := d.inj.Check(d.wpt, len(page))
 	if dec.Err != nil && dec.ApplyBytes(len(page)) == 0 && !dec.MarkBad {
 		return dec.Err
 	}
-	stored := append([]byte(nil), page[:dec.ApplyBytes(len(page))]...)
+	n := dec.ApplyBytes(len(page))
+	stored := page[:n:n]
 	if dec.Mutated() {
 		stored = dec.MutateBytes(stored)
 	}
@@ -155,7 +165,8 @@ func (d *LogDisk) writePageLocked(lsn LSN, page []byte) error {
 	return dec.Err
 }
 
-// Append writes a page at the next LSN and returns that LSN.
+// Append writes a page at the next LSN and returns that LSN. The disk
+// keeps page: the caller must not write to it again.
 func (d *LogDisk) Append(page []byte) (LSN, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -171,7 +182,7 @@ func (d *LogDisk) Append(page []byte) (LSN, error) {
 
 // WriteAt overwrites the page at a specific LSN; used by the duplex pair
 // to keep both spindles on one LSN sequence, and to rewrite a damaged
-// sector from the healthy copy.
+// sector from the healthy copy. The disk keeps page, as Append does.
 func (d *LogDisk) WriteAt(lsn LSN, page []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -184,7 +195,9 @@ func (d *LogDisk) WriteAt(lsn LSN, page []byte) error {
 // Read returns the page at lsn, charging a sibling-page seek plus
 // transfer. A sector whose ECC bit is bad fails with ErrBadSector; an
 // injected read fault can also damage the sector in place (latent
-// corruption discovered on access).
+// corruption discovered on access). The result is the stored page,
+// read-only; a read mutation instead returns a damaged private copy and
+// leaves the stored bytes as they were.
 func (d *LogDisk) Read(lsn LSN) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -206,18 +219,18 @@ func (d *LogDisk) Read(lsn LSN) ([]byte, error) {
 		return nil, fmt.Errorf("%w: LSN %d", ErrBadSector, lsn)
 	}
 	d.busy.Add(d.params.AdjSeekMicros + d.params.transferMicros(len(p.data)))
-	out := append([]byte(nil), p.data...)
 	if dec.Mutated() {
 		// Transient read rot: the head returns damaged bytes with ECC
 		// reporting clean. The stored copy is untouched.
-		out = dec.MutateBytes(out)
+		return dec.MutateBytes(p.data), nil
 	}
-	return out, nil
+	return p.data, nil
 }
 
 // PageState inspects the sector at lsn without charging cost or fault
 // points: the stored bytes (torn prefix included), the ECC-bad flag,
-// and whether the sector holds anything at all. Verification-only.
+// and whether the sector holds anything at all. data is the stored
+// page, read-only. Verification-only.
 func (d *LogDisk) PageState(lsn LSN) (data []byte, bad bool, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -225,7 +238,7 @@ func (d *LogDisk) PageState(lsn LSN) (data []byte, bad bool, ok bool) {
 	if !ok {
 		return nil, false, false
 	}
-	return append([]byte(nil), p.data...), p.bad, true
+	return p.data, p.bad, true
 }
 
 // CorruptPage flips the ECC bit of the sector at lsn, reporting whether
@@ -299,6 +312,12 @@ func (d *LogDisk) Repair() {
 // in lockstep at one LSN sequence; reads are served by the primary with
 // fallback to the mirror, and a copy found damaged or missing is
 // rewritten from the healthy one so the pair reconverges.
+//
+// Its pages are a LogDisk's, immutable once written: Append stores the
+// one buffer it is handed on both spindles, a repair stores the healthy
+// copy's buffer on the damaged spindle, and Read and ReadChecked return
+// the stored bytes. Nothing writes through a buffer handed to Append or
+// returned by a read; the ECC-bad flag stays per spindle.
 type DuplexLog struct {
 	Primary *LogDisk
 	Mirror  *LogDisk

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mmdb/internal/fault"
@@ -35,14 +37,88 @@ func TestLogDiskAppendRead(t *testing.T) {
 	}
 }
 
-func TestLogDiskReadCopiesPage(t *testing.T) {
-	d := NewLogDisk(DefaultParams(), nil)
-	lsn, _ := d.Append([]byte{1, 2, 3})
-	p, _ := d.Read(lsn)
-	p[0] = 99
-	p2, _ := d.Read(lsn)
-	if p2[0] != 1 {
-		t.Fatal("Read returned aliased page storage")
+// testPage returns an n-byte page whose bytes depend on seed.
+func testPage(n int, seed byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7) + seed
+	}
+	return p
+}
+
+// TestLogPageBytesNeverChange holds the log disks to their immutability
+// invariant, as TestTrackBytesNeverChange holds the checkpoint disk: a
+// duplexed append stores the caller's buffer on both spindles and a
+// clean read returns it; a read mutation returns a damaged private copy
+// and the next clean read the original bytes; a write mutation stores a
+// damaged copy on its spindle only; and a torn write keeps a capped
+// prefix of the buffer, with the ECC-bad flag on its spindle only.
+func TestLogPageBytesNeverChange(t *testing.T) {
+	inj := fault.NewInjector(fault.Plan{Seed: 7, Rules: []fault.Rule{
+		{Point: fault.PointLogReadPrimary, Hit: 2, Act: fault.ActMutFlip},
+		{Point: fault.PointLogWriteMirror, Hit: 2, Act: fault.ActMutFlip},
+		{Point: fault.PointLogWriteMirror, Hit: 3, Act: fault.ActCrashTorn, Torn: 100},
+	}})
+	d := NewDuplexLog(DefaultParams(), nil)
+	d.Primary.SetInjector(inj, fault.PointLogWritePrimary, fault.PointLogReadPrimary)
+	d.Mirror.SetInjector(inj, fault.PointLogWriteMirror, fault.PointLogReadMirror)
+	stored := func(s *LogDisk, lsn LSN, page []byte) {
+		t.Helper()
+		data, bad, ok := s.PageState(lsn)
+		if !ok || bad || len(data) != len(page) || &data[0] != &page[0] {
+			t.Fatalf("LSN %d (ok %v, bad %v) is not a clean sector holding the appended buffer", lsn, ok, bad)
+		}
+	}
+
+	page := testPage(2048, 0)
+	want := bytes.Clone(page)
+	lsn, err := d.Append(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored(d.Primary, lsn, page)
+	stored(d.Mirror, lsn, page)
+	got, err := d.Read(lsn) // primary read hit 1: clean
+	if err != nil || &got[0] != &page[0] {
+		t.Fatalf("a clean read (err %v) did not return the appended buffer", err)
+	}
+	got, err = d.Primary.Read(lsn) // hit 2: flipped
+	if err != nil || bytes.Equal(got, want) || &got[0] == &page[0] {
+		t.Fatal("a mutated read did not return a damaged private copy")
+	}
+	got, err = d.Read(lsn)
+	if err != nil || !bytes.Equal(got, want) || !bytes.Equal(page, want) || &got[0] != &page[0] {
+		t.Fatal("a read mutation changed the stored page")
+	}
+
+	page2 := testPage(2048, 1)
+	want2 := bytes.Clone(page2)
+	lsn2, err := d.Append(page2) // mirror write hit 2: flipped
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored(d.Primary, lsn2, page2)
+	if md, bad, ok := d.Mirror.PageState(lsn2); !ok || bad || bytes.Equal(md, want2) || &md[0] == &page2[0] {
+		t.Fatal("a write mutation did not store a damaged copy on the mirror")
+	}
+	if !bytes.Equal(page2, want2) {
+		t.Fatal("a write mutation damaged the caller's buffer")
+	}
+
+	page3 := testPage(2048, 2)
+	want3 := bytes.Clone(page3)
+	if _, err := d.Append(page3); !fault.IsCrash(err) { // mirror write hit 3: torn
+		t.Fatalf("torn append: %v, want crash", err)
+	}
+	lsn3 := lsn2 + 1
+	stored(d.Primary, lsn3, page3)
+	md, bad, ok := d.Mirror.PageState(lsn3)
+	if !ok || !bad || len(md) != 100 || cap(md) != 100 || &md[0] != &page3[0] {
+		t.Fatalf("torn mirror sector: ok %v, bad %v, len %d, cap %d; want a bad 100-byte capped prefix of the buffer",
+			ok, bad, len(md), cap(md))
+	}
+	if !bytes.Equal(page3, want3) {
+		t.Fatal("a torn write changed the caller's buffer")
 	}
 }
 
@@ -597,5 +673,127 @@ func TestTrackBytesNeverChange(t *testing.T) {
 	}
 	if equal, bad, ok := d.TrackEqual(1, other); !ok || bad || equal {
 		t.Fatalf("write-verify of a mutated write: equal %v, bad %v, ok %v; want false, false, true", equal, bad, ok)
+	}
+}
+
+// TestSharedPagesUnderConcurrentUse reads pages through the duplexed
+// pair from several goroutines while another appends them, damages
+// each mirror copy for a read to repair from the primary's buffer, and
+// rolls the window forward. Every page is one buffer that both spindles
+// and every reader share; run it under -race.
+func TestSharedPagesUnderConcurrentUse(t *testing.T) {
+	d := NewDuplexLog(DefaultParams(), &metrics.Counter{})
+	const n, size = 400, 512
+	var last atomic.Int64 // the highest LSN appended
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= n; i++ {
+			lsn, err := d.Append(testPage(size, byte(i)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			last.Store(int64(lsn))
+			d.Mirror.CorruptPage(lsn)
+			if lsn > 32 {
+				d.Drop(lsn - 32)
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				lsn := LSN(last.Load())
+				if lsn == NilLSN {
+					continue
+				}
+				p, err := d.ReadChecked(lsn, readCheckAny)
+				if errors.Is(err, ErrNoSuchPage) {
+					continue // rolled off meanwhile
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(p, testPage(size, byte(lsn))) {
+					t.Errorf("LSN %d read back changed", lsn)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// readCheckAny is a content check that accepts every page, declared at
+// package level so that passing it allocates no closure.
+func readCheckAny([]byte) error { return nil }
+
+// TestDuplexReadAllocatesNothing: a clean duplexed read returns the
+// stored page and its mirror scrub inspects the mirror's copy in place,
+// so neither copies the page.
+func TestDuplexReadAllocatesNothing(t *testing.T) {
+	d := NewDuplexLog(DefaultParams(), &metrics.Counter{})
+	// An armed injector whose rule never fires, as under a fault plan.
+	inj := fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.PointLogWritePrimary, Hit: 1 << 30, Act: fault.ActIOErr},
+	}})
+	d.Primary.SetInjector(inj, fault.PointLogWritePrimary, fault.PointLogReadPrimary)
+	d.Mirror.SetInjector(inj, fault.PointLogWriteMirror, fault.PointLogReadMirror)
+	lsn, err := d.Append(testPage(8<<10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := d.ReadChecked(lsn, readCheckAny); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a clean ReadChecked allocates %.1f times, want 0", n)
+	}
+}
+
+// BenchmarkDuplexAppend appends one 8 KiB page to a duplexed pair,
+// keeping a 256-page window resident as rollover would.
+func BenchmarkDuplexAppend(b *testing.B) {
+	d := NewDuplexLog(DefaultParams(), &metrics.Counter{})
+	page := testPage(8<<10, 0)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(page)))
+	for i := 0; i < b.N; i++ {
+		lsn, err := d.Append(page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lsn%256 == 0 {
+			d.Drop(lsn - 256)
+		}
+	}
+}
+
+// BenchmarkDuplexReadChecked reads a resident 8 KiB page through the
+// duplexed pair, mirror scrub included.
+func BenchmarkDuplexReadChecked(b *testing.B) {
+	d := NewDuplexLog(DefaultParams(), &metrics.Counter{})
+	page := testPage(8<<10, 0)
+	var lsns []LSN
+	for i := 0; i < 64; i++ {
+		lsn, err := d.Append(page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(page)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.ReadChecked(lsns[i%len(lsns)], readCheckAny); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
