@@ -443,7 +443,7 @@ func (m *Manager) sortRecord(pid addr.PartitionID, enc []byte) error {
 	if b.cur.Remaining() < len(enc) {
 		// Oversized record: replace the page buffer with one sized to
 		// fit (it flushes as an oversized log page).
-		b.cur.Free()
+		b.cur.Recycle()
 		blk, err := m.hw.Stable.NewBlock(len(enc))
 		if err != nil {
 			s.st.mu.Unlock()
@@ -623,9 +623,9 @@ func (m *Manager) finishCheckpoint(pid addr.PartitionID) error {
 	b.fenceUpdates = 0
 	s.lowerLocked(b)
 	if len(b.pages) == 0 && b.cur != nil && b.cur.Len() == 0 {
-		// Partition goes inactive: release the large page buffer,
-		// keeping only the permanent information block.
-		b.cur.Free()
+		// Partition goes inactive: return the large page buffer to the
+		// pool, keeping only the permanent information block.
+		b.cur.Recycle()
 		b.cur = nil
 		b.curCount = 0
 	}

@@ -38,6 +38,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,11 +67,38 @@ type txnChain struct {
 	seq    uint64
 }
 
-func (c *txnChain) free() {
+// chainPool holds released txnChains, their block lists emptied but
+// with their capacity kept, so beginning a transaction and growing its
+// chain allocate nothing once the pool is warm.
+var chainPool = sync.Pool{New: func() any { return new(txnChain) }}
+
+// drop frees the chain's blocks without recycling them: restart's
+// discard paths use it, because a dead instance's goroutine may still
+// be appending to an uncommitted chain's last block. A dropped chain is
+// never reused either.
+func (c *txnChain) drop() {
 	for _, b := range c.blocks {
 		b.Free()
 	}
 	c.blocks = nil
+}
+
+// release returns the blocks of a chain that has left the SLB to the
+// stable-memory pool, and the chain to chainPool, when s is the current
+// instance's handle: then the caller was the chain's last holder. A
+// dead instance's handle only drops them (§2.3.1: blocks come back to
+// the free pool once their transaction is done with them).
+func (s *slb) release(c *txnChain) {
+	if s.gen != s.st.gen.Load() {
+		c.drop()
+		return
+	}
+	for i, b := range c.blocks {
+		b.Recycle()
+		c.blocks[i] = nil
+	}
+	*c = txnChain{blocks: c.blocks[:0]}
+	chainPool.Put(c)
 }
 
 // logStream is one per-core stream of the sharded SLB. It lives in
@@ -103,6 +131,9 @@ type slbState struct {
 	// epochs never repeat across restarts.
 	epoch  atomic.Uint64
 	sealed atomic.Uint64
+	// gen counts the handles attached to the buffer; a handle whose gen
+	// is not the latest belongs to a dead instance (slb.release).
+	gen atomic.Uint64
 }
 
 // newSLBState builds a fresh buffer with n streams.
@@ -136,6 +167,7 @@ func (st *slbState) empty() bool {
 // group-commit coordination state that do not survive a crash.
 type slb struct {
 	st       *slbState
+	gen      uint64 // st.gen when this handle attached
 	mem      *stablemem.Memory
 	blockSz  int
 	inj      *fault.Injector
@@ -183,11 +215,13 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 		fresh := newSLBState(n)
 		fresh.epoch.Store(st.epoch.Load())
 		fresh.sealed.Store(st.sealed.Load())
+		fresh.gen.Store(st.gen.Load())
 		st = fresh
 		mem.SetRoot(slbRootKey, st)
 	}
 	return &slb{
 		st:       st,
+		gen:      st.gen.Add(1),
 		mem:      mem,
 		blockSz:  cfg.SLBBlockSize,
 		inj:      cfg.FaultInjector,
@@ -216,18 +250,20 @@ func nudge(ch chan struct{}) {
 // BeginTxn implements txn.RedoSink.
 func (s *slb) BeginTxn(id uint64) {
 	ls := s.streamFor(id)
+	c := chainPool.Get().(*txnChain)
+	c.id, c.stream = id, ls
 	ls.mu.Lock()
-	ls.uncommitted[id] = &txnChain{id: id, stream: ls}
+	ls.uncommitted[id] = c
 	ls.mu.Unlock()
 }
 
-// WriteRecord implements txn.RedoSink: append the record's encoding to
-// the transaction's chain, allocating blocks on demand from stable
-// memory.
+// WriteRecord implements txn.RedoSink: encode the record straight into
+// the tail of the transaction's last block, allocating blocks on demand
+// from the stable-memory pool. Logging a record allocates nothing.
 func (s *slb) WriteRecord(rec *wal.Record) error {
 	start := time.Now()
 	defer s.writeLatency.ObserveSince(start)
-	enc := rec.Encode(nil)
+	n := rec.EncodedSize()
 	ls := s.streamFor(rec.Txn)
 	ls.mu.Lock()
 	c := ls.uncommitted[rec.Txn]
@@ -240,28 +276,33 @@ func (s *slb) WriteRecord(rec *wal.Record) error {
 	// write cleanly; crash-after lets the record land and then halts;
 	// a mutation act silently rots the record's bytes on the way into
 	// stable memory — the sorter's CRC check must quarantine it.
-	dec := s.inj.Check(fault.PointSLBAppend, len(enc))
-	if dec.Err != nil && dec.ApplyBytes(len(enc)) == 0 {
+	dec := s.inj.Check(fault.PointSLBAppend, n)
+	if dec.Err != nil && dec.ApplyBytes(n) == 0 {
 		return fmt.Errorf("core: SLB stream %d append: %w", ls.id, dec.Err)
 	}
+	var rotted []byte // the damaged encoding, which lands instead
 	if dec.Mutated() {
-		enc = dec.MutateBytes(enc)
+		rotted = dec.MutateBytes(rec.Encode(nil))
+		n = len(rotted)
 	}
-	if n := len(c.blocks); n == 0 || c.blocks[n-1].Remaining() < len(enc) {
+	if k := len(c.blocks); k == 0 || c.blocks[k-1].Remaining() < n {
 		// Oversized records (e.g. large index directory nodes) get a
 		// dedicated block; the paper handles long entities with a
 		// separate mechanism, we simply size the block to fit.
-		sz := s.blockSz
-		if len(enc) > sz {
-			sz = len(enc)
-		}
-		b, err := s.mem.NewBlock(sz)
+		b, err := s.mem.NewBlock(max(s.blockSz, n))
 		if err != nil {
 			return fmt.Errorf("core: stable log buffer: %w", err)
 		}
 		c.blocks = append(c.blocks, b)
 	}
-	if err := c.blocks[len(c.blocks)-1].Append(enc); err != nil {
+	blk := c.blocks[len(c.blocks)-1]
+	var err error
+	if rotted != nil {
+		err = blk.Append(rotted)
+	} else {
+		err = blk.AppendWith(n, func(dst []byte) { rec.EncodeTo(dst) })
+	}
+	if err != nil {
 		return fmt.Errorf("core: SLB block append: %w", err)
 	}
 	if len(s.streamRecords) > 0 {
@@ -270,7 +311,7 @@ func (s *slb) WriteRecord(rec *wal.Record) error {
 	s.tracer.Emit(trace.Event{
 		Kind: trace.KindSLBAppend, Txn: rec.Txn,
 		Seg: uint64(rec.PID.Segment), Part: uint64(rec.PID.Part),
-		Arg: uint64(len(enc)), Arg2: uint64(ls.id),
+		Arg: uint64(n), Arg2: uint64(ls.id),
 	})
 	if dec.Err != nil {
 		return fmt.Errorf("core: SLB stream %d append: %w", ls.id, dec.Err)
@@ -300,13 +341,16 @@ func (s *slb) CommitTxn(id uint64) error {
 	// The epoch is read under the stream mutex and the sealer bumps it
 	// before taking any stream mutex, so a chain stamped epoch E here
 	// is always on the list by the time E's seal locks this stream.
-	c.epoch = s.st.epoch.Load()
+	e := s.st.epoch.Load()
+	c.epoch = e
 	c.seq = ls.nextSeq
 	ls.nextSeq++
 	ls.epochChains++
 	ls.committed = append(ls.committed, c)
 	ls.mu.Unlock()
-	return s.awaitSeal(c.epoch)
+	// c is the sorter's from here: once e is sealed it may be sorted and
+	// released to the pool before this goroutine runs again.
+	return s.awaitSeal(e)
 }
 
 // awaitSeal blocks until epoch e is globally sealed, electing the
@@ -385,7 +429,8 @@ func (s *slb) seal() error {
 }
 
 // AbortTxn implements txn.RedoSink: the chain's UNDO counterpart has
-// already rolled memory back; the REDO chain is simply discarded.
+// already rolled memory back; the REDO chain is simply discarded, its
+// blocks back to the pool.
 func (s *slb) AbortTxn(id uint64) {
 	ls := s.streamFor(id)
 	ls.mu.Lock()
@@ -393,7 +438,7 @@ func (s *slb) AbortTxn(id uint64) {
 	delete(ls.uncommitted, id)
 	ls.mu.Unlock()
 	if c != nil {
-		c.free()
+		s.release(c)
 	}
 }
 
@@ -424,18 +469,23 @@ func (s *slb) peekSealed(upTo uint64) *txnChain {
 }
 
 // markSorted removes a fully sorted chain from its stream's committed
-// list and frees its stable blocks back to stable memory.
+// list and returns its stable blocks to the pool. Only the caller that
+// removed the chain releases it.
 func (s *slb) markSorted(c *txnChain) {
 	ls := c.stream
+	removed := false
 	ls.mu.Lock()
 	for i, x := range ls.committed {
 		if x == c {
-			ls.committed = append(ls.committed[:i], ls.committed[i+1:]...)
+			ls.committed = slices.Delete(ls.committed, i, i+1) // clears the vacated slot
+			removed = true
 			break
 		}
 	}
 	ls.mu.Unlock()
-	c.free()
+	if removed {
+		s.release(c)
+	}
 }
 
 // discardUncommitted drops every uncommitted chain on every stream;
@@ -453,7 +503,7 @@ func (s *slb) discardUncommitted() {
 		ls.mu.Unlock()
 	}
 	for _, c := range chains {
-		c.free()
+		c.drop()
 	}
 }
 
@@ -485,7 +535,7 @@ func (s *slb) discardUnsealed() []*txnChain {
 		ls.mu.Unlock()
 	}
 	for _, c := range dropped {
-		c.free()
+		c.drop()
 	}
 	return dropped
 }

@@ -283,7 +283,7 @@ func (s *slt) dropBin(pid addr.PartitionID, abandoned *metrics.Counter) {
 	s.lowerLocked(b)
 	delete(s.st.bins, pid)
 	if b.cur != nil {
-		b.cur.Free()
+		b.cur.Recycle()
 	}
 	s.mem.Release(binInfoBytes)
 }

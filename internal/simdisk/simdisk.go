@@ -82,14 +82,6 @@ func (p Params) trackTransferMicros(n int) int64 {
 	return int64(n) * 1e6 / (2 * p.BytesPerSec)
 }
 
-// logPage is one stored sector: its contents (possibly a torn prefix)
-// plus the ECC-valid bit. bad is this sector's own, even where data is
-// shared with the other spindle or the archive.
-type logPage struct {
-	data []byte
-	bad  bool
-}
-
 // LogDisk is one append-only log disk. Pages are written individually;
 // because sectors are interleaved, sequential page appends pay only the
 // transfer time (the inter-sector gap covers setup), while reads during
@@ -102,6 +94,12 @@ type logPage struct {
 // PageState return the stored bytes, not copies, and one buffer can be
 // the page on both spindles and on the archive. Neither the writer nor
 // any reader may write through such a buffer.
+//
+// The disk maps each LSN to its sector's bytes (a torn prefix
+// included) by value, so an append allocates no sector record, and
+// keeps the few sectors whose ECC bit is bad in a second map. The bit
+// is this sector's own, even where its bytes are shared with the other
+// spindle or the archive.
 type LogDisk struct {
 	params Params
 
@@ -110,7 +108,8 @@ type LogDisk struct {
 	inj    *fault.Injector
 	wpt    fault.Point // fault point charged per page write
 	rpt    fault.Point // fault point charged per page read
-	pages  map[LSN]*logPage
+	pages  map[LSN][]byte
+	bad    map[LSN]bool
 	next   LSN
 	low    LSN // no page is stored below it, so Drop starts there
 	failed bool
@@ -119,7 +118,7 @@ type LogDisk struct {
 // NewLogDisk creates an empty log disk charging its simulated busy
 // microseconds to busy, which may be nil.
 func NewLogDisk(params Params, busy *metrics.Counter) *LogDisk {
-	return &LogDisk{params: params, busy: busy, pages: make(map[LSN]*logPage), next: 1, low: 1}
+	return &LogDisk{params: params, busy: busy, pages: make(map[LSN][]byte), bad: make(map[LSN]bool), next: 1, low: 1}
 }
 
 // SetBusy points the busy-time charges at c (nil detaches): the disk
@@ -154,7 +153,12 @@ func (d *LogDisk) writePageLocked(lsn LSN, page []byte) error {
 	if dec.Mutated() {
 		stored = dec.MutateBytes(stored)
 	}
-	d.pages[lsn] = &logPage{data: stored, bad: dec.MarkBad}
+	d.pages[lsn] = stored
+	if dec.MarkBad {
+		d.bad[lsn] = true
+	} else {
+		delete(d.bad, lsn)
+	}
 	if lsn >= d.next {
 		d.next = lsn + 1
 	}
@@ -208,23 +212,23 @@ func (d *LogDisk) Read(lsn LSN) ([]byte, error) {
 	if dec.Err != nil {
 		return nil, dec.Err
 	}
-	p, ok := d.pages[lsn]
+	data, ok := d.pages[lsn]
 	if !ok {
 		return nil, fmt.Errorf("%w: LSN %d", ErrNoSuchPage, lsn)
 	}
 	if dec.MarkBad {
-		p.bad = true
+		d.bad[lsn] = true
 	}
-	if p.bad {
+	if d.bad[lsn] {
 		return nil, fmt.Errorf("%w: LSN %d", ErrBadSector, lsn)
 	}
-	d.busy.Add(d.params.AdjSeekMicros + d.params.transferMicros(len(p.data)))
+	d.busy.Add(d.params.AdjSeekMicros + d.params.transferMicros(len(data)))
 	if dec.Mutated() {
 		// Transient read rot: the head returns damaged bytes with ECC
 		// reporting clean. The stored copy is untouched.
-		return dec.MutateBytes(p.data), nil
+		return dec.MutateBytes(data), nil
 	}
-	return p.data, nil
+	return data, nil
 }
 
 // PageState inspects the sector at lsn without charging cost or fault
@@ -234,11 +238,8 @@ func (d *LogDisk) Read(lsn LSN) ([]byte, error) {
 func (d *LogDisk) PageState(lsn LSN) (data []byte, bad bool, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.pages[lsn]
-	if !ok {
-		return nil, false, false
-	}
-	return p.data, p.bad, true
+	data, ok = d.pages[lsn]
+	return data, d.bad[lsn], ok
 }
 
 // CorruptPage flips the ECC bit of the sector at lsn, reporting whether
@@ -246,9 +247,9 @@ func (d *LogDisk) PageState(lsn LSN) (data []byte, bad bool, ok bool) {
 func (d *LogDisk) CorruptPage(lsn LSN) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	p, ok := d.pages[lsn]
+	_, ok := d.pages[lsn]
 	if ok {
-		p.bad = true
+		d.bad[lsn] = true
 	}
 	return ok
 }
@@ -274,6 +275,7 @@ func (d *LogDisk) Drop(upTo LSN) {
 	defer d.mu.Unlock()
 	for ; d.low <= upTo; d.low++ {
 		delete(d.pages, d.low)
+		delete(d.bad, d.low)
 	}
 }
 
@@ -297,7 +299,8 @@ func (d *LogDisk) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failed = true
-	d.pages = make(map[LSN]*logPage)
+	d.pages = make(map[LSN][]byte)
+	d.bad = make(map[LSN]bool)
 }
 
 // Repair replaces the failed medium with a blank one.

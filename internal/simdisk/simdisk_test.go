@@ -757,6 +757,57 @@ func TestDuplexReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDuplexAppendAllocatesNothing: both spindles keep the appended
+// buffer and store their sectors by value, so a duplexed append in a
+// steady window (rollover dropping what it appends) allocates nothing.
+func TestDuplexAppendAllocatesNothing(t *testing.T) {
+	d := NewDuplexLog(DefaultParams(), &metrics.Counter{})
+	page := testPage(8<<10, 0)
+	appendOne := func() {
+		lsn, err := d.Append(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsn > 64 {
+			d.Drop(lsn - 64)
+		}
+	}
+	for i := 0; i < 256; i++ { // the maps reach their window size
+		appendOne()
+	}
+	if n := testing.AllocsPerRun(100, appendOne); n != 0 {
+		t.Fatalf("a duplexed append allocates %.1f times, want 0", n)
+	}
+}
+
+// TestLogSectorBadSticks: a sector's ECC-bad flag is kept apart from
+// its bytes, and marking one bad — a read that corrupts it, or
+// CorruptPage — sticks: a later read and PageState still see it bad.
+func TestLogSectorBadSticks(t *testing.T) {
+	d := NewLogDisk(DefaultParams(), nil)
+	d.SetInjector(fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.PointLogReadPrimary, Hit: 1, Act: fault.ActCorrupt},
+	}}), fault.PointLogWritePrimary, fault.PointLogReadPrimary)
+	for i := 0; i < 2; i++ {
+		if _, err := d.Append([]byte("page")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.CorruptPage(2) {
+		t.Fatal("CorruptPage(2) found no sector")
+	}
+	for _, lsn := range []LSN{1, 2} {
+		for i := 0; i < 2; i++ {
+			if _, err := d.Read(lsn); !errors.Is(err, ErrBadSector) {
+				t.Fatalf("read %d of LSN %d: %v, want ErrBadSector", i+1, lsn, err)
+			}
+		}
+		if _, bad, ok := d.PageState(lsn); !ok || !bad {
+			t.Fatalf("LSN %d: PageState ok %v bad %v, want a bad sector", lsn, ok, bad)
+		}
+	}
+}
+
 // BenchmarkDuplexAppend appends one 8 KiB page to a duplexed pair,
 // keeping a 256-page window resident as rollover would.
 func BenchmarkDuplexAppend(b *testing.B) {

@@ -25,6 +25,16 @@
 // Every allocation and free takes the Memory's one mutex, so a block
 // freed by any SLB stream or by the SLT is at once usable by all.
 //
+// Blocks come from a free pool, as §2.3.1's SLB blocks do: Recycle
+// returns a block to the pool and NewBlock draws from it before it
+// makes a new one, so steady logging allocates no Go memory. The pool
+// is only the bytes; the capacity accounting (Reserve, Release, Used)
+// counts a pooled block as free, exactly as it counts a dropped one.
+// The pool is a sync.Pool per size class, so blocks nobody draws again
+// are given back to the Go heap at the next collections. A block whose
+// holder cannot be sure nobody else still writes to it is dropped with
+// Free, never recycled.
+//
 // Typed stable structures are registered under Root by their owners; the
 // byte-level Block type is used where the paper manipulates raw pages.
 package stablemem
@@ -32,6 +42,7 @@ package stablemem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +57,10 @@ var ErrExhausted = errors.New("stablemem: capacity exhausted")
 // ErrNoSpace is returned by Block.Append when the record does not fit
 // in the block's remaining space.
 var ErrNoSpace = errors.New("stablemem: block full")
+
+// ErrFreed is returned by Block.Append on a block that was freed or
+// recycled: its holder outlived its claim on it.
+var ErrFreed = errors.New("stablemem: append to a freed block")
 
 // Memory is the stable reliable memory module.
 type Memory struct {
@@ -67,6 +82,10 @@ type Memory struct {
 	// (e.g. the recovery manager's Stable Log Tail). The contents
 	// survive a crash because the Memory value does.
 	root map[string]any
+
+	// free is the block pool: free[c] holds recycled *Blocks whose
+	// buffers have capacity 1<<c.
+	free [bits.UintSize]sync.Pool
 }
 
 // New creates a stable memory of the given capacity in bytes. slowdown
@@ -153,25 +172,58 @@ func (m *Memory) Root(name string) any {
 // Block is a fixed-size block of stable memory. Blocks back the Stable
 // Log Buffer and the Stable Log Tail's log pages.
 type Block struct {
-	mem *Memory
-	buf []byte
-	n   int // bytes appended so far
+	mem *Memory // nil once the block is freed or recycled
+	buf []byte  // len is the block size; cap is its pool class
+	n   int     // bytes appended so far
+}
+
+// sizeClass is the pool a block of size bytes is kept in: the smallest
+// power of two that holds it.
+func sizeClass(size int) int {
+	if size <= 1 {
+		return 0
+	}
+	return bits.Len(uint(size - 1))
 }
 
 // NewBlock allocates a block of the given size, reserving its footprint.
+// It reuses a recycled block of the size's class when the pool has one;
+// a reused block's bytes past Len are stale, never zero, and nothing
+// reads them.
 func (m *Memory) NewBlock(size int) (*Block, error) {
 	if err := m.Reserve(int64(size)); err != nil {
 		return nil, err
 	}
-	return &Block{mem: m, buf: make([]byte, size)}, nil
+	c := sizeClass(size)
+	b, _ := m.free[c].Get().(*Block)
+	if b == nil {
+		b = &Block{buf: make([]byte, 1<<c)}
+	}
+	b.mem, b.buf, b.n = m, b.buf[:size], 0
+	return b, nil
 }
 
-// Free releases the block's stable memory reservation to the pool.
+// Free releases the block's stable memory reservation and drops the
+// block: it is never handed out again, so a holder that outlived its
+// claim can do no harm. Freeing a freed block is a no-op.
 func (b *Block) Free() {
 	if b.mem != nil {
 		b.mem.Release(int64(len(b.buf)))
 		b.mem = nil
 	}
+}
+
+// Recycle releases the block's reservation, as Free does, and returns
+// the block to the free pool for a later NewBlock. Only the block's sole
+// holder may recycle it: whoever writes to or reads it afterwards sees
+// another owner's bytes. Recycling a freed block is a no-op.
+func (b *Block) Recycle() {
+	m := b.mem
+	if m == nil {
+		return
+	}
+	b.Free()
+	m.free[sizeClass(len(b.buf))].Put(b)
 }
 
 // Size returns the block's capacity in bytes.
@@ -191,18 +243,31 @@ func (b *Block) Remaining() int { return len(b.buf) - b.n }
 // success: stable memory has no ECC at all, so only the record CRCs
 // checked by replay can catch the rot.
 func (b *Block) Append(p []byte) error {
-	if len(p) > b.Remaining() {
+	return b.AppendWith(len(p), func(dst []byte) { copy(dst, p) })
+}
+
+// AppendWith appends n bytes that fill writes in place into the
+// block's tail, so the caller encodes straight into stable memory. fill
+// must write all of dst. It behaves as Append of those bytes: one
+// "stable.append" hit of n bytes, ErrNoSpace if they do not fit, and
+// a torn or mutated append lands what Append would have landed.
+func (b *Block) AppendWith(n int, fill func(dst []byte)) error {
+	if b.mem == nil {
+		return ErrFreed
+	}
+	if n > b.Remaining() {
 		return ErrNoSpace
 	}
-	dec := b.mem.inj.Load().Check(fault.PointStableAppend, len(p))
+	dec := b.mem.inj.Load().Check(fault.PointStableAppend, n)
+	tail := b.buf[b.n : b.n+n]
+	fill(tail)
 	if dec.Mutated() {
-		p = dec.MutateBytes(p)
+		n = copy(tail, dec.MutateBytes(tail))
 	}
-	n := dec.ApplyBytes(len(p))
+	n = dec.ApplyBytes(n)
 	if dec.Err != nil && n == 0 {
 		return dec.Err
 	}
-	copy(b.buf[b.n:], p[:n])
 	b.n += n
 	b.mem.ChargeWrite(n)
 	return dec.Err
@@ -266,8 +331,12 @@ func (b *Block) Truncate(n int) {
 	}
 }
 
-// Bytes returns the appended contents, charging stable-read cost.
+// Bytes returns the appended contents, charging stable-read cost. It
+// panics on a freed block: its bytes may be another holder's by now.
 func (b *Block) Bytes() []byte {
+	if b.mem == nil {
+		panic("stablemem: Bytes of a freed block")
+	}
 	b.mem.ChargeRead(b.n)
 	return b.buf[:b.n]
 }

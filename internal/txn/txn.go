@@ -58,6 +58,10 @@ type Manager struct {
 	sink  RedoSink
 	next  atomic.Uint64
 
+	// undoSpaces holds the UNDO spaces of finished transactions for
+	// the next ones to write into (Txn.releaseUndo).
+	undoSpaces sync.Pool
+
 	// OnPartAlloc, if set, is invoked inside the allocating
 	// transaction whenever a new partition comes into existence, so
 	// the facade can record it in the catalogs.
@@ -95,7 +99,69 @@ func (m *Manager) Begin() *Txn {
 	id := m.NextID()
 	m.sink.BeginTxn(id)
 	m.Tracer.Emit(trace.Event{Kind: trace.KindTxnBegin, Txn: id})
-	return &Txn{m: m, id: id, start: time.Now()}
+	t := &Txn{m: m, id: id, start: time.Now()}
+	t.space, _ = m.undoSpaces.Get().(*undoSpace)
+	if t.space == nil {
+		t.space = new(undoSpace)
+	}
+	t.undo = t.undoBuf[:0]
+	if cap(t.space.entries) > len(t.undoBuf) {
+		t.undo = t.space.entries
+	}
+	return t
+}
+
+// undoSpace is the part of a transaction's volatile UNDO space
+// (§2.3.1) that outlives it: the UNDO list that outgrew Txn.undoBuf,
+// emptied, and the arena holding the old bytes the records restore. A
+// finished transaction hands it to the next through
+// Manager.undoSpaces, so a transaction that updates what the one
+// before it did allocates no UNDO space.
+type undoSpace struct {
+	entries []undoEntry
+	bytes   []byte
+	kept    int // old bytes kept by the current transaction, all chunks
+}
+
+// minUndoChunk is the smallest arena chunk: a debit/credit keeps 32
+// old bytes.
+const minUndoChunk = 512
+
+// keep copies old into the UNDO arena and returns the copy. When the
+// arena is full a chunk twice its size replaces it; the records made
+// so far keep the old chunk alive until the transaction ends.
+func (t *Txn) keep(old []byte) []byte {
+	s := t.space
+	if cap(s.bytes)-len(s.bytes) < len(old) {
+		s.bytes = make([]byte, 0, max(2*cap(s.bytes), len(old), minUndoChunk))
+	}
+	n := len(s.bytes)
+	s.bytes = append(s.bytes, old...)
+	s.kept += len(old)
+	return s.bytes[n:len(s.bytes):len(s.bytes)]
+}
+
+// releaseUndo hands the finished transaction's UNDO space on. Nothing
+// reads the records once the transaction has committed or applied
+// them. A list or arena this transaction filled less than a quarter
+// of is dropped instead, so what a large transaction grew does not stay
+// live under small ones.
+func (t *Txn) releaseUndo() {
+	s := t.space
+	t.space = nil
+	if cap(t.undo) > len(t.undoBuf) {
+		clear(t.undo)
+		s.entries = t.undo[:0]
+		if 4*len(t.undo) < cap(t.undo) {
+			s.entries = nil
+		}
+	}
+	t.undo = nil
+	if cap(s.bytes) > minUndoChunk && 4*s.kept < cap(s.bytes) {
+		s.bytes = nil
+	}
+	s.bytes, s.kept = s.bytes[:0], 0
+	t.m.undoSpaces.Put(s)
 }
 
 // undo kinds
@@ -132,6 +198,13 @@ type Txn struct {
 	// rec is the record emit hands the sink, held here so that logging
 	// a record allocates nothing: the sink copies what it keeps.
 	rec wal.Record
+	// space is the UNDO space this transaction writes into; nil once it
+	// has finished.
+	space *undoSpace
+	// undoBuf backs undo until it outgrows it: a debit/credit keeps
+	// four UNDO records, so a typical transaction's UNDO space comes
+	// with the Txn instead of growing record by record (§2.3.1).
+	undoBuf [4]undoEntry
 }
 
 // ID returns the transaction identifier.
@@ -295,7 +368,7 @@ func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
 		}
 		return err
 	}
-	oldCopy := append([]byte(nil), old...)
+	oldCopy := t.keep(old)
 	err = p.Update(a.Slot, data)
 	p.Unlatch()
 	if err != nil {
@@ -335,7 +408,7 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 		p.Unlatch()
 		return fmt.Errorf("txn: WriteEntityAt [%d,%d) outside entity of %d bytes or past a record's 16-bit offset", off, off+len(data), len(cur))
 	}
-	oldCopy := append([]byte(nil), cur[off:off+len(data)]...)
+	oldCopy := t.keep(cur[off : off+len(data)])
 	err = p.WriteAt(a.Slot, off, data)
 	p.Unlatch()
 	if err != nil {
@@ -395,7 +468,7 @@ func (t *Txn) DeleteIndexEntity(a addr.EntityAddr) error {
 		}
 		return err
 	}
-	oldCopy := append([]byte(nil), old...)
+	oldCopy := t.keep(old)
 	err = p.Delete(a.Slot)
 	p.Unlatch()
 	if err != nil {
@@ -444,6 +517,7 @@ func (t *Txn) Commit() error {
 		p.SetOwner(0)
 	}
 	t.done = true
+	t.releaseUndo()
 	t.m.locks.ReleaseAll(t.id)
 	t.m.CommitLatency.ObserveSince(t.start)
 	t.m.Tracer.Emit(trace.Event{Kind: trace.KindTxnCommit, Txn: t.id, Arg: uint64(t.nRecords)})
@@ -467,6 +541,7 @@ func (t *Txn) Abort() error {
 	t.pendingDel = nil
 	t.m.sink.AbortTxn(t.id)
 	t.done = true
+	t.releaseUndo()
 	t.m.locks.ReleaseAll(t.id)
 	t.m.Tracer.Emit(trace.Event{Kind: trace.KindTxnAbort, Txn: t.id, Arg: uint64(t.nRecords)})
 	return firstErr

@@ -138,17 +138,30 @@ func uvarintLen(v uint64) int {
 // Encode appends the record's encoding to dst and returns the result.
 // It grows dst at most once, to the record's EncodedSize.
 func (r *Record) Encode(dst []byte) []byte {
-	dst = slices.Grow(dst, r.EncodedSize())
+	n := r.EncodedSize()
+	dst = slices.Grow(dst, n)
 	start := len(dst)
-	dst = append(dst, byte(r.Tag))
-	dst = binary.AppendUvarint(dst, r.Txn)
-	dst = binary.AppendUvarint(dst, uint64(r.PID.Segment))
-	dst = binary.AppendUvarint(dst, uint64(r.PID.Part))
-	dst = binary.AppendUvarint(dst, uint64(r.Slot))
-	dst = binary.AppendUvarint(dst, uint64(r.Off))
-	dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
-	dst = append(dst, r.Data...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	dst = dst[:start+n]
+	r.EncodeTo(dst[start:])
+	return dst
+}
+
+// EncodeTo writes the record's encoding to the front of dst and returns
+// its length, EncodedSize. It panics if dst is shorter than that; it
+// allocates nothing, so a caller can encode straight into a stable log
+// block.
+func (r *Record) EncodeTo(dst []byte) int {
+	dst[0] = byte(r.Tag)
+	n := 1
+	n += binary.PutUvarint(dst[n:], r.Txn)
+	n += binary.PutUvarint(dst[n:], uint64(r.PID.Segment))
+	n += binary.PutUvarint(dst[n:], uint64(r.PID.Part))
+	n += binary.PutUvarint(dst[n:], uint64(r.Slot))
+	n += binary.PutUvarint(dst[n:], uint64(r.Off))
+	n += binary.PutUvarint(dst[n:], uint64(len(r.Data)))
+	n += copy(dst[n:], r.Data)
+	binary.LittleEndian.PutUint32(dst[n:], crc32.ChecksumIEEE(dst[:n]))
+	return n + recordCRCSize
 }
 
 // Decode parses one record from the front of buf, returning the record

@@ -102,6 +102,36 @@ func TestRecordCodecAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = Decode(enc) }); n != 0 {
 		t.Fatalf("Decode allocates %.0f times, want 0", n)
 	}
+	dst := make([]byte, r.EncodedSize())
+	if n := testing.AllocsPerRun(100, func() { _ = r.EncodeTo(dst) }); n != 0 {
+		t.Fatalf("EncodeTo allocates %.0f times, want 0", n)
+	}
+}
+
+// TestEncodeToWritesEncode: encoding in place writes exactly Encode's
+// bytes and nothing past them, and a buffer too short panics rather
+// than losing the checksum.
+func TestEncodeToWritesEncode(t *testing.T) {
+	for _, r := range []Record{sampleRecord(), {Tag: TagPartFree, Txn: 1 << 40, PID: addr.PartitionID{Segment: 300, Part: 70000}}} {
+		want := r.Encode(nil)
+		dst := bytes.Repeat([]byte{0xee}, len(want)+8)
+		if n := r.EncodeTo(dst); n != len(want) || !bytes.Equal(dst[:n], want) {
+			t.Fatalf("EncodeTo wrote %d bytes % x, want % x", n, dst[:n], want)
+		}
+		if !bytes.Equal(dst[len(want):], bytes.Repeat([]byte{0xee}, 8)) {
+			t.Fatalf("EncodeTo wrote past the encoding: % x", dst[len(want):])
+		}
+		for short := 1; short <= len(want); short++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("EncodeTo into %d of %d bytes did not panic", len(want)-short, len(want))
+					}
+				}()
+				r.EncodeTo(make([]byte, len(want)-short))
+			}()
+		}
+	}
 }
 
 func TestPageGoldenBytes(t *testing.T) {
