@@ -102,15 +102,15 @@ func (m *Manager) BinStates() []BinState {
 // capacity experiments. The records flow through the same sorter and
 // page-flush code as regular transactions.
 func (m *Manager) InjectCommitted(txnID uint64, records []wal.Record) error {
-	m.slb.BeginTxn(txnID)
+	c := m.slb.BeginTxn(txnID)
 	for i := range records {
 		records[i].Txn = txnID
-		if err := m.slb.WriteRecord(&records[i]); err != nil {
-			m.slb.AbortTxn(txnID)
+		if err := c.WriteRecord(&records[i]); err != nil {
+			c.Abort()
 			return err
 		}
 	}
-	return m.slb.CommitTxn(txnID)
+	return c.Commit()
 }
 
 // RootSentinelPID is the partition address under which catalog root

@@ -35,8 +35,8 @@ type Config struct {
 	// log streams, each with its own latch; all of them draw blocks
 	// from the one stable-memory pool. Committing transactions are
 	// affinitized to streams by transaction ID. 0 or negative means
-	// GOMAXPROCS. A non-empty buffer surviving a crash keeps its own
-	// stream count regardless.
+	// GOMAXPROCS. It sizes a new buffer only: a buffer surviving a
+	// crash keeps the stream count it was made with, empty or not.
 	LogStreams int
 	// GroupCommitInterval must be 0; New rejects any other value. A seal
 	// leader closes the open epoch as soon as no other seal is in

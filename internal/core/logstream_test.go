@@ -190,6 +190,31 @@ func TestNewRejectsGroupCommitInterval(t *testing.T) {
 	}
 }
 
+// TestSurvivingBufferKeepsItsStreams: a buffer that survives a crash
+// keeps the stream count it was made with, even empty and even when the
+// new instance asks for another, and slb/streams reports the kept count.
+func TestSurvivingBufferKeepsItsStreams(t *testing.T) {
+	cfg := testCfg()
+	cfg.LogStreams = 3
+	h := newHarness(t, cfg)
+	if h.m.slb.busy() {
+		t.Fatal("a fresh buffer holds committed chains")
+	}
+	h.powerOff()
+	h.cfg.LogStreams = 5
+	h.powerOn()
+	defer h.m.Stop()
+	if n := h.m.slb.streams(); n != 3 {
+		t.Fatalf("the surviving buffer has %d streams, want its own 3", n)
+	}
+	if v := h.m.Metrics().Streams.Value(); v != 3 {
+		t.Fatalf("slb/streams reads %d, want 3", v)
+	}
+	if n := len(h.m.Metrics().StreamRecords); n != 3 {
+		t.Fatalf("%d per-stream record counters, want 3", n)
+	}
+}
+
 // TestMergeReplayMatchesSingleStream is the merge-order property test:
 // the same deterministic workload of conflicting updates, run against a
 // 4-stream and a 1-stream SLB and left entirely unsorted at the crash

@@ -150,17 +150,19 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	m.idleCond = sync.NewCond(&m.idleMu)
 	// Thread the instruments through the components the manager wires:
 	// the SLB reports record-write latency and the group-commit seal
-	// cadence, the lock table wait time and deadlocks, the transaction
-	// manager begin-to-commit latency.
+	// cadence and counts commits and aborts, the lock table wait time
+	// and deadlocks, the transaction manager begin-to-commit latency.
 	s.writeLatency = mt.SLBRecordWrite
 	s.groupWait = mt.GroupCommitWait
 	s.streamRecords = mt.StreamRecords
 	s.epochsSealed = mt.EpochsSealed
 	s.epochChains = mt.EpochChains
+	s.commits = mt.TxnsCommitted
+	s.aborts = mt.TxnsAborted
 	mt.Streams.Set(int64(s.streams()))
 	locks.WaitLatency = mt.LockWait
 	locks.DeadlockCount = mt.Deadlocks
-	m.Txns = txn.NewManager(store, locks, &sinkWrapper{m: m})
+	m.Txns = txn.NewManager(store, locks, s)
 	m.Txns.CommitLatency = mt.CommitLatency
 	// Thread the fault injector through the crash-surviving devices
 	// (re-wired on every recovery generation, since the hardware
@@ -226,23 +228,6 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 // returning the injected error if a rule fires there.
 func (m *Manager) faultPoint(p fault.Point) error {
 	return m.inj.Check(p, 0).Err
-}
-
-// sinkWrapper counts commits/aborts on top of the SLB sink.
-type sinkWrapper struct{ m *Manager }
-
-func (w *sinkWrapper) BeginTxn(id uint64)              { w.m.slb.BeginTxn(id) }
-func (w *sinkWrapper) WriteRecord(r *wal.Record) error { return w.m.slb.WriteRecord(r) }
-func (w *sinkWrapper) AbortTxn(id uint64) {
-	w.m.metrics.TxnsAborted.Add(1)
-	w.m.slb.AbortTxn(id)
-}
-func (w *sinkWrapper) CommitTxn(id uint64) error {
-	if err := w.m.slb.CommitTxn(id); err != nil {
-		return err
-	}
-	w.m.metrics.TxnsCommitted.Add(1)
-	return nil
 }
 
 // SetCallbacks installs the facade's catalog callbacks; must be called

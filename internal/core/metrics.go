@@ -156,7 +156,7 @@ type Metrics struct {
 
 // newMetrics builds the instrument set on a fresh registry. streams is
 // the resolved SLB stream count (it can differ from Config.LogStreams
-// when a non-empty buffer survived a crash with a different count), so
+// when a buffer survived a crash with a different count), so
 // the per-stream counters match the buffer actually attached.
 func newMetrics(streams int) *Metrics {
 	reg := metrics.NewRegistry()

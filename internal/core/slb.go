@@ -3,12 +3,12 @@ package core
 // The Stable Log Buffer (§2.3.1), sharded into per-core log streams
 // with epoch-based group commit.
 //
+// A transaction holds its own chain (txnChain, the txn.RedoChain it
+// was handed at begin), so writing a record takes no latch: only block
+// allocation, inside the stable-memory pool, is synchronised (§2.3.1).
 // Each stream has its own latch, uncommitted-chain map and committed
-// list, and allocates its blocks from the one stable-memory pool; a
-// committing transaction is affinitised to the stream txnID % N, so
-// with N ≥ the number of committing cores the per-stream latch is
-// effectively uncontended — the sharded version of the paper's "no
-// critical section protects record writing" property.
+// list; a transaction is affinitised to the stream txnID % N, and its
+// stream's latch is taken only at begin, commit and abort.
 //
 // Durability is epoch-based: a committer stamps its chain with the
 // current open epoch and appends it to its stream's committed list, at
@@ -28,12 +28,12 @@ package core
 // stable-memory speed.
 //
 // Two-phase locking makes the cross-stream merge order safe: locks are
-// released only after CommitTxn returns, i.e. after the global seal,
-// so two transactions with conflicting write sets can never commit in
-// the same epoch. Within an epoch all chains are therefore disjoint,
-// and the deterministic merge order (epoch, stream, per-stream seq) —
-// used by both the runtime sorter and restart — is equivalent to
-// commit order. See docs/LOGGING.md for the end-to-end walk-through.
+// released only after a chain's Commit returns, i.e. after the global
+// seal, so two transactions with conflicting write sets can never
+// commit in the same epoch. Within an epoch all chains are therefore
+// disjoint, and the deterministic merge order (epoch, stream,
+// per-stream seq) — used by both the runtime sorter and restart — is
+// equivalent to commit order. See docs/LOGGING.md for the end-to-end walk-through.
 
 import (
 	"fmt"
@@ -47,16 +47,19 @@ import (
 	"mmdb/internal/metrics"
 	"mmdb/internal/stablemem"
 	"mmdb/internal/trace"
+	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
 // slbRootKey names the Stable Log Buffer in the stable memory root.
 const slbRootKey = "mmdb-slb"
 
-// txnChain is a transaction's chain of SLB blocks. A block is dedicated
-// to a single transaction for its lifetime, so no critical section
+// txnChain is a transaction's chain of SLB blocks, and the
+// txn.RedoChain its transaction writes through. A block is dedicated to
+// a single transaction for its lifetime, so no critical section
 // protects record writing — only block allocation (§2.3.1).
 type txnChain struct {
+	s      *slb // the handle that opened the chain
 	id     uint64
 	blocks []*stablemem.Block
 	// stream is the log stream the chain belongs to; epoch and seq are
@@ -149,19 +152,6 @@ func newSLBState(n int) *slbState {
 	return st
 }
 
-// empty reports whether no stream holds any chain (safe to reshard).
-func (st *slbState) empty() bool {
-	for _, ls := range st.streams {
-		ls.mu.Lock()
-		busy := len(ls.uncommitted) > 0 || len(ls.committed) > 0
-		ls.mu.Unlock()
-		if busy {
-			return false
-		}
-	}
-	return true
-}
-
 // slb is the volatile handle the running system uses to operate on the
 // stable slbState; it carries the config, notification channels, and
 // group-commit coordination state that do not survive a crash.
@@ -182,41 +172,35 @@ type slb struct {
 
 	// Instruments, all nil-safe: writeLatency observes each
 	// WriteRecord (the main-CPU cost of logging one REDO record,
-	// §2.3.1); groupWait the CommitTxn seal wait; streamRecords one
-	// counter per stream; epochsSealed / epochChains the seal cadence.
+	// §2.3.1); groupWait a commit's seal wait; streamRecords one
+	// counter per stream; epochsSealed / epochChains the seal cadence;
+	// commits and aborts count chains that committed or were aborted.
 	writeLatency  *metrics.Histogram
 	groupWait     *metrics.Histogram
 	streamRecords []*metrics.Counter
 	epochsSealed  *metrics.Counter
 	epochChains   *metrics.Histogram
+	commits       *metrics.Counter
+	aborts        *metrics.Counter
 	// tracer emits slb-append / stream-seal / epoch-seal events.
 	tracer *trace.Tracer
 }
 
 // newSLB attaches to (or creates) the stable buffer. The stream count
-// comes from cfg.LogStreams (≤ 0 means GOMAXPROCS) — but an existing
-// non-empty buffer keeps its own stream count, since its chains'
-// stream affinity (txnID % N) is already fixed; an empty survivor is
-// resharded to the new count.
+// comes from cfg.LogStreams (≤ 0 means GOMAXPROCS) when the buffer is
+// created; a surviving buffer keeps the count it was made with, empty
+// or not, since its chains' stream affinity (txnID % N) is fixed.
 func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 	if cfg.GroupCommitInterval != 0 {
 		return nil, fmt.Errorf("core: GroupCommitInterval is %v; it must be 0, epochs seal eagerly", cfg.GroupCommitInterval)
 	}
-	n := cfg.LogStreams
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	st, _ := mem.Root(slbRootKey).(*slbState)
-	switch {
-	case st == nil:
+	if st == nil {
+		n := cfg.LogStreams
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
 		st = newSLBState(n)
-		mem.SetRoot(slbRootKey, st)
-	case len(st.streams) != n && st.empty():
-		fresh := newSLBState(n)
-		fresh.epoch.Store(st.epoch.Load())
-		fresh.sealed.Store(st.sealed.Load())
-		fresh.gen.Store(st.gen.Load())
-		st = fresh
 		mem.SetRoot(slbRootKey, st)
 	}
 	return &slb{
@@ -231,8 +215,8 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 }
 
 // streams returns the attached buffer's stream count (the resolved
-// value, which can differ from cfg.LogStreams when a non-empty buffer
-// survived with a different count).
+// value, which can differ from cfg.LogStreams when a buffer survived
+// with a different count).
 func (s *slb) streams() int { return len(s.st.streams) }
 
 // streamFor is the commit-path affinity function.
@@ -247,30 +231,34 @@ func nudge(ch chan struct{}) {
 	}
 }
 
-// BeginTxn implements txn.RedoSink.
-func (s *slb) BeginTxn(id uint64) {
+// BeginTxn implements txn.RedoSink: it opens the transaction's chain
+// on its stream. A dead instance's chain stays out of the stream's map,
+// where it could shadow a live transaction of the same ID.
+func (s *slb) BeginTxn(id uint64) txn.RedoChain {
 	ls := s.streamFor(id)
 	c := chainPool.Get().(*txnChain)
-	c.id, c.stream = id, ls
-	ls.mu.Lock()
-	ls.uncommitted[id] = c
-	ls.mu.Unlock()
+	c.s, c.id, c.stream = s, id, ls
+	if s.gen == s.st.gen.Load() {
+		ls.mu.Lock()
+		ls.uncommitted[id] = c
+		ls.mu.Unlock()
+	}
+	return c
 }
 
-// WriteRecord implements txn.RedoSink: encode the record straight into
-// the tail of the transaction's last block, allocating blocks on demand
-// from the stable-memory pool. Logging a record allocates nothing.
-func (s *slb) WriteRecord(rec *wal.Record) error {
+// WriteRecord implements txn.RedoChain: encode the record straight into
+// the tail of the chain's last block, allocating blocks on demand from
+// the stable-memory pool. It takes no latch, and logging a record
+// allocates nothing. A dead instance's chain refuses the write before
+// it can draw a block.
+func (c *txnChain) WriteRecord(rec *wal.Record) error {
+	s, ls := c.s, c.stream
 	start := time.Now()
 	defer s.writeLatency.ObserveSince(start)
-	n := rec.EncodedSize()
-	ls := s.streamFor(rec.Txn)
-	ls.mu.Lock()
-	c := ls.uncommitted[rec.Txn]
-	ls.mu.Unlock()
-	if c == nil {
-		return fmt.Errorf("core: no SLB chain for txn %d", rec.Txn)
+	if s.gen != s.st.gen.Load() {
+		return fmt.Errorf("core: txn %d's SLB chain belongs to a crashed instance", c.id)
 	}
+	n := rec.EncodedSize()
 	// Fault point "slb.append": one hit per record, per stream. A
 	// crash act with nothing applied (crash-before, ioerr) fails the
 	// write cleanly; crash-after lets the record land and then halts;
@@ -319,23 +307,25 @@ func (s *slb) WriteRecord(rec *wal.Record) error {
 	return nil
 }
 
-// CommitTxn implements txn.RedoSink: the chain moves atomically from
+// Commit implements txn.RedoChain: the chain moves atomically from
 // the uncommitted map to its stream's committed list, stamped with the
 // current epoch, and the call blocks until that epoch is sealed on
 // every stream. The transaction is durable when this returns (§2.3.1's
-// instant commit, at epoch granularity).
-func (s *slb) CommitTxn(id uint64) error {
-	ls := s.streamFor(id)
+// instant commit, at epoch granularity). The caller must not use the
+// chain again: once its epoch seals, the sorter may recycle it.
+func (c *txnChain) Commit() error {
+	s, ls := c.s, c.stream
 	ls.mu.Lock()
-	c := ls.uncommitted[id]
-	if c == nil {
+	if ls.uncommitted[c.id] != c {
 		ls.mu.Unlock()
-		return fmt.Errorf("core: commit of unknown txn %d", id)
+		return fmt.Errorf("core: commit of unknown txn %d", c.id)
 	}
-	delete(ls.uncommitted, id)
+	delete(ls.uncommitted, c.id)
 	if len(c.blocks) == 0 {
 		// Read-only transaction: nothing to log, nothing to seal.
 		ls.mu.Unlock()
+		s.release(c)
+		s.commits.Inc()
 		return nil
 	}
 	// The epoch is read under the stream mutex and the sealer bumps it
@@ -350,7 +340,11 @@ func (s *slb) CommitTxn(id uint64) error {
 	ls.mu.Unlock()
 	// c is the sorter's from here: once e is sealed it may be sorted and
 	// released to the pool before this goroutine runs again.
-	return s.awaitSeal(e)
+	if err := s.awaitSeal(e); err != nil {
+		return err
+	}
+	s.commits.Inc()
+	return nil
 }
 
 // awaitSeal blocks until epoch e is globally sealed, electing the
@@ -428,16 +422,19 @@ func (s *slb) seal() error {
 	return nil
 }
 
-// AbortTxn implements txn.RedoSink: the chain's UNDO counterpart has
-// already rolled memory back; the REDO chain is simply discarded, its
-// blocks back to the pool.
-func (s *slb) AbortTxn(id uint64) {
-	ls := s.streamFor(id)
+// Abort implements txn.RedoChain: the transaction's UNDO has already
+// rolled memory back; the REDO chain is simply discarded, its blocks
+// back to the pool. A chain restart already discarded is left alone.
+func (c *txnChain) Abort() {
+	s, ls := c.s, c.stream
+	s.aborts.Inc()
 	ls.mu.Lock()
-	c := ls.uncommitted[id]
-	delete(ls.uncommitted, id)
+	mine := ls.uncommitted[c.id] == c
+	if mine {
+		delete(ls.uncommitted, c.id)
+	}
 	ls.mu.Unlock()
-	if c != nil {
+	if mine {
 		s.release(c)
 	}
 }
@@ -511,7 +508,7 @@ func (s *slb) discardUncommitted() {
 // globally sealed — the group-commit rollback of restart. A crash
 // between per-stream seals leaves such an epoch sealed on a prefix of
 // the streams but unpublished; since no committer of that epoch was
-// ever acknowledged (CommitTxn returns only after the publish), the
+// ever acknowledged (Commit returns only after the publish), the
 // whole epoch rolls back, never half of it. Returns the discarded
 // chains (newest first per stream) for accounting.
 func (s *slb) discardUnsealed() []*txnChain {

@@ -8,6 +8,7 @@ import (
 	"mmdb/internal/addr"
 	"mmdb/internal/fault"
 	"mmdb/internal/stablemem"
+	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
@@ -43,21 +44,20 @@ func poolHarness(t *testing.T) *harness {
 // through the SLB: begin, write, commit (which seals).
 func (h *harness) logTxn(txn uint64, k int, data []byte) {
 	h.t.Helper()
-	h.m.slb.BeginTxn(txn)
+	// The concrete chain: through the interface r would escape, and the
+	// allocation tests would count the test's own records.
+	c := h.m.slb.BeginTxn(txn).(*txnChain)
 	for i := 0; i < k; i++ {
 		r := wal.Record{Tag: wal.TagRelWrite, Txn: txn, PID: addr.PartitionID{Segment: 2},
 			Slot: addr.Slot(i), Data: data}
-		mustOK(h.t, h.m.slb.WriteRecord(&r))
+		mustOK(h.t, c.WriteRecord(&r))
 	}
-	mustOK(h.t, h.m.slb.CommitTxn(txn))
+	mustOK(h.t, c.Commit())
 }
 
-// chainBlocks returns the blocks of txn's uncommitted chain.
-func (h *harness) chainBlocks(txn uint64) []*stablemem.Block {
-	ls := h.m.slb.streamFor(txn)
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return append([]*stablemem.Block(nil), ls.uncommitted[txn].blocks...)
+// chainBlocks returns the blocks of an uncommitted chain.
+func chainBlocks(c txn.RedoChain) []*stablemem.Block {
+	return append([]*stablemem.Block(nil), c.(*txnChain).blocks...)
 }
 
 // TestWriteRecordAllocatesNothing: a record is encoded straight into its
@@ -108,10 +108,10 @@ func TestSLBReturnsEveryBlock(t *testing.T) {
 	used := h.hw.Stable.Used()
 	for txn := uint64(2); txn < 300; txn++ {
 		if txn%3 == 0 {
-			h.m.slb.BeginTxn(txn)
+			c := h.m.slb.BeginTxn(txn)
 			r := wal.Record{Tag: wal.TagRelWrite, Txn: txn, PID: addr.PartitionID{Segment: 2}, Data: data}
-			mustOK(t, h.m.slb.WriteRecord(&r))
-			h.m.slb.AbortTxn(txn)
+			mustOK(t, c.WriteRecord(&r))
+			c.Abort()
 			continue
 		}
 		h.logTxn(txn, int(txn%11), data)
@@ -129,24 +129,27 @@ func TestSLBReturnsEveryBlock(t *testing.T) {
 // and a committed chain of an unsealed epoch by freeing their blocks,
 // never recycling them, since a dead instance's goroutine may still
 // append to them. None is handed to a later transaction, and an append
-// to one fails instead of landing.
+// to one fails instead of landing. The dead chains themselves refuse
+// writes and commits without drawing on stable memory.
 func TestDiscardedChainIsNeverReissued(t *testing.T) {
 	h := poolHarness(t)
 	data := bytes.Repeat([]byte{5}, 900)
 	var discarded []*stablemem.Block
-	for txn := uint64(1); txn <= 2; txn++ {
-		h.m.slb.BeginTxn(txn)
+	var chains []txn.RedoChain
+	for id := uint64(1); id <= 2; id++ {
+		c := h.m.slb.BeginTxn(id)
 		for i := 0; i < 5; i++ {
-			r := wal.Record{Tag: wal.TagRelWrite, Txn: txn, PID: addr.PartitionID{Segment: 2}, Data: data}
-			mustOK(t, h.m.slb.WriteRecord(&r))
+			r := wal.Record{Tag: wal.TagRelWrite, Txn: id, PID: addr.PartitionID{Segment: 2}, Data: data}
+			mustOK(t, c.WriteRecord(&r))
 		}
-		discarded = append(discarded, h.chainBlocks(txn)...)
+		discarded = append(discarded, chainBlocks(c)...)
+		chains = append(chains, c)
 	}
 	// Txn 2 commits into an epoch that is never sealed: moved to the
-	// committed list by hand, as CommitTxn does before its seal.
+	// committed list by hand, as Commit does before its seal.
 	ls := h.m.slb.streamFor(2)
 	ls.mu.Lock()
-	c := ls.uncommitted[2]
+	c := chains[1].(*txnChain)
 	delete(ls.uncommitted, 2)
 	c.epoch = h.m.slb.st.epoch.Load()
 	ls.committed = append(ls.committed, c)
@@ -165,16 +168,32 @@ func TestDiscardedChainIsNeverReissued(t *testing.T) {
 			t.Fatal("an append to a discarded block landed")
 		}
 	}
-	for txn := uint64(100); txn < 400; txn++ {
-		h.m.slb.BeginTxn(txn)
-		r := wal.Record{Tag: wal.TagRelWrite, Txn: txn, PID: addr.PartitionID{Segment: 2}, Data: data}
-		mustOK(t, h.m.slb.WriteRecord(&r))
-		for _, b := range h.chainBlocks(txn) {
+	// The dead instance's chains refuse writes and commits, and draw
+	// nothing from the pool.
+	used := h.hw.Stable.Used()
+	for _, c := range chains {
+		r := wal.Record{Tag: wal.TagRelWrite, Txn: 1, PID: addr.PartitionID{Segment: 2}, Data: data}
+		if err := c.WriteRecord(&r); err == nil {
+			t.Fatal("a dead instance's chain took a write")
+		}
+		c.Abort()
+	}
+	if err := chains[0].Commit(); err == nil {
+		t.Fatal("a dead instance's chain committed")
+	}
+	if got := h.hw.Stable.Used(); got != used {
+		t.Fatalf("dead chains moved Used() from %d to %d", used, got)
+	}
+	for id := uint64(100); id < 400; id++ {
+		c := h.m.slb.BeginTxn(id)
+		r := wal.Record{Tag: wal.TagRelWrite, Txn: id, PID: addr.PartitionID{Segment: 2}, Data: data}
+		mustOK(t, c.WriteRecord(&r))
+		for _, b := range chainBlocks(c) {
 			if gone[b] {
-				t.Fatalf("txn %d was handed a block restart discarded", txn)
+				t.Fatalf("txn %d was handed a block restart discarded", id)
 			}
 		}
-		h.m.slb.AbortTxn(txn)
+		c.Abort()
 	}
 }
 
@@ -189,19 +208,19 @@ func TestRecycledBlockHoldsOnlyItsChain(t *testing.T) {
 	reused := 0
 	for i := uint64(0); i < 50; i++ {
 		a, b := 2*i+1, 2*i+2
-		h.m.slb.BeginTxn(a)
+		ca := h.m.slb.BeginTxn(a)
 		for k := 0; k < 10; k++ {
 			r := wal.Record{Tag: wal.TagRelWrite, Txn: a, PID: addr.PartitionID{Segment: 2}, Data: big}
-			mustOK(t, h.m.slb.WriteRecord(&r))
+			mustOK(t, ca.WriteRecord(&r))
 		}
-		old := h.chainBlocks(a)[0]
-		mustOK(t, h.m.slb.CommitTxn(a))
+		old := chainBlocks(ca)[0]
+		mustOK(t, ca.Commit())
 		h.drain()
 
-		h.m.slb.BeginTxn(b)
+		cb := h.m.slb.BeginTxn(b)
 		want := wal.Record{Tag: wal.TagRelWrite, Txn: b, PID: addr.PartitionID{Segment: 2}, Slot: 9, Data: small}
-		mustOK(t, h.m.slb.WriteRecord(&want))
-		blks := h.chainBlocks(b)
+		mustOK(t, cb.WriteRecord(&want))
+		blks := chainBlocks(cb)
 		if blks[0] == old {
 			reused++
 		}
@@ -212,7 +231,7 @@ func TestRecycledBlockHoldsOnlyItsChain(t *testing.T) {
 		if blks[0].Len() != want.EncodedSize() {
 			t.Fatalf("txn %d's block holds %d bytes, want %d", b, blks[0].Len(), want.EncodedSize())
 		}
-		mustOK(t, h.m.slb.CommitTxn(b))
+		mustOK(t, cb.Commit())
 		h.drain()
 	}
 	if reused == 0 && !raceBuild() {
@@ -227,12 +246,12 @@ func TestRecycledBlockHoldsOnlyItsChain(t *testing.T) {
 func TestWriteRecordHitsEachFaultPointOncePerRecord(t *testing.T) {
 	h := poolHarness(t)
 	defer h.m.Stop()
-	h.m.slb.BeginTxn(1)
+	c := h.m.slb.BeginTxn(1)
 	sizes := []int{10, 1500, 3000, 10, 5000}
 	for i, n := range sizes {
 		r := wal.Record{Tag: wal.TagRelWrite, Txn: 1, PID: addr.PartitionID{Segment: 2}, Slot: addr.Slot(i),
 			Data: bytes.Repeat([]byte{1}, n)}
-		mustOK(t, h.m.slb.WriteRecord(&r))
+		mustOK(t, c.WriteRecord(&r))
 	}
 	hits := h.cfg.FaultInjector.Hits()
 	slbHits, stableHits := hits[fault.PointSLBAppend], hits[fault.PointStableAppend]

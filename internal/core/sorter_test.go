@@ -183,13 +183,13 @@ func TestSortAllocatesNothingPerRecord(t *testing.T) {
 	defer h.m.Stop()
 	pids := []addr.PartitionID{{Segment: 2, Part: 0}, {Segment: 2, Part: 1}}
 	chain := func(txn uint64, n int) *txnChain {
-		h.m.slb.BeginTxn(txn)
+		c := h.m.slb.BeginTxn(txn)
 		for i := 0; i < n; i++ {
 			r := wal.Record{Tag: wal.TagRelWrite, Txn: txn, PID: pids[i%2],
 				Slot: addr.Slot(i), Off: 4, Data: []byte("12345678")}
-			mustOK(t, h.m.slb.WriteRecord(&r))
+			mustOK(t, c.WriteRecord(&r))
 		}
-		return h.m.slb.streamFor(txn).uncommitted[txn]
+		return c.(*txnChain)
 	}
 	one, many := chain(1, 1), chain(2, 64)
 	mustOK(t, h.m.sortChain(many)) // both bins and their page buffers exist

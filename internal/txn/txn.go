@@ -29,20 +29,25 @@ import (
 	"mmdb/internal/wal"
 )
 
-// RedoSink receives REDO log records; the recovery component's Stable
-// Log Buffer implements it.
+// RedoSink opens REDO log record chains; the recovery component's
+// Stable Log Buffer implements it.
 type RedoSink interface {
 	// BeginTxn opens a log record chain for the transaction.
-	BeginTxn(id uint64)
-	// WriteRecord appends a REDO record to its transaction's chain. The
-	// record is the caller's again when it returns: a sink copies what
-	// it keeps.
+	BeginTxn(id uint64) RedoChain
+}
+
+// RedoChain is one transaction's REDO log record chain. Only its
+// transaction writes it, so appending a record needs no latch (§2.3.1).
+type RedoChain interface {
+	// WriteRecord appends a REDO record to the chain. The record is the
+	// caller's again when it returns: a chain copies what it keeps.
 	WriteRecord(rec *wal.Record) error
-	// CommitTxn atomically moves the chain to the committed list; the
-	// transaction is durable when this returns.
-	CommitTxn(id uint64) error
-	// AbortTxn discards the chain.
-	AbortTxn(id uint64)
+	// Commit atomically moves the chain to the committed list; the
+	// transaction is durable when it returns. It is the commit point.
+	// The caller must not use the chain again, whatever it returns.
+	Commit() error
+	// Abort discards the chain.
+	Abort()
 }
 
 // Errors returned by transaction operations.
@@ -97,9 +102,8 @@ func (m *Manager) Locks() *lock.Manager { return m.locks }
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
 	id := m.NextID()
-	m.sink.BeginTxn(id)
+	t := &Txn{m: m, id: id, chain: m.sink.BeginTxn(id), start: time.Now()}
 	m.Tracer.Emit(trace.Event{Kind: trace.KindTxnBegin, Txn: id})
-	t := &Txn{m: m, id: id, start: time.Now()}
 	t.space, _ = m.undoSpaces.Get().(*undoSpace)
 	if t.space == nil {
 		t.space = new(undoSpace)
@@ -189,14 +193,15 @@ type undoEntry struct {
 type Txn struct {
 	m          *Manager
 	id         uint64
+	chain      RedoChain // nil once Commit has been called
 	start      time.Time
 	undo       []undoEntry       // the volatile UNDO space
 	pendingDel []addr.EntityAddr // deferred deletes, in delete (log) order
 	newParts   []*mm.Partition   // privately owned until commit
 	nRecords   int
 	done       bool
-	// rec is the record emit hands the sink, held here so that logging
-	// a record allocates nothing: the sink copies what it keeps.
+	// rec is the record emit hands the chain, held here so that logging
+	// a record allocates nothing: the chain copies what it keeps.
 	rec wal.Record
 	// space is the UNDO space this transaction writes into; nil once it
 	// has finished.
@@ -214,7 +219,7 @@ func (t *Txn) ID() uint64 { return t.id }
 func (t *Txn) Records() int { return t.nRecords }
 
 func (t *Txn) check() error {
-	if t.done {
+	if t.done || t.chain == nil {
 		return ErrTxnDone
 	}
 	return nil
@@ -248,7 +253,7 @@ func (t *Txn) LockIndex(idxID uint64, mode lock.Mode) error {
 
 func (t *Txn) emit(tag wal.Tag, pid addr.PartitionID, slot addr.Slot, off uint16, data []byte) error {
 	t.rec = wal.Record{Tag: tag, Txn: t.id, PID: pid, Slot: slot, Off: off, Data: data}
-	err := t.m.sink.WriteRecord(&t.rec)
+	err := t.chain.WriteRecord(&t.rec)
 	t.rec.Data = nil
 	if err != nil {
 		return err
@@ -343,29 +348,40 @@ func (t *Txn) ReadEntity(a addr.EntityAddr) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// UpdateEntity replaces the entity's bytes.
-func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
+// latch is the write paths' prologue: it checks the transaction and
+// a's deferred delete, and returns a's partition latched with a's bytes.
+// On error nothing is held.
+func (t *Txn) latch(a addr.EntityAddr) (*mm.Partition, []byte, error) {
 	if err := t.check(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if t.PendingDelete(a) {
-		return fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
+		return nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
+	p, err := t.m.store.Partition(a.Partition())
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Latch()
+	cur, err := p.Read(a.Slot)
+	if err != nil {
+		p.Unlatch()
+		if errors.Is(err, mm.ErrBadSlot) {
+			err = fmt.Errorf("%w: %v", ErrNotFound, a)
+		}
+		return nil, nil, err
+	}
+	return p, cur, nil
+}
+
+// UpdateEntity replaces the entity's bytes.
+func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
 	tag := wal.TagRelUpdate
 	if isIdx {
 		tag = wal.TagIdxUpdate
 	}
-	p, err := t.m.store.Partition(a.Partition())
+	p, old, err := t.latch(a)
 	if err != nil {
-		return err
-	}
-	p.Latch()
-	old, err := p.Read(a.Slot)
-	if err != nil {
-		p.Unlatch()
-		if errors.Is(err, mm.ErrBadSlot) {
-			return fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
 		return err
 	}
 	oldCopy := t.keep(old)
@@ -381,27 +397,12 @@ func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
 // WriteEntityAt overwrites bytes within the entity: the small in-place
 // field update that produces the paper's typical 8–24 byte records.
 func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	if t.PendingDelete(a) {
-		return fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
-	}
 	tag := wal.TagRelWrite
 	if isIdx {
 		tag = wal.TagIdxWrite
 	}
-	p, err := t.m.store.Partition(a.Partition())
+	p, cur, err := t.latch(a)
 	if err != nil {
-		return err
-	}
-	p.Latch()
-	cur, err := p.Read(a.Slot)
-	if err != nil {
-		p.Unlatch()
-		if errors.Is(err, mm.ErrBadSlot) {
-			return fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
 		return err
 	}
 	if off < 0 || off+len(data) > len(cur) || off > math.MaxUint16 {
@@ -421,28 +422,14 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 // DeleteEntity removes a relation tuple. The physical delete is
 // deferred to commit so that the slot cannot be reused while this
 // transaction might still abort; the REDO record is emitted now to
-// keep replay order equal to operation order.
+// keep replay order equal to operation order. The entity is checked
+// now, under the caller's X lock, so the delete cannot fail at commit.
 func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	if t.PendingDelete(a) {
-		return fmt.Errorf("%w: %v (already deleted)", ErrNotFound, a)
-	}
-	// Verify existence so a bogus delete fails now, not at commit.
-	p, err := t.m.store.Partition(a.Partition())
+	p, _, err := t.latch(a)
 	if err != nil {
 		return err
 	}
-	p.Latch()
-	_, err = p.Read(a.Slot)
 	p.Unlatch()
-	if err != nil {
-		if errors.Is(err, mm.ErrBadSlot) {
-			return fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
-		return err
-	}
 	t.pendingDel = append(t.pendingDel, a)
 	return t.emit(wal.TagRelDelete, a.Partition(), a.Slot, 0, nil)
 }
@@ -452,20 +439,8 @@ func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
 // this index until commit, so the freed slot cannot be reused under an
 // uncommitted delete.
 func (t *Txn) DeleteIndexEntity(a addr.EntityAddr) error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	p, err := t.m.store.Partition(a.Partition())
+	p, old, err := t.latch(a)
 	if err != nil {
-		return err
-	}
-	p.Latch()
-	old, err := p.Read(a.Slot)
-	if err != nil {
-		p.Unlatch()
-		if errors.Is(err, mm.ErrBadSlot) {
-			return fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
 		return err
 	}
 	oldCopy := t.keep(old)
@@ -489,29 +464,35 @@ func (t *Txn) FreePartition(pid addr.PartitionID) error {
 	return t.emit(wal.TagPartFree, pid, 0, 0, nil)
 }
 
-// Commit applies deferred deletes in log order, makes the transaction
-// durable in stable memory (instant commit), and releases all locks.
-// The free-slot chain is LIFO, so applying the deletes in the order
-// their REDO records were written leaves it as replay does: the slots
-// handed out next are the same live and after a restart.
+// Commit makes the transaction durable in stable memory (instant
+// commit), then applies its deferred deletes and releases all locks.
+// The chain's Commit is the commit point: if it fails, nothing was
+// applied and the transaction is left for Abort. The deletes run in log
+// order, because the free-slot chain is LIFO: the slots handed out next
+// are then the same live and after a restart. DeleteEntity checked each
+// entity under its X lock, so a delete that fails here is a broken
+// invariant, not a half-committed transaction.
 func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
 	}
+	// The handle goes first: once the chain's epoch seals, the sorter may
+	// recycle it, and an Abort after a failed Commit must not touch it.
+	c := t.chain
+	t.chain = nil
+	if err := c.Commit(); err != nil {
+		return err
+	}
 	for _, a := range t.pendingDel {
 		p, err := t.m.store.Partition(a.Partition())
-		if err != nil {
-			return fmt.Errorf("txn %d commit: %w", t.id, err)
+		if err == nil {
+			p.Latch()
+			err = p.Delete(a.Slot)
+			p.Unlatch()
 		}
-		p.Latch()
-		err = p.Delete(a.Slot)
-		p.Unlatch()
 		if err != nil {
-			return fmt.Errorf("txn %d commit: deferred delete of %v: %w", t.id, a, err)
+			panic(fmt.Sprintf("txn %d commit: deferred delete of %v: %v", t.id, a, err))
 		}
-	}
-	if err := t.m.sink.CommitTxn(t.id); err != nil {
-		return err
 	}
 	for _, p := range t.newParts {
 		p.SetOwner(0)
@@ -525,9 +506,9 @@ func (t *Txn) Commit() error {
 }
 
 // Abort rolls back every effect of the transaction by applying the
-// volatile UNDO records in reverse, discards its REDO chain, and
-// releases all locks. Deferred deletes touched nothing; they are
-// forgotten.
+// volatile UNDO records in reverse, discards its REDO chain (unless a
+// failed Commit already gave it up), and releases all locks. Deferred
+// deletes touched nothing; they are forgotten.
 func (t *Txn) Abort() error {
 	if t.done {
 		return ErrTxnDone
@@ -539,7 +520,10 @@ func (t *Txn) Abort() error {
 		}
 	}
 	t.pendingDel = nil
-	t.m.sink.AbortTxn(t.id)
+	if t.chain != nil {
+		t.chain.Abort()
+		t.chain = nil
+	}
 	t.done = true
 	t.releaseUndo()
 	t.m.locks.ReleaseAll(t.id)

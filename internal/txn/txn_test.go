@@ -17,22 +17,31 @@ import (
 
 // fakeSink records REDO traffic per transaction.
 type fakeSink struct {
-	mu        sync.Mutex
-	chains    map[uint64][]wal.Record
-	committed []uint64
-	aborted   []uint64
-	failWrite bool
+	mu         sync.Mutex
+	chains     map[uint64][]wal.Record
+	committed  []uint64
+	aborted    []uint64
+	failWrite  bool
+	failCommit bool
 }
 
 func newFakeSink() *fakeSink { return &fakeSink{chains: make(map[uint64][]wal.Record)} }
 
-func (s *fakeSink) BeginTxn(id uint64) {
+// fakeChain is the chain fakeSink hands a transaction.
+type fakeChain struct {
+	s  *fakeSink
+	id uint64
+}
+
+func (s *fakeSink) BeginTxn(id uint64) RedoChain {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chains[id] = nil
+	return &fakeChain{s: s, id: id}
 }
 
-func (s *fakeSink) WriteRecord(rec *wal.Record) error {
+func (c *fakeChain) WriteRecord(rec *wal.Record) error {
+	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failWrite {
@@ -40,22 +49,27 @@ func (s *fakeSink) WriteRecord(rec *wal.Record) error {
 	}
 	r := *rec
 	r.Data = append([]byte(nil), rec.Data...)
-	s.chains[rec.Txn] = append(s.chains[rec.Txn], r)
+	s.chains[c.id] = append(s.chains[c.id], r)
 	return nil
 }
 
-func (s *fakeSink) CommitTxn(id uint64) error {
+func (c *fakeChain) Commit() error {
+	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.committed = append(s.committed, id)
+	if s.failCommit {
+		return errors.New("seal failed")
+	}
+	s.committed = append(s.committed, c.id)
 	return nil
 }
 
-func (s *fakeSink) AbortTxn(id uint64) {
+func (c *fakeChain) Abort() {
+	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.aborted = append(s.aborted, id)
-	delete(s.chains, id)
+	s.aborted = append(s.aborted, c.id)
+	delete(s.chains, c.id)
 }
 
 func newTestManager() (*Manager, *fakeSink, addr.SegmentID) {
@@ -454,13 +468,13 @@ func TestIndexPagerWithTTreeAbort(t *testing.T) {
 // nopSink accepts every record and keeps none.
 type nopSink struct{}
 
-func (nopSink) BeginTxn(uint64)               {}
+func (nopSink) BeginTxn(uint64) RedoChain     { return nopSink{} }
 func (nopSink) WriteRecord(*wal.Record) error { return nil }
-func (nopSink) CommitTxn(uint64) error        { return nil }
-func (nopSink) AbortTxn(uint64)               {}
+func (nopSink) Commit() error                 { return nil }
+func (nopSink) Abort()                        {}
 
 // Logging a record allocates nothing of its own: the transaction hands
-// the sink the record it holds, and the sink copies what it keeps.
+// its chain the record it holds, and the chain copies what it keeps.
 func TestEmitAllocatesNothing(t *testing.T) {
 	m := NewManager(mm.NewStore(4096), lock.NewManager(), nopSink{})
 	tx := m.Begin()
@@ -536,5 +550,55 @@ func TestReadPager(t *testing.T) {
 	}
 	if err := rp.Delete(a); err == nil {
 		t.Fatal("ReadPager.Delete succeeded")
+	}
+}
+
+// TestFailedCommitAppliesNoDelete: the chain's Commit is the commit
+// point, so when it fails the deferred deletes have not run, and Abort
+// leaves the deleted entity readable and its partition byte for byte as
+// it was before the transaction.
+func TestFailedCommitAppliesNoDelete(t *testing.T) {
+	m, sink, seg := newTestManager()
+	setup := m.Begin()
+	victim, err := setup.InsertEntity(seg, false, []byte("victim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := setup.InsertEntity(seg, false, []byte("other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.Store().Partition(victim.Partition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Snapshot()
+
+	tx := m.Begin()
+	if err := tx.WriteEntityAt(other, false, 1, []byte("TH")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.DeleteEntity(victim); err != nil {
+		t.Fatal(err)
+	}
+	sink.failCommit = true
+	if err := tx.Commit(); err == nil {
+		t.Fatal("Commit succeeded through a failing chain")
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.aborted) != 0 {
+		t.Fatalf("Abort after a failed Commit touched the chain (%v)", sink.aborted)
+	}
+	got, err := m.Store().Read(victim)
+	if err != nil || string(got) != "victim" {
+		t.Fatalf("deleted entity after the failed commit: %q, %v", got, err)
+	}
+	if !bytes.Equal(p.Snapshot(), before) {
+		t.Fatal("partition bytes differ from the pre-transaction image")
 	}
 }
