@@ -130,6 +130,9 @@ func (db *DB) drop(rel *Relation, segs []addr.SegmentID) error {
 		}
 		db.store.DropSegment(seg)
 	}
+	// The freed partitions' heat is forgotten; persist the ranking without
+	// them, or the next restart seeds them back from the snapshot.
+	db.mgr.Heat().Persist()
 	if !dropRel {
 		rel.removeIndex(objs[0].index)
 	}

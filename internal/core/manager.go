@@ -299,7 +299,8 @@ func (m *Manager) signalIdle() {
 // PartitionFreed discards a dropped partition's bin and any checkpoint
 // request it had pending, after sorting what is sealed: a record of the
 // partition's last writers sorted after the drop would make the bin
-// again. Once the machine has halted it changes nothing.
+// again. It forgets the partition's heat, so the ranking and its next
+// persist leave it out. Once the machine has halted it changes nothing.
 func (m *Manager) PartitionFreed(pid addr.PartitionID) {
 	m.sortMu.Lock()
 	if m.halted() {
@@ -309,6 +310,7 @@ func (m *Manager) PartitionFreed(pid addr.PartitionID) {
 	m.drain()
 	m.sortMu.Unlock()
 	m.dropBin(pid)
+	m.heat.Forget(pid)
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,11 @@
 // [Lehman 86c], the hash-based index companion to the T-Tree in the
 // MM-DBMS. Like T-Tree nodes, hash nodes are "index components": fixed
 // fan-out entities living in index-segment partitions, mutated through
-// a logging Pager so every node update produces one REDO log record
-// (§2.3.2).
+// a logging Pager, so every component update is one REDO log record
+// (§2.3.2). A mutation writes each component it touches once, with its
+// final image: a split rebuilds both chains in memory over the old
+// chain's nodes, and every directory chunk and the header are written
+// after the chains, once each.
 //
 // Structure: a directory of bucket chains, grown one bucket at a time by
 // linear hashing's split pointer, so the table expands without global
@@ -16,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mmdb/internal/addr"
@@ -75,24 +79,29 @@ const (
 	chunkEntries = 128 // bucket heads per directory chunk
 )
 
-// node is one bucket-chain node.
-type node struct {
-	next    addr.EntityAddr
-	hashes  []uint64
-	entries []uint64
-}
-
+// A bucket-chain node is its successor's address (8 bytes), its entry
+// count (2) and room for order (hash, entry) pairs of two 8-byte words;
+// the words past the count are zero.
 const nodeHeaderSize = 8 + 2
 
-func marshalNode(n *node, order int) []byte {
+// nodeImage returns the image of a node linked to next and holding pairs,
+// flat (hash, entry) words.
+func nodeImage(next addr.EntityAddr, pairs []uint64, order int) []byte {
 	buf := make([]byte, nodeHeaderSize+16*order)
-	binary.LittleEndian.PutUint64(buf[0:], n.next.Pack())
-	binary.LittleEndian.PutUint16(buf[8:], uint16(len(n.entries)))
-	for i := range n.entries {
-		binary.LittleEndian.PutUint64(buf[nodeHeaderSize+16*i:], n.hashes[i])
-		binary.LittleEndian.PutUint64(buf[nodeHeaderSize+16*i+8:], n.entries[i])
+	binary.LittleEndian.PutUint64(buf[0:], next.Pack())
+	binary.LittleEndian.PutUint16(buf[8:], uint16(len(pairs)/2))
+	for i, w := range pairs {
+		binary.LittleEndian.PutUint64(buf[nodeHeaderSize+8*i:], w)
 	}
 	return buf
+}
+
+// copyNode returns a writable image of the lent node raw, which holds
+// count entries, sized for order.
+func copyNode(raw []byte, count, order int) []byte {
+	img := make([]byte, nodeHeaderSize+16*max(order, count))
+	copy(img, raw[:nodeHeaderSize+16*count])
+	return img
 }
 
 // checkNode validates node bytes and returns the entry count: the bounds
@@ -108,57 +117,43 @@ func checkNode(buf []byte) (int, error) {
 	return count, nil
 }
 
-func unmarshalNode(buf []byte) (*node, error) {
-	count, err := checkNode(buf)
-	if err != nil {
-		return nil, err
-	}
-	n := &node{
-		next:    addr.Unpack(binary.LittleEndian.Uint64(buf[0:])),
-		hashes:  make([]uint64, count),
-		entries: make([]uint64, count),
-	}
-	for i := 0; i < count; i++ {
-		n.hashes[i] = binary.LittleEndian.Uint64(buf[nodeHeaderSize+16*i:])
-		n.entries[i] = binary.LittleEndian.Uint64(buf[nodeHeaderSize+16*i+8:])
-	}
-	return n, nil
-}
-
 // stackPairs is how many (hash, entry) pairs a chain walk holds without
 // allocating; a node of a larger order is copied to the heap.
 const stackPairs = 64
+
+// lendNode borrows the chain node at a and checks it, returning its
+// bytes and entry count; on error nothing is held.
+func (t *Table) lendNode(a addr.EntityAddr) (raw []byte, count int, held sync.Locker, err error) {
+	raw, held, err = t.src.Lend(a)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if count, err = checkNode(raw); err != nil {
+		held.Unlock()
+		return nil, 0, nil, err
+	}
+	return raw, count, held, nil
+}
+
+// nextOf returns the successor of the node raw.
+func nextOf(raw []byte) addr.EntityAddr { return addr.Unpack(binary.LittleEndian.Uint64(raw[0:])) }
 
 // readPairs borrows the chain node at a and returns its successor and
 // its (hash, entry) pairs, flat, copied into buf when they fit — so the
 // caller hashes, matches and reports with nothing latched.
 func (t *Table) readPairs(a addr.EntityAddr, buf *[2 * stackPairs]uint64) (next addr.EntityAddr, pairs []uint64, err error) {
-	raw, held, err := t.src.Lend(a)
+	raw, count, held, err := t.lendNode(a)
 	if err != nil {
 		return addr.Nil, nil, err
 	}
 	defer held.Unlock()
-	count, err := checkNode(raw)
-	if err != nil {
-		return addr.Nil, nil, err
-	}
 	if pairs = buf[:0]; 2*count > len(buf) {
 		pairs = make([]uint64, 0, 2*count)
 	}
 	for i := 0; i < 2*count; i++ {
 		pairs = append(pairs, binary.LittleEndian.Uint64(raw[nodeHeaderSize+8*i:]))
 	}
-	return addr.Unpack(binary.LittleEndian.Uint64(raw[0:])), pairs, nil
-}
-
-// readNode is readPairs for the mutation paths, which rebuild the node.
-func (t *Table) readNode(a addr.EntityAddr) (*node, error) {
-	raw, held, err := t.src.Lend(a)
-	if err != nil {
-		return nil, err
-	}
-	defer held.Unlock()
-	return unmarshalNode(raw)
+	return nextOf(raw), pairs, nil
 }
 
 // header layout: level(4) next(4) count(8) order(2) nbuckets(4)
@@ -238,11 +233,7 @@ func Create(p Pager, order int, hash HashEntry, match MatchKey) (*Table, addr.En
 		return nil, addr.Nil, errors.New("linhash: order must be >= 2")
 	}
 	// Two initial buckets (level 1), both empty, in one chunk.
-	chunk := make([]byte, 8*chunkEntries)
-	for i := 0; i < chunkEntries; i++ {
-		binary.LittleEndian.PutUint64(chunk[8*i:], addr.Nil.Pack())
-	}
-	ca, err := p.Insert(chunk)
+	ca, err := p.Insert(newChunk())
 	if err != nil {
 		return nil, addr.Nil, err
 	}
@@ -352,36 +343,123 @@ func (t *Table) chunkHead(chunk addr.EntityAddr, b uint32) (addr.EntityAddr, err
 	return addr.Unpack(binary.LittleEndian.Uint64(buf[off:])), nil
 }
 
-// bucketHead reads the directory entry for bucket b through the
-// unmarshalled header a mutation already holds.
-func (t *Table) bucketHead(h *header, b uint32) (addr.EntityAddr, error) {
-	ci := int(b) / chunkEntries
-	if ci >= len(h.chunks) {
-		return addr.Nil, fmt.Errorf("linhash: bucket %d beyond directory", b)
+// newChunk returns the image of a directory chunk of Nil heads.
+func newChunk() []byte {
+	chunk := make([]byte, 8*chunkEntries)
+	for i := 0; i < chunkEntries; i++ {
+		binary.LittleEndian.PutUint64(chunk[8*i:], addr.Nil.Pack())
 	}
-	return t.chunkHead(h.chunks[ci], b)
+	return chunk
 }
 
-// setBucketHead updates the directory entry for bucket b.
-func (t *Table) setBucketHead(h *header, b uint32, a addr.EntityAddr) error {
-	ci, off := int(b)/chunkEntries, int(b)%chunkEntries
-	buf, held, err := t.src.Lend(h.chunks[ci])
-	if err != nil {
-		return err
+// edit is one mutation's working set, as the T-Tree's view is: the
+// header it rewrites and the bucket heads it sets, so that flush writes
+// each directory chunk once, with its final content, and the header
+// last. The chain nodes a mutation touches are written where it touches
+// them, once each.
+type edit struct {
+	t     *Table
+	h     *header
+	heads []headSet // at most one per bucket
+}
+
+// headSet is a bucket head a mutation has set.
+type headSet struct {
+	b    uint32
+	head addr.EntityAddr
+}
+
+func (t *Table) begin() (edit, error) {
+	h, err := t.readHeader()
+	return edit{t: t, h: h}, err
+}
+
+// head returns bucket b's chain head as the mutation has left it.
+func (m *edit) head(b uint32) (addr.EntityAddr, error) {
+	for _, s := range m.heads {
+		if s.b == b {
+			return s.head, nil
+		}
 	}
-	nb := append([]byte(nil), buf...)
-	held.Unlock()
-	if len(nb) < 8*(off+1) {
-		return fmt.Errorf("linhash: corrupt directory chunk (%d bytes)", len(nb))
+	ci := int(b) / chunkEntries
+	if ci >= len(m.h.chunks) {
+		return addr.Nil, fmt.Errorf("linhash: bucket %d beyond directory", b)
 	}
-	binary.LittleEndian.PutUint64(nb[8*off:], a.Pack())
-	return t.pager.Update(h.chunks[ci], nb)
+	return m.t.chunkHead(m.h.chunks[ci], b)
+}
+
+func (m *edit) setHead(b uint32, a addr.EntityAddr) {
+	for i := range m.heads {
+		if m.heads[i].b == b {
+			m.heads[i].head = a
+			return
+		}
+	}
+	m.heads = append(m.heads, headSet{b, a})
+}
+
+// flush writes each existing directory chunk whose words the set heads
+// change, once; inserts the chunk a split's new bucket opened, with its
+// heads set; and writes the header.
+func (m *edit) flush() error {
+	old := len(m.h.chunks)
+	for i, s := range m.heads {
+		ci := int(s.b) / chunkEntries
+		if ci >= old || slices.ContainsFunc(m.heads[:i], func(p headSet) bool { return int(p.b)/chunkEntries == ci }) {
+			continue // the opened chunk, or written for an earlier head
+		}
+		a := m.h.chunks[ci]
+		buf, held, err := m.t.src.Lend(a)
+		if err != nil {
+			return err
+		}
+		img := append([]byte(nil), buf...)
+		held.Unlock()
+		if changed, err := putHeads(img, ci, m.heads); err != nil {
+			return err
+		} else if changed {
+			if err := m.t.pager.Update(a, img); err != nil {
+				return err
+			}
+		}
+	}
+	if int(m.h.nbuckets) > chunkEntries*old {
+		img := newChunk()
+		if _, err := putHeads(img, old, m.heads); err != nil {
+			return err
+		}
+		ca, err := m.t.pager.Insert(img)
+		if err != nil {
+			return err
+		}
+		m.h.chunks = append(m.h.chunks, ca)
+	}
+	return m.t.writeHeader(m.h)
+}
+
+// putHeads writes into img, the image of directory chunk ci, the heads
+// that fall in it, and reports whether a word changed.
+func putHeads(img []byte, ci int, heads []headSet) (changed bool, err error) {
+	for _, s := range heads {
+		if int(s.b)/chunkEntries != ci {
+			continue
+		}
+		off := 8 * (int(s.b) % chunkEntries)
+		if len(img) < off+8 {
+			return false, fmt.Errorf("linhash: corrupt directory chunk (%d bytes)", len(img))
+		}
+		if w := s.head.Pack(); binary.LittleEndian.Uint64(img[off:]) != w {
+			binary.LittleEndian.PutUint64(img[off:], w)
+			changed = true
+		}
+	}
+	return changed, nil
 }
 
 // Insert adds entry e to the table and splits one bucket if the load
 // factor exceeds 3/4 of nominal node capacity.
 func (t *Table) Insert(e uint64) error {
-	h, err := t.readHeader()
+	m, err := t.begin()
 	if err != nil {
 		return err
 	}
@@ -389,127 +467,153 @@ func (t *Table) Insert(e uint64) error {
 	if err != nil {
 		return err
 	}
+	h := m.h
 	b := h.bucketIndex(hv)
-	if err := t.insertInto(h, b, hv, e); err != nil {
-		return err
-	}
 	h.count++
 	// Load factor check: average entries per bucket vs node capacity.
-	if h.count*4 > uint64(h.nbuckets)*uint64(h.order)*3 {
-		if err := t.split(h); err != nil {
-			return err
+	switch {
+	case h.count*4 <= uint64(h.nbuckets)*uint64(h.order)*3:
+		err = m.insertInto(b, hv, e)
+	case b == h.next:
+		// e's bucket is the one that splits: e is dealt with its entries.
+		err = m.split([]uint64{hv, e})
+	default:
+		if err = m.insertInto(b, hv, e); err == nil {
+			err = m.split(nil)
 		}
 	}
-	return t.writeHeader(h)
-}
-
-// insertInto places (hv, e) into bucket b: first chain node with room,
-// else a new node at the chain head.
-func (t *Table) insertInto(h *header, b uint32, hv, e uint64) error {
-	head, err := t.bucketHead(h, b)
 	if err != nil {
 		return err
 	}
+	return m.flush()
+}
+
+// insertInto places (hv, e) into bucket b: the first chain node with
+// room, else a new node at the chain head. The walk borrows each node
+// for its count and successor; the node it writes is copied from the
+// lent bytes, none is unmarshalled.
+func (m *edit) insertInto(b uint32, hv, e uint64) error {
+	head, err := m.head(b)
+	if err != nil {
+		return err
+	}
+	order := m.h.order
 	for a := head; !a.IsNil(); {
-		n, err := t.readNode(a)
+		raw, count, held, err := m.t.lendNode(a)
 		if err != nil {
 			return err
 		}
-		if len(n.entries) < h.order {
-			n.hashes = append(n.hashes, hv)
-			n.entries = append(n.entries, e)
-			return t.pager.Update(a, marshalNode(n, h.order))
+		if count >= order {
+			a = nextOf(raw)
+			held.Unlock()
+			continue
 		}
-		a = n.next
+		img := copyNode(raw, count, order)
+		held.Unlock()
+		binary.LittleEndian.PutUint64(img[nodeHeaderSize+16*count:], hv)
+		binary.LittleEndian.PutUint64(img[nodeHeaderSize+16*count+8:], e)
+		binary.LittleEndian.PutUint16(img[8:], uint16(count+1))
+		return m.t.pager.Update(a, img)
 	}
-	nn := &node{next: head, hashes: []uint64{hv}, entries: []uint64{e}}
-	na, err := t.pager.Insert(marshalNode(nn, h.order))
+	na, err := m.t.pager.Insert(nodeImage(head, []uint64{hv, e}, order))
 	if err != nil {
 		return err
 	}
-	return t.setBucketHead(h, b, na)
+	m.setHead(b, na)
+	return nil
 }
 
-// addBucket extends the directory by one bucket (growing a chunk or
-// adding one) and returns its index.
-func (t *Table) addBucket(h *header) (uint32, error) {
-	b := h.nbuckets
-	ci := int(b) / chunkEntries
-	if ci >= len(h.chunks) {
-		chunk := make([]byte, 8*chunkEntries)
-		for i := 0; i < chunkEntries; i++ {
-			binary.LittleEndian.PutUint64(chunk[8*i:], addr.Nil.Pack())
-		}
-		ca, err := t.pager.Insert(chunk)
-		if err != nil {
-			return 0, err
-		}
-		h.chunks = append(h.chunks, ca)
-	}
+// split performs one linear-hashing split: the entries of bucket h.next,
+// and pair when it is not nil (an entry being inserted that routes
+// there), are dealt between h.next and a new bucket by the next hash
+// bit. Both chains are built in memory, full nodes first, and written
+// over the old chain's nodes: a node is inserted only when they run out,
+// and deleted only when one is left over.
+func (m *edit) split(pair []uint64) error {
+	h := m.h
+	oldB, newB := h.next, h.nbuckets
 	h.nbuckets++
-	return b, nil
-}
-
-// split performs one linear-hashing split: bucket h.next's entries are
-// redistributed between h.next and the new bucket by the next hash bit.
-func (t *Table) split(h *header) error {
-	oldB := h.next
-	newB, err := t.addBucket(h)
+	head, err := m.head(oldB)
 	if err != nil {
 		return err
 	}
-	// Collect the old chain.
-	head, err := t.bucketHead(h, oldB)
-	if err != nil {
-		return err
-	}
-	var hvs, es []uint64
-	var nodes []addr.EntityAddr
+	var olds []addr.EntityAddr
+	var pairs []uint64
+	var buf [2 * stackPairs]uint64
 	for a := head; !a.IsNil(); {
-		n, err := t.readNode(a)
+		next, ps, err := m.t.readPairs(a, &buf)
 		if err != nil {
 			return err
 		}
-		hvs = append(hvs, n.hashes...)
-		es = append(es, n.entries...)
-		nodes = append(nodes, a)
-		a = n.next
+		pairs = append(pairs, ps...)
+		olds = append(olds, a)
+		a = next
 	}
-	// Advance the split pointer before rebuilding so bucketIndex
-	// routes rehashed entries with level+1 bits.
+	pairs = append(pairs, pair...)
+	// Advance the split pointer before dealing, so that bucketIndex
+	// routes with level+1 bits.
 	h.next++
 	if h.next == 1<<h.level {
 		h.level++
 		h.next = 0
 	}
-	// Free the old chain and clear both heads.
-	for _, a := range nodes {
-		if err := t.pager.Delete(a); err != nil {
+	lo, hi := pairs[:0], make([]uint64, 0, len(pairs))
+	for i := 0; i < len(pairs); i += 2 {
+		switch b := h.bucketIndex(pairs[i]); b {
+		case oldB:
+			lo = append(lo, pairs[i], pairs[i+1])
+		case newB:
+			hi = append(hi, pairs[i], pairs[i+1])
+		default:
+			return fmt.Errorf("linhash: split redistribution sent hash %x to bucket %d (split %d/%d)", pairs[i], b, oldB, newB)
+		}
+	}
+	loHead, spare, err := m.build(lo, olds)
+	if err != nil {
+		return err
+	}
+	hiHead, spare, err := m.build(hi, spare)
+	if err != nil {
+		return err
+	}
+	for _, a := range spare {
+		if err := m.t.pager.Delete(a); err != nil {
 			return err
 		}
 	}
-	if err := t.setBucketHead(h, oldB, addr.Nil); err != nil {
-		return err
-	}
-	if err := t.setBucketHead(h, newB, addr.Nil); err != nil {
-		return err
-	}
-	// Redistribute.
-	for i := range es {
-		b := h.bucketIndex(hvs[i])
-		if b != oldB && b != newB {
-			return fmt.Errorf("linhash: split redistribution sent hash %x to bucket %d (split %d/%d)", hvs[i], b, oldB, newB)
-		}
-		if err := t.insertInto(h, b, hvs[i], es[i]); err != nil {
-			return err
-		}
-	}
+	m.setHead(oldB, loHead)
+	m.setHead(newB, hiHead)
 	return nil
 }
 
-// Delete removes entry e; ErrNotFound if absent.
+// build writes a chain holding pairs, order to a node, full nodes first,
+// and returns its head. It writes the tail first, so that each node is
+// written once with its successor known: over the nodes of reuse, from
+// the front, then inserted. It returns the nodes of reuse it left.
+func (m *edit) build(pairs []uint64, reuse []addr.EntityAddr) (head addr.EntityAddr, spare []addr.EntityAddr, err error) {
+	per := 2 * m.h.order
+	nodes := (len(pairs) + per - 1) / per
+	mine := reuse[:min(nodes, len(reuse))]
+	head = addr.Nil
+	for k := nodes - 1; k >= 0; k-- {
+		img := nodeImage(head, pairs[k*per:min((k+1)*per, len(pairs))], m.h.order)
+		if k < len(mine) {
+			head, err = mine[k], m.t.pager.Update(mine[k], img)
+		} else {
+			head, err = m.t.pager.Insert(img)
+		}
+		if err != nil {
+			return addr.Nil, nil, err
+		}
+	}
+	return head, reuse[len(mine):], nil
+}
+
+// Delete removes entry e; ErrNotFound if absent. The walk borrows each
+// node; the one that held e is rewritten from the lent bytes, or, left
+// empty, unlinked and freed.
 func (t *Table) Delete(e uint64) error {
-	h, err := t.readHeader()
+	m, err := t.begin()
 	if err != nil {
 		return err
 	}
@@ -517,49 +621,65 @@ func (t *Table) Delete(e uint64) error {
 	if err != nil {
 		return err
 	}
-	b := h.bucketIndex(hv)
-	head, err := t.bucketHead(h, b)
+	b := m.h.bucketIndex(hv)
+	head, err := m.head(b)
 	if err != nil {
 		return err
 	}
-	var prev addr.EntityAddr
-	var prevNode *node
+	prev := addr.Nil
 	for a := head; !a.IsNil(); {
-		n, err := t.readNode(a)
+		raw, count, held, err := t.lendNode(a)
 		if err != nil {
 			return err
 		}
-		for i, x := range n.entries {
-			if x != e {
-				continue
-			}
-			n.hashes = append(n.hashes[:i], n.hashes[i+1:]...)
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			if len(n.entries) == 0 {
-				// Unlink the empty node.
-				if prevNode == nil {
-					if err := t.setBucketHead(h, b, n.next); err != nil {
-						return err
-					}
-				} else {
-					prevNode.next = n.next
-					if err := t.pager.Update(prev, marshalNode(prevNode, h.order)); err != nil {
-						return err
-					}
-				}
-				if err := t.pager.Delete(a); err != nil {
-					return err
-				}
-			} else if err := t.pager.Update(a, marshalNode(n, h.order)); err != nil {
-				return err
-			}
-			h.count--
-			return t.writeHeader(h)
+		next, i := nextOf(raw), 0
+		for i < count && binary.LittleEndian.Uint64(raw[nodeHeaderSize+16*i+8:]) != e {
+			i++
 		}
-		prev, prevNode = a, n
-		a = n.next
+		if i == count {
+			held.Unlock()
+			prev, a = a, next
+			continue
+		}
+		if count > 1 {
+			img := copyNode(raw, count, m.h.order)
+			held.Unlock()
+			end := nodeHeaderSize + 16*count
+			copy(img[nodeHeaderSize+16*i:], img[nodeHeaderSize+16*(i+1):end])
+			clear(img[end-16 : end])
+			binary.LittleEndian.PutUint16(img[8:], uint16(count-1))
+			err = t.pager.Update(a, img)
+		} else {
+			held.Unlock()
+			err = m.unlink(b, prev, a, next)
+		}
+		if err != nil {
+			return err
+		}
+		m.h.count--
+		return m.flush()
 	}
 	return ErrNotFound
+}
+
+// unlink takes the emptied node a, followed by next, out of bucket b's
+// chain, where it follows prev (Nil: a is the head), and frees it.
+func (m *edit) unlink(b uint32, prev, a, next addr.EntityAddr) error {
+	if prev.IsNil() {
+		m.setHead(b, next)
+	} else {
+		raw, count, held, err := m.t.lendNode(prev)
+		if err != nil {
+			return err
+		}
+		img := copyNode(raw, count, m.h.order)
+		held.Unlock()
+		binary.LittleEndian.PutUint64(img[0:], next.Pack())
+		if err := m.t.pager.Update(prev, img); err != nil {
+			return err
+		}
+	}
+	return m.t.pager.Delete(a)
 }
 
 // Lookup calls fn for every entry whose key matches, stopping early if

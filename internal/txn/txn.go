@@ -324,16 +324,7 @@ func (t *Txn) InsertEntity(seg addr.SegmentID, isIdx bool, data []byte) (addr.En
 // honouring the transaction's own deferred deletes. On error nothing is
 // held.
 func (t *Txn) LendEntity(a addr.EntityAddr) ([]byte, sync.Locker, error) {
-	if err := t.check(); err != nil {
-		return nil, nil, err
-	}
-	if t.PendingDelete(a) {
-		return nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
-	}
-	data, held, err := t.m.store.Lend(a)
-	if errors.Is(err, mm.ErrBadSlot) {
-		err = fmt.Errorf("%w: %v", ErrNotFound, a)
-	}
+	_, data, held, err := t.latch(a)
 	return data, held, err
 }
 
@@ -348,30 +339,25 @@ func (t *Txn) ReadEntity(a addr.EntityAddr) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// latch is the write paths' prologue: it checks the transaction and
-// a's deferred delete, and returns a's partition latched with a's bytes.
-// On error nothing is held.
-func (t *Txn) latch(a addr.EntityAddr) (*mm.Partition, []byte, error) {
+// latch is the read and write paths' prologue: it checks the transaction
+// and a's deferred delete, and returns a's partition, a's bytes and the
+// partition's latch, held. On error nothing is held.
+func (t *Txn) latch(a addr.EntityAddr) (*mm.Partition, []byte, sync.Locker, error) {
 	if err := t.check(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if t.PendingDelete(a) {
-		return nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
+		return nil, nil, nil, fmt.Errorf("%w: %v (deleted in this transaction)", ErrNotFound, a)
 	}
 	p, err := t.m.store.Partition(a.Partition())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	p.Latch()
-	cur, err := p.Read(a.Slot)
-	if err != nil {
-		p.Unlatch()
-		if errors.Is(err, mm.ErrBadSlot) {
-			err = fmt.Errorf("%w: %v", ErrNotFound, a)
-		}
-		return nil, nil, err
+	cur, held, err := p.Lend(a.Slot)
+	if errors.Is(err, mm.ErrBadSlot) {
+		err = fmt.Errorf("%w: %v", ErrNotFound, a)
 	}
-	return p, cur, nil
+	return p, cur, held, err
 }
 
 // UpdateEntity replaces the entity's bytes.
@@ -380,13 +366,13 @@ func (t *Txn) UpdateEntity(a addr.EntityAddr, isIdx bool, data []byte) error {
 	if isIdx {
 		tag = wal.TagIdxUpdate
 	}
-	p, old, err := t.latch(a)
+	p, old, held, err := t.latch(a)
 	if err != nil {
 		return err
 	}
 	oldCopy := t.keep(old)
 	err = p.Update(a.Slot, data)
-	p.Unlatch()
+	held.Unlock()
 	if err != nil {
 		return err
 	}
@@ -401,17 +387,17 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 	if isIdx {
 		tag = wal.TagIdxWrite
 	}
-	p, cur, err := t.latch(a)
+	p, cur, held, err := t.latch(a)
 	if err != nil {
 		return err
 	}
 	if off < 0 || off+len(data) > len(cur) || off > math.MaxUint16 {
-		p.Unlatch()
+		held.Unlock()
 		return fmt.Errorf("txn: WriteEntityAt [%d,%d) outside entity of %d bytes or past a record's 16-bit offset", off, off+len(data), len(cur))
 	}
 	oldCopy := t.keep(cur[off : off+len(data)])
 	err = p.WriteAt(a.Slot, off, data)
-	p.Unlatch()
+	held.Unlock()
 	if err != nil {
 		return err
 	}
@@ -425,11 +411,11 @@ func (t *Txn) WriteEntityAt(a addr.EntityAddr, isIdx bool, off int, data []byte)
 // keep replay order equal to operation order. The entity is checked
 // now, under the caller's X lock, so the delete cannot fail at commit.
 func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
-	p, _, err := t.latch(a)
+	_, _, held, err := t.latch(a)
 	if err != nil {
 		return err
 	}
-	p.Unlatch()
+	held.Unlock()
 	t.pendingDel = append(t.pendingDel, a)
 	return t.emit(wal.TagRelDelete, a.Partition(), a.Slot, 0, nil)
 }
@@ -439,13 +425,13 @@ func (t *Txn) DeleteEntity(a addr.EntityAddr) error {
 // this index until commit, so the freed slot cannot be reused under an
 // uncommitted delete.
 func (t *Txn) DeleteIndexEntity(a addr.EntityAddr) error {
-	p, old, err := t.latch(a)
+	p, old, held, err := t.latch(a)
 	if err != nil {
 		return err
 	}
 	oldCopy := t.keep(old)
 	err = p.Delete(a.Slot)
-	p.Unlatch()
+	held.Unlock()
 	if err != nil {
 		return err
 	}

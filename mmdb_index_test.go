@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"mmdb/internal/addr"
 	"mmdb/internal/heap"
+	"mmdb/internal/heat"
 )
 
 func TestStringKeyTTreeIndex(t *testing.T) {
@@ -384,5 +386,150 @@ func TestIndexesIsCopyOnWrite(t *testing.T) {
 	}
 	if len(before) != 1 || before[0] != first {
 		t.Fatalf("list handed out before DropIndex changed: %v", before)
+	}
+}
+
+// segmentEntities copies every entity of a segment's resident partitions.
+func segmentEntities(db *DB, seg addr.SegmentID) map[addr.EntityAddr]string {
+	out := map[addr.EntityAddr]string{}
+	for _, p := range db.store.Partitions(seg) {
+		p.Latch()
+		p.Slots(func(s addr.Slot, data []byte) bool {
+			out[addr.EntityAddr{Segment: seg, Part: p.ID().Part, Slot: s}] = string(data)
+			return true
+		})
+		p.Unlatch()
+	}
+	return out
+}
+
+// TestAbortedSplitRestoresHashIndex aborts every insert that splits a
+// linear-hash bucket — a split rewrites the old chain's nodes in place,
+// inserts or deletes the nodes the new chains need or leave, and sets
+// heads in the directory, sometimes in a chunk it opens — and requires
+// every entity of the index segment to be byte-identical to what it was
+// before the insert. The insert is then repeated and committed, so the
+// table goes on growing.
+func TestAbortedSplitRestoresHashIndex(t *testing.T) {
+	db := openTestDB(t)
+	defer db.Close()
+	rel, err := db.CreateRelation("h", heap.Schema{{Name: "k", Type: heap.Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex(rel, "by_k", "k", KindLinHash, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := func() uint32 {
+		s, err := idx.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.(table).Buckets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	aborted, opened := 0, 0
+	for k := int64(0); k < 400; k++ {
+		before, nb := segmentEntities(db, idx.seg), buckets()
+		tx := db.Begin()
+		if _, err := tx.Insert(rel, heap.Tuple{k * 7919 % 1000}); err != nil {
+			t.Fatal(err)
+		}
+		if buckets() != nb {
+			aborted++
+			if nb%128 == 0 {
+				opened++
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			after := segmentEntities(db, idx.seg)
+			for a, b := range before {
+				if after[a] != b {
+					t.Fatalf("insert %d: aborted split left %v as %x, was %x", k, a, after[a], b)
+				}
+			}
+			if len(after) != len(before) {
+				t.Fatalf("insert %d: aborted split left %d index entities, were %d", k, len(after), len(before))
+			}
+			tx = db.Begin()
+			if _, err := tx.Insert(rel, heap.Tuple{k * 7919 % 1000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	if aborted < 100 || opened == 0 {
+		t.Fatalf("%d splits aborted, %d of them opening a directory chunk", aborted, opened)
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDroppedPartitionsLeaveTheHeatRanking: dropping a relation forgets
+// its partitions' heat, so neither the live ranking nor, after a crash,
+// the recovered one and the new generation's ranking list them.
+func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
+	cfg := testConfig()
+	cfg.HeatSnapshotBytes = 16 << 10
+	cfg.HeatPersistEvery = 16
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []addr.SegmentID
+	for _, name := range []string{"keep", "gone"} {
+		rel, err := db.CreateRelation(name, acctSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := db.CreateIndex(rel, name+"_id", "id", KindLinHash, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, rel.seg, idx.seg)
+		for i := 0; i < 300; i++ {
+			tx := db.Begin()
+			if _, err := tx.Insert(rel, heap.Tuple{int64(i), 1.0, "heat"}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+	}
+	dead := func(ranked []heat.PartHeat) (gone, kept int) {
+		for _, ph := range ranked {
+			switch ph.PID.Segment {
+			case segs[2], segs[3]:
+				gone++
+			case segs[0], segs[1]:
+				kept++
+			}
+		}
+		return gone, kept
+	}
+	db.mgr.Heat().Persist()
+	if gone, _ := dead(db.mgr.Heat().Ranking()); gone == 0 {
+		t.Fatal("the relation to drop has no heat: the test shows nothing")
+	}
+	if err := db.DropRelation("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if gone, kept := dead(db.mgr.Heat().Ranking()); gone != 0 || kept == 0 {
+		t.Fatalf("after the drop the ranking lists %d dropped and %d kept partitions", gone, kept)
+	}
+	db2 := crashAndRecover(t, db, cfg)
+	defer db2.Close()
+	for what, ranked := range map[string][]heat.PartHeat{
+		"recovered": db2.mgr.RecoveredHeat(),
+		"live":      db2.mgr.Heat().Ranking(),
+	} {
+		if gone, kept := dead(ranked); gone != 0 || kept == 0 {
+			t.Fatalf("after the crash the %s ranking lists %d dropped and %d kept partitions", what, gone, kept)
+		}
 	}
 }
