@@ -129,9 +129,13 @@ func (db *DB) drop(rel *Relation, segs []addr.SegmentID) error {
 			db.mgr.FreeImage(ps.Track)
 		}
 		db.store.DropSegment(seg)
+		// The store holds none of the segment's heat counts now.
+		for _, ps := range parts[i] {
+			db.mgr.Heat().Drop(addr.PartitionID{Segment: seg, Part: ps.Part})
+		}
 	}
-	// The freed partitions' heat is forgotten; persist the ranking without
-	// them, or the next restart seeds them back from the snapshot.
+	// Persist the ranking without the dropped partitions, or the next
+	// restart seeds them back from the snapshot.
 	db.mgr.Heat().Persist()
 	if !dropRel {
 		rel.removeIndex(objs[0].index)

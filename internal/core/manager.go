@@ -195,6 +195,7 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 		ht.Touches = mt.HeatTouches
 		ht.Persists = mt.HeatPersists
 		ht.TrackedParts = mt.HeatTrackedParts
+		mt.HeatTrackedParts.Set(int64(ht.Tracked()))
 		ht.SnapshotBytes = mt.HeatSnapshotBytes
 		ht.OnPersist = func(parts, bytes int) {
 			m.tracer.Emit(trace.Event{
@@ -299,8 +300,7 @@ func (m *Manager) signalIdle() {
 // PartitionFreed discards a dropped partition's bin and any checkpoint
 // request it had pending, after sorting what is sealed: a record of the
 // partition's last writers sorted after the drop would make the bin
-// again. It forgets the partition's heat, so the ranking and its next
-// persist leave it out. Once the machine has halted it changes nothing.
+// again. Once the machine has halted it changes nothing.
 func (m *Manager) PartitionFreed(pid addr.PartitionID) {
 	m.sortMu.Lock()
 	if m.halted() {
@@ -310,7 +310,6 @@ func (m *Manager) PartitionFreed(pid addr.PartitionID) {
 	m.drain()
 	m.sortMu.Unlock()
 	m.dropBin(pid)
-	m.heat.Forget(pid)
 }
 
 // ---------------------------------------------------------------------

@@ -61,7 +61,7 @@ type Options struct {
 	// Ops is the number of workload transactions (default 400).
 	Ops int
 	// PerPoint is how many hit indexes are sampled per (point, action)
-	// pair, spread evenly over the baseline hit count (default 8).
+	// pair, spread evenly below the baseline hit count (default 8).
 	PerPoint int
 	// MaxPlans caps the number of enumerated plans; 0 means no cap.
 	MaxPlans int
@@ -549,8 +549,11 @@ func enumerateDepth2(opts *Options, hits map[fault.Point]int64) []fault.Plan {
 	return plans
 }
 
-// sampleHits picks up to per hit indexes in [1, total], always
-// including the first and last, spread evenly.
+// sampleHits picks up to per hit indexes in [1, total]: the first hit,
+// then one every total/per hits. The last sample sits a step below the
+// baseline count, which a plan's own run misses whenever it takes fewer
+// checkpoints or page flushes than the baseline did. A total of at most
+// per samples every hit.
 func sampleHits(total int64, per int) []int64 {
 	if total <= int64(per) {
 		out := make([]int64, 0, total)
@@ -560,13 +563,8 @@ func sampleHits(total int64, per int) []int64 {
 		return out
 	}
 	out := make([]int64, 0, per)
-	seen := make(map[int64]bool, per)
 	for i := 0; i < per; i++ {
-		h := 1 + (int64(i)*(total-1))/int64(per-1)
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
+		out = append(out, 1+int64(i)*total/int64(per))
 	}
 	return out
 }

@@ -17,7 +17,7 @@ func TestSweepShort(t *testing.T) {
 	opts := Options{Seed: 1, Ops: 120, PerPoint: 6, Logf: t.Logf}
 	wantCrashes := 50
 	if testing.Short() {
-		opts.Ops = 60
+		opts.Ops = 80
 		opts.PerPoint = 2
 		wantCrashes = 15
 	}
@@ -156,20 +156,27 @@ func TestRunPlansLedger(t *testing.T) {
 	}
 }
 
-// TestSampleHits checks the hit-sampling shape: bounds respected, first
-// and last hits always included.
+// TestSampleHits checks the hit-sampling shape: bounds respected, the
+// first hit always included, and a baseline with more hits than samples
+// sampled at a fixed step that stops a step short of its last hit.
 func TestSampleHits(t *testing.T) {
 	got := sampleHits(3, 8)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
+	if !reflect.DeepEqual(got, []int64{1, 2, 3}) {
 		t.Fatalf("sampleHits(3, 8) = %v", got)
 	}
 	got = sampleHits(1000, 5)
-	if len(got) != 5 || got[0] != 1 || got[len(got)-1] != 1000 {
+	if !reflect.DeepEqual(got, []int64{1, 201, 401, 601, 801}) {
 		t.Fatalf("sampleHits(1000, 5) = %v", got)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("sampleHits not strictly increasing: %v", got)
+	for _, c := range []struct{ total, per int64 }{{9, 8}, {43, 2}, {48, 2}, {452, 6}, {7, 6}} {
+		got := sampleHits(c.total, int(c.per))
+		if int64(len(got)) != c.per || got[0] != 1 || got[len(got)-1] > c.total-c.total/c.per+1 {
+			t.Fatalf("sampleHits(%d, %d) = %v", c.total, c.per, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("sampleHits(%d, %d) not strictly increasing: %v", c.total, c.per, got)
+			}
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // time-to-fully-recovered by a wide margin on skewed workloads).
 //
 // The tracker lives on the hot path of mm.Store.Partition. Each
-// partition's count is created once and kept for the tracker's life
-// (Forget zeroes it, never deletes it), so the store holds a resident
-// partition's count on the partition itself: a resident resolve is one
+// partition's count is created once and kept until the partition is
+// dropped (Forget zeroes it, only Drop deletes it), so the store holds a
+// resident partition's count on the partition itself: a resident resolve is one
 // atomic add on that count plus Tick, which drives the touch metric and
 // the persist cadence. Only a miss looks the count up by address
 // (Count, Touch). Counts only grow, so the ranking is by all-time
@@ -61,9 +61,8 @@ type Tracker struct {
 	snap         *Snapshot
 	persistEvery int64
 
-	// mu guards counts: one per partition ever counted, never removed,
-	// so a count handed out by Count stays the partition's for the
-	// tracker's life.
+	// mu guards counts: one per partition counted and not dropped, so a
+	// count handed out by Count stays the partition's until Drop.
 	mu     sync.RWMutex
 	counts map[addr.PartitionID]*atomic.Int64
 
@@ -172,8 +171,8 @@ func (t *Tracker) Touch(pid addr.PartitionID) {
 }
 
 // Count returns the partition's access count, creating it at zero. The
-// same count is returned for as long as the tracker lives, so a caller
-// may keep it and add to it directly, then call Tick. Nil-safe: a nil
+// same count is returned until the partition is dropped, so a caller may
+// keep it and add to it directly, then call Tick. Nil-safe: a nil
 // tracker returns nil.
 func (t *Tracker) Count(pid addr.PartitionID) *atomic.Int64 {
 	if t == nil {
@@ -211,8 +210,8 @@ func (t *Tracker) Tick() {
 	}
 }
 
-// Forget resets a partition's heat to zero (segment/partition freed).
-// Nil-safe.
+// Forget resets a partition's heat to zero; the partition keeps its
+// count. Nil-safe.
 func (t *Tracker) Forget(pid addr.PartitionID) {
 	if t == nil {
 		return
@@ -222,6 +221,30 @@ func (t *Tracker) Forget(pid addr.PartitionID) {
 		c.Store(0)
 	}
 	t.mu.Unlock()
+}
+
+// Drop deletes a dropped partition's count, so neither the ranking, its
+// sort nor a later persist carries it. Call it once nothing holds the
+// count: the store has let the partition go (mm.Store.DropSegment). A
+// later Count of the address starts a new count at zero. Nil-safe.
+func (t *Tracker) Drop(pid addr.PartitionID) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	delete(t.counts, pid)
+	t.TrackedParts.Set(int64(len(t.counts)))
+	t.mu.Unlock()
+}
+
+// Tracked returns how many partitions have a count. Nil-safe.
+func (t *Tracker) Tracked() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.counts)
 }
 
 // Weight returns the partition's current heat. Nil-safe.

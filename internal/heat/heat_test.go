@@ -90,6 +90,48 @@ func TestSnapshotSurvivesReattach(t *testing.T) {
 	}
 }
 
+// TestDropDeletesTheCount: Forget zeroes a count and keeps it, Drop
+// deletes it, so the tracked set, the ranking and the next generation's
+// seed no longer hold the partition, and a later Count starts afresh.
+func TestDropDeletesTheCount(t *testing.T) {
+	mem := newMem(t)
+	tr, _, _, err := Attach(mem, 4<<10, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for part := uint32(0); part < 4; part++ {
+		for i := uint32(0); i <= part; i++ {
+			tr.Touch(pid(2, part))
+		}
+	}
+	kept := tr.Count(pid(2, 3))
+	tr.Forget(pid(2, 3))
+	tr.Drop(pid(2, 1))
+	tr.Drop(pid(2, 2))
+	tr.Drop(pid(9, 9)) // never counted
+	if n := tr.Tracked(); n != 2 {
+		t.Fatalf("Tracked() = %d after dropping two of four, want 2", n)
+	}
+	if r := tr.Ranking(); len(r) != 1 || r[0] != (PartHeat{PID: pid(2, 0), Weight: 1}) {
+		t.Fatalf("ranking %v, want only P(2.0) w=1", r)
+	}
+	if tr.Count(pid(2, 3)) != kept {
+		t.Fatal("Forget replaced the count instead of zeroing it")
+	}
+	if c := tr.Count(pid(2, 1)); c.Load() != 0 || tr.Tracked() != 3 {
+		t.Fatalf("a dropped partition counted again starts at %d with %d tracked, want 0 and 3", c.Load(), tr.Tracked())
+	}
+	tr.Drop(pid(2, 1))
+	tr.Persist()
+	tr2, recovered, _, err := Attach(mem, 4<<10, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].PID != pid(2, 0) || tr2.Tracked() != 1 {
+		t.Fatalf("after re-attach: recovered %v, %d tracked; want only P(2.0)", recovered, tr2.Tracked())
+	}
+}
+
 func TestTornPersistKeepsPriorGeneration(t *testing.T) {
 	mem := newMem(t)
 	snap, err := NewSnapshot(mem, 4<<10)

@@ -85,23 +85,15 @@ const (
 const nodeHeaderSize = 8 + 2
 
 // nodeImage returns the image of a node linked to next and holding pairs,
-// flat (hash, entry) words.
+// flat (hash, entry) words. It is the only writer of the node layout.
 func nodeImage(next addr.EntityAddr, pairs []uint64, order int) []byte {
-	buf := make([]byte, nodeHeaderSize+16*order)
+	buf := make([]byte, nodeHeaderSize+16*max(order, len(pairs)/2))
 	binary.LittleEndian.PutUint64(buf[0:], next.Pack())
 	binary.LittleEndian.PutUint16(buf[8:], uint16(len(pairs)/2))
 	for i, w := range pairs {
 		binary.LittleEndian.PutUint64(buf[nodeHeaderSize+8*i:], w)
 	}
 	return buf
-}
-
-// copyNode returns a writable image of the lent node raw, which holds
-// count entries, sized for order.
-func copyNode(raw []byte, count, order int) []byte {
-	img := make([]byte, nodeHeaderSize+16*max(order, count))
-	copy(img, raw[:nodeHeaderSize+16*count])
-	return img
 }
 
 // checkNode validates node bytes and returns the entry count: the bounds
@@ -121,39 +113,26 @@ func checkNode(buf []byte) (int, error) {
 // allocating; a node of a larger order is copied to the heap.
 const stackPairs = 64
 
-// lendNode borrows the chain node at a and checks it, returning its
-// bytes and entry count; on error nothing is held.
-func (t *Table) lendNode(a addr.EntityAddr) (raw []byte, count int, held sync.Locker, err error) {
-	raw, held, err = t.src.Lend(a)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if count, err = checkNode(raw); err != nil {
-		held.Unlock()
-		return nil, 0, nil, err
-	}
-	return raw, count, held, nil
-}
-
-// nextOf returns the successor of the node raw.
-func nextOf(raw []byte) addr.EntityAddr { return addr.Unpack(binary.LittleEndian.Uint64(raw[0:])) }
-
 // readPairs borrows the chain node at a and returns its successor and
 // its (hash, entry) pairs, flat, copied into buf when they fit — so the
 // caller hashes, matches and reports with nothing latched.
 func (t *Table) readPairs(a addr.EntityAddr, buf *[2 * stackPairs]uint64) (next addr.EntityAddr, pairs []uint64, err error) {
-	raw, count, held, err := t.lendNode(a)
+	raw, held, err := t.src.Lend(a)
 	if err != nil {
 		return addr.Nil, nil, err
 	}
 	defer held.Unlock()
+	count, err := checkNode(raw)
+	if err != nil {
+		return addr.Nil, nil, err
+	}
 	if pairs = buf[:0]; 2*count > len(buf) {
 		pairs = make([]uint64, 0, 2*count)
 	}
 	for i := 0; i < 2*count; i++ {
 		pairs = append(pairs, binary.LittleEndian.Uint64(raw[nodeHeaderSize+8*i:]))
 	}
-	return nextOf(raw), pairs, nil
+	return addr.Unpack(binary.LittleEndian.Uint64(raw[0:])), pairs, nil
 }
 
 // header layout: level(4) next(4) count(8) order(2) nbuckets(4)
@@ -489,31 +468,23 @@ func (t *Table) Insert(e uint64) error {
 }
 
 // insertInto places (hv, e) into bucket b: the first chain node with
-// room, else a new node at the chain head. The walk borrows each node
-// for its count and successor; the node it writes is copied from the
-// lent bytes, none is unmarshalled.
+// room, else a new node at the chain head.
 func (m *edit) insertInto(b uint32, hv, e uint64) error {
 	head, err := m.head(b)
 	if err != nil {
 		return err
 	}
 	order := m.h.order
+	var buf [2 * stackPairs]uint64
 	for a := head; !a.IsNil(); {
-		raw, count, held, err := m.t.lendNode(a)
+		next, ps, err := m.t.readPairs(a, &buf)
 		if err != nil {
 			return err
 		}
-		if count >= order {
-			a = nextOf(raw)
-			held.Unlock()
-			continue
+		if len(ps) < 2*order {
+			return m.t.pager.Update(a, nodeImage(next, append(ps, hv, e), order))
 		}
-		img := copyNode(raw, count, order)
-		held.Unlock()
-		binary.LittleEndian.PutUint64(img[nodeHeaderSize+16*count:], hv)
-		binary.LittleEndian.PutUint64(img[nodeHeaderSize+16*count+8:], e)
-		binary.LittleEndian.PutUint16(img[8:], uint16(count+1))
-		return m.t.pager.Update(a, img)
+		a = next
 	}
 	na, err := m.t.pager.Insert(nodeImage(head, []uint64{hv, e}, order))
 	if err != nil {
@@ -609,9 +580,8 @@ func (m *edit) build(pairs []uint64, reuse []addr.EntityAddr) (head addr.EntityA
 	return head, reuse[len(mine):], nil
 }
 
-// Delete removes entry e; ErrNotFound if absent. The walk borrows each
-// node; the one that held e is rewritten from the lent bytes, or, left
-// empty, unlinked and freed.
+// Delete removes entry e; ErrNotFound if absent. The node that held e
+// is rewritten without it, or, left empty, unlinked and freed.
 func (t *Table) Delete(e uint64) error {
 	m, err := t.begin()
 	if err != nil {
@@ -626,31 +596,24 @@ func (t *Table) Delete(e uint64) error {
 	if err != nil {
 		return err
 	}
+	var buf [2 * stackPairs]uint64
 	prev := addr.Nil
 	for a := head; !a.IsNil(); {
-		raw, count, held, err := t.lendNode(a)
+		next, ps, err := t.readPairs(a, &buf)
 		if err != nil {
 			return err
 		}
-		next, i := nextOf(raw), 0
-		for i < count && binary.LittleEndian.Uint64(raw[nodeHeaderSize+16*i+8:]) != e {
-			i++
+		i := 1
+		for i < len(ps) && ps[i] != e {
+			i += 2
 		}
-		if i == count {
-			held.Unlock()
+		if i >= len(ps) {
 			prev, a = a, next
 			continue
 		}
-		if count > 1 {
-			img := copyNode(raw, count, m.h.order)
-			held.Unlock()
-			end := nodeHeaderSize + 16*count
-			copy(img[nodeHeaderSize+16*i:], img[nodeHeaderSize+16*(i+1):end])
-			clear(img[end-16 : end])
-			binary.LittleEndian.PutUint16(img[8:], uint16(count-1))
-			err = t.pager.Update(a, img)
+		if len(ps) > 2 {
+			err = t.pager.Update(a, nodeImage(next, slices.Delete(ps, i-1, i+1), m.h.order))
 		} else {
-			held.Unlock()
 			err = m.unlink(b, prev, a, next)
 		}
 		if err != nil {
@@ -668,14 +631,12 @@ func (m *edit) unlink(b uint32, prev, a, next addr.EntityAddr) error {
 	if prev.IsNil() {
 		m.setHead(b, next)
 	} else {
-		raw, count, held, err := m.t.lendNode(prev)
+		var buf [2 * stackPairs]uint64
+		_, ps, err := m.t.readPairs(prev, &buf)
 		if err != nil {
 			return err
 		}
-		img := copyNode(raw, count, m.h.order)
-		held.Unlock()
-		binary.LittleEndian.PutUint64(img[0:], next.Pack())
-		if err := m.t.pager.Update(prev, img); err != nil {
+		if err := m.t.pager.Update(prev, nodeImage(next, ps, m.h.order)); err != nil {
 			return err
 		}
 	}

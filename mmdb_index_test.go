@@ -471,9 +471,10 @@ func TestAbortedSplitRestoresHashIndex(t *testing.T) {
 	}
 }
 
-// TestDroppedPartitionsLeaveTheHeatRanking: dropping a relation forgets
-// its partitions' heat, so neither the live ranking nor, after a crash,
-// the recovered one and the new generation's ranking list them.
+// TestDroppedPartitionsLeaveTheHeatRanking: dropping a relation deletes
+// its partitions' heat counts, so neither the live ranking nor, after a
+// crash, the recovered one and the new generation's ranking list them,
+// and the tracked count does not grow with create-and-drop rounds.
 func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeatSnapshotBytes = 16 << 10
@@ -522,8 +523,37 @@ func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
 	if gone, kept := dead(db.mgr.Heat().Ranking()); gone != 0 || kept == 0 {
 		t.Fatalf("after the drop the ranking lists %d dropped and %d kept partitions", gone, kept)
 	}
+	tracked := db.mgr.Heat().Tracked()
+	for round := 0; round < 5; round++ {
+		rel, err := db.CreateRelation("gone", acctSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateIndex(rel, "gone_id", "id", KindLinHash, 4); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			tx := db.Begin()
+			if _, err := tx.Insert(rel, heap.Tuple{int64(i), 1.0, "heat"}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+		if db.mgr.Heat().Tracked() <= tracked {
+			t.Fatal("the recreated relation has no heat counts: the round shows nothing")
+		}
+		if err := db.DropRelation("gone"); err != nil {
+			t.Fatal(err)
+		}
+		if n := db.mgr.Heat().Tracked(); n != tracked {
+			t.Fatalf("round %d: %d partitions tracked after the drop, %d after the first", round, n, tracked)
+		}
+	}
 	db2 := crashAndRecover(t, db, cfg)
 	defer db2.Close()
+	if n := db2.mgr.Heat().Tracked(); n > tracked {
+		t.Fatalf("after the crash %d partitions are tracked, %d before it", n, tracked)
+	}
 	for what, ranked := range map[string][]heat.PartHeat{
 		"recovered": db2.mgr.RecoveredHeat(),
 		"live":      db2.mgr.Heat().Ranking(),
