@@ -532,7 +532,14 @@ func TestManyPartitionsRandomizedCrashRecovery(t *testing.T) {
 				if _, ok := model[a]; !ok {
 					continue
 				}
+				// The relation lock, as the facade takes it: Commit
+				// applies the delete after the commit point and only then
+				// releases it, so a checkpoint's S lock cannot image the
+				// partition in between and fence off the delete record.
 				tt := h.m.Txns.Begin()
+				if err := tt.LockRelation(1, lock.IX); err != nil {
+					t.Fatal(err)
+				}
 				if err := tt.DeleteEntity(a); err != nil {
 					t.Fatal(err)
 				}

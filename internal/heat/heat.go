@@ -8,10 +8,10 @@
 // The tracker lives on the hot path of mm.Store.Partition. Each
 // partition's count is created once and kept until the partition is
 // dropped (Forget zeroes it, only Drop deletes it), so the store holds a
-// resident partition's count on the partition itself: a resident resolve is one
+// resident partition's count on the partition itself, looked up by
+// address (Count) when the partition is installed: a resolve is one
 // atomic add on that count plus Tick, which drives the touch metric and
-// the persist cadence. Only a miss looks the count up by address
-// (Count, Touch). Counts only grow, so the ranking is by all-time
+// the persist cadence. Counts only grow, so the ranking is by all-time
 // totals since the partition was last forgotten; nothing in the
 // tracker reads the clock.
 //

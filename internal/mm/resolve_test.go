@@ -3,6 +3,7 @@ package mm
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -173,6 +174,34 @@ func TestResolveSeesInstallAndEvict(t *testing.T) {
 	wg.Wait()
 	if msg := bad.Load(); msg != nil {
 		t.Fatal(msg)
+	}
+}
+
+// TestFailedDemandLeavesNoCount: a demand for a partition that is gone
+// (its segment dropped, and nothing to resolve it from) counts nothing,
+// so it does not give the tracker back a count Drop deleted.
+func TestFailedDemandLeavesNoCount(t *testing.T) {
+	st := NewStore(256)
+	tr := newTracker(t)
+	st.SetHeat(tr)
+	seg := st.CreateSegment()
+	p, err := st.AllocPartition(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := p.ID()
+	st.DropSegment(seg)
+	tr.Drop(pid)
+	if _, err := st.Partition(pid); !errors.Is(err, ErrNotResident) {
+		t.Fatalf("demand with no resolver: err %v, want ErrNotResident", err)
+	}
+	gone := errors.New("no such partition")
+	st.SetResolve(func(addr.PartitionID) (*Partition, error) { return nil, gone })
+	if _, err := st.Partition(pid); !errors.Is(err, gone) {
+		t.Fatalf("demand with a failing resolver: err %v", err)
+	}
+	if n := tr.Tracked(); n != 0 {
+		t.Fatalf("%d partitions tracked after failed demands, want 0", n)
 	}
 }
 

@@ -468,27 +468,30 @@ func (st *Store) Resident(id addr.PartitionID) bool {
 // Partition returns the partition, triggering on-demand recovery through
 // the resolve hook if it is not resident. Concurrent demanders of the
 // same partition coalesce into one recovery transaction (§2.5); distinct
-// partitions recover in parallel. Every call counts one access to the
-// heat sink. A resident partition is found in the published table and
-// counted on its own counter, with no lock taken.
+// partitions recover in parallel. Every call that returns a partition
+// counts one access to the heat sink, on the partition's own counter; a
+// demand that finds none (a partition dropped under a late checkpoint,
+// say) gives its address no count back. A resident partition is found
+// in the published table, with no lock taken.
 func (st *Store) Partition(id addr.PartitionID) (*Partition, error) {
-	if p := st.residentPart(id); p != nil {
-		if h := p.heat.Load(); h != nil {
-			h.hit()
+	p := st.residentPart(id)
+	if p == nil {
+		var err error
+		if p, err = st.miss(id); err != nil {
+			return nil, err
 		}
-		return p, nil
 	}
-	return st.miss(id)
+	if h := p.heat.Load(); h != nil {
+		h.hit()
+	}
+	return p, nil
 }
 
 // miss is Partition for a partition that was not resident.
 func (st *Store) miss(id addr.PartitionID) (*Partition, error) {
 	st.mu.RLock()
-	resolve, heat := st.resolve, st.heat
+	resolve := st.resolve
 	st.mu.RUnlock()
-	if h := newHeatRef(heat, id); h != nil {
-		h.hit()
-	}
 	if resolve == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotResident, id)
 	}

@@ -474,7 +474,8 @@ func TestAbortedSplitRestoresHashIndex(t *testing.T) {
 // TestDroppedPartitionsLeaveTheHeatRanking: dropping a relation deletes
 // its partitions' heat counts, so neither the live ranking nor, after a
 // crash, the recovered one and the new generation's ranking list them,
-// and the tracked count does not grow with create-and-drop rounds.
+// and over create-and-drop rounds the tracker counts no partition
+// beyond the database's own.
 func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeatSnapshotBytes = 16 << 10
@@ -523,7 +524,18 @@ func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
 	if gone, kept := dead(db.mgr.Heat().Ranking()); gone != 0 || kept == 0 {
 		t.Fatalf("after the drop the ranking lists %d dropped and %d kept partitions", gone, kept)
 	}
-	tracked := db.mgr.Heat().Tracked()
+	// Every partition of a database that never crashed is resident and
+	// counted; a dropped one must not be.
+	overCount := func(db *DB) (tracked, live int) {
+		parts, err := db.allPartitions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.mgr.Heat().Tracked(), len(parts)
+	}
+	if n, live := overCount(db); n != live {
+		t.Fatalf("after the drop %d partitions are tracked, the database has %d", n, live)
+	}
 	for round := 0; round < 5; round++ {
 		rel, err := db.CreateRelation("gone", acctSchema)
 		if err != nil {
@@ -539,20 +551,19 @@ func TestDroppedPartitionsLeaveTheHeatRanking(t *testing.T) {
 			}
 			mustCommit(t, tx)
 		}
-		if db.mgr.Heat().Tracked() <= tracked {
-			t.Fatal("the recreated relation has no heat counts: the round shows nothing")
-		}
+		before, _ := overCount(db)
 		if err := db.DropRelation("gone"); err != nil {
 			t.Fatal(err)
 		}
-		if n := db.mgr.Heat().Tracked(); n != tracked {
-			t.Fatalf("round %d: %d partitions tracked after the drop, %d after the first", round, n, tracked)
+		n, live := overCount(db)
+		if n != live || n >= before {
+			t.Fatalf("round %d: %d partitions tracked before the drop, %d after it, the database has %d", round, before, n, live)
 		}
 	}
 	db2 := crashAndRecover(t, db, cfg)
 	defer db2.Close()
-	if n := db2.mgr.Heat().Tracked(); n > tracked {
-		t.Fatalf("after the crash %d partitions are tracked, %d before it", n, tracked)
+	if n, live := overCount(db2); n > live {
+		t.Fatalf("after the crash %d partitions are tracked, the database has %d", n, live)
 	}
 	for what, ranked := range map[string][]heat.PartHeat{
 		"recovered": db2.mgr.RecoveredHeat(),
