@@ -272,7 +272,6 @@ type ServerSideStats struct {
 	Requests         int64   `json:"requests"`
 	CrashCycles      int64   `json:"crash_recover_cycles"`
 	CommitP99us      float64 `json:"commit_p99_us"`
-	GroupWaitP99us   float64 `json:"group_commit_wait_p99_us"`
 	SLBWriteP99us    float64 `json:"slb_record_write_p99_us"`
 	DebitCreditP99us float64 `json:"debit_credit_exec_p99_us"`
 	TTP99RestoredUS  int64   `json:"ttp99_restored_us,omitempty"`
@@ -515,7 +514,6 @@ func scrapeServer(c *client.Conn) *ServerSideStats {
 		Requests:         snap.Subsystem("server").Counter("requests"),
 		CrashCycles:      snap.Subsystem("server").Counter("crash_recover_cycles"),
 		CommitP99us:      histP99("txn", "commit_latency"),
-		GroupWaitP99us:   histP99("txn", "group_commit_wait"),
 		SLBWriteP99us:    histP99("slb", "record_write"),
 		DebitCreditP99us: histP99("server", "latency_debit-credit"),
 		TTP99RestoredUS:  gauge("restart", "ttp99_restored") / 1e3,
@@ -545,8 +543,8 @@ func printReport(r *Report) {
 			q.P50us, q.P95us, q.P99us, q.Maxus, q.N)
 	}
 	if s := r.Server; s != nil {
-		fmt.Printf("server side        commit p99 %.0fus  group-wait p99 %.0fus  slb-write p99 %.0fus  exec p99 %.0fus\n",
-			s.CommitP99us, s.GroupWaitP99us, s.SLBWriteP99us, s.DebitCreditP99us)
+		fmt.Printf("server side        commit p99 %.0fus  slb-write p99 %.0fus  exec p99 %.0fus\n",
+			s.CommitP99us, s.SLBWriteP99us, s.DebitCreditP99us)
 		if s.TTP99RestoredUS > 0 {
 			fmt.Printf("server restart     ttp99-restored %dus (%d crash cycles)\n", s.TTP99RestoredUS, s.CrashCycles)
 		}

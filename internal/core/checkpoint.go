@@ -145,7 +145,7 @@ func (m *Manager) serveCheckpoints() {
 //
 //  1. read lock the partition's relation — a single relation read lock
 //     suffices for a transaction-consistent partition;
-//  2. drain barrier: sort every sealed chain and fence the bin, under
+//  2. drain barrier: sort every committed chain and fence the bin, under
 //     sortMu;
 //  3. copy the partition at memory speed;
 //  4. allocate a free checkpoint disk location (never overwriting the
@@ -181,7 +181,7 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 		return err
 	}
 	// The drain barrier: with the read lock held every writer of the
-	// partition has committed, so sorting the sealed chains puts all of
+	// partition has committed, so sorting the committed chains puts all of
 	// their records in the bin, and the fence marks them as the prefix
 	// the new image supersedes. sortMu spans both.
 	m.sortMu.Lock()
@@ -216,8 +216,7 @@ func (m *Manager) runCheckpoint(pid addr.PartitionID, trig ckptTrigger) error {
 	// instead (strict 2PL), so writers of the relation also wait for
 	// what follows: the catalog install, which takes the catalog's IX
 	// lock and the owner descriptor's X lock, the image write and its
-	// verify, the root write for a catalog partition, and the
-	// group-commit wait.
+	// verify, and the root write for a catalog partition.
 
 	track, err = m.dmap.alloc()
 	if err != nil {

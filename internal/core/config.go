@@ -1,6 +1,6 @@
 // Package core implements the paper's recovery component: the Stable
-// Log Buffer — sharded into per-core log streams with epoch-based
-// group commit (see slb.go) — and the Stable Log Tail in stable
+// Log Buffer — sharded into per-core log streams that one commit
+// sequence orders (see slb.go) — and the Stable Log Tail in stable
 // reliable memory, the recovery-CPU loop that merge-sorts committed
 // log records from the streams into partition bins and flushes bin
 // pages to the duplexed log disks, update-count and age (log-window)
@@ -38,11 +38,11 @@ type Config struct {
 	// GOMAXPROCS. It sizes a new buffer only: a buffer surviving a
 	// crash keeps the stream count it was made with, empty or not.
 	LogStreams int
-	// GroupCommitInterval must be 0; New rejects any other value. A seal
-	// leader closes the open epoch as soon as no other seal is in
-	// flight, so batching emerges under concurrency and an uncontended
-	// commit stays at stable-memory latency. The field remains only
-	// because the benchmark harness sets it.
+	// GroupCommitInterval must be 0; New rejects any other value.
+	// Commit has no group: a transaction commits when its chain joins
+	// its stream's committed list, one store into stable memory with no
+	// flush to amortise. The field remains only because the benchmark
+	// harness sets it.
 	GroupCommitInterval time.Duration
 	// UpdateThreshold is N_update: log records a partition may
 	// accumulate before a checkpoint is triggered by update count.

@@ -133,7 +133,7 @@ func TestLazyCutOnDemand(t *testing.T) {
 
 func TestLazyCutOnResort(t *testing.T) {
 	h, a := sortedEntity(t)
-	h.update(a, []byte("v2")) // sealed, never sorted: Restart re-sorts it
+	h.update(a, []byte("v2")) // committed, never sorted: Restart re-sorts it
 	h.powerOff()
 	b := h.stableBin(a.Partition())
 	h.tear(b, a)

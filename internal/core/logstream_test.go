@@ -13,111 +13,250 @@ import (
 	"mmdb/internal/lock"
 	"mmdb/internal/mm"
 	"mmdb/internal/simdisk"
+	"mmdb/internal/txn"
 	"mmdb/internal/wal"
 )
 
-// TestEpochBoundaryCrashRollsBackWholeEpoch crashes the machine between
-// two streams' seals of the same epoch: the epoch is sealed on a strict
-// prefix of the streams but never published, so the transaction — whose
-// Commit returned an error, never an acknowledgement — must be rolled
-// back whole at restart, and the previously sealed epoch must survive.
+// stampWorkload allocates one partition of segment 2 per worker and
+// runs the workers at once with the sorter going: worker w commits
+// txnsPer transactions, each overwriting slot 0 of its partition with
+// "w<w>-txn<k>", and stops at its first failed commit. It returns each
+// worker's last acknowledged k, -1 when none was, and fails the test if
+// a committer has not returned within a minute.
+func stampWorkload(t *testing.T, h *harness, workers, txnsPer int) []int {
+	t.Helper()
+	h.store.EnsureSegment(2)
+	for w := 0; w < workers; w++ {
+		if _, err := h.store.AllocPartitionAt(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		last[w] = -1
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < txnsPer; k++ {
+				recs := []wal.Record{{
+					Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)},
+					Data: []byte(fmt.Sprintf("w%d-txn%02d", w, k)),
+				}}
+				// Worker-affine txn IDs spread workers across streams.
+				if err := h.m.InjectCommitted(uint64(w+workers*k+1), recs); err != nil {
+					if !fault.IsCrash(err) {
+						t.Errorf("worker %d txn %d: %v", w, k, err)
+					}
+					return
+				}
+				last[w] = k
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("a committer has not returned")
+	}
+	return last
+}
+
+// TestCrashAtEveryStampKeepsAcknowledgedCommits crashes the machine at
+// each "slb.stamp" hit of a concurrent workload, at 1 and 4 log
+// streams: between a commit taking its number and listing its chain,
+// while other committers and the sorter run. Every committer returns.
+// After restart each worker's slot holds its last acknowledged value:
+// no acknowledged commit is lost, and the commit whose stamp crashed,
+// like every later one, never surfaces. The gap the crash leaves in the
+// sequence holds up neither the sorter nor restart's merge.
+func TestCrashAtEveryStampKeepsAcknowledgedCommits(t *testing.T) {
+	const workers, txnsPer = 4, 4
+	for _, streams := range []int{1, 4} {
+		for hit := 1; hit <= workers*txnsPer; hit++ {
+			cfg := testCfg()
+			cfg.LogStreams = streams
+			cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+				{Point: fault.PointSLBStamp, Hit: hit, Act: fault.ActCrashBefore, Torn: -1},
+			}})
+			h := newHarness(t, cfg)
+			h.start()
+			last := stampWorkload(t, h, workers, txnsPer)
+			if !cfg.FaultInjector.Crashed() {
+				t.Fatalf("streams=%d: slb.stamp@%d never fired", streams, hit)
+			}
+			h.crash()
+			for w, k := range last {
+				p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}, simdisk.NilTrack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.Read(0)
+				switch {
+				case k < 0 && err == nil:
+					t.Fatalf("streams=%d hit=%d: worker %d had no commit acknowledged, slot holds %q", streams, hit, w, got)
+				case k >= 0 && string(got) != fmt.Sprintf("w%d-txn%02d", w, k):
+					t.Fatalf("streams=%d hit=%d: worker %d's slot = %q (%v), want its last acknowledged txn %d",
+						streams, hit, w, got, err, k)
+				}
+			}
+			h.m.Stop()
+		}
+	}
+}
+
+// TestEpochBoundaryCrashRollsBackWholeEpoch crashes the machine at the
+// boundary one commit number draws, between a transaction taking its
+// number and listing its chain, at 4 log streams. The transaction, whose
+// Commit returned a crash error and never an acknowledgement, is rolled
+// back whole at restart: neither of its two updates surfaces, and the
+// transaction acknowledged before it survives. Its number stays taken:
+// the sequence survives the crash, the next commit takes a larger
+// number, and the gap holds up neither restart's merge nor the sorter.
 func TestEpochBoundaryCrashRollsBackWholeEpoch(t *testing.T) {
 	cfg := testCfg()
 	cfg.LogStreams = 4
-	// Each seal touches 4 streams, one "slb.seal" hit per stream. The
-	// first commit seals epoch 1 (hits 1–4); the second commit's seal of
-	// epoch 2 crashes at hit 6 — after stream 0's stamp, before stream
-	// 1's — the exact half-sealed window group commit must tolerate.
+	// The manager is not started, so the test's commits are the only
+	// stamps: the insert is hit 1, the update's stamp (hit 2) crashes.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
-		{Point: fault.PointSLBSeal, Hit: 6, Act: fault.ActCrashBefore, Torn: -1},
+		{Point: fault.PointSLBStamp, Hit: 2, Act: fault.ActCrashBefore, Torn: -1},
 	}})
 	h := newHarness(t, cfg)
-	h.start()
-	defer h.m.Stop()
-
 	seg := h.seg()
-	a := h.insert(seg, []byte("sealed-and-durable"))
-	h.m.WaitIdle()
-
 	tx := h.m.Txns.Begin()
-	if err := tx.UpdateEntity(a, false, []byte("never-acknowledged!")); err != nil {
+	var ents [2]addr.EntityAddr
+	for i := range ents {
+		a, err := tx.InsertEntity(seg, false, []byte(fmt.Sprintf("acknowledged-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents[i] = a
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	err := tx.Commit()
-	if !fault.IsCrash(err) {
-		t.Fatalf("commit during half-sealed epoch: err = %v, want crash", err)
+
+	tx = h.m.Txns.Begin()
+	for i, a := range ents {
+		if err := tx.UpdateEntity(a, false, []byte(fmt.Sprintf("never-acknowledged-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := tx.Commit(); !fault.IsCrash(err) {
+		t.Fatalf("commit whose stamp crashed: err = %v, want crash", err)
+	}
+	crashed := h.m.slb.st.seq.Load()
 
 	h.crash()
 	defer h.m.Stop()
-	if rb := h.m.Metrics().EpochRollbacks.Value(); rb < 1 {
-		t.Fatalf("EpochRollbacks = %d, want >= 1", rb)
+	if s := h.m.slb.st.seq.Load(); s != crashed {
+		t.Fatalf("commit sequence %d after restart, want the %d it reached before the crash", s, crashed)
 	}
 	rtx := h.m.Txns.Begin()
-	defer rtx.Abort()
-	got, err := rtx.ReadEntity(a)
+	for i, a := range ents {
+		got, err := rtx.ReadEntity(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("acknowledged-%d", i); string(got) != want {
+			t.Fatalf("after restart entity %d = %q, want the acknowledged %q", i, got, want)
+		}
+	}
+	rtx.Abort()
+
+	h.update(ents[0], []byte("after-restart"))
+	if s := h.m.slb.st.seq.Load(); s != crashed+1 {
+		t.Fatalf("the first commit after restart left the sequence at %d, want %d", s, crashed+1)
+	}
+	h.idleWith("the sorter draining past the gap", func() bool { return !h.m.slb.busy() })
+}
+
+// beginSlotChain opens txnID's chain with one record writing data into
+// slot 0 of segment 2's partition part, allocating that partition.
+func beginSlotChain(t *testing.T, h *harness, txnID uint64, part int, data string) txn.RedoChain {
+	t.Helper()
+	pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}
+	h.store.EnsureSegment(2)
+	if _, err := h.store.AllocPartitionAt(pid); err != nil {
+		t.Fatal(err)
+	}
+	c := h.m.slb.BeginTxn(txnID)
+	rec := wal.Record{Tag: wal.TagRelInsert, PID: pid, Txn: txnID, Data: []byte(data)}
+	if err := c.WriteRecord(&rec); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// commitBehindLatch commits every chain on its own goroutine while the
+// test holds the latch of stream held, so none can stamp; it runs then
+// (the crash to come) and releases the latch. It requires every Commit
+// to return a crash error within a minute.
+func commitBehindLatch(t *testing.T, h *harness, held int, chains []txn.RedoChain, then func()) {
+	t.Helper()
+	ls := h.m.slb.st.streams[held]
+	ls.mu.Lock()
+	errs := make(chan error, len(chains))
+	for _, c := range chains {
+		go func(c txn.RedoChain) { errs <- c.Commit() }(c)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	early := len(errs)
+	then()
+	ls.mu.Unlock()
+	if early != 0 {
+		t.Fatalf("%d commits returned while their stream's latch was held", early)
+	}
+	timeout := time.After(time.Minute)
+	for range chains {
+		select {
+		case err := <-errs:
+			if !fault.IsCrash(err) {
+				t.Fatalf("commit behind the crash returned %v, want a crash error", err)
+			}
+		case <-timeout:
+			t.Fatal("a committer has not returned")
+		}
+	}
+}
+
+// wantSlotEmpty fails the test if restart surfaced a write into slot 0
+// of segment 2's partition part.
+func wantSlotEmpty(t *testing.T, h *harness, part int) {
+	t.Helper()
+	p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(part)}, simdisk.NilTrack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte("sealed-and-durable")) {
-		t.Fatalf("after rollback entity = %q, want the epoch-1 value", got)
+	if got, err := p.Read(0); err == nil {
+		t.Fatalf("partition %d's slot holds %q from a commit never acknowledged", part, got)
 	}
 }
 
-// committedChains counts the chains on every stream's committed list,
-// and the distinct epochs they carry.
-func (h *harness) committedChains() (n int, epochs map[uint64]bool) {
-	epochs = map[uint64]bool{}
-	for _, ls := range h.m.slb.st.streams {
-		ls.mu.Lock()
-		for _, c := range ls.committed {
-			n++
-			epochs[c.epoch] = true
-		}
-		ls.mu.Unlock()
-	}
-	return n, epochs
-}
-
-// TestCrashFailsEveryCommitOfAnUnsealedEpoch: K committers stamp one
-// epoch while the test holds gcMu, so none can seal it; the machine then
-// crashes. Released, each committer becomes seal leader in turn and
-// fails, none acknowledged, and restart rolls the epoch back whole.
+// TestCrashFailsEveryCommitOfAnUnsealedEpoch: K committers wait on their
+// stream's latch, which the test holds, so none can take a number and
+// list its chain; the machine then crashes. Released, each takes its
+// number and fails at its stamp, none acknowledged. Nothing is listed,
+// and restart, which must not wait on the K-number gap, surfaces none.
 func TestCrashFailsEveryCommitOfAnUnsealedEpoch(t *testing.T) {
 	const k = 4
 	cfg := testCfg()
 	cfg.LogStreams = 2
 	h := newHarness(t, cfg)
-	sealed := h.m.slb.st.sealed.Load()
-	errs := make(chan error, k)
-	h.m.slb.gcMu.Lock()
-	for i := 0; i < k; i++ {
-		go func(txn uint64) {
-			errs <- h.m.InjectCommitted(txn, []wal.Record{{
-				Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: addr.Slot(txn), Data: []byte("parked"),
-			}})
-		}(uint64(i + 1))
+	chains := make([]txn.RedoChain, k)
+	for i := range chains {
+		chains[i] = beginSlotChain(t, h, uint64(2*i+1), i, "unlisted") // odd IDs: stream 1
 	}
-	// Yield until every chain is on a committed list; no seal can start
-	// while gcMu is held, so no commit may have returned.
-	for n, _ := h.committedChains(); n < k; n, _ = h.committedChains() {
-		runtime.Gosched()
+	commitBehindLatch(t, h, 1, chains, h.cfg.FaultInjector.ForceCrash)
+	if s := h.m.slb.st.seq.Load(); s != k {
+		t.Fatalf("commit sequence %d, want the %d numbers the failed commits took", s, k)
 	}
-	if n, epochs := h.committedChains(); n != k || len(epochs) != 1 || h.m.slb.st.sealed.Load() != sealed {
-		t.Fatalf("%d chains over epochs %v, sealed %d -> %d", n, epochs, sealed, h.m.slb.st.sealed.Load())
-	}
-	if len(errs) != 0 {
-		t.Fatalf("a commit returned before its epoch could seal: %v", <-errs)
-	}
-	h.cfg.FaultInjector.ForceCrash()
-	h.m.slb.gcMu.Unlock()
-	for i := 0; i < k; i++ {
-		if err := <-errs; !fault.IsCrash(err) {
-			t.Fatalf("commit of an unsealed epoch after the crash returned %v, want a crash error", err)
-		}
-	}
-	if s := h.m.slb.st.sealed.Load(); s != sealed {
-		t.Fatalf("sealed moved %d -> %d after the crash", sealed, s)
+	if h.m.slb.busy() {
+		t.Fatal("a chain was listed after the crash")
 	}
 	h.m.Stop()
 	h.cfg.FaultInjector.Reset()
@@ -126,57 +265,81 @@ func TestCrashFailsEveryCommitOfAnUnsealedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.m.Stop()
-	if rb := h.m.Metrics().EpochRollbacks.Value(); rb != k {
-		t.Fatalf("EpochRollbacks = %d, want %d", rb, k)
+	for i := range chains {
+		wantSlotEmpty(t, h, i)
 	}
 }
 
-// TestCrashMidSealWakesItsFollowers: the seal leader stops inside its
-// seal, on a stream latch the test holds, while the other committers
-// wait for that seal; the machine crashes before the leader goes on.
-// Its failed seal must still wake them, and each then fails a seal of
-// its own: no commit hangs and none is acknowledged.
+// TestCrashMidSealWakesItsFollowers: committers queue on one stream's
+// latch, which the test holds, and the first to take it crashes at its
+// stamp. That failed commit must release the latch and so wake the
+// others: each then fails at its own stamp, no commit hangs and none is
+// acknowledged. A commit acknowledged on another stream before the
+// crash survives restart.
 func TestCrashMidSealWakesItsFollowers(t *testing.T) {
 	cfg := testCfg()
 	cfg.LogStreams = 3
+	// The manager is not started, so the test's commits are the only
+	// stamps: txn 3's is hit 1, the first queued committer's is hit 2.
+	cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+		{Point: fault.PointSLBStamp, Hit: 2, Act: fault.ActCrashBefore, Torn: -1},
+	}})
 	h := newHarness(t, cfg)
+	if err := beginSlotChain(t, h, 3, 0, "acknowledged").Commit(); err != nil { // stream 0
+		t.Fatal(err)
+	}
+	txns := []uint64{1, 4, 7, 10} // all on stream 1
+	chains := make([]txn.RedoChain, len(txns))
+	for i, id := range txns {
+		chains[i] = beginSlotChain(t, h, id, i+1, "queued")
+	}
+	commitBehindLatch(t, h, 1, chains, func() {})
+	if !h.cfg.FaultInjector.Crashed() {
+		t.Fatal("slb.stamp@2 never fired")
+	}
+
+	h.crash()
 	defer h.m.Stop()
-	held := h.m.slb.st.streams[1]
-	held.mu.Lock()
-	txns := []uint64{3, 5, 6, 8} // streams 0 and 2, never the held one
-	errs := make(chan error, len(txns))
-	for _, id := range txns {
-		go func(txn uint64) {
-			errs <- h.m.InjectCommitted(txn, []wal.Record{{
-				Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: 0}, Slot: addr.Slot(txn), Data: []byte("mid-seal"),
-			}})
-		}(id)
+	p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: 0}, simdisk.NilTrack)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No seal can pass the held latch, so once every chain is on a
-	// committed list the first committer is leader, stopped in its seal,
-	// and the others wait for it.
-	for stamped := 0; stamped < len(txns); {
-		runtime.Gosched()
-		stamped = 0
-		for _, ls := range []*logStream{h.m.slb.st.streams[0], h.m.slb.st.streams[2]} {
-			ls.mu.Lock()
-			stamped += len(ls.committed)
-			ls.mu.Unlock()
-		}
+	if got, err := p.Read(0); err != nil || !bytes.Equal(got, []byte("acknowledged")) {
+		t.Fatalf("the acknowledged commit's slot = %q (%v), want %q", got, err, "acknowledged")
 	}
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
-	h.cfg.FaultInjector.ForceCrash()
-	held.mu.Unlock()
-	for range txns {
-		if err := <-errs; !fault.IsCrash(err) {
-			t.Fatalf("commit waiting on a seal that crashed returned %v, want a crash error", err)
-		}
+	for i := range txns {
+		wantSlotEmpty(t, h, i+1)
 	}
 }
 
-// TestNewRejectsGroupCommitInterval: epochs seal eagerly, so New
+// checkSequence fails the test unless the committed lists hold commit
+// numbers 1..n, each once, every list in ascending order: the merge
+// then has every number to order by.
+func checkSequence(t *testing.T, h *harness, n int) {
+	t.Helper()
+	seen := make(map[uint64]bool)
+	for _, ls := range h.m.slb.st.streams {
+		ls.mu.Lock()
+		for j, c := range ls.committed {
+			if j > 0 && c.seq <= ls.committed[j-1].seq {
+				t.Errorf("stream %d lists commit %d after %d", ls.id, c.seq, ls.committed[j-1].seq)
+			}
+			if c.seq < 1 || c.seq > uint64(n) || seen[c.seq] {
+				t.Errorf("stream %d lists commit number %d twice or outside 1..%d", ls.id, c.seq, n)
+			}
+			seen[c.seq] = true
+		}
+		ls.mu.Unlock()
+	}
+	if len(seen) != n {
+		t.Errorf("%d chains listed, want %d", len(seen), n)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// TestNewRejectsGroupCommitInterval: commit has no group, so New
 // refuses any group-commit interval but 0.
 func TestNewRejectsGroupCommitInterval(t *testing.T) {
 	cfg := testCfg()
@@ -220,8 +383,8 @@ func TestSurvivingBufferKeepsItsStreams(t *testing.T) {
 // 4-stream and a 1-stream SLB and left entirely unsorted at the crash
 // (the manager is never started), must recover to byte-identical
 // entities. The chains land on different streams in the 4-stream run,
-// so restart's (epoch, stream, sequence) merge must reproduce the
-// single-stream replay order semantics — commit order.
+// so restart's merge by commit number must reproduce the single-stream
+// replay order semantics — commit order.
 func TestMergeReplayMatchesSingleStream(t *testing.T) {
 	final := make(map[int][]byte)
 	var recovered [2][][]byte
@@ -243,6 +406,7 @@ func TestMergeReplayMatchesSingleStream(t *testing.T) {
 			h.update(addrs[e], val)
 			final[e] = val
 		}
+		checkSequence(t, h, nEnts+40)
 		h.crash()
 		tx := h.m.Txns.Begin()
 		for e := 0; e < nEnts; e++ {
@@ -269,10 +433,9 @@ func TestMergeReplayMatchesSingleStream(t *testing.T) {
 
 // TestMergeReplayConcurrentDisjoint drives concurrent committers with
 // disjoint write sets through a 4-stream SLB with no sorter running, so
-// sealed epochs hold multiple chains across streams; restart's merge
+// consecutive commit numbers land on different streams; restart's merge
 // must preserve each committer's program order (later commits of one
-// worker replay after its earlier ones) even though the chains of one
-// epoch interleave arbitrarily across streams.
+// worker replay after its earlier ones).
 func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 	cfg := testCfg()
 	cfg.LogStreams = 4
@@ -307,9 +470,7 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if sealed := h.m.slb.st.sealed.Load(); sealed == 0 {
-		t.Fatal("no epoch sealed")
-	}
+	checkSequence(t, h, workers*txnsPer)
 	h.crash()
 	defer h.m.Stop()
 	// Slot 0 of each worker's partition was overwritten txnsPer times in
@@ -329,7 +490,7 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 			t.Fatalf("worker %d slot = %q, want %q", w, got, want)
 		}
 	}
-	if st := h.m.Metrics(); st.EpochRollbacks.Value() != 0 {
-		t.Fatalf("unexpected epoch rollbacks: %d", st.EpochRollbacks.Value())
+	if h.m.slb.busy() {
+		t.Fatal("restart left committed chains unsorted")
 	}
 }

@@ -149,14 +149,11 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	}
 	m.idleCond = sync.NewCond(&m.idleMu)
 	// Thread the instruments through the components the manager wires:
-	// the SLB reports record-write latency and the group-commit seal
-	// cadence and counts commits and aborts, the lock table wait time
-	// and deadlocks, the transaction manager begin-to-commit latency.
+	// the SLB reports record-write latency and counts records per
+	// stream, commits and aborts, the lock table wait time and
+	// deadlocks, the transaction manager begin-to-commit latency.
 	s.writeLatency = mt.SLBRecordWrite
-	s.groupWait = mt.GroupCommitWait
 	s.streamRecords = mt.StreamRecords
-	s.epochsSealed = mt.EpochsSealed
-	s.epochChains = mt.EpochChains
 	s.commits = mt.TxnsCommitted
 	s.aborts = mt.TxnsAborted
 	mt.Streams.Set(int64(s.streams()))
@@ -298,7 +295,7 @@ func (m *Manager) signalIdle() {
 }
 
 // PartitionFreed discards a dropped partition's bin and any checkpoint
-// request it had pending, after sorting what is sealed: a record of the
+// request it had pending, after sorting what is committed: a record of the
 // partition's last writers sorted after the drop would make the bin
 // again. Once the machine has halted it changes nothing.
 func (m *Manager) PartitionFreed(pid addr.PartitionID) {
@@ -333,18 +330,15 @@ func (m *Manager) recoveryCPU() {
 	}
 }
 
-// drain sorts the sealed committed chains in the SLB, oldest first;
-// sortMu must be held. It sorts only epochs sealed when it began, so a
-// commit flood cannot hold sortMu (and with it a checkpoint barrier or
-// Stop) for ever: each later seal nudges the recovery CPU to drain
-// again.
+// drain sorts the committed chains in the SLB in commit order; sortMu
+// must be held. It sorts only the commit numbers taken when it began,
+// so a commit flood cannot hold sortMu (and with it a checkpoint
+// barrier or Stop) for ever: each later commit nudges the recovery CPU
+// to drain again.
 func (m *Manager) drain() {
-	upTo := m.slb.st.sealed.Load()
+	upTo := m.slb.st.seq.Load()
 	for {
-		// Only sealed chains are visible to the sorter: an unsealed
-		// epoch's effects must stay out of the partition bins, since a
-		// crash would roll that epoch back.
-		c := m.slb.peekSealed(upTo)
+		c := m.slb.peekOldest(upTo)
 		if c == nil {
 			return
 		}

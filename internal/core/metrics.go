@@ -28,22 +28,15 @@ type Metrics struct {
 
 	// txn — validates the instant-commit claim: commit latency must be
 	// memory-speed, with no log-I/O synchronisation in its tail.
-	// GroupCommitWait is the epoch-seal wait inside CommitTxn — the
-	// group-commit component of commit latency.
-	CommitLatency   *metrics.Histogram
-	GroupCommitWait *metrics.Histogram
-	TxnsCommitted   *metrics.Counter
-	TxnsAborted     *metrics.Counter
+	CommitLatency *metrics.Histogram
+	TxnsCommitted *metrics.Counter
+	TxnsAborted   *metrics.Counter
 
 	// slb — the main-CPU side of logging: latency of one REDO record
-	// write into stable memory, the per-core stream fan-out, and the
-	// epoch-seal cadence.
+	// write into stable memory and the per-core stream fan-out.
 	SLBRecordWrite *metrics.Histogram
 	Streams        *metrics.Gauge
 	StreamRecords  []*metrics.Counter
-	EpochsSealed   *metrics.Counter
-	EpochChains    *metrics.Histogram
-	EpochRollbacks *metrics.Counter
 
 	// log — the recovery-CPU side: sorting committed chains into
 	// partition bins and flushing full bin pages to the log disk.
@@ -180,8 +173,6 @@ func newMetrics(streams int) *Metrics {
 
 		CommitLatency: txn.Histogram("commit_latency", "ns",
 			"begin-to-commit latency of user transactions (§2.3.1 instant commit)"),
-		GroupCommitWait: txn.Histogram("group_commit_wait", "ns",
-			"time CommitTxn waits for its epoch to seal across all log streams"),
 		TxnsCommitted: txn.Counter("commits", "txns", "committed transactions"),
 		TxnsAborted:   txn.Counter("aborts", "txns", "aborted transactions"),
 
@@ -189,11 +180,6 @@ func newMetrics(streams int) *Metrics {
 			"latency of one REDO record write into the Stable Log Buffer"),
 		Streams:       slb.Gauge("streams", "streams", "per-core log stream count of the attached SLB"),
 		StreamRecords: streamRecords,
-		EpochsSealed:  slb.Counter("epochs_sealed", "epochs", "group-commit epochs sealed across all streams"),
-		EpochChains: slb.Histogram("epoch_chains", "chains",
-			"transaction chains made durable per sealed epoch (group size)"),
-		EpochRollbacks: slb.Counter("epoch_rollbacks", "chains",
-			"committed-but-unsealed chains rolled back at restart (half-sealed epochs)"),
 
 		PageFlushLatency: logS.Histogram("page_flush", "ns",
 			"latency of one bin page write to the duplexed log disks (§2.3.3)"),

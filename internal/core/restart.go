@@ -2,14 +2,14 @@ package core
 
 // Post-crash restart (§2.5), in two phases. The synchronous phase —
 // Restart — runs before the first transaction: it rolls back
-// uncommitted and unsealed-epoch SLB chains, merge-sorts the surviving
-// committed chains from every log stream into the Stable Log Tail's
-// partition bins in (epoch, stream, sequence) order, and restores the
-// catalog partitions from the well-known stable root. Everything else
-// is deferred: Resume installs on-demand recovery (a transaction
-// touching an unrecovered partition triggers its restore) and the
-// parallel background sweep that restores the remainder, so time to
-// first transaction is independent of database size.
+// uncommitted SLB chains, merge-sorts the committed chains from every
+// log stream into the Stable Log Tail's partition bins in commit-number
+// order, and restores the catalog partitions from the well-known
+// stable root. Everything else is deferred: Resume installs on-demand
+// recovery (a transaction touching an unrecovered partition triggers
+// its restore) and the parallel background sweep that restores the
+// remainder, so time to first transaction is independent of database
+// size.
 
 import (
 	"errors"
@@ -33,13 +33,11 @@ import (
 // Restart performs the stable-state half of post-crash recovery (§2.5):
 //
 //  1. discard uncommitted SLB chains (their transactions died with the
-//     volatile memory), roll back committed chains whose group-commit
-//     epoch was never globally sealed (their committers were never
-//     acknowledged — a crash between per-stream seals must not surface
-//     half an epoch);
-//  2. synchronously re-sort the remaining committed chains — merged
-//     across streams in (epoch, stream, sequence) order — into
-//     partition bins, completing the Stable Log Tail;
+//     volatile memory; a chain whose commit crashed before it was
+//     listed is one of them);
+//  2. synchronously re-sort the committed chains — merged across
+//     streams in commit-number order — into partition bins, completing
+//     the Stable Log Tail;
 //  3. restore the catalog partitions from the well-known root.
 //
 // After Restart the facade decodes the catalogs, installs the Locate
@@ -93,18 +91,6 @@ func (m *Manager) Restart() (*catalog.Root, error) {
 // record of one, and attaching the SLT re-queued every pending bin.
 func (m *Manager) drainStableOnly() {
 	m.slb.discardUncommitted()
-	// Group-commit rollback: a committed chain whose epoch was never
-	// globally sealed belongs to a transaction that was never
-	// acknowledged durable (CommitTxn returns only after the global
-	// seal), so the whole epoch is discarded — including the case where
-	// the crash landed between two streams' seals of the same epoch.
-	for _, c := range m.slb.discardUnsealed() {
-		m.metrics.EpochRollbacks.Add(1)
-		m.tracer.Emit(trace.Event{
-			Kind: trace.KindEpochRollback, Txn: c.id,
-			Arg: c.epoch, Arg2: uint64(c.stream.id),
-		})
-	}
 	// Duplicates from partially sorted chains are absorbed by lenient
 	// replay.
 	m.sortMu.Lock()

@@ -1,7 +1,7 @@
 package core
 
 // The Stable Log Buffer (§2.3.1), sharded into per-core log streams
-// with epoch-based group commit.
+// that one commit sequence orders.
 //
 // A transaction holds its own chain (txnChain, the txn.RedoChain it
 // was handed at begin), so writing a record takes no latch: only block
@@ -10,30 +10,23 @@ package core
 // list; a transaction is affinitised to the stream txnID % N, and its
 // stream's latch is taken only at begin, commit and abort.
 //
-// Durability is epoch-based: a committer stamps its chain with the
-// current open epoch and appends it to its stream's committed list, at
-// which point the records are stable but not yet durable-acknowledged.
-// A seal closes the epoch on every stream and then publishes it
-// globally (the `sealed` counter); only after the global publish are
-// the epoch's committers released. Commit durability is therefore
-// "my epoch is sealed on all streams", never "my record flushed" —
-// and never half an epoch: a crash between per-stream seals leaves the
-// global counter unmoved, so restart rolls the whole epoch back.
+// Commit is instant and has no group: under its stream's latch a
+// committer takes the next number of the commit sequence, one word in
+// stable memory, and appends its chain to the stream's committed list.
+// That append is both the commit point and the acknowledgement. A
+// store into stable memory has no flush to amortise, so nothing waits
+// for other committers.
 //
-// Sealing is leader-based rather than a dedicated goroutine: the first
-// committer to find no seal in flight becomes the leader, seals, and
-// broadcasts; committers that arrive while a seal is in flight ride
-// the next one — group commit emerges from concurrency, and no clock
-// holds an epoch open, so an uncontended commit returns at
-// stable-memory speed.
-//
-// Two-phase locking makes the cross-stream merge order safe: locks are
-// released only after a chain's Commit returns, i.e. after the global
-// seal, so two transactions with conflicting write sets can never
-// commit in the same epoch. Within an epoch all chains are therefore
-// disjoint, and the deterministic merge order (epoch, stream,
-// per-stream seq) — used by both the runtime sorter and restart — is
-// equivalent to commit order. See docs/LOGGING.md for the end-to-end walk-through.
+// The sorter and restart merge the streams' lists by commit number.
+// Strict two-phase locking makes that order safe: locks are released
+// only after a chain's Commit returns, so a transaction that conflicts
+// with T takes its number after T is listed, and a larger one. Two
+// chains listed out of number order were committing at once, so their
+// write sets are disjoint and either replay order gives the same state.
+// A crash between taking a number and listing the chain (the
+// "slb.stamp" fault point) leaves a gap in the sequence: that
+// transaction was never acknowledged, and the merge waits on no number.
+// See docs/LOGGING.md for the end-to-end walk-through.
 
 import (
 	"fmt"
@@ -62,11 +55,9 @@ type txnChain struct {
 	s      *slb // the handle that opened the chain
 	id     uint64
 	blocks []*stablemem.Block
-	// stream is the log stream the chain belongs to; epoch and seq are
-	// stamped at commit and define the chain's place in the global
-	// merge order (epoch, stream, seq).
+	// stream is the log stream the chain belongs to; seq is its commit
+	// number, stamped at commit, and its place in the merge order.
 	stream *logStream
-	epoch  uint64
 	seq    uint64
 }
 
@@ -105,35 +96,28 @@ func (s *slb) release(c *txnChain) {
 }
 
 // logStream is one per-core stream of the sharded SLB. It lives in
-// stable memory: the committed list and sequence counter survive a
-// crash.
+// stable memory: the committed list survives a crash.
 type logStream struct {
 	id int
 	mu sync.Mutex
 
 	uncommitted map[uint64]*txnChain
-	// committed is ordered by (epoch, seq): epochs are stamped under
-	// mu from a monotone counter and seq increments per append, so the
-	// list is sorted by construction and its head is the stream's
-	// oldest unsorted chain.
+	// committed is ordered by commit number: a chain takes its number
+	// under mu, in the same hold that appends it, so the list is sorted
+	// by construction and its head is the stream's oldest unsorted
+	// chain.
 	committed []*txnChain
-	nextSeq   uint64
-	// epochChains counts chains committed since the last seal touched
-	// this stream (for the chains-per-epoch histogram).
-	epochChains uint64
 }
 
 // slbState is the Stable Log Buffer: per-stream REDO chain lists plus
-// the epoch counters. It lives in stable memory and survives crashes.
+// the commit sequence. It lives in stable memory and survives crashes.
 // (The §2.4 checkpoint communication buffer is the bins' ckptTrigger in
 // the Stable Log Tail.)
 type slbState struct {
 	streams []*logStream
-	// epoch is the current open epoch (first epoch is 1); sealed is
-	// the highest globally durable epoch. Both survive crashes, so
-	// epochs never repeat across restarts.
-	epoch  atomic.Uint64
-	sealed atomic.Uint64
+	// seq is the last commit number taken (the first is 1). It survives
+	// crashes, so numbers never repeat across restarts.
+	seq atomic.Uint64
 	// gen counts the handles attached to the buffer; a handle whose gen
 	// is not the latest belongs to a dead instance (slb.release).
 	gen atomic.Uint64
@@ -142,7 +126,6 @@ type slbState struct {
 // newSLBState builds a fresh buffer with n streams.
 func newSLBState(n int) *slbState {
 	st := &slbState{streams: make([]*logStream, n)}
-	st.epoch.Store(1)
 	for i := range st.streams {
 		st.streams[i] = &logStream{
 			id:          i,
@@ -153,8 +136,8 @@ func newSLBState(n int) *slbState {
 }
 
 // slb is the volatile handle the running system uses to operate on the
-// stable slbState; it carries the config, notification channels, and
-// group-commit coordination state that do not survive a crash.
+// stable slbState; it carries the config, the sorter's nudge channel
+// and the instruments, which do not survive a crash.
 type slb struct {
 	st       *slbState
 	gen      uint64 // st.gen when this handle attached
@@ -163,26 +146,15 @@ type slb struct {
 	inj      *fault.Injector
 	commitCh chan struct{} // nudges the sorter
 
-	// Group-commit coordination. gcMu is volatile and is never held
-	// while a stream mutex is held; wakeCh is a broadcast channel
-	// (closed and replaced on every seal attempt's completion).
-	gcMu    sync.Mutex
-	sealing bool
-	wakeCh  chan struct{}
-
 	// Instruments, all nil-safe: writeLatency observes each
 	// WriteRecord (the main-CPU cost of logging one REDO record,
-	// §2.3.1); groupWait a commit's seal wait; streamRecords one
-	// counter per stream; epochsSealed / epochChains the seal cadence;
-	// commits and aborts count chains that committed or were aborted.
+	// §2.3.1); streamRecords one counter per stream; commits and
+	// aborts count chains that committed or were aborted.
 	writeLatency  *metrics.Histogram
-	groupWait     *metrics.Histogram
 	streamRecords []*metrics.Counter
-	epochsSealed  *metrics.Counter
-	epochChains   *metrics.Histogram
 	commits       *metrics.Counter
 	aborts        *metrics.Counter
-	// tracer emits slb-append / stream-seal / epoch-seal events.
+	// tracer emits slb-append events.
 	tracer *trace.Tracer
 }
 
@@ -192,7 +164,7 @@ type slb struct {
 // or not, since its chains' stream affinity (txnID % N) is fixed.
 func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 	if cfg.GroupCommitInterval != 0 {
-		return nil, fmt.Errorf("core: GroupCommitInterval is %v; it must be 0, epochs seal eagerly", cfg.GroupCommitInterval)
+		return nil, fmt.Errorf("core: GroupCommitInterval is %v; it must be 0, commit has no group", cfg.GroupCommitInterval)
 	}
 	st, _ := mem.Root(slbRootKey).(*slbState)
 	if st == nil {
@@ -210,7 +182,6 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 		blockSz:  cfg.SLBBlockSize,
 		inj:      cfg.FaultInjector,
 		commitCh: make(chan struct{}, 1),
-		wakeCh:   make(chan struct{}),
 	}, nil
 }
 
@@ -307,12 +278,12 @@ func (c *txnChain) WriteRecord(rec *wal.Record) error {
 	return nil
 }
 
-// Commit implements txn.RedoChain: the chain moves atomically from
-// the uncommitted map to its stream's committed list, stamped with the
-// current epoch, and the call blocks until that epoch is sealed on
-// every stream. The transaction is durable when this returns (§2.3.1's
-// instant commit, at epoch granularity). The caller must not use the
-// chain again: once its epoch seals, the sorter may recycle it.
+// Commit implements txn.RedoChain and is the transaction's commit
+// point (§2.3.1's instant commit): under the stream latch the chain
+// takes the next commit number and moves from the uncommitted map to
+// its stream's committed list. Once listed the transaction is durable,
+// and Commit returns. The caller must not use the chain again: the
+// sorter may recycle it as soon as it is listed.
 func (c *txnChain) Commit() error {
 	s, ls := c.s, c.stream
 	ls.mu.Lock()
@@ -322,103 +293,26 @@ func (c *txnChain) Commit() error {
 	}
 	delete(ls.uncommitted, c.id)
 	if len(c.blocks) == 0 {
-		// Read-only transaction: nothing to log, nothing to seal.
+		// Read-only transaction: nothing to log.
 		ls.mu.Unlock()
 		s.release(c)
 		s.commits.Inc()
 		return nil
 	}
-	// The epoch is read under the stream mutex and the sealer bumps it
-	// before taking any stream mutex, so a chain stamped epoch E here
-	// is always on the list by the time E's seal locks this stream.
-	e := s.st.epoch.Load()
-	c.epoch = e
-	c.seq = ls.nextSeq
-	ls.nextSeq++
-	ls.epochChains++
-	ls.committed = append(ls.committed, c)
-	ls.mu.Unlock()
-	// c is the sorter's from here: once e is sealed it may be sorted and
-	// released to the pool before this goroutine runs again.
-	if err := s.awaitSeal(e); err != nil {
+	c.seq = s.st.seq.Add(1)
+	// Fault point "slb.stamp": a crash here leaves the number unlisted,
+	// a gap the merge never waits on, and the commit unacknowledged.
+	if dec := s.inj.Check(fault.PointSLBStamp, 0); dec.Err != nil {
+		ls.mu.Unlock()
+		err := fmt.Errorf("core: stamping txn %d on SLB stream %d: %w", c.id, ls.id, dec.Err)
+		s.release(c)
 		return err
 	}
-	s.commits.Inc()
-	return nil
-}
-
-// awaitSeal blocks until epoch e is globally sealed, electing the
-// calling goroutine seal leader when no seal is in flight (so group
-// commit needs no dedicated closer goroutine and works before Start).
-// A follower waits only for the seal in flight, whose leader closes
-// wakeCh however the seal ends; after a crash every committer of the
-// epoch becomes leader in turn and fails its seal, so none is
-// acknowledged and restart rolls the whole epoch back.
-func (s *slb) awaitSeal(e uint64) error {
-	start := time.Now()
-	defer s.groupWait.ObserveSince(start)
-	for {
-		if s.st.sealed.Load() >= e {
-			nudge(s.commitCh)
-			return nil
-		}
-		s.gcMu.Lock()
-		if s.st.sealed.Load() >= e {
-			s.gcMu.Unlock()
-			nudge(s.commitCh)
-			return nil
-		}
-		wake := s.wakeCh
-		if s.sealing {
-			s.gcMu.Unlock()
-			<-wake
-			continue
-		}
-		// Become the leader: seal outside gcMu (stream mutexes are leaf
-		// locks of the seal), then broadcast.
-		s.sealing = true
-		s.gcMu.Unlock()
-		err := s.seal()
-		s.gcMu.Lock()
-		s.sealing = false
-		s.wakeCh = make(chan struct{})
-		s.gcMu.Unlock()
-		close(wake)
-		if fault.IsCrash(err) {
-			return err
-		}
-		// Sealed, or a transient injected error: look again, and retry
-		// the seal if e is still open.
-	}
-}
-
-// seal closes the open epoch: bump the epoch counter (new commits land
-// in the next epoch), pass every stream's latch, then publish the epoch
-// as globally durable in the one stable word restart reads. The
-// per-stream "slb.seal" fault point sits before each stream's latch — a
-// crash there leaves the epoch passed on a strict prefix of the streams
-// and NOT published, which restart treats as wholly unsealed.
-func (s *slb) seal() error {
-	e := s.st.epoch.Add(1) - 1
-	var chains uint64
-	for _, ls := range s.st.streams {
-		if dec := s.inj.Check(fault.PointSLBSeal, 0); dec.Err != nil {
-			return fmt.Errorf("core: sealing epoch %d on stream %d: %w", e, ls.id, dec.Err)
-		}
-		// Taking the stream latch is the barrier: every chain stamped e
-		// on this stream is on its committed list once it is held.
-		ls.mu.Lock()
-		chains += ls.epochChains
-		ls.epochChains = 0
-		ls.mu.Unlock()
-		s.tracer.Emit(trace.Event{Kind: trace.KindStreamSeal, Arg: e, Arg2: uint64(ls.id)})
-	}
-	s.st.sealed.Store(e)
-	s.mem.ChargeWrite(8)
-	s.epochsSealed.Inc()
-	s.epochChains.Observe(int64(chains))
-	s.tracer.Emit(trace.Event{Kind: trace.KindEpochSeal, Arg: e, Arg2: chains})
+	ls.committed = append(ls.committed, c)
+	ls.mu.Unlock()
+	s.mem.ChargeWrite(8) // the commit number's stable word
 	nudge(s.commitCh)
+	s.commits.Inc()
 	return nil
 }
 
@@ -439,24 +333,22 @@ func (c *txnChain) Abort() {
 	}
 }
 
-// peekSealed returns the globally oldest committed, sealed, unsorted
-// chain — minimum (epoch, stream, seq) with epoch ≤ upTo, a seal
-// watermark the caller read — without removing it, or nil.
-// Committed-but-unsealed chains are invisible to the sorter: their
-// effects must not reach the partition bins (and so the recoverable
-// state) until their epoch is durable. The chain stays on its stream's list until markSorted, so a
+// peekOldest returns the committed, unsorted chain with the smallest
+// commit number no greater than upTo, a sequence value the caller read,
+// without removing it, or nil. Each stream's list is in number order,
+// so that chain is a list head. A number up to upTo was taken before
+// upTo was read, under its stream's latch and in the hold that lists
+// the chain, so once this takes that latch the chain is listed or never
+// will be. The chain stays on its stream's list until markSorted, so a
 // crash mid-sort cannot lose committed records: the restart drain
 // re-sorts the whole chain and lenient replay absorbs the duplicated
 // prefix.
-func (s *slb) peekSealed(upTo uint64) *txnChain {
+func (s *slb) peekOldest(upTo uint64) *txnChain {
 	var best *txnChain
 	for _, ls := range s.st.streams {
 		ls.mu.Lock()
 		if len(ls.committed) > 0 {
-			c := ls.committed[0]
-			if c.epoch <= upTo &&
-				(best == nil || c.epoch < best.epoch ||
-					(c.epoch == best.epoch && c.stream.id < best.stream.id)) {
+			if c := ls.committed[0]; c.seq <= upTo && (best == nil || c.seq < best.seq) {
 				best = c
 			}
 		}
@@ -502,39 +394,6 @@ func (s *slb) discardUncommitted() {
 	for _, c := range chains {
 		c.drop()
 	}
-}
-
-// discardUnsealed drops every committed chain whose epoch was never
-// globally sealed — the group-commit rollback of restart. A crash
-// between per-stream seals leaves such an epoch sealed on a prefix of
-// the streams but unpublished; since no committer of that epoch was
-// ever acknowledged (Commit returns only after the publish), the
-// whole epoch rolls back, never half of it. Returns the discarded
-// chains (newest first per stream) for accounting.
-func (s *slb) discardUnsealed() []*txnChain {
-	sealed := s.st.sealed.Load()
-	var dropped []*txnChain
-	for _, ls := range s.st.streams {
-		ls.mu.Lock()
-		keep := ls.committed[:0]
-		for _, c := range ls.committed {
-			if c.epoch > sealed {
-				dropped = append(dropped, c)
-			} else {
-				keep = append(keep, c)
-			}
-		}
-		for i := len(keep); i < len(ls.committed); i++ {
-			ls.committed[i] = nil
-		}
-		ls.committed = keep
-		ls.epochChains = 0
-		ls.mu.Unlock()
-	}
-	for _, c := range dropped {
-		c.drop()
-	}
-	return dropped
 }
 
 // busy reports whether any stream still holds committed chains.

@@ -41,7 +41,7 @@ func poolHarness(t *testing.T) *harness {
 }
 
 // logTxn runs one transaction of k records with the given payload
-// through the SLB: begin, write, commit (which seals).
+// through the SLB: begin, write, commit.
 func (h *harness) logTxn(txn uint64, k int, data []byte) {
 	h.t.Helper()
 	// The concrete chain: through the interface r would escape, and the
@@ -125,12 +125,12 @@ func TestSLBReturnsEveryBlock(t *testing.T) {
 	}
 }
 
-// TestDiscardedChainIsNeverReissued: restart drops an uncommitted chain
-// and a committed chain of an unsealed epoch by freeing their blocks,
-// never recycling them, since a dead instance's goroutine may still
-// append to them. None is handed to a later transaction, and an append
-// to one fails instead of landing. The dead chains themselves refuse
-// writes and commits without drawing on stable memory.
+// TestDiscardedChainIsNeverReissued: restart drops the uncommitted
+// chains by freeing their blocks, never recycling them, since a dead
+// instance's goroutine may still append to them. None is handed to a
+// later transaction, and an append to one fails instead of landing. The
+// dead chains themselves refuse writes and commits without drawing on
+// stable memory.
 func TestDiscardedChainIsNeverReissued(t *testing.T) {
 	h := poolHarness(t)
 	data := bytes.Repeat([]byte{5}, 900)
@@ -145,21 +145,13 @@ func TestDiscardedChainIsNeverReissued(t *testing.T) {
 		discarded = append(discarded, chainBlocks(c)...)
 		chains = append(chains, c)
 	}
-	// Txn 2 commits into an epoch that is never sealed: moved to the
-	// committed list by hand, as Commit does before its seal.
-	ls := h.m.slb.streamFor(2)
-	ls.mu.Lock()
-	c := chains[1].(*txnChain)
-	delete(ls.uncommitted, 2)
-	c.epoch = h.m.slb.st.epoch.Load()
-	ls.committed = append(ls.committed, c)
-	ls.mu.Unlock()
-
 	h.powerOff()
 	h.powerOn()
 	defer h.m.Stop()
-	if got := h.m.metrics.EpochRollbacks.Value(); got != 1 {
-		t.Fatalf("restart rolled back %d chains, want 1", got)
+	for _, ls := range h.m.slb.st.streams {
+		if n := len(ls.uncommitted) + len(ls.committed); n != 0 {
+			t.Fatalf("stream %d keeps %d chains after restart", ls.id, n)
+		}
 	}
 	gone := map[*stablemem.Block]bool{}
 	for _, b := range discarded {

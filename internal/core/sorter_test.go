@@ -97,7 +97,7 @@ func TestSorterCopiesRecordBytes(t *testing.T) {
 		if folded := h.m.Metrics().RecordsFolded.Value(); folded == 0 {
 			t.Fatal("no record folded; the test means to cover folded pages")
 		}
-		// Committed and sealed but not sorted at the crash: Restart's
+		// Committed but not sorted at the crash: Restart's
 		// drain re-sorts these after the bytes sorted before it.
 		for txn := uint64(41); txn <= 80; txn++ {
 			updates(txn)

@@ -11,17 +11,15 @@ import (
 	"mmdb/internal/wal"
 )
 
-// LogStreamPoint is one stream-count sample of the group-commit scaling
+// LogStreamPoint is one stream-count sample of the commit scaling
 // benchmark: wall-clock commit throughput and host-measured commit
 // latency for a fixed concurrent workload against an SLB sharded into
 // Streams per-core log streams.
 type LogStreamPoint struct {
-	Streams       int
-	TxnsPerSec    float64
-	P50CommitUS   float64
-	P99CommitUS   float64
-	EpochsSealed  int64
-	ChainsPerSeal float64
+	Streams     int
+	TxnsPerSec  float64
+	P50CommitUS float64
+	P99CommitUS float64
 }
 
 // LogStreamScaling measures commit throughput against the stream count:
@@ -29,10 +27,9 @@ type LogStreamPoint struct {
 // each of recsPerTxn small records, every committer affinitized to
 // stream (txnID mod streams) — is run once per entry of streamCounts.
 // With one stream every committer serializes on a single stable-memory
-// latch; with per-core streams the latch shards away and group commit
-// amortizes the seal, so throughput should scale while single-stream
-// p99 commit latency stays flat (the eager-seal default adds no timer
-// wait). Latencies are host wall-clock, not simulated cost: the latch
+// latch; with per-core streams the latch shards away, so throughput
+// should scale while single-stream p99 commit latency stays flat.
+// Latencies are host wall-clock, not simulated cost: the latch
 // contention under test is a real-machine effect.
 func LogStreamScaling(streamCounts []int, workers, txns, recsPerTxn int) ([]LogStreamPoint, error) {
 	if len(streamCounts) == 0 {
@@ -63,7 +60,7 @@ func runLogStreams(streams, workers, txns, recsPerTxn int) (LogStreamPoint, erro
 	cfg.LogStreams = streams
 	// Keep the run commit-bound: a huge update threshold suppresses
 	// checkpoints, ample stable memory keeps block allocation from failing,
-	// and the sorter drains sealed chains concurrently as in production.
+	// and the sorter drains committed chains concurrently as in production.
 	cfg.UpdateThreshold = 1 << 30
 	cfg.StableBytes = 256 << 20
 	h, err := newHarness(cfg)
@@ -118,16 +115,10 @@ func runLogStreams(streams, workers, txns, recsPerTxn int) (LogStreamPoint, erro
 		return LogStreamPoint{}, fmt.Errorf("no commits completed")
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	st := h.m.Metrics()
-	p := LogStreamPoint{
-		Streams:      streams,
-		TxnsPerSec:   float64(len(all)) / elapsed.Seconds(),
-		P50CommitUS:  float64(all[len(all)/2].Microseconds()),
-		P99CommitUS:  float64(all[len(all)*99/100].Microseconds()),
-		EpochsSealed: st.EpochsSealed.Value(),
-	}
-	if st.EpochsSealed.Value() > 0 {
-		p.ChainsPerSeal = float64(len(all)) / float64(st.EpochsSealed.Value())
-	}
-	return p, nil
+	return LogStreamPoint{
+		Streams:     streams,
+		TxnsPerSec:  float64(len(all)) / elapsed.Seconds(),
+		P50CommitUS: float64(all[len(all)/2].Microseconds()),
+		P99CommitUS: float64(all[len(all)*99/100].Microseconds()),
+	}, nil
 }

@@ -56,14 +56,13 @@ const (
 	// buffer writes.
 	PointStableAppend Point = "stable.append"
 	// Stable Log Buffer stream operations: one "slb.append" hit per REDO
-	// record written into a per-core log stream, and one "slb.seal" hit
-	// per (stream, epoch-seal) pair — a crash at the k-th seal hit lands
-	// between stream k-1's seal and stream k's, the half-sealed-epoch
-	// window group commit must tolerate. Separate points (rather than
-	// reusing "stable.append") so arming them does not shift existing
-	// plan hit counts.
+	// record written into a per-core log stream, and one "slb.stamp" hit
+	// per logged commit, between taking its commit number and listing
+	// its chain — a crash there leaves a gap in the commit sequence.
+	// Separate points (rather than reusing "stable.append") so arming
+	// them does not shift existing plan hit counts.
 	PointSLBAppend Point = "slb.append"
-	PointSLBSeal   Point = "slb.seal"
+	PointSLBStamp  Point = "slb.stamp"
 	// Checkpoint transaction steps (§2.4): the dangerous windows
 	// between fence, image write, and commit.
 	PointCkptAfterFence   Point = "ckpt.after-fence"
@@ -85,7 +84,7 @@ func AllPoints() []Point {
 		PointLogReadPrimary, PointLogReadMirror,
 		PointCkptWrite, PointCkptRead,
 		PointStableAppend,
-		PointSLBAppend, PointSLBSeal,
+		PointSLBAppend, PointSLBStamp,
 		PointCkptAfterFence, PointCkptAfterImage, PointCkptBeforeCommit,
 		PointArchAppend, PointArchRead,
 	}

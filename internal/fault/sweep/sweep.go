@@ -81,9 +81,9 @@ type Options struct {
 	// LogStreams overrides the SLB stream count for the swept database
 	// (crashhunt -streams). 0 keeps the sweep default of 1 stream,
 	// which gives every plan a deterministic single-stream hit order;
-	// with more streams the fault matrix exercises multi-stream
-	// interleavings, including crashes landing between one stream's
-	// epoch seal and the next (the "slb.seal" point).
+	// with more streams the fault matrix exercises restart's merge of
+	// the streams by commit number, including the gap a crash at the
+	// "slb.stamp" point leaves in the sequence.
 	LogStreams int
 	// BreakDuplex disables the duplexed-read fallback (§2.2) before the
 	// workload: a deliberate sabotage switch demonstrating that the
@@ -419,12 +419,12 @@ func actsFor(p fault.Point) []fault.Act {
 		// level down at "stable.append"; here the interesting failures
 		// are the whole-record ones around the stream bookkeeping.
 		return []fault.Act{fault.ActCrashBefore, fault.ActCrashAfter, fault.ActIOErr}
-	case fault.PointSLBSeal:
-		// One hit per (stream, epoch-seal) pair: a crash at hit k lands
-		// between stream k-1's seal and stream k's, leaving the epoch
-		// half-sealed — it must roll back whole at restart. IOErr makes
-		// the seal leader retry with a later epoch.
-		return []fault.Act{fault.ActCrashBefore, fault.ActIOErr}
+	case fault.PointSLBStamp:
+		// One hit per logged commit, between taking the commit number
+		// and listing the chain: a crash leaves a gap in the sequence
+		// that the merge must not wait on, and a commit that must not
+		// surface, since it was never acknowledged.
+		return []fault.Act{fault.ActCrashBefore}
 	case fault.PointLogWritePrimary:
 		// flip/splice: ECC-valid rot on one spindle; the page checksum
 		// must reject the copy and the duplexed read must fall back to

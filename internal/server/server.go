@@ -16,9 +16,10 @@
 //     buffer fills, which stalls the client's writes. Backpressure
 //     reaches the client with no queue and no flow-control frames.
 //   - At most Config.Workers requests execute at once; the others wait
-//     for a slot on their own connection's goroutine. Because every
-//     connection's transactions meet in the one DB, their commits batch
-//     naturally into the epoch group-commit path (PR 5).
+//     for a slot on their own connection's goroutine. Every
+//     connection's transactions meet in the one DB, and each commits
+//     the moment its chain is listed in the SLB: commits are not
+//     grouped.
 //
 // The server owns its DB handle: OpCrash crashes and recovers the
 // database in place (the recovered instance replaces the old one), and

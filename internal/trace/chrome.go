@@ -126,13 +126,13 @@ func WriteChrome(w io.Writer, events []Event) error {
 	// worker so the parallel-recovery fan-out is visible as concurrent
 	// rows instead of stacked spans on the restart lane, and one lane
 	// per SLB log stream so the per-core commit fan-out is visible the
-	// same way (appends and seals carry the stream index in Arg2).
+	// same way (appends carry the stream index in Arg2).
 	laneFor := func(e Event) int {
 		name := e.Kind.Subsystem()
 		if e.Kind == KindSweepWorkerBegin || e.Kind == KindSweepWorkerEnd {
 			name = fmt.Sprintf("sweep-w%d", e.Arg)
 		}
-		if e.Kind == KindSLBAppend || e.Kind == KindStreamSeal {
+		if e.Kind == KindSLBAppend {
 			name = fmt.Sprintf("slb-s%d", e.Arg2)
 		}
 		id, ok := lane[name]

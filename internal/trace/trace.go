@@ -56,7 +56,7 @@ const (
 	KindLockDeadlock
 
 	// One REDO record appended to the Stable Log Buffer (§2.3.1).
-	// Arg is the encoded record size in bytes.
+	// Arg is the encoded record size in bytes, Arg2 the log stream.
 	KindSLBAppend
 
 	// One bin page written to the duplexed log disks (§2.3.3).
@@ -96,17 +96,6 @@ const (
 	// "point:act", Arg the hit index. For crash acts this is, by
 	// construction, the final event of the flight recorder.
 	KindFaultTrigger
-
-	// Group-commit epoch lifecycle (per-core SLB streams). StreamSeal
-	// is one stream's seal of an epoch (Arg = epoch, Arg2 = stream);
-	// EpochSeal is the global publish releasing the epoch's committers
-	// (Arg = epoch, Arg2 = chains made durable); EpochRollback is a
-	// restart discarding a committed-but-unsealed chain (Txn set,
-	// Arg = epoch, Arg2 = stream). KindSLBAppend's Arg2 carries the
-	// stream index.
-	KindStreamSeal
-	KindEpochSeal
-	KindEpochRollback
 
 	// Network front-end (internal/server). NetAccept/NetClose bracket a
 	// connection's lifetime (Arg = connection ID; NetClose's Arg2 = total
@@ -170,9 +159,6 @@ var kindNames = [...]string{
 	KindSweepWorkerEnd:   "sweep-worker-end",
 	KindSweepError:       "sweep-error",
 	KindFaultTrigger:     "fault-trigger",
-	KindStreamSeal:       "stream-seal",
-	KindEpochSeal:        "epoch-seal",
-	KindEpochRollback:    "epoch-rollback",
 	KindNetAccept:        "net-accept",
 	KindNetClose:         "net-close",
 	KindNetDispatch:      "net-dispatch",
@@ -202,7 +188,7 @@ func (k Kind) Subsystem() string {
 		return "txn"
 	case KindLockBlock, KindLockGrant, KindLockDeadlock:
 		return "lock"
-	case KindSLBAppend, KindStreamSeal, KindEpochSeal, KindEpochRollback:
+	case KindSLBAppend:
 		return "slb"
 	case KindPageFlush:
 		return "log"

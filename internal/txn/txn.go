@@ -462,7 +462,7 @@ func (t *Txn) Commit() error {
 	if err := t.check(); err != nil {
 		return err
 	}
-	// The handle goes first: once the chain's epoch seals, the sorter may
+	// The handle goes first: once the chain is listed, the sorter may
 	// recycle it, and an Abort after a failed Commit must not touch it.
 	c := t.chain
 	t.chain = nil

@@ -58,7 +58,7 @@ func (c *fakeChain) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failCommit {
-		return errors.New("seal failed")
+		return errors.New("stamp failed")
 	}
 	s.committed = append(s.committed, c.id)
 	return nil

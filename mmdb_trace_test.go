@@ -286,7 +286,10 @@ func TestResetMetrics(t *testing.T) {
 
 // benchCommit measures the commit path with tracing on or off; the off
 // case must stay within noise of the pre-trace baseline (one nil check
-// per event site).
+// per event site). Each iteration updates one row of a fixed set, so the
+// relation does not grow with b.N, and a failed step aborts its
+// transaction before the benchmark stops: an open transaction would keep
+// its locks and hang Close.
 func benchCommit(b *testing.B, cfg Config) {
 	db, err := Open(cfg)
 	if err != nil {
@@ -297,13 +300,29 @@ func benchCommit(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	ids := make([]RowID, 64)
+	for i := range ids {
 		tx := db.Begin()
-		if _, err := tx.Insert(rel, heap.Tuple{int64(i), float64(i), "bench payload"}); err != nil {
+		if ids[i], err = tx.Insert(rel, heap.Tuple{int64(i), 0.0, "bench payload"}); err != nil {
+			tx.Abort()
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
+			tx.Abort()
+			b.Fatal(err)
+		}
+	}
+	changes := map[string]any{"balance": 0.0}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := db.Begin()
+		changes["balance"] = float64(i)
+		if err := tx.Update(rel, ids[i%len(ids)], changes); err != nil {
+			tx.Abort()
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			tx.Abort()
 			b.Fatal(err)
 		}
 	}
