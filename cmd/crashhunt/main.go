@@ -54,7 +54,6 @@ func main() {
 		budget   = flag.Int("budget", 0, "depth-2 plans drawn by the seeded sampler (0 = 200)")
 		short    = flag.Bool("short", false, "small sweep sized for CI")
 		planStr  = flag.String("plan", "", "replay one explicit plan instead of sweeping")
-		streams  = flag.Int("streams", 0, "SLB log streams for the swept database (0 = sweep default of 1)")
 		breakDup = flag.Bool("break-duplex", false, "sabotage: disable the duplexed-read fallback, demonstrating sweep failure detection")
 		loseCkpt = flag.Bool("lose-ckpt", false, "fail the checkpoint disk set after every crash and recover through media-failure recovery (§2.6)")
 		verbose  = flag.Bool("v", false, "log every plan as it runs")
@@ -69,7 +68,6 @@ func main() {
 		MaxPlans:     *maxPlans,
 		Depth:        *depth,
 		Budget:       *budget,
-		LogStreams:   *streams,
 		BreakDuplex:  *breakDup,
 		LoseCkptDisk: *loseCkpt,
 	}

@@ -34,7 +34,6 @@ func main() {
 		httpAddr    = flag.String("http", "", "ops-plane HTTP listen address (empty disables)")
 		workers     = flag.Int("workers", 8, "transactions executing at once")
 		flightBytes = flag.Int("flight-recorder", 0, "stable flight-recorder bytes (0 disables tracing)")
-		logStreams  = flag.Int("log-streams", 0, "SLB log streams (0 = config default)")
 		recWorkers  = flag.Int("recovery-workers", 4, "background sweep workers after a crash (0 disables the sweep)")
 		heatBytes   = flag.Int("heat-snapshot", 16<<10, "stable heat-snapshot bytes (0 disables heat tracking)")
 		heatEvery   = flag.Int("heat-persist-every", 0, "persist the heat ranking every N touches (0 = default)")
@@ -43,9 +42,6 @@ func main() {
 
 	cfg := mmdb.DefaultConfig()
 	cfg.FlightRecorderBytes = *flightBytes
-	if *logStreams > 0 {
-		cfg.LogStreams = *logStreams
-	}
 	cfg.RecoveryWorkers = *recWorkers
 	cfg.HeatSnapshotBytes = *heatBytes
 	cfg.HeatPersistEvery = *heatEvery

@@ -11,7 +11,6 @@
 //	paperbench recovery         §3.4.1: partition- vs database-level recovery
 //	paperbench restart          R3: sweep scaling; R5: heat-ordered ttp99-restored
 //	paperbench predeclare       R2: §2.5's predeclare-vs-on-demand question
-//	paperbench logstreams       R4: commit throughput vs per-core SLB streams
 //	paperbench metrics          measured latency histograms from a real DB run
 //	paperbench trace            Chrome trace_event export of a crash/recovery cycle
 //	paperbench all              everything above
@@ -26,7 +25,7 @@ import (
 	"mmdb/internal/model"
 )
 
-var quick = flag.Bool("quick", false, "smaller record counts for the host-time subcommands (logstreams, metrics, trace)")
+var quick = flag.Bool("quick", false, "smaller record counts for the host-time subcommands (metrics, trace)")
 
 func main() {
 	flag.Parse()
@@ -43,7 +42,6 @@ func main() {
 		"recovery":   recovery,
 		"restart":    restart,
 		"predeclare": predeclare,
-		"logstreams": logstreams,
 		"metrics":    metricsReport,
 		"trace":      traceReport,
 	}
@@ -60,7 +58,7 @@ func main() {
 	}
 	if args[0] == "all" {
 		for _, name := range []string{"table2", "graph1", "graph2", "graph3", "recovery",
-			"restart", "predeclare", "logstreams", "metrics", "trace"} {
+			"restart", "predeclare", "metrics", "trace"} {
 			run(name)
 			fmt.Println()
 		}
@@ -72,7 +70,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: paperbench [-quick] [-trace-out FILE] {table2|graph1|graph2|graph3|recovery|restart|predeclare|logstreams|metrics|trace|all}")
+	fmt.Fprintln(os.Stderr, "usage: paperbench [-quick] [-trace-out FILE] {table2|graph1|graph2|graph3|recovery|restart|predeclare|metrics|trace|all}")
 }
 
 // n shrinks a host-time subcommand's record count under -quick. The
@@ -206,21 +204,5 @@ func predeclare() error {
 			res.DemandFirstUS, res.DemandP50US, res.DemandMaxUS, res.DemandTotalUS)
 	}
 	fmt.Println("  (per-transaction simulated disk latency; predeclare = method 1, demand = method 2)")
-	return nil
-}
-
-func logstreams() error {
-	fmt.Println("R4 — commit throughput vs per-core SLB log streams (instant commit)")
-	fmt.Printf("  %8s %14s %12s %12s\n", "streams", "commits/s", "p50 us", "p99 us")
-	pts, err := experiments.LogStreamScaling([]int{1, 2, 4, 8}, 8, n(20000), 4)
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		fmt.Printf("  %8d %14.0f %12.1f %12.1f\n",
-			p.Streams, p.TxnsPerSec, p.P50CommitUS, p.P99CommitUS)
-	}
-	fmt.Println("  (8 concurrent committers, host wall-clock; 1 stream serializes every commit")
-	fmt.Println("   on one stream latch, per-core streams shard it)")
 	return nil
 }

@@ -43,7 +43,6 @@ func stampWorkload(t *testing.T, h *harness, workers, txnsPer int) []int {
 					Tag: wal.TagRelInsert, PID: addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)},
 					Data: []byte(fmt.Sprintf("w%d-txn%02d", w, k)),
 				}}
-				// Worker-affine txn IDs spread workers across streams.
 				if err := h.m.InjectCommitted(uint64(w+workers*k+1), recs); err != nil {
 					if !fault.IsCrash(err) {
 						t.Errorf("worker %d txn %d: %v", w, k, err)
@@ -65,59 +64,55 @@ func stampWorkload(t *testing.T, h *harness, workers, txnsPer int) []int {
 }
 
 // TestCrashAtEveryStampKeepsAcknowledgedCommits crashes the machine at
-// each "slb.stamp" hit of a concurrent workload, at 1 and 4 log
-// streams: between a commit taking its number and listing its chain,
-// while other committers and the sorter run. Every committer returns.
-// After restart each worker's slot holds its last acknowledged value:
-// no acknowledged commit is lost, and the commit whose stamp crashed,
-// like every later one, never surfaces. The gap the crash leaves in the
-// sequence holds up neither the sorter nor restart's merge.
+// each "slb.stamp" hit of a concurrent workload: between a commit
+// taking its number and listing its chain, while other committers and
+// the sorter run. Every committer returns. After restart each worker's
+// slot holds its last acknowledged value: no acknowledged commit is
+// lost, and the commit whose stamp crashed, like every later one, never
+// surfaces. The gap the crash leaves in the sequence holds up neither
+// the sorter nor restart's drain.
 func TestCrashAtEveryStampKeepsAcknowledgedCommits(t *testing.T) {
 	const workers, txnsPer = 4, 4
-	for _, streams := range []int{1, 4} {
-		for hit := 1; hit <= workers*txnsPer; hit++ {
-			cfg := testCfg()
-			cfg.LogStreams = streams
-			cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
-				{Point: fault.PointSLBStamp, Hit: hit, Act: fault.ActCrashBefore, Torn: -1},
-			}})
-			h := newHarness(t, cfg)
-			h.start()
-			last := stampWorkload(t, h, workers, txnsPer)
-			if !cfg.FaultInjector.Crashed() {
-				t.Fatalf("streams=%d: slb.stamp@%d never fired", streams, hit)
-			}
-			h.crash()
-			for w, k := range last {
-				p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}, simdisk.NilTrack)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.Read(0)
-				switch {
-				case k < 0 && err == nil:
-					t.Fatalf("streams=%d hit=%d: worker %d had no commit acknowledged, slot holds %q", streams, hit, w, got)
-				case k >= 0 && string(got) != fmt.Sprintf("w%d-txn%02d", w, k):
-					t.Fatalf("streams=%d hit=%d: worker %d's slot = %q (%v), want its last acknowledged txn %d",
-						streams, hit, w, got, err, k)
-				}
-			}
-			h.m.Stop()
+	for hit := 1; hit <= workers*txnsPer; hit++ {
+		cfg := testCfg()
+		cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
+			{Point: fault.PointSLBStamp, Hit: hit, Act: fault.ActCrashBefore, Torn: -1},
+		}})
+		h := newHarness(t, cfg)
+		h.start()
+		last := stampWorkload(t, h, workers, txnsPer)
+		if !cfg.FaultInjector.Crashed() {
+			t.Fatalf("slb.stamp@%d never fired", hit)
 		}
+		h.crash()
+		for w, k := range last {
+			p, err := h.m.restorePartition(addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}, simdisk.NilTrack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Read(0)
+			switch {
+			case k < 0 && err == nil:
+				t.Fatalf("hit=%d: worker %d had no commit acknowledged, slot holds %q", hit, w, got)
+			case k >= 0 && string(got) != fmt.Sprintf("w%d-txn%02d", w, k):
+				t.Fatalf("hit=%d: worker %d's slot = %q (%v), want its last acknowledged txn %d",
+					hit, w, got, err, k)
+			}
+		}
+		h.m.Stop()
 	}
 }
 
-// TestEpochBoundaryCrashRollsBackWholeEpoch crashes the machine at the
-// boundary one commit number draws, between a transaction taking its
-// number and listing its chain, at 4 log streams. The transaction, whose
-// Commit returned a crash error and never an acknowledgement, is rolled
-// back whole at restart: neither of its two updates surfaces, and the
-// transaction acknowledged before it survives. Its number stays taken:
-// the sequence survives the crash, the next commit takes a larger
-// number, and the gap holds up neither restart's merge nor the sorter.
-func TestEpochBoundaryCrashRollsBackWholeEpoch(t *testing.T) {
+// TestStampCrashRollsBackWholeTxn crashes the machine between a
+// transaction taking its commit number and listing its chain. The
+// transaction, whose Commit returned a crash error and never an
+// acknowledgement, is rolled back whole at restart: neither of its two
+// updates surfaces, and the transaction acknowledged before it
+// survives. Its number stays taken: the sequence survives the crash,
+// the next commit takes a larger number, and the gap holds up neither
+// restart's drain nor the sorter.
+func TestStampCrashRollsBackWholeTxn(t *testing.T) {
 	cfg := testCfg()
-	cfg.LogStreams = 4
 	// The manager is not started, so the test's commits are the only
 	// stamps: the insert is hit 1, the update's stamp (hit 2) crashes.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
@@ -191,13 +186,13 @@ func beginSlotChain(t *testing.T, h *harness, txnID uint64, part int, data strin
 }
 
 // commitBehindLatch commits every chain on its own goroutine while the
-// test holds the latch of stream held, so none can stamp; it runs then
-// (the crash to come) and releases the latch. It requires every Commit
-// to return a crash error within a minute.
-func commitBehindLatch(t *testing.T, h *harness, held int, chains []txn.RedoChain, then func()) {
+// test holds the SLB's latch, so none can stamp; it runs then (the
+// crash to come) and releases the latch. It requires every Commit to
+// return a crash error within a minute.
+func commitBehindLatch(t *testing.T, h *harness, chains []txn.RedoChain, then func()) {
 	t.Helper()
-	ls := h.m.slb.st.streams[held]
-	ls.mu.Lock()
+	st := h.m.slb.st
+	st.mu.Lock()
 	errs := make(chan error, len(chains))
 	for _, c := range chains {
 		go func(c txn.RedoChain) { errs <- c.Commit() }(c)
@@ -207,9 +202,9 @@ func commitBehindLatch(t *testing.T, h *harness, held int, chains []txn.RedoChai
 	}
 	early := len(errs)
 	then()
-	ls.mu.Unlock()
+	st.mu.Unlock()
 	if early != 0 {
-		t.Fatalf("%d commits returned while their stream's latch was held", early)
+		t.Fatalf("%d commits returned while the SLB's latch was held", early)
 	}
 	timeout := time.After(time.Minute)
 	for range chains {
@@ -237,21 +232,19 @@ func wantSlotEmpty(t *testing.T, h *harness, part int) {
 	}
 }
 
-// TestCrashFailsEveryCommitOfAnUnsealedEpoch: K committers wait on their
-// stream's latch, which the test holds, so none can take a number and
-// list its chain; the machine then crashes. Released, each takes its
-// number and fails at its stamp, none acknowledged. Nothing is listed,
-// and restart, which must not wait on the K-number gap, surfaces none.
-func TestCrashFailsEveryCommitOfAnUnsealedEpoch(t *testing.T) {
+// TestCrashFailsEveryCommitQueuedOnTheLatch: K committers wait on the
+// SLB's latch, which the test holds, so none can take a number and list
+// its chain; the machine then crashes. Released, each takes its number
+// and fails at its stamp, none acknowledged. Nothing is listed, and
+// restart, which must not wait on the K-number gap, surfaces none.
+func TestCrashFailsEveryCommitQueuedOnTheLatch(t *testing.T) {
 	const k = 4
-	cfg := testCfg()
-	cfg.LogStreams = 2
-	h := newHarness(t, cfg)
+	h := newHarness(t, testCfg())
 	chains := make([]txn.RedoChain, k)
 	for i := range chains {
-		chains[i] = beginSlotChain(t, h, uint64(2*i+1), i, "unlisted") // odd IDs: stream 1
+		chains[i] = beginSlotChain(t, h, uint64(i+1), i, "unlisted")
 	}
-	commitBehindLatch(t, h, 1, chains, h.cfg.FaultInjector.ForceCrash)
+	commitBehindLatch(t, h, chains, h.cfg.FaultInjector.ForceCrash)
 	if s := h.m.slb.st.seq.Load(); s != k {
 		t.Fatalf("commit sequence %d, want the %d numbers the failed commits took", s, k)
 	}
@@ -270,30 +263,29 @@ func TestCrashFailsEveryCommitOfAnUnsealedEpoch(t *testing.T) {
 	}
 }
 
-// TestCrashMidSealWakesItsFollowers: committers queue on one stream's
+// TestCrashAtStampWakesQueuedCommitters: committers queue on the SLB's
 // latch, which the test holds, and the first to take it crashes at its
 // stamp. That failed commit must release the latch and so wake the
 // others: each then fails at its own stamp, no commit hangs and none is
-// acknowledged. A commit acknowledged on another stream before the
-// crash survives restart.
-func TestCrashMidSealWakesItsFollowers(t *testing.T) {
+// acknowledged. A commit acknowledged before the crash survives
+// restart.
+func TestCrashAtStampWakesQueuedCommitters(t *testing.T) {
 	cfg := testCfg()
-	cfg.LogStreams = 3
 	// The manager is not started, so the test's commits are the only
-	// stamps: txn 3's is hit 1, the first queued committer's is hit 2.
+	// stamps: txn 1's is hit 1, the first queued committer's is hit 2.
 	cfg.FaultInjector = fault.NewInjector(fault.Plan{Rules: []fault.Rule{
 		{Point: fault.PointSLBStamp, Hit: 2, Act: fault.ActCrashBefore, Torn: -1},
 	}})
 	h := newHarness(t, cfg)
-	if err := beginSlotChain(t, h, 3, 0, "acknowledged").Commit(); err != nil { // stream 0
+	if err := beginSlotChain(t, h, 1, 0, "acknowledged").Commit(); err != nil {
 		t.Fatal(err)
 	}
-	txns := []uint64{1, 4, 7, 10} // all on stream 1
+	txns := []uint64{2, 3, 4, 5}
 	chains := make([]txn.RedoChain, len(txns))
 	for i, id := range txns {
 		chains[i] = beginSlotChain(t, h, id, i+1, "queued")
 	}
-	commitBehindLatch(t, h, 1, chains, func() {})
+	commitBehindLatch(t, h, chains, func() {})
 	if !h.cfg.FaultInjector.Crashed() {
 		t.Fatal("slb.stamp@2 never fired")
 	}
@@ -312,27 +304,29 @@ func TestCrashMidSealWakesItsFollowers(t *testing.T) {
 	}
 }
 
-// checkSequence fails the test unless the committed lists hold commit
-// numbers 1..n, each once, every list in ascending order: the merge
-// then has every number to order by.
+// checkSequence fails the test unless the committed list holds the
+// last n commit numbers taken, each once, in ascending order: the list
+// is then the commit order the sorter reads.
 func checkSequence(t *testing.T, h *harness, n int) {
 	t.Helper()
-	seen := make(map[uint64]bool)
-	for _, ls := range h.m.slb.st.streams {
-		ls.mu.Lock()
-		for j, c := range ls.committed {
-			if j > 0 && c.seq <= ls.committed[j-1].seq {
-				t.Errorf("stream %d lists commit %d after %d", ls.id, c.seq, ls.committed[j-1].seq)
-			}
-			if c.seq < 1 || c.seq > uint64(n) || seen[c.seq] {
-				t.Errorf("stream %d lists commit number %d twice or outside 1..%d", ls.id, c.seq, n)
-			}
-			seen[c.seq] = true
+	st := h.m.slb.st
+	st.mu.Lock()
+	last := st.seq.Load() - uint64(n)
+	listed := 0
+	for c := st.head; c != nil; c = c.next {
+		if c.seq != last+1 {
+			t.Errorf("the committed list holds commit %d after %d", c.seq, last)
 		}
-		ls.mu.Unlock()
+		last = c.seq
+		listed++
 	}
-	if len(seen) != n {
-		t.Errorf("%d chains listed, want %d", len(seen), n)
+	tail := st.tail
+	st.mu.Unlock()
+	if listed != n || last != st.seq.Load() {
+		t.Errorf("%d chains listed, the last numbered %d; want %d ending at %d", listed, last, n, st.seq.Load())
+	}
+	if n > 0 && (tail == nil || tail.seq != last) {
+		t.Errorf("the list's tail is not its last chain")
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -353,47 +347,21 @@ func TestNewRejectsGroupCommitInterval(t *testing.T) {
 	}
 }
 
-// TestSurvivingBufferKeepsItsStreams: a buffer that survives a crash
-// keeps the stream count it was made with, even empty and even when the
-// new instance asks for another, and slb/streams reports the kept count.
-func TestSurvivingBufferKeepsItsStreams(t *testing.T) {
-	cfg := testCfg()
-	cfg.LogStreams = 3
-	h := newHarness(t, cfg)
-	if h.m.slb.busy() {
-		t.Fatal("a fresh buffer holds committed chains")
-	}
-	h.powerOff()
-	h.cfg.LogStreams = 5
-	h.powerOn()
-	defer h.m.Stop()
-	if n := h.m.slb.streams(); n != 3 {
-		t.Fatalf("the surviving buffer has %d streams, want its own 3", n)
-	}
-	if v := h.m.Metrics().Streams.Value(); v != 3 {
-		t.Fatalf("slb/streams reads %d, want 3", v)
-	}
-	if n := len(h.m.Metrics().StreamRecords); n != 3 {
-		t.Fatalf("%d per-stream record counters, want 3", n)
-	}
-}
-
-// TestMergeReplayMatchesSingleStream is the merge-order property test:
-// the same deterministic workload of conflicting updates, run against a
-// 4-stream and a 1-stream SLB and left entirely unsorted at the crash
-// (the manager is never started), must recover to byte-identical
-// entities. The chains land on different streams in the 4-stream run,
-// so restart's merge by commit number must reproduce the single-stream
-// replay order semantics — commit order.
+// TestMergeReplayMatchesSingleStream is the commit-order property
+// test: the same deterministic workload of conflicting updates, run
+// once with the sorter draining as it goes and once left entirely
+// unsorted at the crash (the manager is never started), must recover to
+// byte-identical entities, the last committed value of each. In the
+// second run restart's drain sorts the whole committed list, so it must
+// replay the chains in commit order, as the running sorter does.
 func TestMergeReplayMatchesSingleStream(t *testing.T) {
 	final := make(map[int][]byte)
 	var recovered [2][][]byte
-	for i, streams := range []int{1, 4} {
-		cfg := testCfg()
-		cfg.LogStreams = streams
-		h := newHarness(t, cfg)
-		// No h.start(): the sorter never runs, so every chain is still
-		// in the SLB at the crash and restart performs the full merge.
+	for i, sorted := range []bool{true, false} {
+		h := newHarness(t, testCfg())
+		if sorted {
+			h.start()
+		}
 		seg := h.seg()
 		const nEnts = 3
 		var addrs []addr.EntityAddr
@@ -406,17 +374,21 @@ func TestMergeReplayMatchesSingleStream(t *testing.T) {
 			h.update(addrs[e], val)
 			final[e] = val
 		}
-		checkSequence(t, h, nEnts+40)
+		if sorted {
+			h.idleWith("the sorter draining every chain", func() bool { return !h.m.slb.busy() })
+		} else {
+			checkSequence(t, h, nEnts+40)
+		}
 		h.crash()
 		tx := h.m.Txns.Begin()
 		for e := 0; e < nEnts; e++ {
 			got, err := tx.ReadEntity(addrs[e])
 			if err != nil {
-				t.Fatalf("streams=%d: reading entity %d: %v", streams, e, err)
+				t.Fatalf("sorted=%v: reading entity %d: %v", sorted, e, err)
 			}
 			if !bytes.Equal(got, final[e]) {
-				t.Fatalf("streams=%d: entity %d = %q, want %q (merge order broke commit order)",
-					streams, e, got, final[e])
+				t.Fatalf("sorted=%v: entity %d = %q, want %q (replay broke commit order)",
+					sorted, e, got, final[e])
 			}
 			recovered[i] = append(recovered[i], got)
 		}
@@ -425,21 +397,19 @@ func TestMergeReplayMatchesSingleStream(t *testing.T) {
 	}
 	for e := range recovered[0] {
 		if !bytes.Equal(recovered[0][e], recovered[1][e]) {
-			t.Fatalf("entity %d diverges between 1-stream (%q) and 4-stream (%q) recovery",
+			t.Fatalf("entity %d diverges between the live-sorted (%q) and restart-sorted (%q) recovery",
 				e, recovered[0][e], recovered[1][e])
 		}
 	}
 }
 
 // TestMergeReplayConcurrentDisjoint drives concurrent committers with
-// disjoint write sets through a 4-stream SLB with no sorter running, so
-// consecutive commit numbers land on different streams; restart's merge
-// must preserve each committer's program order (later commits of one
-// worker replay after its earlier ones).
+// disjoint write sets through the SLB with no sorter running, so their
+// commits interleave on the one list; restart's drain must preserve
+// each committer's program order (later commits of one worker replay
+// after its earlier ones).
 func TestMergeReplayConcurrentDisjoint(t *testing.T) {
-	cfg := testCfg()
-	cfg.LogStreams = 4
-	h := newHarness(t, cfg)
+	h := newHarness(t, testCfg())
 	const workers, txnsPer = 8, 12
 	h.store.EnsureSegment(2)
 	for w := 0; w < workers; w++ {
@@ -458,7 +428,6 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 					Tag: wal.TagRelInsert, PID: pid, Slot: 0,
 					Data: []byte(fmt.Sprintf("w%d-txn%02d", w, k)),
 				}}
-				// Worker-affine txn IDs spread workers across streams.
 				if err := h.m.InjectCommitted(uint64(w+workers*k+1), recs); err != nil {
 					t.Errorf("worker %d txn %d: %v", w, k, err)
 					return
@@ -474,7 +443,7 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 	h.crash()
 	defer h.m.Stop()
 	// Slot 0 of each worker's partition was overwritten txnsPer times in
-	// the worker's program order; the merge must land the last write.
+	// the worker's program order; the drain must land the last write.
 	for w := 0; w < workers; w++ {
 		pid := addr.PartitionID{Segment: 2, Part: addr.PartitionNum(w)}
 		p, err := h.m.restorePartition(pid, simdisk.NilTrack)
@@ -492,5 +461,107 @@ func TestMergeReplayConcurrentDisjoint(t *testing.T) {
 	}
 	if h.m.slb.busy() {
 		t.Fatal("restart left committed chains unsorted")
+	}
+}
+
+// TestCommittedListDrainsInNumberOrder commits 10 000 one-record chains
+// with the recovery CPU not started, each writing its own number into
+// one of a few slots, then drains them: at once, or half by the
+// sorter's own steps and the rest by restart's drain after a crash.
+// Each bin must hold its partition's records in number order, none
+// lost and none twice; the list must end empty with every block back in
+// the pool; and the two runs must restore the same partitions, each slot
+// holding its last writer's number.
+func TestCommittedListDrainsInNumberOrder(t *testing.T) {
+	const chains, parts, slots = 10000, 8, 50
+	pid := func(k int) addr.PartitionID {
+		return addr.PartitionID{Segment: 2, Part: addr.PartitionNum(k % parts)}
+	}
+	run := func(t *testing.T, crashMidway bool) [parts][slots]string {
+		h := poolHarness(t) // one page per bin: nothing flushes or folds
+		defer func() { h.m.Stop() }()
+		h.store.EnsureSegment(2)
+		for p := 0; p < parts; p++ {
+			if _, err := h.store.AllocPartitionAt(pid(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		record := func(k int) []wal.Record {
+			return []wal.Record{{
+				Tag: wal.TagRelInsert, PID: pid(k), Slot: addr.Slot(k / parts % slots),
+				Data: []byte(fmt.Sprintf("%05d", k)),
+			}}
+		}
+		// Warm up: every bin and its page buffer exist before Used is read.
+		for p := 0; p < parts; p++ {
+			mustOK(t, h.m.InjectCommitted(uint64(p+1), record(p)))
+		}
+		h.drain()
+		used := h.hw.Stable.Used()
+		for k := parts; k < chains; k++ {
+			mustOK(t, h.m.InjectCommitted(uint64(k+1), record(k)))
+		}
+		checkSequence(t, h, chains-parts)
+		if crashMidway {
+			h.m.sortMu.Lock()
+			for i := 0; i < chains/2; i++ {
+				c := h.m.slb.peekOldest(h.m.slb.st.seq.Load())
+				mustOK(t, h.m.sortChain(c))
+				h.m.slb.markSorted(c)
+			}
+			h.m.sortMu.Unlock()
+			h.crash()
+		} else {
+			h.drain()
+		}
+		if h.m.slb.busy() {
+			t.Fatal("the committed list is not empty after the drain")
+		}
+		if got := h.hw.Stable.Used(); got != used {
+			t.Fatalf("stable memory in use = %d B after the drain, want the %d before the load", got, used)
+		}
+		var out [parts][slots]string
+		seen := 0
+		for p := 0; p < parts; p++ {
+			last := -1
+			w := wal.Walk(h.binBytes(pid(p)))
+			for w.Next() {
+				var k int
+				if _, err := fmt.Sscanf(string(w.Record().Data), "%d", &k); err != nil {
+					t.Fatal(err)
+				}
+				if k%parts != p || k <= last {
+					t.Fatalf("partition %d's bin holds chain %d after chain %d", p, k, last)
+				}
+				last = k
+				seen++
+			}
+			mustOK(t, w.Err())
+			part, err := h.m.restorePartition(pid(p), simdisk.NilTrack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < slots; s++ {
+				got, err := part.Read(addr.Slot(s))
+				if err != nil {
+					t.Fatalf("partition %d slot %d: %v", p, s, err)
+				}
+				out[p][s] = string(got)
+			}
+		}
+		if seen != chains {
+			t.Fatalf("the bins hold %d records, want %d", seen, chains)
+		}
+		return out
+	}
+	var lastWriter [parts][slots]string
+	for k := 0; k < chains; k++ {
+		lastWriter[k%parts][k/parts%slots] = fmt.Sprintf("%05d", k)
+	}
+	if live := run(t, false); live != lastWriter {
+		t.Fatal("a live drain left a slot without its last writer's number")
+	}
+	if crashed := run(t, true); crashed != lastWriter {
+		t.Fatal("the partitions restored after a crash mid-drain differ from the live drain's")
 	}
 }

@@ -1,14 +1,14 @@
 // Package core implements the paper's recovery component: the Stable
-// Log Buffer — sharded into per-core log streams that one commit
-// sequence orders (see slb.go) — and the Stable Log Tail in stable
-// reliable memory, the recovery-CPU loop that merge-sorts committed
-// log records from the streams into partition bins and flushes bin
-// pages to the duplexed log disks, update-count and age (log-window)
-// checkpoint triggering, the main-CPU checkpoint transactions against
-// the pseudo-circular checkpoint disk queue, and two-phase post-crash
-// recovery: catalogs first, then partitions on demand with a
-// low-priority background sweep (§2). docs/LOGGING.md walks the commit
-// path end to end; docs/ARCHITECTURE.md maps the whole component.
+// Log Buffer — one committed list in commit order (see slb.go) — and
+// the Stable Log Tail in stable reliable memory, the recovery-CPU loop
+// that sorts committed log records from that list into partition bins
+// and flushes bin pages to the duplexed log disks, update-count and
+// age (log-window) checkpoint triggering, the main-CPU checkpoint
+// transactions against the pseudo-circular checkpoint disk queue, and
+// two-phase post-crash recovery: catalogs first, then partitions on
+// demand with a low-priority background sweep (§2). docs/LOGGING.md
+// walks the commit path end to end; docs/ARCHITECTURE.md maps the
+// whole component.
 package core
 
 import (
@@ -31,16 +31,9 @@ type Config struct {
 	// blocks are allocated to transactions on demand and dedicated to
 	// one transaction for their lifetime (§2.3.1).
 	SLBBlockSize int
-	// LogStreams shards the Stable Log Buffer into this many per-core
-	// log streams, each with its own latch; all of them draw blocks
-	// from the one stable-memory pool. Committing transactions are
-	// affinitized to streams by transaction ID. 0 or negative means
-	// GOMAXPROCS. It sizes a new buffer only: a buffer surviving a
-	// crash keeps the stream count it was made with, empty or not.
-	LogStreams int
 	// GroupCommitInterval must be 0; New rejects any other value.
 	// Commit has no group: a transaction commits when its chain joins
-	// its stream's committed list, one store into stable memory with no
+	// the SLB's committed list, one store into stable memory with no
 	// flush to amortise. The field remains only because the benchmark
 	// harness sets it.
 	GroupCommitInterval time.Duration

@@ -83,7 +83,7 @@ type Manager struct {
 	// sortMu makes the sorter single-flight: drain runs only under it,
 	// taken by the recovery CPU's loop, restart's drainStableOnly,
 	// PartitionFreed and the checkpoint's drain barrier, which holds it
-	// through the fence. Lock order: sortMu before the SLT and stream
+	// through the fence. Lock order: sortMu before the SLT and SLB
 	// mutexes; signalIdle is never called while holding it.
 	sortMu sync.Mutex
 
@@ -106,7 +106,7 @@ type Manager struct {
 	// WaitIdle's signal. idleMu guards no state of its own: every change
 	// that can make settled() true is followed by signalIdle, which takes
 	// idleMu, so a waiter between its check and its Wait cannot miss it.
-	// Lock order: idleMu before the SLT and stream mutexes, so nothing
+	// Lock order: idleMu before the SLT and SLB mutexes, so nothing
 	// holding those may signal.
 	idleMu   sync.Mutex
 	idleCond *sync.Cond
@@ -127,10 +127,7 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	if err != nil {
 		return nil, err
 	}
-	// The metrics registry is built after the SLB attaches, because the
-	// per-stream counters must match the stream count of the buffer that
-	// actually survived (which can differ from cfg.LogStreams).
-	mt := newMetrics(s.streams())
+	mt := newMetrics()
 	// The devices outlive managers: from here on they charge their
 	// simulated cost to this generation's registry.
 	hw.Stable.SetRefs(mt.SimStableRefs)
@@ -149,14 +146,12 @@ func New(hw *Hardware, cfg Config, store *mm.Store, locks *lock.Manager) (*Manag
 	}
 	m.idleCond = sync.NewCond(&m.idleMu)
 	// Thread the instruments through the components the manager wires:
-	// the SLB reports record-write latency and counts records per
-	// stream, commits and aborts, the lock table wait time and
-	// deadlocks, the transaction manager begin-to-commit latency.
+	// the SLB reports record-write latency and counts commits and
+	// aborts, the lock table wait time and deadlocks, the transaction
+	// manager begin-to-commit latency.
 	s.writeLatency = mt.SLBRecordWrite
-	s.streamRecords = mt.StreamRecords
 	s.commits = mt.TxnsCommitted
 	s.aborts = mt.TxnsAborted
-	mt.Streams.Set(int64(s.streams()))
 	locks.WaitLatency = mt.LockWait
 	locks.DeadlockCount = mt.Deadlocks
 	m.Txns = txn.NewManager(store, locks, s)
@@ -259,7 +254,7 @@ func (m *Manager) Stop() {
 }
 
 // WaitIdle blocks until the recovery component is idle: no committed
-// chain waits on any stream, no bin is checkpoint-pending (which covers
+// chain waits in the SLB, no bin is checkpoint-pending (which covers
 // a checkpoint in progress), and no background sweep is running. It
 // also returns once the machine stops or crashes, since nothing moves
 // after that. It waits on a signal, never on a timer.
@@ -287,7 +282,7 @@ func (m *Manager) halted() bool {
 }
 
 // signalIdle wakes WaitIdle callers to re-check settled(). The caller
-// must hold neither the SLT nor a stream mutex.
+// must hold neither the SLT nor the SLB mutex.
 func (m *Manager) signalIdle() {
 	m.idleMu.Lock()
 	m.idleCond.Broadcast()

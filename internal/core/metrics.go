@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"mmdb/internal/metrics"
-)
+import "mmdb/internal/metrics"
 
 // Metrics bundles every instrument of the recovery component, grouped
 // into the per-subsystem registries exposed by DB.Metrics(). Each
@@ -33,10 +29,8 @@ type Metrics struct {
 	TxnsAborted   *metrics.Counter
 
 	// slb — the main-CPU side of logging: latency of one REDO record
-	// write into stable memory and the per-core stream fan-out.
+	// write into stable memory.
 	SLBRecordWrite *metrics.Histogram
-	Streams        *metrics.Gauge
-	StreamRecords  []*metrics.Counter
 
 	// log — the recovery-CPU side: sorting committed chains into
 	// partition bins and flushing full bin pages to the log disk.
@@ -147,11 +141,8 @@ type Metrics struct {
 	SimCkptDiskBusy  *metrics.Counter
 }
 
-// newMetrics builds the instrument set on a fresh registry. streams is
-// the resolved SLB stream count (it can differ from Config.LogStreams
-// when a buffer survived a crash with a different count), so
-// the per-stream counters match the buffer actually attached.
-func newMetrics(streams int) *Metrics {
+// newMetrics builds the instrument set on a fresh registry.
+func newMetrics() *Metrics {
 	reg := metrics.NewRegistry()
 	txn := reg.Subsystem("txn")
 	slb := reg.Subsystem("slb")
@@ -163,11 +154,6 @@ func newMetrics(streams int) *Metrics {
 	lockS := reg.Subsystem("lock")
 	faultS := reg.Subsystem("fault")
 	simS := reg.Subsystem("sim")
-	streamRecords := make([]*metrics.Counter, streams)
-	for i := range streamRecords {
-		streamRecords[i] = slb.Counter(fmt.Sprintf("stream%02d_records", i), "records",
-			fmt.Sprintf("REDO records appended to log stream %d", i))
-	}
 	return &Metrics{
 		reg: reg,
 
@@ -178,8 +164,6 @@ func newMetrics(streams int) *Metrics {
 
 		SLBRecordWrite: slb.Histogram("record_write", "ns",
 			"latency of one REDO record write into the Stable Log Buffer"),
-		Streams:       slb.Gauge("streams", "streams", "per-core log stream count of the attached SLB"),
-		StreamRecords: streamRecords,
 
 		PageFlushLatency: logS.Histogram("page_flush", "ns",
 			"latency of one bin page write to the duplexed log disks (§2.3.3)"),

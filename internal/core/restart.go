@@ -2,14 +2,13 @@ package core
 
 // Post-crash restart (§2.5), in two phases. The synchronous phase —
 // Restart — runs before the first transaction: it rolls back
-// uncommitted SLB chains, merge-sorts the committed chains from every
-// log stream into the Stable Log Tail's partition bins in commit-number
-// order, and restores the catalog partitions from the well-known
-// stable root. Everything else is deferred: Resume installs on-demand
-// recovery (a transaction touching an unrecovered partition triggers
-// its restore) and the parallel background sweep that restores the
-// remainder, so time to first transaction is independent of database
-// size.
+// uncommitted SLB chains, sorts the committed chains into the Stable
+// Log Tail's partition bins in commit order, and restores the catalog
+// partitions from the well-known stable root. Everything else is
+// deferred: Resume installs on-demand recovery (a transaction touching
+// an unrecovered partition triggers its restore) and the parallel
+// background sweep that restores the remainder, so time to first
+// transaction is independent of database size.
 
 import (
 	"errors"
@@ -35,9 +34,8 @@ import (
 //  1. discard uncommitted SLB chains (their transactions died with the
 //     volatile memory; a chain whose commit crashed before it was
 //     listed is one of them);
-//  2. synchronously re-sort the committed chains — merged across
-//     streams in commit-number order — into partition bins, completing
-//     the Stable Log Tail;
+//  2. synchronously re-sort the committed chains, in commit order, into
+//     partition bins, completing the Stable Log Tail;
 //  3. restore the catalog partitions from the well-known root.
 //
 // After Restart the facade decodes the catalogs, installs the Locate

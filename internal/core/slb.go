@@ -1,37 +1,34 @@
 package core
 
-// The Stable Log Buffer (§2.3.1), sharded into per-core log streams
-// that one commit sequence orders.
+// The Stable Log Buffer (§2.3.1): one latch, one map of uncommitted
+// chains and one committed list, in stable memory.
 //
 // A transaction holds its own chain (txnChain, the txn.RedoChain it
 // was handed at begin), so writing a record takes no latch: only block
 // allocation, inside the stable-memory pool, is synchronised (§2.3.1).
-// Each stream has its own latch, uncommitted-chain map and committed
-// list; a transaction is affinitised to the stream txnID % N, and its
-// stream's latch is taken only at begin, commit and abort.
+// The buffer's latch is taken only at begin, commit and abort, and by
+// the sorter to read or pop the committed list's head.
 //
-// Commit is instant and has no group: under its stream's latch a
-// committer takes the next number of the commit sequence, one word in
-// stable memory, and appends its chain to the stream's committed list.
-// That append is both the commit point and the acknowledgement. A
-// store into stable memory has no flush to amortise, so nothing waits
-// for other committers.
+// Commit is instant and has no group: under the latch a committer
+// takes the next number of the commit sequence, one word in stable
+// memory, and appends its chain to the committed list. That append is
+// both the commit point and the acknowledgement. A store into stable
+// memory has no flush to amortise, so nothing waits for other
+// committers.
 //
-// The sorter and restart merge the streams' lists by commit number.
-// Strict two-phase locking makes that order safe: locks are released
-// only after a chain's Commit returns, so a transaction that conflicts
-// with T takes its number after T is listed, and a larger one. Two
-// chains listed out of number order were committing at once, so their
-// write sets are disjoint and either replay order gives the same state.
-// A crash between taking a number and listing the chain (the
-// "slb.stamp" fault point) leaves a gap in the sequence: that
-// transaction was never acknowledged, and the merge waits on no number.
-// See docs/LOGGING.md for the end-to-end walk-through.
+// The list is the commit order. The latch that takes a number also
+// appends the chain, so the list is in number order and the recovery
+// CPU and restart sort it from the head. Strict two-phase locking
+// makes that order safe: locks are released only after a chain's
+// Commit returns, so a transaction that conflicts with T takes its
+// number after T is listed, and a larger one. A crash between taking a
+// number and listing the chain (the "slb.stamp" fault point) leaves a
+// gap in the sequence: that transaction was never acknowledged, and
+// nothing waits on the number. See docs/LOGGING.md for the end-to-end
+// walk-through.
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,10 +52,10 @@ type txnChain struct {
 	s      *slb // the handle that opened the chain
 	id     uint64
 	blocks []*stablemem.Block
-	// stream is the log stream the chain belongs to; seq is its commit
-	// number, stamped at commit, and its place in the merge order.
-	stream *logStream
-	seq    uint64
+	// seq is the chain's commit number, stamped at commit; next links
+	// the committed list.
+	seq  uint64
+	next *txnChain
 }
 
 // chainPool holds released txnChains, their block lists emptied but
@@ -95,44 +92,25 @@ func (s *slb) release(c *txnChain) {
 	chainPool.Put(c)
 }
 
-// logStream is one per-core stream of the sharded SLB. It lives in
-// stable memory: the committed list survives a crash.
-type logStream struct {
-	id int
-	mu sync.Mutex
-
-	uncommitted map[uint64]*txnChain
-	// committed is ordered by commit number: a chain takes its number
-	// under mu, in the same hold that appends it, so the list is sorted
-	// by construction and its head is the stream's oldest unsorted
-	// chain.
-	committed []*txnChain
-}
-
-// slbState is the Stable Log Buffer: per-stream REDO chain lists plus
-// the commit sequence. It lives in stable memory and survives crashes.
-// (The §2.4 checkpoint communication buffer is the bins' ckptTrigger in
-// the Stable Log Tail.)
+// slbState is the Stable Log Buffer: the REDO chains of running
+// transactions and the committed list, plus the commit sequence. It
+// lives in stable memory and survives crashes. (The §2.4 checkpoint
+// communication buffer is the bins' ckptTrigger in the Stable Log
+// Tail.)
 type slbState struct {
-	streams []*logStream
+	mu          sync.Mutex
+	uncommitted map[uint64]*txnChain
+	// head and tail bound the committed list, linked through
+	// txnChain.next. A chain takes its number under mu, in the same
+	// hold that appends it, so the list is in number order and head is
+	// the oldest unsorted chain.
+	head, tail *txnChain
 	// seq is the last commit number taken (the first is 1). It survives
 	// crashes, so numbers never repeat across restarts.
 	seq atomic.Uint64
 	// gen counts the handles attached to the buffer; a handle whose gen
 	// is not the latest belongs to a dead instance (slb.release).
 	gen atomic.Uint64
-}
-
-// newSLBState builds a fresh buffer with n streams.
-func newSLBState(n int) *slbState {
-	st := &slbState{streams: make([]*logStream, n)}
-	for i := range st.streams {
-		st.streams[i] = &logStream{
-			id:          i,
-			uncommitted: make(map[uint64]*txnChain),
-		}
-	}
-	return st
 }
 
 // slb is the volatile handle the running system uses to operate on the
@@ -148,31 +126,23 @@ type slb struct {
 
 	// Instruments, all nil-safe: writeLatency observes each
 	// WriteRecord (the main-CPU cost of logging one REDO record,
-	// §2.3.1); streamRecords one counter per stream; commits and
-	// aborts count chains that committed or were aborted.
-	writeLatency  *metrics.Histogram
-	streamRecords []*metrics.Counter
-	commits       *metrics.Counter
-	aborts        *metrics.Counter
+	// §2.3.1); commits and aborts count chains that committed or were
+	// aborted.
+	writeLatency *metrics.Histogram
+	commits      *metrics.Counter
+	aborts       *metrics.Counter
 	// tracer emits slb-append events.
 	tracer *trace.Tracer
 }
 
-// newSLB attaches to (or creates) the stable buffer. The stream count
-// comes from cfg.LogStreams (≤ 0 means GOMAXPROCS) when the buffer is
-// created; a surviving buffer keeps the count it was made with, empty
-// or not, since its chains' stream affinity (txnID % N) is fixed.
+// newSLB attaches to (or creates) the stable buffer.
 func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 	if cfg.GroupCommitInterval != 0 {
 		return nil, fmt.Errorf("core: GroupCommitInterval is %v; it must be 0, commit has no group", cfg.GroupCommitInterval)
 	}
 	st, _ := mem.Root(slbRootKey).(*slbState)
 	if st == nil {
-		n := cfg.LogStreams
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		st = newSLBState(n)
+		st = &slbState{uncommitted: make(map[uint64]*txnChain)}
 		mem.SetRoot(slbRootKey, st)
 	}
 	return &slb{
@@ -185,16 +155,6 @@ func newSLB(mem *stablemem.Memory, cfg Config) (*slb, error) {
 	}, nil
 }
 
-// streams returns the attached buffer's stream count (the resolved
-// value, which can differ from cfg.LogStreams when a buffer survived
-// with a different count).
-func (s *slb) streams() int { return len(s.st.streams) }
-
-// streamFor is the commit-path affinity function.
-func (s *slb) streamFor(txnID uint64) *logStream {
-	return s.st.streams[txnID%uint64(len(s.st.streams))]
-}
-
 func nudge(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -202,17 +162,16 @@ func nudge(ch chan struct{}) {
 	}
 }
 
-// BeginTxn implements txn.RedoSink: it opens the transaction's chain
-// on its stream. A dead instance's chain stays out of the stream's map,
-// where it could shadow a live transaction of the same ID.
+// BeginTxn implements txn.RedoSink: it opens the transaction's chain.
+// A dead instance's chain stays out of the buffer's map, where it could
+// shadow a live transaction of the same ID.
 func (s *slb) BeginTxn(id uint64) txn.RedoChain {
-	ls := s.streamFor(id)
 	c := chainPool.Get().(*txnChain)
-	c.s, c.id, c.stream = s, id, ls
-	if s.gen == s.st.gen.Load() {
-		ls.mu.Lock()
-		ls.uncommitted[id] = c
-		ls.mu.Unlock()
+	c.s, c.id = s, id
+	if st := s.st; s.gen == st.gen.Load() {
+		st.mu.Lock()
+		st.uncommitted[id] = c
+		st.mu.Unlock()
 	}
 	return c
 }
@@ -223,21 +182,21 @@ func (s *slb) BeginTxn(id uint64) txn.RedoChain {
 // allocates nothing. A dead instance's chain refuses the write before
 // it can draw a block.
 func (c *txnChain) WriteRecord(rec *wal.Record) error {
-	s, ls := c.s, c.stream
+	s := c.s
 	start := time.Now()
 	defer s.writeLatency.ObserveSince(start)
 	if s.gen != s.st.gen.Load() {
 		return fmt.Errorf("core: txn %d's SLB chain belongs to a crashed instance", c.id)
 	}
 	n := rec.EncodedSize()
-	// Fault point "slb.append": one hit per record, per stream. A
-	// crash act with nothing applied (crash-before, ioerr) fails the
-	// write cleanly; crash-after lets the record land and then halts;
-	// a mutation act silently rots the record's bytes on the way into
-	// stable memory — the sorter's CRC check must quarantine it.
+	// Fault point "slb.append": one hit per record. A crash act with
+	// nothing applied (crash-before, ioerr) fails the write cleanly;
+	// crash-after lets the record land and then halts; a mutation act
+	// silently rots the record's bytes on the way into stable memory —
+	// the sorter's CRC check must quarantine it.
 	dec := s.inj.Check(fault.PointSLBAppend, n)
 	if dec.Err != nil && dec.ApplyBytes(n) == 0 {
-		return fmt.Errorf("core: SLB stream %d append: %w", ls.id, dec.Err)
+		return fmt.Errorf("core: SLB append: %w", dec.Err)
 	}
 	var rotted []byte // the damaged encoding, which lands instead
 	if dec.Mutated() {
@@ -264,52 +223,54 @@ func (c *txnChain) WriteRecord(rec *wal.Record) error {
 	if err != nil {
 		return fmt.Errorf("core: SLB block append: %w", err)
 	}
-	if len(s.streamRecords) > 0 {
-		s.streamRecords[ls.id].Inc()
-	}
 	s.tracer.Emit(trace.Event{
 		Kind: trace.KindSLBAppend, Txn: rec.Txn,
 		Seg: uint64(rec.PID.Segment), Part: uint64(rec.PID.Part),
-		Arg: uint64(n), Arg2: uint64(ls.id),
+		Arg: uint64(n),
 	})
 	if dec.Err != nil {
-		return fmt.Errorf("core: SLB stream %d append: %w", ls.id, dec.Err)
+		return fmt.Errorf("core: SLB append: %w", dec.Err)
 	}
 	return nil
 }
 
 // Commit implements txn.RedoChain and is the transaction's commit
-// point (§2.3.1's instant commit): under the stream latch the chain
+// point (§2.3.1's instant commit): under the buffer's latch the chain
 // takes the next commit number and moves from the uncommitted map to
-// its stream's committed list. Once listed the transaction is durable,
-// and Commit returns. The caller must not use the chain again: the
-// sorter may recycle it as soon as it is listed.
+// the tail of the committed list. Once listed the transaction is
+// durable, and Commit returns. The caller must not use the chain
+// again: the sorter may recycle it as soon as it is listed.
 func (c *txnChain) Commit() error {
-	s, ls := c.s, c.stream
-	ls.mu.Lock()
-	if ls.uncommitted[c.id] != c {
-		ls.mu.Unlock()
+	s, st := c.s, c.s.st
+	st.mu.Lock()
+	if st.uncommitted[c.id] != c {
+		st.mu.Unlock()
 		return fmt.Errorf("core: commit of unknown txn %d", c.id)
 	}
-	delete(ls.uncommitted, c.id)
+	delete(st.uncommitted, c.id)
 	if len(c.blocks) == 0 {
 		// Read-only transaction: nothing to log.
-		ls.mu.Unlock()
+		st.mu.Unlock()
 		s.release(c)
 		s.commits.Inc()
 		return nil
 	}
-	c.seq = s.st.seq.Add(1)
+	c.seq = st.seq.Add(1)
 	// Fault point "slb.stamp": a crash here leaves the number unlisted,
-	// a gap the merge never waits on, and the commit unacknowledged.
+	// a gap nothing waits on, and the commit unacknowledged.
 	if dec := s.inj.Check(fault.PointSLBStamp, 0); dec.Err != nil {
-		ls.mu.Unlock()
-		err := fmt.Errorf("core: stamping txn %d on SLB stream %d: %w", c.id, ls.id, dec.Err)
+		st.mu.Unlock()
+		err := fmt.Errorf("core: stamping txn %d: %w", c.id, dec.Err)
 		s.release(c)
 		return err
 	}
-	ls.committed = append(ls.committed, c)
-	ls.mu.Unlock()
+	if st.tail == nil {
+		st.head = c
+	} else {
+		st.tail.next = c
+	}
+	st.tail = c
+	st.mu.Unlock()
 	s.mem.ChargeWrite(8) // the commit number's stable word
 	nudge(s.commitCh)
 	s.commits.Inc()
@@ -320,91 +281,73 @@ func (c *txnChain) Commit() error {
 // rolled memory back; the REDO chain is simply discarded, its blocks
 // back to the pool. A chain restart already discarded is left alone.
 func (c *txnChain) Abort() {
-	s, ls := c.s, c.stream
+	s, st := c.s, c.s.st
 	s.aborts.Inc()
-	ls.mu.Lock()
-	mine := ls.uncommitted[c.id] == c
+	st.mu.Lock()
+	mine := st.uncommitted[c.id] == c
 	if mine {
-		delete(ls.uncommitted, c.id)
+		delete(st.uncommitted, c.id)
 	}
-	ls.mu.Unlock()
+	st.mu.Unlock()
 	if mine {
 		s.release(c)
 	}
 }
 
-// peekOldest returns the committed, unsorted chain with the smallest
-// commit number no greater than upTo, a sequence value the caller read,
-// without removing it, or nil. Each stream's list is in number order,
-// so that chain is a list head. A number up to upTo was taken before
-// upTo was read, under its stream's latch and in the hold that lists
-// the chain, so once this takes that latch the chain is listed or never
-// will be. The chain stays on its stream's list until markSorted, so a
-// crash mid-sort cannot lose committed records: the restart drain
-// re-sorts the whole chain and lenient replay absorbs the duplicated
-// prefix.
+// peekOldest returns the head of the committed list, the oldest
+// unsorted chain, if its commit number is no greater than upTo, a
+// sequence value the caller read; otherwise nil. The chain stays listed
+// until markSorted, so a crash mid-sort cannot lose committed records:
+// the restart drain re-sorts the whole chain and lenient replay absorbs
+// the duplicated prefix.
 func (s *slb) peekOldest(upTo uint64) *txnChain {
-	var best *txnChain
-	for _, ls := range s.st.streams {
-		ls.mu.Lock()
-		if len(ls.committed) > 0 {
-			if c := ls.committed[0]; c.seq <= upTo && (best == nil || c.seq < best.seq) {
-				best = c
-			}
-		}
-		ls.mu.Unlock()
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if c := st.head; c != nil && c.seq <= upTo {
+		return c
 	}
-	return best
+	return nil
 }
 
-// markSorted removes a fully sorted chain from its stream's committed
+// markSorted pops a fully sorted chain off the head of the committed
 // list and returns its stable blocks to the pool. Only the caller that
-// removed the chain releases it.
+// popped the chain releases it: another drain that sorted the same
+// head finds it gone.
 func (s *slb) markSorted(c *txnChain) {
-	ls := c.stream
-	removed := false
-	ls.mu.Lock()
-	for i, x := range ls.committed {
-		if x == c {
-			ls.committed = slices.Delete(ls.committed, i, i+1) // clears the vacated slot
-			removed = true
-			break
+	st := s.st
+	st.mu.Lock()
+	popped := st.head == c
+	if popped {
+		st.head, c.next = c.next, nil
+		if st.head == nil {
+			st.tail = nil
 		}
 	}
-	ls.mu.Unlock()
-	if removed {
+	st.mu.Unlock()
+	if popped {
 		s.release(c)
 	}
 }
 
-// discardUncommitted drops every uncommitted chain on every stream;
-// called on restart, since transactions in flight at the crash are
-// implicitly aborted (their effects existed only in the lost volatile
-// memory).
+// discardUncommitted drops every uncommitted chain; called on restart,
+// since transactions in flight at the crash are implicitly aborted
+// (their effects existed only in the lost volatile memory).
 func (s *slb) discardUncommitted() {
-	var chains []*txnChain
-	for _, ls := range s.st.streams {
-		ls.mu.Lock()
-		for _, c := range ls.uncommitted {
-			chains = append(chains, c)
-		}
-		ls.uncommitted = make(map[uint64]*txnChain)
-		ls.mu.Unlock()
-	}
+	st := s.st
+	st.mu.Lock()
+	chains := st.uncommitted
+	st.uncommitted = make(map[uint64]*txnChain)
+	st.mu.Unlock()
 	for _, c := range chains {
 		c.drop()
 	}
 }
 
-// busy reports whether any stream still holds committed chains.
+// busy reports whether the committed list holds any chain.
 func (s *slb) busy() bool {
-	for _, ls := range s.st.streams {
-		ls.mu.Lock()
-		n := len(ls.committed)
-		ls.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.head != nil
 }

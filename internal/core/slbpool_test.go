@@ -148,10 +148,8 @@ func TestDiscardedChainIsNeverReissued(t *testing.T) {
 	h.powerOff()
 	h.powerOn()
 	defer h.m.Stop()
-	for _, ls := range h.m.slb.st.streams {
-		if n := len(ls.uncommitted) + len(ls.committed); n != 0 {
-			t.Fatalf("stream %d keeps %d chains after restart", ls.id, n)
-		}
+	if n := len(h.m.slb.st.uncommitted); n != 0 || h.m.slb.busy() {
+		t.Fatalf("the SLB keeps %d uncommitted chains (committed list busy: %v) after restart", n, h.m.slb.busy())
 	}
 	gone := map[*stablemem.Block]bool{}
 	for _, b := range discarded {

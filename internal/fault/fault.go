@@ -55,8 +55,8 @@ const (
 	// Stable memory block appends: SLB record writes and SLT bin page
 	// buffer writes.
 	PointStableAppend Point = "stable.append"
-	// Stable Log Buffer stream operations: one "slb.append" hit per REDO
-	// record written into a per-core log stream, and one "slb.stamp" hit
+	// Stable Log Buffer operations: one "slb.append" hit per REDO
+	// record written into a transaction's chain, and one "slb.stamp" hit
 	// per logged commit, between taking its commit number and listing
 	// its chain — a crash there leaves a gap in the commit sequence.
 	// Separate points (rather than reusing "stable.append") so arming

@@ -78,13 +78,6 @@ type Options struct {
 	// Budget is how many depth-2 plans the seeded sampler draws (default
 	// 200). Ignored at depth 1.
 	Budget int
-	// LogStreams overrides the SLB stream count for the swept database
-	// (crashhunt -streams). 0 keeps the sweep default of 1 stream,
-	// which gives every plan a deterministic single-stream hit order;
-	// with more streams the fault matrix exercises restart's merge of
-	// the streams by commit number, including the gap a crash at the
-	// "slb.stamp" point leaves in the sequence.
-	LogStreams int
 	// BreakDuplex disables the duplexed-read fallback (§2.2) before the
 	// workload: a deliberate sabotage switch demonstrating that the
 	// sweep detects a broken recovery path. It also disables
@@ -272,10 +265,6 @@ func Config() mmdb.Config {
 	cfg.GracePages = 4
 	cfg.CheckpointTracks = 512
 	cfg.StableBytes = 8 << 20
-	// One log stream by default so the baseline cycle's per-point hit
-	// counts (and therefore every enumerated plan's hit index) are
-	// machine-independent; Options.LogStreams widens the matrix.
-	cfg.LogStreams = 1
 	cfg.RecoveryWorkers = 0 // no background sweep: the warm-up phase demands recovery deterministically
 	// The flight recorder rides along so every violation report carries
 	// the pre-crash event timeline. Its ring writes bypass the fault
@@ -415,14 +404,14 @@ func actsFor(p fault.Point) []fault.Act {
 		return []fault.Act{fault.ActCrashBefore, fault.ActCrashTorn, fault.ActCrashAfter,
 			fault.ActMutFlip, fault.ActMutTrunc}
 	case fault.PointSLBAppend:
-		// Per-record stream append. Physical tearing is exercised one
+		// Per-record chain append. Physical tearing is exercised one
 		// level down at "stable.append"; here the interesting failures
-		// are the whole-record ones around the stream bookkeeping.
+		// are the whole-record ones around the chain bookkeeping.
 		return []fault.Act{fault.ActCrashBefore, fault.ActCrashAfter, fault.ActIOErr}
 	case fault.PointSLBStamp:
 		// One hit per logged commit, between taking the commit number
 		// and listing the chain: a crash leaves a gap in the sequence
-		// that the merge must not wait on, and a commit that must not
+		// that the sorter must not wait on, and a commit that must not
 		// surface, since it was never acknowledged.
 		return []fault.Act{fault.ActCrashBefore}
 	case fault.PointLogWritePrimary:
@@ -699,9 +688,6 @@ func runPlan(opts *Options, plan fault.Plan) (PlanStat, *Violation, map[fault.Po
 		r.model[i] = map[mmdb.RowID]row{}
 	}
 	r.cfg = Config()
-	if opts.LogStreams > 0 {
-		r.cfg.LogStreams = opts.LogStreams
-	}
 	if opts.BreakDuplex {
 		// Keep all committed state in the log window: no checkpoints,
 		// no archiving, so recovery must read back every page and a

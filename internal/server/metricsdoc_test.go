@@ -13,8 +13,8 @@ import (
 // of a live server and its database — the server's own (with the Go
 // runtime telemetry) and DB.Metrics(): every instrument has a row with
 // its kind and unit, and every row names an instrument that exists. A
-// row's first cell may list several names, and may use NN for a
-// two-digit stream number or <op> for an opcode.
+// row's first cell may list several names, and may use <op> for an
+// opcode.
 func TestMetricsDocMatchesRegistry(t *testing.T) {
 	s, cleanup := startServer(t, testDBConfig(), Config{})
 	defer cleanup()
@@ -46,7 +46,6 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 		kind, unit := strings.TrimSpace(cells[2]), strings.TrimSpace(cells[3])
 		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
 			pat := regexp.QuoteMeta(m[1])
-			pat = strings.ReplaceAll(pat, "NN", `\d\d`)
 			pat = strings.ReplaceAll(pat, "<op>", ".+")
 			re := regexp.MustCompile("^" + pat + "$")
 			found := false

@@ -23,7 +23,7 @@
 //     addresses and the checkpoint communication buffer (§2.4, §2.5).
 //
 // Every allocation and free takes the Memory's one mutex, so a block
-// freed by any SLB stream or by the SLT is at once usable by all.
+// freed by an SLB chain or by the SLT is at once usable by all.
 //
 // Blocks come from a free pool, as §2.3.1's SLB blocks do: Recycle
 // returns a block to the pool and NewBlock draws from it before it

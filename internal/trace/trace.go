@@ -56,7 +56,7 @@ const (
 	KindLockDeadlock
 
 	// One REDO record appended to the Stable Log Buffer (§2.3.1).
-	// Arg is the encoded record size in bytes, Arg2 the log stream.
+	// Arg is the encoded record size in bytes.
 	KindSLBAppend
 
 	// One bin page written to the duplexed log disks (§2.3.3).

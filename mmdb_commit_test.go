@@ -80,7 +80,6 @@ func TestDeadInstanceTxnCannotLog(t *testing.T) {
 // no deleted one, survives a crash and a restart.
 func TestCommittersBesideRecyclingSorter(t *testing.T) {
 	cfg := testConfig()
-	cfg.LogStreams = 2
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -260,13 +260,11 @@ func TestStableMemoryExhaustion(t *testing.T) {
 }
 
 // TestFreedLogBlocksServeEveryStream runs large transactions one after
-// another on a stable memory that holds about three of them at once.
-// Consecutive transactions land on different log streams, so each one
-// fits only if the blocks its predecessors' sorted chains freed are
-// usable by any stream.
+// another on a stable memory that holds about three of them at once, so
+// each one fits only if the blocks its predecessors' sorted chains
+// freed went back to the one pool and serve the next transaction.
 func TestFreedLogBlocksServeEveryStream(t *testing.T) {
 	cfg := testConfig()
-	cfg.LogStreams = 4
 	cfg.StableBytes = 1 << 20
 	db, err := Open(cfg)
 	if err != nil {
